@@ -45,7 +45,7 @@ from .kernel import (
     squared_distance,
     two_points_on,
 )
-from .linalg import nullspace_vector, rank_profile_int, solve_rational
+from .linalg import nullspace_vector, rank_profile_int
 
 
 class DegeneratePointSet(GeometryError):
@@ -372,7 +372,7 @@ def pascal_check(pairs: Sequence[tuple[Segment, Segment]]) -> tuple[HomLine, boo
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers (ternary forms as monomial dictionaries)
+# ternary forms as monomial dictionaries {(i, j, k): coefficient}
 
 def _poly_mul(p: dict, q: dict) -> dict:
     out: dict = {}
@@ -400,6 +400,39 @@ def _poly_add(p: dict, q: dict, sign: int = 1) -> dict:
 
 def _cubic_vector(poly: dict) -> tuple:
     return tuple(poly.get(mon, 0) for mon in CUBIC_MONOMIALS)
+
+
+def _substitute(coeffs, lins) -> dict:
+    """The cubic ``coeffs`` with x, y, z replaced by the forms ``lins``."""
+    out: dict = {}
+    for coeff, powers in zip(coeffs, CUBIC_MONOMIALS):
+        if coeff == 0:
+            continue
+        term = {(0, 0, 0): coeff}
+        for lin, power in zip(lins, powers):
+            for _ in range(power):
+                term = _poly_mul(term, lin)
+        out = _poly_add(out, term)
+    return out
+
+
+def _divide_linear(p: dict, lin) -> dict:
+    """Exact quotient of the form ``p`` by the linear form ``lin``.
+
+    Eliminates monomials from the highest power of one variable of ``lin``
+    down; a nonzero remainder raises :class:`NoLinearComponent`.
+    """
+    v = next(i for i, c in enumerate(lin) if c != 0)
+    divisor = _poly_lin(lin)
+    rem, quo = dict(p), {}
+    while rem:
+        mon = max(rem, key=lambda m: m[v])
+        if mon[v] == 0:
+            raise NoLinearComponent("line does not divide the pencil member")
+        q = tuple(e - (i == v) for i, e in enumerate(mon))
+        quo[q] = Fraction(rem[mon], lin[v])
+        rem = _poly_add(rem, _poly_mul({q: quo[q]}, divisor), -1)
+    return quo
 
 
 def hessian(k: Cubic) -> Optional[Cubic]:
@@ -443,46 +476,9 @@ class PencilFactorization:
 
 def _restrict_cubic(k: Cubic, r0: HomPoint, r1: HomPoint) -> tuple[int, int, int, int]:
     """Binary cubic of k on the line spanned by r0, r1 (parameters s0, s1)."""
-    lins = [
-        (r0.x, r1.x),
-        (r0.y, r1.y),
-        (r0.z, r1.z),
-    ]
-
-    def bin_mul(p, q):
-        out = [0] * (len(p) + len(q) - 1)
-        for i, a in enumerate(p):
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-        return out
-
-    acc = [0, 0, 0, 0]
-    for coeff, (i, j, k_) in zip(k.coeffs, CUBIC_MONOMIALS):
-        if coeff == 0:
-            continue
-        term = [1]
-        for var, power in zip(lins, (i, j, k_)):
-            for _ in range(power):
-                term = bin_mul(term, list(var))
-        for idx, val in enumerate(term):
-            acc[idx] += coeff * val
-    return tuple(acc)
-
-
-def _line_times_conic_rows(l: HomLine):
-    l1, l2, l3 = l.triple
-    return (
-        (l1, 0, 0, 0, 0, 0),
-        (l2, 0, 0, 2 * l1, 0, 0),
-        (l3, 0, 0, 0, 2 * l1, 0),
-        (0, l1, 0, 2 * l2, 0, 0),
-        (0, 0, 0, 2 * l3, 2 * l2, 2 * l1),
-        (0, 0, l1, 0, 2 * l3, 0),
-        (0, l2, 0, 0, 0, 0),
-        (0, l3, 0, 0, 0, 2 * l2),
-        (0, 0, l2, 0, 0, 2 * l3),
-        (0, 0, l3, 0, 0, 0),
-    )
+    form = _substitute(k.coeffs, [_poly_lin((u, w, 0))
+                                  for u, w in zip(r0.triple, r1.triple)])
+    return tuple(form.get((3 - i, i, 0), 0) for i in range(4))
 
 
 def pencil_combination(p: Cubic, q: Cubic, t: Fraction) -> Cubic:
@@ -496,9 +492,8 @@ def line_component(p: Cubic, q: Cubic, l: HomLine) -> PencilFactorization:
     """Find t with p - t q divisible by the line l, and the residual conic.
 
     The restrictions of both cubics to l must be proportional binary
-    cubics; the residual is recovered by an exact linear solve and the
-    factorization p - t q = l * residual is verified coefficient by
-    coefficient.
+    cubics; the residual is the exact quotient of p - t q by the linear
+    form of l, and a nonzero remainder raises :class:`NoLinearComponent`.
     """
     if p == q:
         raise ValueError("cubics must be independent forms")
@@ -524,14 +519,12 @@ def line_component(p: Cubic, q: Cubic, l: HomLine) -> PencilFactorization:
     comp = [td * a - tn * b for a, b in zip(p.coeffs, q.coeffs)]
     if all(v == 0 for v in comp):
         raise ValueError("cubics are proportional forms")
-    rows = _line_times_conic_rows(l)
-    sol = solve_rational([list(map(Fraction, r)) for r in rows],
-                         [Fraction(v) for v in comp])
-    if sol is None:
-        raise NoLinearComponent("line does not divide the pencil member")
-    for row, target in zip(rows, comp):
-        assert sum(Fraction(a) * s for a, s in zip(row, sol)) == target
-    return PencilFactorization(t, l, Conic(*sol))
+    quo = _divide_linear({m: c for m, c in zip(CUBIC_MONOMIALS, comp) if c},
+                         l.triple)
+    residual = Conic(*(quo.get(m, 0) for m in ((2, 0, 0), (0, 2, 0), (0, 0, 2))),
+                     *(Fraction(quo.get(m, 0), 2)
+                       for m in ((1, 1, 0), (1, 0, 1), (0, 1, 1))))
+    return PencilFactorization(t, l, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -582,17 +575,7 @@ def transform_conic(matrix, c: Conic) -> Conic:
 def transform_cubic(matrix, k: Cubic) -> Cubic:
     """Push-forward: p on k iff matrix*p on the result."""
     n = _checked_adjugate(matrix)
-    lin = [_poly_lin(n[i]) for i in range(3)]
-    out: dict = {}
-    for coeff, (i, j, k_) in zip(k.coeffs, CUBIC_MONOMIALS):
-        if coeff == 0:
-            continue
-        term = {(0, 0, 0): coeff}
-        for var, power in zip(lin, (i, j, k_)):
-            for _ in range(power):
-                term = _poly_mul(term, var)
-        out = _poly_add(out, term)
-    return Cubic(*_cubic_vector(out))
+    return Cubic(*_cubic_vector(_substitute(k.coeffs, [_poly_lin(row) for row in n])))
 
 
 # ---------------------------------------------------------------------------

@@ -228,10 +228,6 @@ def collinear(p: HomPoint, q: HomPoint, r: HomPoint) -> bool:
     return det3((p.triple, q.triple, r.triple)) == 0
 
 
-def concurrent(l: HomLine, m: HomLine, n: HomLine) -> bool:
-    return det3((l.triple, m.triple, n.triple)) == 0
-
-
 def incident(p: HomPoint, l: HomLine) -> bool:
     return sum(a * b for a, b in zip(p.triple, l.triple)) == 0
 

@@ -2,14 +2,15 @@
 
 Fraction-free (Bareiss) elimination over the integers for determinants and
 rank profiles, a signed-minor nullspace extractor for (n) x (n+1) systems
-of full row rank, and a plain rational Gauss-Jordan solver.  Everything is
-exact; matrices are lists/tuples of ``int`` or ``Fraction`` rows.
+of full row rank, and a plain rational rank as an independent cross-check.
+Everything is exact; matrices are lists/tuples of ``int`` or ``Fraction``
+rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:
@@ -124,43 +125,3 @@ def rank_rational(rows: Sequence[Sequence[Fraction]]) -> int:
         if r == nrows:
             break
     return r
-
-
-def solve_rational(
-    a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
-) -> Optional[list[Fraction]]:
-    """Particular exact solution of A x = b, or None if inconsistent.
-
-    Free variables (if any) are set to zero.
-    """
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    m = [[Fraction(x) for x in row] + [Fraction(bi)] for row, bi in zip(a, b)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if m[i][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for row, col in pivots:
-        x[col] = m[row][ncols]
-    return x

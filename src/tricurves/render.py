@@ -27,10 +27,6 @@ class RenderConfig:
             raise ValueError("width and height must be at least 64")
 
 
-class DegenerateRender(Exception):
-    """The curve has no real locus inside the viewport."""
-
-
 def embed_triangle(t) -> tuple[tuple[float, float], ...]:
     """Cartesian embedding: A at the origin, B on the x-axis."""
     a2, b2, c2 = float(t.a2), float(t.b2), float(t.c2)

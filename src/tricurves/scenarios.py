@@ -8,6 +8,18 @@ test; their failures are first-class results and carry full counterexample
 certificates (triangle sides plus both canonical values compared).
 
 Everything here is exact; a claim is pass or fail, never approximately so.
+
+How a scenario is declared: it is data over one table of names, resolved
+per trial by :class:`Trial`.  A name is a point (a :data:`ALIASES` entry
+such as ``"Be"``, a vertex name from ``_POINTS`` such as ``"I1"``, or any
+:func:`parse_center` expression such as ``"center(excentral,X25)"``), a
+derived triangle (its kind, e.g. ``"orthic"``), a fitted curve from
+``FITS``, or another entry of ``CONSTRUCTIONS``; ``"ax1.conic"`` reads an
+attribute of a construction.  :func:`_scenario` takes the names ``setup``
+builds eagerly, in order (a degenerate triangle is skipped or refused where
+that construction fails), the claims (made by the builders below from
+names), and the figure as ``(label, name)`` entries (a bare name is its
+own label), which only :func:`build_figure` resolves.
 """
 
 from __future__ import annotations
@@ -15,27 +27,29 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from functools import lru_cache
+from typing import Callable
 
 from .centers import (
+    Catalog,
+    CenterExpr,
     CenterId,
-    CenterOf,
-    IsogonalIn,
+    MidpointOf,
     TriangleKind,
-    anticomplement,
+    VertexOf,
     derived_subtriangle,
     derived_triangle,
-    eval_center,
     eval_center_in,
     eval_expr,
-    isogonal,
     isogonal_in,
+    parse_center,
     random_triangle,
 )
 from .curves import (
+    BothVanishOnLine,
     Conic,
-    Cubic,
     DegeneratePointSet,
+    NoLinearComponent,
     axis_conic,
     conic_center,
     conic_through,
@@ -51,22 +65,15 @@ from .curves import (
     pivotal_membership,
     transform_conic,
     transform_cubic,
-    NoLinearComponent,
-    BothVanishOnLine,
 )
 from .kernel import (
     CoincidentArguments,
     GeometryError,
     HomPoint,
     RefTriangle,
-    VERTEX_A,
-    VERTEX_B,
-    VERTEX_C,
     incident,
     join,
     local_coords,
-    midpoint,
-    reflect_through,
     sample_line_points,
 )
 
@@ -96,25 +103,9 @@ class Claim:
 class Scenario:
     id: str
     description: str
-    setup: Callable[[RefTriangle], dict]
+    setup: Callable[[RefTriangle], "Trial"]
     claims: tuple[Claim, ...]
-
-
-class Trial:
-    """Per-triangle evaluation context shared by a scenario's claims."""
-
-    def __init__(self, t: RefTriangle, data: dict):
-        self.t = t
-        self.data = data
-        self._centers: dict[CenterId, HomPoint] = {}
-
-    def c(self, cid: CenterId) -> HomPoint:
-        if cid not in self._centers:
-            self._centers[cid] = eval_center(self.t, cid)
-        return self._centers[cid]
-
-    def __getitem__(self, key):
-        return self.data[key]
+    figure: tuple  # points, curves, lines: each a tuple of (label, name)
 
 
 class UnknownScenario(GeometryError):
@@ -122,100 +113,256 @@ class UnknownScenario(GeometryError):
 
 
 # ---------------------------------------------------------------------------
-# claim builders
+# names
 
-def eq_claim(cid: str, expectation: str, lhs, rhs, kind: str = "point-equality",
-             acute_only: bool = False) -> Claim:
-    def check(ctx: Trial):
-        a, b = lhs(ctx), rhs(ctx)
-        if a == b:
-            return None
-        return Failure(str(a), str(b), "values differ")
+_KINDS = {k.value: k for k in TriangleKind}
 
-    return Claim(cid, kind, expectation, check, acute_only)
-
-
-def membership_claim(cid: str, expectation: str, curve_key: str, points,
-                     acute_only: bool = False) -> Claim:
-    def check(ctx: Trial):
-        curve = ctx[curve_key]
-        bad = [(lbl, p) for lbl, p in points(ctx) if curve.evaluate(p) != 0]
-        if not bad:
-            return None
-        labels = ", ".join(lbl for lbl, _ in bad)
-        return Failure(str(bad[0][1]), "0",
-                       f"off the curve: {labels}")
-
-    return Claim(cid, "membership", expectation, check, acute_only)
+# vertices of the base and derived triangles, and the orthic side midpoints
+_POINTS: dict[str, CenterExpr] = {
+    "A": Catalog(CenterId.VERTEX_A),
+    "B": Catalog(CenterId.VERTEX_B),
+    "C": Catalog(CenterId.VERTEX_C),
+    **{f"{prefix}{i + 1}": VertexOf(kind, i)
+       for prefix, kind in (("I", TriangleKind.EXCENTRAL),
+                            ("A", TriangleKind.MIDARC),
+                            ("E", TriangleKind.EULER),
+                            ("H", TriangleKind.ORTHIC),
+                            ("M", TriangleKind.MEDIAL))
+       for i in range(3)},
+    **{f"Mh{i + 1}": MidpointOf(VertexOf(TriangleKind.ORTHIC, (i + 1) % 3),
+                                VertexOf(TriangleKind.ORTHIC, (i + 2) % 3))
+       for i in range(3)},
+}
 
 
-def curve_eq_claim(cid: str, expectation: str, lhs, rhs,
-                   acute_only: bool = False) -> Claim:
-    def check(ctx: Trial):
-        a, b = lhs(ctx), rhs(ctx)
-        if a is SKIP or b is SKIP:
-            return SKIP
-        if a == b:
-            return None
-        return Failure(",".join(a.serialize()), ",".join(b.serialize()),
-                       "coefficient vectors differ")
+@lru_cache(maxsize=None)
+def _expr(name: str) -> CenterExpr:
+    return _POINTS[name] if name in _POINTS else parse_center(name)
 
-    return Claim(cid, "curve-equality", expectation, check, acute_only)
+
+def _labelled(entries) -> tuple[tuple[str, str], ...]:
+    """(label, name) pairs; a bare name is its own label."""
+    return tuple((e, e) if isinstance(e, str) else tuple(e) for e in entries)
+
+
+_THM5_POINTS = ("M1", "M2", "M3",
+                *(f"reflect(E,vertex(medial,{i}))" for i in range(3)),
+                "Sp", "E", "O")
+
+# fitted curves: name -> the 5 (conic) or 9 (cubic) points, in fit order
+FITS = {
+    "exc_conic": ("I1", "I2", "I3", "Be", "I"),
+    "midarc_conic": ("A1", "A2", "A3", "O", "I"),
+    "jerabek": ("A", "B", "C", "O", "H"),
+    "darboux": ("A", "B", "C", "I", "O", "H", "L", "Be", "I1"),
+    "thomson": ("A", "B", "C", "M1", "M2", "M3", "I1", "I2", "I3"),
+    "thm2_cubic": ("A", "B", "C", "H1", "H2", "H3", "H", "E",
+                   ("M(orthic)", "center(orthic,X2)")),
+    "thomson_orthic": ("H1", "H2", "H3", "Mh1", "Mh2", "Mh3", "A", "B", "C"),
+    "thm3_cubic": ("A", "B", "C", "H1", "H2", "H3", "H", "E", "O"),
+    "darboux_orthic": ("H1", "H2", "H3", "A", "B", "C", "H",
+                       "center(orthic,X3)", "center(orthic,X20)"),
+    "thm5_cubic": tuple((f"P{i + 1}", n) for i, n in enumerate(_THM5_POINTS)),
+    "thm6_cubic": ("A", "B", "C", "M1", "M2", "M3", "M", "O", "I"),
+    "lucas": ("A", "B", "C", *(f"vertex(anticomplementary,{i})" for i in range(3)),
+              "M", "H", "Ge"),
+    "thm7_cubic": ("E1", "E2", "E3", "M1", "M2", "M3", "M_IH", "E", "H"),
+}
+
+
+def _fit(entries):
+    names = [name for _, name in _labelled(entries)]
+    fitter = conic_through if len(names) == 5 else cubic_through
+    return lambda tr: fitter([tr[n] for n in names])
+
+
+CONSTRUCTIONS: dict[str, Callable[["Trial"], object]] = {
+    **{name: _fit(points) for name, points in FITS.items()},
+    "oexc": lambda tr: derived_subtriangle(tr.t, tr["excentral"],
+                                           TriangleKind.ORTHIC),
+    "oexc_symmedian": lambda tr: eval_center_in(tr.t, tr["oexc"], CenterId.X6),
+    "oi": lambda tr: join(tr["O"], tr["I"]),
+    "euler_line": lambda tr: join(tr["O"], tr["H"]),
+    "exc_conic_center": lambda tr: conic_center(tr["exc_conic"]),
+    "ax1": lambda tr: axis_conic(tr.t, tr["M"], tr["L"], tr["H"]),
+    "ax2": lambda tr: axis_conic(tr.t, tr["M"], tr["H"], tr["O"]),
+    "fact": lambda tr: line_component(tr["thm3_cubic"], tr["thm5_cubic"],
+                                      tr["euler_line"]),
+    "composition": lambda tr: pencil_combination(
+        tr["thm3_cubic"], tr["thm5_cubic"], tr["fact"].t),
+}
+
+
+class Trial:
+    """Per-triangle evaluation context: each name is resolved once, on use."""
+
+    def __init__(self, t: RefTriangle):
+        self.t = t
+        self._subs: dict = {}  # derived triangles, shared with eval_expr
+        self._values: dict = {}
+
+    def __getitem__(self, name: str):
+        if name not in self._values:
+            self._values[name] = self._resolve(name)
+        return self._values[name]
+
+    def resolved(self, name: str) -> bool:
+        """Whether ``name`` has already been built on this trial."""
+        return name in self._values
+
+    def _resolve(self, name: str):
+        if name in _KINDS:
+            kind = _KINDS[name]
+            if kind not in self._subs:
+                self._subs[kind] = derived_triangle(self.t, kind)
+            return self._subs[kind]
+        if name in CONSTRUCTIONS:
+            return CONSTRUCTIONS[name](self)
+        owner, dot, attr = name.partition(".")
+        if dot:
+            return getattr(self[owner], attr)
+        return eval_expr(self.t, _expr(name), self._subs)
 
 
 # ---------------------------------------------------------------------------
-# shared constructions
+# claim builders (every argument naming a value is a name)
 
-def _excentral_conic(ctx_data: dict, t: RefTriangle):
-    exc = derived_triangle(t, TriangleKind.EXCENTRAL)
-    be = eval_center(t, CenterId.X40)
-    i = eval_center(t, CenterId.X1)
-    conic = conic_through([exc.v1, exc.v2, exc.v3, be, i])
-    ctx_data["exc"] = exc
-    ctx_data["conic"] = conic
-    ctx_data["oi"] = join(i, eval_center(t, CenterId.X3))
-    return conic
+def eq_claim(cid: str, expectation: str, lhs: str, rhs: str,
+             kind: str = "point-equality", detail: str = "values differ") -> Claim:
+    def check(tr: Trial):
+        a, b = tr[lhs], tr[rhs]
+        if a == b:
+            return None
+        return Failure(str(a), str(b), detail)
 
-
-def _midarc_conic(ctx_data: dict, t: RefTriangle):
-    ma = derived_triangle(t, TriangleKind.MIDARC)
-    conic = conic_through([ma.v1, ma.v2, ma.v3,
-                           eval_center(t, CenterId.X3),
-                           eval_center(t, CenterId.X1)])
-    ctx_data["ma"] = ma
-    ctx_data["conic"] = conic
-    ctx_data["oi"] = join(eval_center(t, CenterId.X3), eval_center(t, CenterId.X1))
-    return conic
+    return Claim(cid, kind, expectation, check)
 
 
-def _darboux_base(t: RefTriangle) -> Cubic:
-    exc = derived_triangle(t, TriangleKind.EXCENTRAL)
-    return cubic_through([
-        VERTEX_A, VERTEX_B, VERTEX_C,
-        eval_center(t, CenterId.X1), eval_center(t, CenterId.X3),
-        eval_center(t, CenterId.X4), eval_center(t, CenterId.X20),
-        eval_center(t, CenterId.X40), exc.v1,
-    ])
+def membership_claim(cid: str, expectation: str, curve: str, points) -> Claim:
+    entries = _labelled(points)
+
+    def check(tr: Trial):
+        c = tr[curve]
+        pts = [(lbl, tr[n]) for lbl, n in entries]
+        bad = [(lbl, p) for lbl, p in pts if c.evaluate(p) != 0]
+        if not bad:
+            return None
+        labels = ", ".join(lbl for lbl, _ in bad)
+        return Failure(str(bad[0][1]), "0", f"off the curve: {labels}")
+
+    return Claim(cid, "membership", expectation, check)
 
 
-def _thm3_cubic(t: RefTriangle, orthic) -> Cubic:
-    return cubic_through([
-        VERTEX_A, VERTEX_B, VERTEX_C, *orthic.vertices,
-        eval_center(t, CenterId.X4), eval_center(t, CenterId.X5),
-        eval_center(t, CenterId.X3),
-    ])
+def fit_claim(curve: str) -> Claim:
+    """Must-pass: the fitted curve passes through every point it was fit to."""
+    return membership_claim("fit-consistency", MUST, curve, FITS[curve])
 
 
-def _thm5_points(t: RefTriangle, medial):
-    n5 = eval_center(t, CenterId.X5)
-    antipodes = [reflect_through(n5, v) for v in medial.vertices]
-    return [*medial.vertices, *antipodes,
-            eval_center(t, CenterId.X10), n5, eval_center(t, CenterId.X3)]
+def _curves_differ(a, b):
+    if a == b:
+        return None
+    return Failure(",".join(a.serialize()), ",".join(b.serialize()),
+                   "coefficient vectors differ")
 
 
-def _thm5_cubic(t: RefTriangle, medial) -> Cubic:
-    return cubic_through(_thm5_points(t, medial))
+def curve_eq_claim(cid: str, lhs: str, rhs: str, acute_only: bool = False) -> Claim:
+    return Claim(cid, "curve-equality", MUST,
+                 lambda tr: _curves_differ(tr[lhs], tr[rhs]), acute_only)
 
+
+def pushforward_claim(cid: str, source: str, center: str, ratio: Fraction,
+                      target: str) -> Claim:
+    """Must-pass: the homothety (center, ratio) maps ``source`` to ``target``."""
+    def check(tr: Trial):
+        curve = tr[source]
+        move = transform_conic if isinstance(curve, Conic) else transform_cubic
+        return _curves_differ(move(homothety_matrix(tr[center], ratio), curve),
+                              tr[target])
+
+    return Claim(cid, "curve-equality", MUST, check)
+
+
+def rectangular_claim(curve: str) -> Claim:
+    def check(tr: Trial):
+        c = tr[curve]
+        if is_rectangular(c, tr.t):
+            return None
+        return Failure(",".join(c.serialize()), "rectangular",
+                       "asymptotes are not real perpendicular directions")
+
+    return Claim("rectangular", "rectangularity", MUST, check)
+
+
+def characterization_claim(cid: str, conic: str, line: str, points, tri: str,
+                           what: str = "characterization",
+                           on_curve: bool = False) -> Claim:
+    """Must-pass: a point is on the conic iff its isogonal conjugate in
+    ``tri`` is on the line (and, with ``on_curve``, every point is on it).
+
+    The point names must be :func:`parse_center` text, since the conjugate
+    is resolved as ``isogonal(<tri>,<name>)``."""
+    entries = _labelled(points)
+
+    def check(tr: Trial):
+        c, l = tr[conic], tr[line]
+        for lbl, name in entries:
+            lhs = on_conic(tr[name], c)
+            rhs = incident(tr[f"isogonal({tri},{name})"], l)
+            if lhs != rhs or (on_curve and not lhs):
+                return Failure(f"on_conic={lhs}", f"conjugate_on_line={rhs}",
+                               f"{what} breaks at {lbl}")
+        return None
+
+    return Claim(cid, "membership", MUST, check)
+
+
+def pivotal_claim(cid: str, pivot: str, conj: str, points, what: str,
+                  tri: str = "", acute_only: bool = False) -> Claim:
+    """Must-pass: each point, its conjugate (in ``tri``, else the base) and
+    the pivot are collinear."""
+    entries = _labelled(points)
+
+    def check(tr: Trial):
+        pv = tr[pivot]
+        sub = tr[tri] if tri else None
+        for lbl, name in entries:
+            p = tr[name]
+            if not pivotal_membership(tr.t, pv, conj, p, sub=sub):
+                return Failure(str(p), str(pv),
+                               f"{lbl} breaks the {what} collinearity")
+        return None
+
+    return Claim(cid, "collinearity", MUST, check, acute_only)
+
+
+def pascal_claims(conic: str, hexagon, pairs) -> tuple[Claim, Claim]:
+    """Hexagon membership, and the Pascal line of the chord pairs (a, b, c,
+    d): the meets of a-b with c-d must align."""
+    entries = _labelled(hexagon)
+
+    def members(tr: Trial):
+        bad = [lbl for lbl, n in entries if not on_conic(tr[n], tr[conic])]
+        if not bad:
+            return None
+        return Failure(", ".join(bad), "0", "hexagon points off the conic")
+
+    def pascal_line(tr: Trial):
+        pts = {lbl: tr[n] for lbl, n in entries}
+        if any(not on_conic(p, tr[conic]) for p in pts.values()):
+            return SKIP
+        _, verdict = pascal_check(tuple(((pts[a], pts[b]), (pts[c], pts[d]))
+                                        for a, b, c, d in pairs))
+        if verdict:
+            return None
+        return Failure("meets not collinear", "collinear",
+                       "three chord intersections fail to align")
+
+    return (Claim("hexagon-on-conic", "membership", VERDICT, members),
+            Claim("pascal-line", "collinearity", VERDICT, pascal_line))
+
+
+# ---------------------------------------------------------------------------
+# bespoke checks
 
 def _off_sidelines(sub):
     def ok(p: HomPoint) -> bool:
@@ -225,734 +372,114 @@ def _off_sidelines(sub):
     return ok
 
 
-def _figure(points=None, curves=None, lines=None) -> dict:
-    return {
-        "points": points or [],
-        "curves": curves or [],
-        "lines": lines or [],
-    }
+def _oi_image(tr: Trial):
+    exc, conic = tr["excentral"], tr["exc_conic"]
+    for p in sample_line_points(tr["oi"], 10, accept=_off_sidelines(exc)):
+        q = isogonal_in(tr.t, exc, p)
+        if not on_conic(q, conic):
+            return Failure(str(q), "0",
+                           f"conjugate of line point {p} misses the conic")
+    return None
+
+
+def _e2_is_four(axis: str):
+    def check(tr: Trial):
+        got, want = tr[axis].e2, Fraction(4)
+        if got == want:
+            return None
+        return Failure(str(got), str(want), "squared eccentricity differs")
+
+    return check
+
+
+def _directrix_through(axis: str, point: str, lbl: str):
+    def check(tr: Trial):
+        p, directrix = tr[point], tr[axis].directrix
+        if incident(p, directrix):
+            return None
+        return Failure(str(directrix), str(p), f"directrix misses {lbl}")
+
+    return check
+
+
+def _antipodes(tr: Trial):
+    for i in range(3):
+        got, want = tr[f"reflect(E,vertex(euler,{i}))"], tr[f"M{i + 1}"]
+        if got != want:
+            return Failure(str(got), str(want),
+                           "reflection in the nine-point center is not "
+                           "the opposite side midpoint")
+    return None
+
+
+def _factorization(tr: Trial):
+    try:
+        tr["composition"]
+    except (NoLinearComponent, BothVanishOnLine) as exc:
+        return Failure("no factorization", "line divides pencil member",
+                       str(exc))
+    return None
+
+
+def _hessian_membership(tr: Trial):
+    if not tr.resolved("composition"):
+        return SKIP
+    comp = tr["composition"]
+    hes = hessian(comp)
+    if hes is None:
+        return Failure("hessian vanishes identically", "cubic",
+                       "degenerate composition")
+    for lbl in ("O", "H", "E"):
+        pnt = tr[lbl]
+        if not on_cubic(pnt, comp) or not on_cubic(pnt, hes):
+            return Failure(str(pnt), "0",
+                           f"{lbl} misses the composition or its hessian")
+    return None
+
+
+def _smooth(tr: Trial):
+    if not tr.resolved("composition"):
+        return SKIP
+    comp = tr["composition"]
+    singular = [lbl for lbl in ("O", "H", "E")
+                if comp.gradient(tr[lbl]) == (0, 0, 0)]
+    if not singular:
+        return None
+    return Failure(", ".join(singular), "smooth (inflection)",
+                   "gradient vanishes: singular intersection with the "
+                   "residual conic, not an inflection")
 
 
 # ---------------------------------------------------------------------------
 # scenario definitions
 
-def _sc_corr_excentral() -> Scenario:
-    def setup(t: RefTriangle) -> dict:
-        exc = derived_triangle(t, TriangleKind.EXCENTRAL)
-        oexc = derived_subtriangle(t, exc, TriangleKind.ORTHIC)
-        data = {"exc": exc, "oexc": oexc}
-        data["figure"] = _figure(points=[
-            ("I", eval_center(t, CenterId.X1)),
-            ("O", eval_center(t, CenterId.X3)),
-            ("Be", eval_center(t, CenterId.X40)),
-            ("Mi", eval_center(t, CenterId.X9)),
-            ("Sp", eval_center(t, CenterId.X10)),
-            ("I1", exc.v1), ("I2", exc.v2), ("I3", exc.v3),
-        ])
-        return data
+def _scenario(sid: str, description: str, build, claims, points=(), curves=(),
+              lines=(), acute=()) -> Scenario:
+    """Compile a declared scenario: ``setup`` builds ``build`` (then
+    ``acute`` on acute triangles) in order; the figure stays names."""
+    def setup(t: RefTriangle) -> Trial:
+        tr = Trial(t)
+        for name in build:
+            tr[name]
+        if acute and t.is_acute():
+            for name in acute:
+                tr[name]
+        return tr
 
-    rows_must = [
-        ("incenter-is-excentral-orthocenter", CenterId.X4, CenterId.X1),
-        ("circumcenter-is-excentral-ninepoint", CenterId.X5, CenterId.X3),
-        ("bevan-is-excentral-circumcenter", CenterId.X3, CenterId.X40),
-        ("mittenpunkt-is-excentral-symmedian", CenterId.X6, CenterId.X9),
-    ]
-    claims = [
-        eq_claim(cid, MUST,
-                 (lambda sub_id: lambda ctx: eval_center_in(ctx.t, ctx["exc"], sub_id))(sub),
-                 (lambda base_id: lambda ctx: ctx.c(base_id))(base))
-        for cid, sub, base in rows_must
-    ]
-    claims.append(eq_claim(
-        "isogonal-mittenpunkt-vs-excentral-centroid", VERDICT,
-        lambda ctx: isogonal(ctx.t, ctx.c(CenterId.X9)),
-        lambda ctx: eval_center_in(ctx.t, ctx["exc"], CenterId.X2)))
-    claims.append(eq_claim(
-        "spieker-vs-excentral-taylor-center", VERDICT,
-        lambda ctx: ctx.c(CenterId.X10),
-        lambda ctx: eval_center_in(ctx.t, ctx["exc"], CenterId.X389)))
-    claims.append(eq_claim(
-        "symmedian-of-excentral-orthic", MUST,
-        lambda ctx: eval_center_in(ctx.t, ctx["oexc"], CenterId.X6),
-        lambda ctx: ctx.c(CenterId.X6)))
-    claims.append(eq_claim(
-        "excentral-conjugate-of-mittenpunkt-vs-homothety-center", VERDICT,
-        lambda ctx: isogonal_in(ctx.t, ctx["exc"], ctx.c(CenterId.X9)),
-        lambda ctx: eval_center_in(ctx.t, ctx["exc"], CenterId.X25)))
-    return Scenario(
-        "corr-excentral",
-        "Center correspondences between the base triangle and its excentral "
-        "triangle: orthocenter, nine-point center, circumcenter and symmedian "
-        "rows are classical; the centroid, Taylor-center and "
-        "conjugate-of-mittenpunkt rows are tested verbatim as claimed.",
-        setup, tuple(claims))
+    figure = tuple(_labelled(part) for part in (points, curves, lines))
+    return Scenario(sid, description, setup, tuple(claims), figure)
 
 
-def _sc_thm1() -> Scenario:
-    def setup(t: RefTriangle) -> dict:
-        data: dict = {}
-        conic = _excentral_conic(data, t)
-        data["figure"] = _figure(
-            points=[
-                ("I1", data["exc"].v1), ("I2", data["exc"].v2),
-                ("I3", data["exc"].v3),
-                ("Be", eval_center(t, CenterId.X40)),
-                ("I", eval_center(t, CenterId.X1)),
-                ("Mi", eval_center(t, CenterId.X9)),
-                ("L", eval_center(t, CenterId.X20)),
-            ],
-            curves=[("conic", conic)],
-            lines=[("OI", data["oi"])])
-        return data
-
-    def fit_points(ctx: Trial):
-        exc = ctx["exc"]
-        return [("I1", exc.v1), ("I2", exc.v2), ("I3", exc.v3),
-                ("Be", ctx.c(CenterId.X40)), ("I", ctx.c(CenterId.X1))]
-
-    def rect_check(ctx: Trial):
-        if is_rectangular(ctx["conic"], ctx.t):
-            return None
-        return Failure(",".join(ctx["conic"].serialize()), "rectangular",
-                       "asymptotes are not real perpendicular directions")
-
-    def center_check(ctx: Trial):
-        got = conic_center(ctx["conic"])
-        want = ctx.c(CenterId.X3)
-        if got == want:
-            return None
-        return Failure(str(got), str(want), "conic center is not the circumcenter")
-
-    def image_check(ctx: Trial):
-        exc, conic = ctx["exc"], ctx["conic"]
-        pts = sample_line_points(ctx["oi"], 10, accept=_off_sidelines(exc))
-        for p in pts:
-            q = isogonal_in(ctx.t, exc, p)
-            if not on_conic(q, conic):
-                return Failure(str(q), "0",
-                               f"conjugate of line point {p} misses the conic")
-        return None
-
-    def equivalence_check(ctx: Trial):
-        exc, conic, oi = ctx["exc"], ctx["conic"], ctx["oi"]
-        for lbl, cid in (("Be", CenterId.X40), ("I", CenterId.X1),
-                         ("Mi", CenterId.X9), ("L", CenterId.X20)):
-            p = ctx.c(cid)
-            lhs = on_conic(p, conic)
-            rhs = incident(isogonal_in(ctx.t, exc, p), oi)
-            if lhs != rhs:
-                return Failure(f"on_conic={lhs}", f"conjugate_on_line={rhs}",
-                               f"characterization breaks at {lbl}")
-        return None
-
-    claims = (
-        membership_claim("fit-consistency", MUST, "conic", fit_points),
-        membership_claim("contains-mittenpunkt", VERDICT, "conic",
-                         lambda ctx: [("Mi", ctx.c(CenterId.X9))]),
-        membership_claim("contains-de-longchamps", VERDICT, "conic",
-                         lambda ctx: [("L", ctx.c(CenterId.X20))]),
-        Claim("center-at-circumcenter", "conic-center", VERDICT, center_check),
-        Claim("rectangular", "rectangularity", MUST, rect_check),
-        Claim("isogonal-image-of-oi-line", "membership", VERDICT, image_check),
-        Claim("isogonal-characterization", "membership", MUST, equivalence_check),
-    )
-    return Scenario(
-        "thm1-jerabek-excentral",
-        "Rectangular circumconic of the excentral triangle fitted through the "
-        "excenters, the Bevan point and the incenter; tests mittenpunkt and "
-        "de Longchamps membership, the center-at-circumcenter claim, and that "
-        "the conic is the excentral isogonal image of the line through the "
-        "incenter and circumcenter.",
-        setup, claims)
+def _rows(kind: str, rows):
+    """Correspondence rows: the ``kind`` triangle's center equals ``rhs``."""
+    return [eq_claim(cid, exp, f"center({kind},{sub})", rhs)
+            for cid, exp, sub, rhs in rows]
 
 
-def _sc_thm2() -> Scenario:
-    def setup(t: RefTriangle) -> dict:
-        orthic = derived_triangle(t, TriangleKind.ORTHIC)
-        feet = orthic.vertices
-        x2o = eval_center_in(t, orthic, CenterId.X2)
-        cub = cubic_through([VERTEX_A, VERTEX_B, VERTEX_C, *feet,
-                             eval_center(t, CenterId.X4),
-                             eval_center(t, CenterId.X5), x2o])
-        mids = (midpoint(feet[1], feet[2]), midpoint(feet[2], feet[0]),
-                midpoint(feet[0], feet[1]))
-        data = {"orthic": orthic, "cubic": cub, "orthic_mids": mids,
-                "orthic_centroid": x2o}
-        if t.is_acute():
-            data["thomson_orthic"] = cubic_through(
-                [*feet, *mids, VERTEX_A, VERTEX_B, VERTEX_C])
-        data["figure"] = _figure(
-            points=[("H", eval_center(t, CenterId.X4)),
-                    ("E", eval_center(t, CenterId.X5)),
-                    ("Sy", eval_center(t, CenterId.X6))],
-            curves=[("cubic", cub)])
-        return data
-
-    claims = (
-        membership_claim("fit-consistency", MUST, "cubic", lambda ctx: [
-            ("A", VERTEX_A), ("B", VERTEX_B), ("C", VERTEX_C),
-            *[(f"H{i+1}", v) for i, v in enumerate(ctx["orthic"].vertices)],
-            ("H", ctx.c(CenterId.X4)), ("E", ctx.c(CenterId.X5)),
-            ("M(orthic)", ctx["orthic_centroid"]),
-        ]),
-        membership_claim("contains-orthic-side-midpoints", VERDICT, "cubic",
-                         lambda ctx: [(f"Mh{i+1}", p)
-                                      for i, p in enumerate(ctx["orthic_mids"])]),
-        membership_claim("contains-symmedian-point", VERDICT, "cubic",
-                         lambda ctx: [("Sy", ctx.c(CenterId.X6))]),
-        membership_claim("contains-orthic-symmedian", VERDICT, "cubic",
-                         lambda ctx: [("Sy(orthic)", eval_center_in(
-                             ctx.t, ctx["orthic"], CenterId.X6))]),
-        membership_claim("contains-orthic-tangential-homothety-center", VERDICT,
-                         "cubic", lambda ctx: [("GOT", ctx.c(CenterId.X25))]),
-        curve_eq_claim("equals-thomson-of-orthic", MUST,
-                       lambda ctx: ctx["cubic"],
-                       lambda ctx: ctx.data.get("thomson_orthic", SKIP),
-                       acute_only=True),
-    )
-    return Scenario(
-        "thm2-thomson-excentral",
-        "Cubic fitted through the vertices, the altitude feet, the "
-        "orthocenter, the nine-point center and the orthic centroid; on acute "
-        "triangles it must coincide with the Thomson cubic of the orthic "
-        "triangle, and membership of the orthic side midpoints, both "
-        "symmedian points and the orthic-tangential homothety center is "
-        "reported.",
-        setup, claims)
-
-
-def _sc_thm3() -> Scenario:
-    def setup(t: RefTriangle) -> dict:
-        orthic = derived_triangle(t, TriangleKind.ORTHIC)
-        cub = _thm3_cubic(t, orthic)
-        data = {"orthic": orthic, "cubic": cub}
-        if t.is_acute():
-            o_orth = eval_center_in(t, orthic, CenterId.X3)
-            l_orth = eval_center_in(t, orthic, CenterId.X20)
-            data["darboux_orthic"] = cubic_through(
-                [*orthic.vertices, VERTEX_A, VERTEX_B, VERTEX_C,
-                 eval_center(t, CenterId.X4), o_orth, l_orth])
-            data["orthic_pivot"] = l_orth
-        data["figure"] = _figure(
-            points=[("H", eval_center(t, CenterId.X4)),
-                    ("E", eval_center(t, CenterId.X5)),
-                    ("O", eval_center(t, CenterId.X3))],
-            curves=[("cubic", cub)])
-        return data
-
-    def pivotal_check(ctx: Trial):
-        if "orthic_pivot" not in ctx.data:
-            return SKIP
-        pivot = ctx["orthic_pivot"]
-        for lbl, p in (("A", VERTEX_A), ("B", VERTEX_B), ("C", VERTEX_C),
-                       ("H", ctx.c(CenterId.X4)), ("E", ctx.c(CenterId.X5)),
-                       ("O", ctx.c(CenterId.X3))):
-            if not pivotal_membership(ctx.t, pivot, "isogonal", p,
-                                      sub=ctx["orthic"]):
-                return Failure(str(p), str(pivot),
-                               f"{lbl} breaks the orthic pivotal collinearity")
-        return None
-
-    claims = (
-        membership_claim("fit-consistency", MUST, "cubic", lambda ctx: [
-            ("A", VERTEX_A), ("B", VERTEX_B), ("C", VERTEX_C),
-            *[(f"H{i+1}", v) for i, v in enumerate(ctx["orthic"].vertices)],
-            ("H", ctx.c(CenterId.X4)), ("E", ctx.c(CenterId.X5)),
-            ("O", ctx.c(CenterId.X3)),
-        ]),
-        curve_eq_claim("equals-darboux-of-orthic", MUST,
-                       lambda ctx: ctx["cubic"],
-                       lambda ctx: ctx.data.get("darboux_orthic", SKIP),
-                       acute_only=True),
-        Claim("orthic-pivotal-oracle", "collinearity", MUST, pivotal_check,
-              acute_only=True),
-    )
-    return Scenario(
-        "thm3-darboux-excentral",
-        "Cubic exactly determined by the vertices, altitude feet, "
-        "orthocenter, nine-point center and circumcenter; on acute triangles "
-        "it must equal the Darboux cubic of the orthic triangle, whose "
-        "pivotal-collinearity oracle is checked on all non-vertex points.",
-        setup, claims)
-
-
-def _sc_corr_medial() -> Scenario:
-    def setup(t: RefTriangle) -> dict:
-        med = derived_triangle(t, TriangleKind.MEDIAL)
-        data = {"medial": med}
-        data["figure"] = _figure(points=[
-            ("Sp", eval_center(t, CenterId.X10)),
-            ("M", eval_center(t, CenterId.X2)),
-            ("E", eval_center(t, CenterId.X5)),
-            ("O", eval_center(t, CenterId.X3)),
-            ("H", eval_center(t, CenterId.X4)),
-            ("I", eval_center(t, CenterId.X1)),
-            ("Mi", eval_center(t, CenterId.X9)),
-        ])
-        return data
-
-    rows = [
-        ("incenter-to-spieker", CenterId.X1, CenterId.X10),
-        ("centroid-fixed", CenterId.X2, CenterId.X2),
-        ("circumcenter-to-ninepoint", CenterId.X3, CenterId.X5),
-        ("orthocenter-to-circumcenter", CenterId.X4, CenterId.X3),
-        ("de-longchamps-to-orthocenter", CenterId.X20, CenterId.X4),
-        ("nagel-to-incenter", CenterId.X8, CenterId.X1),
-        ("gergonne-to-mittenpunkt", CenterId.X7, CenterId.X9),
-        ("third-brocard-to-brocard-midpoint", CenterId.X76, CenterId.X39),
-    ]
-    claims = [
-        eq_claim(cid, MUST,
-                 (lambda s: lambda ctx: eval_center_in(ctx.t, ctx["medial"], s))(sub),
-                 (lambda b: lambda ctx: ctx.c(b))(base))
-        for cid, sub, base in rows
-    ]
-    claims.insert(7, eq_claim(
-        "anticomplementary-symmedian-to-symmedian", MUST,
-        lambda ctx: anticomplement(eval_center_in(ctx.t, ctx["medial"], CenterId.X6)),
-        lambda ctx: ctx.c(CenterId.X6)))
-    return Scenario(
-        "corr-medial",
-        "Medial-triangle correspondence rows, each an instance of the "
-        "complement commutation: centers of the medial triangle equal the "
-        "complements of the base centers.  The Bevan row is skipped as "
-        "self-referential (it names the Bevan point of the medial triangle "
-        "on both sides).",
-        setup, tuple(claims))
-
-
-def _sc_thm4() -> Scenario:
-    def setup(t: RefTriangle) -> dict:
-        g = eval_center(t, CenterId.X2)
-        ax1 = axis_conic(t, g, eval_center(t, CenterId.X20),
-                         eval_center(t, CenterId.X4))
-        ax2 = axis_conic(t, g, eval_center(t, CenterId.X4),
-                         eval_center(t, CenterId.X3))
-        data = {"ax1": ax1, "ax2": ax2}
-        data["figure"] = _figure(
-            points=[("M", g), ("L", eval_center(t, CenterId.X20)),
-                    ("H", eval_center(t, CenterId.X4)),
-                    ("O", eval_center(t, CenterId.X3)),
-                    ("E", eval_center(t, CenterId.X5))],
-            curves=[("conic", ax1.conic), ("base-conic", ax2.conic)],
-            lines=[("directrix", ax1.directrix)])
-        return data
-
-    def e2_check(key, want):
-        def check(ctx: Trial):
-            got = ctx[key].e2
-            if got == want:
-                return None
-            return Failure(str(got), str(want), "squared eccentricity differs")
-
-        return check
-
-    def directrix_check(key, cid, lbl):
-        def check(ctx: Trial):
-            p = ctx.c(cid)
-            if incident(p, ctx[key].directrix):
-                return None
-            return Failure(str(ctx[key].directrix), str(p),
-                           f"directrix misses {lbl}")
-
-        return check
-
-    claims = (
-        Claim("eccentricity-squared-is-four", "eccentricity-value", MUST,
-              e2_check("ax1", Fraction(4))),
-        Claim("directrix-through-circumcenter", "directrix-incidence", VERDICT,
-              directrix_check("ax1", CenterId.X3, "the circumcenter")),
-        Claim("base-eccentricity-squared-is-four", "eccentricity-value", VERDICT,
-              e2_check("ax2", Fraction(4))),
-        Claim("base-directrix-through-ninepoint", "directrix-incidence", VERDICT,
-              directrix_check("ax2", CenterId.X5, "the nine-point center")),
-        curve_eq_claim(
-            "homothety-pushforward", MUST,
-            lambda ctx: transform_conic(
-                homothety_matrix(ctx.c(CenterId.X2), Fraction(-1, 2)),
-                ctx["ax1"].conic),
-            lambda ctx: ctx["ax2"].conic),
-    )
-    return Scenario(
-        "thm4-yff-medial",
-        "Axis conic with vertices at the centroid and the de Longchamps "
-        "point and focus at the orthocenter: squared eccentricity exactly 4, "
-        "directrix through the circumcenter; the centroid/orthocenter conic "
-        "with focus at the circumcenter is its image under the homothety at "
-        "the centroid with ratio -1/2 (directrix through the nine-point "
-        "center).",
-        setup, claims)
-
-
-def _sc_thm5() -> Scenario:
-    def setup(t: RefTriangle) -> dict:
-        med = derived_triangle(t, TriangleKind.MEDIAL)
-        fit_points = _thm5_points(t, med)
-        cub = cubic_through(fit_points)
-        darb = _darboux_base(t)
-        data = {"medial": med, "cubic": cub, "darboux": darb,
-                "fit_points": fit_points}
-        data["figure"] = _figure(
-            points=[("Sp", eval_center(t, CenterId.X10)),
-                    ("E", eval_center(t, CenterId.X5)),
-                    ("O", eval_center(t, CenterId.X3)),
-                    ("H", eval_center(t, CenterId.X4))],
-            curves=[("cubic", cub)])
-        return data
-
-    claims = (
-        membership_claim("fit-consistency", MUST, "cubic", lambda ctx: [
-            (f"P{i+1}", p) for i, p in enumerate(ctx["fit_points"])
-        ]),
-        membership_claim("contains-orthocenter", VERDICT, "cubic",
-                         lambda ctx: [("H", ctx.c(CenterId.X4))]),
-        membership_claim(
-            "contains-medial-conjugate-of-orthocenter", VERDICT, "cubic",
-            lambda ctx: [("HA", eval_expr(ctx.t, IsogonalIn(
-                TriangleKind.MEDIAL, CenterOf(TriangleKind.MEDIAL, CenterId.X20))))]),
-        curve_eq_claim(
-            "equals-darboux-pushforward", MUST,
-            lambda ctx: transform_cubic(
-                homothety_matrix(ctx.c(CenterId.X2), Fraction(-1, 2)),
-                ctx["darboux"]),
-            lambda ctx: ctx["cubic"]),
-    )
-    return Scenario(
-        "thm5-darboux-medial",
-        "Cubic fitted through the side midpoints, their reflections in the "
-        "nine-point center, the Spieker center, the nine-point center and "
-        "the circumcenter; must equal the image of the Darboux cubic under "
-        "the homothety at the centroid with ratio -1/2, and membership of "
-        "the orthocenter and of the medial isogonal conjugate of the medial "
-        "de Longchamps point is reported.",
-        setup, claims)
-
-
-def _sc_thm6() -> Scenario:
-    def setup(t: RefTriangle) -> dict:
-        med = derived_triangle(t, TriangleKind.MEDIAL)
-        anti = derived_triangle(t, TriangleKind.ANTICOMPLEMENTARY)
-        cub = cubic_through([VERTEX_A, VERTEX_B, VERTEX_C, *med.vertices,
-                             eval_center(t, CenterId.X2),
-                             eval_center(t, CenterId.X3),
-                             eval_center(t, CenterId.X1)])
-        lucas = cubic_through([VERTEX_A, VERTEX_B, VERTEX_C, *anti.vertices,
-                               eval_center(t, CenterId.X2),
-                               eval_center(t, CenterId.X4),
-                               eval_center(t, CenterId.X7)])
-        data = {"medial": med, "cubic": cub, "lucas": lucas,
-                "medial_pivot": eval_center_in(t, med, CenterId.X69)}
-        data["figure"] = _figure(
-            points=[("Sy", eval_center(t, CenterId.X6)),
-                    ("M", eval_center(t, CenterId.X2)),
-                    ("O", eval_center(t, CenterId.X3)),
-                    ("Mi", eval_center(t, CenterId.X9)),
-                    ("I", eval_center(t, CenterId.X1)),
-                    ("H", eval_center(t, CenterId.X4))],
-            curves=[("cubic", cub)])
-        return data
-
-    def pivotal_check(ctx: Trial):
-        pivot = ctx["medial_pivot"]
-        for lbl, p in (("A", VERTEX_A), ("B", VERTEX_B), ("C", VERTEX_C),
-                       ("M", ctx.c(CenterId.X2)), ("O", ctx.c(CenterId.X3)),
-                       ("I", ctx.c(CenterId.X1)), ("Sy", ctx.c(CenterId.X6)),
-                       ("Mi", ctx.c(CenterId.X9)), ("H", ctx.c(CenterId.X4))):
-            if not pivotal_membership(ctx.t, pivot, "isotomic", p,
-                                      sub=ctx["medial"]):
-                return Failure(str(p), str(pivot),
-                               f"{lbl} breaks the medial isotomic collinearity")
-        return None
-
-    claims = (
-        membership_claim("fit-consistency", MUST, "cubic", lambda ctx: [
-            ("A", VERTEX_A), ("B", VERTEX_B), ("C", VERTEX_C),
-            *[(f"M{i+1}", v) for i, v in enumerate(ctx["medial"].vertices)],
-            ("M", ctx.c(CenterId.X2)), ("O", ctx.c(CenterId.X3)),
-            ("I", ctx.c(CenterId.X1)),
-        ]),
-        membership_claim("contains-symmedian-point", VERDICT, "cubic",
-                         lambda ctx: [("Sy", ctx.c(CenterId.X6))]),
-        membership_claim("contains-mittenpunkt", VERDICT, "cubic",
-                         lambda ctx: [("Mi", ctx.c(CenterId.X9))]),
-        membership_claim("contains-orthocenter", VERDICT, "cubic",
-                         lambda ctx: [("H", ctx.c(CenterId.X4))]),
-        curve_eq_claim(
-            "equals-lucas-pushforward", MUST,
-            lambda ctx: transform_cubic(
-                homothety_matrix(ctx.c(CenterId.X2), Fraction(-1, 2)),
-                ctx["lucas"]),
-            lambda ctx: ctx["cubic"]),
-        Claim("medial-isotomic-pivotal-oracle", "collinearity", MUST,
-              pivotal_check),
-    )
-    return Scenario(
-        "thm6-lucas-medial",
-        "Cubic fitted through the vertices, side midpoints, centroid, "
-        "circumcenter and incenter; must equal the image of the Lucas cubic "
-        "under the homothety at the centroid with ratio -1/2, every "
-        "designated point satisfying the medial isotomic pivotal "
-        "collinearity; symmedian point, mittenpunkt and orthocenter "
-        "membership is reported.",
-        setup, claims)
-
-
-def _sc_corr_euler() -> Scenario:
-    def setup(t: RefTriangle) -> dict:
-        eul = derived_triangle(t, TriangleKind.EULER)
-        data = {"euler": eul}
-        data["figure"] = _figure(points=[
-            ("E1", eul.v1), ("E2", eul.v2), ("E3", eul.v3),
-            ("E", eval_center(t, CenterId.X5)),
-            ("H", eval_center(t, CenterId.X4)),
-            ("O", eval_center(t, CenterId.X3)),
-            ("F", eval_center(t, CenterId.X355)),
-        ])
-        return data
-
-    def ein(sub_id):
-        return lambda ctx: eval_center_in(ctx.t, ctx["euler"], sub_id)
-
-    claims = (
-        eq_claim("incenter-to-incenter-orthocenter-midpoint", MUST,
-                 ein(CenterId.X1),
-                 lambda ctx: midpoint(ctx.c(CenterId.X1), ctx.c(CenterId.X4))),
-        eq_claim("centroid-to-centroid-orthocenter-midpoint", MUST,
-                 ein(CenterId.X2),
-                 lambda ctx: midpoint(ctx.c(CenterId.X2), ctx.c(CenterId.X4))),
-        eq_claim("circumcenter-to-ninepoint", MUST, ein(CenterId.X3),
-                 lambda ctx: ctx.c(CenterId.X5)),
-        eq_claim("orthocenter-fixed", MUST, ein(CenterId.X4),
-                 lambda ctx: ctx.c(CenterId.X4)),
-        eq_claim("nagel-to-fuhrmann", MUST, ein(CenterId.X8),
-                 lambda ctx: ctx.c(CenterId.X355)),
-        eq_claim("de-longchamps-to-circumcenter", MUST, ein(CenterId.X20),
-                 lambda ctx: ctx.c(CenterId.X3)),
-    )
-    return Scenario(
-        "corr-euler",
-        "Correspondence rows for the triangle of vertex-orthocenter "
-        "midpoints, each an instance of the half-turn-free homothety at the "
-        "orthocenter with ratio 1/2 acting on centers.",
-        setup, claims)
-
-
-def _sc_thm7() -> Scenario:
-    def setup(t: RefTriangle) -> dict:
-        eul = derived_triangle(t, TriangleKind.EULER)
-        med = derived_triangle(t, TriangleKind.MEDIAL)
-        m_ih = midpoint(eval_center(t, CenterId.X1), eval_center(t, CenterId.X4))
-        cub = cubic_through([*eul.vertices, *med.vertices, m_ih,
-                             eval_center(t, CenterId.X5),
-                             eval_center(t, CenterId.X4)])
-        data = {"euler": eul, "medial": med, "m_ih": m_ih, "cubic": cub,
-                "darboux": _darboux_base(t)}
-        data["figure"] = _figure(
-            points=[("M_IH", m_ih), ("E", eval_center(t, CenterId.X5)),
-                    ("H", eval_center(t, CenterId.X4)),
-                    ("O", eval_center(t, CenterId.X3))],
-            curves=[("cubic", cub)])
-        return data
-
-    def antipode_check(ctx: Trial):
-        n5 = ctx.c(CenterId.X5)
-        for ev, mv in zip(ctx["euler"].vertices, ctx["medial"].vertices):
-            got = reflect_through(n5, ev)
-            if got != mv:
-                return Failure(str(got), str(mv),
-                               "reflection in the nine-point center is not "
-                               "the opposite side midpoint")
-        return None
-
-    claims = (
-        membership_claim("fit-consistency", MUST, "cubic", lambda ctx: [
-            *[(f"E{i+1}", v) for i, v in enumerate(ctx["euler"].vertices)],
-            *[(f"M{i+1}", v) for i, v in enumerate(ctx["medial"].vertices)],
-            ("M_IH", ctx["m_ih"]), ("E", ctx.c(CenterId.X5)),
-            ("H", ctx.c(CenterId.X4)),
-        ]),
-        Claim("antipode-consistency", "point-equality", MUST, antipode_check),
-        membership_claim("contains-circumcenter", VERDICT, "cubic",
-                         lambda ctx: [("O", ctx.c(CenterId.X3))]),
-        curve_eq_claim(
-            "equals-darboux-pushforward", MUST,
-            lambda ctx: transform_cubic(
-                homothety_matrix(ctx.c(CenterId.X4), Fraction(1, 2)),
-                ctx["darboux"]),
-            lambda ctx: ctx["cubic"]),
-    )
-    return Scenario(
-        "thm7-darboux-euler",
-        "Cubic fitted through the vertex-orthocenter midpoints, the side "
-        "midpoints, the incenter-orthocenter midpoint, the nine-point center "
-        "and the orthocenter; must equal the image of the Darboux cubic "
-        "under the homothety at the orthocenter with ratio 1/2, with "
-        "circumcenter membership reported.",
-        setup, claims)
-
-
-def _sc_corr_midarc() -> Scenario:
-    def setup(t: RefTriangle) -> dict:
-        ma = derived_triangle(t, TriangleKind.MIDARC)
-        data = {"ma": ma}
-        data["figure"] = _figure(points=[
-            ("A1", ma.v1), ("A2", ma.v2), ("A3", ma.v3),
-            ("O", eval_center(t, CenterId.X3)),
-            ("I", eval_center(t, CenterId.X1)),
-            ("Be", eval_center(t, CenterId.X40)),
-            ("S", eval_center(t, CenterId.X21)),
-        ])
-        return data
-
-    def ein(sub_id):
-        return lambda ctx: eval_center_in(ctx.t, ctx["ma"], sub_id)
-
-    claims = (
-        eq_claim("circumcenter-fixed", MUST, ein(CenterId.X3),
-                 lambda ctx: ctx.c(CenterId.X3)),
-        eq_claim("orthocenter-to-incenter", MUST, ein(CenterId.X4),
-                 lambda ctx: ctx.c(CenterId.X1)),
-        eq_claim("symmedian-to-mittenpunkt-incenter-midpoint", VERDICT,
-                 ein(CenterId.X6),
-                 lambda ctx: midpoint(ctx.c(CenterId.X9), ctx.c(CenterId.X1))),
-        eq_claim("de-longchamps-to-bevan", VERDICT, ein(CenterId.X20),
-                 lambda ctx: ctx.c(CenterId.X40)),
-        eq_claim("kosnita-to-schiffler", VERDICT, ein(CenterId.X54),
-                 lambda ctx: ctx.c(CenterId.X21)),
-    )
-    return Scenario(
-        "corr-midarc",
-        "Correspondence rows between the arc-midpoint triangle and the base "
-        "triangle: circumcenter and orthocenter rows are classical; the "
-        "symmedian, de Longchamps and Kosnita rows are tested verbatim as "
-        "claimed.",
-        setup, claims)
-
-
-def _sc_thm8() -> Scenario:
-    def setup(t: RefTriangle) -> dict:
-        data: dict = {}
-        conic = _midarc_conic(data, t)
-        data["m_mii"] = midpoint(eval_center(t, CenterId.X9),
-                                 eval_center(t, CenterId.X1))
-        data["figure"] = _figure(
-            points=[("A1", data["ma"].v1), ("A2", data["ma"].v2),
-                    ("A3", data["ma"].v3),
-                    ("O", eval_center(t, CenterId.X3)),
-                    ("I", eval_center(t, CenterId.X1)),
-                    ("M_MiI", data["m_mii"]),
-                    ("S", eval_center(t, CenterId.X21))],
-            curves=[("conic", conic)],
-            lines=[("OI", data["oi"])])
-        return data
-
-    def rect_check(ctx: Trial):
-        if is_rectangular(ctx["conic"], ctx.t):
-            return None
-        return Failure(",".join(ctx["conic"].serialize()), "rectangular",
-                       "asymptotes are not real perpendicular directions")
-
-    def equivalence_check(ctx: Trial):
-        ma, conic, oi = ctx["ma"], ctx["conic"], ctx["oi"]
-        named = [("O", ctx.c(CenterId.X3)), ("I", ctx.c(CenterId.X1)),
-                 ("M_MiI", ctx["m_mii"]), ("S", ctx.c(CenterId.X21)),
-                 ("BeP", ctx.c(CenterId.X84))]
-        for lbl, p in named:
-            lhs = on_conic(p, conic)
-            rhs = incident(isogonal_in(ctx.t, ma, p), oi)
-            if lhs != rhs:
-                return Failure(f"on_conic={lhs}", f"conjugate_on_line={rhs}",
-                               f"characterization breaks at {lbl}")
-        return None
-
-    claims = (
-        membership_claim("fit-consistency", MUST, "conic", lambda ctx: [
-            *[(f"A{i+1}", v) for i, v in enumerate(ctx["ma"].vertices)],
-            ("O", ctx.c(CenterId.X3)), ("I", ctx.c(CenterId.X1)),
-        ]),
-        membership_claim("contains-mittenpunkt-incenter-midpoint", VERDICT,
-                         "conic", lambda ctx: [("M_MiI", ctx["m_mii"])]),
-        membership_claim("contains-schiffler", VERDICT, "conic",
-                         lambda ctx: [("S", ctx.c(CenterId.X21))]),
-        membership_claim("contains-bevan-conjugate", VERDICT, "conic",
-                         lambda ctx: [("BeP", ctx.c(CenterId.X84))]),
-        Claim("rectangular", "rectangularity", MUST, rect_check),
-        Claim("isogonal-characterization", "membership", MUST,
-              equivalence_check),
-    )
-    return Scenario(
-        "thm8-jerabek-midarc",
-        "Rectangular circumconic of the arc-midpoint triangle fitted through "
-        "its vertices, the circumcenter and the incenter; membership of the "
-        "mittenpunkt-incenter midpoint, the Schiffler point and the base "
-        "isogonal conjugate of the Bevan point is reported, and the conic "
-        "must be the arc-midpoint isogonal image of the line through the "
-        "circumcenter and incenter.",
-        setup, claims)
-
-
-def _hexagon_scenario(sid: str, description: str, conic_setup, hexagon_fn,
-                      pair_order) -> Scenario:
-    """Pascal-line scenario over six designated points of a fitted conic."""
-
-    def setup(t: RefTriangle) -> dict:
-        data: dict = {}
-        conic_setup(data, t)
-        data["hexagon"] = hexagon_fn(data, t)
-        data["figure"] = _figure(
-            points=list(data["hexagon"]),
-            curves=[("conic", data["conic"])])
-        return data
-
-    def members_check(ctx: Trial):
-        bad = [lbl for lbl, p in ctx["hexagon"]
-               if not on_conic(p, ctx["conic"])]
-        if not bad:
-            return None
-        return Failure(", ".join(bad), "0", "hexagon points off the conic")
-
-    def pascal_claim_check(ctx: Trial):
-        pts = dict(ctx["hexagon"])
-        if any(not on_conic(p, ctx["conic"]) for p in pts.values()):
-            return SKIP
-        pairs = tuple(((pts[a], pts[b]), (pts[c], pts[d]))
-                      for (a, b), (c, d) in pair_order)
-        _, verdict = pascal_check(pairs)
-        if verdict:
-            return None
-        return Failure("meets not collinear", "collinear",
-                       "three chord intersections fail to align")
-
-    claims = (
-        Claim("hexagon-on-conic", "membership", VERDICT, members_check),
-        Claim("pascal-line", "collinearity", VERDICT, pascal_claim_check),
-    )
-    return Scenario(sid, description, setup, claims)
-
-
-def _excentral_hexagon(data: dict, t: RefTriangle):
-    exc = data["exc"]
-    l_pt = isogonal_in(t, exc, eval_center_in(t, exc, CenterId.X20))
-    return (
-        ("I1", exc.v1), ("I2", exc.v2),
-        ("Be", eval_center(t, CenterId.X40)),
-        ("Mi", eval_center(t, CenterId.X9)),
-        ("I", eval_center(t, CenterId.X1)),
-        ("L", l_pt),
-    )
-
-
-def _midarc_hexagon(data: dict, t: RefTriangle):
-    ma = data["ma"]
-    be_pt = isogonal_in(t, ma, eval_center_in(t, ma, CenterId.X20))
-    return (
-        ("A2", ma.v2), ("A3", ma.v3),
-        ("Be", be_pt),
-        ("I", eval_center(t, CenterId.X1)),
-        ("S", eval_center(t, CenterId.X21)),
-        ("O", eval_center(t, CenterId.X3)),
-    )
-
+_EXC_HEXAGON = ("I1", "I2", "Be", "Mi", "I",
+                ("L", "isogonal(excentral,center(excentral,X20))"))
+_MIDARC_HEXAGON = ("A2", "A3", ("Be", "isogonal(midarc,center(midarc,X20))"),
+                   "I", "S", "O")
 
 _COR_NOTE = (
     "  The sixth point is the conjugate, in the derived triangle, of that "
@@ -961,122 +488,289 @@ _COR_NOTE = (
 )
 
 
-def _sc_cor1() -> Scenario:
-    return _hexagon_scenario(
+def _pascal_scenario(sid: str, description: str, conic: str, hexagon,
+                     pairs) -> Scenario:
+    return _scenario(
+        sid, description + _COR_NOTE,
+        build=(conic, "oi", *(name for _, name in _labelled(hexagon))),
+        claims=pascal_claims(conic, hexagon, pairs),
+        points=hexagon, curves=[("conic", conic)])
+
+
+_SCENARIOS = (
+    _scenario(
+        "corr-excentral",
+        "Center correspondences between the base triangle and its excentral "
+        "triangle: orthocenter, nine-point center, circumcenter and symmedian "
+        "rows are classical; the centroid, Taylor-center and "
+        "conjugate-of-mittenpunkt rows are tested verbatim as claimed.",
+        build=("excentral", "oexc"),
+        claims=[
+            *_rows("excentral", (
+                ("incenter-is-excentral-orthocenter", MUST, "X4", "I"),
+                ("circumcenter-is-excentral-ninepoint", MUST, "X5", "O"),
+                ("bevan-is-excentral-circumcenter", MUST, "X3", "Be"),
+                ("mittenpunkt-is-excentral-symmedian", MUST, "X6", "Mi"))),
+            eq_claim("isogonal-mittenpunkt-vs-excentral-centroid", VERDICT,
+                     "isogonal(Mi)", "center(excentral,X2)"),
+            eq_claim("spieker-vs-excentral-taylor-center", VERDICT,
+                     "Sp", "center(excentral,X389)"),
+            eq_claim("symmedian-of-excentral-orthic", MUST,
+                     "oexc_symmedian", "Sy"),
+            eq_claim("excentral-conjugate-of-mittenpunkt-vs-homothety-center",
+                     VERDICT, "isogonal(excentral,Mi)", "center(excentral,X25)"),
+        ],
+        points=("I", "O", "Be", "Mi", "Sp", "I1", "I2", "I3")),
+    _scenario(
+        "thm1-jerabek-excentral",
+        "Rectangular circumconic of the excentral triangle fitted through the "
+        "excenters, the Bevan point and the incenter; tests mittenpunkt and "
+        "de Longchamps membership, the center-at-circumcenter claim, and that "
+        "the conic is the excentral isogonal image of the line through the "
+        "incenter and circumcenter.",
+        build=("exc_conic", "oi"),
+        claims=[
+            fit_claim("exc_conic"),
+            membership_claim("contains-mittenpunkt", VERDICT, "exc_conic", ["Mi"]),
+            membership_claim("contains-de-longchamps", VERDICT, "exc_conic", ["L"]),
+            eq_claim("center-at-circumcenter", VERDICT, "exc_conic_center", "O",
+                     kind="conic-center",
+                     detail="conic center is not the circumcenter"),
+            rectangular_claim("exc_conic"),
+            Claim("isogonal-image-of-oi-line", "membership", VERDICT, _oi_image),
+            characterization_claim("isogonal-characterization", "exc_conic",
+                                   "oi", ("Be", "I", "Mi", "L"), "excentral"),
+        ],
+        points=("I1", "I2", "I3", "Be", "I", "Mi", "L"),
+        curves=[("conic", "exc_conic")], lines=[("OI", "oi")]),
+    _scenario(
+        "thm2-thomson-excentral",
+        "Cubic fitted through the vertices, the altitude feet, the "
+        "orthocenter, the nine-point center and the orthic centroid; on acute "
+        "triangles it must coincide with the Thomson cubic of the orthic "
+        "triangle, and membership of the orthic side midpoints, both "
+        "symmedian points and the orthic-tangential homothety center is "
+        "reported.",
+        build=("thm2_cubic", "Mh1", "Mh2", "Mh3"), acute=("thomson_orthic",),
+        claims=[
+            fit_claim("thm2_cubic"),
+            membership_claim("contains-orthic-side-midpoints", VERDICT,
+                             "thm2_cubic", ["Mh1", "Mh2", "Mh3"]),
+            membership_claim("contains-symmedian-point", VERDICT, "thm2_cubic",
+                             ["Sy"]),
+            membership_claim("contains-orthic-symmedian", VERDICT, "thm2_cubic",
+                             [("Sy(orthic)", "center(orthic,X6)")]),
+            membership_claim("contains-orthic-tangential-homothety-center",
+                             VERDICT, "thm2_cubic", ["GOT"]),
+            curve_eq_claim("equals-thomson-of-orthic", "thm2_cubic",
+                           "thomson_orthic", acute_only=True),
+        ],
+        points=("H", "E", "Sy"), curves=[("cubic", "thm2_cubic")]),
+    _scenario(
+        "thm3-darboux-excentral",
+        "Cubic exactly determined by the vertices, altitude feet, "
+        "orthocenter, nine-point center and circumcenter; on acute triangles "
+        "it must equal the Darboux cubic of the orthic triangle, whose "
+        "pivotal-collinearity oracle is checked on all non-vertex points.",
+        build=("thm3_cubic",), acute=("darboux_orthic",),
+        claims=[
+            fit_claim("thm3_cubic"),
+            curve_eq_claim("equals-darboux-of-orthic", "thm3_cubic",
+                           "darboux_orthic", acute_only=True),
+            pivotal_claim("orthic-pivotal-oracle", "center(orthic,X20)",
+                          "isogonal", ("A", "B", "C", "H", "E", "O"),
+                          "orthic pivotal", tri="orthic", acute_only=True),
+        ],
+        points=("H", "E", "O"), curves=[("cubic", "thm3_cubic")]),
+    _scenario(
+        "corr-medial",
+        "Medial-triangle correspondence rows, each an instance of the "
+        "complement commutation: centers of the medial triangle equal the "
+        "complements of the base centers.  The Bevan row is skipped as "
+        "self-referential (it names the Bevan point of the medial triangle "
+        "on both sides).",
+        build=("medial",),
+        claims=[
+            *_rows("medial", (
+                ("incenter-to-spieker", MUST, "X1", "Sp"),
+                ("centroid-fixed", MUST, "X2", "M"),
+                ("circumcenter-to-ninepoint", MUST, "X3", "E"),
+                ("orthocenter-to-circumcenter", MUST, "X4", "O"),
+                ("de-longchamps-to-orthocenter", MUST, "X20", "H"),
+                ("nagel-to-incenter", MUST, "X8", "I"),
+                ("gergonne-to-mittenpunkt", MUST, "X7", "Mi"))),
+            eq_claim("anticomplementary-symmedian-to-symmedian", MUST,
+                     "anticomplement(center(medial,X6))", "Sy"),
+            eq_claim("third-brocard-to-brocard-midpoint", MUST,
+                     "center(medial,X76)", "MB"),
+        ],
+        points=("Sp", "M", "E", "O", "H", "I", "Mi")),
+    _scenario(
+        "thm4-yff-medial",
+        "Axis conic with vertices at the centroid and the de Longchamps "
+        "point and focus at the orthocenter: squared eccentricity exactly 4, "
+        "directrix through the circumcenter; the centroid/orthocenter conic "
+        "with focus at the circumcenter is its image under the homothety at "
+        "the centroid with ratio -1/2 (directrix through the nine-point "
+        "center).",
+        build=("ax1", "ax2"),
+        claims=[
+            Claim("eccentricity-squared-is-four", "eccentricity-value", MUST,
+                  _e2_is_four("ax1")),
+            Claim("directrix-through-circumcenter", "directrix-incidence",
+                  VERDICT, _directrix_through("ax1", "O", "the circumcenter")),
+            Claim("base-eccentricity-squared-is-four", "eccentricity-value",
+                  VERDICT, _e2_is_four("ax2")),
+            Claim("base-directrix-through-ninepoint", "directrix-incidence",
+                  VERDICT, _directrix_through("ax2", "E", "the nine-point center")),
+            pushforward_claim("homothety-pushforward", "ax1.conic", "M",
+                              Fraction(-1, 2), "ax2.conic"),
+        ],
+        points=("M", "L", "H", "O", "E"),
+        curves=[("conic", "ax1.conic"), ("base-conic", "ax2.conic")],
+        lines=[("directrix", "ax1.directrix")]),
+    _scenario(
+        "thm5-darboux-medial",
+        "Cubic fitted through the side midpoints, their reflections in the "
+        "nine-point center, the Spieker center, the nine-point center and "
+        "the circumcenter; must equal the image of the Darboux cubic under "
+        "the homothety at the centroid with ratio -1/2, and membership of "
+        "the orthocenter and of the medial isogonal conjugate of the medial "
+        "de Longchamps point is reported.",
+        build=("thm5_cubic", "darboux"),
+        claims=[
+            fit_claim("thm5_cubic"),
+            membership_claim("contains-orthocenter", VERDICT, "thm5_cubic", ["H"]),
+            membership_claim("contains-medial-conjugate-of-orthocenter",
+                             VERDICT, "thm5_cubic", ["HA"]),
+            pushforward_claim("equals-darboux-pushforward", "darboux", "M",
+                              Fraction(-1, 2), "thm5_cubic"),
+        ],
+        points=("Sp", "E", "O", "H"), curves=[("cubic", "thm5_cubic")]),
+    _scenario(
+        "thm6-lucas-medial",
+        "Cubic fitted through the vertices, side midpoints, centroid, "
+        "circumcenter and incenter; must equal the image of the Lucas cubic "
+        "under the homothety at the centroid with ratio -1/2, every "
+        "designated point satisfying the medial isotomic pivotal "
+        "collinearity; symmedian point, mittenpunkt and orthocenter "
+        "membership is reported.",
+        build=("thm6_cubic", "lucas", "center(medial,X69)"),
+        claims=[
+            fit_claim("thm6_cubic"),
+            membership_claim("contains-symmedian-point", VERDICT, "thm6_cubic",
+                             ["Sy"]),
+            membership_claim("contains-mittenpunkt", VERDICT, "thm6_cubic", ["Mi"]),
+            membership_claim("contains-orthocenter", VERDICT, "thm6_cubic", ["H"]),
+            pushforward_claim("equals-lucas-pushforward", "lucas", "M",
+                              Fraction(-1, 2), "thm6_cubic"),
+            pivotal_claim("medial-isotomic-pivotal-oracle", "center(medial,X69)",
+                          "isotomic",
+                          ("A", "B", "C", "M", "O", "I", "Sy", "Mi", "H"),
+                          "medial isotomic", tri="medial"),
+        ],
+        points=("Sy", "M", "O", "Mi", "I", "H"), curves=[("cubic", "thm6_cubic")]),
+    _scenario(
+        "corr-euler",
+        "Correspondence rows for the triangle of vertex-orthocenter "
+        "midpoints, each an instance of the half-turn-free homothety at the "
+        "orthocenter with ratio 1/2 acting on centers.",
+        build=("euler",),
+        claims=_rows("euler", (
+            ("incenter-to-incenter-orthocenter-midpoint", MUST, "X1", "M_IH"),
+            ("centroid-to-centroid-orthocenter-midpoint", MUST, "X2", "M_MH"),
+            ("circumcenter-to-ninepoint", MUST, "X3", "E"),
+            ("orthocenter-fixed", MUST, "X4", "H"),
+            ("nagel-to-fuhrmann", MUST, "X8", "F"),
+            ("de-longchamps-to-circumcenter", MUST, "X20", "O"))),
+        points=("E1", "E2", "E3", "E", "H", "O", "F")),
+    _scenario(
+        "thm7-darboux-euler",
+        "Cubic fitted through the vertex-orthocenter midpoints, the side "
+        "midpoints, the incenter-orthocenter midpoint, the nine-point center "
+        "and the orthocenter; must equal the image of the Darboux cubic "
+        "under the homothety at the orthocenter with ratio 1/2, with "
+        "circumcenter membership reported.",
+        build=("thm7_cubic", "darboux"),
+        claims=[
+            fit_claim("thm7_cubic"),
+            Claim("antipode-consistency", "point-equality", MUST, _antipodes),
+            membership_claim("contains-circumcenter", VERDICT, "thm7_cubic", ["O"]),
+            pushforward_claim("equals-darboux-pushforward", "darboux", "H",
+                              Fraction(1, 2), "thm7_cubic"),
+        ],
+        points=("M_IH", "E", "H", "O"), curves=[("cubic", "thm7_cubic")]),
+    _scenario(
+        "corr-midarc",
+        "Correspondence rows between the arc-midpoint triangle and the base "
+        "triangle: circumcenter and orthocenter rows are classical; the "
+        "symmedian, de Longchamps and Kosnita rows are tested verbatim as "
+        "claimed.",
+        build=("midarc",),
+        claims=_rows("midarc", (
+            ("circumcenter-fixed", MUST, "X3", "O"),
+            ("orthocenter-to-incenter", MUST, "X4", "I"),
+            ("symmedian-to-mittenpunkt-incenter-midpoint", VERDICT, "X6", "M_MiI"),
+            ("de-longchamps-to-bevan", VERDICT, "X20", "Be"),
+            ("kosnita-to-schiffler", VERDICT, "X54", "S"))),
+        points=("A1", "A2", "A3", "O", "I", "Be", "S")),
+    _scenario(
+        "thm8-jerabek-midarc",
+        "Rectangular circumconic of the arc-midpoint triangle fitted through "
+        "its vertices, the circumcenter and the incenter; membership of the "
+        "mittenpunkt-incenter midpoint, the Schiffler point and the base "
+        "isogonal conjugate of the Bevan point is reported, and the conic "
+        "must be the arc-midpoint isogonal image of the line through the "
+        "circumcenter and incenter.",
+        build=("midarc_conic", "oi", "M_MiI"),
+        claims=[
+            fit_claim("midarc_conic"),
+            membership_claim("contains-mittenpunkt-incenter-midpoint", VERDICT,
+                             "midarc_conic", ["M_MiI"]),
+            membership_claim("contains-schiffler", VERDICT, "midarc_conic", ["S"]),
+            membership_claim("contains-bevan-conjugate", VERDICT, "midarc_conic",
+                             [("BeP", "X84")]),
+            rectangular_claim("midarc_conic"),
+            characterization_claim("isogonal-characterization", "midarc_conic",
+                                   "oi", ("O", "I", "M_MiI", "S", ("BeP", "X84")),
+                                   "midarc"),
+        ],
+        points=("A1", "A2", "A3", "O", "I", "M_MiI", "S"),
+        curves=[("conic", "midarc_conic")], lines=[("OI", "oi")]),
+    _pascal_scenario(
         "cor1",
         "Pascal line for the hexagon (I2, Be, Mi, I, L, I1) on the "
         "excentral rectangular circumconic: the meets of I2-Be with L-I, "
-        "Be-Mi with I1-L, and Mi-I with I2-I1 must align." + _COR_NOTE,
-        _excentral_conic, _excentral_hexagon,
-        ((("I2", "Be"), ("L", "I")),
-         (("Be", "Mi"), ("I1", "L")),
-         (("Mi", "I"), ("I2", "I1"))))
-
-
-def _sc_cor2() -> Scenario:
-    return _hexagon_scenario(
+        "Be-Mi with I1-L, and Mi-I with I2-I1 must align.",
+        "exc_conic", _EXC_HEXAGON,
+        (("I2", "Be", "L", "I"), ("Be", "Mi", "I1", "L"), ("Mi", "I", "I2", "I1"))),
+    _pascal_scenario(
         "cor2",
         "Pascal line for the hexagon (I2, Mi, L, Be, I1, I) on the "
         "excentral rectangular circumconic: the meets of I2-Mi with Be-I1, "
         "Mi-L with I1-I, and L-Be with I-I2 must align.  The third pair is "
         "the unique hexagon-consistent correction of a duplicated I-I2 "
-        "pairing." + _COR_NOTE,
-        _excentral_conic, _excentral_hexagon,
-        ((("I2", "Mi"), ("Be", "I1")),
-         (("Mi", "L"), ("I1", "I")),
-         (("L", "Be"), ("I", "I2"))))
-
-
-def _sc_cor3() -> Scenario:
-    return _hexagon_scenario(
+        "pairing.",
+        "exc_conic", _EXC_HEXAGON,
+        (("I2", "Mi", "Be", "I1"), ("Mi", "L", "I1", "I"), ("L", "Be", "I", "I2"))),
+    _pascal_scenario(
         "cor3",
         "Pascal line for the hexagon (A2, Be, A3, I, S, O) on the "
         "arc-midpoint rectangular circumconic, S the Schiffler point: the "
         "meets of A2-Be with S-I, I-A3 with O-A2, and Be-A3 with O-S must "
-        "align." + _COR_NOTE,
-        _midarc_conic, _midarc_hexagon,
-        ((("A2", "Be"), ("S", "I")),
-         (("I", "A3"), ("O", "A2")),
-         (("Be", "A3"), ("O", "S"))))
-
-
-def _sc_cor4() -> Scenario:
-    return _hexagon_scenario(
+        "align.",
+        "midarc_conic", _MIDARC_HEXAGON,
+        (("A2", "Be", "S", "I"), ("I", "A3", "O", "A2"), ("Be", "A3", "O", "S"))),
+    _pascal_scenario(
         "cor4",
         "Pascal line for the hexagon (Be, S, A3, A2, I, O) on the "
         "arc-midpoint rectangular circumconic: the meets of Be-O with "
         "A3-A2, Be-S with I-A2, and A3-S with I-O must align.  The third "
         "pair is the unique hexagon-consistent correction of a duplicated "
-        "I-A2 pairing." + _COR_NOTE,
-        _midarc_conic, _midarc_hexagon,
-        ((("Be", "S"), ("A2", "I")),
-         (("S", "A3"), ("I", "O")),
-         (("A3", "A2"), ("O", "Be"))))
-
-
-def _sc_cor5() -> Scenario:
-    def setup(t: RefTriangle) -> dict:
-        orthic = derived_triangle(t, TriangleKind.ORTHIC)
-        med = derived_triangle(t, TriangleKind.MEDIAL)
-        p = _thm3_cubic(t, orthic)
-        q = _thm5_cubic(t, med)
-        euler = join(eval_center(t, CenterId.X3), eval_center(t, CenterId.X4))
-        data = {"P": p, "Q": q, "euler": euler, "fact": None}
-        data["figure"] = _figure(
-            points=[("O", eval_center(t, CenterId.X3)),
-                    ("H", eval_center(t, CenterId.X4)),
-                    ("E", eval_center(t, CenterId.X5))],
-            curves=[("first-cubic", p), ("second-cubic", q)],
-            lines=[("euler", euler)])
-        return data
-
-    def factorization_check(ctx: Trial):
-        try:
-            fact = line_component(ctx["P"], ctx["Q"], ctx["euler"])
-        except (NoLinearComponent, BothVanishOnLine) as exc:
-            return Failure("no factorization", "line divides pencil member",
-                           str(exc))
-        ctx.data["fact"] = fact
-        ctx.data["composition"] = pencil_combination(ctx["P"], ctx["Q"], fact.t)
-        return None
-
-    def hessian_check(ctx: Trial):
-        if ctx.data.get("fact") is None:
-            return SKIP
-        comp = ctx["composition"]
-        hes = hessian(comp)
-        if hes is None:
-            return Failure("hessian vanishes identically", "cubic",
-                           "degenerate composition")
-        for lbl, cid in (("O", CenterId.X3), ("H", CenterId.X4),
-                         ("E", CenterId.X5)):
-            pnt = ctx.c(cid)
-            if not on_cubic(pnt, comp) or not on_cubic(pnt, hes):
-                return Failure(str(pnt), "0",
-                               f"{lbl} misses the composition or its hessian")
-        return None
-
-    def smooth_check(ctx: Trial):
-        if ctx.data.get("fact") is None:
-            return SKIP
-        comp = ctx["composition"]
-        singular = [lbl for lbl, cid in (("O", CenterId.X3), ("H", CenterId.X4),
-                                         ("E", CenterId.X5))
-                    if comp.gradient(ctx.c(cid)) == (0, 0, 0)]
-        if not singular:
-            return None
-        return Failure(", ".join(singular), "smooth (inflection)",
-                       "gradient vanishes: singular intersection with the "
-                       "residual conic, not an inflection")
-
-    claims = (
-        Claim("euler-line-factorization", "factorization", VERDICT,
-              factorization_check),
-        Claim("hessian-membership", "hessian-membership", MUST, hessian_check),
-        Claim("euler-points-are-inflections", "hessian-membership", VERDICT,
-              smooth_check),
-    )
-    return Scenario(
+        "I-A2 pairing.",
+        "midarc_conic", _MIDARC_HEXAGON,
+        (("Be", "S", "A2", "I"), ("S", "A3", "I", "O"), ("A3", "A2", "O", "Be"))),
+    _scenario(
         "cor5-euler-line-component",
         "The pencil of the altitude-feet cubic and the midpoint cubic has a "
         "member divisible by the Euler line (both cubics share the "
@@ -1084,81 +778,19 @@ def _sc_cor5() -> Scenario:
         "collinear); those three points must lie on the composition and on "
         "its Hessian, and each is classified as an inflection (smooth) or a "
         "singular point of the composition.",
-        setup, claims)
-
-
-def _sc_defs_sanity() -> Scenario:
-    def setup(t: RefTriangle) -> dict:
-        med = derived_triangle(t, TriangleKind.MEDIAL)
-        exc = derived_triangle(t, TriangleKind.EXCENTRAL)
-        jer = conic_through([VERTEX_A, VERTEX_B, VERTEX_C,
-                             eval_center(t, CenterId.X3),
-                             eval_center(t, CenterId.X4)])
-        thom = cubic_through([VERTEX_A, VERTEX_B, VERTEX_C,
-                              *med.vertices, *exc.vertices])
-        darb = _darboux_base(t)
-        euler = join(eval_center(t, CenterId.X3), eval_center(t, CenterId.X4))
-        data = {"jer": jer, "thom": thom, "darb": darb, "euler": euler,
-                "exc": exc}
-        data["figure"] = _figure(
-            points=[("O", eval_center(t, CenterId.X3)),
-                    ("H", eval_center(t, CenterId.X4)),
-                    ("Sy", eval_center(t, CenterId.X6)),
-                    ("I", eval_center(t, CenterId.X1)),
-                    ("M", eval_center(t, CenterId.X2))],
-            curves=[("isogonal-conic", jer), ("median-cubic", thom),
-                    ("reflection-cubic", darb)])
-        return data
-
-    def jer_oracle(ctx: Trial):
-        for lbl, cid in (("Sy", CenterId.X6), ("LP", CenterId.X64)):
-            p = ctx.c(cid)
-            lhs = on_conic(p, ctx["jer"])
-            rhs = incident(isogonal(ctx.t, p), ctx["euler"])
-            if lhs != rhs or not lhs:
-                return Failure(f"on_conic={lhs}", f"conjugate_on_line={rhs}",
-                               f"isogonal characterization breaks at {lbl}")
-        return None
-
-    def thom_oracle(ctx: Trial):
-        pivot = ctx.c(CenterId.X2)
-        for lbl, cid in (("I", CenterId.X1), ("O", CenterId.X3),
-                         ("Sy", CenterId.X6), ("Mi", CenterId.X9),
-                         ("MiP", CenterId.X57)):
-            if not pivotal_membership(ctx.t, pivot, "isogonal", ctx.c(cid)):
-                return Failure(str(ctx.c(cid)), str(pivot),
-                               f"{lbl} breaks the centroid-pivot collinearity")
-        return None
-
-    def darb_oracle(ctx: Trial):
-        pivot = ctx.c(CenterId.X20)
-        pts = [("I", ctx.c(CenterId.X1)), ("O", ctx.c(CenterId.X3)),
-               ("H", ctx.c(CenterId.X4)), ("Be", ctx.c(CenterId.X40)),
-               ("I2", ctx["exc"].v2), ("I3", ctx["exc"].v3)]
-        for lbl, p in pts:
-            if not pivotal_membership(ctx.t, pivot, "isogonal", p):
-                return Failure(str(p), str(pivot),
-                               f"{lbl} breaks the de-Longchamps-pivot "
-                               "collinearity")
-        return None
-
-    claims = (
-        membership_claim("isogonal-conic-members", MUST, "jer", lambda ctx: [
-            ("Sy", ctx.c(CenterId.X6)), ("LP", ctx.c(CenterId.X64))]),
-        Claim("isogonal-conic-characterization", "membership", MUST, jer_oracle),
-        membership_claim("median-cubic-members", MUST, "thom", lambda ctx: [
-            ("I", ctx.c(CenterId.X1)), ("M", ctx.c(CenterId.X2)),
-            ("O", ctx.c(CenterId.X3)), ("Sy", ctx.c(CenterId.X6)),
-            ("Mi", ctx.c(CenterId.X9)), ("MiP", ctx.c(CenterId.X57))]),
-        Claim("median-cubic-pivotal-oracle", "collinearity", MUST, thom_oracle),
-        membership_claim("reflection-cubic-members", MUST, "darb", lambda ctx: [
-            ("I", ctx.c(CenterId.X1)), ("O", ctx.c(CenterId.X3)),
-            ("Be", ctx.c(CenterId.X40)), ("I2", ctx["exc"].v2),
-            ("I3", ctx["exc"].v3)]),
-        Claim("reflection-cubic-pivotal-oracle", "collinearity", MUST,
-              darb_oracle),
-    )
-    return Scenario(
+        build=("thm3_cubic", "thm5_cubic", "euler_line"),
+        claims=[
+            Claim("euler-line-factorization", "factorization", VERDICT,
+                  _factorization),
+            Claim("hessian-membership", "hessian-membership", MUST,
+                  _hessian_membership),
+            Claim("euler-points-are-inflections", "hessian-membership", VERDICT,
+                  _smooth),
+        ],
+        points=("O", "H", "E"),
+        curves=[("first-cubic", "thm3_cubic"), ("second-cubic", "thm5_cubic")],
+        lines=[("euler", "euler_line")]),
+    _scenario(
         "defs-sanity",
         "Base-triangle curve definitions: the isogonal-image circumconic of "
         "the Euler line, the cubic through the vertices, side midpoints and "
@@ -1166,35 +798,31 @@ def _sc_defs_sanity() -> Scenario:
         "incenter, circumcenter, orthocenter and reflections (de Longchamps "
         "pivot) each contain every designated center, verified by the "
         "conjugation oracles.",
-        setup, claims)
-
-
-_REGISTRY_BUILDERS = (
-    _sc_corr_excentral,
-    _sc_thm1,
-    _sc_thm2,
-    _sc_thm3,
-    _sc_corr_medial,
-    _sc_thm4,
-    _sc_thm5,
-    _sc_thm6,
-    _sc_corr_euler,
-    _sc_thm7,
-    _sc_corr_midarc,
-    _sc_thm8,
-    _sc_cor1,
-    _sc_cor2,
-    _sc_cor3,
-    _sc_cor4,
-    _sc_cor5,
-    _sc_defs_sanity,
+        build=("jerabek", "thomson", "darboux", "euler_line"),
+        claims=[
+            membership_claim("isogonal-conic-members", MUST, "jerabek",
+                             ["Sy", ("LP", "X64")]),
+            characterization_claim("isogonal-conic-characterization", "jerabek",
+                                   "euler_line", ("Sy", ("LP", "X64")), "base",
+                                   what="isogonal characterization",
+                                   on_curve=True),
+            membership_claim("median-cubic-members", MUST, "thomson",
+                             ["I", "M", "O", "Sy", "Mi", ("MiP", "X57")]),
+            pivotal_claim("median-cubic-pivotal-oracle", "M", "isogonal",
+                          ("I", "O", "Sy", "Mi", ("MiP", "X57")),
+                          "centroid-pivot"),
+            membership_claim("reflection-cubic-members", MUST, "darboux",
+                             ["I", "O", "Be", "I2", "I3"]),
+            pivotal_claim("reflection-cubic-pivotal-oracle", "L", "isogonal",
+                          ("I", "O", "H", "Be", "I2", "I3"),
+                          "de-Longchamps-pivot"),
+        ],
+        points=("O", "H", "Sy", "I", "M"),
+        curves=[("isogonal-conic", "jerabek"), ("median-cubic", "thomson"),
+                ("reflection-cubic", "darboux")]),
 )
 
-REGISTRY: dict[str, Scenario] = {}
-for _builder in _REGISTRY_BUILDERS:
-    _sc = _builder()
-    REGISTRY[_sc.id] = _sc
-del _builder, _sc
+REGISTRY: dict[str, Scenario] = {sc.id: sc for sc in _SCENARIOS}
 
 
 def list_scenarios() -> list[tuple[str, str, int]]:
@@ -1289,12 +917,11 @@ def run_scenario(scenario_id: str, trials: int, seed: int) -> Report:
             tri = random_triangle(cursor)
             cursor += 1
             try:
-                data = sc.setup(tri)
+                ctx = sc.setup(tri)
             except (DegeneratePointSet, CoincidentArguments):
                 skipped += 1
                 continue
             break
-        ctx = Trial(tri, data)
         acute = tri.is_acute()
         for claim, res in zip(sc.claims, results):
             if claim.acute_only and not acute:
@@ -1322,7 +949,14 @@ def run_all(trials: int, seed: int) -> list[Report]:
 
 
 def build_figure(scenario_id: str, t: RefTriangle) -> dict:
-    """Exact figure payload (points, curves, lines) for rendering."""
+    """Exact figure payload (points, curves, lines) for rendering.
+
+    Runs the scenario's ``setup`` first, so a triangle it refuses is refused
+    here too; the figure's names are resolved only after that.
+    """
     if scenario_id not in REGISTRY:
         raise UnknownScenario(f"unknown scenario {scenario_id!r}")
-    return REGISTRY[scenario_id].setup(t)["figure"]
+    sc = REGISTRY[scenario_id]
+    tr = sc.setup(t)
+    return {part: [(lbl, tr[name]) for lbl, name in entries]
+            for part, entries in zip(("points", "curves", "lines"), sc.figure)}

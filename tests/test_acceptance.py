@@ -6,6 +6,7 @@ tolerance); the full-scale runs use 100 seeded random triangles with
 integer sides in [5, 80].
 """
 
+import hashlib
 import json
 import re
 import statistics
@@ -49,6 +50,10 @@ from tricurves.scenarios import MUST, VERDICT, run_scenario
 
 TRIALS = 100
 SEED = 42
+
+# SHA-256 of the verify-all NDJSON (TRIALS, SEED) with elapsed_ms stripped;
+# a refactor that changes any verdict, certificate or description shows here
+REPORT_SHA256 = "080676e0f5c7e94223d5b5cc6959d6754ec3bc267362a11c6a7c4625dbb0636b"
 
 
 def _strip_elapsed(text: str) -> str:
@@ -280,6 +285,12 @@ def test_criterion_10_determinism(full_runs):
     assert a == b
     print("ACCEPTANCE 10: PASS - verify-all NDJSON byte-identical "
           "(elapsed_ms excluded)")
+
+
+def test_report_digest_pinned(full_runs):
+    digest = hashlib.sha256(
+        _strip_elapsed(full_runs["raw"][0]).encode()).hexdigest()
+    assert digest == REPORT_SHA256
 
 
 def test_criterion_11_performance():

@@ -12,6 +12,7 @@ from tricurves.centers import (
     random_triangle,
 )
 from tricurves.curves import (
+    CUBIC_MONOMIALS,
     BothVanishOnLine,
     Conic,
     Cubic,
@@ -295,17 +296,23 @@ class TestHessian:
             assert lhs == rhs
 
 
+def _line_times_conic(l, conic):
+    """The cubic l * conic, expanded monomial by monomial."""
+    q11, q22, q33, q12, q13, q23 = conic.coeffs
+    quad = {(2, 0, 0): q11, (0, 2, 0): q22, (0, 0, 2): q33,
+            (1, 1, 0): 2 * q12, (1, 0, 1): 2 * q13, (0, 1, 1): 2 * q23}
+    out = dict.fromkeys(CUBIC_MONOMIALS, 0)
+    for var, lc in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), l.triple):
+        for mon, qc in quad.items():
+            out[tuple(a + b for a, b in zip(var, mon))] += lc * qc
+    return Cubic(*(out[m] for m in CUBIC_MONOMIALS))
+
+
 class TestLineComponent:
     def test_synthetic_product(self):
         l = join(HomPoint(1, 2, 3), HomPoint(2, -1, 1))
         conic = circumcircle(T)
-        # P = l * conic, coefficientwise
-        from tricurves.curves import _line_times_conic_rows
-        rows = _line_times_conic_rows(l)
-        k = conic.coeffs
-        # reorder conic coefficients to (k1..k6) = (q11,q22,q33,q12,q13,q23)
-        pvec = [sum(r[i] * k[i] for i in range(6)) for r in rows]
-        p = Cubic(*pvec)
+        p = _line_times_conic(l, conic)
         # Q: generic cubic through three points of l
         from tricurves.kernel import sample_line_points
         pts = sample_line_points(l, 3)
@@ -317,7 +324,7 @@ class TestLineComponent:
         # verify the factorization: composition vanishes on the whole line
         for s in sample_line_points(l, 6):
             assert on_cubic(s, comp)
-        assert fact.residual is not None
+        assert _line_times_conic(l, fact.residual) == comp
 
     def test_no_linear_component(self):
         l = join(VERTEX_A, VERTEX_B)
@@ -335,14 +342,21 @@ class TestLineComponent:
         with pytest.raises(NoLinearComponent):
             line_component(p, q, l)
 
+    def test_division_remainder_raises(self):
+        from tricurves.curves import _divide_linear
+        l = join(HomPoint(1, 2, 3), HomPoint(2, -1, 1))
+        product = _line_times_conic(l, circumcircle(T))
+        form = dict(zip(CUBIC_MONOMIALS, product.coeffs))
+        quo = _divide_linear({m: c for m, c in form.items() if c}, l.triple)
+        assert quo
+        form[(0, 0, 3)] += 1
+        with pytest.raises(NoLinearComponent):
+            _divide_linear({m: c for m, c in form.items() if c}, l.triple)
+
     def test_both_vanish(self):
         l = join(HomPoint(1, 2, 3), HomPoint(2, -1, 1))
-        from tricurves.curves import _line_times_conic_rows
-        rows = _line_times_conic_rows(l)
-        k1 = circumcircle(T).coeffs
-        k2 = Conic(1, 1, 1, 0, 0, 0).coeffs
-        p = Cubic(*[sum(r[i] * k1[i] for i in range(6)) for r in rows])
-        q = Cubic(*[sum(r[i] * k2[i] for i in range(6)) for r in rows])
+        p = _line_times_conic(l, circumcircle(T))
+        q = _line_times_conic(l, Conic(1, 1, 1, 0, 0, 0))
         with pytest.raises(BothVanishOnLine):
             line_component(p, q, l)
 

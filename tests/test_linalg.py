@@ -8,7 +8,6 @@ from tricurves.linalg import (
     nullspace_vector,
     rank_profile_int,
     rank_rational,
-    solve_rational,
 )
 
 small_ints = st.integers(-9, 9)
@@ -85,20 +84,3 @@ class TestNullspace:
         for row in m:
             assert sum(a * b for a, b in zip(row, v)) == 0
 
-
-class TestSolve:
-    def test_unique_solution(self):
-        a = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
-        b = [Fraction(5), Fraction(10)]
-        assert solve_rational(a, b) == [Fraction(1), Fraction(3)]
-
-    def test_inconsistent(self):
-        a = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
-        b = [Fraction(1), Fraction(3)]
-        assert solve_rational(a, b) is None
-
-    def test_overdetermined_consistent(self):
-        a = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)],
-             [Fraction(1), Fraction(1)]]
-        b = [Fraction(2), Fraction(3), Fraction(5)]
-        assert solve_rational(a, b) == [Fraction(2), Fraction(3)]

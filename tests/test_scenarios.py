@@ -1,5 +1,8 @@
 import ast
+import collections
 import copy
+import dataclasses
+import hashlib
 import json
 import pathlib
 
@@ -15,7 +18,8 @@ from tricurves.scenarios import (
     run_all,
     run_scenario,
 )
-from tricurves.kernel import RefTriangle
+from tricurves.centers import random_triangle
+from tricurves.kernel import GeometryError, RefTriangle
 
 EXPECTED_IDS = [
     "corr-excentral", "thm1-jerabek-excentral", "thm2-thomson-excentral",
@@ -133,6 +137,103 @@ class TestFigures:
     def test_unknown(self):
         with pytest.raises(UnknownScenario):
             build_figure("nosuch", RefTriangle(6, 9, 13))
+
+
+FIGURE_TRIANGLES = (RefTriangle(6, 9, 13),
+                    *(random_triangle(s) for s in (1, 2, 3)))
+
+# SHA-256 over every figure payload (or refusal) of a scenario on
+# FIGURE_TRIANGLES: section order, labels and order, str(point),
+# curve.serialize() and str(line)
+FIGURE_SHA256 = {
+    "corr-excentral":
+        "dc975d6d89390e2f63f973c37d1151790a2948f37afe24a58f966b271b8751eb",
+    "thm1-jerabek-excentral":
+        "7c63561d6e8e746cf3117e571e584c0c04aea1e0613e04067c1a06f0b71ad5b3",
+    "thm2-thomson-excentral":
+        "43f30878869b11ab4111a5cb86f181d27f698055434719e794346e274c19afca",
+    "thm3-darboux-excentral":
+        "9dd8733c92eb397e4fe9f4d09fc732556cf9aea11948388c3f338d26d41400b0",
+    "corr-medial":
+        "c3e85577635a23b6eb47678a14a2cb40a7941cbd1b0fea011756b938e49782f1",
+    "thm4-yff-medial":
+        "82b67d7ce7dd2ac2212fc225057da172967a82a226e83ad599e9f8d2c905feee",
+    "thm5-darboux-medial":
+        "2c7a9e25f7156a1596ac9c6d94757fd29902c4b57ea2e1e2dbca47b8e83cc320",
+    "thm6-lucas-medial":
+        "1a068a98aa991c1d143b4cf0cac0903a68b6b235e7842be997e308bac4c3dfd1",
+    "corr-euler":
+        "d7b0c28f5da8c11c5a003da303a5bf62a9c887119bf2d3a9990a123a20e39fd0",
+    "thm7-darboux-euler":
+        "7f6c8b68995abf0dfcc08e1b862a1652f1647656f1b9a8e4b76ea3e961393f43",
+    "corr-midarc":
+        "f8dd2d2d0a92237924f21a096d4de98d93ecc982946093da89c045bbc11a1ea9",
+    "thm8-jerabek-midarc":
+        "4b77e8bc77c2c3eab22eefe52dbb2a247dec163094d9db671c686d943672d971",
+    "cor1":
+        "2c01de5a22c3bc1be295c69450c29c11b790f7751b306467e22db12e7f7c8865",
+    "cor2":
+        "2c01de5a22c3bc1be295c69450c29c11b790f7751b306467e22db12e7f7c8865",
+    "cor3":
+        "4d1903dc3643dbfc97df57210f55d0013e9eecceea5e974e20e3c0a9d4c7bb0a",
+    "cor4":
+        "4d1903dc3643dbfc97df57210f55d0013e9eecceea5e974e20e3c0a9d4c7bb0a",
+    "cor5-euler-line-component":
+        "4262c2ec0b6c7c99a01ad8969783315e13663492643e4c036d2e61b1f555bc31",
+    "defs-sanity":
+        "0993250bf13bb98673891d15c1d0e413c47e836db918718b4b354386fe0f4a2f",
+}
+
+
+def _figure_digest(sid: str) -> str:
+    rows = []
+    for t in FIGURE_TRIANGLES:
+        try:
+            fig = build_figure(sid, t)
+        except GeometryError as exc:
+            rows.append(["refused", type(exc).__name__, str(exc)])
+            continue
+        rows.append([
+            list(fig),
+            [(lbl, str(p)) for lbl, p in fig["points"]],
+            [(lbl, c.serialize()) for lbl, c in fig["curves"]],
+            [(lbl, str(line)) for lbl, line in fig["lines"]],
+        ])
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("sid", EXPECTED_IDS)
+def test_figure_digest_pinned(sid):
+    assert _figure_digest(sid) == FIGURE_SHA256[sid]
+
+
+class TestBenchContract:
+    """The benchmark tracer swaps registry entries for wrapped copies
+    (``dataclasses.replace`` on ``setup`` and each claim's ``check``); the
+    runner and ``build_figure`` must call through whatever entry is
+    registered."""
+
+    @pytest.mark.parametrize("sid", EXPECTED_IDS)
+    def test_wrapped_entry_is_called(self, sid, monkeypatch):
+        calls = collections.Counter()
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        sc = REGISTRY[sid]
+        claims = tuple(dataclasses.replace(c, check=counting(c.id, c.check))
+                       for c in sc.claims)
+        monkeypatch.setitem(REGISTRY, sid, dataclasses.replace(
+            sc, setup=counting("setup", sc.setup), claims=claims))
+        run_scenario(sid, 1, 23)   # obtuse triangle
+        run_scenario(sid, 1, 28)   # acute triangle, reaches acute-only claims
+        build_figure(sid, RefTriangle(6, 9, 13))
+        assert calls["setup"] >= 3
+        assert all(calls[c.id] >= 1 for c in sc.claims), calls
 
 
 class TestCoreDoesNotImportRenderer:
