@@ -544,7 +544,7 @@ def parse_center(text: str) -> CenterExpr:
     Grammar: NAME | fn(args) with fn in {midpoint, reflect, complement,
     anticomplement, isogonal, isotomic, center, vertex, antipode}; triangle
     kinds are named base/excentral/medial/orthic/anticomplementary/euler/
-    midarc/tangential.
+    midarc/tangential; vertex and antipode take a kind and an index 0-2.
     """
     text = text.strip()
     if not text:
@@ -573,6 +573,11 @@ def parse_center(text: str) -> CenterExpr:
             raise CenterParseError(f"{s!r} is not a catalog center")
         return e.cid
 
+    def index_of(s: str) -> int:
+        if s not in ("0", "1", "2"):
+            raise CenterParseError(f"vertex index must be 0, 1 or 2, got {s!r}")
+        return int(s)
+
     if fn == "midpoint" and len(args) == 2:
         return MidpointOf(parse_center(args[0]), parse_center(args[1]))
     if fn == "reflect" and len(args) == 2:
@@ -594,9 +599,9 @@ def parse_center(text: str) -> CenterExpr:
     if fn == "center" and len(args) == 2:
         return CenterOf(kind_of(args[0]), cid_of(args[1]))
     if fn == "vertex" and len(args) == 2:
-        return VertexOf(kind_of(args[0]), int(args[1]))
+        return VertexOf(kind_of(args[0]), index_of(args[1]))
     if fn == "antipode" and len(args) == 2:
-        return AntipodeOf(kind_of(args[0]), int(args[1]))
+        return AntipodeOf(kind_of(args[0]), index_of(args[1]))
     raise CenterParseError(f"cannot parse center expression {text!r}")
 
 

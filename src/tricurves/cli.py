@@ -2,8 +2,9 @@
 
 Exit codes for ``verify``: 0 when every must-pass claim passes and no claim
 errors; 2 when only verdict-only claims fail; 1 on a must-pass failure or
-claim error; 64 for an unknown scenario.  ``center`` exits 65 on an invalid
-triangle and 64 on an unknown center name.
+claim error; 64 for an unknown scenario or fewer than one trial.  ``center``
+exits 65 on an invalid triangle and 64 on an unknown center name or a
+malformed center expression.
 """
 
 from __future__ import annotations
@@ -66,6 +67,9 @@ def _report_summary(report: Report) -> str:
 
 def cmd_verify(args) -> int:
     trials = args.trials if args.trials is not None else _default_trials()
+    if trials < 1:
+        print(f"--trials must be at least 1, got {trials}", file=sys.stderr)
+        return EXIT_USAGE
     if args.scenario == "all":
         ids = list(REGISTRY)
     else:

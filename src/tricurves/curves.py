@@ -2,9 +2,10 @@
 
 Curves are coefficient vectors up to scale, canonicalized like points
 (coprime integers, first nonzero entry positive), so curve equality is
-tuple equality.  Fitting goes through fraction-free elimination and
-signed-minor nullspace extraction; rank-deficient inputs raise
-:class:`DegeneratePointSet` carrying a rank certificate.
+tuple equality.  A fit reads the kernel vector off one fraction-free
+elimination; rank-deficient inputs raise :class:`DegeneratePointSet`
+carrying a rank certificate, and a fit that misses one of its own points
+raises :class:`CurveMissesPoint`.
 
 Conic coefficient order is (q11, q22, q33, q12, q13, q23) for the form
 q11*x^2 + q22*y^2 + q33*z^2 + 2*q12*x*y + 2*q13*x*z + 2*q23*y*z; cubic
@@ -45,7 +46,7 @@ from .kernel import (
     squared_distance,
     two_points_on,
 )
-from .linalg import nullspace_vector, rank_profile_int
+from .linalg import RankDeficient, nullspace_vector
 
 
 class DegeneratePointSet(GeometryError):
@@ -58,6 +59,10 @@ class DegeneratePointSet(GeometryError):
         super().__init__(
             f"point set has rank {rank} < {needed}; "
             f"independent subset {self.independent}")
+
+
+class CurveMissesPoint(GeometryError):
+    """A constructed curve fails to pass through a point it was built on."""
 
 
 class DegenerateConic(GeometryError):
@@ -181,36 +186,33 @@ def on_cubic(p: HomPoint, k: Cubic) -> bool:
 # ---------------------------------------------------------------------------
 # fitting
 
+def _fit(form: type, points: Sequence[HomPoint], row) -> _FormVector:
+    """The form through ``form.SIZE - 1`` points: the kernel of their rows."""
+    n = form.SIZE - 1
+    if len(points) != n:
+        raise ValueError(f"{form.__name__.lower()}_through needs exactly {n} points")
+    try:
+        curve = form(*nullspace_vector([row(*p.triple) for p in points]))
+    except RankDeficient as exc:
+        certificate = exc.rank, exc.independent
+    else:
+        if any(curve.evaluate(p) for p in points):
+            raise CurveMissesPoint(f"fitted {curve!r} misses one of its points")
+        return curve
+    # raised outside the handler, so the error holds no elimination frames
+    raise DegeneratePointSet(*certificate, n)
+
+
 def conic_through(points: Sequence[HomPoint]) -> Conic:
     """The unique conic through five points in general position."""
-    if len(points) != 5:
-        raise ValueError("conic_through needs exactly 5 points")
-    rows = []
-    for p in points:
-        x, y, z = p.triple
-        rows.append((x * x, y * y, z * z, 2 * x * y, 2 * x * z, 2 * y * z))
-    rank, independent = rank_profile_int(rows)
-    if rank < 5:
-        raise DegeneratePointSet(rank, independent, 5)
-    conic = Conic(*nullspace_vector(rows))
-    assert all(conic.evaluate(p) == 0 for p in points)
-    return conic
+    return _fit(Conic, points, lambda x, y, z: (
+        x * x, y * y, z * z, 2 * x * y, 2 * x * z, 2 * y * z))
 
 
 def cubic_through(points: Sequence[HomPoint]) -> Cubic:
     """The unique cubic through nine points in general position."""
-    if len(points) != 9:
-        raise ValueError("cubic_through needs exactly 9 points")
-    rows = []
-    for p in points:
-        x, y, z = p.triple
-        rows.append(tuple(x**i * y**j * z**k for (i, j, k) in CUBIC_MONOMIALS))
-    rank, independent = rank_profile_int(rows)
-    if rank < 9:
-        raise DegeneratePointSet(rank, independent, 9)
-    cubic = Cubic(*nullspace_vector(rows))
-    assert all(cubic.evaluate(p) == 0 for p in points)
-    return cubic
+    return _fit(Cubic, points, lambda x, y, z: tuple(
+        x**i * y**j * z**k for (i, j, k) in CUBIC_MONOMIALS))
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +331,8 @@ def axis_conic(m: Metric, v1: HomPoint, v2: HomPoint, focus: HomPoint) -> AxisCo
     d_point = affine_combine(((center, 1 - ratio), (focus, ratio)))
     directrix = perpendicular_line_through(join(v1, v2), d_point, m)
     conic = conic_from_focus_directrix(m, focus, directrix, e2)
-    assert conic.evaluate(v1) == 0 and conic.evaluate(v2) == 0
+    if conic.evaluate(v1) or conic.evaluate(v2):
+        raise CurveMissesPoint(f"axis conic {conic!r} misses a vertex")
     return AxisConic(conic, e2, directrix)
 
 

@@ -88,27 +88,21 @@ def _fraction(v: Rat) -> Fraction:
 
 def canonical_ints(values: Iterable[Rat]) -> tuple[int, ...]:
     """Clear denominators, divide by the gcd, make the first nonzero entry positive."""
-    fracs = [_fraction(v) for v in values]
-    if all(f == 0 for f in fracs):
+    vals = tuple(values)
+    for v in vals:
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError(
+                f"exact core accepts int/Fraction only, got {type(v).__name__}")
+    den = math.lcm(*(v.denominator for v in vals))
+    ints = [v.numerator * (den // v.denominator) for v in vals]
+    g = math.gcd(*ints)
+    if g == 0:
         raise ZeroVector("all coordinates are zero")
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // math.gcd(den, f.denominator)
-    ints = [int(f * den) for f in fracs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
+    if next(v for v in ints if v) < 0:
+        g = -g
     ints = [v // g for v in ints]
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
     global _bit_high_water
-    for v in ints:
-        b = v.bit_length()
-        if b > _bit_high_water:
-            _bit_high_water = b
+    _bit_high_water = max(_bit_high_water, *(v.bit_length() for v in ints))
     return tuple(ints)
 
 

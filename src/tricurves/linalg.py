@@ -1,10 +1,10 @@
 """Exact dense linear algebra for small systems.
 
-Fraction-free (Bareiss) elimination over the integers for determinants and
-rank profiles, a signed-minor nullspace extractor for (n) x (n+1) systems
-of full row rank, and a plain rational rank as an independent cross-check.
-Everything is exact; matrices are lists/tuples of ``int`` or ``Fraction``
-rows.
+One fraction-free Gauss–Jordan elimination over the integers (Bareiss
+1968) gives determinants, rank profiles and the kernel vector of an
+(n) x (n+1) system, plus a plain rational rank as an independent
+cross-check.  Everything is exact; matrices are lists/tuples of ``int``
+rows (``Fraction`` rows for :func:`rank_rational`).
 """
 
 from __future__ import annotations
@@ -13,89 +13,81 @@ from fractions import Fraction
 from typing import Sequence
 
 
-def det_int(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    if any(len(r) != n for r in m):
-        raise ValueError("determinant requires a square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (pivot * m[i][j] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+class RankDeficient(ValueError):
+    """Rank below the one needed; carries the independent-row certificate."""
+
+    def __init__(self, rank: int, independent: Sequence[int]):
+        self.rank, self.independent = rank, tuple(independent)
+        super().__init__(f"rank {rank}; independent rows {self.independent}")
 
 
-def rank_profile_int(rows: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
-    """Rank and the original indices of a maximal independent row subset.
+def _eliminate(rows: Sequence[Sequence[int]]):
+    """Fraction-free Gauss–Jordan pass, pivoting on rows in column order.
 
-    Fraction-free forward elimination with row pivoting; the division by the
-    previous pivot is exact (every entry stays a minor of the input).
+    Returns the rank, the sorted original indices of the pivot rows, the
+    reduced matrix and the row-swap sign.  Each of the first ``rank``
+    reduced rows holds the last pivot on its pivot column and zero on the
+    other pivot columns.  Dividing by the previous pivot is exact, since
+    every entry stays a minor of the input.
     """
     m = [list(r) for r in rows]
-    nrows = len(m)
-    if nrows == 0:
-        return 0, []
-    ncols = len(m[0])
+    nrows, ncols = len(m), len(m[0]) if m else 0
     origin = list(range(nrows))
-    prev = 1
-    r = 0
-    pivot_rows: list[int] = []
+    r, sign, prev = 0, 1, 1
     for col in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][col] != 0:
-                piv = i
-                break
+        piv = next((i for i in range(r, nrows) if m[i][col]), None)
         if piv is None:
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
             origin[r], origin[piv] = origin[piv], origin[r]
-        pivot = m[r][col]
-        for i in range(r + 1, nrows):
-            for j in range(col + 1, ncols):
-                m[i][j] = (pivot * m[i][j] - m[i][col] * m[r][j]) // prev
-            m[i][col] = 0
+            sign = -sign
+        prow = m[r]
+        pivot = prow[col]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[col]
+                # rows below the pivot are zero left of it; rows above are not
+                for j in range(col + 1 if i > r else 0, ncols):
+                    row[j] = (pivot * row[j] - f * prow[j]) // prev
+                row[col] = 0
         prev = pivot
-        pivot_rows.append(origin[r])
         r += 1
-        if r == nrows:
-            break
-    return r, sorted(pivot_rows)
+    return r, sorted(origin[:r]), m, sign
+
+
+def det_int(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix: swap sign times last pivot."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("determinant requires a square matrix")
+    rank, _, reduced, sign = _eliminate(rows)
+    return sign * reduced[-1][-1] if rank == n else 0
+
+
+def rank_profile_int(rows: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
+    """Rank and the original indices of a maximal independent row subset."""
+    return _eliminate(rows)[:2]
 
 
 def nullspace_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Kernel generator of an (n) x (n+1) integer matrix of full row rank.
 
-    The vector of signed maximal minors v_j = (-1)^j det(A without column j)
-    satisfies A v = 0; it is nonzero exactly when the rank is n.
+    With last pivot ``d`` and free column ``f`` of the reduced matrix, the
+    kernel is ``v[f] = d`` and ``v[pivot column of row i] = -row_i[f]``.
+    Raises :class:`RankDeficient` when the rank is below n.
     """
     n = len(rows)
-    if any(len(r) != n + 1 for r in rows):
+    if not n or any(len(r) != n + 1 for r in rows):
         raise ValueError("nullspace_vector expects an n x (n+1) matrix")
-    out = []
-    sign = 1
-    for j in range(n + 1):
-        sub = [[r[k] for k in range(n + 1) if k != j] for r in rows]
-        out.append(sign * det_int(sub))
-        sign = -sign
-    if all(v == 0 for v in out):
-        raise ValueError("matrix does not have full row rank")
-    return tuple(out)
+    rank, independent, reduced, _ = _eliminate(rows)
+    if rank < n:
+        raise RankDeficient(rank, independent)
+    # row i pivots on column i before f and on i + 1 after it: d goes in at f
+    free = next((i for i, row in enumerate(reduced) if not row[i]), n)
+    v = [-row[free] for row in reduced]
+    v.insert(free, reduced[0][0 if free else 1])
+    return tuple(v)
 
 
 def rank_rational(rows: Sequence[Sequence[Fraction]]) -> int:

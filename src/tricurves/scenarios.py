@@ -35,6 +35,7 @@ from .centers import (
     CenterExpr,
     CenterId,
     MidpointOf,
+    OnSideline,
     TriangleKind,
     VertexOf,
     derived_subtriangle,
@@ -899,9 +900,9 @@ def _certificate(t: RefTriangle, failure: Failure) -> dict:
 def run_scenario(scenario_id: str, trials: int, seed: int) -> Report:
     """Evaluate every claim of a scenario on ``trials`` seeded triangles.
 
-    Triangles whose designated points are too degenerate to fit (rank
-    deficiency or coincidences) are skipped and replaced, with the skip
-    counted in the report.  Deterministic for fixed (id, trials, seed).
+    Triangles on which ``setup`` meets a rank-deficient fit, coinciding
+    arguments or a conjugate of a point on a sideline are skipped,
+    replaced and counted.  Deterministic for fixed (id, trials, seed).
     """
     if scenario_id not in REGISTRY:
         raise UnknownScenario(f"unknown scenario {scenario_id!r}")
@@ -918,7 +919,7 @@ def run_scenario(scenario_id: str, trials: int, seed: int) -> Report:
             cursor += 1
             try:
                 ctx = sc.setup(tri)
-            except (DegeneratePointSet, CoincidentArguments):
+            except (DegeneratePointSet, CoincidentArguments, OnSideline):
                 skipped += 1
                 continue
             break

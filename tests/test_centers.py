@@ -285,6 +285,12 @@ class TestAliasesAndParsing:
         with pytest.raises(CenterParseError):
             parse_center("midpoint(I)")
 
+    @pytest.mark.parametrize("index", ["3", "-1", "x", "1.0", ""])
+    def test_parse_vertex_index_out_of_range(self, index):
+        for fn in ("vertex", "antipode"):
+            with pytest.raises(CenterParseError):
+                parse_center(f"{fn}(orthic,{index})")
+
 
 class TestRandomTriangle:
     def test_deterministic(self):

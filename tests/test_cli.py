@@ -32,6 +32,19 @@ class TestCenterCommand:
     def test_unknown_center(self, capsys):
         assert main(["center", "--triangle", "3,4,5", "--center", "Zed"]) == 64
 
+    @pytest.mark.parametrize("expr", ["vertex(base,7)", "vertex(base,x)",
+                                      "vertex(base,-1)", "antipode(base,3)"])
+    def test_bad_vertex_index(self, capsys, expr):
+        assert main(["center", "--triangle", "6,9,13", "--center", expr]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "index" in captured.err
+
+    def test_vertex_index_in_range(self, capsys):
+        assert main(["center", "--triangle", "6,9,13",
+                     "--center", "vertex(base,2)"]) == 0
+        assert capsys.readouterr().out.strip() == "0:0:1"
+
     def test_parse_triangle_rejects_garbage(self):
         with pytest.raises(InvalidTriangle):
             parse_triangle("3,4")
@@ -64,6 +77,13 @@ class TestVerifyCommand:
         parsed = json.loads(lines[0])
         # round trip: parse and re-serialize is the identity
         assert json.dumps(parsed, separators=(",", ":")) == lines[0]
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one(self, capsys, trials):
+        assert main(["verify", "corr-medial", "--trials", trials]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--trials" in captured.err
 
     def test_env_default_trials(self, capsys, monkeypatch):
         monkeypatch.setenv("TCL_DEFAULT_TRIALS", "2")

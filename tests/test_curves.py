@@ -1,4 +1,9 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -121,6 +126,45 @@ class TestFitting:
     def test_wrong_count(self):
         with pytest.raises(ValueError):
             conic_through([VERTEX_A, VERTEX_B])
+
+
+# The fits and axis_conic re-check the curve through the points it was built
+# on; that check must survive ``python -O``, which strips ``assert``.
+_OPTIMIZED_CHECKS = textwrap.dedent("""
+    import sys
+    import tricurves.curves as curves
+    from tricurves.centers import CenterId, eval_center
+    from tricurves.kernel import HomPoint, RefTriangle
+
+    caught = []
+    curves.nullspace_vector = lambda rows: (1,) + (0,) * len(rows)
+    for fit, n in ((curves.conic_through, 5), (curves.cubic_through, 9)):
+        try:
+            fit([HomPoint(1, k, k * k + 2) for k in range(n)])
+        except curves.CurveMissesPoint:
+            caught.append(fit.__name__)
+    curves.conic_from_focus_directrix = lambda *args: curves.Conic(1, 0, 0, 0, 0, 0)
+    t = RefTriangle(6, 9, 13)
+    try:
+        curves.axis_conic(t, *(eval_center(t, c) for c in
+                               (CenterId.X2, CenterId.X4, CenterId.X3)))
+    except curves.CurveMissesPoint:
+        caught.append("axis_conic")
+    print(sys.flags.optimize, *caught)
+""")
+
+
+def test_curve_checks_survive_optimize():
+    import tricurves
+
+    src = str(pathlib.Path(tricurves.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_CHECKS],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["1", "conic_through", "cubic_through",
+                                  "axis_conic"]
 
 
 class TestConicGeometry:

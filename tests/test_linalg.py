@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tricurves.linalg import (
+    RankDeficient,
     det_int,
     nullspace_vector,
     rank_profile_int,
@@ -13,10 +14,23 @@ from tricurves.linalg import (
 small_ints = st.integers(-9, 9)
 
 
-def matrix_strategy(rows, cols):
+def matrix_strategy(rows, cols, entries=small_ints):
     return st.lists(
-        st.lists(small_ints, min_size=cols, max_size=cols),
+        st.lists(entries, min_size=cols, max_size=cols),
         min_size=rows, max_size=rows)
+
+
+def leibniz_det(m):
+    """Exact determinant by cofactor expansion along the first row."""
+    if not m:
+        return Fraction(1)
+    return sum((-1) ** j * Fraction(m[0][j])
+               * leibniz_det([r[:j] + r[j + 1:] for r in m[1:]])
+               for j in range(len(m)))
+
+
+# mostly zero entries, so that rank-deficient matrices are common
+sparse_ints = st.sampled_from([0, 0, 0, 1, -1, 2, 7])
 
 
 class TestDeterminant:
@@ -35,6 +49,25 @@ class TestDeterminant:
         d = det_int(m)
         r = rank_rational([[Fraction(x) for x in row] for row in m])
         assert (d != 0) == (r == 4)
+
+    @given(st.integers(1, 5).flatmap(lambda n: matrix_strategy(n, n, sparse_ints)))
+    @settings(max_examples=120)
+    def test_matches_leibniz(self, m):
+        assert det_int(m) == leibniz_det(m)
+
+    @given(matrix_strategy(3, 3, st.integers(-10**30, 10**30)))
+    @settings(max_examples=40)
+    def test_matches_leibniz_large_entries(self, m):
+        assert det_int(m) == leibniz_det(m)
+
+    def test_row_swaps_change_sign(self):
+        assert det_int(((0, 1), (1, 0))) == -1
+        assert det_int(((0, 0, 1), (0, 1, 0), (1, 0, 0))) == -1
+        assert det_int(((0, 1, 0), (0, 0, 1), (1, 0, 0))) == 1
+
+    def test_requires_square(self):
+        with pytest.raises(ValueError):
+            det_int(((1, 2, 3), (4, 5, 6)))
 
 
 class TestRankProfile:
@@ -71,6 +104,34 @@ class TestNullspace:
         m = [(1, 2, 3, 4), (2, 4, 6, 8), (0, 1, 1, 0)]
         with pytest.raises(ValueError):
             nullspace_vector(m)
+
+    def test_rank_error_certificate(self):
+        m = [(1, 2, 3, 4), (2, 4, 6, 8), (0, 1, 1, 0)]
+        with pytest.raises(RankDeficient) as exc:
+            nullspace_vector(m)
+        assert exc.value.rank == 2
+        assert exc.value.independent == (0, 2)
+
+    def test_free_column_first(self):
+        v = nullspace_vector([(0, 1, 2), (0, 3, 5)])
+        assert v[1:] == (0, 0) and v[0] != 0
+
+    @given(matrix_strategy(4, 5, sparse_ints))
+    @settings(max_examples=120)
+    def test_rank_error_agrees_with_rational_rank(self, m):
+        rank = rank_rational(m)
+        if rank == 4:
+            v = nullspace_vector(m)
+            assert any(v)
+            assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m)
+            return
+        with pytest.raises(RankDeficient) as exc:
+            nullspace_vector(m)
+        cert = exc.value
+        assert cert.rank == rank
+        assert len(cert.independent) == rank
+        assert list(cert.independent) == sorted(set(cert.independent))
+        assert rank_rational([m[i] for i in cert.independent]) == rank
 
     @given(matrix_strategy(4, 5))
     @settings(max_examples=60)

@@ -116,6 +116,14 @@ class TestReports:
         reports = run_all(1, 3)
         assert [r.scenario for r in reports] == EXPECTED_IDS
 
+    @pytest.mark.parametrize("sid", ["cor1", "cor2", "cor3", "cor4"])
+    def test_sideline_conjugate_triangle_skipped(self, sid):
+        # triangle seed 17 puts a point to be conjugated on a sideline of
+        # the excentral or midarc triangle; setup refuses it with OnSideline
+        r = run_scenario(sid, 1, 17)
+        assert r.skipped == 1
+        assert all(c.status == "pass" for c in r.claims)
+
 
 class TestMustPassSweep:
     @pytest.mark.parametrize("sid", EXPECTED_IDS)
