@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Callable, Optional, Union
 
 from .kernel import (
@@ -119,16 +119,6 @@ def _c(m: Metric) -> Fraction:
     return m.sides[2]
 
 
-def _isogonal_form(f: Callable[[Metric], Fraction]) -> Callable[[Metric], Fraction]:
-    # first coordinate of the isogonal conjugate of the point with first
-    # coordinate f: a^2 * f(rot) * f(rot^2)
-    def g(m: Metric) -> Fraction:
-        r = m.rot()
-        return m.a2 * f(r) * f(r.rot())
-
-    return g
-
-
 _FIRST: dict[CenterId, Callable[[Metric], Fraction]] = {
     CenterId.X1: lambda m: _a(m),
     CenterId.X2: lambda m: Fraction(1),
@@ -150,10 +140,10 @@ _FIRST: dict[CenterId, Callable[[Metric], Fraction]] = {
     CenterId.X355: lambda m: (_a(m) + _b(m) + _c(m)) * m.SB * m.SC
     + (_b(m) + _c(m) - _a(m)) * m.S2,
 }
-_FIRST[CenterId.X54] = _isogonal_form(_FIRST[CenterId.X5])
-_FIRST[CenterId.X57] = _isogonal_form(_FIRST[CenterId.X9])
-_FIRST[CenterId.X64] = _isogonal_form(_FIRST[CenterId.X20])
-_FIRST[CenterId.X84] = _isogonal_form(_FIRST[CenterId.X40])
+
+# centers evaluated as the isogonal conjugate of a partner center
+_ISOGONAL_OF = {CenterId.X54: CenterId.X5, CenterId.X57: CenterId.X9,
+                CenterId.X64: CenterId.X20, CenterId.X84: CenterId.X40}
 
 # centers whose rule needs the unsquared sides
 ODD_CENTERS = frozenset({
@@ -215,6 +205,10 @@ def center_coords(m: Metric, cid: CenterId) -> tuple[Rat, Rat, Rat]:
     if cid in ODD_CENTERS and not m.has_sides:
         raise OddCenterWithoutSides(
             f"{cid.value} needs exact side lengths, which this triangle lacks")
+    if cid in _ISOGONAL_OF:
+        # not isogonal(): that refuses a partner on a sideline
+        u, v, w = center_coords(m, _ISOGONAL_OF[cid])
+        return (m.a2 * v * w, m.b2 * w * u, m.c2 * u * v)
     f = _FIRST[cid]
     r = m.rot()
     return (f(m), f(r), f(r.rot()))
@@ -263,15 +257,14 @@ class SubTriangle:
     v1: HomPoint
     v2: HomPoint
     v3: HomPoint
-    sq_sides: tuple[Fraction, Fraction, Fraction]
-    sides: Optional[tuple[Fraction, Fraction, Fraction]] = None
+    own_metric: Metric
 
     @property
     def vertices(self) -> tuple[HomPoint, HomPoint, HomPoint]:
         return (self.v1, self.v2, self.v3)
 
     def metric(self) -> Metric:
-        return Metric(*self.sq_sides, sides=self.sides)
+        return self.own_metric
 
 
 def _derived_local(m: Metric, kind: TriangleKind):
@@ -324,13 +317,10 @@ def _derived_local(m: Metric, kind: TriangleKind):
 
 
 def _make_subtriangle(base: Metric, kind, points, sides) -> SubTriangle:
-    sq = (
-        squared_distance(points[1], points[2], base),
-        squared_distance(points[2], points[0], base),
-        squared_distance(points[0], points[1], base),
-    )
-    sides_t = None if sides is None else tuple(sides)
-    return SubTriangle(kind, points[0], points[1], points[2], sq, sides_t)
+    own = Metric(squared_distance(points[1], points[2], base),
+                 squared_distance(points[2], points[0], base),
+                 squared_distance(points[0], points[1], base), sides=sides)
+    return SubTriangle(kind, *points, own)
 
 
 def derived_triangle(t: RefTriangle, kind: TriangleKind) -> SubTriangle:
@@ -515,6 +505,7 @@ ALIASES: dict[str, CenterExpr] = {
 }
 
 _KIND_NAMES = {k.value: k for k in TriangleKind}
+MAX_NESTING = 64  # parentheses parse_center accepts; the scenarios nest 3 deep
 
 
 class CenterParseError(GeometryError):
@@ -545,10 +536,13 @@ def parse_center(text: str) -> CenterExpr:
     anticomplement, isogonal, isotomic, center, vertex, antipode}; triangle
     kinds are named base/excentral/medial/orthic/anticomplementary/euler/
     midarc/tangential; vertex and antipode take a kind and an index 0-2.
+    Expressions nested more than ``MAX_NESTING`` deep are refused.
     """
     text = text.strip()
     if not text:
         raise CenterParseError("empty center expression")
+    if max(accumulate((ch == "(") - (ch == ")") for ch in text)) > MAX_NESTING:
+        raise CenterParseError(f"center expression nests deeper than {MAX_NESTING}")
     if "(" not in text:
         if text in ALIASES:
             return ALIASES[text]

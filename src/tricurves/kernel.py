@@ -332,7 +332,8 @@ class Metric:
     and S2, and optionally the exact (unsquared) sides when those are
     rational.  Derived triangles whose sides involve square roots have a
     perfectly good Metric (their squared sides are rational) but no
-    ``sides`` attribute.
+    ``sides`` attribute.  A Metric is immutable and validated once, in
+    ``__init__``; :meth:`rot` permutes the validated fields.
     """
 
     __slots__ = ("a2", "b2", "c2", "SA", "SB", "SC", "S2", "sides")
@@ -342,12 +343,11 @@ class Metric:
         a2, b2, c2 = _fraction(a2), _fraction(b2), _fraction(c2)
         if a2 <= 0 or b2 <= 0 or c2 <= 0:
             raise InvalidTriangle("squared side lengths must be positive")
-        self.a2, self.b2, self.c2 = a2, b2, c2
-        self.SA = (b2 + c2 - a2) / 2
-        self.SB = (c2 + a2 - b2) / 2
-        self.SC = (a2 + b2 - c2) / 2
-        self.S2 = self.SA * self.SB + self.SB * self.SC + self.SC * self.SA
-        if self.S2 <= 0:
+        SA = (b2 + c2 - a2) / 2
+        SB = (c2 + a2 - b2) / 2
+        SC = (a2 + b2 - c2) / 2
+        S2 = SA * SB + SB * SC + SC * SA
+        if S2 <= 0:
             raise InvalidTriangle("degenerate triangle: S^2 <= 0")
         if sides is not None:
             sides = tuple(_fraction(s) for s in sides)
@@ -355,7 +355,14 @@ class Metric:
                 raise InvalidTriangle("sides must be three positive rationals")
             if (sides[0] ** 2, sides[1] ** 2, sides[2] ** 2) != (a2, b2, c2):
                 raise InvalidTriangle("sides inconsistent with squared sides")
-        self.sides = sides
+        self._fill(a2, b2, c2, SA, SB, SC, S2, sides)
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(Metric.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def has_sides(self) -> bool:
@@ -364,7 +371,9 @@ class Metric:
     def rot(self) -> "Metric":
         """Cyclic relabel (a, b, c) -> (b, c, a); used to close formulas cyclically."""
         sides = None if self.sides is None else (self.sides[1], self.sides[2], self.sides[0])
-        return Metric(self.b2, self.c2, self.a2, sides=sides)
+        r = object.__new__(Metric)
+        r._fill(self.b2, self.c2, self.a2, self.SB, self.SC, self.SA, self.S2, sides)
+        return r
 
     def is_right(self) -> bool:
         return self.SA == 0 or self.SB == 0 or self.SC == 0
@@ -526,18 +535,14 @@ def local_coords(p: HomPoint, v1: HomPoint, v2: HomPoint, v3: HomPoint) -> HomPo
     """Barycentric coordinates of ``p`` relative to the triangle v1 v2 v3."""
     rows = _frame_matrix(v1, v2, v3)
     w = mat_vec(adjugate3(rows), p.triple)
-    s1 = v1.x + v1.y + v1.z
-    s2 = v2.x + v2.y + v2.z
-    s3 = v3.x + v3.y + v3.z
+    s1, s2, s3 = (sum(v.triple) for v in (v1, v2, v3))
     return HomPoint(s1 * w[0], s2 * w[1], s3 * w[2])
 
 
 def from_local(q: HomPoint, v1: HomPoint, v2: HomPoint, v3: HomPoint) -> HomPoint:
     """Inverse of :func:`local_coords`: map frame barycentrics back."""
     _frame_matrix(v1, v2, v3)
-    s1 = v1.x + v1.y + v1.z
-    s2 = v2.x + v2.y + v2.z
-    s3 = v3.x + v3.y + v3.z
+    s1, s2, s3 = (sum(v.triple) for v in (v1, v2, v3))
     w1 = q.x * s2 * s3
     w2 = q.y * s1 * s3
     w3 = q.z * s1 * s2

@@ -62,7 +62,13 @@ def _barycentric_chart(corners):
 def curve_function(curve, corners):
     """Float evaluator of a barycentric form in the Cartesian chart."""
     chart = _barycentric_chart(corners)
-    coeffs = [float(c) for c in curve.coeffs]
+    try:
+        coeffs = [float(c) for c in curve.coeffs]
+    except OverflowError:
+        # one power of two brings the largest into range (int / int rounds
+        # correctly); coefficients below float resolution of it become 0
+        scale = 1 << max(abs(c) for c in curve.coeffs).bit_length()
+        coeffs = [c / scale for c in curve.coeffs]
     if len(coeffs) == 6:
         q11, q22, q33, q12, q13, q23 = coeffs
 

@@ -173,8 +173,13 @@ FITS = {
 
 def _fit(entries):
     names = [name for _, name in _labelled(entries)]
-    fitter = conic_through if len(names) == 5 else cubic_through
-    return lambda tr: fitter([tr[n] for n in names])
+
+    def fit(tr: "Trial"):
+        # looked up per call, so rebinding the module's fitters takes effect
+        fitter = conic_through if len(names) == 5 else cubic_through
+        return fitter([tr[n] for n in names])
+
+    return fit
 
 
 CONSTRUCTIONS: dict[str, Callable[["Trial"], object]] = {

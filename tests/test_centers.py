@@ -1,3 +1,5 @@
+import dataclasses
+import typing
 from fractions import Fraction
 
 import pytest
@@ -8,17 +10,21 @@ from tricurves.centers import (
     Anticomplement,
     CATALOG,
     Catalog,
+    CenterExpr,
     CenterId,
     CenterOf,
     CenterParseError,
     Complement,
     ExhaustedRetries,
     IsogonalIn,
+    MAX_NESTING,
     MidpointOf,
+    ODD_CENTERS,
     OddCenterWithoutSides,
     OnSideline,
     ReflectThrough,
     RightTriangle,
+    SubTriangle,
     TriangleKind,
     VertexOf,
     AntipodeOf,
@@ -38,6 +44,7 @@ from tricurves.centers import (
 )
 from tricurves.kernel import (
     HomPoint,
+    Metric,
     RefTriangle,
     VERTEX_A,
     VERTEX_B,
@@ -130,18 +137,43 @@ class TestDerivedTriangles:
         med = derived_triangle(T, TriangleKind.MEDIAL)
         assert med.vertices == (HomPoint(0, 1, 1), HomPoint(1, 0, 1),
                                 HomPoint(1, 1, 0))
-        assert med.sq_sides == (Fraction(9), Fraction(81, 4), Fraction(169, 4))
-        assert med.sides == (Fraction(3), Fraction(9, 2), Fraction(13, 2))
+        m = med.metric()
+        assert (m.a2, m.b2, m.c2) == (Fraction(9), Fraction(81, 4), Fraction(169, 4))
+        assert m.sides == (Fraction(3), Fraction(9, 2), Fraction(13, 2))
 
     def test_subtriangle_sq_sides_match_distances(self):
         for kind in (TriangleKind.EXCENTRAL, TriangleKind.ORTHIC,
                      TriangleKind.EULER, TriangleKind.MIDARC,
                      TriangleKind.TANGENTIAL):
             sub = derived_triangle(T, kind)
-            assert sub.sq_sides == (
+            m = sub.metric()
+            assert (m.a2, m.b2, m.c2) == (
                 squared_distance(sub.v2, sub.v3, T),
                 squared_distance(sub.v3, sub.v1, T),
                 squared_distance(sub.v1, sub.v2, T))
+
+    def test_metric_built_once(self):
+        exc = derived_triangle(T, TriangleKind.EXCENTRAL)
+        med = derived_triangle(T, TriangleKind.MEDIAL)
+        subs = [derived_triangle(T, kind) for kind in TriangleKind]
+        subs.append(derived_subtriangle(T, exc, TriangleKind.ORTHIC))
+        subs.append(derived_subtriangle(T, med, TriangleKind.MIDARC))
+        for sub in subs:
+            m = sub.metric()
+            assert sub.metric() is m
+            assert (m.a2, m.b2, m.c2) == (
+                squared_distance(sub.v2, sub.v3, T),
+                squared_distance(sub.v3, sub.v1, T),
+                squared_distance(sub.v1, sub.v2, T))
+
+    def test_subtriangle_holds_one_metric(self):
+        names = [f.name for f in dataclasses.fields(SubTriangle)]
+        assert "sq_sides" not in names and "sides" not in names
+        med = derived_triangle(T, TriangleKind.MEDIAL)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            med.v1 = VERTEX_A
+        with pytest.raises(AttributeError):
+            med.metric().a2 = 1
 
     def test_orthic_rejects_right(self):
         with pytest.raises(RightTriangle):
@@ -279,6 +311,34 @@ class TestAliasesAndParsing:
             T, derived_triangle(T, TriangleKind.EXCENTRAL),
             eval_center(T, CenterId.X39))
 
+    def test_parse_nesting_limit(self):
+        at_limit = "complement(" * MAX_NESTING + "O" + ")" * MAX_NESTING
+        e = parse_center(at_limit)
+        p = eval_center(T, CenterId.X3)
+        for _ in range(MAX_NESTING):
+            p = complement(p)
+        assert eval_expr(T, e) == p
+        deeper = "complement(" + at_limit + ")"
+        with pytest.raises(CenterParseError, match="nests deeper"):
+            parse_center(deeper)
+        with pytest.raises(CenterParseError):
+            parse_center("complement(" * 1500 + "O" + ")" * 1500)
+
+    @given(st.one_of(
+        st.text(),
+        st.lists(st.sampled_from([
+            "(", ")", ",", " ", "midpoint", "reflect", "complement",
+            "anticomplement", "isogonal", "isotomic", "center", "vertex",
+            "antipode", "base", "orthic", "excentral", "0", "2", "3", "O",
+            "K", "X54", "M_IH", "Nope"])).map("".join)))
+    @settings(max_examples=300)
+    def test_parse_returns_expression_or_refuses(self, text):
+        try:
+            e = parse_center(text)
+        except CenterParseError:
+            return
+        assert isinstance(e, typing.get_args(CenterExpr))
+
     def test_parse_unknown(self):
         with pytest.raises(CenterParseError):
             parse_center("Nope")
@@ -290,6 +350,43 @@ class TestAliasesAndParsing:
         for fn in ("vertex", "antipode"):
             with pytest.raises(CenterParseError):
                 parse_center(f"{fn}(orthic,{index})")
+
+
+ISOGONAL_PARTNERS = [
+    (CenterId.X54, CenterId.X5),
+    (CenterId.X57, CenterId.X9),
+    (CenterId.X64, CenterId.X20),
+    (CenterId.X84, CenterId.X40),
+]
+
+
+def _metrics(t):
+    """The base, its rotation, and every derived metric that exists for t."""
+    out = [t, t.rot()]
+    for kind in TriangleKind:
+        try:
+            out.append(derived_triangle(t, kind).metric())
+        except RightTriangle:
+            pass
+    return out
+
+
+class TestIsogonalPartners:
+    @pytest.mark.parametrize("cid,partner", ISOGONAL_PARTNERS)
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_isogonal_of_partner(self, cid, partner, seed):
+        checked = 0
+        for m in _metrics(random_triangle(seed)):
+            if cid in ODD_CENTERS and not m.has_sides:
+                with pytest.raises(OddCenterWithoutSides, match=cid.value):
+                    eval_center(m, cid)
+                continue
+            q = eval_center(m, partner)
+            if 0 in q.triple:
+                continue
+            assert eval_center(m, cid) == isogonal(m, q)
+            checked += 1
+        assert checked >= 3
 
 
 class TestRandomTriangle:

@@ -45,6 +45,13 @@ class TestCenterCommand:
                      "--center", "vertex(base,2)"]) == 0
         assert capsys.readouterr().out.strip() == "0:0:1"
 
+    def test_deep_nesting_refused(self, capsys):
+        expr = "complement(" * 1500 + "O" + ")" * 1500
+        assert main(["center", "--triangle", "6,9,13", "--center", expr]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "nests deeper" in captured.err
+
     def test_parse_triangle_rejects_garbage(self):
         with pytest.raises(InvalidTriangle):
             parse_triangle("3,4")
@@ -126,6 +133,31 @@ class TestRenderCommand:
         rows = path.read_text().strip().splitlines()
         assert rows[0] == "curve,x,y"
         assert len(rows) > 10
+
+    @pytest.mark.parametrize("curve", [
+        "conic:1" + "0" * 400 + ",1,1,0,0,0",
+        "conic:1" + "0" * 400 + ",-1" + "0" * 400 + ",0,0,0,3",
+        "cubic:1" + "0" * 400 + ",0,0,0,0,0,-1" + "0" * 400 + ",0,0,1",
+    ])
+    def test_huge_coefficients(self, tmp_path, capsys, curve):
+        path = tmp_path / "pts.csv"
+        assert main(["render", "--curve", curve, "--triangle", "6,9,13",
+                     "--csv", str(path), "--grid", "32"]) == 0
+        assert path.read_text().startswith("curve,x,y\n")
+
+    def test_huge_coefficients_scale_exactly(self, tmp_path, capsys):
+        # 2^1100 x^2 - (2^1100 + 1) y^2 overflows a float; its coefficients
+        # round to those of x^2 - y^2 times a power of two, so both trace
+        # the same locus
+        rows = []
+        for curve in ("conic:1,-1,0,0,0,0",
+                      f"conic:{2 ** 1100},{-(2 ** 1100 + 1)},0,0,0,0"):
+            path = tmp_path / "pts.csv"
+            assert main(["render", "--curve", curve, "--triangle", "6,9,13",
+                         "--csv", str(path), "--grid", "32"]) == 0
+            rows.append(path.read_text())
+        assert rows[0] == rows[1]
+        assert len(rows[0].splitlines()) > 10
 
     def test_requires_target(self, capsys):
         with pytest.raises(SystemExit):

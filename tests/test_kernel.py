@@ -192,6 +192,52 @@ class TestTriangleValidation:
             Metric(4, 9, 16, sides=(2, 3, 5))
 
 
+side_triples = st.tuples(
+    st.integers(1, 40), st.integers(1, 40), st.integers(1, 40)
+).filter(lambda s: 2 * max(s) < sum(s))
+
+
+class TestMetricValue:
+    def test_assignment_raises(self):
+        t = RefTriangle(6, 9, 13)
+        metrics = (t, Metric(36, 81, 169), Metric(36, 81, 169, sides=(6, 9, 13)))
+        for m in metrics + tuple(m.rot() for m in metrics):
+            for name in Metric.__slots__ + ("extra",):
+                with pytest.raises(AttributeError):
+                    setattr(m, name, 1)
+        assert t.a2 == 36 and t.sides == (6, 9, 13)
+
+    @given(side_triples, st.booleans())
+    @settings(max_examples=60)
+    def test_rot_matches_revalidated(self, sides, with_sides):
+        a, b, c = sides
+        m = Metric(a * a, b * b, c * c, sides=sides if with_sides else None)
+        r = m.rot()
+        again = Metric(b * b, c * c, a * a,
+                       sides=(b, c, a) if with_sides else None)
+        for name in Metric.__slots__:
+            assert getattr(r, name) == getattr(again, name)
+        rrr = r.rot().rot()
+        for name in Metric.__slots__:
+            assert getattr(rrr, name) == getattr(m, name)
+
+    def test_rot_of_reftriangle(self):
+        r = T.rot()
+        assert type(r) is Metric
+        assert (r.a2, r.b2, r.c2) == (81, 169, 36)
+        assert (r.SA, r.SB, r.SC, r.S2) == (T.SB, T.SC, T.SA, T.S2)
+        assert r.sides == (9, 13, 6)
+
+    def test_rot_skips_validation(self, monkeypatch):
+        m = Metric(36, 81, 169, sides=(6, 9, 13))
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("rot() must not revalidate")
+
+        monkeypatch.setattr(Metric, "__init__", refuse)
+        assert m.rot().rot().rot().sides == m.sides
+
+
 class TestMetricOps:
     def test_side_lengths(self):
         assert squared_distance(VERTEX_A, VERTEX_B, T) == 169
