@@ -7,20 +7,25 @@ elimination; rank-deficient inputs raise :class:`DegeneratePointSet`
 carrying a rank certificate, and a fit that misses one of its own points
 raises :class:`CurveMissesPoint`.
 
+Each curve class holds one monomial table (``MONOMIALS`` and ``WEIGHTS``).
 Conic coefficient order is (q11, q22, q33, q12, q13, q23) for the form
 q11*x^2 + q22*y^2 + q33*z^2 + 2*q12*x*y + 2*q13*x*z + 2*q23*y*z; cubic
 coefficients follow the lexicographic monomial order x^3, x^2*y, x^2*z,
-x*y^2, x*y*z, x*z^2, y^3, y^2*z, y*z^2, z^3.
+x*y^2, x*y*z, x*z^2, y^3, y^2*z, y*z^2, z^3.  Push-forwards, Hessians,
+gradients and pencil quotients work on the form as a monomial dictionary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from . import centers as _centers
 from .kernel import (
+    CoincidentArguments,
     GeometryError,
     HomLine,
     HomPoint,
@@ -108,14 +113,23 @@ CUBIC_MONOMIALS = (
 
 
 class _FormVector:
-    """Canonical integer coefficient vector of a form, up to scale."""
+    """Canonical integer coefficient vector of a form, up to scale.
+
+    ``MONOMIALS`` lists the exponent triples in coefficient order and
+    ``WEIGHTS`` the factor each coefficient carries in the form.  Each
+    subclass spells the weighted monomials at a point out once, in its
+    static ``row(p)`` (the fit row); evaluation, the monomial dictionary
+    ``form()`` and everything built on it derive from the table.
+    """
 
     __slots__ = ("_v",)
-    SIZE = 0
+    MONOMIALS: tuple[tuple[int, int, int], ...] = ()
+    WEIGHTS: tuple[int, ...] = ()
 
     def __init__(self, *coeffs: Rat):
-        if len(coeffs) != self.SIZE:
-            raise ValueError(f"{type(self).__name__} needs {self.SIZE} coefficients")
+        if len(coeffs) != len(self.MONOMIALS):
+            raise ValueError(
+                f"{type(self).__name__} needs {len(self.MONOMIALS)} coefficients")
         object.__setattr__(self, "_v", canonical_ints(coeffs))
 
     def __setattr__(self, name, value):
@@ -137,42 +151,53 @@ class _FormVector:
     def serialize(self) -> list[str]:
         return [str(c) for c in self._v]
 
+    def evaluate(self, p: HomPoint) -> int:
+        return sum(map(mul, self._v, self.row(p)))
+
+    def form(self) -> dict:
+        """The form as a monomial dictionary ``{(i, j, k): coefficient}``."""
+        return {mon: w * c for mon, w, c in zip(self.MONOMIALS, self.WEIGHTS, self._v)
+                if c}
+
+    @classmethod
+    def from_form(cls, poly: dict):
+        """The canonical curve of a monomial dictionary of this degree."""
+        if not poly.keys() <= set(cls.MONOMIALS):
+            raise ValueError(f"not a {cls.__name__.lower()} form: {sorted(poly)}")
+        # divided by the weights and scaled by their lcm: integers stay integers
+        top = lcm(*cls.WEIGHTS)
+        return cls(*(poly.get(mon, 0) * (top // w)
+                     for mon, w in zip(cls.MONOMIALS, cls.WEIGHTS)))
+
 
 class Conic(_FormVector):
-    SIZE = 6
+    MONOMIALS = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
+    WEIGHTS = (1, 1, 1, 2, 2, 2)
+
+    @staticmethod
+    def row(p: HomPoint) -> tuple[int, ...]:
+        x, y, z = p.triple
+        return (x * x, y * y, z * z, 2 * x * y, 2 * x * z, 2 * y * z)
 
     def matrix(self) -> tuple[tuple[int, int, int], ...]:
         q11, q22, q33, q12, q13, q23 = self._v
         return ((q11, q12, q13), (q12, q22, q23), (q13, q23, q33))
 
-    def evaluate(self, p: HomPoint) -> int:
-        q11, q22, q33, q12, q13, q23 = self._v
-        x, y, z = p.triple
-        return (q11 * x * x + q22 * y * y + q33 * z * z
-                + 2 * (q12 * x * y + q13 * x * z + q23 * y * z))
-
 
 class Cubic(_FormVector):
-    SIZE = 10
+    MONOMIALS = CUBIC_MONOMIALS
+    WEIGHTS = (1,) * 10
 
-    def evaluate(self, p: HomPoint) -> int:
+    @staticmethod
+    def row(p: HomPoint) -> tuple[int, ...]:
         x, y, z = p.triple
-        c = self._v
-        return (c[0] * x**3 + c[1] * x * x * y + c[2] * x * x * z
-                + c[3] * x * y * y + c[4] * x * y * z + c[5] * x * z * z
-                + c[6] * y**3 + c[7] * y * y * z + c[8] * y * z * z
-                + c[9] * z**3)
+        xx, yy, zz = x * x, y * y, z * z
+        return (xx * x, xx * y, xx * z, x * yy, x * y * z, x * zz,
+                yy * y, yy * z, y * zz, zz * z)
 
     def gradient(self, p: HomPoint) -> tuple[int, int, int]:
-        x, y, z = p.triple
-        c = self._v
-        gx = (3 * c[0] * x * x + 2 * c[1] * x * y + 2 * c[2] * x * z
-              + c[3] * y * y + c[4] * y * z + c[5] * z * z)
-        gy = (c[1] * x * x + 2 * c[3] * x * y + c[4] * x * z
-              + 3 * c[6] * y * y + 2 * c[7] * y * z + c[8] * z * z)
-        gz = (c[2] * x * x + c[4] * x * y + 2 * c[5] * x * z
-              + c[7] * y * y + 2 * c[8] * y * z + 3 * c[9] * z * z)
-        return (gx, gy, gz)
+        form = self.form()
+        return tuple(_poly_eval(_poly_diff(form, v), p) for v in range(3))
 
 
 def on_conic(p: HomPoint, c: Conic) -> bool:
@@ -186,13 +211,14 @@ def on_cubic(p: HomPoint, k: Cubic) -> bool:
 # ---------------------------------------------------------------------------
 # fitting
 
-def _fit(form: type, points: Sequence[HomPoint], row) -> _FormVector:
-    """The form through ``form.SIZE - 1`` points: the kernel of their rows."""
-    n = form.SIZE - 1
+def _fit(form: type, points: Sequence[HomPoint]) -> _FormVector:
+    """The form through one point fewer than it has coefficients: the kernel
+    of their rows."""
+    n = len(form.MONOMIALS) - 1
     if len(points) != n:
         raise ValueError(f"{form.__name__.lower()}_through needs exactly {n} points")
     try:
-        curve = form(*nullspace_vector([row(*p.triple) for p in points]))
+        curve = form(*nullspace_vector([form.row(p) for p in points]))
     except RankDeficient as exc:
         certificate = exc.rank, exc.independent
     else:
@@ -205,14 +231,12 @@ def _fit(form: type, points: Sequence[HomPoint], row) -> _FormVector:
 
 def conic_through(points: Sequence[HomPoint]) -> Conic:
     """The unique conic through five points in general position."""
-    return _fit(Conic, points, lambda x, y, z: (
-        x * x, y * y, z * z, 2 * x * y, 2 * x * z, 2 * y * z))
+    return _fit(Conic, points)
 
 
 def cubic_through(points: Sequence[HomPoint]) -> Cubic:
     """The unique cubic through nine points in general position."""
-    return _fit(Cubic, points, lambda x, y, z: tuple(
-        x**i * y**j * z**k for (i, j, k) in CUBIC_MONOMIALS))
+    return _fit(Cubic, points)
 
 
 # ---------------------------------------------------------------------------
@@ -258,18 +282,6 @@ def is_rectangular(c: Conic, m: Metric) -> bool:
 # ---------------------------------------------------------------------------
 # focus/directrix conics
 
-def _quad_of_linear_product(u, v) -> tuple:
-    """Coefficient vector of the product of two linear forms."""
-    return (
-        u[0] * v[0],
-        u[1] * v[1],
-        u[2] * v[2],
-        Fraction(u[0] * v[1] + u[1] * v[0], 2),
-        Fraction(u[0] * v[2] + u[2] * v[0], 2),
-        Fraction(u[1] * v[2] + u[2] * v[1], 2),
-    )
-
-
 def conic_from_focus_directrix(m: Metric, focus: HomPoint, directrix: HomLine,
                                e2: Rat) -> Conic:
     """Locus of squared distance to the focus = e2 times squared distance
@@ -284,24 +296,16 @@ def conic_from_focus_directrix(m: Metric, focus: HomPoint, directrix: HomLine,
     if incident(focus, directrix):
         raise FocusOnDirectrix(f"{focus} lies on {directrix}")
     fx, fy, fz = normalize_affine(focus)
-    ux = (1 - fx, -fx, -fx)
-    uy = (-fy, 1 - fy, -fy)
-    uz = (-fz, -fz, 1 - fz)
-    c1 = [Fraction(0)] * 6
-    for side2, (lin1, lin2) in zip(
-        (m.a2, m.b2, m.c2), ((uy, uz), (uz, ux), (ux, uy))
-    ):
-        q = _quad_of_linear_product(lin1, lin2)
-        for i in range(6):
-            c1[i] -= side2 * q[i]
+    ux = _poly_lin((1 - fx, -fx, -fx))
+    uy = _poly_lin((-fy, 1 - fy, -fy))
+    uz = _poly_lin((-fz, -fz, 1 - fz))
+    poly: dict = {}
+    for side2, lin1, lin2 in ((m.a2, uy, uz), (m.b2, uz, ux), (m.c2, ux, uy)):
+        poly = _poly_add(poly, _poly_mul(lin1, lin2), -side2)
     q1, q2 = two_points_on(directrix)
-    n1 = normalize_affine(q1)
-    n2 = normalize_affine(q2)
-    w = cross(n1, n2)
+    w = _poly_lin(cross(normalize_affine(q1), normalize_affine(q2)))
     scale = e2 * m.S2 / squared_distance(q1, q2, m)
-    qw = _quad_of_linear_product(w, w)
-    vec = [c1[i] - scale * qw[i] for i in range(6)]
-    return Conic(*vec)
+    return Conic.from_form(_poly_add(poly, _poly_mul(w, w), -scale))
 
 
 class AxisConic(NamedTuple):
@@ -394,28 +398,45 @@ def _poly_lin(coeffs) -> dict:
     return out
 
 
-def _poly_add(p: dict, q: dict, sign: int = 1) -> dict:
+def _poly_add(p: dict, q: dict, factor: Rat = 1) -> dict:
+    """The form p + factor * q."""
     out = dict(p)
     for k, v in q.items():
-        out[k] = out.get(k, 0) + sign * v
+        out[k] = out.get(k, 0) + factor * v
     return {k: v for k, v in out.items() if v != 0}
 
 
-def _cubic_vector(poly: dict) -> tuple:
-    return tuple(poly.get(mon, 0) for mon in CUBIC_MONOMIALS)
+def _lower(mon: tuple[int, int, int], v: int) -> tuple[int, int, int]:
+    """The monomial ``mon`` divided by variable ``v`` (0, 1, 2 for x, y, z)."""
+    i, j, k = mon
+    return (i - 1, j, k) if v == 0 else (i, j - 1, k) if v == 1 else (i, j, k - 1)
 
 
-def _substitute(coeffs, lins) -> dict:
-    """The cubic ``coeffs`` with x, y, z replaced by the forms ``lins``."""
+def _poly_diff(p: dict, v: int) -> dict:
+    """Partial derivative of ``p`` in variable ``v``."""
+    return {_lower(mon, v): c * mon[v] for mon, c in p.items() if mon[v]}
+
+
+def _poly_eval(p: dict, pt: HomPoint) -> int:
+    x, y, z = pt.triple
+    return sum(c * x**i * y**j * z**k for (i, j, k), c in p.items())
+
+
+def _substitute(p: dict, lins) -> dict:
+    """The form ``p`` with x, y, z replaced by the forms ``lins``."""
+    # monomial -> its image, each built by one product from a lower one
+    images = {(0, 0, 0): {(0, 0, 0): 1}, (1, 0, 0): lins[0], (0, 1, 0): lins[1],
+              (0, 0, 1): lins[2]}
+
+    def image(mon):
+        if mon not in images:
+            v = 0 if mon[0] else 1 if mon[1] else 2
+            images[mon] = _poly_mul(image(_lower(mon, v)), lins[v])
+        return images[mon]
+
     out: dict = {}
-    for coeff, powers in zip(coeffs, CUBIC_MONOMIALS):
-        if coeff == 0:
-            continue
-        term = {(0, 0, 0): coeff}
-        for lin, power in zip(lins, powers):
-            for _ in range(power):
-                term = _poly_mul(term, lin)
-        out = _poly_add(out, term)
+    for mon, coeff in p.items():
+        out = _poly_add(out, image(mon), coeff)
     return out
 
 
@@ -432,7 +453,7 @@ def _divide_linear(p: dict, lin) -> dict:
         mon = max(rem, key=lambda m: m[v])
         if mon[v] == 0:
             raise NoLinearComponent("line does not divide the pencil member")
-        q = tuple(e - (i == v) for i, e in enumerate(mon))
+        q = _lower(mon, v)
         quo[q] = Fraction(rem[mon], lin[v])
         rem = _poly_add(rem, _poly_mul({q: quo[q]}, divisor), -1)
     return quo
@@ -440,31 +461,16 @@ def _divide_linear(p: dict, lin) -> dict:
 
 def hessian(k: Cubic) -> Optional[Cubic]:
     """Hessian cubic (determinant of second partials); None if it vanishes."""
-    c = k.coeffs
-    h = {
-        (0, 0): (6 * c[0], 2 * c[1], 2 * c[2]),
-        (0, 1): (2 * c[1], 2 * c[3], c[4]),
-        (0, 2): (2 * c[2], c[4], 2 * c[5]),
-        (1, 1): (2 * c[3], 6 * c[6], 2 * c[7]),
-        (1, 2): (c[4], 2 * c[7], 2 * c[8]),
-        (2, 2): (2 * c[5], 2 * c[8], 6 * c[9]),
-    }
-
-    def entry(i, j):
-        return _poly_lin(h[(min(i, j), max(i, j))])
-
-    det = {}
+    grad = [_poly_diff(k.form(), i) for i in range(3)]
+    h = [[_poly_diff(g, j) for j in range(3)] for g in grad]
+    det: dict = {}
     for perm, sign in (
         ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
         ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1),
     ):
-        term = _poly_mul(_poly_mul(entry(0, perm[0]), entry(1, perm[1])),
-                         entry(2, perm[2]))
+        term = _poly_mul(_poly_mul(h[0][perm[0]], h[1][perm[1]]), h[2][perm[2]])
         det = _poly_add(det, term, sign)
-    vec = _cubic_vector(det)
-    if all(v == 0 for v in vec):
-        return None
-    return Cubic(*vec)
+    return Cubic.from_form(det) if det else None
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +485,7 @@ class PencilFactorization:
 
 def _restrict_cubic(k: Cubic, r0: HomPoint, r1: HomPoint) -> tuple[int, int, int, int]:
     """Binary cubic of k on the line spanned by r0, r1 (parameters s0, s1)."""
-    form = _substitute(k.coeffs, [_poly_lin((u, w, 0))
+    form = _substitute(k.form(), [_poly_lin((u, w, 0))
                                   for u, w in zip(r0.triple, r1.triple)])
     return tuple(form.get((3 - i, i, 0), 0) for i in range(4))
 
@@ -499,7 +505,7 @@ def line_component(p: Cubic, q: Cubic, l: HomLine) -> PencilFactorization:
     form of l, and a nonzero remainder raises :class:`NoLinearComponent`.
     """
     if p == q:
-        raise ValueError("cubics must be independent forms")
+        raise CoincidentArguments("cubics must be independent forms")
     r0, r1 = span_points(l)
     pr = _restrict_cubic(p, r0, r1)
     qr = _restrict_cubic(q, r0, r1)
@@ -518,16 +524,9 @@ def line_component(p: Cubic, q: Cubic, l: HomLine) -> PencilFactorization:
         if any(pr[i] * qr[pivot] != pr[pivot] * qr[i] for i in range(4)):
             raise NoLinearComponent(
                 "restrictions to the line are not proportional")
-    tn, td = t.numerator, t.denominator
-    comp = [td * a - tn * b for a, b in zip(p.coeffs, q.coeffs)]
-    if all(v == 0 for v in comp):
-        raise ValueError("cubics are proportional forms")
-    quo = _divide_linear({m: c for m, c in zip(CUBIC_MONOMIALS, comp) if c},
-                         l.triple)
-    residual = Conic(*(quo.get(m, 0) for m in ((2, 0, 0), (0, 2, 0), (0, 0, 2))),
-                     *(Fraction(quo.get(m, 0), 2)
-                       for m in ((1, 1, 0), (1, 0, 1), (0, 1, 1))))
-    return PencilFactorization(t, l, residual)
+    # p != q are canonical, so no member of their pencil is the zero form
+    quo = _divide_linear(pencil_combination(p, q, t).form(), l.triple)
+    return PencilFactorization(t, l, Conic.from_form(quo))
 
 
 # ---------------------------------------------------------------------------
@@ -557,28 +556,22 @@ def transform_point(matrix, p: HomPoint) -> HomPoint:
     return HomPoint(*mat_vec(matrix, p.triple))
 
 
-def _checked_adjugate(matrix):
+def _transform(matrix, curve: _FormVector) -> _FormVector:
+    """Push-forward: substitute the rows of adj(matrix) into the form."""
     if det3(matrix) == 0:
         raise SingularMatrix("transformation matrix is singular")
-    return adjugate3(matrix)
+    lins = [_poly_lin(row) for row in adjugate3(matrix)]
+    return type(curve).from_form(_substitute(curve.form(), lins))
 
 
 def transform_conic(matrix, c: Conic) -> Conic:
     """Push-forward: p on c iff matrix*p on the result."""
-    n = _checked_adjugate(matrix)
-    q = c.matrix()
-    nt = tuple(zip(*n))
-    tmp = tuple(tuple(sum(nt[i][k] * q[k][j] for k in range(3)) for j in range(3))
-                for i in range(3))
-    out = tuple(tuple(sum(tmp[i][k] * n[k][j] for k in range(3)) for j in range(3))
-                for i in range(3))
-    return Conic(out[0][0], out[1][1], out[2][2], out[0][1], out[0][2], out[1][2])
+    return _transform(matrix, c)
 
 
 def transform_cubic(matrix, k: Cubic) -> Cubic:
     """Push-forward: p on k iff matrix*p on the result."""
-    n = _checked_adjugate(matrix)
-    return Cubic(*_cubic_vector(_substitute(k.coeffs, [_poly_lin(row) for row in n])))
+    return _transform(matrix, k)
 
 
 # ---------------------------------------------------------------------------

@@ -243,21 +243,7 @@ def span_points(l: HomLine) -> tuple[HomPoint, HomPoint]:
 
 def two_points_on(l: HomLine) -> tuple[HomPoint, HomPoint]:
     """Two distinct finite points on a line other than the line at infinity."""
-    if l.is_line_at_infinity():
-        raise LineAtInfinity("no finite points on the line at infinity")
-    r0, r1 = span_points(l)
-    finite: list[HomPoint] = []
-    for cand in (
-        r0,
-        r1,
-        HomPoint(r0.x + r1.x, r0.y + r1.y, r0.z + r1.z),
-        HomPoint(r0.x + 2 * r1.x, r0.y + 2 * r1.y, r0.z + 2 * r1.z),
-    ):
-        if not cand.is_infinite() and cand not in finite:
-            finite.append(cand)
-        if len(finite) == 2:
-            return finite[0], finite[1]
-    raise AssertionError("a projective line has at most one infinite point")
+    return tuple(sample_line_points(l, 2))
 
 
 def sample_line_points(

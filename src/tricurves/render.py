@@ -179,14 +179,17 @@ def compute_viewport(corners, extra_points: Sequence[tuple[float, float]],
 _PALETTE = ("#c0392b", "#2980b9", "#27ae60", "#8e44ad", "#d35400", "#16a085")
 
 
+def _frame(t, figure: dict, config: RenderConfig):
+    """Triangle corners and a viewport holding them and the finite points."""
+    corners = embed_triangle(t)
+    pts = [point_xy(p, corners) for _, p in figure.get("points", [])
+           if sum(p.triple) != 0]
+    return corners, compute_viewport(corners, pts, config.margin)
+
+
 def render_svg(t, figure: dict, config: RenderConfig, path: str) -> bool:
     """Write an SVG of the figure; returns False when no curve has a locus."""
-    corners = embed_triangle(t)
-    pts = []
-    for _, p in figure.get("points", []):
-        if sum(p.triple) != 0:
-            pts.append(point_xy(p, corners))
-    viewport = compute_viewport(corners, pts, config.margin)
+    corners, viewport = _frame(t, figure, config)
     x0, y0, x1, y1 = viewport
     scale = config.width / (x1 - x0)
 
@@ -238,12 +241,7 @@ def render_svg(t, figure: dict, config: RenderConfig, path: str) -> bool:
 
 def sample_csv(t, figure: dict, config: RenderConfig, path: str) -> int:
     """Write curve trace samples as CSV rows (curve, x, y); returns row count."""
-    corners = embed_triangle(t)
-    pts = []
-    for _, p in figure.get("points", []):
-        if sum(p.triple) != 0:
-            pts.append(point_xy(p, corners))
-    viewport = compute_viewport(corners, pts, config.margin)
+    corners, viewport = _frame(t, figure, config)
     rows = 0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("curve,x,y\n")

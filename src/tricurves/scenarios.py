@@ -25,7 +25,7 @@ own label), which only :func:`build_figure` resolves.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
@@ -859,24 +859,7 @@ class Report:
     elapsed_ms: int
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "description": self.description,
-            "trials": self.trials,
-            "seed": self.seed,
-            "skipped": self.skipped,
-            "claims": [
-                {
-                    "id": c.id,
-                    "kind": c.kind,
-                    "expectation": c.expectation,
-                    "status": c.status,
-                    "failures": c.failures,
-                }
-                for c in self.claims
-            ],
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return asdict(self)
 
     @property
     def must_pass_ok(self) -> bool:

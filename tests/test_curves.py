@@ -7,7 +7,7 @@ import textwrap
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tricurves.centers import (
     CenterId,
@@ -27,6 +27,7 @@ from tricurves.curves import (
     NoLinearComponent,
     NotCollinear,
     ParabolicDegenerate,
+    SingularMatrix,
     ZeroRatio,
     axis_conic,
     conic_center,
@@ -49,12 +50,16 @@ from tricurves.curves import (
     transform_point,
 )
 from tricurves.kernel import (
+    CoincidentArguments,
+    GeometryError,
     HomLine,
     HomPoint,
     RefTriangle,
     VERTEX_A,
     VERTEX_B,
     VERTEX_C,
+    adjugate3,
+    det3,
     incident,
     join,
     midpoint,
@@ -64,9 +69,70 @@ from tricurves.kernel import (
 
 T = RefTriangle(6, 9, 13)
 
+small = st.integers(-40, 40)
+points = st.tuples(small, small, small).filter(any).map(lambda v: HomPoint(*v))
+
+
+def coefficients(n):
+    return st.lists(small, min_size=n, max_size=n).filter(any)
+
 
 def circumcircle(t) -> Conic:
     return Conic(0, 0, 0, t.c2, t.b2, t.a2)
+
+
+class TestMonomialTable:
+    @given(points)
+    def test_row_is_weighted_monomials(self, p):
+        x, y, z = p.triple
+        for form in (Conic, Cubic):
+            assert form.row(p) == tuple(
+                w * x**i * y**j * z**k
+                for (i, j, k), w in zip(form.MONOMIALS, form.WEIGHTS))
+
+    def test_tables(self):
+        assert Cubic.MONOMIALS == CUBIC_MONOMIALS
+        for form, size in ((Conic, 6), (Cubic, 10)):
+            assert len(form.MONOMIALS) == len(form.WEIGHTS) == size
+            assert all(sum(mon) == size // 3 for mon in form.MONOMIALS)
+
+    @given(coefficients(6))
+    def test_conic_form_round_trip(self, v):
+        c = Conic(*v)
+        assert Conic.from_form(c.form()) == c
+
+    @given(coefficients(10))
+    def test_cubic_form_round_trip(self, v):
+        k = Cubic(*v)
+        assert Cubic.from_form(k.form()) == k
+
+    def test_conic_form_doubles_cross_terms(self):
+        assert Conic(1, 2, 3, 4, 5, 6).form() == {
+            (2, 0, 0): 1, (0, 2, 0): 2, (0, 0, 2): 3,
+            (1, 1, 0): 8, (1, 0, 1): 10, (0, 1, 1): 12}
+
+    def test_from_form_rejects_other_degree(self):
+        with pytest.raises(ValueError):
+            Conic.from_form({(3, 0, 0): 1})
+        with pytest.raises(ValueError):
+            Cubic.from_form({(2, 0, 0): 1})
+
+
+class TestGradient:
+    @given(coefficients(10), points)
+    def test_euler_identity(self, v, p):
+        k = Cubic(*v)
+        gx, gy, gz = k.gradient(p)
+        assert p.x * gx + p.y * gy + p.z * gz == 3 * k.evaluate(p)
+
+    def test_node_is_singular(self):
+        k = Cubic(-1, 0, -1, 0, 0, 0, 0, 1, 0, 0)  # y^2 z - x^3 - x^2 z
+        node = HomPoint(0, 0, 1)
+        assert on_cubic(node, k)
+        assert k.gradient(node) == (0, 0, 0)
+        smooth = HomPoint(-1, 0, 1)
+        assert on_cubic(smooth, k)
+        assert k.gradient(smooth) != (0, 0, 0)
 
 
 class TestFitting:
@@ -397,6 +463,15 @@ class TestLineComponent:
         with pytest.raises(NoLinearComponent):
             _divide_linear({m: c for m, c in form.items() if c}, l.triple)
 
+    def test_identical_cubics_refused(self):
+        exc = derived_triangle(T, TriangleKind.EXCENTRAL)
+        med = derived_triangle(T, TriangleKind.MEDIAL)
+        k = cubic_through([VERTEX_A, VERTEX_B, VERTEX_C,
+                           *med.vertices, *exc.vertices])
+        with pytest.raises(GeometryError) as err:
+            line_component(k, k, join(VERTEX_A, VERTEX_B))
+        assert isinstance(err.value, CoincidentArguments)
+
     def test_both_vanish(self):
         l = join(HomPoint(1, 2, 3), HomPoint(2, -1, 1))
         p = _line_times_conic(l, circumcircle(T))
@@ -429,6 +504,27 @@ class TestTransforms:
         k2 = transform_cubic(m, k)
         for p in pts:
             assert on_cubic(transform_point(m, p), k2)
+
+    @given(coefficients(6),
+           st.lists(st.integers(-6, 6), min_size=9, max_size=9))
+    @settings(max_examples=60)
+    def test_conic_matches_matrix_congruence(self, v, entries):
+        n = (tuple(entries[0:3]), tuple(entries[3:6]), tuple(entries[6:9]))
+        assume(det3(n) != 0)
+        c = Conic(*v)
+        a, q = adjugate3(n), c.matrix()
+        # adj(N)^T Q adj(N), the pull-back of Q by the inverse up to scale
+        ref = [[sum(a[k][i] * q[k][l] * a[l][j] for k in range(3) for l in range(3))
+                for j in range(3)] for i in range(3)]
+        assert transform_conic(n, c) == Conic(
+            ref[0][0], ref[1][1], ref[2][2], ref[0][1], ref[0][2], ref[1][2])
+
+    def test_singular_matrix_rejected(self):
+        singular = ((1, 2, 3), (2, 4, 6), (0, 1, 1))
+        with pytest.raises(SingularMatrix):
+            transform_conic(singular, circumcircle(T))
+        with pytest.raises(SingularMatrix):
+            transform_cubic(singular, Cubic(0, 0, 0, 0, 1, 0, 0, 0, 0, 0))
 
     def test_darboux_central_symmetry(self):
         exc = derived_triangle(T, TriangleKind.EXCENTRAL)

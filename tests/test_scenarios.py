@@ -3,12 +3,16 @@ import collections
 import copy
 import dataclasses
 import hashlib
+import importlib
+import importlib.util
 import json
 import pathlib
+import types
 
 import pytest
 
 from tricurves.scenarios import (
+    CONSTRUCTIONS,
     MUST,
     REGISTRY,
     UnknownScenario,
@@ -242,6 +246,64 @@ class TestBenchContract:
         build_figure(sid, RefTriangle(6, 9, 13))
         assert calls["setup"] >= 3
         assert all(calls[c.id] >= 1 for c in sc.claims), calls
+
+    def test_traced_names_exist_and_are_distinct(self):
+        """Every attribute ``bench/tracing.install`` wraps exists, is callable
+        and is its own object: wrapping one name must not wrap another."""
+        root = pathlib.Path(__file__).resolve().parents[1]
+        spec = importlib.util.spec_from_file_location(
+            "bench_tracing", root / "bench" / "tracing.py")
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        mods = types.SimpleNamespace(**{
+            name: importlib.import_module(f"tricurves.{name}")
+            for name in ("kernel", "linalg", "centers", "curves", "scenarios",
+                         "render", "cli")})
+        recorder = _TraceRecorder()
+        tracing.install(recorder, mods)
+        assert ("transform_conic" in recorder.names
+                and "transform_cubic" in recorder.names)
+        traced = []
+        for owner, attr in recorder.targets:
+            assert hasattr(owner, attr), f"{owner.__name__}.{attr} is gone"
+            fn = getattr(owner, attr)
+            assert callable(fn), f"{owner.__name__}.{attr} is not callable"
+            traced.append(fn)
+        assert len({id(fn) for fn in traced}) == len(traced)
+
+
+class _TraceRecorder:
+    """Stands in for the benchmark tracer: records what ``install`` would
+    wrap and changes nothing."""
+
+    def __init__(self):
+        self.targets = []   # (owner, attribute name)
+        self.names = set()
+
+    def wrap(self, name, fn, **hooks):
+        return fn
+
+    def rebind(self, module, attr, name, **hooks):
+        self.targets.append((module, attr))
+        self.names.add(attr)
+
+    def set(self, owner, attr, value):
+        self.targets.append((owner, attr))
+        self.names.add(attr)
+
+    def set_item(self, mapping, key, value):
+        pass
+
+
+def test_identical_pencil_cubics_reported_as_error(monkeypatch):
+    """When cor5's two cubics coincide, the factorization claim is recorded
+    as an error instead of aborting the run."""
+    monkeypatch.setitem(CONSTRUCTIONS, "thm5_cubic", CONSTRUCTIONS["thm3_cubic"])
+    report = run_scenario("cor5-euler-line-component", 1, 23)
+    claims = {c.id: c for c in report.claims}
+    factorization = claims["euler-line-factorization"]
+    assert factorization.status == "error"
+    assert "CoincidentArguments" in factorization.failures[0]["detail"]
 
 
 class TestCoreDoesNotImportRenderer:
