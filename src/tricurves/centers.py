@@ -3,8 +3,12 @@
 Every center carries two independent things: an evaluation rule (a closed
 barycentric formula or an explicit construction, rational in the side
 lengths) and a defining-property oracle that re-derives the center from
-first principles.  :func:`validate_center_oracles` runs the oracles; a
-formula that disagrees with its oracle is a bug in the formula.
+first principles.  Each oracle is one row of one of three tables: an
+identity in the center-expression language (``IDENTITIES``, e.g. X5 is
+``midpoint(X3,X4)``), lines the center lies on (``ON_LINES``: cevians,
+altitudes, Euler lines) or points it is equidistant from (``EQUIDISTANT``).
+A row names only other centers.  :func:`validate_center_oracles` runs the
+oracles; a formula that disagrees with its oracle is a bug in the formula.
 
 Centers are classified by parity: EVEN centers depend only on the squared
 side lengths and can therefore be evaluated on any derived triangle (whose
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, combinations
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .kernel import (
     GeometryError,
@@ -153,27 +157,17 @@ ODD_CENTERS = frozenset({
 
 CATALOG = tuple(CenterId)
 
+_VERTICES = (VERTEX_A, VERTEX_B, VERTEX_C)
+_SIDE_PAIRS = ((VERTEX_B, VERTEX_C), (VERTEX_C, VERTEX_A), (VERTEX_A, VERTEX_B))
+_SIDELINES = tuple(join(*pair) for pair in _SIDE_PAIRS)
+
 
 def _taylor_points(m: Metric) -> list[HomPoint]:
     """Projections of each altitude foot onto the other two sides (6 points)."""
-    if m.is_right():
-        raise RightTriangle("altitude-foot projections degenerate on right triangles")
-    sides = (
-        join(VERTEX_B, VERTEX_C),
-        join(VERTEX_C, VERTEX_A),
-        join(VERTEX_A, VERTEX_B),
-    )
-    feet = (
-        HomPoint(0, m.SC, m.SB),
-        HomPoint(m.SC, 0, m.SA),
-        HomPoint(m.SB, m.SA, 0),
-    )
-    pts = []
-    for i in range(3):
-        for j in range(3):
-            if j != i:
-                pts.append(foot_of_perpendicular(feet[i], sides[j], m))
-    return pts
+    local, _ = _derived_local(m, TriangleKind.ORTHIC)
+    feet = [HomPoint(*v) for v in local]
+    return [foot_of_perpendicular(feet[i], _SIDELINES[j], m)
+            for i in range(3) for j in range(3) if j != i]
 
 
 def _taylor_center(m: Metric) -> HomPoint:
@@ -601,188 +595,85 @@ def parse_center(text: str) -> CenterExpr:
 
 # ---------------------------------------------------------------------------
 # defining-property oracles
+#
+# Each center's oracle is one row of exactly one of three tables, after the
+# defining properties in Kimberling's Encyclopedia of Triangle Centers.  A
+# row names only other centers, so an oracle never consults the formula it
+# checks.
 
-def _orc_x1(t: RefTriangle) -> bool:
-    p = eval_center(t, CenterId.X1)
-    feet = (
-        HomPoint(0, t.b, t.c),
-        HomPoint(t.a, 0, t.c),
-        HomPoint(t.a, t.b, 0),
-    )
-    return all(incident(p, join(v, f))
-               for v, f in zip((VERTEX_A, VERTEX_B, VERTEX_C), feet))
-
-
-def _orc_x2(t: RefTriangle) -> bool:
-    p = eval_center(t, CenterId.X2)
-    mids = (midpoint(VERTEX_B, VERTEX_C), midpoint(VERTEX_C, VERTEX_A),
-            midpoint(VERTEX_A, VERTEX_B))
-    return all(incident(p, join(v, f))
-               for v, f in zip((VERTEX_A, VERTEX_B, VERTEX_C), mids))
-
-
-def _orc_x3(t: RefTriangle) -> bool:
-    p = eval_center(t, CenterId.X3)
-    da = squared_distance(p, VERTEX_A, t)
-    return (da == squared_distance(p, VERTEX_B, t)
-            and da == squared_distance(p, VERTEX_C, t))
-
-
-def _orc_x4(t: RefTriangle) -> bool:
-    p = eval_center(t, CenterId.X4)
-    verts = (VERTEX_A, VERTEX_B, VERTEX_C)
-    for i in range(3):
-        side = join(verts[(i + 1) % 3], verts[(i + 2) % 3])
-        if not incident(p, perpendicular_line_through(side, verts[i], t)):
-            return False
-    return True
+# the center equals the expression
+IDENTITIES: dict[CenterId, CenterExpr] = {cid: parse_center(text) for cid, text in {
+    CenterId.X5: "midpoint(X3,X4)",
+    CenterId.X6: "isogonal(X2)",
+    CenterId.X9: "center(medial,X7)",
+    CenterId.X10: "complement(X1)",
+    CenterId.X20: "reflect(X3,X4)",
+    CenterId.X39: "midpoint(BrocardOmega1,BrocardOmega2)",
+    CenterId.X40: "reflect(X3,X1)",
+    CenterId.X54: "isogonal(X5)",
+    CenterId.X57: "isogonal(X9)",
+    CenterId.X64: "isogonal(X20)",
+    CenterId.X69: "isotomic(X4)",
+    CenterId.X76: "isotomic(X6)",
+    CenterId.X84: "isogonal(X40)",
+    CenterId.X355: "midpoint(X4,X8)",
+    CenterId.OMEGA1: "isogonal(BrocardOmega2)",
+    CenterId.OMEGA2: "isogonal(BrocardOmega1)",
+    CenterId.VERTEX_A: "vertex(base,0)",
+    CenterId.VERTEX_B: "vertex(base,1)",
+    CenterId.VERTEX_C: "vertex(base,2)",
+}.items()}
 
 
-def _orc_x5(t: RefTriangle) -> bool:
-    return eval_center(t, CenterId.X5) == midpoint(
-        eval_center(t, CenterId.X3), eval_center(t, CenterId.X4))
-
-
-def _orc_x6(t: RefTriangle) -> bool:
-    return eval_center(t, CenterId.X6) == isogonal(t, eval_center(t, CenterId.X2))
-
-
-def _orc_x7(t: RefTriangle) -> bool:
-    p = eval_center(t, CenterId.X7)
-    s = (t.a + t.b + t.c) / 2
-    touches = (
-        HomPoint(0, s - t.c, s - t.b),
-        HomPoint(s - t.c, 0, s - t.a),
-        HomPoint(s - t.b, s - t.a, 0),
-    )
-    return all(incident(p, join(v, f))
-               for v, f in zip((VERTEX_A, VERTEX_B, VERTEX_C), touches))
-
-
-def _orc_x8(t: RefTriangle) -> bool:
-    p = eval_center(t, CenterId.X8)
-    s = (t.a + t.b + t.c) / 2
-    touches = (
-        HomPoint(0, s - t.b, s - t.c),
-        HomPoint(s - t.a, 0, s - t.c),
-        HomPoint(s - t.a, s - t.b, 0),
-    )
-    return all(incident(p, join(v, f))
-               for v, f in zip((VERTEX_A, VERTEX_B, VERTEX_C), touches))
-
-
-def _orc_x9(t: RefTriangle) -> bool:
-    medial = derived_triangle(t, TriangleKind.MEDIAL)
-    return eval_center_in(t, medial, CenterId.X7) == eval_center(t, CenterId.X9)
-
-
-def _orc_x10(t: RefTriangle) -> bool:
-    return eval_center(t, CenterId.X10) == complement(eval_center(t, CenterId.X1))
-
-
-def _orc_x20(t: RefTriangle) -> bool:
-    return eval_center(t, CenterId.X20) == reflect_through(
-        eval_center(t, CenterId.X3), eval_center(t, CenterId.X4))
+def _cevians(weights: Callable[[RefTriangle], tuple]) -> Callable[[RefTriangle], list]:
+    """Lines from each vertex to the feet (0:v:w), (u:0:w), (u:v:0) of the
+    weights (u, v, w)."""
+    def lines(t: RefTriangle) -> list[HomLine]:
+        u, v, w = weights(t)
+        feet = (HomPoint(0, v, w), HomPoint(u, 0, w), HomPoint(u, v, 0))
+        return [join(vertex, foot) for vertex, foot in zip(_VERTICES, feet)]
+    return lines
 
 
 def _euler_line_of(p1: HomPoint, p2: HomPoint, p3: HomPoint, m: Metric) -> HomLine:
     return join(equidistant_point(p1, p2, p3, m), orthocenter_of(p1, p2, p3, m))
 
 
-def _orc_x21(t: RefTriangle) -> bool:
-    p = eval_center(t, CenterId.X21)
-    i = eval_center(t, CenterId.X1)
-    triples = (
-        (i, VERTEX_B, VERTEX_C),
-        (i, VERTEX_C, VERTEX_A),
-        (i, VERTEX_A, VERTEX_B),
-        (VERTEX_A, VERTEX_B, VERTEX_C),
-    )
-    return all(incident(p, _euler_line_of(*tr, t)) for tr in triples)
-
-
-def _orc_x25(t: RefTriangle) -> bool:
-    p = eval_center(t, CenterId.X25)
-    feet = (
-        HomPoint(0, t.SC, t.SB),
-        HomPoint(t.SC, 0, t.SA),
-        HomPoint(t.SB, t.SA, 0),
-    )
-    tang = (
-        HomPoint(-t.a2, t.b2, t.c2),
-        HomPoint(t.a2, -t.b2, t.c2),
-        HomPoint(t.a2, t.b2, -t.c2),
-    )
-    return all(incident(p, join(f, g)) for f, g in zip(feet, tang))
-
-
-def _orc_x39(t: RefTriangle) -> bool:
-    return eval_center(t, CenterId.X39) == midpoint(
-        eval_center(t, CenterId.OMEGA1), eval_center(t, CenterId.OMEGA2))
-
-
-def _orc_x40(t: RefTriangle) -> bool:
-    return eval_center(t, CenterId.X40) == reflect_through(
-        eval_center(t, CenterId.X3), eval_center(t, CenterId.X1))
-
-
-def _conj_oracle(cid: CenterId, partner: CenterId, conj: str):
-    def orc(t: RefTriangle) -> bool:
-        q = eval_center(t, partner)
-        image = isogonal(t, q) if conj == "isogonal" else isotomic(q)
-        return eval_center(t, cid) == image
-
-    return orc
-
-
-def _orc_x355(t: RefTriangle) -> bool:
-    return eval_center(t, CenterId.X355) == midpoint(
-        eval_center(t, CenterId.X4), eval_center(t, CenterId.X8))
-
-
-def _orc_x389(t: RefTriangle) -> bool:
-    p = eval_center(t, CenterId.X389)
-    pts = _taylor_points(t)
-    d0 = squared_distance(p, pts[0], t)
-    return all(squared_distance(p, q, t) == d0 for q in pts[1:])
-
-
-def _orc_omega(t: RefTriangle) -> bool:
-    o1 = eval_center(t, CenterId.OMEGA1)
-    o2 = eval_center(t, CenterId.OMEGA2)
-    return isogonal(t, o1) == o2 and isogonal(t, o2) == o1
-
-
-ORACLES: dict[CenterId, Callable[[RefTriangle], bool]] = {
-    CenterId.X1: _orc_x1,
-    CenterId.X2: _orc_x2,
-    CenterId.X3: _orc_x3,
-    CenterId.X4: _orc_x4,
-    CenterId.X5: _orc_x5,
-    CenterId.X6: _orc_x6,
-    CenterId.X7: _orc_x7,
-    CenterId.X8: _orc_x8,
-    CenterId.X9: _orc_x9,
-    CenterId.X10: _orc_x10,
-    CenterId.X20: _orc_x20,
-    CenterId.X21: _orc_x21,
-    CenterId.X25: _orc_x25,
-    CenterId.X39: _orc_x39,
-    CenterId.X40: _orc_x40,
-    CenterId.X54: _conj_oracle(CenterId.X54, CenterId.X5, "isogonal"),
-    CenterId.X57: _conj_oracle(CenterId.X57, CenterId.X9, "isogonal"),
-    CenterId.X64: _conj_oracle(CenterId.X64, CenterId.X20, "isogonal"),
-    CenterId.X69: _conj_oracle(CenterId.X69, CenterId.X4, "isotomic"),
-    CenterId.X76: _conj_oracle(CenterId.X76, CenterId.X6, "isotomic"),
-    CenterId.X84: _conj_oracle(CenterId.X84, CenterId.X40, "isogonal"),
-    CenterId.X355: _orc_x355,
-    CenterId.X389: _orc_x389,
-    CenterId.OMEGA1: _orc_omega,
-    CenterId.OMEGA2: _orc_omega,
-    CenterId.VERTEX_A: lambda t: eval_center(t, CenterId.VERTEX_A) == VERTEX_A,
-    CenterId.VERTEX_B: lambda t: eval_center(t, CenterId.VERTEX_B) == VERTEX_B,
-    CenterId.VERTEX_C: lambda t: eval_center(t, CenterId.VERTEX_C) == VERTEX_C,
+# the center lies on every line
+ON_LINES: dict[CenterId, Callable[[RefTriangle], list[HomLine]]] = {
+    CenterId.X1: _cevians(lambda t: t.sides),  # angle bisectors
+    CenterId.X2: _cevians(lambda t: (1, 1, 1)),  # medians
+    CenterId.X4: lambda t: [perpendicular_line_through(side, vertex, t)
+                            for vertex, side in zip(_VERTICES, _SIDELINES)],
+    # cevians to the incircle touch points, (0 : s-c : s-b), ..., and to the
+    # excircle touch points, (0 : s-b : s-c), ...
+    CenterId.X7: _cevians(lambda t: (
+        1 / (t.b + t.c - t.a), 1 / (t.c + t.a - t.b), 1 / (t.a + t.b - t.c))),
+    CenterId.X8: _cevians(lambda t: (t.b + t.c - t.a, t.c + t.a - t.b, t.a + t.b - t.c)),
+    # Euler lines of IBC, ICA, IAB and ABC
+    CenterId.X21: lambda t: [_euler_line_of(*tri, t) for tri in (
+        *((eval_center(t, CenterId.X1), *pair) for pair in _SIDE_PAIRS), _VERTICES)],
+    # each altitude foot joined to the opposite tangential vertex
+    CenterId.X25: lambda t: [join(HomPoint(*f), HomPoint(*g)) for f, g in zip(
+        ((0, t.SC, t.SB), (t.SC, 0, t.SA), (t.SB, t.SA, 0)),
+        ((-t.a2, t.b2, t.c2), (t.a2, -t.b2, t.c2), (t.a2, t.b2, -t.c2)))],
 }
+
+# the center is equidistant from every point
+EQUIDISTANT: dict[CenterId, Callable[[RefTriangle], Sequence[HomPoint]]] = {
+    CenterId.X3: lambda t: _VERTICES,
+    CenterId.X389: _taylor_points,
+}
+
+
+def _oracle_holds(t: RefTriangle, cid: CenterId) -> bool:
+    p = eval_center(t, cid)
+    if cid in IDENTITIES:
+        return p == eval_expr(t, IDENTITIES[cid])
+    if cid in ON_LINES:
+        return all(incident(p, line) for line in ON_LINES[cid](t))
+    d0, *rest = (squared_distance(p, q, t) for q in EQUIDISTANT[cid](t))
+    return all(d == d0 for d in rest)
 
 
 def validate_center_oracles(t: RefTriangle) -> list[tuple[CenterId, bool]]:
@@ -790,7 +681,7 @@ def validate_center_oracles(t: RefTriangle) -> list[tuple[CenterId, bool]]:
     out = []
     for cid in CATALOG:
         try:
-            ok = ORACLES[cid](t)
+            ok = _oracle_holds(t, cid)
         except GeometryError:
             ok = False
         out.append((cid, ok))

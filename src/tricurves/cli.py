@@ -4,7 +4,10 @@ Exit codes for ``verify``: 0 when every must-pass claim passes and no claim
 errors; 2 when only verdict-only claims fail; 1 on a must-pass failure or
 claim error; 64 for an unknown scenario or fewer than one trial.  ``center``
 exits 65 on an invalid triangle and 64 on an unknown center name or a
-malformed center expression.
+malformed center expression.  ``render`` exits 0 when the figure is written,
+1 on an I/O error, 64 for an unknown scenario or a bad render option (grid
+below 16, width or height below 64, a non-finite margin) and 65 for an
+invalid triangle or a curve it cannot build.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction
 
 from .centers import CenterParseError, eval_expr, parse_center
 from .kernel import GeometryError, InvalidTriangle, RefTriangle
-from .scenarios import MUST, REGISTRY, Report, UnknownScenario, list_scenarios, run_scenario
+from .scenarios import REGISTRY, Report, UnknownScenario, list_scenarios, run_scenario
 
 EXIT_OK = 0
 EXIT_MUST_FAIL = 1
@@ -155,6 +158,13 @@ def cmd_render(args) -> int:
     from .scenarios import build_figure
 
     try:
+        config = render.RenderConfig(width=args.width, height=args.height,
+                                     grid=args.grid, margin=args.margin,
+                                     labels=not args.no_labels)
+    except ValueError as exc:
+        print(f"invalid render option: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         tri = parse_triangle(args.triangle)
     except GeometryError as exc:
         print(f"invalid triangle: {exc}", file=sys.stderr)
@@ -172,9 +182,6 @@ def cmd_render(args) -> int:
     except (GeometryError, ValueError) as exc:
         print(f"cannot build figure: {exc}", file=sys.stderr)
         return EXIT_DATA
-    config = render.RenderConfig(width=args.width, height=args.height,
-                                 grid=args.grid, margin=args.margin,
-                                 labels=not args.no_labels)
     try:
         if args.svg:
             drew = render.render_svg(tri, figure, config, args.svg)

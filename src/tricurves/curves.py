@@ -256,12 +256,12 @@ def conic_center(c: Conic) -> HomPoint:
 
 
 def _infinity_restriction(c: Conic) -> tuple[int, int, int]:
-    """Coefficients (alpha, beta, gamma) of the conic on z = -x - y."""
-    q11, q22, q33, q12, q13, q23 = c.coeffs
-    alpha = q11 + q33 - 2 * q13
-    gamma = q22 + q33 - 2 * q23
-    beta = q33 + q12 - q13 - q23
-    return alpha, beta, gamma
+    """Coefficients (alpha, beta, gamma) of the conic on z = -x - y, where
+    it reads alpha x^2 + 2 beta xy + gamma y^2."""
+    on_line = _substitute(c.form(), tuple(map(_poly_lin, ((1, 0, 0), (0, 1, 0),
+                                                         (-1, -1, 0)))))
+    return (on_line.get((2, 0, 0), 0), on_line.get((1, 1, 0), 0) // 2,
+            on_line.get((0, 2, 0), 0))
 
 
 def is_rectangular(c: Conic, m: Metric) -> bool:

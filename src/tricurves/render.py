@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 
 @dataclass
@@ -25,6 +25,8 @@ class RenderConfig:
             raise ValueError("grid must be at least 16")
         if self.width < 64 or self.height < 64:
             raise ValueError("width and height must be at least 64")
+        if not math.isfinite(self.margin):
+            raise ValueError(f"margin must be finite, got {self.margin}")
 
 
 def embed_triangle(t) -> tuple[tuple[float, float], ...]:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tricurves.centers as centers
 from tricurves.centers import (
     ALIASES,
     Anticomplement,
@@ -15,11 +16,14 @@ from tricurves.centers import (
     CenterOf,
     CenterParseError,
     Complement,
+    EQUIDISTANT,
     ExhaustedRetries,
+    IDENTITIES,
     IsogonalIn,
     MAX_NESTING,
     MidpointOf,
     ODD_CENTERS,
+    ON_LINES,
     OddCenterWithoutSides,
     OnSideline,
     ReflectThrough,
@@ -100,6 +104,56 @@ class TestCatalogValues:
     def test_even_center_without_sides_ok(self):
         exc = derived_triangle(T, TriangleKind.EXCENTRAL)
         eval_center_in(T, exc, CenterId.X6)  # no error
+
+
+def _named_centers(expr) -> set:
+    """The catalog centers an expression names, at any depth."""
+    named = {expr.cid} if isinstance(expr, (Catalog, CenterOf)) else set()
+    for field in dataclasses.fields(expr):
+        value = getattr(expr, field.name)
+        if dataclasses.is_dataclass(value):
+            named |= _named_centers(value)
+    return named
+
+
+# the centers whose oracle fails on a triangle (the rest hold)
+PINNED_ORACLE_FAILURES = [
+    ((Fraction(28, 5), 12, 16), {CenterId.X54}),  # X5 on a sideline
+    ((3, 4, 5), {CenterId.X69, CenterId.X389}),  # right: X4 is a vertex
+    ((5, 12, 13), {CenterId.X69, CenterId.X389}),
+    ((Fraction(3, 2), 2, Fraction(5, 2)), {CenterId.X69, CenterId.X389}),
+    ((5, 5, 5), {CenterId.X21}),  # equilateral: no Euler line
+    ((5, 5, 6), set()),
+    ((5, 5, 8), set()),
+    ((6, 9, 13), set()),
+]
+
+
+class TestOracles:
+    def test_every_center_in_exactly_one_table(self):
+        for cid in CenterId:
+            rows = [cid in table for table in (IDENTITIES, ON_LINES, EQUIDISTANT)]
+            assert rows.count(True) == 1, cid
+
+    @pytest.mark.parametrize("cid", list(IDENTITIES))
+    def test_identity_names_only_other_centers(self, cid):
+        assert cid not in _named_centers(IDENTITIES[cid])
+
+    @pytest.mark.parametrize("cid", list(CenterId))
+    def test_wrong_point_falsifies_its_oracle(self, monkeypatch, cid):
+        # every other center keeps its value, so only this formula is wrong
+        true_eval = centers.eval_center
+        right = true_eval(T, cid)
+        wrong = next(q for q in (HomPoint(1, 2, 4), HomPoint(2, 1, 4)) if q != right)
+        monkeypatch.setattr(centers, "eval_center",
+                            lambda t, c: wrong if c is cid else true_eval(t, c))
+        assert dict(validate_center_oracles(T))[cid] is False
+
+    @pytest.mark.parametrize("sides,failing", PINNED_ORACLE_FAILURES)
+    def test_pinned_verdicts(self, sides, failing):
+        verdicts = validate_center_oracles(RefTriangle(*sides))
+        assert [cid for cid, _ in verdicts] == list(CATALOG)
+        assert {cid for cid, ok in verdicts if not ok} == failing
 
 
 class TestConjugations:

@@ -170,3 +170,14 @@ class TestRenderCommand:
     def test_invalid_triangle(self, tmp_path, capsys):
         assert main(["render", "--curve", "circumcircle", "--triangle",
                      "1,2,9", "--svg", str(tmp_path / "x.svg")]) == 65
+
+    @pytest.mark.parametrize("option", [
+        ["--grid", "15"], ["--width", "63"], ["--height", "10"],
+        ["--margin", "nan"], ["--margin", "inf"], ["--margin=-inf"],
+    ])
+    def test_bad_render_option(self, tmp_path, capsys, option):
+        path = tmp_path / "pts.csv"
+        assert main(["render", "--curve", "circumcircle", "--triangle", "3,4,6",
+                     "--csv", str(path), *option]) == 64
+        assert "invalid render option" in capsys.readouterr().err
+        assert not path.exists()

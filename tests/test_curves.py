@@ -29,6 +29,7 @@ from tricurves.curves import (
     ParabolicDegenerate,
     SingularMatrix,
     ZeroRatio,
+    _infinity_restriction,
     axis_conic,
     conic_center,
     conic_from_focus_directrix,
@@ -254,6 +255,15 @@ class TestConicGeometry:
         conic = conic_through([VERTEX_A, VERTEX_B, VERTEX_C,
                                HomPoint(1, 1, 1), HomPoint(1, 2, 3)])
         assert not is_rectangular(conic, T)
+
+    @given(coefficients(6), small, small)
+    def test_infinity_restriction_is_form_on_line(self, coeffs, x, y):
+        # alpha x^2 + 2 beta xy + gamma y^2 is the form at (x, y, -x-y)
+        conic = Conic(*coeffs)
+        alpha, beta, gamma = _infinity_restriction(conic)
+        z = -x - y
+        on_line = sum(c * x**i * y**j * z**k for (i, j, k), c in conic.form().items())
+        assert alpha * x * x + 2 * beta * x * y + gamma * y * y == on_line
 
     def test_degenerate_at_infinity(self):
         # (x + y + z) * x contains the line at infinity

@@ -54,6 +54,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             RenderConfig(width=32)
 
+    @pytest.mark.parametrize("margin", [math.nan, math.inf, -math.inf])
+    def test_margin_finite(self, margin):
+        with pytest.raises(ValueError):
+            RenderConfig(margin=margin)
+
 
 class TestTracing:
     def test_circle_segments_nonempty_and_accurate(self):
