@@ -20,7 +20,15 @@ from fractions import Fraction
 
 from .centers import CenterParseError, eval_expr, parse_center
 from .kernel import GeometryError, InvalidTriangle, RefTriangle
-from .scenarios import REGISTRY, Report, UnknownScenario, list_scenarios, run_scenario
+from .scenarios import (
+    REGISTRY,
+    Report,
+    TooManySkips,
+    UnknownScenario,
+    list_scenarios,
+    run_scenario,
+    shared_run,
+)
 
 EXIT_OK = 0
 EXIT_MUST_FAIL = 1
@@ -83,15 +91,21 @@ def cmd_verify(args) -> int:
         ids = [args.scenario]
     reports: list[Report] = []
     worst = EXIT_OK
-    for sid in ids:
-        report = run_scenario(sid, trials, args.seed)
-        reports.append(report)
-        if report.has_error or not report.must_pass_ok:
-            worst = EXIT_MUST_FAIL
-        elif worst == EXIT_OK and report.verdict_failures:
-            worst = EXIT_VERDICT_FAIL
-        if args.fail_fast and worst == EXIT_MUST_FAIL:
-            break
+    with shared_run():
+        for sid in ids:
+            try:
+                report = run_scenario(sid, trials, args.seed)
+            except TooManySkips as exc:
+                print(f"stopped: {exc}", file=sys.stderr)
+                worst = EXIT_MUST_FAIL
+                break
+            reports.append(report)
+            if report.has_error or not report.must_pass_ok:
+                worst = EXIT_MUST_FAIL
+            elif worst == EXIT_OK and report.verdict_failures:
+                worst = EXIT_VERDICT_FAIL
+            if args.fail_fast and worst == EXIT_MUST_FAIL:
+                break
     lines = [report_json(r) for r in reports]
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:

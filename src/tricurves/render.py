@@ -25,8 +25,9 @@ class RenderConfig:
             raise ValueError("grid must be at least 16")
         if self.width < 64 or self.height < 64:
             raise ValueError("width and height must be at least 64")
-        if not math.isfinite(self.margin):
-            raise ValueError(f"margin must be finite, got {self.margin}")
+        if not (math.isfinite(self.margin) and self.margin >= 0):
+            raise ValueError(
+                f"margin must be finite and non-negative, got {self.margin}")
 
 
 def embed_triangle(t) -> tuple[tuple[float, float], ...]:

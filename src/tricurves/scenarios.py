@@ -20,15 +20,23 @@ builds eagerly, in order (a degenerate triangle is skipped or refused where
 that construction fails), the claims (made by the builders below from
 names), and the figure as ``(label, name)`` entries (a bare name is its
 own label), which only :func:`build_figure` resolves.
+
+Every scenario reads largely the same names on the same seeded triangles,
+so :func:`shared_run` scopes one :class:`Run` to a block: inside it,
+:func:`run_scenario` draws each seeded triangle once and resolves each
+name once per triangle, whichever scenario asks first.  Only values are
+shared; a name that raised is resolved (and raises) again.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterator, Optional
 
 from .centers import (
     Catalog,
@@ -104,13 +112,21 @@ class Claim:
 class Scenario:
     id: str
     description: str
-    setup: Callable[[RefTriangle], "Trial"]
+    setup: Callable[..., "Trial"]  # (triangle, store=None) -> Trial
     claims: tuple[Claim, ...]
     figure: tuple  # points, curves, lines: each a tuple of (label, name)
 
 
 class UnknownScenario(GeometryError):
     """No scenario registered under the requested id."""
+
+
+class TooManySkips(GeometryError):
+    """``setup`` refused ``SKIP_LIMIT`` times the trial count of seeded
+    triangles, so the run stops instead of drawing forever."""
+
+
+SKIP_LIMIT = 100  # skipped triangles allowed per requested trial
 
 
 # ---------------------------------------------------------------------------
@@ -200,21 +216,31 @@ CONSTRUCTIONS: dict[str, Callable[["Trial"], object]] = {
 
 
 class Trial:
-    """Per-triangle evaluation context: each name is resolved once, on use."""
+    """Per-triangle evaluation context: each name is resolved once, on use.
 
-    def __init__(self, t: RefTriangle):
+    ``store`` is a ``(values, subs)`` pair of dicts, the resolved values by
+    name and the derived triangles by kind (shared with ``eval_expr``); a
+    :class:`Run` hands every scenario on one triangle the same pair.  Only
+    successful resolutions are stored.
+    """
+
+    def __init__(self, t: RefTriangle, store: Optional[tuple] = None):
         self.t = t
-        self._subs: dict = {}  # derived triangles, shared with eval_expr
-        self._values: dict = {}
+        self._values, self._subs = store if store is not None else ({}, {})
+        self._read: set = set()  # names this trial has read
 
     def __getitem__(self, name: str):
-        if name not in self._values:
-            self._values[name] = self._resolve(name)
-        return self._values[name]
+        try:
+            value = self._values[name]
+        except KeyError:
+            value = self._values[name] = self._resolve(name)
+        self._read.add(name)
+        return value
 
     def resolved(self, name: str) -> bool:
-        """Whether ``name`` has already been built on this trial."""
-        return name in self._values
+        """Whether ``name`` has been read on this trial (not merely stored
+        by another scenario of the run)."""
+        return name in self._read
 
     def _resolve(self, name: str):
         if name in _KINDS:
@@ -463,8 +489,8 @@ def _scenario(sid: str, description: str, build, claims, points=(), curves=(),
               lines=(), acute=()) -> Scenario:
     """Compile a declared scenario: ``setup`` builds ``build`` (then
     ``acute`` on acute triangles) in order; the figure stays names."""
-    def setup(t: RefTriangle) -> Trial:
-        tr = Trial(t)
+    def setup(t: RefTriangle, store: Optional[tuple] = None) -> Trial:
+        tr = Trial(t, store)
         for name in build:
             tr[name]
         if acute and t.is_acute():
@@ -885,30 +911,75 @@ def _certificate(t: RefTriangle, failure: Failure) -> dict:
     }
 
 
+class Run:
+    """What the scenarios of one run share: each seeded triangle, drawn once
+    per cursor, and one ``(values, subs)`` store per triangle, keyed by its
+    sides.  It lives as long as the :func:`shared_run` block that made it."""
+
+    def __init__(self):
+        self._triangles: dict[int, RefTriangle] = {}
+        self._stores: dict[tuple, tuple[dict, dict]] = {}
+
+    def triangle(self, cursor: int) -> RefTriangle:
+        t = self._triangles.get(cursor)
+        if t is None:
+            t = self._triangles[cursor] = random_triangle(cursor)
+        return t
+
+    def store(self, t: RefTriangle) -> tuple[dict, dict]:
+        return self._stores.setdefault((t.a, t.b, t.c), ({}, {}))
+
+
+_RUN: ContextVar[Optional[Run]] = ContextVar("tricurves_run", default=None)
+
+
+@contextmanager
+def shared_run() -> Iterator[Run]:
+    """Make every :func:`run_scenario` call in the block share one
+    :class:`Run`; on leaving the block (normally or by an exception) the
+    run and everything it holds are dropped."""
+    run = Run()
+    token = _RUN.set(run)
+    try:
+        yield run
+    finally:
+        _RUN.reset(token)
+
+
 def run_scenario(scenario_id: str, trials: int, seed: int) -> Report:
     """Evaluate every claim of a scenario on ``trials`` seeded triangles.
 
     Triangles on which ``setup`` meets a rank-deficient fit, coinciding
     arguments or a conjugate of a point on a sideline are skipped,
-    replaced and counted.  Deterministic for fixed (id, trials, seed).
+    replaced and counted; after ``SKIP_LIMIT * trials`` skips the run
+    raises :class:`TooManySkips`.  A claim that raises is recorded as
+    ``status: error`` with the exception type in the certificate's detail.
+    Deterministic for fixed (id, trials, seed), inside a
+    :func:`shared_run` block or not.
     """
     if scenario_id not in REGISTRY:
         raise UnknownScenario(f"unknown scenario {scenario_id!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     sc = REGISTRY[scenario_id]
+    run = _RUN.get()
+    draw = run.triangle if run is not None else random_triangle
     t0 = time.perf_counter()
     results = [ClaimResult(c.id, c.kind, c.expectation) for c in sc.claims]
     skipped = 0
     cursor = seed
     for _ in range(trials):
         while True:
-            tri = random_triangle(cursor)
+            tri = draw(cursor)
             cursor += 1
             try:
-                ctx = sc.setup(tri)
+                ctx = sc.setup(tri, run.store(tri) if run is not None else None)
             except (DegeneratePointSet, CoincidentArguments, OnSideline):
                 skipped += 1
+                if skipped >= SKIP_LIMIT * trials:
+                    raise TooManySkips(
+                        f"{scenario_id}: setup refused {skipped} seeded "
+                        f"triangles for {trials} trial(s)") from None
                 continue
             break
         acute = tri.is_acute()
@@ -917,7 +988,7 @@ def run_scenario(scenario_id: str, trials: int, seed: int) -> Report:
                 continue
             try:
                 outcome = claim.check(ctx)
-            except GeometryError as exc:
+            except Exception as exc:  # recorded; the remaining claims still run
                 res.status = "error"
                 res.failures.append(_certificate(
                     tri, Failure("", "", f"error: {type(exc).__name__}: {exc}")))
@@ -933,8 +1004,10 @@ def run_scenario(scenario_id: str, trials: int, seed: int) -> Report:
 
 
 def run_all(trials: int, seed: int) -> list[Report]:
-    """Run every registered scenario (registry order) with the same seed."""
-    return [run_scenario(sid, trials, seed) for sid in REGISTRY]
+    """Run every registered scenario (registry order) with the same seed,
+    in one :func:`shared_run`."""
+    with shared_run():
+        return [run_scenario(sid, trials, seed) for sid in REGISTRY]
 
 
 def build_figure(scenario_id: str, t: RefTriangle) -> dict:

@@ -174,6 +174,8 @@ class TestRenderCommand:
     @pytest.mark.parametrize("option", [
         ["--grid", "15"], ["--width", "63"], ["--height", "10"],
         ["--margin", "nan"], ["--margin", "inf"], ["--margin=-inf"],
+        # -5 drew a mirrored viewport and -0.6 an empty CSV, both exit 0
+        ["--margin=-5"], ["--margin=-0.6"],
     ])
     def test_bad_render_option(self, tmp_path, capsys, option):
         path = tmp_path / "pts.csv"

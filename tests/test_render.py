@@ -59,6 +59,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             RenderConfig(margin=margin)
 
+    @pytest.mark.parametrize("margin", [-5.0, -0.6, -1e-9])
+    def test_margin_non_negative(self, margin):
+        # a negative margin inverts the viewport (x0 > x1)
+        with pytest.raises(ValueError):
+            RenderConfig(margin=margin)
+
+    def test_zero_margin_fits_the_triangle(self):
+        corners = embed_triangle(RefTriangle(3, 4, 6))
+        x0, y0, x1, y1 = compute_viewport(corners, [], RenderConfig(margin=0).margin)
+        assert x0 < x1 and y0 < y1
+
 
 class TestTracing:
     def test_circle_segments_nonempty_and_accurate(self):

@@ -6,23 +6,36 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import os
 import pathlib
+import re
+import subprocess
+import sys
 import types
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from tricurves import cli, scenarios
 from tricurves.scenarios import (
     CONSTRUCTIONS,
     MUST,
     REGISTRY,
+    SKIP,
+    Claim,
+    Trial,
     UnknownScenario,
     VERDICT,
+    _scenario,
     build_figure,
     list_scenarios,
     run_all,
     run_scenario,
+    shared_run,
 )
 from tricurves.centers import random_triangle
+from tricurves.curves import NoLinearComponent
 from tricurves.kernel import GeometryError, RefTriangle
 
 EXPECTED_IDS = [
@@ -319,3 +332,223 @@ class TestCoreDoesNotImportRenderer:
                 else:
                     continue
                 assert not any("render" in n for n in names), (name, names)
+
+
+def _strip_elapsed(text: str) -> str:
+    return re.sub(r',"elapsed_ms":\d+', "", text)
+
+
+class TestSharedRun:
+    """One ``shared_run`` per ``verify`` run: each seeded triangle is drawn
+    once and each name resolved once per triangle, with the same reports."""
+
+    @pytest.mark.parametrize("seed", [42, 17])   # seed 17 skips in cor1-4
+    def test_verify_all_matches_separate_runs(self, monkeypatch, tmp_path,
+                                              capsys, seed):
+        separate = "".join(cli.report_json(run_scenario(sid, 3, seed)) + "\n"
+                           for sid in REGISTRY)
+        draws = collections.Counter()
+        draw = scenarios.random_triangle
+
+        def counting_draw(cursor):
+            draws[cursor] += 1
+            return draw(cursor)
+
+        calls = []
+        inner = cli.run_scenario
+
+        def op(sid, trials, seed):   # the benchmark wraps it this way
+            calls.append(sid)
+            return inner(sid, trials, seed)
+
+        monkeypatch.setattr(scenarios, "random_triangle", counting_draw)
+        monkeypatch.setattr(cli, "run_scenario", op)
+        path = tmp_path / "r.ndjson"
+        assert cli.main(["verify", "all", "--trials", "3", "--seed", str(seed),
+                         "--json", str(path)]) == 2
+        assert calls == list(REGISTRY)
+        assert _strip_elapsed(path.read_text()) == _strip_elapsed(separate)
+        assert set(draws.values()) == {1}, draws
+
+    def test_name_resolved_once_per_triangle(self, monkeypatch):
+        # "oi" is built by the setups of thm1, thm8 and cor1-4
+        calls = collections.Counter()
+        build = CONSTRUCTIONS["oi"]
+
+        def counting(tr):
+            calls[tr.t.a, tr.t.b, tr.t.c] += 1
+            return build(tr)
+
+        monkeypatch.setitem(CONSTRUCTIONS, "oi", counting)
+        run_all(2, 42)
+        assert sorted(calls.values()) == [1, 1]
+
+    def test_raising_name_resolved_again(self, monkeypatch):
+        calls = []
+
+        def probe(tr):
+            calls.append(tr.t)
+            raise NoLinearComponent("probe")
+
+        monkeypatch.setitem(CONSTRUCTIONS, "probe", probe)
+        claim = Claim("reads-probe", "probe", MUST, lambda tr: tr["probe"])
+        ids = ("probe-1", "probe-2")
+        for sid in ids:
+            monkeypatch.setitem(REGISTRY, sid,
+                                _scenario(sid, "", build=("I",), claims=[claim]))
+        with shared_run():
+            reports = [run_scenario(sid, 1, 23) for sid in ids]
+        assert len(calls) == 2
+        for r in reports:
+            assert r.claims[0].status == "error"
+            assert "NoLinearComponent: probe" in r.claims[0].failures[0]["detail"]
+
+    def test_resolved_is_per_scenario(self):
+        t = random_triangle(23)
+        with shared_run() as run:
+            first = Trial(t, run.store(t))
+            first["composition"]
+            second = Trial(t, run.store(t))
+            assert first.resolved("composition")
+            assert not second.resolved("composition")
+            assert second["composition"] is first["composition"]
+            assert second.resolved("composition")
+
+    def test_run_context_dropped(self, monkeypatch):
+        assert scenarios._RUN.get() is None
+        run_all(1, 3)
+        assert scenarios._RUN.get() is None
+
+        def broken(t, store=None):
+            raise ZeroDivisionError("setup")
+
+        sid = "corr-medial"
+        monkeypatch.setitem(REGISTRY, sid,
+                            dataclasses.replace(REGISTRY[sid], setup=broken))
+        with pytest.raises(ZeroDivisionError):
+            run_all(1, 3)
+        assert scenarios._RUN.get() is None
+        with pytest.raises(ZeroDivisionError):
+            cli.main(["verify", "all", "--trials", "1", "--seed", "3"])
+        assert scenarios._RUN.get() is None
+
+    def test_non_geometry_claim_error_recorded(self, monkeypatch):
+        def broken(tr):
+            raise ZeroDivisionError("probe")
+
+        # read only by a claim of thm1, after setup built "exc_conic"
+        monkeypatch.setitem(CONSTRUCTIONS, "exc_conic_center", broken)
+        t = random_triangle(23)
+        with shared_run() as run:
+            reports = [run_scenario(sid, 1, 23) for sid in REGISTRY]
+        assert [r.scenario for r in reports] == EXPECTED_IDS
+        claims = {c.id: c for c in reports[1].claims}
+        assert claims["center-at-circumcenter"].status == "error"
+        assert (claims["center-at-circumcenter"].failures[0]["detail"]
+                == "error: ZeroDivisionError: probe")
+        assert claims["fit-consistency"].status == "pass"
+        assert all(r.must_pass_ok and not r.has_error for r in reports[2:])
+        values, _ = run.store(t)
+        assert "exc_conic" in values
+        assert "exc_conic_center" not in values
+
+
+# Patches one scenario's setup to refuse every triangle, then runs the CLI
+# with the remaining arguments.  Without a skip bound it never returns.
+_ALWAYS_DEGENERATE = """
+import dataclasses, sys
+from tricurves import cli, scenarios
+from tricurves.curves import DegeneratePointSet
+
+def degenerate(t, store=None):
+    raise DegeneratePointSet(0, (), 5)
+
+sid = "corr-medial"
+scenarios.REGISTRY[sid] = dataclasses.replace(scenarios.REGISTRY[sid],
+                                              setup=degenerate)
+if sys.argv[1] == "run":
+    try:
+        scenarios.run_scenario(sid, 3, 1)
+    except scenarios.TooManySkips as exc:
+        print(exc)
+else:
+    sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def _always_degenerate(*args):
+    src = pathlib.Path(scenarios.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-c", _ALWAYS_DEGENERATE, *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+class TestSkipBound:
+    def test_run_scenario_stops(self):
+        proc = _always_degenerate("run")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == (
+            "corr-medial: setup refused 300 seeded triangles for 3 trial(s)")
+
+    def test_verify_exits_one_with_a_message(self, tmp_path):
+        path = tmp_path / "r.ndjson"
+        proc = _always_degenerate("verify", "all", "--trials", "2", "--seed",
+                                  "1", "--json", str(path))
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "stopped: corr-medial: setup refused 200 seeded triangles for "
+            "2 trial(s)"]
+        # the scenarios before it still report
+        reports = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [r["scenario"] for r in reports] == EXPECTED_IDS[:4]
+
+
+def _rational_triangles():
+    scale = st.fractions(min_value=Fraction(1, 3), max_value=12,
+                         max_denominator=5)
+    right = st.builds(lambda sides, k: RefTriangle(*(k * s for s in sides)),
+                      st.sampled_from(((3, 4, 5), (5, 12, 13), (8, 15, 17),
+                                       (7, 24, 25), (20, 21, 29))), scale)
+    isosceles = st.builds(
+        lambda k, r: RefTriangle(k, k, k * r), scale,
+        st.fractions(min_value=Fraction(1, 5), max_value=Fraction(15, 8),
+                     max_denominator=8))
+    equilateral = st.builds(lambda k: RefTriangle(k, k, k), scale)
+    scalene = st.tuples(scale, scale, scale).map(sorted).filter(
+        lambda s: s[0] + s[1] > s[2]).map(lambda s: RefTriangle(*s))
+    return st.one_of(right, isosceles, equilateral, scalene)
+
+
+def _outcomes(t: RefTriangle, store) -> list:
+    """Every scenario's setup and claims on ``t``, as ``run_scenario``
+    evaluates them: each claim's outcome, or the refusal's type name."""
+    out = []
+    for sc in REGISTRY.values():
+        try:
+            tr = sc.setup(t, store)
+        except GeometryError as exc:
+            out.append((sc.id, "setup", type(exc).__name__))
+            continue
+        for claim in sc.claims:
+            if claim.acute_only and not t.is_acute():
+                continue
+            try:
+                res = claim.check(tr)
+            except GeometryError as exc:
+                res = type(exc).__name__
+            out.append((sc.id, claim.id, "skip" if res is SKIP else res))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(_rational_triangles())
+@example(RefTriangle(3, 4, 5))
+@example(RefTriangle(5, 5, 6))
+@example(RefTriangle(5, 5, 5))
+@example(RefTriangle(Fraction(3, 2), 2, Fraction(5, 2)))
+def test_rational_triangles_raise_only_geometry_errors(t):
+    """On right, isosceles and equilateral triangles too (``random_triangle``
+    draws none), setups and claims return or raise a ``GeometryError``, and
+    one store shared by all scenarios gives what a fresh one each does."""
+    assert _outcomes(t, ({}, {})) == _outcomes(t, None)
