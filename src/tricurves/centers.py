@@ -158,6 +158,8 @@ ODD_CENTERS = frozenset({
 CATALOG = tuple(CenterId)
 
 _VERTICES = (VERTEX_A, VERTEX_B, VERTEX_C)
+_VERTEX_OF = dict(zip((CenterId.VERTEX_A, CenterId.VERTEX_B, CenterId.VERTEX_C),
+                       _VERTICES))
 _SIDE_PAIRS = ((VERTEX_B, VERTEX_C), (VERTEX_C, VERTEX_A), (VERTEX_A, VERTEX_B))
 _SIDELINES = tuple(join(*pair) for pair in _SIDE_PAIRS)
 
@@ -184,12 +186,8 @@ def _taylor_center(m: Metric) -> HomPoint:
 
 def center_coords(m: Metric, cid: CenterId) -> tuple[Rat, Rat, Rat]:
     """Raw homogeneous coordinates of a catalog center in the frame of ``m``."""
-    if cid is CenterId.VERTEX_A:
-        return (1, 0, 0)
-    if cid is CenterId.VERTEX_B:
-        return (0, 1, 0)
-    if cid is CenterId.VERTEX_C:
-        return (0, 0, 1)
+    if cid in _VERTEX_OF:
+        return _VERTEX_OF[cid].triple
     if cid is CenterId.OMEGA1:
         return (m.a2 * m.c2, m.a2 * m.b2, m.b2 * m.c2)
     if cid is CenterId.OMEGA2:

@@ -1,13 +1,14 @@
 """Command-line front end: scenario verification, center queries, figures.
 
 Exit codes for ``verify``: 0 when every must-pass claim passes and no claim
-errors; 2 when only verdict-only claims fail; 1 on a must-pass failure or
-claim error; 64 for an unknown scenario or fewer than one trial.  ``center``
+errors; 2 when only verdict-only claims fail; 1 on a must-pass failure, a
+claim error or a scenario that stops (its ``setup`` raised or was refused
+too often); 64 for an unknown scenario or fewer than one trial.  ``center``
 exits 65 on an invalid triangle and 64 on an unknown center name or a
 malformed center expression.  ``render`` exits 0 when the figure is written,
 1 on an I/O error, 64 for an unknown scenario or a bad render option (grid
-below 16, width or height below 64, a non-finite margin) and 65 for an
-invalid triangle or a curve it cannot build.
+outside 16 to 4096, width or height below 64, a negative or non-finite
+margin) and 65 for an invalid triangle or a curve it cannot build.
 """
 
 from __future__ import annotations
@@ -95,8 +96,10 @@ def cmd_verify(args) -> int:
         for sid in ids:
             try:
                 report = run_scenario(sid, trials, args.seed)
-            except TooManySkips as exc:
-                print(f"stopped: {exc}", file=sys.stderr)
+            except Exception as exc:  # a TooManySkips message names the scenario
+                why = (exc if isinstance(exc, TooManySkips)
+                       else f"{sid}: {type(exc).__name__}: {exc}")
+                print(f"stopped: {why}", file=sys.stderr)
                 worst = EXIT_MUST_FAIL
                 break
             reports.append(report)

@@ -34,6 +34,7 @@ from .kernel import (
     Metric,
     PointAtInfinity,
     Rat,
+    _CanonicalVector,
     adjugate3,
     canonical_ints,
     collinear,
@@ -112,7 +113,7 @@ CUBIC_MONOMIALS = (
 )
 
 
-class _FormVector:
+class _FormVector(_CanonicalVector):
     """Canonical integer coefficient vector of a form, up to scale.
 
     ``MONOMIALS`` lists the exponent triples in coefficient order and
@@ -122,7 +123,7 @@ class _FormVector:
     ``form()`` and everything built on it derive from the table.
     """
 
-    __slots__ = ("_v",)
+    __slots__ = ()
     MONOMIALS: tuple[tuple[int, int, int], ...] = ()
     WEIGHTS: tuple[int, ...] = ()
 
@@ -132,21 +133,9 @@ class _FormVector:
                 f"{type(self).__name__} needs {len(self.MONOMIALS)} coefficients")
         object.__setattr__(self, "_v", canonical_ints(coeffs))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
     @property
     def coeffs(self) -> tuple[int, ...]:
         return self._v
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and other._v == self._v
-
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, self._v))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}{self._v!r}"
 
     def serialize(self) -> list[str]:
         return [str(c) for c in self._v]
@@ -258,10 +247,8 @@ def conic_center(c: Conic) -> HomPoint:
 def _infinity_restriction(c: Conic) -> tuple[int, int, int]:
     """Coefficients (alpha, beta, gamma) of the conic on z = -x - y, where
     it reads alpha x^2 + 2 beta xy + gamma y^2."""
-    on_line = _substitute(c.form(), tuple(map(_poly_lin, ((1, 0, 0), (0, 1, 0),
-                                                         (-1, -1, 0)))))
-    return (on_line.get((2, 0, 0), 0), on_line.get((1, 1, 0), 0) // 2,
-            on_line.get((0, 2, 0), 0))
+    alpha, two_beta, gamma = _restrict(c, (1, 0, -1), (0, 1, -1))
+    return alpha, two_beta // 2, gamma
 
 
 def is_rectangular(c: Conic, m: Metric) -> bool:
@@ -344,7 +331,7 @@ def conic_second_intersection(c: Conic, p: HomPoint, q: HomPoint) -> HomPoint:
     """Second intersection of the line p q with the conic, p on the conic.
 
     Returns q if q is also on the conic, and p itself when the line is
-    tangent at p.
+    tangent at p.  Kept for the tests, which generate conic points with it.
     """
     if c.evaluate(p) != 0:
         raise ValueError("first point must lie on the conic")
@@ -440,6 +427,15 @@ def _substitute(p: dict, lins) -> dict:
     return out
 
 
+def _restrict(curve: _FormVector, r0, r1) -> tuple[int, ...]:
+    """Binary form of the curve on the line through the triples r0, r1:
+    the coefficients of s0^n, s0^(n-1)*s1, ..., s1^n in the form at
+    s0*r0 + s1*r1, n the degree."""
+    n = sum(curve.MONOMIALS[0])
+    on_line = _substitute(curve.form(), [_poly_lin((u, w, 0)) for u, w in zip(r0, r1)])
+    return tuple(on_line.get((n - i, i, 0), 0) for i in range(n + 1))
+
+
 def _divide_linear(p: dict, lin) -> dict:
     """Exact quotient of the form ``p`` by the linear form ``lin``.
 
@@ -483,13 +479,6 @@ class PencilFactorization:
     residual: Conic
 
 
-def _restrict_cubic(k: Cubic, r0: HomPoint, r1: HomPoint) -> tuple[int, int, int, int]:
-    """Binary cubic of k on the line spanned by r0, r1 (parameters s0, s1)."""
-    form = _substitute(k.form(), [_poly_lin((u, w, 0))
-                                  for u, w in zip(r0.triple, r1.triple)])
-    return tuple(form.get((3 - i, i, 0), 0) for i in range(4))
-
-
 def pencil_combination(p: Cubic, q: Cubic, t: Fraction) -> Cubic:
     """The pencil member p - t q as a canonical cubic."""
     tn, td = t.numerator, t.denominator
@@ -506,9 +495,9 @@ def line_component(p: Cubic, q: Cubic, l: HomLine) -> PencilFactorization:
     """
     if p == q:
         raise CoincidentArguments("cubics must be independent forms")
-    r0, r1 = span_points(l)
-    pr = _restrict_cubic(p, r0, r1)
-    qr = _restrict_cubic(q, r0, r1)
+    r0, r1 = (r.triple for r in span_points(l))
+    pr = _restrict(p, r0, r1)
+    qr = _restrict(q, r0, r1)
     p_zero = all(v == 0 for v in pr)
     q_zero = all(v == 0 for v in qr)
     if p_zero and q_zero:
@@ -540,15 +529,10 @@ def homothety_matrix(center: HomPoint, ratio: Rat):
         raise ZeroRatio("homothety ratio must be nonzero")
     if center.is_infinite():
         raise PointAtInfinity("homothety center must be finite")
-    sc = center.x + center.y + center.z
-    flat = []
-    for i in range(3):
-        for j in range(3):
-            val = (1 - ratio) * center.triple[i]
-            if i == j:
-                val += ratio * sc
-            flat.append(val)
-    ints = canonical_ints(flat)
+    # d times the entries (1 - n/d) * c_i + (n/d) * sum(c) * [i == j]
+    n, d, sc = ratio.numerator, ratio.denominator, sum(center.triple)
+    ints = canonical_ints([(d - n) * c + (n * sc if i == j else 0)
+                           for i, c in enumerate(center.triple) for j in range(3)])
     return (ints[0:3], ints[3:6], ints[6:9])
 
 

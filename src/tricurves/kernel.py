@@ -106,20 +106,14 @@ def canonical_ints(values: Iterable[Rat]) -> tuple[int, ...]:
     return tuple(ints)
 
 
-class _Homogeneous:
-    """Canonical homogeneous integer triple; base of points and lines."""
+class _CanonicalVector:
+    """Immutable vector of ``canonical_ints``, equal only within one type;
+    base of points, lines and curves."""
 
     __slots__ = ("_v",)
 
-    def __init__(self, u: Rat, v: Rat, w: Rat):
-        object.__setattr__(self, "_v", canonical_ints((u, v, w)))
-
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-    @property
-    def triple(self) -> tuple[int, int, int]:
-        return self._v
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and other._v == self._v
@@ -128,7 +122,20 @@ class _Homogeneous:
         return hash((type(self).__name__, self._v))
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self._v[0]}, {self._v[1]}, {self._v[2]})"
+        return f"{type(self).__name__}{self._v!r}"
+
+
+class _Homogeneous(_CanonicalVector):
+    """Canonical homogeneous integer triple; base of points and lines."""
+
+    __slots__ = ()
+
+    def __init__(self, u: Rat, v: Rat, w: Rat):
+        object.__setattr__(self, "_v", canonical_ints((u, v, w)))
+
+    @property
+    def triple(self) -> tuple[int, int, int]:
+        return self._v
 
     def __str__(self) -> str:
         return f"{self._v[0]}:{self._v[1]}:{self._v[2]}"
@@ -168,11 +175,6 @@ VERTEX_A = HomPoint(1, 0, 0)
 VERTEX_B = HomPoint(0, 1, 0)
 VERTEX_C = HomPoint(0, 0, 1)
 LINE_AT_INFINITY = HomLine(1, 1, 1)
-
-
-def canonical(obj: _Homogeneous) -> _Homogeneous:
-    """Return the canonical representative (idempotent by construction)."""
-    return type(obj)(*obj.triple)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +419,7 @@ def point_line_distance_sq(p: HomPoint, l: HomLine, m: Metric) -> Fraction:
     """Exact squared distance from a finite point to a line.
 
     Computed from two sample points on the line; the result does not
-    depend on which sample points are taken.
+    depend on which sample points are taken.  Kept as a test reference.
     """
     if l.is_line_at_infinity():
         raise LineAtInfinity("distance to the line at infinity is undefined")

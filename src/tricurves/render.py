@@ -21,8 +21,8 @@ class RenderConfig:
     labels: bool = True
 
     def __post_init__(self):
-        if self.grid < 16:
-            raise ValueError("grid must be at least 16")
+        if not 16 <= self.grid <= 4096:  # trace_segments holds (grid + 1)^2 values
+            raise ValueError(f"grid must be between 16 and 4096, got {self.grid}")
         if self.width < 64 or self.height < 64:
             raise ValueError("width and height must be at least 64")
         if not (math.isfinite(self.margin) and self.margin >= 0):

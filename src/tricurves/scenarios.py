@@ -39,13 +39,11 @@ from functools import lru_cache
 from typing import Callable, Iterator, Optional
 
 from .centers import (
-    Catalog,
+    _KIND_NAMES,
     CenterExpr,
     CenterId,
-    MidpointOf,
     OnSideline,
     TriangleKind,
-    VertexOf,
     derived_subtriangle,
     derived_triangle,
     eval_center_in,
@@ -132,29 +130,23 @@ SKIP_LIMIT = 100  # skipped triangles allowed per requested trial
 # ---------------------------------------------------------------------------
 # names
 
-_KINDS = {k.value: k for k in TriangleKind}
-
-# vertices of the base and derived triangles, and the orthic side midpoints
-_POINTS: dict[str, CenterExpr] = {
-    "A": Catalog(CenterId.VERTEX_A),
-    "B": Catalog(CenterId.VERTEX_B),
-    "C": Catalog(CenterId.VERTEX_C),
-    **{f"{prefix}{i + 1}": VertexOf(kind, i)
-       for prefix, kind in (("I", TriangleKind.EXCENTRAL),
-                            ("A", TriangleKind.MIDARC),
-                            ("E", TriangleKind.EULER),
-                            ("H", TriangleKind.ORTHIC),
-                            ("M", TriangleKind.MEDIAL))
+# vertices of the base and derived triangles, and the orthic side midpoints,
+# as parse_center text
+_POINTS: dict[str, str] = {
+    "A": "VertexA", "B": "VertexB", "C": "VertexC",
+    **{f"{prefix}{i + 1}": f"vertex({kind},{i})"
+       for prefix, kind in (("I", "excentral"), ("A", "midarc"), ("E", "euler"),
+                            ("H", "orthic"), ("M", "medial"))
        for i in range(3)},
-    **{f"Mh{i + 1}": MidpointOf(VertexOf(TriangleKind.ORTHIC, (i + 1) % 3),
-                                VertexOf(TriangleKind.ORTHIC, (i + 2) % 3))
-       for i in range(3)},
+    "Mh1": "midpoint(vertex(orthic,1),vertex(orthic,2))",
+    "Mh2": "midpoint(vertex(orthic,2),vertex(orthic,0))",
+    "Mh3": "midpoint(vertex(orthic,0),vertex(orthic,1))",
 }
 
 
 @lru_cache(maxsize=None)
 def _expr(name: str) -> CenterExpr:
-    return _POINTS[name] if name in _POINTS else parse_center(name)
+    return parse_center(_POINTS.get(name, name))
 
 
 def _labelled(entries) -> tuple[tuple[str, str], ...]:
@@ -243,8 +235,8 @@ class Trial:
         return name in self._read
 
     def _resolve(self, name: str):
-        if name in _KINDS:
-            kind = _KINDS[name]
+        if name in _KIND_NAMES:
+            kind = _KIND_NAMES[name]
             if kind not in self._subs:
                 self._subs[kind] = derived_triangle(self.t, kind)
             return self._subs[kind]
@@ -914,7 +906,8 @@ def _certificate(t: RefTriangle, failure: Failure) -> dict:
 class Run:
     """What the scenarios of one run share: each seeded triangle, drawn once
     per cursor, and one ``(values, subs)`` store per triangle, keyed by its
-    sides.  It lives as long as the :func:`shared_run` block that made it."""
+    sides.  It lives as long as the :func:`shared_run` block that made it,
+    or the one :func:`run_scenario` call outside such a block."""
 
     def __init__(self):
         self._triangles: dict[int, RefTriangle] = {}
@@ -962,18 +955,17 @@ def run_scenario(scenario_id: str, trials: int, seed: int) -> Report:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     sc = REGISTRY[scenario_id]
-    run = _RUN.get()
-    draw = run.triangle if run is not None else random_triangle
+    run = _RUN.get() or Run()
     t0 = time.perf_counter()
     results = [ClaimResult(c.id, c.kind, c.expectation) for c in sc.claims]
     skipped = 0
     cursor = seed
     for _ in range(trials):
         while True:
-            tri = draw(cursor)
+            tri = run.triangle(cursor)
             cursor += 1
             try:
-                ctx = sc.setup(tri, run.store(tri) if run is not None else None)
+                ctx = sc.setup(tri, run.store(tri))
             except (DegeneratePointSet, CoincidentArguments, OnSideline):
                 skipped += 1
                 if skipped >= SKIP_LIMIT * trials:

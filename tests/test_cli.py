@@ -176,6 +176,7 @@ class TestRenderCommand:
         ["--margin", "nan"], ["--margin", "inf"], ["--margin=-inf"],
         # -5 drew a mirrored viewport and -0.6 an empty CSV, both exit 0
         ["--margin=-5"], ["--margin=-0.6"],
+        ["--grid", "4097"], ["--grid", "100000"],  # once accepted, then allocated
     ])
     def test_bad_render_option(self, tmp_path, capsys, option):
         path = tmp_path / "pts.csv"

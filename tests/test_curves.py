@@ -30,6 +30,7 @@ from tricurves.curves import (
     SingularMatrix,
     ZeroRatio,
     _infinity_restriction,
+    _restrict,
     axis_conic,
     conic_center,
     conic_from_focus_directrix,
@@ -60,6 +61,7 @@ from tricurves.kernel import (
     VERTEX_B,
     VERTEX_C,
     adjugate3,
+    affine_combine,
     det3,
     incident,
     join,
@@ -117,6 +119,33 @@ class TestMonomialTable:
             Conic.from_form({(3, 0, 0): 1})
         with pytest.raises(ValueError):
             Cubic.from_form({(2, 0, 0): 1})
+
+
+class TestValueSemantics:
+    def test_immutable(self):
+        for curve in (Conic(1, 2, 3, 4, 5, 6), Cubic(*range(1, 11))):
+            with pytest.raises(AttributeError):
+                curve._v = (1,) * len(curve.coeffs)
+            with pytest.raises(AttributeError):
+                curve.label = "x"
+
+    def test_equal_and_hashed_by_value_within_one_type(self):
+        class OtherConic(Conic):
+            pass
+
+        c = Conic(1, 2, 3, 4, 5, 6)
+        assert c == Conic(2, 4, 6, 8, 10, 12)
+        assert hash(c) == hash(Conic(-1, -2, -3, -4, -5, -6))
+        other = OtherConic(1, 2, 3, 4, 5, 6)
+        assert other.coeffs == c.coeffs
+        assert other != c and c != other
+        assert len({c, other, Conic(1, 2, 3, 4, 5, 6)}) == 2
+        assert c != c.coeffs
+
+    def test_repr(self):
+        assert repr(Conic(2, 4, 6, 8, 10, 12)) == "Conic(1, 2, 3, 4, 5, 6)"
+        assert repr(Cubic(0, 0, 0, 0, -2, 0, 0, 0, 0, 0)) == \
+            "Cubic(0, 0, 0, 0, 1, 0, 0, 0, 0, 0)"
 
 
 class TestGradient:
@@ -428,6 +457,23 @@ def _line_times_conic(l, conic):
     return Cubic(*(out[m] for m in CUBIC_MONOMIALS))
 
 
+class TestRestrict:
+    @given(st.one_of(coefficients(6).map(lambda v: Conic(*v)),
+                     coefficients(10).map(lambda v: Cubic(*v))),
+           st.tuples(small, small, small), st.tuples(small, small, small),
+           small, small)
+    def test_binary_form_is_curve_on_line(self, curve, r0, r1, s0, s1):
+        binary = _restrict(curve, r0, r1)
+        n = len(binary) - 1
+        assert n == sum(curve.MONOMIALS[0])
+        w = tuple(s0 * a + s1 * b for a, b in zip(r0, r1))
+        assume(any(w))
+        p = HomPoint(*w)
+        k = next(u // v for u, v in zip(w, p.triple) if v)  # w = k * p.triple
+        assert sum(c * s0**(n - i) * s1**i for i, c in enumerate(binary)) == \
+            k**n * curve.evaluate(p)
+
+
 class TestLineComponent:
     def test_synthetic_product(self):
         l = join(HomPoint(1, 2, 3), HomPoint(2, -1, 1))
@@ -494,6 +540,14 @@ class TestTransforms:
     def test_homothety_maps_vertex_to_midpoint(self):
         m = homothety_matrix(HomPoint(1, 1, 1), Fraction(-1, 2))
         assert transform_point(m, VERTEX_A) == HomPoint(0, 1, 1)
+
+    @given(points, points,
+           st.fractions(min_value=-3, max_value=3, max_denominator=7))
+    def test_homothety_is_affine_combination(self, center, p, ratio):
+        assume(ratio != 0 and not center.is_infinite() and not p.is_infinite())
+        m = homothety_matrix(center, ratio)
+        assert transform_point(m, p) == affine_combine(
+            ((center, 1 - ratio), (p, ratio)))
 
     def test_zero_ratio_rejected(self):
         with pytest.raises(ZeroRatio):

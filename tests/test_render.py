@@ -50,6 +50,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             RenderConfig(grid=8)
 
+    @pytest.mark.parametrize("grid", [4097, 100_000, 10**9])
+    def test_grid_ceiling(self, grid):
+        # refused before trace_segments allocates (grid + 1)^2 values
+        with pytest.raises(ValueError, match="4096"):
+            RenderConfig(grid=grid)
+
+    def test_grid_ceiling_inclusive(self):
+        assert RenderConfig(grid=4096).grid == 4096
+
     def test_size_floor(self):
         with pytest.raises(ValueError):
             RenderConfig(width=32)

@@ -414,7 +414,7 @@ class TestSharedRun:
             assert second["composition"] is first["composition"]
             assert second.resolved("composition")
 
-    def test_run_context_dropped(self, monkeypatch):
+    def test_run_context_dropped(self, monkeypatch, capsys):
         assert scenarios._RUN.get() is None
         run_all(1, 3)
         assert scenarios._RUN.get() is None
@@ -428,8 +428,12 @@ class TestSharedRun:
         with pytest.raises(ZeroDivisionError):
             run_all(1, 3)
         assert scenarios._RUN.get() is None
-        with pytest.raises(ZeroDivisionError):
-            cli.main(["verify", "all", "--trials", "1", "--seed", "3"])
+        assert cli.main(["verify", "all", "--trials", "1", "--seed", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert err.splitlines() == ["stopped: corr-medial: ZeroDivisionError: setup"]
+        # the scenarios before it still report
+        assert [json.loads(line)["scenario"] for line in out.splitlines()] == \
+            EXPECTED_IDS[:4]
         assert scenarios._RUN.get() is None
 
     def test_non_geometry_claim_error_recorded(self, monkeypatch):
