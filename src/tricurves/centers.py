@@ -111,38 +111,28 @@ class TriangleKind(str, Enum):
 # ---------------------------------------------------------------------------
 # evaluation rules
 
-def _a(m: Metric) -> Fraction:
-    return m.sides[0]
-
-
-def _b(m: Metric) -> Fraction:
-    return m.sides[1]
-
-
-def _c(m: Metric) -> Fraction:
-    return m.sides[2]
-
-
 _FIRST: dict[CenterId, Callable[[Metric], Fraction]] = {
-    CenterId.X1: lambda m: _a(m),
+    CenterId.X1: lambda m: m.a,
     CenterId.X2: lambda m: Fraction(1),
     CenterId.X3: lambda m: m.a2 * m.SA,
     CenterId.X4: lambda m: m.SB * m.SC,
     CenterId.X5: lambda m: m.S2 + m.SB * m.SC,
     CenterId.X6: lambda m: m.a2,
-    CenterId.X7: lambda m: (_c(m) + _a(m) - _b(m)) * (_a(m) + _b(m) - _c(m)),
-    CenterId.X8: lambda m: _b(m) + _c(m) - _a(m),
-    CenterId.X9: lambda m: _a(m) * (_b(m) + _c(m) - _a(m)),
-    CenterId.X10: lambda m: _b(m) + _c(m),
+    CenterId.X7: lambda m: (m.c + m.a - m.b) * (m.a + m.b - m.c),
+    CenterId.X8: lambda m: m.b + m.c - m.a,
+    CenterId.X9: lambda m: m.a * (m.b + m.c - m.a),
+    CenterId.X10: lambda m: m.b + m.c,
     CenterId.X20: lambda m: m.a2 * m.SA - m.SB * m.SC,
-    CenterId.X21: lambda m: _a(m) * (_b(m) + _c(m) - _a(m)) * (_a(m) + _b(m)) * (_a(m) + _c(m)),
+    CenterId.X21: lambda m: m.a * (m.b + m.c - m.a) * (m.a + m.b) * (m.a + m.c),
     CenterId.X25: lambda m: m.a2 * m.SB * m.SC,
     CenterId.X39: lambda m: m.a2 * (m.b2 + m.c2),
-    CenterId.X40: lambda m: _a(m) * ((_a(m) + _b(m) + _c(m)) * _a(m) * m.SA - m.S2),
+    CenterId.X40: lambda m: m.a * ((m.a + m.b + m.c) * m.a * m.SA - m.S2),
     CenterId.X69: lambda m: m.SA,
     CenterId.X76: lambda m: m.b2 * m.c2,
-    CenterId.X355: lambda m: (_a(m) + _b(m) + _c(m)) * m.SB * m.SC
-    + (_b(m) + _c(m) - _a(m)) * m.S2,
+    CenterId.X355: lambda m: (m.a + m.b + m.c) * m.SB * m.SC
+    + (m.b + m.c - m.a) * m.S2,
+    CenterId.OMEGA1: lambda m: m.a2 * m.c2,
+    CenterId.OMEGA2: lambda m: m.a2 * m.b2,
 }
 
 # centers evaluated as the isogonal conjugate of a partner center
@@ -188,19 +178,14 @@ def center_coords(m: Metric, cid: CenterId) -> tuple[Rat, Rat, Rat]:
     """Raw homogeneous coordinates of a catalog center in the frame of ``m``."""
     if cid in _VERTEX_OF:
         return _VERTEX_OF[cid].triple
-    if cid is CenterId.OMEGA1:
-        return (m.a2 * m.c2, m.a2 * m.b2, m.b2 * m.c2)
-    if cid is CenterId.OMEGA2:
-        return (m.a2 * m.b2, m.b2 * m.c2, m.c2 * m.a2)
     if cid is CenterId.X389:
         return _taylor_center(m).triple
     if cid in ODD_CENTERS and not m.has_sides:
         raise OddCenterWithoutSides(
             f"{cid.value} needs exact side lengths, which this triangle lacks")
     if cid in _ISOGONAL_OF:
-        # not isogonal(): that refuses a partner on a sideline
-        u, v, w = center_coords(m, _ISOGONAL_OF[cid])
-        return (m.a2 * v * w, m.b2 * w * u, m.c2 * u * v)
+        # unchecked, unlike isogonal(), which refuses a partner on a sideline
+        return _conjugate((m.a2, m.b2, m.c2), center_coords(m, _ISOGONAL_OF[cid]))
     f = _FIRST[cid]
     r = m.rot()
     return (f(m), f(r), f(r.rot()))
@@ -224,18 +209,24 @@ def anticomplement(p: HomPoint) -> HomPoint:
     return HomPoint(-x + y + z, x - y + z, x + y - z)
 
 
+def _conjugate(weights: Sequence[Rat], triple: Sequence[Rat]) -> tuple[Rat, Rat, Rat]:
+    """The conjugate (u*y*z : v*z*x : w*x*y) of (x : y : z) for weights (u, v, w)."""
+    (u, v, w), (x, y, z) = weights, triple
+    return (u * y * z, v * z * x, w * x * y)
+
+
+def _conjugate_point(what: str, weights: Sequence[Rat], p: HomPoint) -> HomPoint:
+    if 0 in p.triple:
+        raise OnSideline(f"{what} conjugate of {p} (on a sideline) is undefined")
+    return HomPoint(*_conjugate(weights, p.triple))
+
+
 def isogonal(m: Metric, p: HomPoint) -> HomPoint:
-    x, y, z = p.triple
-    if x == 0 or y == 0 or z == 0:
-        raise OnSideline(f"isogonal conjugate of {p} (on a sideline) is undefined")
-    return HomPoint(m.a2 * y * z, m.b2 * z * x, m.c2 * x * y)
+    return _conjugate_point("isogonal", (m.a2, m.b2, m.c2), p)
 
 
 def isotomic(p: HomPoint) -> HomPoint:
-    x, y, z = p.triple
-    if x == 0 or y == 0 or z == 0:
-        raise OnSideline(f"isotomic conjugate of {p} (on a sideline) is undefined")
-    return HomPoint(y * z, z * x, x * y)
+    return _conjugate_point("isotomic", (1, 1, 1), p)
 
 
 # ---------------------------------------------------------------------------
@@ -262,35 +253,32 @@ class SubTriangle:
 def _derived_local(m: Metric, kind: TriangleKind):
     """Vertex coordinate triples of the derived triangle, in the frame of ``m``.
 
-    Also returns the exact side lengths of the derived triangle when those
-    are rational multiples of the frame's sides.
+    Also returns the ratio of the derived triangle's sides to the frame's
+    (1, 1/2 or 2) where it is rational, else ``None``.
     """
     if kind is TriangleKind.BASE:
-        return ((1, 0, 0), (0, 1, 0), (0, 0, 1)), m.sides
+        return ((1, 0, 0), (0, 1, 0), (0, 0, 1)), 1
     if kind is TriangleKind.EXCENTRAL:
         if not m.has_sides:
             raise OddCenterWithoutSides("excenters need exact side lengths")
         a, b, c = m.sides
         return ((-a, b, c), (a, -b, c), (a, b, -c)), None
     if kind is TriangleKind.MEDIAL:
-        sides = None if not m.has_sides else tuple(s / 2 for s in m.sides)
-        return ((0, 1, 1), (1, 0, 1), (1, 1, 0)), sides
+        return ((0, 1, 1), (1, 0, 1), (1, 1, 0)), Fraction(1, 2)
     if kind is TriangleKind.ORTHIC:
         if m.is_right():
             raise RightTriangle("orthic triangle of a right triangle is degenerate")
         return ((0, m.SC, m.SB), (m.SC, 0, m.SA), (m.SB, m.SA, 0)), None
     if kind is TriangleKind.ANTICOMPLEMENTARY:
-        sides = None if not m.has_sides else tuple(2 * s for s in m.sides)
-        return ((-1, 1, 1), (1, -1, 1), (1, 1, -1)), sides
+        return ((-1, 1, 1), (1, -1, 1), (1, 1, -1)), 2
     if kind is TriangleKind.EULER:
         # midpoints of each vertex with the orthocenter
         sbc, sca, sab = m.SB * m.SC, m.SC * m.SA, m.SA * m.SB
-        sides = None if not m.has_sides else tuple(s / 2 for s in m.sides)
         return (
             (m.S2 + sbc, sca, sab),
             (sbc, m.S2 + sca, sab),
             (sbc, sca, m.S2 + sab),
-        ), sides
+        ), Fraction(1, 2)
     if kind is TriangleKind.MIDARC:
         # second intersections of the internal bisectors with the circumcircle
         if not m.has_sides:
@@ -308,48 +296,45 @@ def _derived_local(m: Metric, kind: TriangleKind):
     raise ValueError(f"unknown triangle kind {kind}")
 
 
-def _make_subtriangle(base: Metric, kind, points, sides) -> SubTriangle:
-    own = Metric(squared_distance(points[1], points[2], base),
-                 squared_distance(points[2], points[0], base),
-                 squared_distance(points[0], points[1], base), sides=sides)
+def _derive(t: RefTriangle, m: Metric, kind: TriangleKind,
+            frame: Optional[Sequence[HomPoint]]) -> SubTriangle:
+    """The ``kind`` triangle of the triangle ``m`` describes, whose vertices
+    are ``frame`` in base coordinates (``None`` for the base itself)."""
+    local, ratio = _derived_local(m, kind)
+    points = tuple(HomPoint(*v) for v in local)
+    if frame is not None:
+        points = tuple(from_local(p, *frame) for p in points)
+    sides = None if ratio is None or not m.has_sides else tuple(ratio * s for s in m.sides)
+    own = Metric(squared_distance(points[1], points[2], t),
+                 squared_distance(points[2], points[0], t),
+                 squared_distance(points[0], points[1], t), sides=sides)
     return SubTriangle(kind, *points, own)
 
 
 def derived_triangle(t: RefTriangle, kind: TriangleKind) -> SubTriangle:
     """A derived triangle of the base, with vertices in base coordinates."""
-    locals_, sides = _derived_local(t, kind)
-    points = tuple(HomPoint(*v) for v in locals_)
-    return _make_subtriangle(t, kind, points, sides)
+    return _derive(t, t, kind, None)
 
 
 def derived_subtriangle(t: RefTriangle, sub: SubTriangle,
                         kind: TriangleKind) -> SubTriangle:
     """A derived triangle of a derived triangle, mapped to base coordinates."""
-    lm = sub.metric()
-    locals_, sides = _derived_local(lm, kind)
-    points = tuple(
-        from_local(HomPoint(*v), sub.v1, sub.v2, sub.v3) for v in locals_
-    )
-    return _make_subtriangle(t, kind, points, sides)
+    return _derive(t, sub.metric(), kind, sub.vertices)
 
 
 def eval_center_in(t: RefTriangle, sub: SubTriangle, cid: CenterId) -> HomPoint:
     """Catalog center of a derived triangle, mapped back to base coordinates."""
-    local = HomPoint(*center_coords(sub.metric(), cid))
-    return from_local(local, sub.v1, sub.v2, sub.v3)
+    return from_local(HomPoint(*center_coords(sub.metric(), cid)), *sub.vertices)
 
 
 def isogonal_in(t: RefTriangle, sub: SubTriangle, p: HomPoint) -> HomPoint:
     """Isogonal conjugate relative to a derived triangle, in base coordinates."""
-    lc = local_coords(p, sub.v1, sub.v2, sub.v3)
-    conj = isogonal(sub.metric(), lc)
-    return from_local(conj, sub.v1, sub.v2, sub.v3)
+    return from_local(isogonal(sub.metric(), local_coords(p, *sub.vertices)),
+                      *sub.vertices)
 
 
 def isotomic_in(t: RefTriangle, sub: SubTriangle, p: HomPoint) -> HomPoint:
-    lc = local_coords(p, sub.v1, sub.v2, sub.v3)
-    conj = isotomic(lc)
-    return from_local(conj, sub.v1, sub.v2, sub.v3)
+    return from_local(isotomic(local_coords(p, *sub.vertices)), *sub.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -572,16 +557,10 @@ def parse_center(text: str) -> CenterExpr:
         return Complement(parse_center(args[0]))
     if fn == "anticomplement" and len(args) == 1:
         return Anticomplement(parse_center(args[0]))
-    if fn == "isogonal":
-        if len(args) == 1:
-            return IsogonalIn(TriangleKind.BASE, parse_center(args[0]))
-        if len(args) == 2:
-            return IsogonalIn(kind_of(args[0]), parse_center(args[1]))
-    if fn == "isotomic":
-        if len(args) == 1:
-            return IsotomicIn(TriangleKind.BASE, parse_center(args[0]))
-        if len(args) == 2:
-            return IsotomicIn(kind_of(args[0]), parse_center(args[1]))
+    if fn in ("isogonal", "isotomic") and len(args) in (1, 2):
+        kind = kind_of(args[0]) if len(args) == 2 else TriangleKind.BASE
+        node = IsogonalIn if fn == "isogonal" else IsotomicIn
+        return node(kind, parse_center(args[-1]))
     if fn == "center" and len(args) == 2:
         return CenterOf(kind_of(args[0]), cid_of(args[1]))
     if fn == "vertex" and len(args) == 2:

@@ -1,9 +1,12 @@
 """Command-line front end: scenario verification, center queries, figures.
 
+Every command exits 64 on a usage error: no command, an unknown option,
+an argument argparse refuses, or ``render`` without ``--svg``/``--csv``.
 Exit codes for ``verify``: 0 when every must-pass claim passes and no claim
 errors; 2 when only verdict-only claims fail; 1 on a must-pass failure, a
-claim error or a scenario that stops (its ``setup`` raised or was refused
-too often); 64 for an unknown scenario or fewer than one trial.  ``center``
+claim error, a scenario that stops (its ``setup`` raised or was refused
+too often) or an I/O error writing ``--json``; 64 for an unknown scenario
+or fewer than one trial (also from ``TCL_DEFAULT_TRIALS``).  ``center``
 exits 65 on an invalid triangle and 64 on an unknown center name or a
 malformed center expression.  ``render`` exits 0 when the figure is written,
 1 on an I/O error, 64 for an unknown scenario or a bad render option (grid
@@ -47,9 +50,11 @@ def _default_trials() -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise SystemExit(f"{DEFAULT_TRIALS_ENV} must be an integer, got {raw!r}")
+        print(f"{DEFAULT_TRIALS_ENV} must be an integer, got {raw!r}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE) from None
     if value < 1:
-        raise SystemExit(f"{DEFAULT_TRIALS_ENV} must be positive")
+        print(f"{DEFAULT_TRIALS_ENV} must be positive", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
     return value
 
 
@@ -111,8 +116,12 @@ def cmd_verify(args) -> int:
                 break
     lines = [report_json(r) for r in reports]
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+        except OSError as exc:
+            print(f"io error: {exc}", file=sys.stderr)
+            return EXIT_MUST_FAIL
         for r in reports:
             print(_report_summary(r))
     else:
@@ -160,12 +169,12 @@ def _named_curve(name: str, tri: RefTriangle):
     name = name.strip()
     if name == "circumcircle":
         return Conic(0, 0, 0, tri.c2, tri.b2, tri.a2)
-    if name.startswith("conic:"):
-        vals = [Fraction(v) for v in name[len("conic:"):].split(",")]
-        return Conic(*vals)
-    if name.startswith("cubic:"):
-        vals = [Fraction(v) for v in name[len("cubic:"):].split(",")]
-        return Cubic(*vals)
+    for prefix, form in (("conic:", Conic), ("cubic:", Cubic)):
+        if name.startswith(prefix):
+            try:
+                return form(*(Fraction(v) for v in name[len(prefix):].split(",")))
+            except ZeroDivisionError as exc:
+                raise ValueError(f"zero denominator in {name!r}") from exc
     raise ValueError(
         f"unknown curve {name!r}; use circumcircle, conic:<6>, cubic:<10>")
 
@@ -216,8 +225,14 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):  # subparsers share the class
+    def error(self, message):  # not argparse's 2, the verdict-only failure code
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tricurves",
         description="Exact triangle-geometry engine: centers, conics, cubics, "
                     "and scenario verification.")

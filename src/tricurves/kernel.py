@@ -356,6 +356,19 @@ class Metric:
     def has_sides(self) -> bool:
         return self.sides is not None
 
+    @property
+    def a(self) -> Fraction:
+        """Side length a, only where ``has_sides``; likewise ``b`` and ``c``."""
+        return self.sides[0]
+
+    @property
+    def b(self) -> Fraction:
+        return self.sides[1]
+
+    @property
+    def c(self) -> Fraction:
+        return self.sides[2]
+
     def rot(self) -> "Metric":
         """Cyclic relabel (a, b, c) -> (b, c, a); used to close formulas cyclically."""
         sides = None if self.sides is None else (self.sides[1], self.sides[2], self.sides[0])
@@ -382,18 +395,6 @@ class RefTriangle(Metric):
         if a + b <= c or b + c <= a or c + a <= b:
             raise InvalidTriangle(f"triangle inequality fails for ({a}, {b}, {c})")
         super().__init__(a * a, b * b, c * c, sides=(a, b, c))
-
-    @property
-    def a(self) -> Fraction:
-        return self.sides[0]
-
-    @property
-    def b(self) -> Fraction:
-        return self.sides[1]
-
-    @property
-    def c(self) -> Fraction:
-        return self.sides[2]
 
     def __repr__(self) -> str:
         return f"RefTriangle({self.a}, {self.b}, {self.c})"

@@ -76,7 +76,6 @@ from .curves import (
 from .kernel import (
     CoincidentArguments,
     GeometryError,
-    HomPoint,
     RefTriangle,
     incident,
     join,
@@ -219,20 +218,13 @@ class Trial:
     def __init__(self, t: RefTriangle, store: Optional[tuple] = None):
         self.t = t
         self._values, self._subs = store if store is not None else ({}, {})
-        self._read: set = set()  # names this trial has read
 
     def __getitem__(self, name: str):
         try:
-            value = self._values[name]
+            return self._values[name]
         except KeyError:
             value = self._values[name] = self._resolve(name)
-        self._read.add(name)
-        return value
-
-    def resolved(self, name: str) -> bool:
-        """Whether ``name`` has been read on this trial (not merely stored
-        by another scenario of the run)."""
-        return name in self._read
+            return value
 
     def _resolve(self, name: str):
         if name in _KIND_NAMES:
@@ -388,17 +380,10 @@ def pascal_claims(conic: str, hexagon, pairs) -> tuple[Claim, Claim]:
 # ---------------------------------------------------------------------------
 # bespoke checks
 
-def _off_sidelines(sub):
-    def ok(p: HomPoint) -> bool:
-        lc = local_coords(p, sub.v1, sub.v2, sub.v3)
-        return 0 not in lc.triple
-
-    return ok
-
-
 def _oi_image(tr: Trial):
     exc, conic = tr["excentral"], tr["exc_conic"]
-    for p in sample_line_points(tr["oi"], 10, accept=_off_sidelines(exc)):
+    for p in sample_line_points(  # points off the excentral sidelines
+            tr["oi"], 10, accept=lambda p: 0 not in local_coords(p, *exc.vertices).triple):
         q = isogonal_in(tr.t, exc, p)
         if not on_conic(q, conic):
             return Failure(str(q), "0",
@@ -446,9 +431,10 @@ def _factorization(tr: Trial):
 
 
 def _hessian_membership(tr: Trial):
-    if not tr.resolved("composition"):
+    try:  # the factorization claim records why there is none
+        comp = tr["composition"]
+    except GeometryError:
         return SKIP
-    comp = tr["composition"]
     hes = hessian(comp)
     if hes is None:
         return Failure("hessian vanishes identically", "cubic",
@@ -462,9 +448,10 @@ def _hessian_membership(tr: Trial):
 
 
 def _smooth(tr: Trial):
-    if not tr.resolved("composition"):
+    try:
+        comp = tr["composition"]
+    except GeometryError:
         return SKIP
-    comp = tr["composition"]
     singular = [lbl for lbl in ("O", "H", "E")
                 if comp.gradient(tr[lbl]) == (0, 0, 0)]
     if not singular:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import typing
 from fractions import Fraction
 
@@ -47,6 +48,7 @@ from tricurves.centers import (
     validate_center_oracles,
 )
 from tricurves.kernel import (
+    GeometryError,
     HomPoint,
     Metric,
     RefTriangle,
@@ -194,6 +196,26 @@ class TestDerivedTriangles:
         m = med.metric()
         assert (m.a2, m.b2, m.c2) == (Fraction(9), Fraction(81, 4), Fraction(169, 4))
         assert m.sides == (Fraction(3), Fraction(9, 2), Fraction(13, 2))
+
+    @pytest.mark.parametrize("kind,ratio", [
+        (TriangleKind.BASE, 1), (TriangleKind.MEDIAL, Fraction(1, 2)),
+        (TriangleKind.EULER, Fraction(1, 2)), (TriangleKind.ANTICOMPLEMENTARY, 2)])
+    def test_exact_sides_scaled_by_ratio(self, kind, ratio):
+        m = derived_triangle(T, kind).metric()
+        assert (m.a, m.b, m.c) == tuple(ratio * s for s in T.sides)
+        # and again inside a derived triangle with exact sides
+        inner = derived_subtriangle(T, derived_triangle(T, TriangleKind.MEDIAL), kind)
+        assert inner.metric().sides == tuple(ratio * s / 2 for s in T.sides)
+
+    @pytest.mark.parametrize("kind", [
+        TriangleKind.EXCENTRAL, TriangleKind.ORTHIC, TriangleKind.MIDARC,
+        TriangleKind.TANGENTIAL])
+    def test_no_exact_sides_off_ratio(self, kind):
+        m = derived_triangle(T, kind).metric()
+        assert not m.has_sides
+        # nor in a derived triangle of a triangle without them
+        inner = derived_subtriangle(T, derived_triangle(T, kind), TriangleKind.MEDIAL)
+        assert not inner.metric().has_sides
 
     def test_subtriangle_sq_sides_match_distances(self):
         for kind in (TriangleKind.EXCENTRAL, TriangleKind.ORTHIC,
@@ -441,6 +463,42 @@ class TestIsogonalPartners:
             assert eval_center(m, cid) == isogonal(m, q)
             checked += 1
         assert checked >= 3
+
+
+# SHA-256 of one "<triangle> <expression> <outcome>" line per expression,
+# outcome the canonical point or the refusal's type name, as the center
+# layer gave them before its rules were each written once
+OUTCOMES_SHA256 = "86b250216d3085d935e1da8c7697509109c78cdfb0a2824d99a56ff851c368d9"
+OUTCOME_TRIANGLES = (
+    (6, 9, 13), (Fraction(3, 2), 2, Fraction(5, 2)), (5, 5, 6), (3, 4, 5),
+    (Fraction(28, 5), 12, 16))
+
+
+def _outcome_expressions(kind: str) -> list[str]:
+    return ([f"{fn}({kind},{cid.value})" for fn in ("center", "isogonal", "isotomic")
+             for cid in CenterId]
+            + [f"{fn}({kind},{i})" for fn in ("vertex", "antipode") for i in range(3)])
+
+
+def _outcome(t: RefTriangle, text: str) -> str:
+    try:
+        return str(eval_expr(t, parse_center(text)))
+    except GeometryError as exc:
+        return type(exc).__name__
+
+
+class TestOutcomesPinned:
+    def test_every_kind_center_conjugate_vertex_pinned(self):
+        """center/isogonal/isotomic of every catalog id, and every vertex and
+        antipode, in every derived triangle of right, isosceles, rational and
+        seeded triangles: 5,760 outcomes."""
+        triangles = ([RefTriangle(*sides) for sides in OUTCOME_TRIANGLES]
+                     + [random_triangle(seed) for seed in (1, 2, 3)])
+        lines = [f"{t!r} {text} {_outcome(t, text)}" for t in triangles
+                 for kind in TriangleKind for text in _outcome_expressions(kind.value)]
+        assert len(lines) == 5760
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == OUTCOMES_SHA256
 
 
 class TestRandomTriangle:

@@ -100,8 +100,54 @@ class TestVerifyCommand:
 
     def test_env_default_trials_invalid(self, monkeypatch):
         monkeypatch.setenv("TCL_DEFAULT_TRIALS", "zap")
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["verify", "corr-medial", "--seed", "1"])
+        assert exc.value.code == 64
+
+    @pytest.mark.parametrize("raw", ["0", "-2"])
+    def test_env_default_trials_below_one(self, monkeypatch, capsys, raw):
+        monkeypatch.setenv("TCL_DEFAULT_TRIALS", raw)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "corr-medial", "--seed", "1"])
+        assert exc.value.code == 64
+        assert "TCL_DEFAULT_TRIALS must be positive" in capsys.readouterr().err
+
+    def test_json_into_missing_directory(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "r.ndjson"
+        assert main(["verify", "corr-medial", "--trials", "1",
+                     "--json", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("io error: ")
+        assert "Traceback" not in captured.err
+        assert not path.exists()
+
+
+class TestUsageErrors:
+    """argparse's own exit code, 2, is verify's verdict-only failure code."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "all", "--trials", "abc"],
+        ["verify", "corr-medial", "--bogus"],
+        [],
+        ["frobnicate"],
+        ["render", "--curve", "circumcircle", "--triangle", "3,4,5"],
+        ["center", "--triangle", "3,4,5", "--center", "I", "--format", "xml"],
+        ["center", "--triangle", "3,4,5"],
+    ])
+    def test_usage_error_exits_64(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
+    @pytest.mark.parametrize("argv", [["-h"], ["verify", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
 
 
 class TestListScenarios:
@@ -162,6 +208,18 @@ class TestRenderCommand:
     def test_requires_target(self, capsys):
         with pytest.raises(SystemExit):
             main(["render", "--curve", "circumcircle", "--triangle", "3,4,6"])
+
+    @pytest.mark.parametrize("curve", [
+        "ellipse", "conic:1,2", "conic:abc,1,1,0,0,0", "conic:0,0,0,0,0,0",
+        "conic:1/0,1,1,0,0,0",   # ended in a ZeroDivisionError traceback
+        "cubic:1,0,0,0,0,0,0,0,0,2/0",
+    ])
+    def test_bad_curve(self, tmp_path, capsys, curve):
+        path = tmp_path / "pts.csv"
+        assert main(["render", "--curve", curve, "--triangle", "6,9,13",
+                     "--csv", str(path)]) == 65
+        assert capsys.readouterr().err.startswith("cannot build figure: ")
+        assert not path.exists()
 
     def test_unknown_scenario(self, tmp_path, capsys):
         assert main(["render", "--scenario", "nosuch", "--triangle", "3,4,6",

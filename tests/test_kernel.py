@@ -225,6 +225,14 @@ class TestMetricValue:
         assert (r.a2, r.b2, r.c2) == (81, 169, 36)
         assert (r.SA, r.SB, r.SC, r.S2) == (T.SB, T.SC, T.SA, T.S2)
         assert r.sides == (9, 13, 6)
+        assert (r.a, r.b, r.c) == (9, 13, 6)
+
+    def test_side_properties_on_any_metric_with_sides(self):
+        m = Metric(9, 16, 25, sides=(3, 4, 5))
+        assert (m.a, m.b, m.c) == (3, 4, 5)
+        assert (m.rot().a, m.rot().b, m.rot().c) == (4, 5, 3)
+        with pytest.raises(TypeError):   # only where has_sides
+            Metric(9, 16, 25).a
 
     def test_rot_skips_validation(self, monkeypatch):
         m = Metric(36, 81, 169, sides=(6, 9, 13))

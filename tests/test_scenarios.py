@@ -24,7 +24,6 @@ from tricurves.scenarios import (
     REGISTRY,
     SKIP,
     Claim,
-    Trial,
     UnknownScenario,
     VERDICT,
     _scenario,
@@ -317,6 +316,25 @@ def test_identical_pencil_cubics_reported_as_error(monkeypatch):
     factorization = claims["euler-line-factorization"]
     assert factorization.status == "error"
     assert "CoincidentArguments" in factorization.failures[0]["detail"]
+    # the two claims that read the composition skip where it is missing
+    assert claims["hessian-membership"].status == "pass"
+    assert claims["euler-points-are-inflections"].status == "pass"
+
+
+def test_missing_line_component_fails_factorization_only(monkeypatch):
+    """Where the Euler line divides no pencil member, the factorization
+    claim fails with a certificate and the other two cor5 claims skip."""
+    def no_component(*args):
+        raise NoLinearComponent("probe")
+
+    monkeypatch.setattr(scenarios, "line_component", no_component)
+    report = run_scenario("cor5-euler-line-component", 2, 23)
+    claims = {c.id: c for c in report.claims}
+    factorization = claims["euler-line-factorization"]
+    assert factorization.status == "fail"
+    assert [f["detail"] for f in factorization.failures] == ["probe", "probe"]
+    assert claims["hessian-membership"].status == "pass"
+    assert claims["euler-points-are-inflections"].status == "pass"
 
 
 class TestCoreDoesNotImportRenderer:
@@ -402,17 +420,6 @@ class TestSharedRun:
         for r in reports:
             assert r.claims[0].status == "error"
             assert "NoLinearComponent: probe" in r.claims[0].failures[0]["detail"]
-
-    def test_resolved_is_per_scenario(self):
-        t = random_triangle(23)
-        with shared_run() as run:
-            first = Trial(t, run.store(t))
-            first["composition"]
-            second = Trial(t, run.store(t))
-            assert first.resolved("composition")
-            assert not second.resolved("composition")
-            assert second["composition"] is first["composition"]
-            assert second.resolved("composition")
 
     def test_run_context_dropped(self, monkeypatch, capsys):
         assert scenarios._RUN.get() is None
