@@ -30,8 +30,8 @@ from .kernel import (
     GeometryError,
     HomLine,
     HomPoint,
+    IntegralView,
     Metric,
-    Rat,
     RefTriangle,
     VERTEX_A,
     VERTEX_B,
@@ -111,9 +111,11 @@ class TriangleKind(str, Enum):
 # ---------------------------------------------------------------------------
 # evaluation rules
 
-_FIRST: dict[CenterId, Callable[[Metric], Fraction]] = {
+# first barycentric of each center, read on a metric's integral view (every
+# rule is homogeneous in the sides, so the view's scale drops out)
+_FIRST: dict[CenterId, Callable[[IntegralView], int]] = {
     CenterId.X1: lambda m: m.a,
-    CenterId.X2: lambda m: Fraction(1),
+    CenterId.X2: lambda m: 1,
     CenterId.X3: lambda m: m.a2 * m.SA,
     CenterId.X4: lambda m: m.SB * m.SC,
     CenterId.X5: lambda m: m.S2 + m.SB * m.SC,
@@ -174,7 +176,7 @@ def _taylor_center(m: Metric) -> HomPoint:
     raise GeometryError("projection points admit no equidistant point")
 
 
-def center_coords(m: Metric, cid: CenterId) -> tuple[Rat, Rat, Rat]:
+def center_coords(m: Metric, cid: CenterId) -> tuple[int, int, int]:
     """Raw homogeneous coordinates of a catalog center in the frame of ``m``."""
     if cid in _VERTEX_OF:
         return _VERTEX_OF[cid].triple
@@ -185,10 +187,11 @@ def center_coords(m: Metric, cid: CenterId) -> tuple[Rat, Rat, Rat]:
             f"{cid.value} needs exact side lengths, which this triangle lacks")
     if cid in _ISOGONAL_OF:
         # unchecked, unlike isogonal(), which refuses a partner on a sideline
-        return _conjugate((m.a2, m.b2, m.c2), center_coords(m, _ISOGONAL_OF[cid]))
+        return _conjugate(_weights("isogonal", m), center_coords(m, _ISOGONAL_OF[cid]))
     f = _FIRST[cid]
-    r = m.rot()
-    return (f(m), f(r), f(r.rot()))
+    u = m.unit
+    r = u.rot()
+    return (f(u), f(r), f(r.rot()))
 
 
 def eval_center(m: Metric, cid: CenterId) -> HomPoint:
@@ -209,24 +212,36 @@ def anticomplement(p: HomPoint) -> HomPoint:
     return HomPoint(-x + y + z, x - y + z, x + y - z)
 
 
-def _conjugate(weights: Sequence[Rat], triple: Sequence[Rat]) -> tuple[Rat, Rat, Rat]:
+def _conjugate(weights: Sequence[int], triple: Sequence[int]) -> tuple[int, int, int]:
     """The conjugate (u*y*z : v*z*x : w*x*y) of (x : y : z) for weights (u, v, w)."""
     (u, v, w), (x, y, z) = weights, triple
     return (u * y * z, v * z * x, w * x * y)
 
 
-def _conjugate_point(what: str, weights: Sequence[Rat], p: HomPoint) -> HomPoint:
+def _weights(conj: str, m: Optional[Metric]) -> tuple[int, int, int]:
+    """Isogonal weights a2, b2, c2 (read on the integral view of ``m``) or
+    isotomic weights 1, 1, 1."""
+    if conj == "isogonal":
+        u = m.unit
+        return (u.a2, u.b2, u.c2)
+    if conj == "isotomic":
+        return (1, 1, 1)
+    raise ValueError(f"unknown conjugation {conj!r}")
+
+
+def _conjugate_point(conj: str, m: Optional[Metric], p: HomPoint) -> HomPoint:
+    weights = _weights(conj, m)
     if 0 in p.triple:
-        raise OnSideline(f"{what} conjugate of {p} (on a sideline) is undefined")
+        raise OnSideline(f"{conj} conjugate of {p} (on a sideline) is undefined")
     return HomPoint(*_conjugate(weights, p.triple))
 
 
 def isogonal(m: Metric, p: HomPoint) -> HomPoint:
-    return _conjugate_point("isogonal", (m.a2, m.b2, m.c2), p)
+    return _conjugate_point("isogonal", m, p)
 
 
 def isotomic(p: HomPoint) -> HomPoint:
-    return _conjugate_point("isotomic", (1, 1, 1), p)
+    return _conjugate_point("isotomic", None, p)
 
 
 # ---------------------------------------------------------------------------
@@ -251,48 +266,50 @@ class SubTriangle:
 
 
 def _derived_local(m: Metric, kind: TriangleKind):
-    """Vertex coordinate triples of the derived triangle, in the frame of ``m``.
+    """Vertex coordinate triples of the derived triangle, in the frame of
+    ``m`` (read on its integral view).
 
     Also returns the ratio of the derived triangle's sides to the frame's
     (1, 1/2 or 2) where it is rational, else ``None``.
     """
+    u = m.unit
     if kind is TriangleKind.BASE:
         return ((1, 0, 0), (0, 1, 0), (0, 0, 1)), 1
     if kind is TriangleKind.EXCENTRAL:
         if not m.has_sides:
             raise OddCenterWithoutSides("excenters need exact side lengths")
-        a, b, c = m.sides
+        a, b, c = u.sides
         return ((-a, b, c), (a, -b, c), (a, b, -c)), None
     if kind is TriangleKind.MEDIAL:
         return ((0, 1, 1), (1, 0, 1), (1, 1, 0)), Fraction(1, 2)
     if kind is TriangleKind.ORTHIC:
         if m.is_right():
             raise RightTriangle("orthic triangle of a right triangle is degenerate")
-        return ((0, m.SC, m.SB), (m.SC, 0, m.SA), (m.SB, m.SA, 0)), None
+        return ((0, u.SC, u.SB), (u.SC, 0, u.SA), (u.SB, u.SA, 0)), None
     if kind is TriangleKind.ANTICOMPLEMENTARY:
         return ((-1, 1, 1), (1, -1, 1), (1, 1, -1)), 2
     if kind is TriangleKind.EULER:
         # midpoints of each vertex with the orthocenter
-        sbc, sca, sab = m.SB * m.SC, m.SC * m.SA, m.SA * m.SB
+        sbc, sca, sab = u.SB * u.SC, u.SC * u.SA, u.SA * u.SB
         return (
-            (m.S2 + sbc, sca, sab),
-            (sbc, m.S2 + sca, sab),
-            (sbc, sca, m.S2 + sab),
+            (u.S2 + sbc, sca, sab),
+            (sbc, u.S2 + sca, sab),
+            (sbc, sca, u.S2 + sab),
         ), Fraction(1, 2)
     if kind is TriangleKind.MIDARC:
         # second intersections of the internal bisectors with the circumcircle
         if not m.has_sides:
             raise OddCenterWithoutSides("arc midpoints need exact side lengths")
-        a, b, c = m.sides
+        a, b, c = u.sides
         return (
-            (-m.a2, b * (b + c), c * (b + c)),
-            (a * (c + a), -m.b2, c * (c + a)),
-            (a * (a + b), b * (a + b), -m.c2),
+            (-u.a2, b * (b + c), c * (b + c)),
+            (a * (c + a), -u.b2, c * (c + a)),
+            (a * (a + b), b * (a + b), -u.c2),
         ), None
     if kind is TriangleKind.TANGENTIAL:
         if m.is_right():
             raise RightTriangle("tangential triangle of a right triangle is degenerate")
-        return ((-m.a2, m.b2, m.c2), (m.a2, -m.b2, m.c2), (m.a2, m.b2, -m.c2)), None
+        return ((-u.a2, u.b2, u.c2), (u.a2, -u.b2, u.c2), (u.a2, u.b2, -u.c2)), None
     raise ValueError(f"unknown triangle kind {kind}")
 
 
@@ -327,14 +344,31 @@ def eval_center_in(t: RefTriangle, sub: SubTriangle, cid: CenterId) -> HomPoint:
     return from_local(HomPoint(*center_coords(sub.metric(), cid)), *sub.vertices)
 
 
+def _conjugate_in(conj: str, sub: SubTriangle, p: HomPoint) -> HomPoint:
+    local = local_coords(p, *sub.vertices)
+    return from_local(_conjugate_point(conj, sub.metric(), local), *sub.vertices)
+
+
 def isogonal_in(t: RefTriangle, sub: SubTriangle, p: HomPoint) -> HomPoint:
     """Isogonal conjugate relative to a derived triangle, in base coordinates."""
-    return from_local(isogonal(sub.metric(), local_coords(p, *sub.vertices)),
-                      *sub.vertices)
+    return _conjugate_in("isogonal", sub, p)
 
 
 def isotomic_in(t: RefTriangle, sub: SubTriangle, p: HomPoint) -> HomPoint:
-    return from_local(isotomic(local_coords(p, *sub.vertices)), *sub.vertices)
+    return _conjugate_in("isotomic", sub, p)
+
+
+def conjugate(t: RefTriangle, conj: str, sub: Optional[SubTriangle],
+              p: HomPoint) -> HomPoint:
+    """The ``conj`` ("isogonal" or "isotomic") conjugate of ``p`` relative to
+    ``sub``, or to the base where ``sub`` is None, in base coordinates."""
+    if sub is None:
+        return _conjugate_point(conj, t, p)
+    if conj == "isogonal":
+        return isogonal_in(t, sub, p)
+    if conj == "isotomic":
+        return isotomic_in(t, sub, p)
+    raise ValueError(f"unknown conjugation {conj!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -424,16 +458,11 @@ def eval_expr(t: RefTriangle, e: CenterExpr,
             return complement(rec(expr.e))
         if isinstance(expr, Anticomplement):
             return anticomplement(rec(expr.e))
-        if isinstance(expr, IsogonalIn):
+        if isinstance(expr, (IsogonalIn, IsotomicIn)):
             p = rec(expr.e)
-            if expr.kind is TriangleKind.BASE:
-                return isogonal(t, p)
-            return isogonal_in(t, sub_of(expr.kind), p)
-        if isinstance(expr, IsotomicIn):
-            p = rec(expr.e)
-            if expr.kind is TriangleKind.BASE:
-                return isotomic(p)
-            return isotomic_in(t, sub_of(expr.kind), p)
+            sub = None if expr.kind is TriangleKind.BASE else sub_of(expr.kind)
+            conj = "isogonal" if isinstance(expr, IsogonalIn) else "isotomic"
+            return conjugate(t, conj, sub, p)
         if isinstance(expr, CenterOf):
             if expr.kind is TriangleKind.BASE:
                 return eval_center(t, expr.cid)

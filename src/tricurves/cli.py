@@ -82,6 +82,30 @@ def _report_summary(report: Report) -> str:
             f"pass, skipped={report.skipped}, verdict-only failures: {verdicts}")
 
 
+def _run_reports(ids, trials: int, seed: int, fail_fast: bool):
+    """Run the scenarios in one shared run; returns (reports, exit code)."""
+    reports: list[Report] = []
+    worst = EXIT_OK
+    with shared_run():
+        for sid in ids:
+            try:
+                report = run_scenario(sid, trials, seed)
+            except Exception as exc:  # a TooManySkips message names the scenario
+                why = (exc if isinstance(exc, TooManySkips)
+                       else f"{sid}: {type(exc).__name__}: {exc}")
+                print(f"stopped: {why}", file=sys.stderr)
+                worst = EXIT_MUST_FAIL
+                break
+            reports.append(report)
+            if report.has_error or not report.must_pass_ok:
+                worst = EXIT_MUST_FAIL
+            elif worst == EXIT_OK and report.verdict_failures:
+                worst = EXIT_VERDICT_FAIL
+            if fail_fast and worst == EXIT_MUST_FAIL:
+                break
+    return reports, worst
+
+
 def cmd_verify(args) -> int:
     trials = args.trials if args.trials is not None else _default_trials()
     if trials < 1:
@@ -95,38 +119,20 @@ def cmd_verify(args) -> int:
                   "see `tricurves list-scenarios`", file=sys.stderr)
             return EXIT_USAGE
         ids = [args.scenario]
-    reports: list[Report] = []
-    worst = EXIT_OK
-    with shared_run():
-        for sid in ids:
-            try:
-                report = run_scenario(sid, trials, args.seed)
-            except Exception as exc:  # a TooManySkips message names the scenario
-                why = (exc if isinstance(exc, TooManySkips)
-                       else f"{sid}: {type(exc).__name__}: {exc}")
-                print(f"stopped: {why}", file=sys.stderr)
-                worst = EXIT_MUST_FAIL
-                break
-            reports.append(report)
-            if report.has_error or not report.must_pass_ok:
-                worst = EXIT_MUST_FAIL
-            elif worst == EXIT_OK and report.verdict_failures:
-                worst = EXIT_VERDICT_FAIL
-            if args.fail_fast and worst == EXIT_MUST_FAIL:
-                break
-    lines = [report_json(r) for r in reports]
-    if args.json:
-        try:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + "\n")
-        except OSError as exc:
-            print(f"io error: {exc}", file=sys.stderr)
-            return EXIT_MUST_FAIL
+    if not args.json:
+        reports, worst = _run_reports(ids, trials, args.seed, args.fail_fast)
         for r in reports:
-            print(_report_summary(r))
-    else:
-        for line in lines:
-            print(line)
+            print(report_json(r))
+        return worst
+    try:  # opened before the first scenario, so a bad path fails at once
+        with open(args.json, "w", encoding="utf-8") as fh:
+            reports, worst = _run_reports(ids, trials, args.seed, args.fail_fast)
+            fh.write("\n".join(report_json(r) for r in reports) + "\n")
+    except OSError as exc:
+        print(f"io error: {exc}", file=sys.stderr)
+        return EXIT_MUST_FAIL
+    for r in reports:
+        print(_report_summary(r))
     return worst
 
 

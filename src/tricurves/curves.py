@@ -568,12 +568,4 @@ def pivotal_membership(t, pivot: HomPoint, conj: str, x: HomPoint,
     ``conj`` is "isogonal" or "isotomic"; ``sub`` selects the derived
     triangle whose conjugation is used (base triangle when omitted).
     """
-    if conj == "isogonal":
-        cx = (_centers.isogonal(t, x) if sub is None
-              else _centers.isogonal_in(t, sub, x))
-    elif conj == "isotomic":
-        cx = (_centers.isotomic(x) if sub is None
-              else _centers.isotomic_in(t, sub, x))
-    else:
-        raise ValueError(f"unknown conjugation {conj!r}")
-    return collinear(x, cx, pivot)
+    return collinear(x, _centers.conjugate(t, conj, sub, x), pivot)

@@ -14,13 +14,23 @@ Metric predicates are routed through the symbols
 which make squared distances, perpendicular feet and perpendicularity of
 directions rational functions of the squared side lengths.  The module is
 floating-point free: all arithmetic is ``int`` / ``fractions.Fraction``.
+
+Each ``Metric`` also carries ``unit``, one integral view of the same
+triangle (an :class:`IntegralView`, built once in ``__init__`` and permuted
+by ``rot()``): its squared sides, SA, SB, SC and S2 are integers.  Squared
+distances, perpendicular directions and bisectors here, and the center
+formulas, conjugation weights and derived-triangle vertices in
+``tricurves.centers``, read it instead of the fractional fields; each of
+those formulas is homogeneous in the sides, so the view's scale drops out
+of every canonical result.  The public fields keep the given scale, and
+``squared_distance`` divides the scale back out.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 Rat = Union[int, Fraction]
 
@@ -86,24 +96,34 @@ def _fraction(v: Rat) -> Fraction:
     raise TypeError(f"exact core accepts int/Fraction only, got {type(v).__name__}")
 
 
-def canonical_ints(values: Iterable[Rat]) -> tuple[int, ...]:
-    """Clear denominators, divide by the gcd, make the first nonzero entry positive."""
-    vals = tuple(values)
+def _clear_denominators(vals: tuple) -> tuple[int, ...]:
     for v in vals:
         if not isinstance(v, (int, Fraction)):
             raise TypeError(
                 f"exact core accepts int/Fraction only, got {type(v).__name__}")
     den = math.lcm(*(v.denominator for v in vals))
-    ints = [v.numerator * (den // v.denominator) for v in vals]
-    g = math.gcd(*ints)
+    return tuple(v.numerator * (den // v.denominator) for v in vals)
+
+
+def canonical_ints(values: Iterable[Rat]) -> tuple[int, ...]:
+    """Clear denominators, divide by the gcd, make the first nonzero entry positive."""
+    vals = tuple(values)
+    for v in vals:
+        if type(v) is not int:  # a Fraction or bool, or a type refused there
+            vals = _clear_denominators(vals)
+            break
+    g = math.gcd(*vals)
     if g == 0:
         raise ZeroVector("all coordinates are zero")
-    if next(v for v in ints if v) < 0:
+    if next(filter(None, vals)) < 0:
         g = -g
-    ints = [v // g for v in ints]
+    if g != 1:
+        vals = tuple([v // g for v in vals])
     global _bit_high_water
-    _bit_high_water = max(_bit_high_water, *(v.bit_length() for v in ints))
-    return tuple(ints)
+    bits = max(max(vals), -min(vals)).bit_length()
+    if bits > _bit_high_water:
+        _bit_high_water = bits
+    return vals
 
 
 class _CanonicalVector:
@@ -280,11 +300,16 @@ def sample_line_points(
 # ---------------------------------------------------------------------------
 # affine structure
 
-def normalize_affine(p: HomPoint) -> tuple[Fraction, Fraction, Fraction]:
-    """Scale so the coordinates sum to one; rejects points at infinity."""
+def _affine_sum(p: HomPoint) -> int:
     s = p.x + p.y + p.z
     if s == 0:
         raise PointAtInfinity(f"{p} is a direction, not an affine point")
+    return s
+
+
+def normalize_affine(p: HomPoint) -> tuple[Fraction, Fraction, Fraction]:
+    """Scale so the coordinates sum to one; rejects points at infinity."""
+    s = _affine_sum(p)
     return (Fraction(p.x, s), Fraction(p.y, s), Fraction(p.z, s))
 
 
@@ -302,16 +327,55 @@ def affine_combine(terms: Sequence[tuple[HomPoint, Rat]]) -> HomPoint:
 
 
 def midpoint(p: HomPoint, q: HomPoint) -> HomPoint:
-    return affine_combine(((p, Fraction(1, 2)), (q, Fraction(1, 2))))
+    """p/sp + q/sq, scaled by sp*sq to stay in integers."""
+    sp, sq = _affine_sum(p), _affine_sum(q)
+    return HomPoint(*(sq * u + sp * v for u, v in zip(p.triple, q.triple)))
 
 
 def reflect_through(center: HomPoint, p: HomPoint) -> HomPoint:
-    """Point reflection of ``p`` through ``center``."""
-    return affine_combine(((center, 2), (p, -1)))
+    """Point reflection of ``p`` through ``center``: 2*c/sc - p/sp, scaled
+    by sc*sp."""
+    sc, sp = _affine_sum(center), _affine_sum(p)
+    return HomPoint(*(2 * sp * c - sc * u for c, u in zip(center.triple, p.triple)))
 
 
 # ---------------------------------------------------------------------------
 # metric context
+
+class IntegralView(NamedTuple):
+    """A Metric's fields scaled to integers, for formulas homogeneous in the
+    sides: ``a2 == m.a2 * q`` (likewise ``b2``, ``c2``, ``SA``, ``SB``,
+    ``SC``), ``S2 == m.S2 * q**2`` and, where the metric has sides,
+    ``sides == m.sides * k`` with ``q == k**2``."""
+
+    a2: int
+    b2: int
+    c2: int
+    SA: int
+    SB: int
+    SC: int
+    S2: int
+    sides: Optional[tuple[int, int, int]]
+    q: int
+
+    @property
+    def a(self) -> int:
+        return self.sides[0]
+
+    @property
+    def b(self) -> int:
+        return self.sides[1]
+
+    @property
+    def c(self) -> int:
+        return self.sides[2]
+
+    def rot(self) -> "IntegralView":
+        """Cyclic relabel (a, b, c) -> (b, c, a), as :meth:`Metric.rot`."""
+        sides = None if self.sides is None else (self.sides[1], self.sides[2], self.sides[0])
+        return IntegralView(self.b2, self.c2, self.a2, self.SB, self.SC, self.SA,
+                            self.S2, sides, self.q)
+
 
 class Metric:
     """Squared-side-length context for metric computations.
@@ -322,28 +386,45 @@ class Metric:
     perfectly good Metric (their squared sides are rational) but no
     ``sides`` attribute.  A Metric is immutable and validated once, in
     ``__init__``; :meth:`rot` permutes the validated fields.
+
+    ``unit`` is the same triangle in integers (an :class:`IntegralView`):
+    the sides times k = 2*lcm(side denominators) where the metric has
+    sides, else the squared sides times q = 4*lcm(their denominators).
+    Either way the scaled squared sides are multiples of 4, so SA, SB, SC
+    and S2 come out integral.  The public fields keep the given scale.
     """
 
-    __slots__ = ("a2", "b2", "c2", "SA", "SB", "SC", "S2", "sides")
+    __slots__ = ("a2", "b2", "c2", "SA", "SB", "SC", "S2", "sides", "unit")
 
     def __init__(self, a2: Rat, b2: Rat, c2: Rat,
                  sides: Optional[Sequence[Rat]] = None):
-        a2, b2, c2 = _fraction(a2), _fraction(b2), _fraction(c2)
-        if a2 <= 0 or b2 <= 0 or c2 <= 0:
+        squares = _fraction(a2), _fraction(b2), _fraction(c2)
+        if any(v <= 0 for v in squares):
             raise InvalidTriangle("squared side lengths must be positive")
-        SA = (b2 + c2 - a2) / 2
-        SB = (c2 + a2 - b2) / 2
-        SC = (a2 + b2 - c2) / 2
-        S2 = SA * SB + SB * SC + SC * SA
-        if S2 <= 0:
-            raise InvalidTriangle("degenerate triangle: S^2 <= 0")
-        if sides is not None:
+        if sides is None:
+            q = 4 * math.lcm(*(v.denominator for v in squares))
+            whole = None
+            ua2, ub2, uc2 = (v.numerator * (q // v.denominator) for v in squares)
+        else:
             sides = tuple(_fraction(s) for s in sides)
             if len(sides) != 3 or any(s <= 0 for s in sides):
                 raise InvalidTriangle("sides must be three positive rationals")
-            if (sides[0] ** 2, sides[1] ** 2, sides[2] ** 2) != (a2, b2, c2):
+            k = 2 * math.lcm(*(s.denominator for s in sides))
+            whole = tuple(s.numerator * (k // s.denominator) for s in sides)
+            q = k * k
+            ua2, ub2, uc2 = (s * s for s in whole)
+            if any(u * v.denominator != v.numerator * q
+                   for u, v in zip((ua2, ub2, uc2), squares)):
                 raise InvalidTriangle("sides inconsistent with squared sides")
-        self._fill(a2, b2, c2, SA, SB, SC, S2, sides)
+        SA = (ub2 + uc2 - ua2) // 2
+        SB = (uc2 + ua2 - ub2) // 2
+        SC = (ua2 + ub2 - uc2) // 2
+        S2 = SA * SB + SB * SC + SC * SA
+        if S2 <= 0:
+            raise InvalidTriangle("degenerate triangle: S^2 <= 0")
+        self._fill(*squares, Fraction(SA, q), Fraction(SB, q), Fraction(SC, q),
+                   Fraction(S2, q * q), sides,
+                   IntegralView(ua2, ub2, uc2, SA, SB, SC, S2, whole, q))
 
     def _fill(self, *values) -> None:
         for name, value in zip(Metric.__slots__, values):
@@ -373,14 +454,17 @@ class Metric:
         """Cyclic relabel (a, b, c) -> (b, c, a); used to close formulas cyclically."""
         sides = None if self.sides is None else (self.sides[1], self.sides[2], self.sides[0])
         r = object.__new__(Metric)
-        r._fill(self.b2, self.c2, self.a2, self.SB, self.SC, self.SA, self.S2, sides)
+        r._fill(self.b2, self.c2, self.a2, self.SB, self.SC, self.SA, self.S2, sides,
+                self.unit.rot())
         return r
 
     def is_right(self) -> bool:
-        return self.SA == 0 or self.SB == 0 or self.SC == 0
+        u = self.unit
+        return u.SA == 0 or u.SB == 0 or u.SC == 0
 
     def is_acute(self) -> bool:
-        return self.SA > 0 and self.SB > 0 and self.SC > 0
+        u = self.unit
+        return u.SA > 0 and u.SB > 0 and u.SC > 0
 
 
 class RefTriangle(Metric):
@@ -412,8 +496,9 @@ def squared_distance(p: HomPoint, q: HomPoint, m: Metric) -> Fraction:
     u = p.x * sq - q.x * sp
     v = p.y * sq - q.y * sp
     w = p.z * sq - q.z * sp
-    num = -(m.a2 * v * w + m.b2 * w * u + m.c2 * u * v)
-    return num / Fraction(sp * sp * sq * sq)
+    i = m.unit
+    num = -(i.a2 * v * w + i.b2 * w * u + i.c2 * u * v)
+    return Fraction(num, i.q * sp * sp * sq * sq)
 
 
 def point_line_distance_sq(p: HomPoint, l: HomLine, m: Metric) -> Fraction:
@@ -452,10 +537,8 @@ def perpendicular_infinite_point(d: HomPoint, m: Metric) -> HomPoint:
     """
     if not d.is_infinite():
         raise NotADirection(f"{d} has nonzero coordinate sum")
-    w = cross(
-        tuple(canonical_ints((m.SA * d.x, m.SB * d.y, m.SC * d.z))),
-        (1, 1, 1),
-    )
+    u = m.unit
+    w = cross(canonical_ints((u.SA * d.x, u.SB * d.y, u.SC * d.z)), (1, 1, 1))
     return HomPoint(*w)
 
 
@@ -469,20 +552,25 @@ def foot_of_perpendicular(p: HomPoint, l: HomLine, m: Metric) -> HomPoint:
 
 
 def bisector_line(p: HomPoint, q: HomPoint, m: Metric) -> HomLine:
-    """Perpendicular bisector: locus of equal squared distance to p and q."""
+    """Perpendicular bisector: locus of equal squared distance to p and q.
+
+    Written for p/sp and q/sq, then scaled by (sp*sq)**2 and by the
+    integral view's q to stay in integers."""
     if p == q:
         raise CoincidentArguments("bisector of coincident points")
-    P = normalize_affine(p)
-    Q = normalize_affine(q)
-    l1 = -m.b2 * (Q[2] - P[2]) - m.c2 * (Q[1] - P[1])
-    l2 = -m.a2 * (Q[2] - P[2]) - m.c2 * (Q[0] - P[0])
-    l3 = -m.a2 * (Q[1] - P[1]) - m.b2 * (Q[0] - P[0])
+    sp, sq = _affine_sum(p), _affine_sum(q)
+    (p0, p1, p2), (q0, q1, q2) = p.triple, q.triple
+    d0, d1, d2 = q0 * sp - p0 * sq, q1 * sp - p1 * sq, q2 * sp - p2 * sq
+    u = m.unit
+    s, pp, qq = sp * sq, sq * sq, sp * sp
     c0 = -(
-        m.a2 * (P[1] * P[2] - Q[1] * Q[2])
-        + m.b2 * (P[2] * P[0] - Q[2] * Q[0])
-        + m.c2 * (P[0] * P[1] - Q[0] * Q[1])
+        u.a2 * (p1 * p2 * pp - q1 * q2 * qq)
+        + u.b2 * (p2 * p0 * pp - q2 * q0 * qq)
+        + u.c2 * (p0 * p1 * pp - q0 * q1 * qq)
     )
-    return HomLine(l1 + c0, l2 + c0, l3 + c0)
+    return HomLine(c0 - (u.b2 * d2 + u.c2 * d1) * s,
+                   c0 - (u.a2 * d2 + u.c2 * d0) * s,
+                   c0 - (u.a2 * d1 + u.b2 * d0) * s)
 
 
 def equidistant_point(p1: HomPoint, p2: HomPoint, p3: HomPoint, m: Metric) -> HomPoint:

@@ -34,7 +34,9 @@ from tricurves.centers import (
     VertexOf,
     AntipodeOf,
     anticomplement,
+    center_coords,
     complement,
+    conjugate,
     derived_subtriangle,
     derived_triangle,
     eval_center,
@@ -43,6 +45,7 @@ from tricurves.centers import (
     isogonal,
     isogonal_in,
     isotomic,
+    isotomic_in,
     parse_center,
     random_triangle,
     validate_center_oracles,
@@ -186,6 +189,16 @@ class TestConjugations:
             isogonal(T, HomPoint(0, 1, 1))
         with pytest.raises(OnSideline):
             isotomic(HomPoint(1, 0, 1))
+
+    @pytest.mark.parametrize("kind", [None, TriangleKind.MEDIAL])
+    def test_conjugate_dispatch(self, kind):
+        sub = None if kind is None else derived_triangle(T, kind)
+        p = eval_center(T, CenterId.X1)
+        want = ((isogonal(T, p), isotomic(p)) if sub is None
+                else (isogonal_in(T, sub, p), isotomic_in(T, sub, p)))
+        assert (conjugate(T, "isogonal", sub, p), conjugate(T, "isotomic", sub, p)) == want
+        with pytest.raises(ValueError):
+            conjugate(T, "polar", sub, p)
 
 
 class TestDerivedTriangles:
@@ -445,6 +458,31 @@ def _metrics(t):
         except RightTriangle:
             pass
     return out
+
+
+class TestIntegralCenters:
+    @pytest.mark.parametrize("sides", [
+        (6, 9, 13), (Fraction(3, 2), 2, Fraction(5, 2)), (Fraction(28, 5), 12, 16)])
+    def test_center_coords_are_ints(self, sides):
+        """The center layer runs on each metric's integral view: no rule
+        hands a Fraction to canonicalization."""
+        t = RefTriangle(*sides)
+        metrics = [t]
+        for kind in (TriangleKind.ORTHIC, TriangleKind.EXCENTRAL):
+            try:
+                metrics.append(derived_triangle(t, kind).own_metric)
+            except RightTriangle:
+                pass
+        evaluated = 0
+        for m in metrics:
+            for cid in CATALOG:
+                try:
+                    coords = center_coords(m, cid)
+                except (OddCenterWithoutSides, RightTriangle):
+                    continue
+                assert all(type(v) is int for v in coords), (m, cid, coords)
+                evaluated += 1
+        assert evaluated >= len(CATALOG) - 1
 
 
 class TestIsogonalPartners:

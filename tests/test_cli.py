@@ -121,6 +121,23 @@ class TestVerifyCommand:
         assert "Traceback" not in captured.err
         assert not path.exists()
 
+    def test_json_bad_path_fails_before_any_scenario(self, tmp_path, capsys,
+                                                     monkeypatch):
+        import tricurves.cli as cli
+
+        real, calls = cli.run_scenario, []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "run_scenario", counted)
+        path = tmp_path / "missing" / "x.ndjson"
+        assert main(["verify", "all", "--trials", "100",
+                     "--json", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("io error: ")
+        assert calls == []
+
 
 class TestUsageErrors:
     """argparse's own exit code, 2, is verify's verdict-only failure code."""

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from tricurves.centers import (
+    CATALOG,
     CenterId,
+    OnSideline,
     TriangleKind,
     derived_triangle,
     eval_center,
@@ -63,8 +65,11 @@ from tricurves.kernel import (
     adjugate3,
     affine_combine,
     det3,
+    collinear,
+    from_local,
     incident,
     join,
+    local_coords,
     midpoint,
     point_line_distance_sq,
     squared_distance,
@@ -617,6 +622,31 @@ class TestPivotal:
     def test_unknown_conjugation(self):
         with pytest.raises(ValueError):
             pivotal_membership(T, VERTEX_A, "polar", HomPoint(1, 1, 1))
+
+    @given(st.integers(0, 10**6), st.sampled_from(("isogonal", "isotomic")),
+           st.sampled_from((None,) + tuple(TriangleKind)),
+           st.sampled_from(CATALOG), st.sampled_from(CATALOG))
+    @settings(max_examples=80, deadline=None)
+    def test_verdicts_match_fractional_conjugation(self, seed, conj, kind, pivot, x):
+        """The verdicts equal those of the conjugation written out over the
+        public, fractional squared sides of the (derived) triangle."""
+        t = random_triangle(seed)
+        try:
+            sub = None if kind is None else derived_triangle(t, kind)
+            pv, p = eval_center(t, pivot), eval_center(t, x)
+        except GeometryError:
+            return
+        m = t if sub is None else sub.metric()
+        u, v, w = p.triple if sub is None else local_coords(p, *sub.vertices).triple
+        if 0 in (u, v, w):
+            with pytest.raises(OnSideline):
+                pivotal_membership(t, pv, conj, p, sub=sub)
+            return
+        weights = (m.a2, m.b2, m.c2) if conj == "isogonal" else (1, 1, 1)
+        cx = HomPoint(weights[0] * v * w, weights[1] * w * u, weights[2] * u * v)
+        if sub is not None:
+            cx = from_local(cx, *sub.vertices)
+        assert pivotal_membership(t, pv, conj, p, sub=sub) == collinear(p, cx, pv)
 
 
 class TestRectangularityCrossValidation:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from tricurves.kernel import (
     ZeroVector,
     affine_combine,
     bisector_line,
+    canonical_ints,
     collinear,
     equidistant_point,
     foot_of_perpendicular,
@@ -80,6 +82,26 @@ class TestCanonical:
     def test_scale_invariant(self, t, k):
         assert HomPoint(*t) == HomPoint(*(k * v for v in t))
         assert HomPoint(*t) == HomPoint(*(-k * v for v in t))
+
+    @given(st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=10).filter(any))
+    def test_int_fast_path_matches_fractions(self, values):
+        ints = canonical_ints(values)
+        assert ints == canonical_ints([Fraction(v) for v in values])
+        assert all(type(v) is int for v in ints)
+
+    def test_bools_take_the_checked_path(self):
+        ints = canonical_ints((True, False, 2))
+        assert ints == (1, 0, 2) and all(type(v) is int for v in ints)
+
+    @pytest.mark.parametrize("values", [(1, 2.0, 3), (2.0, 4.0)])
+    def test_float_among_ints_rejected(self, values):
+        with pytest.raises(TypeError):
+            canonical_ints(values)
+
+    @pytest.mark.parametrize("values", [(0, 0, 0), (0,), (Fraction(0), 0)])
+    def test_all_zero_rejected(self, values):
+        with pytest.raises(ZeroVector):
+            canonical_ints(values)
 
 
 class TestIncidence:
@@ -153,6 +175,31 @@ class TestAffine:
         p = VERTEX_A
         q = reflect_through(c, p)
         assert midpoint(p, q) == HomPoint(*normalize_affine(c))
+
+    @given(nonzero_triples, nonzero_triples)
+    @settings(max_examples=200)
+    def test_integer_weights_match_affine_combine(self, a, b):
+        p, q = HomPoint(*a), HomPoint(*b)
+        if p.is_infinite() or q.is_infinite():
+            return
+        half = Fraction(1, 2)
+        assert midpoint(p, q) == affine_combine(((p, half), (q, half)))
+        assert reflect_through(p, q) == affine_combine(((p, 2), (q, -1)))
+
+    def test_negative_coordinate_sums(self):
+        p, q = HomPoint(1, -4, 2), HomPoint(1, 2, 4)
+        assert sum(p.triple) < 0 < sum(q.triple)
+        half = Fraction(1, 2)
+        assert midpoint(p, q) == affine_combine(((p, half), (q, half)))
+        assert reflect_through(p, q) == affine_combine(((p, 2), (q, -1)))
+        assert reflect_through(q, p) == affine_combine(((q, 2), (p, -1)))
+
+    @pytest.mark.parametrize("op", [midpoint, reflect_through])
+    def test_direction_rejected(self, op):
+        d = HomPoint(1, -1, 0)
+        for args in ((d, VERTEX_A), (VERTEX_A, d)):
+            with pytest.raises(PointAtInfinity):
+                op(*args)
 
 
 class TestTriangleValidation:
@@ -242,6 +289,53 @@ class TestMetricValue:
 
         monkeypatch.setattr(Metric, "__init__", refuse)
         assert m.rot().rot().rot().sides == m.sides
+
+
+rational_sides = st.tuples(
+    *(st.fractions(min_value=1, max_value=40, max_denominator=9),) * 3
+).filter(lambda s: 2 * max(s) < sum(s))
+rational_squares = st.tuples(
+    *(st.fractions(min_value=1, max_value=200, max_denominator=12),) * 3)
+
+
+class TestIntegralView:
+    def _check(self, m):
+        u = m.unit
+        q = u.q
+        assert (u.a2, u.b2, u.c2) == (m.a2 * q, m.b2 * q, m.c2 * q)
+        assert (u.SA, u.SB, u.SC) == (m.SA * q, m.SB * q, m.SC * q)
+        assert u.S2 == m.S2 * q * q
+        if m.has_sides:
+            k = math.isqrt(q)
+            assert k * k == q
+            assert u.sides == tuple(s * k for s in m.sides)
+            assert (u.a, u.b, u.c) == u.sides
+        else:
+            assert u.sides is None
+        assert all(type(v) is int for v in u[:7] + (q,) + (u.sides or ()))
+        assert m.rot().unit == m.unit.rot()
+        assert m.rot().rot().rot().unit == m.unit
+
+    @given(st.one_of(side_triples, rational_sides), st.booleans())
+    @settings(max_examples=100)
+    def test_scaled_fields_from_sides(self, sides, with_sides):
+        a, b, c = sides
+        self._check(Metric(a * a, b * b, c * c, sides=sides if with_sides else None))
+
+    @given(rational_squares)
+    @settings(max_examples=100)
+    def test_scaled_fields_from_squares(self, squares):
+        try:
+            m = Metric(*squares)
+        except InvalidTriangle:
+            return
+        self._check(m)
+
+    def test_reftriangle(self):
+        t = RefTriangle(Fraction(3, 2), 2, Fraction(5, 2))
+        assert t.unit.sides == (6, 8, 10) and t.unit.q == 16
+        assert repr(t) == "RefTriangle(3/2, 2, 5/2)"
+        self._check(t)
 
 
 class TestMetricOps:
