@@ -11,7 +11,9 @@ exits 65 on an invalid triangle and 64 on an unknown center name or a
 malformed center expression.  ``render`` exits 0 when the figure is written,
 1 on an I/O error, 64 for an unknown scenario or a bad render option (grid
 outside 16 to 4096, width or height below 64, a negative or non-finite
-margin) and 65 for an invalid triangle or a curve it cannot build.
+margin) and 65 for an invalid triangle, a curve it cannot build, or a
+triangle whose sides lie beyond or below float range or a figure point
+beyond it (``cannot render:``, no file written).
 """
 
 from __future__ import annotations
@@ -225,6 +227,9 @@ def cmd_render(args) -> int:
             if rows == 0 and figure.get("curves"):
                 print("warning: no real locus in the viewport; empty CSV",
                       file=sys.stderr)
+    except ValueError as exc:  # the triangle or a point beyond float range
+        print(f"cannot render: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_MUST_FAIL

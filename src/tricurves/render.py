@@ -3,12 +3,19 @@
 This is the only module that touches floating point.  The exact core hands
 over canonical points and curve coefficient vectors; everything here is a
 rendering concern and nothing in the verification pipeline imports it.
+
+Marching squares evaluates the curve's form on a (grid + 1)^2 lattice; that
+sign grid alone decides which cells hold a crossing and how a saddle cell
+splits.  Each grid edge with a sign change is refined once, by bracketed
+Illinois steps, and the two cells that share the edge share its endpoint,
+so a closed curve traces a watertight polyline.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 
@@ -31,12 +38,23 @@ class RenderConfig:
 
 
 def embed_triangle(t) -> tuple[tuple[float, float], ...]:
-    """Cartesian embedding: A at the origin, B on the x-axis."""
-    a2, b2, c2 = float(t.a2), float(t.b2), float(t.c2)
-    c = math.sqrt(c2)
-    cx = (b2 + c2 - a2) / (2 * c)
-    cy = math.sqrt(max(b2 - cx * cx, 0.0))
-    return ((0.0, 0.0), (c, 0.0), (cx, cy))
+    """Cartesian embedding: A at the origin, B on the x-axis.
+
+    Raises ``ValueError`` naming ``t`` when a squared side does not convert
+    to a finite float or the embedded triangle has zero or non-finite area
+    (sides beyond or below float range).
+    """
+    try:
+        a2, b2, c2 = float(t.a2), float(t.b2), float(t.c2)
+    except OverflowError:
+        raise ValueError(f"{t!r} has squared sides beyond float range") from None
+    if c2 > 0 and math.isfinite(a2 + b2 + c2):
+        c = math.sqrt(c2)
+        cx = (b2 + c2 - a2) / (2 * c)
+        cy = math.sqrt(max(b2 - cx * cx, 0.0))
+        if 0 < c * cy < math.inf:
+            return ((0.0, 0.0), (c, 0.0), (cx, cy))
+    raise ValueError(f"{t!r} has no float embedding of finite nonzero area")
 
 
 def point_xy(p, corners) -> tuple[float, float]:
@@ -46,37 +64,53 @@ def point_xy(p, corners) -> tuple[float, float]:
     if s == 0:
         raise ValueError(f"{p} is at infinity")
     (ax, ay), (bx, by), (cx, cy) = corners
-    return ((x * ax + y * bx + z * cx) / s, (x * ay + y * by + z * cy) / s)
-
-
-def _barycentric_chart(corners):
-    """Affine map (X, Y) -> normalized barycentrics, as float rows."""
-    (ax, ay), (bx, by), (cx, cy) = corners
-    det = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
-    # lambda_2, lambda_3 by Cramer against the edge vectors; lambda_1 closes
-    def chart(px: float, py: float) -> tuple[float, float, float]:
-        l2 = ((px - ax) * (cy - ay) - (cx - ax) * (py - ay)) / det
-        l3 = ((bx - ax) * (py - ay) - (px - ax) * (by - ay)) / det
-        return (1.0 - l2 - l3, l2, l3)
-
-    return chart
-
-
-def curve_function(curve, corners):
-    """Float evaluator of a barycentric form in the Cartesian chart."""
-    chart = _barycentric_chart(corners)
     try:
-        coeffs = [float(c) for c in curve.coeffs]
+        xy = ((x * ax + y * bx + z * cx) / s, (x * ay + y * by + z * cy) / s)
+        if math.isfinite(xy[0]) and math.isfinite(xy[1]):
+            return xy
+    except OverflowError:
+        pass
+    # a coordinate or a product beyond float range: round each exact weight
+    # once; only a point beyond float range itself is refused
+    try:
+        wx, wy, wz = (float(Fraction(w, s)) for w in (x, y, z))
+    except OverflowError:
+        raise ValueError(f"{p} lies beyond float range") from None
+    xy = (wx * ax + wy * bx + wz * cx, wx * ay + wy * by + wz * cy)
+    if not (math.isfinite(xy[0]) and math.isfinite(xy[1])):
+        raise ValueError(f"{p} lies beyond float range")
+    return xy
+
+
+def _floats(coeffs) -> list[float]:
+    """Coefficients as floats, all scaled by one power of two if need be."""
+    try:
+        return [float(c) for c in coeffs]
     except OverflowError:
         # one power of two brings the largest into range (int / int rounds
         # correctly); coefficients below float resolution of it become 0
-        scale = 1 << max(abs(c) for c in curve.coeffs).bit_length()
-        coeffs = [c / scale for c in curve.coeffs]
+        scale = 1 << max(abs(c) for c in coeffs).bit_length()
+        return [c / scale for c in coeffs]
+
+
+def curve_function(curve, corners):
+    """Float evaluator of a barycentric form in the Cartesian chart.
+
+    The chart (X, Y) -> (1 - l2 - l3, l2, l3) solves for l2, l3 by Cramer
+    against the edge vectors B - A and C - A, which are hoisted out of the
+    closure; each value is the same float expression, term for term.
+    """
+    (ax, ay), (bx, by), (cx, cy) = corners
+    ux, uy, vx, vy = bx - ax, by - ay, cx - ax, cy - ay
+    det = ux * vy - vx * uy
+    coeffs = _floats(curve.coeffs)
     if len(coeffs) == 6:
         q11, q22, q33, q12, q13, q23 = coeffs
 
         def f(px: float, py: float) -> float:
-            x, y, z = chart(px, py)
+            y = ((px - ax) * vy - vx * (py - ay)) / det
+            z = (ux * (py - ay) - (px - ax) * uy) / det
+            x = 1.0 - y - z
             return (q11 * x * x + q22 * y * y + q33 * z * z
                     + 2 * (q12 * x * y + q13 * x * z + q23 * y * z))
 
@@ -85,7 +119,9 @@ def curve_function(curve, corners):
         c0, c1, c2, c3, c4, c5, c6, c7, c8, c9 = coeffs
 
         def f(px: float, py: float) -> float:
-            x, y, z = chart(px, py)
+            y = ((px - ax) * vy - vx * (py - ay)) / det
+            z = (ux * (py - ay) - (px - ax) * uy) / det
+            x = 1.0 - y - z
             return (c0 * x**3 + c1 * x * x * y + c2 * x * x * z
                     + c3 * x * y * y + c4 * x * y * z + c5 * x * z * z
                     + c6 * y**3 + c7 * y * y * z + c8 * y * z * z + c9 * z**3)
@@ -95,66 +131,114 @@ def curve_function(curve, corners):
 
 
 def line_function(line, corners):
-    chart = _barycentric_chart(corners)
-    l1, l2, l3 = (float(c) for c in line.triple)
+    (ax, ay), (bx, by), (cx, cy) = corners
+    ux, uy, vx, vy = bx - ax, by - ay, cx - ax, cy - ay
+    det = ux * vy - vx * uy
+    l1, l2, l3 = _floats(line.triple)
 
     def f(px: float, py: float) -> float:
-        x, y, z = chart(px, py)
-        return l1 * x + l2 * y + l3 * z
+        y = ((px - ax) * vy - vx * (py - ay)) / det
+        z = (ux * (py - ay) - (px - ax) * uy) / det
+        return l1 * (1.0 - y - z) + l2 * y + l3 * z
 
     return f
 
 
-def _refine_root(f, p0, p1, v0, v1, iters: int = 52):
-    """Bisect a sign change along the segment p0-p1 to near machine epsilon."""
-    lo, hi = 0.0, 1.0
-    flo = v0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        pm = (p0[0] + mid * (p1[0] - p0[0]), p0[1] + mid * (p1[1] - p0[1]))
-        fm = f(*pm)
-        if fm == 0.0:
-            return pm
-        if (flo > 0) == (fm > 0):
-            lo, flo = mid, fm
+# Illinois steps per edge before the bracket end with the smaller |f| is
+# taken; smooth crossings stop far sooner, on the width below
+_REFINE_CAP = 64
+_REFINE_WIDTH = 2.0 ** -50
+
+
+def _refine_root(f, p0, p1, v0, v1):
+    """Sign change of ``f`` on the segment p0-p1, where v0 = f(p0) and
+    v1 = f(p1) lie on opposite sides of ``> 0``.
+
+    Bracketed Illinois (modified regula falsi) steps on the parameter of
+    p0 + t (p1 - p0): a secant point strictly inside the bracket, else its
+    midpoint (which covers inf and nan values); the end kept twice in a row
+    has its value halved for the next secant.  Stops on an exact zero, on a
+    bracket narrower than ``_REFINE_WIDTH``, or after ``_REFINE_CAP``
+    evaluations, and then returns the bracket end with the smaller |f|.
+    """
+    if v0 == 0.0:
+        return p0
+    if v1 == 0.0:
+        return p1
+    (x, y), ex, ey = p0, p1[0] - p0[0], p1[1] - p0[1]
+    up = v0 > 0
+    lo, hi, flo, fhi = 0.0, 1.0, v0, v1   # bracket and the values there
+    wlo, whi, kept = v0, v1, 0            # secant weights; last end moved
+    for _ in range(_REFINE_CAP):
+        if hi - lo <= _REFINE_WIDTH:
+            break
+        t = hi - whi * (hi - lo) / (whi - wlo)
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+        ft = f(x + t * ex, y + t * ey)
+        if ft == 0.0:
+            return (x + t * ex, y + t * ey)
+        if (ft > 0) == up:
+            lo, flo, wlo = t, ft, ft
+            if kept < 0:
+                whi *= 0.5
+            kept = -1
         else:
-            hi = mid
-    mid = 0.5 * (lo + hi)
-    return (p0[0] + mid * (p1[0] - p0[0]), p0[1] + mid * (p1[1] - p0[1]))
+            hi, fhi, whi = t, ft, ft
+            if kept > 0:
+                wlo *= 0.5
+            kept = 1
+    t = hi if abs(fhi) < abs(flo) or math.isnan(flo) else lo
+    return (x + t * ex, y + t * ey)
 
 
 def trace_segments(f, viewport, grid: int):
-    """Marching squares over a sign grid; returns refined segment endpoints."""
+    """Marching squares over a sign grid; returns refined segment endpoints.
+
+    A cell whose four corner values share one strict sign has no crossing
+    and is skipped.  Every other grid edge with a sign change is refined
+    once, from its lower to its higher grid index, and both cells that
+    share it get the same endpoint object.
+    """
     x0, y0, x1, y1 = viewport
     dx = (x1 - x0) / grid
     dy = (y1 - y0) / grid
-    values = [[f(x0 + i * dx, y0 + j * dy) for j in range(grid + 1)]
-              for i in range(grid + 1)]
+    xs = [x0 + i * dx for i in range(grid + 1)]
+    ys = [y0 + j * dy for j in range(grid + 1)]
+    values = [[f(x, y) for y in ys] for x in xs]
+    memo = {}
+
+    def crossing(a, b):
+        key = (a, b) if a < b else (b, a)
+        p = memo.get(key)
+        if p is None:
+            (i, j), (k, m) = key
+            p = memo[key] = _refine_root(f, (xs[i], ys[j]), (xs[k], ys[m]),
+                                         values[i][j], values[k][m])
+        return p
+
     segments = []
     for i in range(grid):
-        for j in range(grid):
-            corners = (
-                (x0 + i * dx, y0 + j * dy),
-                (x0 + (i + 1) * dx, y0 + j * dy),
-                (x0 + (i + 1) * dx, y0 + (j + 1) * dy),
-                (x0 + i * dx, y0 + (j + 1) * dy),
-            )
-            vals = (values[i][j], values[i + 1][j],
-                    values[i + 1][j + 1], values[i][j + 1])
+        col, nxt = values[i], values[i + 1]
+        for j, vals in enumerate(zip(col, nxt, nxt[1:], col[1:])):
+            v0, v1, v2, v3 = vals
+            if ((v0 > 0 and v1 > 0 and v2 > 0 and v3 > 0)
+                    or (v0 < 0 and v1 < 0 and v2 < 0 and v3 < 0)):
+                continue
+            corners = ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))
             crossings = []
             for k in range(4):
-                va, vb = vals[k], vals[(k + 1) % 4]
+                va = vals[k]
                 if va == 0.0:
-                    crossings.append(corners[k])
-                elif (va > 0) != (vb > 0):
-                    crossings.append(_refine_root(
-                        f, corners[k], corners[(k + 1) % 4], va, vb))
+                    crossings.append((xs[corners[k][0]], ys[corners[k][1]]))
+                elif (va > 0) != (vals[(k + 1) % 4] > 0):
+                    crossings.append(crossing(corners[k], corners[(k + 1) % 4]))
             if len(crossings) >= 2:
                 if len(crossings) == 4:
                     # ambiguous saddle: split by the center sign
                     cx = x0 + (i + 0.5) * dx
                     cy = y0 + (j + 0.5) * dy
-                    if (f(cx, cy) > 0) == (vals[0] > 0):
+                    if (f(cx, cy) > 0) == (v0 > 0):
                         segments.append((crossings[0], crossings[3]))
                         segments.append((crossings[1], crossings[2]))
                     else:

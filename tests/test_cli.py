@@ -246,6 +246,31 @@ class TestRenderCommand:
         assert main(["render", "--curve", "circumcircle", "--triangle",
                      "1,2,9", "--svg", str(tmp_path / "x.svg")]) == 65
 
+    @pytest.mark.parametrize("side", ["1" + "0" * 200, "1/1" + "0" * 200],
+                             ids=["1e200", "1e-200"])
+    @pytest.mark.parametrize("target", ["--svg", "--csv"])
+    def test_triangle_outside_float_range(self, tmp_path, capsys, side, target):
+        # ended in an OverflowError (10^200) or ZeroDivisionError (10^-200)
+        path = tmp_path / "out"
+        assert main(["render", "--curve", "circumcircle", "--triangle",
+                     ",".join([side] * 3), target, str(path)]) == 65
+        assert capsys.readouterr().err.startswith("cannot render: RefTriangle(")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("sid", ["thm1-jerabek-excentral",
+                                     "thm8-jerabek-midarc"])
+    def test_points_beyond_float_range(self, tmp_path, capsys, sid):
+        # center coordinates near 10^400 raised OverflowError (thm1) or,
+        # where they still convert, gave a nan viewport and no locus (thm8)
+        s = 10**101
+        svg, csv = tmp_path / "fig.svg", tmp_path / "pts.csv"
+        assert main(["render", "--scenario", sid, "--triangle",
+                     f"{s},{s + 1},{s + 3}", "--svg", str(svg),
+                     "--csv", str(csv), "--grid", "32"]) == 0
+        assert "<circle" in svg.read_text()
+        assert len(csv.read_text().splitlines()) > 100
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("option", [
         ["--grid", "15"], ["--width", "63"], ["--height", "10"],
         ["--margin", "nan"], ["--margin", "inf"], ["--margin=-inf"],

@@ -1,20 +1,31 @@
+import collections
 import csv
+import functools
+import importlib.util
 import math
+import pathlib
+import types
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import tricurves.render as render
+from tricurves.centers import random_triangle
 from tricurves.curves import Conic
-from tricurves.kernel import HomPoint, RefTriangle
+from tricurves.kernel import HomLine, HomPoint, RefTriangle
 from tricurves.render import (
     RenderConfig,
     curve_function,
     embed_triangle,
+    line_function,
     point_xy,
     render_svg,
     sample_csv,
     trace_segments,
     compute_viewport,
 )
+from tricurves.scenarios import REGISTRY, build_figure
 
 
 def circumcircle(t):
@@ -43,6 +54,29 @@ class TestEmbedding:
         t = RefTriangle(6, 9, 13)
         with pytest.raises(ValueError):
             point_xy(HomPoint(1, -1, 0), embed_triangle(t))
+
+    @pytest.mark.parametrize("sides", [
+        (10**200,) * 3,                      # squared sides overflow a float
+        (Fraction(1, 10**200),) * 3,         # squared sides underflow to 0
+        (1, 1, 2 - Fraction(1, 10**20)),     # the float area rounds to 0
+    ])
+    def test_outside_float_range_refused(self, sides):
+        with pytest.raises(ValueError, match=r"RefTriangle\("):
+            embed_triangle(RefTriangle(*sides))
+
+    @pytest.mark.parametrize("big", [10**307, 10**400], ids=["1e307", "1e400"])
+    def test_point_with_coordinates_beyond_float_range(self, big):
+        # x * ax overflows (to inf, or converting x); the weights x/s, y/s,
+        # z/s are ordinary floats
+        corners = embed_triangle(RefTriangle(6, 9, 13))
+        x, y = point_xy(HomPoint(big, big, big + 3), corners)
+        assert x == pytest.approx(sum(p[0] for p in corners) / 3)
+        assert y == pytest.approx(sum(p[1] for p in corners) / 3)
+
+    def test_point_beyond_float_range_refused(self):
+        corners = embed_triangle(RefTriangle(6, 9, 13))
+        with pytest.raises(ValueError, match="beyond float range"):
+            point_xy(HomPoint(10**400, 1 - 10**400, 0), corners)
 
 
 class TestConfig:
@@ -156,3 +190,264 @@ class TestSvg:
         path = tmp_path / "f.svg"
         render_svg(t, figure, RenderConfig(grid=16, labels=False), str(path))
         assert "<text" not in path.read_text()
+
+
+def _reference_chart(corners):
+    """The barycentric chart as its own closure: the float expression, term
+    for term, that ``curve_function`` and ``line_function`` inline."""
+    (ax, ay), (bx, by), (cx, cy) = corners
+    det = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
+
+    def chart(px, py):
+        l2 = ((px - ax) * (cy - ay) - (cx - ax) * (py - ay)) / det
+        l3 = ((bx - ax) * (py - ay) - (px - ax) * (by - ay)) / det
+        return (1.0 - l2 - l3, l2, l3)
+
+    return chart
+
+
+def _reference_value(coeffs, x, y, z):
+    if len(coeffs) == 3:
+        l1, l2, l3 = coeffs
+        return l1 * x + l2 * y + l3 * z
+    if len(coeffs) == 6:
+        q11, q22, q33, q12, q13, q23 = coeffs
+        return (q11 * x * x + q22 * y * y + q33 * z * z
+                + 2 * (q12 * x * y + q13 * x * z + q23 * y * z))
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9 = coeffs
+    return (c0 * x**3 + c1 * x * x * y + c2 * x * x * z
+            + c3 * x * y * y + c4 * x * y * z + c5 * x * z * z
+            + c6 * y**3 + c7 * y * y * z + c8 * y * z * z + c9 * z**3)
+
+
+_coord = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+_xy = st.tuples(_coord, _coord)
+
+
+class TestEvaluatorsBitIdentical:
+    @settings(max_examples=200, deadline=None)
+    @given(corners=st.tuples(_xy, _xy, _xy),
+           coeffs=st.sampled_from([3, 6, 10]).flatmap(lambda n: st.lists(
+               st.integers(-10**6, 10**6), min_size=n, max_size=n)),
+           points=st.lists(_xy, min_size=1, max_size=8))
+    def test_inlined_chart_matches_reference(self, corners, coeffs, points):
+        (ax, ay), (bx, by), (cx, cy) = corners
+        assume((bx - ax) * (cy - ay) - (cx - ax) * (by - ay) != 0)
+        if len(coeffs) == 3:
+            f = line_function(types.SimpleNamespace(triple=tuple(coeffs)), corners)
+        else:
+            f = curve_function(types.SimpleNamespace(coeffs=coeffs), corners)
+        chart = _reference_chart(corners)
+        floats = [float(c) for c in coeffs]
+
+        def outcome(fn, *args):  # x**3 raises OverflowError on thin corners
+            try:
+                return fn(*args).hex()
+            except OverflowError:
+                return "OverflowError"
+
+        for px, py in points:
+            assert outcome(f, px, py) == outcome(
+                lambda: _reference_value(floats, *chart(px, py)))
+
+    def test_line_coefficients_beyond_float_range_scale_exactly(self):
+        # 2^1100 and 2^1100 + 1 both round to 1/2 once divided by 2^1101
+        corners = embed_triangle(RefTriangle(6, 9, 13))
+        big = line_function(HomLine(2**1100, -(2**1100 + 1), 0), corners)
+        small = line_function(HomLine(1, -1, 0), corners)
+        for p in ((0.5, 0.25), (3.0, -7.0), (11.5, 2.0)):
+            assert big(*p) == 0.5 * small(*p)
+
+
+# Segment counts at grid 64 of every curve of the curve-bearing figures on
+# the triangles below.  The sign grid and the saddle tests decide them, not
+# the refinement of a crossing, so no change to refinement may move them.
+_PINNED_TRIANGLES = (RefTriangle(6, 9, 13), random_triangle(1),
+                     random_triangle(2), random_triangle(3))
+SEGMENT_COUNTS = {
+    "thm1-jerabek-excentral": [[125], [134], [131], [130]],
+    "thm2-thomson-excentral": [[254], [259], [257], [224]],
+    "thm3-darboux-excentral": [[244], [225], [224], [240]],
+    "thm4-yff-medial": [[155, 159], [159, 162], [158, 160], [145, 158]],
+    "thm5-darboux-medial": [[251], [253], [258], [238]],
+    "thm6-lucas-medial": [[202], [243], [239], [237]],
+    "thm7-darboux-euler": [[251], [253], [258], [238]],
+    "thm8-jerabek-midarc": [[127], [139], [138], [133]],
+    "cor1": [[125], [133], [129], [136]],
+    "cor2": [[125], [133], [129], [136]],
+    "cor3": [[126], [139], [138], [139]],
+    "cor4": [[126], [139], [138], [139]],
+    "cor5-euler-line-component": [[244, 251], [225, 253], [224, 258], [240, 238]],
+    "defs-sanity": [[128, 202, 214], [134, 243, 214], [130, 239, 212],
+                    [129, 237, 221]],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _figure(sid, k):
+    return build_figure(sid, _PINNED_TRIANGLES[k])
+
+
+def _traced(sid, k, grid=64):
+    """(f, viewport, segments) per curve, in the frame ``sample_csv`` uses."""
+    t, fig = _PINNED_TRIANGLES[k], _figure(sid, k)
+    corners, viewport = render._frame(t, fig, RenderConfig(grid=grid))
+    out = []
+    for _, curve in fig["curves"]:
+        f = curve_function(curve, corners)
+        out.append((f, viewport, trace_segments(f, viewport, grid)))
+    return out
+
+
+def _circle(margin):
+    t = RefTriangle(3, 4, 6)
+    corners = embed_triangle(t)
+    return (curve_function(circumcircle(t), corners),
+            compute_viewport(corners, [], margin))
+
+
+def _grid_lines(viewport, grid):
+    x0, y0, x1, y1 = viewport
+    dx = (x1 - x0) / grid
+    dy = (y1 - y0) / grid
+    return ([x0 + i * dx for i in range(grid + 1)],
+            [y0 + j * dy for j in range(grid + 1)])
+
+
+class TestTopologyPinned:
+    def test_circumcircle_grids(self):
+        f, viewport = _circle(0.4)
+        assert {g: len(trace_segments(f, viewport, g)) for g in (16, 64, 256)} \
+            == {16: 32, 64: 134, 256: 546}
+
+    def test_every_curve_bearing_scenario_pinned(self):
+        assert sorted(SEGMENT_COUNTS) == sorted(
+            sid for sid in REGISTRY if _figure(sid, 0)["curves"])
+
+    @pytest.mark.parametrize("sid", sorted(SEGMENT_COUNTS))
+    def test_figure_segment_counts(self, sid):
+        got = [[len(segs) for _, _, segs in _traced(sid, k)]
+               for k in range(len(_PINNED_TRIANGLES))]
+        assert got == SEGMENT_COUNTS[sid]
+
+
+class TestRefinement:
+    @pytest.mark.parametrize("grid", [16, 64, 256])
+    def test_endpoints_on_grid_lines(self, grid):
+        f, viewport = _circle(0.4)
+        traced = [(f, viewport, trace_segments(f, viewport, grid))]
+        if grid == 64:
+            traced += _traced("defs-sanity", 0) + _traced("thm4-yff-medial", 1)
+        for f, viewport, segs in traced:
+            xs, ys = map(set, _grid_lines(viewport, grid))
+            for seg in segs:
+                for x, y in seg:
+                    assert x in xs or y in ys
+
+    @pytest.mark.parametrize("grid", [16, 64, 256])
+    def test_closed_curve_is_watertight(self, grid):
+        f, viewport = _circle(1.0)
+        x0, y0, x1, y1 = viewport
+        points = [p for seg in trace_segments(f, viewport, grid) for p in seg]
+        # the circle stays inside the viewport, so it closes there
+        assert all(x0 < x < x1 and y0 < y < y1 for x, y in points)
+        counts = collections.Counter(points)
+        assert set(counts.values()) == {2}
+        # the two cells on an edge share one endpoint object
+        assert len({id(p) for p in points}) == len(counts)
+
+    def test_each_crossing_edge_refined_once(self, monkeypatch):
+        calls = []
+        refine = render._refine_root
+
+        def counting(f, p0, p1, v0, v1):
+            calls.append((p0, p1))
+            return refine(f, p0, p1, v0, v1)
+
+        monkeypatch.setattr(render, "_refine_root", counting)
+        grid = 64
+        for f, viewport in (_circle(0.4), _traced("thm4-yff-medial", 0)[0][:2]):
+            calls.clear()
+            trace_segments(f, viewport, grid)
+            xs, ys = _grid_lines(viewport, grid)
+            pos = [[f(x, y) > 0 for y in ys] for x in xs]
+            changes = sum(pos[i][j] != pos[i + 1][j]
+                          for i in range(grid) for j in range(grid + 1))
+            changes += sum(pos[i][j] != pos[i][j + 1]
+                           for i in range(grid + 1) for j in range(grid))
+            assert changes > 0
+            assert len(calls) == len(set(calls)) == changes
+
+    @staticmethod
+    def _counted(g):
+        n = [0]
+
+        def f(x, y):
+            n[0] += 1
+            return g(x)
+
+        return f, n
+
+    @pytest.mark.parametrize("v0, v1, want", [
+        (0.0, 1.0, (0.0, 2.0)), (-1.0, 0.0, (1.0, 2.0)),
+    ])
+    def test_zero_endpoint_returned_unevaluated(self, v0, v1, want):
+        f, n = self._counted(lambda x: x)
+        assert render._refine_root(f, (0.0, 2.0), (1.0, 2.0), v0, v1) == want
+        assert n[0] == 0
+
+    def test_exact_zero_inside_returns_at_once(self):
+        f, n = self._counted(lambda x: x - 0.5)
+        assert render._refine_root(f, (0.0, 2.0), (1.0, 2.0), -0.5, 0.5) == (0.5, 2.0)
+        assert n[0] == 1
+
+    @pytest.mark.parametrize("g, root, tol", [
+        (lambda x: x - 0.7 if x >= 0.3 else math.nan, 0.7, 1e-15),
+        (lambda x: x - 0.7 if x >= 0.3 else -math.inf, 0.7, 1e-15),
+        (lambda x: math.inf if x > 0.9 else x - 0.7 if x >= 0.2 else -math.inf,
+         0.7, 1e-15),
+        (lambda x: (x - 1 / 3) ** 3, 1 / 3, 1e-5),     # flat: a triple root
+        (lambda x: (x - 0.7) * 1e-300, 0.7, 1e-15),    # values near underflow
+        (lambda x: math.sqrt(x) - 0.1, 0.01, 1e-15),   # steep at one end
+    ], ids=["nan", "-inf", "inf-both-ends", "triple-root", "tiny", "sqrt"])
+    def test_terminates_within_cap(self, g, root, tol):
+        f, n = self._counted(g)
+        x, y = render._refine_root(f, (0.0, 2.0), (1.0, 2.0), g(0.0), g(1.0))
+        assert n[0] <= render._REFINE_CAP
+        assert y == 2.0
+        assert abs(x - root) <= tol
+
+
+def _bench_workloads():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", root / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestFiguresGuard:
+    """The figures benchmark's check at tier 1: the backward error of every
+    CSV row (``bench/workloads.relative_residual``) is at most 1e-6."""
+
+    @pytest.mark.parametrize("k", range(len(_PINNED_TRIANGLES)))
+    def test_backward_error_of_every_row(self, k, tmp_path):
+        workloads = _bench_workloads()
+        t = _PINNED_TRIANGLES[k]
+        (ax, ay), (bx, by), (cx, cy) = workloads.embed(t)
+        det = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
+        for sid, counts in SEGMENT_COUNTS.items():
+            fig = _figure(sid, k)
+            path = tmp_path / f"{sid}.csv"
+            rows = sample_csv(t, fig, RenderConfig(grid=64), str(path))
+            lines = path.read_text(encoding="utf-8").splitlines()
+            assert len(lines) == rows + 1 == 2 * sum(counts[k]) + 1
+            coeffs = {label: c.coeffs for label, c in fig["curves"]}
+            for line in lines[1:]:
+                label, x, y = line.split(",")
+                px, py = float(x), float(y)
+                l2 = ((px - ax) * (cy - ay) - (cx - ax) * (py - ay)) / det
+                l3 = ((bx - ax) * (py - ay) - (px - ax) * (by - ay)) / det
+                assert workloads.relative_residual(
+                    coeffs[label], (1.0 - l2 - l3, l2, l3)) <= 1e-6, (sid, line)
