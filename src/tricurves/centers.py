@@ -510,6 +510,9 @@ ALIASES: dict[str, CenterExpr] = {
     "M_MiI": MidpointOf(Catalog(CenterId.X9), Catalog(CenterId.X1)),
 }
 
+# every bare name parse_center accepts; an alias wins over a catalog id
+_NAMES: dict[str, CenterExpr] = {**{cid.value: Catalog(cid) for cid in CenterId},
+                                 **ALIASES}
 _KIND_NAMES = {k.value: k for k in TriangleKind}
 MAX_NESTING = 64  # parentheses parse_center accepts; the scenarios nest 3 deep
 
@@ -544,17 +547,20 @@ def parse_center(text: str) -> CenterExpr:
     midarc/tangential; vertex and antipode take a kind and an index 0-2.
     Expressions nested more than ``MAX_NESTING`` deep are refused.
     """
+    # checked once: an argument never nests deeper than the text around it
+    depth = max(accumulate(((ch == "(") - (ch == ")") for ch in text), initial=0))
+    if depth > MAX_NESTING:
+        raise CenterParseError(f"center expression nests deeper than {MAX_NESTING}")
+    return _parse(text)
+
+
+def _parse(text: str) -> CenterExpr:
     text = text.strip()
     if not text:
         raise CenterParseError("empty center expression")
-    if max(accumulate((ch == "(") - (ch == ")") for ch in text)) > MAX_NESTING:
-        raise CenterParseError(f"center expression nests deeper than {MAX_NESTING}")
     if "(" not in text:
-        if text in ALIASES:
-            return ALIASES[text]
-        for cid in CenterId:
-            if cid.value == text:
-                return Catalog(cid)
+        if text in _NAMES:
+            return _NAMES[text]
         raise CenterParseError(f"unknown center name {text!r}")
     if not text.endswith(")"):
         raise CenterParseError(f"malformed expression {text!r}")
@@ -568,7 +574,7 @@ def parse_center(text: str) -> CenterExpr:
         return _KIND_NAMES[s]
 
     def cid_of(s: str) -> CenterId:
-        e = parse_center(s)
+        e = _parse(s)
         if not isinstance(e, Catalog):
             raise CenterParseError(f"{s!r} is not a catalog center")
         return e.cid
@@ -579,17 +585,17 @@ def parse_center(text: str) -> CenterExpr:
         return int(s)
 
     if fn == "midpoint" and len(args) == 2:
-        return MidpointOf(parse_center(args[0]), parse_center(args[1]))
+        return MidpointOf(_parse(args[0]), _parse(args[1]))
     if fn == "reflect" and len(args) == 2:
-        return ReflectThrough(parse_center(args[0]), parse_center(args[1]))
+        return ReflectThrough(_parse(args[0]), _parse(args[1]))
     if fn == "complement" and len(args) == 1:
-        return Complement(parse_center(args[0]))
+        return Complement(_parse(args[0]))
     if fn == "anticomplement" and len(args) == 1:
-        return Anticomplement(parse_center(args[0]))
+        return Anticomplement(_parse(args[0]))
     if fn in ("isogonal", "isotomic") and len(args) in (1, 2):
         kind = kind_of(args[0]) if len(args) == 2 else TriangleKind.BASE
         node = IsogonalIn if fn == "isogonal" else IsotomicIn
-        return node(kind, parse_center(args[-1]))
+        return node(kind, _parse(args[-1]))
     if fn == "center" and len(args) == 2:
         return CenterOf(kind_of(args[0]), cid_of(args[1]))
     if fn == "vertex" and len(args) == 2:

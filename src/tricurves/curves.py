@@ -40,17 +40,17 @@ from .kernel import (
     collinear,
     cross,
     det3,
+    dot,
+    gram,
     incident,
     join,
     mat_vec,
     meet,
     midpoint,
-    normalize_affine,
     affine_combine,
     perpendicular_line_through,
     span_points,
     squared_distance,
-    two_points_on,
 )
 from .linalg import RankDeficient, nullspace_vector
 
@@ -244,10 +244,13 @@ def conic_center(c: Conic) -> HomPoint:
     return pole(c, LINE_AT_INFINITY)
 
 
+_CHART = ((1, 0, -1), (0, 1, -1))  # spans the line at infinity, z = -x - y
+
+
 def _infinity_restriction(c: Conic) -> tuple[int, int, int]:
     """Coefficients (alpha, beta, gamma) of the conic on z = -x - y, where
     it reads alpha x^2 + 2 beta xy + gamma y^2."""
-    alpha, two_beta, gamma = _restrict(c, (1, 0, -1), (0, 1, -1))
+    alpha, two_beta, gamma = _restrict(c, *_CHART)
     return alpha, two_beta // 2, gamma
 
 
@@ -255,15 +258,17 @@ def is_rectangular(c: Conic, m: Metric) -> bool:
     """Whether the conic is a hyperbola with perpendicular asymptotes.
 
     Decided rationally: real distinct infinite points (beta^2 > alpha*gamma)
-    whose directions satisfy the perpendicularity form, which reduces to
-    a^2*alpha + b^2*gamma - 2*SC*beta = 0.
+    perpendicular in the Gram form G, which on the chart rows r0, r1 reads
+    gamma r0.G.r0 - 2 beta r0.G.r1 + alpha r1.G.r1 = 0.
     """
     alpha, beta, gamma = _infinity_restriction(c)
     if alpha == 0 and beta == 0 and gamma == 0:
         raise DegenerateAtInfinity("conic contains the line at infinity")
     if beta * beta - alpha * gamma <= 0:
         return False
-    return m.a2 * alpha + m.b2 * gamma - 2 * m.SC * beta == 0
+    r0, r1 = _CHART
+    g0, g1 = gram(r0, m), gram(r1, m)
+    return gamma * dot(r0, g0) - 2 * beta * dot(r0, g1) + alpha * dot(r1, g1) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +277,9 @@ def is_rectangular(c: Conic, m: Metric) -> bool:
 def conic_from_focus_directrix(m: Metric, focus: HomPoint, directrix: HomLine,
                                e2: Rat) -> Conic:
     """Locus of squared distance to the focus = e2 times squared distance
-    to the directrix, homogenized by (x + y + z)^2."""
+    to the directrix l, homogenized by (x + y + z)^2: N C - s^2 e2 S2 (l.P)^2,
+    where s is the focus's coordinate sum, C[i][j] = (s e_i - F).G.(s e_j - F)
+    and N = delta.G.delta for the directrix direction delta."""
     e2 = Fraction(e2)
     if e2 <= 0:
         raise ValueError("squared eccentricity must be positive")
@@ -282,17 +289,14 @@ def conic_from_focus_directrix(m: Metric, focus: HomPoint, directrix: HomLine,
         raise LineAtInfinity("directrix cannot be the line at infinity")
     if incident(focus, directrix):
         raise FocusOnDirectrix(f"{focus} lies on {directrix}")
-    fx, fy, fz = normalize_affine(focus)
-    ux = _poly_lin((1 - fx, -fx, -fx))
-    uy = _poly_lin((-fy, 1 - fy, -fy))
-    uz = _poly_lin((-fz, -fz, 1 - fz))
-    poly: dict = {}
-    for side2, lin1, lin2 in ((m.a2, uy, uz), (m.b2, uz, ux), (m.c2, ux, uy)):
-        poly = _poly_add(poly, _poly_mul(lin1, lin2), -side2)
-    q1, q2 = two_points_on(directrix)
-    w = _poly_lin(cross(normalize_affine(q1), normalize_affine(q2)))
-    scale = e2 * m.S2 / squared_distance(q1, q2, m)
-    return Conic.from_form(_poly_add(poly, _poly_mul(w, w), -scale))
+    f, l, s = focus.triple, directrix.triple, sum(focus.triple)
+    rows = [tuple(s * (i == j) - fj for j, fj in enumerate(f)) for i in range(3)]
+    g_rows = [gram(r, m) for r in rows]
+    delta = cross(l, (1, 1, 1))
+    focus_weight = dot(delta, gram(delta, m)) * e2.denominator
+    line_weight = s * s * e2.numerator * m.unit.S2
+    return Conic(*(focus_weight * dot(rows[i], g_rows[j]) - line_weight * l[i] * l[j]
+                   for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))))
 
 
 class AxisConic(NamedTuple):

@@ -6,24 +6,21 @@ triangle given by rational side lengths; the triangle's vertices are
 (coprime integers, first nonzero entry positive), so equality of values is
 equality of the geometric objects they represent.
 
-Metric predicates are routed through the symbols
-
-    SA = (b^2 + c^2 - a^2) / 2      (and cyclically SB, SC)
-    S2 = SA*SB + SB*SC + SC*SA      (square of twice the area)
-
-which make squared distances, perpendicular feet and perpendicularity of
-directions rational functions of the squared side lengths.  The module is
+Distances and perpendicularity read one bilinear form, the Gram matrix
+G = -1/2 [[0, c^2, b^2], [c^2, 0, a^2], [b^2, a^2, 0]] of :func:`gram`; on
+displacements (coordinate sum zero) it is the dot product.  Center formulas
+use SA = (b^2 + c^2 - a^2) / 2 (and cyclically SB, SC) and
+S2 = SA*SB + SB*SC + SC*SA, the square of twice the area.  The module is
 floating-point free: all arithmetic is ``int`` / ``fractions.Fraction``.
 
 Each ``Metric`` also carries ``unit``, one integral view of the same
 triangle (an :class:`IntegralView`, built once in ``__init__`` and permuted
-by ``rot()``): its squared sides, SA, SB, SC and S2 are integers.  Squared
-distances, perpendicular directions and bisectors here, and the center
-formulas, conjugation weights and derived-triangle vertices in
-``tricurves.centers``, read it instead of the fractional fields; each of
-those formulas is homogeneous in the sides, so the view's scale drops out
-of every canonical result.  The public fields keep the given scale, and
-``squared_distance`` divides the scale back out.
+by ``rot()``): its squared sides, SA, SB, SC and S2 are integers.
+:func:`gram`, and the center formulas, conjugation weights and
+derived-triangle vertices in ``tricurves.centers``, read it instead of the
+fractional fields; each of those formulas is homogeneous in the sides, so
+the view's scale drops out of every canonical result.  The public fields
+keep the given scale, and ``squared_distance`` divides it back out.
 """
 
 from __future__ import annotations
@@ -200,6 +197,10 @@ LINE_AT_INFINITY = HomLine(1, 1, 1)
 # ---------------------------------------------------------------------------
 # incidence
 
+def dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
 def cross(u: Sequence[int], v: Sequence[int]) -> tuple[int, int, int]:
     return (
         u[1] * v[2] - u[2] * v[1],
@@ -245,7 +246,7 @@ def collinear(p: HomPoint, q: HomPoint, r: HomPoint) -> bool:
 
 
 def incident(p: HomPoint, l: HomLine) -> bool:
-    return sum(a * b for a, b in zip(p.triple, l.triple)) == 0
+    return dot(p.triple, l.triple) == 0
 
 
 def span_points(l: HomLine) -> tuple[HomPoint, HomPoint]:
@@ -487,18 +488,24 @@ class RefTriangle(Metric):
 # ---------------------------------------------------------------------------
 # metric operations
 
+def gram(v: Sequence[int], m: Metric) -> tuple[int, int, int]:
+    """G v for the Gram matrix G = -1/2 [[0, c2, b2], [c2, 0, a2], [b2, a2, 0]]
+    of ``m.unit``, whose squared sides are multiples of 4, so the halving is
+    exact.  For displacements d, e, d.G.e is unit.q times their dot product."""
+    u = m.unit
+    x, y, z = v
+    return ((u.c2 * y + u.b2 * z) // -2, (u.c2 * x + u.a2 * z) // -2,
+            (u.b2 * x + u.a2 * y) // -2)
+
+
 def squared_distance(p: HomPoint, q: HomPoint, m: Metric) -> Fraction:
     """Exact squared distance between two finite points."""
     sp = p.x + p.y + p.z
     sq = q.x + q.y + q.z
     if sp == 0 or sq == 0:
         raise PointAtInfinity("squared_distance requires finite points")
-    u = p.x * sq - q.x * sp
-    v = p.y * sq - q.y * sp
-    w = p.z * sq - q.z * sp
-    i = m.unit
-    num = -(i.a2 * v * w + i.b2 * w * u + i.c2 * u * v)
-    return Fraction(num, i.q * sp * sp * sq * sq)
+    d = (p.x * sq - q.x * sp, p.y * sq - q.y * sp, p.z * sq - q.z * sp)
+    return Fraction(dot(d, gram(d, m)), m.unit.q * sp * sp * sq * sq)
 
 
 def point_line_distance_sq(p: HomPoint, l: HomLine, m: Metric) -> Fraction:
@@ -530,16 +537,11 @@ def infinite_point(l: HomLine) -> HomPoint:
 
 
 def perpendicular_infinite_point(d: HomPoint, m: Metric) -> HomPoint:
-    """The unique direction perpendicular to the direction ``d``.
-
-    Perpendicularity of directions (x,y,z), (x',y',z') with zero coordinate
-    sums is SA*x*x' + SB*y*y' + SC*z*z' = 0.
-    """
+    """The unique direction perpendicular to the direction ``d``: the
+    direction e with e.G.d = 0 (:func:`gram`)."""
     if not d.is_infinite():
         raise NotADirection(f"{d} has nonzero coordinate sum")
-    u = m.unit
-    w = cross(canonical_ints((u.SA * d.x, u.SB * d.y, u.SC * d.z)), (1, 1, 1))
-    return HomPoint(*w)
+    return HomPoint(*cross(gram(d.triple, m), (1, 1, 1)))
 
 
 def perpendicular_line_through(l: HomLine, p: HomPoint, m: Metric) -> HomLine:
@@ -554,23 +556,15 @@ def foot_of_perpendicular(p: HomPoint, l: HomLine, m: Metric) -> HomPoint:
 def bisector_line(p: HomPoint, q: HomPoint, m: Metric) -> HomLine:
     """Perpendicular bisector: locus of equal squared distance to p and q.
 
-    Written for p/sp and q/sq, then scaled by (sp*sq)**2 and by the
-    integral view's q to stay in integers."""
+    Coefficient i is sq^2 C_p[i,i] - sp^2 C_q[i,i], vertex i's squared
+    distance to p less that to q, times q (sp sq)^2, where C_f[i,i] =
+    (s_f e_i - f).G.(s_f e_i - f) = f.G.f - 2 s_f (G f)_i."""
     if p == q:
         raise CoincidentArguments("bisector of coincident points")
     sp, sq = _affine_sum(p), _affine_sum(q)
-    (p0, p1, p2), (q0, q1, q2) = p.triple, q.triple
-    d0, d1, d2 = q0 * sp - p0 * sq, q1 * sp - p1 * sq, q2 * sp - p2 * sq
-    u = m.unit
-    s, pp, qq = sp * sq, sq * sq, sp * sp
-    c0 = -(
-        u.a2 * (p1 * p2 * pp - q1 * q2 * qq)
-        + u.b2 * (p2 * p0 * pp - q2 * q0 * qq)
-        + u.c2 * (p0 * p1 * pp - q0 * q1 * qq)
-    )
-    return HomLine(c0 - (u.b2 * d2 + u.c2 * d1) * s,
-                   c0 - (u.a2 * d2 + u.c2 * d0) * s,
-                   c0 - (u.a2 * d1 + u.b2 * d0) * s)
+    gp, gq = gram(p.triple, m), gram(q.triple, m)
+    c0 = sq * sq * dot(p.triple, gp) - sp * sp * dot(q.triple, gq)
+    return HomLine(*(c0 - 2 * sp * sq * (sq * u - sp * v) for u, v in zip(gp, gq)))
 
 
 def equidistant_point(p1: HomPoint, p2: HomPoint, p3: HomPoint, m: Metric) -> HomPoint:

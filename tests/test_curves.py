@@ -66,14 +66,19 @@ from tricurves.kernel import (
     affine_combine,
     det3,
     collinear,
+    cross,
     from_local,
     incident,
     join,
     local_coords,
     midpoint,
+    normalize_affine,
     point_line_distance_sq,
     squared_distance,
+    two_points_on,
 )
+
+from strategies import rational_triangles
 
 T = RefTriangle(6, 9, 13)
 
@@ -686,6 +691,61 @@ class TestRectangularityCrossValidation:
                                    HomPoint(1 + seed, 2, 3)])
             assert is_rectangular(conic, t)
             assert not is_rectangular(circumcircle(t), t)
+
+
+def _focus_directrix_reference(m, focus, directrix, e2):
+    """The focus-directrix conic in Fractions, from the normalized focus and
+    two normalized points on the directrix."""
+    fx, fy, fz = normalize_affine(focus)
+    ux, uy, uz = (1 - fx, -fx, -fx), (-fy, 1 - fy, -fy), (-fz, -fz, 1 - fz)
+    q1, q2 = (normalize_affine(q) for q in two_points_on(directrix))
+    d = [u - v for u, v in zip(q1, q2)]
+    q1q2 = -(m.a2 * d[1] * d[2] + m.b2 * d[2] * d[0] + m.c2 * d[0] * d[1])
+    w = cross(q1, q2)
+    terms = ((-m.a2, uy, uz), (-m.b2, uz, ux), (-m.c2, ux, uy),
+             (-Fraction(e2) * m.S2 / q1q2, w, w))
+    # the product of linear forms u, v has matrix entries (u_i v_j + u_j v_i) / 2
+    return Conic(*(sum(k * (u[i] * v[j] + u[j] * v[i]) / 2 for k, u, v in terms)
+                   for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))))
+
+
+def _rectangular_reference(c, t):
+    alpha, beta, gamma = _infinity_restriction(c)
+    if beta * beta - alpha * gamma <= 0:
+        return False
+    return t.a2 * alpha + t.b2 * gamma - 2 * t.SC * beta == 0
+
+
+class TestGramConsumers:
+    """The curve rules that read ``kernel.gram``, against the formulas in
+    the Metric's fractional fields that they replace."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_triangles(), points, points, points,
+           st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9))
+    def test_focus_directrix_matches_fraction_reference(self, t, focus, q1, q2, e2):
+        assume(not focus.is_infinite() and q1 != q2)
+        directrix = join(q1, q2)
+        assume(not directrix.is_line_at_infinity() and not incident(focus, directrix))
+        assert conic_from_focus_directrix(t, focus, directrix, e2) == \
+            _focus_directrix_reference(t, focus, directrix, e2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_triangles(), points)
+    def test_orthocentric_circumconics_rectangular(self, t, fifth):
+        h = eval_center(t, CenterId.X4)
+        try:
+            conic = conic_through([VERTEX_A, VERTEX_B, VERTEX_C, h, fifth])
+        except DegeneratePointSet:  # H is a vertex, or fifth is one of them
+            return
+        assert is_rectangular(conic, t) and _rectangular_reference(conic, t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_triangles(), coefficients(6))
+    def test_random_conics_match_reference(self, t, coeffs):
+        conic = Conic(*coeffs)
+        assume(any(_infinity_restriction(conic)))
+        assert is_rectangular(conic, t) == _rectangular_reference(conic, t)
 
 
 class TestJerabekOracle:

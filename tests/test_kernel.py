@@ -25,9 +25,11 @@ from tricurves.kernel import (
     bisector_line,
     canonical_ints,
     collinear,
+    dot,
     equidistant_point,
     foot_of_perpendicular,
     from_local,
+    gram,
     incident,
     infinite_point,
     join,
@@ -43,6 +45,8 @@ from tricurves.kernel import (
     squared_distance,
     two_points_on,
 )
+
+from strategies import rational_triangles
 
 T = RefTriangle(6, 9, 13)
 
@@ -433,6 +437,44 @@ class TestPerpendicularity:
     def test_equidistant_collinear_rejected(self):
         with pytest.raises(DegenerateFrame):
             equidistant_point(VERTEX_A, VERTEX_B, HomPoint(1, 1, 0), T)
+
+
+finite_points = st.tuples(st.integers(-9, 9), st.integers(-9, 9),
+                          st.integers(-9, 9)).filter(sum).map(lambda v: HomPoint(*v))
+directions = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(any).map(
+    lambda v: HomPoint(v[0], v[1], -v[0] - v[1]))
+
+
+def _diagonal_form(t, d, e):
+    """SA dx ex + SB dy ey + SC dz ez: the dot product of two displacements."""
+    return t.SA * d[0] * e[0] + t.SB * d[1] * e[1] + t.SC * d[2] * e[2]
+
+
+class TestGramForm:
+    """The rules that read ``gram``, against references that do not."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_triangles(), directions, directions)
+    def test_gram_is_q_times_dot_product(self, t, d, e):
+        assert dot(d.triple, gram(e.triple, t)) == t.unit.q * _diagonal_form(
+            t, d.triple, e.triple)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_triangles(), directions)
+    def test_perpendicular_direction_against_diagonal_form(self, t, d):
+        e = perpendicular_infinite_point(d, t)
+        assert e.is_infinite()
+        assert _diagonal_form(t, d.triple, e.triple) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_triangles(), finite_points, finite_points)
+    def test_bisector_points_equidistant(self, t, p, q):
+        if p == q:
+            return
+        bl = bisector_line(p, q, t)
+        assert incident(midpoint(p, q), bl)
+        for x in sample_line_points(bl, 3):
+            assert squared_distance(x, p, t) == squared_distance(x, q, t)
 
 
 FRAMES = (

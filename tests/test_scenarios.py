@@ -15,7 +15,7 @@ import types
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings
 
 from tricurves import cli, scenarios
 from tricurves.scenarios import (
@@ -36,6 +36,8 @@ from tricurves.scenarios import (
 from tricurves.centers import random_triangle
 from tricurves.curves import NoLinearComponent
 from tricurves.kernel import GeometryError, RefTriangle
+
+from strategies import rational_triangles
 
 EXPECTED_IDS = [
     "corr-excentral", "thm1-jerabek-excentral", "thm2-thomson-excentral",
@@ -338,10 +340,15 @@ def test_missing_line_component_fails_factorization_only(monkeypatch):
 
 
 class TestCoreDoesNotImportRenderer:
-    def test_no_render_imports(self):
+    CORE = ("kernel", "linalg", "centers", "curves", "scenarios")
+
+    def _trees(self):
         src = pathlib.Path(__file__).resolve().parents[1] / "src" / "tricurves"
-        for name in ("kernel", "linalg", "centers", "curves", "scenarios"):
-            tree = ast.parse((src / f"{name}.py").read_text())
+        for name in self.CORE:
+            yield name, ast.parse((src / f"{name}.py").read_text())
+
+    def test_no_render_imports(self):
+        for name, tree in self._trees():
             for node in ast.walk(tree):
                 if isinstance(node, ast.Import):
                     names = [a.name for a in node.names]
@@ -350,6 +357,41 @@ class TestCoreDoesNotImportRenderer:
                 else:
                     continue
                 assert not any("render" in n for n in names), (name, names)
+
+    def test_no_floats(self):
+        """No floats outside render.py: no float literal, no float() call,
+        and of ``math`` only gcd and lcm."""
+        exact = {"gcd", "lcm"}
+        for name, tree in self._trees():
+            for node in ast.walk(tree):
+                where = (name, getattr(node, "lineno", None))
+                if isinstance(node, ast.Constant):
+                    assert not isinstance(node.value, (float, complex)), where
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    assert node.func.id != "float", where
+                elif isinstance(node, ast.Attribute) and \
+                        isinstance(node.value, ast.Name) and node.value.id == "math":
+                    assert node.attr in exact, where
+                elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                    assert {a.name for a in node.names} <= exact, where
+
+
+def test_failing_property_reports_its_example(tmp_path):
+    """Under the project's warning filters a failing hypothesis test ends
+    with its falsifying example, not an INTERNALERROR."""
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 0\n")
+    config = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-p", "no:cacheprovider",
+         "-c", str(config), "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    output = proc.stdout + proc.stderr
+    assert "Falsifying example" in output, output
+    assert "INTERNALERROR" not in output, output
 
 
 def _strip_elapsed(text: str) -> str:
@@ -515,22 +557,6 @@ class TestSkipBound:
         assert [r["scenario"] for r in reports] == EXPECTED_IDS[:4]
 
 
-def _rational_triangles():
-    scale = st.fractions(min_value=Fraction(1, 3), max_value=12,
-                         max_denominator=5)
-    right = st.builds(lambda sides, k: RefTriangle(*(k * s for s in sides)),
-                      st.sampled_from(((3, 4, 5), (5, 12, 13), (8, 15, 17),
-                                       (7, 24, 25), (20, 21, 29))), scale)
-    isosceles = st.builds(
-        lambda k, r: RefTriangle(k, k, k * r), scale,
-        st.fractions(min_value=Fraction(1, 5), max_value=Fraction(15, 8),
-                     max_denominator=8))
-    equilateral = st.builds(lambda k: RefTriangle(k, k, k), scale)
-    scalene = st.tuples(scale, scale, scale).map(sorted).filter(
-        lambda s: s[0] + s[1] > s[2]).map(lambda s: RefTriangle(*s))
-    return st.one_of(right, isosceles, equilateral, scalene)
-
-
 def _outcomes(t: RefTriangle, store) -> list:
     """Every scenario's setup and claims on ``t``, as ``run_scenario``
     evaluates them: each claim's outcome, or the refusal's type name."""
@@ -553,7 +579,7 @@ def _outcomes(t: RefTriangle, store) -> list:
 
 
 @settings(max_examples=30, deadline=None)
-@given(_rational_triangles())
+@given(rational_triangles())
 @example(RefTriangle(3, 4, 5))
 @example(RefTriangle(5, 5, 6))
 @example(RefTriangle(5, 5, 5))
