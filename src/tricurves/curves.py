@@ -35,6 +35,7 @@ from .kernel import (
     PointAtInfinity,
     Rat,
     _CanonicalVector,
+    _fraction,
     adjugate3,
     canonical_ints,
     collinear,
@@ -280,7 +281,7 @@ def conic_from_focus_directrix(m: Metric, focus: HomPoint, directrix: HomLine,
     to the directrix l, homogenized by (x + y + z)^2: N C - s^2 e2 S2 (l.P)^2,
     where s is the focus's coordinate sum, C[i][j] = (s e_i - F).G.(s e_j - F)
     and N = delta.G.delta for the directrix direction delta."""
-    e2 = Fraction(e2)
+    e2 = _fraction(e2)
     if e2 <= 0:
         raise ValueError("squared eccentricity must be positive")
     if focus.is_infinite():
@@ -528,7 +529,7 @@ def line_component(p: Cubic, q: Cubic, l: HomLine) -> PencilFactorization:
 def homothety_matrix(center: HomPoint, ratio: Rat):
     """Integer matrix acting on homogeneous coordinates as the homothety
     with the given center and ratio (on normalized barycentrics)."""
-    ratio = Fraction(ratio)
+    ratio = _fraction(ratio)
     if ratio == 0:
         raise ZeroRatio("homothety ratio must be nonzero")
     if center.is_infinite():

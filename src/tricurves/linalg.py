@@ -1,10 +1,11 @@
 """Exact dense linear algebra for small systems.
 
-One fraction-free Gauss–Jordan elimination over the integers (Bareiss
-1968) gives determinants, rank profiles and the kernel vector of an
-(n) x (n+1) system, plus a plain rational rank as an independent
-cross-check.  Everything is exact; matrices are lists/tuples of ``int``
-rows (``Fraction`` rows for :func:`rank_rational`).
+One fraction-free forward elimination over the integers (Bareiss 1968)
+gives determinants, rank profiles and, followed by exact integer
+back-substitution, the kernel vector of an (n) x (n+1) system, plus a
+plain rational rank as an independent cross-check.  Everything is exact;
+matrices are lists/tuples of ``int`` rows (``Fraction`` rows for
+:func:`rank_rational`).
 """
 
 from __future__ import annotations
@@ -22,19 +23,26 @@ class RankDeficient(ValueError):
 
 
 def _eliminate(rows: Sequence[Sequence[int]]):
-    """Fraction-free Gauss–Jordan pass, pivoting on rows in column order.
+    """Fraction-free forward elimination, pivoting on rows in column order.
 
-    Returns the rank, the sorted original indices of the pivot rows, the
-    reduced matrix and the row-swap sign.  Each of the first ``rank``
-    reduced rows holds the last pivot on its pivot column and zero on the
-    other pivot columns.  Dividing by the previous pivot is exact, since
-    every entry stays a minor of the input.
+    In each column the pivot is the first nonzero row at or below the
+    current rank.  Returns the rank, the sorted original indices of the
+    pivot rows, the echelon matrix, its pivot columns and the row-swap
+    sign.  Row i of the echelon matrix is zero left of its pivot column;
+    only rows below a pivot are updated.  Every entry stays a minor of
+    the input, so dividing by the previous pivot is exact, and the last
+    pivot times the sign is the determinant of a nonsingular square
+    input.
     """
     m = [list(r) for r in rows]
     nrows, ncols = len(m), len(m[0]) if m else 0
     origin = list(range(nrows))
-    r, sign, prev = 0, 1, 1
+    cols: list[int] = []
+    sign, prev = 1, 1
     for col in range(ncols):
+        r = len(cols)
+        if r == nrows:
+            break
         piv = next((i for i in range(r, nrows) if m[i][col]), None)
         if piv is None:
             continue
@@ -44,16 +52,15 @@ def _eliminate(rows: Sequence[Sequence[int]]):
             sign = -sign
         prow = m[r]
         pivot = prow[col]
-        for i, row in enumerate(m):
-            if i != r:
-                f = row[col]
-                # rows below the pivot are zero left of it; rows above are not
-                for j in range(col + 1 if i > r else 0, ncols):
-                    row[j] = (pivot * row[j] - f * prow[j]) // prev
-                row[col] = 0
+        for row in m[r + 1:]:
+            f = row[col]
+            row[col] = 0
+            for j in range(col + 1, ncols):
+                row[j] = (pivot * row[j] - f * prow[j]) // prev
         prev = pivot
-        r += 1
-    return r, sorted(origin[:r]), m, sign
+        cols.append(col)
+    r = len(cols)
+    return r, sorted(origin[:r]), m, cols, sign
 
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:
@@ -61,8 +68,8 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant requires a square matrix")
-    rank, _, reduced, sign = _eliminate(rows)
-    return sign * reduced[-1][-1] if rank == n else 0
+    rank, _, echelon, _, sign = _eliminate(rows)
+    return sign * echelon[-1][-1] if rank == n else 0
 
 
 def rank_profile_int(rows: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
@@ -73,20 +80,25 @@ def rank_profile_int(rows: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
 def nullspace_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Kernel generator of an (n) x (n+1) integer matrix of full row rank.
 
-    With last pivot ``d`` and free column ``f`` of the reduced matrix, the
-    kernel is ``v[f] = d`` and ``v[pivot column of row i] = -row_i[f]``.
-    Raises :class:`RankDeficient` when the rank is below n.
+    With last pivot ``d`` and free column ``f`` of the echelon matrix U,
+    ``v[f] = d`` and, from the last row up, ``v[p_i] = -(sum over j > p_i
+    of U[i][j] v[j]) / U[i][p_i]`` for the pivot column ``p_i`` of row i.
+    Each division is exact: U has the kernel of the input, and by
+    Cramer's rule the kernel vector with ``v[f] = d`` has integer
+    entries, each a maximal minor of the input up to sign.  Raises
+    :class:`RankDeficient` when the rank is below n.
     """
     n = len(rows)
     if not n or any(len(r) != n + 1 for r in rows):
         raise ValueError("nullspace_vector expects an n x (n+1) matrix")
-    rank, independent, reduced, _ = _eliminate(rows)
+    rank, independent, echelon, cols, _ = _eliminate(rows)
     if rank < n:
         raise RankDeficient(rank, independent)
-    # row i pivots on column i before f and on i + 1 after it: d goes in at f
-    free = next((i for i, row in enumerate(reduced) if not row[i]), n)
-    v = [-row[free] for row in reduced]
-    v.insert(free, reduced[0][0 if free else 1])
+    v = [0] * (n + 1)
+    free = next((i for i, c in enumerate(cols) if c != i), n)
+    v[free] = echelon[-1][cols[-1]]
+    for row, p in zip(reversed(echelon), reversed(cols)):
+        v[p] = -sum(row[j] * v[j] for j in range(p + 1, n + 1)) // row[p]
     return tuple(v)
 
 

@@ -233,6 +233,26 @@ class TestFitting:
         with pytest.raises(ValueError):
             conic_through([VERTEX_A, VERTEX_B])
 
+    def test_certificates_pinned(self):
+        """rank, needed and independent rows of three fixed degenerate sets"""
+        def x(name):
+            return eval_center(T, CenterId(name))
+
+        on_circ = [conic_second_intersection(circumcircle(T), VERTEX_A, x(name))
+                   for name in ("X2", "X4", "X6", "X7", "X8")]
+        cases = [
+            (conic_through, [VERTEX_A, VERTEX_B, VERTEX_C, x("X1"), x("X1")],
+             (4, 5, (0, 1, 2, 3))),
+            (conic_through, [x("X2"), x("X3"), x("X4"), x("X5"), x("X1")],
+             (4, 5, (0, 1, 2, 4))),
+            (cubic_through, [VERTEX_A, VERTEX_B, VERTEX_C, *on_circ, x("X1")],
+             (8, 9, (0, 1, 3, 4, 5, 6, 7, 8))),
+        ]
+        for fit, pts, certificate in cases:
+            with pytest.raises(DegeneratePointSet) as exc:
+                fit(pts)
+            assert (exc.value.rank, exc.value.needed, exc.value.independent) == certificate
+
 
 # The fits and axis_conic re-check the curve through the points it was built
 # on; that check must survive ``python -O``, which strips ``assert``.
@@ -344,6 +364,11 @@ class TestFocusDirectrix:
         directrix = join(VERTEX_B, VERTEX_C)
         with pytest.raises(FocusOnDirectrix):
             conic_from_focus_directrix(T, VERTEX_B, directrix, 1)
+
+    def test_float_eccentricity_refused(self):
+        directrix = join(HomPoint(1, 2, 3), HomPoint(5, -1, 2))
+        with pytest.raises(TypeError):
+            conic_from_focus_directrix(T, eval_center(T, CenterId.X4), directrix, 0.1)
 
     def test_axis_conic_yff_values(self):
         g = eval_center(T, CenterId.X2)
@@ -562,6 +587,11 @@ class TestTransforms:
     def test_zero_ratio_rejected(self):
         with pytest.raises(ZeroRatio):
             homothety_matrix(HomPoint(1, 1, 1), 0)
+
+    def test_float_ratio_refused(self):
+        # Fraction(0.1) is 3602879701896397/2^55, not 1/10
+        with pytest.raises(TypeError):
+            homothety_matrix(HomPoint(1, 1, 1), 0.1)
 
     def test_circumcircle_image_contains_midpoints(self):
         m = homothety_matrix(HomPoint(1, 1, 1), Fraction(-1, 2))

@@ -33,6 +33,32 @@ def leibniz_det(m):
 sparse_ints = st.sampled_from([0, 0, 0, 1, -1, 2, 7])
 
 
+def cofactor_vector(m):
+    """The kernel of an n x (n+1) matrix by signed maximal minors:
+    entry j is (-1)^j times the determinant with column j deleted."""
+    return tuple((-1) ** j * leibniz_det([r[:j] + r[j + 1:] for r in m])
+                 for j in range(len(m) + 1))
+
+
+def reference_certificate(m):
+    """Rank and sorted pivot rows of plain rational elimination that takes,
+    in each column, the first nonzero row at or below the current rank."""
+    rows = [[Fraction(x) for x in r] for r in m]
+    origin = list(range(len(rows)))
+    r = 0
+    for col in range(len(rows[0])):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        origin[r], origin[piv] = origin[piv], origin[r]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][col] / rows[r][col]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r, tuple(sorted(origin[:r]))
+
+
 class TestDeterminant:
     def test_identity(self):
         assert det_int(((1, 0, 0), (0, 1, 0), (0, 0, 1))) == 1
@@ -132,6 +158,30 @@ class TestNullspace:
         assert len(cert.independent) == rank
         assert list(cert.independent) == sorted(set(cert.independent))
         assert rank_rational([m[i] for i in cert.independent]) == rank
+
+    @given(st.one_of(
+        st.integers(1, 5).flatmap(lambda n: matrix_strategy(n, n + 1, sparse_ints)),
+        matrix_strategy(3, 4, st.integers(-10**30, 10**30))))
+    @settings(max_examples=200)
+    def test_equals_cofactor_vector(self, m):
+        """Not only the direction: the kernel vector is exactly the signed
+        cofactor vector, up to sign."""
+        c = cofactor_vector(m)
+        if not any(c):
+            return  # rank below n
+        assert nullspace_vector(m) in (c, tuple(-x for x in c))
+
+    @given(st.integers(1, 5).flatmap(
+        lambda n: matrix_strategy(n, n + 1, sparse_ints)))
+    @settings(max_examples=150)
+    def test_certificate_matches_reference(self, m):
+        rank, independent = reference_certificate(m)
+        if rank == len(m):
+            assert any(nullspace_vector(m))
+            return
+        with pytest.raises(RankDeficient) as exc:
+            nullspace_vector(m)
+        assert (exc.value.rank, exc.value.independent) == (rank, independent)
 
     @given(matrix_strategy(4, 5))
     @settings(max_examples=60)

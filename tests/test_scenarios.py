@@ -375,6 +375,16 @@ class TestCoreDoesNotImportRenderer:
                 elif isinstance(node, ast.ImportFrom) and node.module == "math":
                     assert {a.name for a in node.names} <= exact, where
 
+    def test_no_assert_statements(self):
+        """``python -O`` strips ``assert``, so no check in the package may
+        be one: back-substitution and every certificate check must hold."""
+        src = pathlib.Path(__file__).resolve().parents[1] / "src" / "tricurves"
+        modules = sorted(src.glob("*.py"))
+        assert len(modules) >= 8
+        for path in modules:
+            for node in ast.walk(ast.parse(path.read_text())):
+                assert not isinstance(node, ast.Assert), (path.name, node.lineno)
+
 
 def test_failing_property_reports_its_example(tmp_path):
     """Under the project's warning filters a failing hypothesis test ends
