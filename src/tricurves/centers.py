@@ -270,8 +270,17 @@ def _derived_local(m: Metric, kind: TriangleKind):
     ``m`` (read on its integral view).
 
     Also returns the ratio of the derived triangle's sides to the frame's
-    (1, 1/2 or 2) where it is rational, else ``None``.
+    (1, 1/2 or 2) where it is rational, else ``None``.  The orthic and
+    tangential triangles of a right triangle are degenerate and raise
+    :class:`RightTriangle`.
     """
+    if kind in (TriangleKind.ORTHIC, TriangleKind.TANGENTIAL) and m.is_right():
+        raise RightTriangle(f"{kind.value} triangle of a right triangle is degenerate")
+    return _derived_rows(m, kind)
+
+
+def _derived_rows(m: Metric, kind: TriangleKind):
+    """:func:`_derived_local` without the right-triangle refusal."""
     u = m.unit
     if kind is TriangleKind.BASE:
         return ((1, 0, 0), (0, 1, 0), (0, 0, 1)), 1
@@ -283,8 +292,6 @@ def _derived_local(m: Metric, kind: TriangleKind):
     if kind is TriangleKind.MEDIAL:
         return ((0, 1, 1), (1, 0, 1), (1, 1, 0)), Fraction(1, 2)
     if kind is TriangleKind.ORTHIC:
-        if m.is_right():
-            raise RightTriangle("orthic triangle of a right triangle is degenerate")
         return ((0, u.SC, u.SB), (u.SC, 0, u.SA), (u.SB, u.SA, 0)), None
     if kind is TriangleKind.ANTICOMPLEMENTARY:
         return ((-1, 1, 1), (1, -1, 1), (1, 1, -1)), 2
@@ -307,8 +314,6 @@ def _derived_local(m: Metric, kind: TriangleKind):
             (a * (a + b), b * (a + b), -u.c2),
         ), None
     if kind is TriangleKind.TANGENTIAL:
-        if m.is_right():
-            raise RightTriangle("tangential triangle of a right triangle is degenerate")
         return ((-u.a2, u.b2, u.c2), (u.a2, -u.b2, u.c2), (u.a2, u.b2, -u.c2)), None
     raise ValueError(f"unknown triangle kind {kind}")
 
@@ -665,10 +670,11 @@ ON_LINES: dict[CenterId, Callable[[RefTriangle], list[HomLine]]] = {
     # Euler lines of IBC, ICA, IAB and ABC
     CenterId.X21: lambda t: [_euler_line_of(*tri, t) for tri in (
         *((eval_center(t, CenterId.X1), *pair) for pair in _SIDE_PAIRS), _VERTICES)],
-    # each altitude foot joined to the opposite tangential vertex
+    # each altitude foot joined to the opposite tangential vertex; on a right
+    # triangle, where both triangles degenerate, the lines still meet at X25
     CenterId.X25: lambda t: [join(HomPoint(*f), HomPoint(*g)) for f, g in zip(
-        ((0, t.SC, t.SB), (t.SC, 0, t.SA), (t.SB, t.SA, 0)),
-        ((-t.a2, t.b2, t.c2), (t.a2, -t.b2, t.c2), (t.a2, t.b2, -t.c2)))],
+        _derived_rows(t, TriangleKind.ORTHIC)[0],
+        _derived_rows(t, TriangleKind.TANGENTIAL)[0])],
 }
 
 # the center is equidistant from every point

@@ -12,7 +12,9 @@ Conic coefficient order is (q11, q22, q33, q12, q13, q23) for the form
 q11*x^2 + q22*y^2 + q33*z^2 + 2*q12*x*y + 2*q13*x*z + 2*q23*y*z; cubic
 coefficients follow the lexicographic monomial order x^3, x^2*y, x^2*z,
 x*y^2, x*y*z, x*z^2, y^3, y^2*z, y*z^2, z^3.  Push-forwards, Hessians,
-gradients and pencil quotients work on the form as a monomial dictionary.
+gradients and line restrictions evaluate the form at a few fixed integer
+points and read the coefficients back by closed-form exact rules; the
+pencil quotient is an integer synthetic division of the coefficient vector.
 """
 
 from __future__ import annotations
@@ -113,20 +115,65 @@ CUBIC_MONOMIALS = (
     (1, 0, 2), (0, 3, 0), (0, 2, 1), (0, 1, 2), (0, 0, 3),
 )
 
+_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+_BINARY_NODES = ((1, 0), (0, 1), (1, 1), (1, -1))
+
+
+def _binary(n: int, f10: int, f01: int, f11: int, f1m: int = 0) -> tuple[int, ...]:
+    """Coefficients of s0^n, s0^(n-1)*s1, ..., s1^n of a binary form of
+    degree n (2 or 3) from its values at (1, 0), (0, 1), (1, 1) and, for
+    n = 3, (1, -1).  Both halvings are exact: f11 - f1m and f11 + f1m are
+    twice the odd and the even coefficient sums."""
+    if n == 2:
+        return f10, f11 - f10 - f01, f01
+    return f10, (f11 - f1m) // 2 - f01, (f11 + f1m) // 2 - f10, f01
+
+
+def _node(mon: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The interpolation node of a monomial: the indicator of its variables,
+    negated on each variable of higher power than the first.  So x_v^n
+    takes e_v, x_a^2*x_b and x_a*x_b take e_a + e_b, x_a*x_b^2 takes
+    e_a - e_b and xyz takes (1, 1, 1)."""
+    first = next(e for e in mon if e)
+    return tuple(0 if not e else -1 if e > first else 1 for e in mon)
+
 
 class _FormVector(_CanonicalVector):
     """Canonical integer coefficient vector of a form, up to scale.
 
     ``MONOMIALS`` lists the exponent triples in coefficient order and
     ``WEIGHTS`` the factor each coefficient carries in the form.  Each
-    subclass spells the weighted monomials at a point out once, in its
-    static ``row(p)`` (the fit row); evaluation, the monomial dictionary
-    ``form()`` and everything built on it derive from the table.
+    subclass spells the weighted monomials at a triple out once, in its
+    static ``_monomials(x, y, z)``; the fit row, evaluation and the
+    monomial dictionary ``form()`` derive from the table.  So do the
+    interpolation ``NODES``, one per monomial: a form is recovered from its
+    values there by the binary rule on each edge of the coordinate
+    triangle, then xyz, which lies on no edge, as the value at (1, 1, 1)
+    less every other coefficient.
     """
 
     __slots__ = ()
     MONOMIALS: tuple[tuple[int, int, int], ...] = ()
     WEIGHTS: tuple[int, ...] = ()
+    DEGREE: int
+    NODES: tuple[tuple[int, int, int], ...]
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        n = cls.DEGREE = sum(cls.MONOMIALS[0])
+        cls.NODES = tuple(_node(mon) for mon in cls.MONOMIALS)
+        node_index = {node: i for i, node in enumerate(cls.NODES)}
+        mon_index = {mon: i for i, mon in enumerate(cls.MONOMIALS)}
+        edges = []
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            ea, eb = _UNITS[a], _UNITS[b]
+            at = tuple(node_index[tuple(s0 * u + s1 * w for u, w in zip(ea, eb))]
+                       for s0, s1 in _BINARY_NODES[:n + 1])
+            mons = tuple(mon_index[tuple((n - k) * u + k * w for u, w in zip(ea, eb))]
+                         for k in range(n + 1))
+            edges.append((at, mons))
+        cls._EDGES = tuple(edges)
+        cls._CENTER = node_index.get((1, 1, 1))
 
     def __init__(self, *coeffs: Rat):
         if len(coeffs) != len(self.MONOMIALS):
@@ -141,8 +188,17 @@ class _FormVector(_CanonicalVector):
     def serialize(self) -> list[str]:
         return [str(c) for c in self._v]
 
+    @classmethod
+    def row(cls, p: HomPoint) -> tuple[int, ...]:
+        """The weighted monomials at p: the fit row."""
+        return cls._monomials(*p.triple)
+
     def evaluate(self, p: HomPoint) -> int:
-        return sum(map(mul, self._v, self.row(p)))
+        return sum(map(mul, self._v, self._monomials(*p.triple)))
+
+    def _at(self, v: Sequence[int]) -> int:
+        """The form at the integer triple v."""
+        return sum(map(mul, self._v, self._monomials(*v)))
 
     def form(self) -> dict:
         """The form as a monomial dictionary ``{(i, j, k): coefficient}``."""
@@ -154,10 +210,26 @@ class _FormVector(_CanonicalVector):
         """The canonical curve of a monomial dictionary of this degree."""
         if not poly.keys() <= set(cls.MONOMIALS):
             raise ValueError(f"not a {cls.__name__.lower()} form: {sorted(poly)}")
+        return cls._unweighted([poly.get(mon, 0) for mon in cls.MONOMIALS])
+
+    @classmethod
+    def _unweighted(cls, form: Sequence[int]):
+        """The curve of the form's coefficients, in ``MONOMIALS`` order."""
         # divided by the weights and scaled by their lcm: integers stay integers
         top = lcm(*cls.WEIGHTS)
-        return cls(*(poly.get(mon, 0) * (top // w)
-                     for mon, w in zip(cls.MONOMIALS, cls.WEIGHTS)))
+        return cls(*(c * (top // w) for c, w in zip(form, cls.WEIGHTS)))
+
+    @classmethod
+    def _interpolate(cls, values: Sequence[int]) -> list[int]:
+        """The coefficients, in ``MONOMIALS`` order, of the form that takes
+        ``values`` at ``NODES``."""
+        form = [0] * len(values)
+        for at, mons in cls._EDGES:
+            for m, c in zip(mons, _binary(cls.DEGREE, *[values[i] for i in at])):
+                form[m] = c
+        if cls._CENTER is not None:
+            form[cls._CENTER] = values[cls._CENTER] - sum(form)
+        return form
 
 
 class Conic(_FormVector):
@@ -165,8 +237,7 @@ class Conic(_FormVector):
     WEIGHTS = (1, 1, 1, 2, 2, 2)
 
     @staticmethod
-    def row(p: HomPoint) -> tuple[int, ...]:
-        x, y, z = p.triple
+    def _monomials(x: int, y: int, z: int) -> tuple[int, ...]:
         return (x * x, y * y, z * z, 2 * x * y, 2 * x * z, 2 * y * z)
 
     def matrix(self) -> tuple[tuple[int, int, int], ...]:
@@ -179,15 +250,14 @@ class Cubic(_FormVector):
     WEIGHTS = (1,) * 10
 
     @staticmethod
-    def row(p: HomPoint) -> tuple[int, ...]:
-        x, y, z = p.triple
+    def _monomials(x: int, y: int, z: int) -> tuple[int, ...]:
         xx, yy, zz = x * x, y * y, z * z
         return (xx * x, xx * y, xx * z, x * yy, x * y * z, x * zz,
                 yy * y, yy * z, y * zz, zz * z)
 
     def gradient(self, p: HomPoint) -> tuple[int, int, int]:
-        form = self.form()
-        return tuple(_poly_eval(_poly_diff(form, v), p) for v in range(3))
+        # the s0^2 s1 coefficient of the form at s0 p + s1 e_v is dF/dx_v at p
+        return tuple(_restrict(self, p.triple, e)[1] for e in _UNITS)
 
 
 def on_conic(p: HomPoint, c: Conic) -> bool:
@@ -371,107 +441,83 @@ def pascal_check(pairs: Sequence[tuple[Segment, Segment]]) -> tuple[HomLine, boo
 
 
 # ---------------------------------------------------------------------------
-# ternary forms as monomial dictionaries {(i, j, k): coefficient}
-
-def _poly_mul(p: dict, q: dict) -> dict:
-    out: dict = {}
-    for (i1, j1, k1), c1 in p.items():
-        for (i2, j2, k2), c2 in q.items():
-            key = (i1 + i2, j1 + j2, k1 + k2)
-            out[key] = out.get(key, 0) + c1 * c2
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _poly_lin(coeffs) -> dict:
-    out = {}
-    for var, c in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), coeffs):
-        if c != 0:
-            out[var] = c
-    return out
-
-
-def _poly_add(p: dict, q: dict, factor: Rat = 1) -> dict:
-    """The form p + factor * q."""
-    out = dict(p)
-    for k, v in q.items():
-        out[k] = out.get(k, 0) + factor * v
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _lower(mon: tuple[int, int, int], v: int) -> tuple[int, int, int]:
-    """The monomial ``mon`` divided by variable ``v`` (0, 1, 2 for x, y, z)."""
-    i, j, k = mon
-    return (i - 1, j, k) if v == 0 else (i, j - 1, k) if v == 1 else (i, j, k - 1)
-
-
-def _poly_diff(p: dict, v: int) -> dict:
-    """Partial derivative of ``p`` in variable ``v``."""
-    return {_lower(mon, v): c * mon[v] for mon, c in p.items() if mon[v]}
-
-
-def _poly_eval(p: dict, pt: HomPoint) -> int:
-    x, y, z = pt.triple
-    return sum(c * x**i * y**j * z**k for (i, j, k), c in p.items())
-
-
-def _substitute(p: dict, lins) -> dict:
-    """The form ``p`` with x, y, z replaced by the forms ``lins``."""
-    # monomial -> its image, each built by one product from a lower one
-    images = {(0, 0, 0): {(0, 0, 0): 1}, (1, 0, 0): lins[0], (0, 1, 0): lins[1],
-              (0, 0, 1): lins[2]}
-
-    def image(mon):
-        if mon not in images:
-            v = 0 if mon[0] else 1 if mon[1] else 2
-            images[mon] = _poly_mul(image(_lower(mon, v)), lins[v])
-        return images[mon]
-
-    out: dict = {}
-    for mon, coeff in p.items():
-        out = _poly_add(out, image(mon), coeff)
-    return out
-
+# forms by evaluation and interpolation
 
 def _restrict(curve: _FormVector, r0, r1) -> tuple[int, ...]:
     """Binary form of the curve on the line through the triples r0, r1:
     the coefficients of s0^n, s0^(n-1)*s1, ..., s1^n in the form at
     s0*r0 + s1*r1, n the degree."""
-    n = sum(curve.MONOMIALS[0])
-    on_line = _substitute(curve.form(), [_poly_lin((u, w, 0)) for u, w in zip(r0, r1)])
-    return tuple(on_line.get((n - i, i, 0), 0) for i in range(n + 1))
+    n = curve.DEGREE
+    return _binary(n, *[curve._at([s0 * u + s1 * w for u, w in zip(r0, r1)])
+                        for s0, s1 in _BINARY_NODES[:n + 1]])
 
 
-def _divide_linear(p: dict, lin) -> dict:
-    """Exact quotient of the form ``p`` by the linear form ``lin``.
+def _division_steps(v: int):
+    """Synthetic division of a cubic by a linear form with nonzero x_v
+    coefficient, one step per cubic monomial that x_v divides, from the
+    highest power of x_v down: (monomial index, quotient monomial index,
+    indices of the quotient monomial times x, y, z)."""
+    steps = []
+    for mon in sorted((m for m in CUBIC_MONOMIALS if m[v]), key=lambda m: -m[v]):
+        quotient = tuple(e - (i == v) for i, e in enumerate(mon))
+        steps.append((CUBIC_MONOMIALS.index(mon), Conic.MONOMIALS.index(quotient), tuple(
+            CUBIC_MONOMIALS.index(tuple(e + (i == w) for i, e in enumerate(quotient)))
+            for w in range(3))))
+    return tuple(steps)
 
-    Eliminates monomials from the highest power of one variable of ``lin``
-    down; a nonzero remainder raises :class:`NoLinearComponent`.
+
+_DIVISION_STEPS = tuple(_division_steps(v) for v in range(3))
+
+
+def _divide_linear(coeffs: Sequence[int], lin) -> Conic:
+    """The conic Q with L*Q the cubic of coefficient vector ``coeffs``, for
+    the linear form L = ``lin``.
+
+    Divides lin[v]^3 times the cubic, v the first variable of L: the
+    quotient's coefficients of x_v-degree d have denominators dividing
+    lin[v]^(3 - d), so every step divides exactly in integers.  A nonzero
+    remainder raises :class:`NoLinearComponent`.
     """
     v = next(i for i, c in enumerate(lin) if c != 0)
-    divisor = _poly_lin(lin)
-    rem, quo = dict(p), {}
-    while rem:
-        mon = max(rem, key=lambda m: m[v])
-        if mon[v] == 0:
-            raise NoLinearComponent("line does not divide the pencil member")
-        q = _lower(mon, v)
-        quo[q] = Fraction(rem[mon], lin[v])
-        rem = _poly_add(rem, _poly_mul({q: quo[q]}, divisor), -1)
-    return quo
+    lead = lin[v]
+    rem = [c * lead ** 3 for c in coeffs]
+    quo = [0] * len(Conic.MONOMIALS)
+    for m, q, targets in _DIVISION_STEPS[v]:
+        c = quo[q] = rem[m] // lead
+        for t, l in zip(targets, lin):
+            rem[t] -= c * l
+    if any(rem):
+        raise NoLinearComponent("line does not divide the pencil member")
+    return Conic._unweighted(quo)
+
+
+def _second_partials():
+    """For each of d2/dx^2, d2/dy^2, d2/dz^2, d2/dxdy, d2/dxdz, d2/dydz of a
+    cubic, the pairs (monomial index, factor) whose coefficient times the
+    factor is the coefficient of x, y, z in that linear form."""
+    table = []
+    for u, v in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)):
+        row = []
+        for w in range(3):
+            mon = tuple((u == i) + (v == i) + (w == i) for i in range(3))
+            row.append((CUBIC_MONOMIALS.index(mon), mon[u] * (mon[v] - (u == v))))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+_SECOND_PARTIALS = _second_partials()
 
 
 def hessian(k: Cubic) -> Optional[Cubic]:
     """Hessian cubic (determinant of second partials); None if it vanishes."""
-    grad = [_poly_diff(k.form(), i) for i in range(3)]
-    h = [[_poly_diff(g, j) for j in range(3)] for g in grad]
-    det: dict = {}
-    for perm, sign in (
-        ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-        ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1),
-    ):
-        term = _poly_mul(_poly_mul(h[0][perm[0]], h[1][perm[1]]), h[2][perm[2]])
-        det = _poly_add(det, term, sign)
-    return Cubic.from_form(det) if det else None
+    c = k.coeffs
+    partials = [tuple(f * c[m] for m, f in row) for row in _SECOND_PARTIALS]
+    values = []
+    for node in Cubic.NODES:
+        hxx, hyy, hzz, hxy, hxz, hyz = (dot(h, node) for h in partials)
+        values.append(hxx * (hyy * hzz - hyz * hyz) - hxy * (hxy * hzz - hyz * hxz)
+                      + hxz * (hxy * hyz - hyy * hxz))
+    return Cubic._unweighted(Cubic._interpolate(values)) if any(values) else None
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +565,8 @@ def line_component(p: Cubic, q: Cubic, l: HomLine) -> PencilFactorization:
             raise NoLinearComponent(
                 "restrictions to the line are not proportional")
     # p != q are canonical, so no member of their pencil is the zero form
-    quo = _divide_linear(pencil_combination(p, q, t).form(), l.triple)
-    return PencilFactorization(t, l, Conic.from_form(quo))
+    residual = _divide_linear(pencil_combination(p, q, t).coeffs, l.triple)
+    return PencilFactorization(t, l, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -546,11 +592,14 @@ def transform_point(matrix, p: HomPoint) -> HomPoint:
 
 
 def _transform(matrix, curve: _FormVector) -> _FormVector:
-    """Push-forward: substitute the rows of adj(matrix) into the form."""
+    """Push-forward: the form of p -> F(adj(matrix) p), interpolated from
+    its values at the nodes."""
     if det3(matrix) == 0:
         raise SingularMatrix("transformation matrix is singular")
-    lins = [_poly_lin(row) for row in adjugate3(matrix)]
-    return type(curve).from_form(_substitute(curve.form(), lins))
+    adj = adjugate3(matrix)
+    form = type(curve)
+    return form._unweighted(form._interpolate([curve._at(mat_vec(adj, node))
+                                               for node in form.NODES]))
 
 
 def transform_conic(matrix, c: Conic) -> Conic:

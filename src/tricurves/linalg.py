@@ -68,6 +68,8 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant requires a square matrix")
+    if n == 0:
+        return 1  # the empty product
     rank, _, echelon, _, sign = _eliminate(rows)
     return sign * echelon[-1][-1] if rank == n else 0
 

@@ -63,6 +63,8 @@ from tricurves.kernel import (
     squared_distance,
 )
 
+from strategies import rational_triangles
+
 T = RefTriangle(6, 9, 13)
 T_ACUTE = RefTriangle(6, 8, 9)
 
@@ -159,6 +161,13 @@ class TestOracles:
         verdicts = validate_center_oracles(RefTriangle(*sides))
         assert [cid for cid, _ in verdicts] == list(CATALOG)
         assert {cid for cid, ok in verdicts if not ok} == failing
+
+    @given(rational_triangles())
+    @settings(max_examples=60, deadline=None)
+    def test_x25_oracle_holds_on_every_kind(self, t):
+        # right triangles too, whose orthic and tangential triangles are
+        # degenerate: the foot-to-tangential-vertex lines still meet at X25
+        assert dict(validate_center_oracles(t))[CenterId.X25] is True
 
 
 class TestConjugations:

@@ -29,6 +29,7 @@ from tricurves.curves import (
     NoLinearComponent,
     NotCollinear,
     ParabolicDegenerate,
+    PencilFactorization,
     SingularMatrix,
     ZeroRatio,
     _infinity_restriction,
@@ -74,6 +75,7 @@ from tricurves.kernel import (
     midpoint,
     normalize_affine,
     point_line_distance_sq,
+    span_points,
     squared_distance,
     two_points_on,
 )
@@ -509,6 +511,204 @@ class TestRestrict:
             k**n * curve.evaluate(p)
 
 
+# ---------------------------------------------------------------------------
+# reference: the curve operations on monomial dictionaries {(i, j, k): coeff},
+# as curves.py computed them before it evaluated and interpolated
+
+def _poly_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for (i1, j1, k1), c1 in p.items():
+        for (i2, j2, k2), c2 in q.items():
+            key = (i1 + i2, j1 + j2, k1 + k2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def _poly_lin(coeffs) -> dict:
+    out = {}
+    for var, c in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), coeffs):
+        if c != 0:
+            out[var] = c
+    return out
+
+
+def _poly_add(p: dict, q: dict, factor=1) -> dict:
+    """The form p + factor * q."""
+    out = dict(p)
+    for k, v in q.items():
+        out[k] = out.get(k, 0) + factor * v
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def _lower(mon, v):
+    """The monomial ``mon`` divided by variable ``v`` (0, 1, 2 for x, y, z)."""
+    i, j, k = mon
+    return (i - 1, j, k) if v == 0 else (i, j - 1, k) if v == 1 else (i, j, k - 1)
+
+
+def _poly_diff(p: dict, v: int) -> dict:
+    """Partial derivative of ``p`` in variable ``v``."""
+    return {_lower(mon, v): c * mon[v] for mon, c in p.items() if mon[v]}
+
+
+def _poly_eval(p: dict, pt) -> int:
+    x, y, z = pt
+    return sum(c * x**i * y**j * z**k for (i, j, k), c in p.items())
+
+
+def _substitute(p: dict, lins) -> dict:
+    """The form ``p`` with x, y, z replaced by the forms ``lins``."""
+    # monomial -> its image, each built by one product from a lower one
+    images = {(0, 0, 0): {(0, 0, 0): 1}, (1, 0, 0): lins[0], (0, 1, 0): lins[1],
+              (0, 0, 1): lins[2]}
+
+    def image(mon):
+        if mon not in images:
+            v = 0 if mon[0] else 1 if mon[1] else 2
+            images[mon] = _poly_mul(image(_lower(mon, v)), lins[v])
+        return images[mon]
+
+    out: dict = {}
+    for mon, coeff in p.items():
+        out = _poly_add(out, image(mon), coeff)
+    return out
+
+
+def _ref_restrict(curve, r0, r1):
+    n = sum(curve.MONOMIALS[0])
+    on_line = _substitute(curve.form(), [_poly_lin((u, w, 0)) for u, w in zip(r0, r1)])
+    return tuple(on_line.get((n - i, i, 0), 0) for i in range(n + 1))
+
+
+def _ref_transform(matrix, curve):
+    lins = [_poly_lin(row) for row in adjugate3(matrix)]
+    return type(curve).from_form(_substitute(curve.form(), lins))
+
+
+def _ref_gradient(k, p):
+    return tuple(_poly_eval(_poly_diff(k.form(), v), p.triple) for v in range(3))
+
+
+def _ref_hessian(k):
+    h = [[_poly_diff(_poly_diff(k.form(), i), j) for j in range(3)] for i in range(3)]
+    det: dict = {}
+    for perm, sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+                       ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)):
+        term = _poly_mul(_poly_mul(h[0][perm[0]], h[1][perm[1]]), h[2][perm[2]])
+        det = _poly_add(det, term, sign)
+    return Cubic.from_form(det) if det else None
+
+
+def _ref_divide_linear(p: dict, lin) -> dict:
+    v = next(i for i, c in enumerate(lin) if c != 0)
+    divisor = _poly_lin(lin)
+    rem, quo = dict(p), {}
+    while rem:
+        mon = max(rem, key=lambda m: m[v])
+        if mon[v] == 0:
+            raise NoLinearComponent("line does not divide the pencil member")
+        q = _lower(mon, v)
+        quo[q] = Fraction(rem[mon], lin[v])
+        rem = _poly_add(rem, _poly_mul({q: quo[q]}, divisor), -1)
+    return quo
+
+
+def _ref_line_component(p, q, l):
+    """``(t, residual)`` of ``line_component``, or the type of its refusal."""
+    if p == q:
+        return CoincidentArguments
+    r0, r1 = (r.triple for r in span_points(l))
+    pr, qr = _ref_restrict(p, r0, r1), _ref_restrict(q, r0, r1)
+    if not any(qr):
+        return BothVanishOnLine if not any(pr) else NoLinearComponent
+    pivot = next(i for i, v in enumerate(qr) if v)
+    t = Fraction(pr[pivot], qr[pivot])
+    if any(pr[i] * qr[pivot] != pr[pivot] * qr[i] for i in range(4)):
+        return NoLinearComponent
+    try:
+        quo = _ref_divide_linear(pencil_combination(p, q, t).form(), l.triple)
+    except NoLinearComponent:
+        return NoLinearComponent
+    return t, Conic.from_form(quo)
+
+
+def _outcome(op, *args):
+    try:
+        return op(*args)
+    except GeometryError as exc:
+        return type(exc)
+
+
+conics = coefficients(6).map(lambda v: Conic(*v))
+cubics = coefficients(10).map(lambda v: Cubic(*v))
+# cubics in x and y alone: cones, whose Hessian vanishes
+cones = st.lists(small, min_size=4, max_size=4).filter(any).map(
+    lambda v: Cubic(v[0], v[1], 0, v[2], 0, 0, v[3], 0, 0, 0))
+nonsingular = st.lists(st.integers(-6, 6), min_size=9, max_size=9).map(
+    lambda e: (tuple(e[0:3]), tuple(e[3:6]), tuple(e[6:9]))).filter(det3)
+lines = st.tuples(small, small, small).filter(any).map(lambda v: HomLine(*v))
+triples = st.tuples(small, small, small)
+
+
+class TestAgainstDictionaryReference:
+    """Evaluation and interpolation give what the monomial-dictionary
+    expansion gave."""
+
+    def test_single_monomials_round_trip(self):
+        for form in (Conic, Cubic):
+            for i, ((a, b, c), w) in enumerate(zip(form.MONOMIALS, form.WEIGHTS)):
+                values = [w * x**a * y**b * z**c for x, y, z in form.NODES]
+                assert form._interpolate(values) == [
+                    w * (j == i) for j in range(len(form.MONOMIALS))]
+
+    @given(st.one_of(conics, cubics), nonsingular)
+    @settings(max_examples=150)
+    def test_transform(self, curve, matrix):
+        op = transform_conic if isinstance(curve, Conic) else transform_cubic
+        assert op(matrix, curve) == _ref_transform(matrix, curve)
+
+    @given(st.one_of(cubics, cones))
+    @settings(max_examples=150)
+    def test_hessian(self, k):
+        assert hessian(k) == _ref_hessian(k)
+
+    def test_hessian_of_cones_vanishes(self):
+        for k in (Cubic(1, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+                  Cubic(0, 1, 0, 1, 0, 0, 0, 0, 0, 0)):  # x^3, xy(x + y)
+            assert hessian(k) is None and _ref_hessian(k) is None
+
+    @given(cubics, points)
+    def test_gradient(self, k, p):
+        assert k.gradient(p) == _ref_gradient(k, p)
+
+    @given(st.one_of(conics, cubics), triples, triples)
+    def test_restrict(self, curve, r0, r1):
+        assert _restrict(curve, r0, r1) == _ref_restrict(curve, r0, r1)
+
+    @given(cubics, conics, lines, small, st.integers(1, 9))
+    @settings(max_examples=150)
+    def test_line_component(self, q, conic, l, tn, td):
+        # p - (tn / td) q is l times the conic, up to scale
+        product = _line_times_conic(l, conic).coeffs
+        p = Cubic(*(tn * a + td * b for a, b in zip(q.coeffs, product)))
+        fact = _outcome(line_component, p, q, l)
+        if isinstance(fact, PencilFactorization):
+            fact = fact.t, fact.residual
+        assert fact == _ref_line_component(p, q, l)
+
+    @given(cubics, cubics, conics, conics, lines, st.booleans(), st.booleans())
+    def test_line_component_refusals(self, p, q, cp, cq, l, p_on_l, q_on_l):
+        # a cubic l times a conic vanishes on l, and may make t = 0
+        if p_on_l:
+            p = _line_times_conic(l, cp)
+        if q_on_l:
+            q = _line_times_conic(l, cq)
+        fact = _outcome(line_component, p, q, l)
+        if isinstance(fact, PencilFactorization):
+            fact = fact.t, fact.residual
+        assert fact == _ref_line_component(p, q, l)
+
+
 class TestLineComponent:
     def test_synthetic_product(self):
         l = join(HomPoint(1, 2, 3), HomPoint(2, -1, 1))
@@ -547,12 +747,12 @@ class TestLineComponent:
         from tricurves.curves import _divide_linear
         l = join(HomPoint(1, 2, 3), HomPoint(2, -1, 1))
         product = _line_times_conic(l, circumcircle(T))
-        form = dict(zip(CUBIC_MONOMIALS, product.coeffs))
-        quo = _divide_linear({m: c for m, c in form.items() if c}, l.triple)
+        coeffs = list(product.coeffs)
+        quo = _divide_linear(coeffs, l.triple)
         assert quo
-        form[(0, 0, 3)] += 1
+        coeffs[CUBIC_MONOMIALS.index((0, 0, 3))] += 1
         with pytest.raises(NoLinearComponent):
-            _divide_linear({m: c for m, c in form.items() if c}, l.triple)
+            _divide_linear(coeffs, l.triple)
 
     def test_identical_cubics_refused(self):
         exc = derived_triangle(T, TriangleKind.EXCENTRAL)

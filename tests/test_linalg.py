@@ -69,6 +69,10 @@ class TestDeterminant:
     def test_singular(self):
         assert det_int(((1, 2, 3), (2, 4, 6), (0, 1, 1))) == 0
 
+    def test_empty_matrix_is_one(self):
+        assert det_int([]) == 1
+        assert det_int(()) == 1
+
     @given(matrix_strategy(4, 4))
     @settings(max_examples=60)
     def test_matches_fraction_rank(self, m):
