@@ -22,7 +22,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import accumulate, combinations
 from typing import Callable, Optional, Sequence, Union
 
@@ -269,10 +268,10 @@ def _derived_local(m: Metric, kind: TriangleKind):
     """Vertex coordinate triples of the derived triangle, in the frame of
     ``m`` (read on its integral view).
 
-    Also returns the ratio of the derived triangle's sides to the frame's
-    (1, 1/2 or 2) where it is rational, else ``None``.  The orthic and
-    tangential triangles of a right triangle are degenerate and raise
-    :class:`RightTriangle`.
+    Also returns the ratio n/d of the derived triangle's sides to the
+    frame's as the pair (n, d), (1, 1), (1, 2) or (2, 1), where it is
+    rational, else ``None``.  The orthic and tangential triangles of a
+    right triangle are degenerate and raise :class:`RightTriangle`.
     """
     if kind in (TriangleKind.ORTHIC, TriangleKind.TANGENTIAL) and m.is_right():
         raise RightTriangle(f"{kind.value} triangle of a right triangle is degenerate")
@@ -283,18 +282,18 @@ def _derived_rows(m: Metric, kind: TriangleKind):
     """:func:`_derived_local` without the right-triangle refusal."""
     u = m.unit
     if kind is TriangleKind.BASE:
-        return ((1, 0, 0), (0, 1, 0), (0, 0, 1)), 1
+        return ((1, 0, 0), (0, 1, 0), (0, 0, 1)), (1, 1)
     if kind is TriangleKind.EXCENTRAL:
         if not m.has_sides:
             raise OddCenterWithoutSides("excenters need exact side lengths")
         a, b, c = u.sides
         return ((-a, b, c), (a, -b, c), (a, b, -c)), None
     if kind is TriangleKind.MEDIAL:
-        return ((0, 1, 1), (1, 0, 1), (1, 1, 0)), Fraction(1, 2)
+        return ((0, 1, 1), (1, 0, 1), (1, 1, 0)), (1, 2)
     if kind is TriangleKind.ORTHIC:
         return ((0, u.SC, u.SB), (u.SC, 0, u.SA), (u.SB, u.SA, 0)), None
     if kind is TriangleKind.ANTICOMPLEMENTARY:
-        return ((-1, 1, 1), (1, -1, 1), (1, 1, -1)), 2
+        return ((-1, 1, 1), (1, -1, 1), (1, 1, -1)), (2, 1)
     if kind is TriangleKind.EULER:
         # midpoints of each vertex with the orthocenter
         sbc, sca, sab = u.SB * u.SC, u.SC * u.SA, u.SA * u.SB
@@ -302,7 +301,7 @@ def _derived_rows(m: Metric, kind: TriangleKind):
             (u.S2 + sbc, sca, sab),
             (sbc, u.S2 + sca, sab),
             (sbc, sca, u.S2 + sab),
-        ), Fraction(1, 2)
+        ), (1, 2)
     if kind is TriangleKind.MIDARC:
         # second intersections of the internal bisectors with the circumcircle
         if not m.has_sides:
@@ -318,18 +317,33 @@ def _derived_rows(m: Metric, kind: TriangleKind):
     raise ValueError(f"unknown triangle kind {kind}")
 
 
+def _rescaled(u: IntegralView, n: int, d: int) -> IntegralView:
+    """The view of a triangle with sides n/d times those of ``u``, without
+    division: squared sides and SA, SB, SC times n^2, S2 times n^4, q times
+    d^2, k times d and the sides times n."""
+    n2 = n * n
+    return IntegralView(n2 * u.a2, n2 * u.b2, n2 * u.c2, n2 * u.SA, n2 * u.SB,
+                        n2 * u.SC, n2 * n2 * u.S2,
+                        None if u.sides is None else tuple(n * s for s in u.sides),
+                        d * d * u.q, None if u.k is None else d * u.k)
+
+
 def _derive(t: RefTriangle, m: Metric, kind: TriangleKind,
             frame: Optional[Sequence[HomPoint]]) -> SubTriangle:
     """The ``kind`` triangle of the triangle ``m`` describes, whose vertices
-    are ``frame`` in base coordinates (``None`` for the base itself)."""
+    are ``frame`` in base coordinates (``None`` for the base itself).  Its
+    metric is ``m``'s view rescaled where the side ratio is rational, else
+    read off the squared distances between its vertices."""
     local, ratio = _derived_local(m, kind)
     points = tuple(HomPoint(*v) for v in local)
     if frame is not None:
         points = tuple(from_local(p, *frame) for p in points)
-    sides = None if ratio is None or not m.has_sides else tuple(ratio * s for s in m.sides)
-    own = Metric(squared_distance(points[1], points[2], t),
-                 squared_distance(points[2], points[0], t),
-                 squared_distance(points[0], points[1], t), sides=sides)
+    if ratio is not None:
+        own = Metric.of_view(_rescaled(m.unit, *ratio))
+    else:
+        own = Metric(squared_distance(points[1], points[2], t),
+                     squared_distance(points[2], points[0], t),
+                     squared_distance(points[0], points[1], t))
     return SubTriangle(kind, *points, own)
 
 

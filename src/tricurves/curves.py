@@ -50,7 +50,6 @@ from .kernel import (
     mat_vec,
     meet,
     midpoint,
-    affine_combine,
     perpendicular_line_through,
     span_points,
     squared_distance,
@@ -144,12 +143,11 @@ class _FormVector(_CanonicalVector):
     ``MONOMIALS`` lists the exponent triples in coefficient order and
     ``WEIGHTS`` the factor each coefficient carries in the form.  Each
     subclass spells the weighted monomials at a triple out once, in its
-    static ``_monomials(x, y, z)``; the fit row, evaluation and the
-    monomial dictionary ``form()`` derive from the table.  So do the
-    interpolation ``NODES``, one per monomial: a form is recovered from its
-    values there by the binary rule on each edge of the coordinate
-    triangle, then xyz, which lies on no edge, as the value at (1, 1, 1)
-    less every other coefficient.
+    static ``_monomials(x, y, z)``; the fit row and evaluation derive from
+    the table.  So do the interpolation ``NODES``, one per monomial: a form
+    is recovered from its values there by the binary rule on each edge of
+    the coordinate triangle, then xyz, which lies on no edge, as the value
+    at (1, 1, 1) less every other coefficient.
     """
 
     __slots__ = ()
@@ -199,18 +197,6 @@ class _FormVector(_CanonicalVector):
     def _at(self, v: Sequence[int]) -> int:
         """The form at the integer triple v."""
         return sum(map(mul, self._v, self._monomials(*v)))
-
-    def form(self) -> dict:
-        """The form as a monomial dictionary ``{(i, j, k): coefficient}``."""
-        return {mon: w * c for mon, w, c in zip(self.MONOMIALS, self.WEIGHTS, self._v)
-                if c}
-
-    @classmethod
-    def from_form(cls, poly: dict):
-        """The canonical curve of a monomial dictionary of this degree."""
-        if not poly.keys() <= set(cls.MONOMIALS):
-            raise ValueError(f"not a {cls.__name__.lower()} form: {sorted(poly)}")
-        return cls._unweighted([poly.get(mon, 0) for mon in cls.MONOMIALS])
 
     @classmethod
     def _unweighted(cls, form: Sequence[int]):
@@ -394,33 +380,16 @@ def axis_conic(m: Metric, v1: HomPoint, v2: HomPoint, focus: HomPoint) -> AxisCo
             "focus coincides with the center or a vertex-distance focus")
     e2 = c2_param / a2_param
     ratio = a2_param / c2_param
-    d_point = affine_combine(((center, 1 - ratio), (focus, ratio)))
+    # (1 - ratio) center + ratio focus, in integer weights as in midpoint
+    rn, rd = ratio.numerator, ratio.denominator
+    sc, sf = sum(center.triple), sum(focus.triple)
+    d_point = HomPoint(*((rd - rn) * sf * c + rn * sc * f
+                         for c, f in zip(center.triple, focus.triple)))
     directrix = perpendicular_line_through(join(v1, v2), d_point, m)
     conic = conic_from_focus_directrix(m, focus, directrix, e2)
     if conic.evaluate(v1) or conic.evaluate(v2):
         raise CurveMissesPoint(f"axis conic {conic!r} misses a vertex")
     return AxisConic(conic, e2, directrix)
-
-
-def conic_second_intersection(c: Conic, p: HomPoint, q: HomPoint) -> HomPoint:
-    """Second intersection of the line p q with the conic, p on the conic.
-
-    Returns q if q is also on the conic, and p itself when the line is
-    tangent at p.  Kept for the tests, which generate conic points with it.
-    """
-    if c.evaluate(p) != 0:
-        raise ValueError("first point must lie on the conic")
-    if p == q:
-        raise ValueError("need two distinct points to span a line")
-    fq = c.evaluate(q)
-    if fq == 0:
-        return q
-    mq = mat_vec(c.matrix(), q.triple)
-    b = sum(pc * w for pc, w in zip(p.triple, mq))
-    if b == 0:
-        return p
-    # root t of F(p + t q) = 2 t b + t^2 F(q)
-    return HomPoint(*(pc * fq - 2 * b * qc for pc, qc in zip(p.triple, q.triple)))
 
 
 # ---------------------------------------------------------------------------

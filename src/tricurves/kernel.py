@@ -13,14 +13,15 @@ use SA = (b^2 + c^2 - a^2) / 2 (and cyclically SB, SC) and
 S2 = SA*SB + SB*SC + SC*SA, the square of twice the area.  The module is
 floating-point free: all arithmetic is ``int`` / ``fractions.Fraction``.
 
-Each ``Metric`` also carries ``unit``, one integral view of the same
-triangle (an :class:`IntegralView`, built once in ``__init__`` and permuted
-by ``rot()``): its squared sides, SA, SB, SC and S2 are integers.
+A ``Metric`` holds one field, ``unit``: the triangle in integers (an
+:class:`IntegralView`, built once in ``__init__`` and relabelled by its
+``rot()``).  Its squared sides, SA, SB, SC and S2 are integers at a scale q,
+and so are its sides, where rational, at a scale k with q = k^2.
 :func:`gram`, and the center formulas, conjugation weights and
-derived-triangle vertices in ``tricurves.centers``, read it instead of the
-fractional fields; each of those formulas is homogeneous in the sides, so
-the view's scale drops out of every canonical result.  The public fields
-keep the given scale, and ``squared_distance`` divides it back out.
+derived-triangle vertices in ``tricurves.centers``, read it; each of those
+formulas is homogeneous in the sides, so the scale drops out of every
+canonical result.  The Metric's named fields read the view back as
+Fractions at the given scale, and ``squared_distance`` divides it out.
 """
 
 from __future__ import annotations
@@ -50,10 +51,6 @@ class PointAtInfinity(GeometryError):
 
 class LineAtInfinity(GeometryError):
     """The line at infinity is not a valid argument here."""
-
-
-class WeightSumNotOne(GeometryError):
-    """Weights of an affine combination must sum to exactly one."""
 
 
 class NotADirection(GeometryError):
@@ -264,11 +261,6 @@ def span_points(l: HomLine) -> tuple[HomPoint, HomPoint]:
     raise ZeroVector("line has no two distinct points (zero coefficients?)")
 
 
-def two_points_on(l: HomLine) -> tuple[HomPoint, HomPoint]:
-    """Two distinct finite points on a line other than the line at infinity."""
-    return tuple(sample_line_points(l, 2))
-
-
 def sample_line_points(
     l: HomLine,
     count: int,
@@ -308,25 +300,6 @@ def _affine_sum(p: HomPoint) -> int:
     return s
 
 
-def normalize_affine(p: HomPoint) -> tuple[Fraction, Fraction, Fraction]:
-    """Scale so the coordinates sum to one; rejects points at infinity."""
-    s = _affine_sum(p)
-    return (Fraction(p.x, s), Fraction(p.y, s), Fraction(p.z, s))
-
-
-def affine_combine(terms: Sequence[tuple[HomPoint, Rat]]) -> HomPoint:
-    """Exact affine combination; the weights must sum to one."""
-    weights = [_fraction(w) for _, w in terms]
-    if sum(weights) != 1:
-        raise WeightSumNotOne(f"weights sum to {sum(weights)}, not 1")
-    acc = [Fraction(0)] * 3
-    for (p, _), w in zip(terms, weights):
-        n = normalize_affine(p)
-        for i in range(3):
-            acc[i] += w * n[i]
-    return HomPoint(*acc)
-
-
 def midpoint(p: HomPoint, q: HomPoint) -> HomPoint:
     """p/sp + q/sq, scaled by sp*sq to stay in integers."""
     sp, sq = _affine_sum(p), _affine_sum(q)
@@ -344,10 +317,9 @@ def reflect_through(center: HomPoint, p: HomPoint) -> HomPoint:
 # metric context
 
 class IntegralView(NamedTuple):
-    """A Metric's fields scaled to integers, for formulas homogeneous in the
-    sides: ``a2 == m.a2 * q`` (likewise ``b2``, ``c2``, ``SA``, ``SB``,
-    ``SC``), ``S2 == m.S2 * q**2`` and, where the metric has sides,
-    ``sides == m.sides * k`` with ``q == k**2``."""
+    """A triangle in integers: the squared sides, SA, SB and SC over ``q``,
+    S2 over ``q**2`` and, where the sides are rational, ``sides`` over ``k``
+    (then ``q == k**2``) are the triangle's own values."""
 
     a2: int
     b2: int
@@ -358,6 +330,7 @@ class IntegralView(NamedTuple):
     S2: int
     sides: Optional[tuple[int, int, int]]
     q: int
+    k: Optional[int]
 
     @property
     def a(self) -> int:
@@ -372,30 +345,33 @@ class IntegralView(NamedTuple):
         return self.sides[2]
 
     def rot(self) -> "IntegralView":
-        """Cyclic relabel (a, b, c) -> (b, c, a), as :meth:`Metric.rot`."""
+        """Cyclic relabel (a, b, c) -> (b, c, a); used to close formulas cyclically."""
         sides = None if self.sides is None else (self.sides[1], self.sides[2], self.sides[0])
         return IntegralView(self.b2, self.c2, self.a2, self.SB, self.SC, self.SA,
-                            self.S2, sides, self.q)
+                            self.S2, sides, self.q, self.k)
+
+
+def _read_back(field: str, power: int = 1) -> property:
+    """A Metric field: ``field`` of its view over q**power, as a Fraction."""
+    return property(lambda m: Fraction(getattr(m.unit, field), m.unit.q ** power))
 
 
 class Metric:
     """Squared-side-length context for metric computations.
 
-    Carries the squared sides (a2, b2, c2), the derived symbols SA, SB, SC
-    and S2, and optionally the exact (unsquared) sides when those are
-    rational.  Derived triangles whose sides involve square roots have a
-    perfectly good Metric (their squared sides are rational) but no
-    ``sides`` attribute.  A Metric is immutable and validated once, in
-    ``__init__``; :meth:`rot` permutes the validated fields.
-
-    ``unit`` is the same triangle in integers (an :class:`IntegralView`):
-    the sides times k = 2*lcm(side denominators) where the metric has
-    sides, else the squared sides times q = 4*lcm(their denominators).
-    Either way the scaled squared sides are multiples of 4, so SA, SB, SC
-    and S2 come out integral.  The public fields keep the given scale.
+    Its one field, ``unit``, is the triangle in integers (an
+    :class:`IntegralView`): the sides times k = 2*lcm(side denominators)
+    where the sides are rational, else the squared sides times
+    q = 4*lcm(their denominators).  Either way the scaled squared sides are
+    multiples of 4, so SA, SB, SC and S2 come out integral.  Derived
+    triangles whose sides involve square roots have a perfectly good Metric
+    (their squared sides are rational) but no ``sides``.  The squared sides
+    (a2, b2, c2), SA, SB, SC, S2 and, where ``has_sides``, ``sides``
+    (a, b, c) read back as Fractions at the given scale.  A Metric is
+    immutable and validated once, in ``__init__``.
     """
 
-    __slots__ = ("a2", "b2", "c2", "SA", "SB", "SC", "S2", "sides", "unit")
+    __slots__ = ("unit",)
 
     def __init__(self, a2: Rat, b2: Rat, c2: Rat,
                  sides: Optional[Sequence[Rat]] = None):
@@ -404,7 +380,7 @@ class Metric:
             raise InvalidTriangle("squared side lengths must be positive")
         if sides is None:
             q = 4 * math.lcm(*(v.denominator for v in squares))
-            whole = None
+            k = whole = None
             ua2, ub2, uc2 = (v.numerator * (q // v.denominator) for v in squares)
         else:
             sides = tuple(_fraction(s) for s in sides)
@@ -423,41 +399,40 @@ class Metric:
         S2 = SA * SB + SB * SC + SC * SA
         if S2 <= 0:
             raise InvalidTriangle("degenerate triangle: S^2 <= 0")
-        self._fill(*squares, Fraction(SA, q), Fraction(SB, q), Fraction(SC, q),
-                   Fraction(S2, q * q), sides,
-                   IntegralView(ua2, ub2, uc2, SA, SB, SC, S2, whole, q))
+        object.__setattr__(self, "unit",
+                           IntegralView(ua2, ub2, uc2, SA, SB, SC, S2, whole, q, k))
 
-    def _fill(self, *values) -> None:
-        for name, value in zip(Metric.__slots__, values):
-            object.__setattr__(self, name, value)
+    @staticmethod
+    def of_view(unit: IntegralView) -> "Metric":
+        """The Metric of an already valid view, built without validation."""
+        m = object.__new__(Metric)
+        object.__setattr__(m, "unit", unit)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    a2, b2, c2 = _read_back("a2"), _read_back("b2"), _read_back("c2")
+    SA, SB, SC = _read_back("SA"), _read_back("SB"), _read_back("SC")
+    S2 = _read_back("S2", 2)
+
+    @property
+    def sides(self) -> Optional[tuple[Fraction, Fraction, Fraction]]:
+        u = self.unit
+        return None if u.sides is None else tuple(Fraction(s, u.k) for s in u.sides)
+
     @property
     def has_sides(self) -> bool:
-        return self.sides is not None
+        return self.unit.sides is not None
 
-    @property
-    def a(self) -> Fraction:
-        """Side length a, only where ``has_sides``; likewise ``b`` and ``c``."""
-        return self.sides[0]
-
-    @property
-    def b(self) -> Fraction:
-        return self.sides[1]
-
-    @property
-    def c(self) -> Fraction:
-        return self.sides[2]
+    # side lengths, only where has_sides
+    a = property(lambda self: self.sides[0])
+    b = property(lambda self: self.sides[1])
+    c = property(lambda self: self.sides[2])
 
     def rot(self) -> "Metric":
-        """Cyclic relabel (a, b, c) -> (b, c, a); used to close formulas cyclically."""
-        sides = None if self.sides is None else (self.sides[1], self.sides[2], self.sides[0])
-        r = object.__new__(Metric)
-        r._fill(self.b2, self.c2, self.a2, self.SB, self.SC, self.SA, self.S2, sides,
-                self.unit.rot())
-        return r
+        """Cyclic relabel (a, b, c) -> (b, c, a): :meth:`IntegralView.rot`."""
+        return Metric.of_view(self.unit.rot())
 
     def is_right(self) -> bool:
         u = self.unit
@@ -506,27 +481,6 @@ def squared_distance(p: HomPoint, q: HomPoint, m: Metric) -> Fraction:
         raise PointAtInfinity("squared_distance requires finite points")
     d = (p.x * sq - q.x * sp, p.y * sq - q.y * sp, p.z * sq - q.z * sp)
     return Fraction(dot(d, gram(d, m)), m.unit.q * sp * sp * sq * sq)
-
-
-def point_line_distance_sq(p: HomPoint, l: HomLine, m: Metric) -> Fraction:
-    """Exact squared distance from a finite point to a line.
-
-    Computed from two sample points on the line; the result does not
-    depend on which sample points are taken.  Kept as a test reference.
-    """
-    if l.is_line_at_infinity():
-        raise LineAtInfinity("distance to the line at infinity is undefined")
-    if p.is_infinite():
-        raise PointAtInfinity("point at infinity has no distance to a line")
-    q1, q2 = two_points_on(l)
-    d = det3((p.triple, q1.triple, q2.triple))
-    if d == 0:
-        return Fraction(0)
-    sp = p.x + p.y + p.z
-    s1 = q1.x + q1.y + q1.z
-    s2 = q2.x + q2.y + q2.z
-    det_norm_sq = Fraction(d * d, (sp * s1 * s2) ** 2)
-    return det_norm_sq * m.S2 / squared_distance(q1, q2, m)
 
 
 def infinite_point(l: HomLine) -> HomPoint:

