@@ -11,10 +11,12 @@ Each curve class holds one monomial table (``MONOMIALS`` and ``WEIGHTS``).
 Conic coefficient order is (q11, q22, q33, q12, q13, q23) for the form
 q11*x^2 + q22*y^2 + q33*z^2 + 2*q12*x*y + 2*q13*x*z + 2*q23*y*z; cubic
 coefficients follow the lexicographic monomial order x^3, x^2*y, x^2*z,
-x*y^2, x*y*z, x*z^2, y^3, y^2*z, y*z^2, z^3.  Push-forwards, Hessians,
-gradients and line restrictions evaluate the form at a few fixed integer
-points and read the coefficients back by closed-form exact rules; the
-pencil quotient is an integer synthetic division of the coefficient vector.
+x*y^2, x*y*z, x*z^2, y^3, y^2*z, y*z^2, z^3.  Push-forwards, Hessians
+and line restrictions evaluate the form at a few fixed integer points and
+read the coefficients back by closed-form exact rules; gradients and
+Hessians read the partial derivatives off tables derived from the monomial
+order; the pencil quotient is an integer synthetic division of the
+coefficient vector.
 """
 
 from __future__ import annotations
@@ -242,8 +244,11 @@ class Cubic(_FormVector):
                 yy * y, yy * z, y * zz, zz * z)
 
     def gradient(self, p: HomPoint) -> tuple[int, int, int]:
-        # the s0^2 s1 coefficient of the form at s0 p + s1 e_v is dF/dx_v at p
-        return tuple(_restrict(self, p.triple, e)[1] for e in _UNITS)
+        x, y, z = p.triple
+        quad = (x * x, y * y, z * z, x * y, x * z, y * z)  # Conic.MONOMIALS
+        c = self._v
+        return tuple(sum(f * c[m] * q for (m, f), q in zip(row, quad))
+                     for row in _FIRST_PARTIALS)
 
 
 def on_conic(p: HomPoint, c: Conic) -> bool:
@@ -460,21 +465,31 @@ def _divide_linear(coeffs: Sequence[int], lin) -> Conic:
     return Conic._unweighted(quo)
 
 
-def _second_partials():
-    """For each of d2/dx^2, d2/dy^2, d2/dz^2, d2/dxdy, d2/dxdz, d2/dydz of a
-    cubic, the pairs (monomial index, factor) whose coefficient times the
-    factor is the coefficient of x, y, z in that linear form."""
+def _partials(derivatives, results):
+    """For each partial derivative of a cubic, given as the variables it
+    differentiates by, the pairs (monomial index, factor) whose coefficient
+    times the factor is the coefficient of each of ``results`` in it."""
     table = []
-    for u, v in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)):
+    for variables in derivatives:
         row = []
-        for w in range(3):
-            mon = tuple((u == i) + (v == i) + (w == i) for i in range(3))
-            row.append((CUBIC_MONOMIALS.index(mon), mon[u] * (mon[v] - (u == v))))
+        for result in results:
+            mon = list(result)
+            for v in variables:
+                mon[v] += 1
+            index, factor = CUBIC_MONOMIALS.index(tuple(mon)), 1
+            for v in variables:
+                factor *= mon[v]
+                mon[v] -= 1
+            row.append((index, factor))
         table.append(tuple(row))
     return tuple(table)
 
 
-_SECOND_PARTIALS = _second_partials()
+# d/dx, d/dy, d/dz as quadratics in Conic.MONOMIALS order; the six second
+# partials as linear forms in x, y, z
+_FIRST_PARTIALS = _partials(((0,), (1,), (2,)), Conic.MONOMIALS)
+_SECOND_PARTIALS = _partials(
+    ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)), _UNITS)
 
 
 def hessian(k: Cubic) -> Optional[Cubic]:

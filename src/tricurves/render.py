@@ -4,11 +4,16 @@ This is the only module that touches floating point.  The exact core hands
 over canonical points and curve coefficient vectors; everything here is a
 rendering concern and nothing in the verification pipeline imports it.
 
-Marching squares evaluates the curve's form on a (grid + 1)^2 lattice; that
+Marching squares reads the curve's form on a (grid + 1)^2 lattice; that
 sign grid alone decides which cells hold a crossing and how a saddle cell
-splits.  Each grid edge with a sign change is refined once, by bracketed
-Illinois steps, and the two cells that share the edge share its endpoint,
-so a closed curve traces a watertight polyline.
+splits.  The Cartesian chart is affine, so along any grid line a line,
+conic or cubic is one univariate polynomial of degree at most 3: it is
+recovered from four values on each grid column, and the sign grid is that
+column's cubic by Horner.  Each grid edge with a sign change is refined
+once, by bracketed Illinois steps on its grid line's cubic (a row's cubic
+is built the first time one of its edges is refined), and the two cells
+that share the edge share its endpoint, so a closed curve traces a
+watertight polyline.
 """
 
 from __future__ import annotations
@@ -192,20 +197,77 @@ def _refine_root(f, p0, p1, v0, v1):
     return (x + t * ex, y + t * ey)
 
 
-def trace_segments(f, viewport, grid: int):
-    """Marching squares over a sign grid; returns refined segment endpoints.
+# offsets of the interpolation nodes on a grid line, in half-lengths of the
+# viewport from its centre
+_LINE_NODES = (-1.0, -0.5, 0.5, 1.0)
 
-    A cell whose four corner values share one strict sign has no crossing
-    and is skipped.  Every other grid edge with a sign change is refined
-    once, from its lower to its higher grid index, and both cells that
-    share it get the same endpoint object.
+
+def _restriction(f, vertical: bool, fixed: float, centre: float, half: float):
+    """``f`` on the grid line x = fixed (``vertical``) or y = fixed, as the
+    cubic a0 + a1*s + a2*s^2 + a3*s^3 in the offset s = (t - centre) / half
+    of the running coordinate t; returns (a0, a1, a2, a3) and the cubic as
+    a function of the point.
+
+    The coefficients come from the values at the offsets ``_LINE_NODES`` in
+    closed form: at s = 1 and s = 1/2 the even part is a0 + a2 and
+    a0 + a2/4 and the odd part a1 + a3 and a1/2 + a3/8.
     """
+    if vertical:
+        gm1, gmh, gph, gp1 = (f(fixed, centre + s * half) for s in _LINE_NODES)
+    else:
+        gm1, gmh, gph, gp1 = (f(centre + s * half, fixed) for s in _LINE_NODES)
+    e1, e2, o1, o2 = gp1 + gm1, gph + gmh, gp1 - gm1, gph - gmh
+    a0, a1 = (4 * e2 - e1) / 6, (8 * o2 - o1) / 6
+    a2, a3 = (e1 - e2) * (2 / 3), (2 * o1 - 4 * o2) / 3
+
+    def g(px: float, py: float) -> float:
+        s = ((py if vertical else px) - centre) / half
+        return ((a3 * s + a2) * s + a1) * s + a0
+
+    return (a0, a1, a2, a3), g
+
+
+def _sign_grid(f, viewport, grid: int):
+    """The grid lines xs and ys, the restriction of ``f`` to each column
+    (see ``_restriction``) and the values at the nodes, ``values[i][j]``
+    at (xs[i], ys[j]), by Horner on the column's cubic."""
     x0, y0, x1, y1 = viewport
     dx = (x1 - x0) / grid
     dy = (y1 - y0) / grid
     xs = [x0 + i * dx for i in range(grid + 1)]
     ys = [y0 + j * dy for j in range(grid + 1)]
-    values = [[f(x, y) for y in ys] for x in xs]
+    centre, half = 0.5 * (y0 + y1), 0.5 * (y1 - y0)
+    offsets = [(y - centre) / half for y in ys]
+    columns, values = [], []
+    for x in xs:
+        (a0, a1, a2, a3), g = _restriction(f, True, x, centre, half)
+        columns.append(g)
+        values.append([((a3 * s + a2) * s + a1) * s + a0 for s in offsets])
+    return xs, ys, columns, values
+
+
+def trace_segments(f, viewport, grid: int):
+    """Marching squares over a sign grid; returns refined segment endpoints.
+
+    ``f`` must be a polynomial of degree at most 3 along every grid line,
+    as every barycentric line, conic or cubic is in the affine Cartesian
+    chart.  It is evaluated at four points of each grid column, and the
+    sign grid is read off those column cubics; a grid row's cubic is built
+    the same way, the first time one of its edges is refined.  So ``f`` is
+    called at most 8 * (grid + 1) times, plus once per saddle cell.
+
+    A cell whose four corner values share one strict sign has no crossing
+    and is skipped.  Every other grid edge with a sign change is refined
+    once, on its grid line's cubic, from its lower to its higher grid
+    index, and both cells that share it get the same endpoint object.  An
+    ambiguous saddle cell is split by the sign of ``f`` at its centre.
+    """
+    x0, y0, x1, y1 = viewport
+    dx = (x1 - x0) / grid
+    dy = (y1 - y0) / grid
+    xs, ys, columns, values = _sign_grid(f, viewport, grid)
+    centre, half = 0.5 * (x0 + x1), 0.5 * (x1 - x0)
+    rows = {}
     memo = {}
 
     def crossing(a, b):
@@ -213,7 +275,13 @@ def trace_segments(f, viewport, grid: int):
         p = memo.get(key)
         if p is None:
             (i, j), (k, m) = key
-            p = memo[key] = _refine_root(f, (xs[i], ys[j]), (xs[k], ys[m]),
+            if i == k:
+                g = columns[i]
+            else:
+                g = rows.get(j)
+                if g is None:
+                    g = rows[j] = _restriction(f, False, ys[j], centre, half)[1]
+            p = memo[key] = _refine_root(g, (xs[i], ys[j]), (xs[k], ys[m]),
                                          values[i][j], values[k][m])
         return p
 

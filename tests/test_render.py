@@ -451,3 +451,106 @@ class TestFiguresGuard:
                 l3 = ((bx - ax) * (py - ay) - (px - ax) * (by - ay)) / det
                 assert workloads.relative_residual(
                     coeffs[label], (1.0 - l2 - l3, l2, l3)) <= 1e-6, (sid, line)
+
+
+class TestGridLineRestrictions:
+    """``trace_segments`` reads ``f`` off one cubic per grid line."""
+
+    @pytest.mark.parametrize("case", ["circumcircle", "thm4-yff-medial"])
+    def test_calls_linear_in_grid(self, case):
+        grid = 64
+        if case == "circumcircle":
+            traced = [_circle(0.4)]
+        else:
+            traced = [(f, viewport) for f, viewport, _ in _traced(case, 0)]
+        for f, viewport in traced:
+            calls = [0]
+
+            def counted(x, y):
+                calls[0] += 1
+                return f(x, y)
+
+            trace_segments(counted, viewport, grid)
+            xs, ys = _grid_lines(viewport, grid)
+            pos = [[f(x, y) > 0 for y in ys] for x in xs]
+            saddles = sum(pos[i][j] == pos[i + 1][j + 1] != pos[i + 1][j] == pos[i][j + 1]
+                          for i in range(grid) for j in range(grid))
+            assert 0 < calls[0] <= 8 * (grid + 1) + saddles
+
+    @settings(max_examples=200, deadline=None)
+    @given(corners=st.tuples(_xy, _xy, _xy),
+           coeffs=st.sampled_from([3, 6, 10]).flatmap(lambda n: st.lists(
+               st.integers(-10**6, 10**6), min_size=n, max_size=n)))
+    def test_interpolated_values_match_the_form(self, corners, coeffs):
+        # Each value may differ from the term-for-term f by a few rounding
+        # errors of f itself, which scale with the terms, not with f: on a
+        # thin triangle 1 - l2 - l3 cancels, and f = 45 * (x + y + z) comes
+        # out as 45 +- 3e-11.  So the bound is 1e-12 times the largest
+        # sum |c_i| * max(|x|, |y|, |z|)^degree on the grid line, the
+        # denominator of the figures guard's backward error.
+        (ax, ay), (bx, by), (cx, cy) = corners
+        assume((bx - ax) * (cy - ay) - (cx - ax) * (by - ay) != 0)
+        if len(coeffs) == 3:
+            f = line_function(types.SimpleNamespace(triple=tuple(coeffs)), corners)
+            weights, degree = (1, 1, 1), 1
+        else:
+            f = curve_function(types.SimpleNamespace(coeffs=coeffs), corners)
+            weights = (1, 1, 1, 2, 2, 2) if len(coeffs) == 6 else (1,) * 10
+            degree = 2 if len(coeffs) == 6 else 3
+        grid = 16
+        viewport = compute_viewport(corners, [], 0.25)
+        try:
+            xs, ys, columns, values = render._sign_grid(f, viewport, grid)
+            exact = [[f(x, y) for y in ys] for x in xs]
+        except OverflowError:  # x**3 on a thin triangle
+            assume(False)
+        assume(all(math.isfinite(v) for col in exact for v in col))
+        chart, norm = _reference_chart(corners), sum(
+            abs(c) * w for c, w in zip(coeffs, weights))
+        terms = [[norm * max(map(abs, chart(x, y))) ** degree for y in ys] for x in xs]
+        x0, _, x1, _ = viewport
+        rows = [render._restriction(f, False, y, 0.5 * (x0 + x1), 0.5 * (x1 - x0))[1]
+                for y in ys]
+        for i, x in enumerate(xs):
+            bound = 1e-12 * max(terms[i])
+            for j, y in enumerate(ys):
+                assert abs(values[i][j] - exact[i][j]) <= bound
+                assert values[i][j] == columns[i](x, y)
+        for j, (y, row) in enumerate(zip(ys, rows)):
+            bound = 1e-12 * max(terms[i][j] for i in range(grid + 1))
+            for i, x in enumerate(xs):
+                assert abs(row(x, y) - exact[i][j]) <= bound
+
+
+class TestSvgLines:
+    """The dashed lines of ``render_svg``: every traced endpoint lies on its
+    exact line within a backward error of 1e-6, measured as
+    ``TestFiguresGuard`` measures the CSV rows."""
+
+    @pytest.mark.parametrize("k", range(len(_PINNED_TRIANGLES)))
+    @pytest.mark.parametrize("grid", [64, 256])
+    def test_endpoints_on_their_lines(self, k, grid):
+        workloads = _bench_workloads()
+        t = _PINNED_TRIANGLES[k]
+        (ax, ay), (bx, by), (cx, cy) = workloads.embed(t)
+        det = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
+        config = RenderConfig(grid=grid)
+        traced = 0
+        for sid in REGISTRY:
+            fig = _figure(sid, k)
+            corners, viewport = render._frame(t, fig, config)
+            for label, line in fig["lines"]:
+                assert isinstance(line, HomLine)
+                segs = trace_segments(line_function(line, corners), viewport,
+                                      max(config.grid // 4, 16))
+                assert segs, (sid, label)
+                traced += 1
+                l1, l2, l3 = (float(c) for c in line.triple)
+                for px, py in (p for seg in segs for p in seg):
+                    y = ((px - ax) * (cy - ay) - (cx - ax) * (py - ay)) / det
+                    z = ((bx - ax) * (py - ay) - (px - ax) * (by - ay)) / det
+                    x = 1.0 - y - z
+                    error = abs(l1 * x + l2 * y + l3 * z) / (
+                        (abs(l1) + abs(l2) + abs(l3)) * max(abs(x), abs(y), abs(z)))
+                    assert error <= 1e-6, (sid, label, px, py)
+        assert traced >= 4
