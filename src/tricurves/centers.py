@@ -363,31 +363,20 @@ def eval_center_in(t: RefTriangle, sub: SubTriangle, cid: CenterId) -> HomPoint:
     return from_local(HomPoint(*center_coords(sub.metric(), cid)), *sub.vertices)
 
 
-def _conjugate_in(conj: str, sub: SubTriangle, p: HomPoint) -> HomPoint:
-    local = local_coords(p, *sub.vertices)
-    return from_local(_conjugate_point(conj, sub.metric(), local), *sub.vertices)
+def conjugate(t: RefTriangle, conj: str, sub: Optional[SubTriangle],
+              p: HomPoint) -> HomPoint:
+    """The ``conj`` ("isogonal" or "isotomic") conjugate of ``p`` relative to
+    ``sub``, or to the base where ``sub`` is None, in base coordinates: a
+    derived triangle's conjugate is taken in its own frame and mapped back."""
+    if sub is None:
+        return _conjugate_point(conj, t, p)
+    local = _conjugate_point(conj, sub.metric(), local_coords(p, *sub.vertices))
+    return from_local(local, *sub.vertices)
 
 
 def isogonal_in(t: RefTriangle, sub: SubTriangle, p: HomPoint) -> HomPoint:
     """Isogonal conjugate relative to a derived triangle, in base coordinates."""
-    return _conjugate_in("isogonal", sub, p)
-
-
-def isotomic_in(t: RefTriangle, sub: SubTriangle, p: HomPoint) -> HomPoint:
-    return _conjugate_in("isotomic", sub, p)
-
-
-def conjugate(t: RefTriangle, conj: str, sub: Optional[SubTriangle],
-              p: HomPoint) -> HomPoint:
-    """The ``conj`` ("isogonal" or "isotomic") conjugate of ``p`` relative to
-    ``sub``, or to the base where ``sub`` is None, in base coordinates."""
-    if sub is None:
-        return _conjugate_point(conj, t, p)
-    if conj == "isogonal":
-        return isogonal_in(t, sub, p)
-    if conj == "isotomic":
-        return isotomic_in(t, sub, p)
-    raise ValueError(f"unknown conjugation {conj!r}")
+    return conjugate(t, "isogonal", sub, p)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ malformed center expression.  ``render`` exits 0 when the figure is written,
 outside 16 to 4096, width or height below 64, a negative or non-finite
 margin) and 65 for an invalid triangle, a curve it cannot build, or a
 triangle whose sides lie beyond or below float range or a figure point
-beyond it (``cannot render:``, no file written).
+beyond it (``cannot render:``, no file written).  Both exit 65 on a side
+or coefficient with a decimal exponent above 4300 in magnitude, and on a
+side or an answer with an integer too long for ``str`` (4300 digits).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -60,15 +63,27 @@ def _default_trials() -> int:
     return value
 
 
+# a decimal exponent as ``Fraction`` reads it, PEP 515 underscores included
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
+
+
+def _rational(text: str) -> Fraction:
+    """``Fraction(text)``, which builds 10**exp: an exponent above 4300 in
+    magnitude, the digit limit of an int literal, is refused."""
+    exp = _EXPONENT.search(text)
+    if exp and abs(int(exp.group(1))) > 4300:
+        raise ValueError(f"exponent beyond 4300 in {text.strip()!r}")
+    return Fraction(text)
+
+
 def parse_triangle(text: str) -> RefTriangle:
     parts = text.split(",")
     if len(parts) != 3:
         raise InvalidTriangle("expected three comma-separated side lengths")
-    try:
-        sides = [Fraction(p.strip()) for p in parts]
+    try:  # ValueError also where an error message prints too long an int
+        return RefTriangle(*(_rational(p.strip()) for p in parts))
     except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidTriangle(f"unparsable side length in {text!r}") from exc
-    return RefTriangle(*sides)
+        raise InvalidTriangle(f"unusable side length in {text!r}: {exc}") from exc
 
 
 def report_json(report: Report) -> str:
@@ -154,14 +169,15 @@ def cmd_center(args) -> int:
     except GeometryError as exc:
         print(f"evaluation failed: {exc}", file=sys.stderr)
         return EXIT_DATA
-    if args.format == "json":
-        print(json.dumps({
+    try:  # str refuses an int of more than 4300 digits with ValueError
+        print(str(point) if args.format == "plain" else json.dumps({
             "center": args.center,
             "triangle": [str(tri.a), str(tri.b), str(tri.c)],
             "barycentric": [str(point.x), str(point.y), str(point.z)],
         }, separators=(",", ":")))
-    else:
-        print(str(point))
+    except ValueError as exc:
+        print(f"cannot print the answer: {exc}", file=sys.stderr)
+        return EXIT_DATA
     return EXIT_OK
 
 
@@ -180,7 +196,7 @@ def _named_curve(name: str, tri: RefTriangle):
     for prefix, form in (("conic:", Conic), ("cubic:", Cubic)):
         if name.startswith(prefix):
             try:
-                return form(*(Fraction(v) for v in name[len(prefix):].split(",")))
+                return form(*(_rational(v) for v in name[len(prefix):].split(",")))
             except ZeroDivisionError as exc:
                 raise ValueError(f"zero denominator in {name!r}") from exc
     raise ValueError(

@@ -4,16 +4,16 @@ This is the only module that touches floating point.  The exact core hands
 over canonical points and curve coefficient vectors; everything here is a
 rendering concern and nothing in the verification pipeline imports it.
 
-Marching squares reads the curve's form on a (grid + 1)^2 lattice; that
-sign grid alone decides which cells hold a crossing and how a saddle cell
-splits.  The Cartesian chart is affine, so along any grid line a line,
-conic or cubic is one univariate polynomial of degree at most 3: it is
-recovered from four values on each grid column, and the sign grid is that
-column's cubic by Horner.  Each grid edge with a sign change is refined
-once, by bracketed Illinois steps on its grid line's cubic (a row's cubic
-is built the first time one of its edges is refined), and the two cells
-that share the edge share its endpoint, so a closed curve traces a
-watertight polyline.
+One evaluator, ``curve_function``, reads a line, conic or cubic in the
+Cartesian chart, and marching squares reads it on a (grid + 1)^2 lattice;
+that sign grid alone decides which cells hold a crossing and how a saddle
+cell splits.  The chart is affine, so along any grid line the form is one
+univariate polynomial of degree at most 3: it is recovered from four
+values on each grid column, and the sign grid is that column's cubic by
+Horner.  Each grid edge with a sign change is refined once, by bracketed
+Illinois steps on its grid line's cubic (a row's cubic is built the first
+time one of its edges is refined), and the two cells that share the edge
+share its endpoint, so a closed curve traces a watertight polyline.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def _floats(coeffs) -> list[float]:
 
 
 def curve_function(curve, corners):
-    """Float evaluator of a barycentric form in the Cartesian chart.
+    """Float evaluator of a line, conic or cubic in the Cartesian chart.
 
     The chart (X, Y) -> (1 - l2 - l3, l2, l3) solves for l2, l3 by Cramer
     against the edge vectors B - A and C - A, which are hoisted out of the
@@ -109,42 +109,31 @@ def curve_function(curve, corners):
     ux, uy, vx, vy = bx - ax, by - ay, cx - ax, cy - ay
     det = ux * vy - vx * uy
     coeffs = _floats(curve.coeffs)
-    if len(coeffs) == 6:
+    if len(coeffs) == 3:
+        l1, l2, l3 = coeffs
+
+        def form(x: float, y: float, z: float) -> float:
+            return l1 * x + l2 * y + l3 * z
+    elif len(coeffs) == 6:
         q11, q22, q33, q12, q13, q23 = coeffs
 
-        def f(px: float, py: float) -> float:
-            y = ((px - ax) * vy - vx * (py - ay)) / det
-            z = (ux * (py - ay) - (px - ax) * uy) / det
-            x = 1.0 - y - z
+        def form(x: float, y: float, z: float) -> float:
             return (q11 * x * x + q22 * y * y + q33 * z * z
                     + 2 * (q12 * x * y + q13 * x * z + q23 * y * z))
-
-        return f
-    if len(coeffs) == 10:
+    elif len(coeffs) == 10:
         c0, c1, c2, c3, c4, c5, c6, c7, c8, c9 = coeffs
 
-        def f(px: float, py: float) -> float:
-            y = ((px - ax) * vy - vx * (py - ay)) / det
-            z = (ux * (py - ay) - (px - ax) * uy) / det
-            x = 1.0 - y - z
+        def form(x: float, y: float, z: float) -> float:
             return (c0 * x**3 + c1 * x * x * y + c2 * x * x * z
                     + c3 * x * y * y + c4 * x * y * z + c5 * x * z * z
                     + c6 * y**3 + c7 * y * y * z + c8 * y * z * z + c9 * z**3)
-
-        return f
-    raise ValueError("curve must have 6 (conic) or 10 (cubic) coefficients")
-
-
-def line_function(line, corners):
-    (ax, ay), (bx, by), (cx, cy) = corners
-    ux, uy, vx, vy = bx - ax, by - ay, cx - ax, cy - ay
-    det = ux * vy - vx * uy
-    l1, l2, l3 = _floats(line.triple)
+    else:
+        raise ValueError(f"{len(coeffs)} coefficients: not a line, conic or cubic")
 
     def f(px: float, py: float) -> float:
         y = ((px - ax) * vy - vx * (py - ay)) / det
         z = (ux * (py - ay) - (px - ax) * uy) / det
-        return l1 * (1.0 - y - z) + l2 * y + l3 * z
+        return form(1.0 - y - z, y, z)
 
     return f
 
@@ -361,24 +350,21 @@ def render_svg(t, figure: dict, config: RenderConfig, path: str) -> bool:
     out.append(f'<polygon points="{tri_path}" fill="none" stroke="#555" '
                'stroke-width="1.2"/>')
 
-    drew_curve = False
-    for idx, (label, line) in enumerate(figure.get("lines", [])):
-        f = line_function(line, corners)
-        for p0, p1 in trace_segments(f, viewport, max(config.grid // 4, 16)):
-            a, b = to_px(p0), to_px(p1)
-            out.append(f'<line x1="{a[0]:.2f}" y1="{a[1]:.2f}" x2="{b[0]:.2f}" '
-                       f'y2="{b[1]:.2f}" stroke="#999" stroke-width="0.8" '
-                       'stroke-dasharray="4 3"/>')
-    for idx, (label, curve) in enumerate(figure.get("curves", [])):
-        color = _PALETTE[idx % len(_PALETTE)]
-        f = curve_function(curve, corners)
-        segs = trace_segments(f, viewport, config.grid)
-        if segs:
-            drew_curve = True
+    def draw(form, grid: int, style: str) -> bool:
+        segs = trace_segments(curve_function(form, corners), viewport, grid)
         for p0, p1 in segs:
             a, b = to_px(p0), to_px(p1)
             out.append(f'<line x1="{a[0]:.2f}" y1="{a[1]:.2f}" x2="{b[0]:.2f}" '
-                       f'y2="{b[1]:.2f}" stroke="{color}" stroke-width="1.4"/>')
+                       f'y2="{b[1]:.2f}" {style}/>')
+        return bool(segs)
+
+    for _, line in figure.get("lines", []):
+        draw(line, max(config.grid // 4, 16),
+             'stroke="#999" stroke-width="0.8" stroke-dasharray="4 3"')
+    drew_curve = False
+    for idx, (_, curve) in enumerate(figure.get("curves", [])):
+        color = _PALETTE[idx % len(_PALETTE)]
+        drew_curve |= draw(curve, config.grid, f'stroke="{color}" stroke-width="1.4"')
     for label, p in figure.get("points", []):
         if sum(p.triple) == 0:
             continue

@@ -45,7 +45,6 @@ from tricurves.centers import (
     isogonal,
     isogonal_in,
     isotomic,
-    isotomic_in,
     parse_center,
     random_triangle,
     validate_center_oracles,
@@ -58,6 +57,8 @@ from tricurves.kernel import (
     VERTEX_A,
     VERTEX_B,
     VERTEX_C,
+    from_local,
+    local_coords,
     midpoint,
     reflect_through,
     squared_distance,
@@ -199,12 +200,19 @@ class TestConjugations:
         with pytest.raises(OnSideline):
             isotomic(HomPoint(1, 0, 1))
 
-    @pytest.mark.parametrize("kind", [None, TriangleKind.MEDIAL])
+    @pytest.mark.parametrize("kind", [None] + [
+        k for k in TriangleKind if k is not TriangleKind.BASE])
     def test_conjugate_dispatch(self, kind):
+        # X1 has no zero local coordinate in any derived triangle of T
         sub = None if kind is None else derived_triangle(T, kind)
         p = eval_center(T, CenterId.X1)
-        want = ((isogonal(T, p), isotomic(p)) if sub is None
-                else (isogonal_in(T, sub, p), isotomic_in(T, sub, p)))
+        if sub is None:
+            want = (isogonal(T, p), isotomic(p))
+        else:
+            local = local_coords(p, *sub.vertices)
+            assert 0 not in local.triple
+            want = (from_local(isogonal(sub.metric(), local), *sub.vertices),
+                    from_local(isotomic(local), *sub.vertices))
         assert (conjugate(T, "isogonal", sub, p), conjugate(T, "isotomic", sub, p)) == want
         with pytest.raises(ValueError):
             conjugate(T, "polar", sub, p)

@@ -1,9 +1,26 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from tricurves.cli import main, parse_triangle
+from tricurves import cli
+from tricurves.cli import _named_curve, _rational, main, parse_triangle
 from tricurves.kernel import InvalidTriangle
+
+
+def _run_cli(*args):
+    """``tricurves`` in a child process, so a run that hangs fails at the
+    timeout instead of stalling the suite."""
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", "tricurves.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=30)
 
 
 class TestCenterCommand:
@@ -284,3 +301,85 @@ class TestRenderCommand:
                      "--csv", str(path), *option]) == 64
         assert "invalid render option" in capsys.readouterr().err
         assert not path.exists()
+
+
+class TestNumberParsing:
+    """``Fraction`` builds 10**exp for any exponent, so each command below
+    ran for minutes before the exponent check."""
+
+    @pytest.mark.parametrize("sides", ["1e10000000,1e10000000,15e9999999",
+                                       "1e1_0000000,1e1_0000000,15e9_999999"],
+                             ids=["plain", "underscores"])
+    def test_center_refuses_huge_exponent(self, sides):
+        proc = _run_cli("center", "--triangle", sides, "--center", "X3")
+        assert proc.returncode == 65
+        assert proc.stderr.startswith("invalid triangle: ")
+        assert "exponent beyond 4300" in proc.stderr
+
+    def test_render_refuses_huge_exponent(self, tmp_path):
+        path = tmp_path / "fig.svg"
+        proc = _run_cli("render", "--curve", "conic:1e99999999,1,1,0,0,0",
+                        "--triangle", "6,9,13", "--svg", str(path))
+        assert proc.returncode == 65
+        assert proc.stderr.startswith("cannot build figure: ")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("text", ["1e4300", "-2.5E-4300", "1e+4_300",
+                                      " 7e0004300 "])
+    def test_exponent_limit_is_inclusive(self, text):
+        assert _rational(text) == Fraction(text)
+
+    @pytest.mark.parametrize("text", ["1e4301", "1E-4301", "1e4_301",
+                                      "1e" + "0" * 5000 + "1"])
+    def test_exponent_beyond_limit_refused(self, text):
+        with pytest.raises(ValueError):
+            _rational(text)
+
+    @pytest.mark.parametrize("argv", [
+        # the triangle-inequality message printed a side of 4301 digits
+        ["center", "--triangle", "1e4300,1,1", "--center", "X3"],
+        ["render", "--triangle", "1e4300,1,1", "--curve", "circumcircle"],
+        # the answer's coordinates were too long to print
+        ["center", "--triangle", "1e4300,1e4300,1e-4300", "--center", "X3"],
+        ["center", "--triangle", "1e4300,1e4300,1e4300", "--center", "X3",
+         "--format", "json"],
+    ])
+    def test_int_too_long_to_print_exits_65(self, tmp_path, capsys, argv):
+        # these ended in a ValueError traceback
+        path = tmp_path / "fig.svg"
+        target = ["--svg", str(path)] if argv[0] == "render" else []
+        assert main(argv + target) == 65
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "4300 digits" in captured.err
+        assert not path.exists()
+
+
+# integers, decimals, p/q, signed exponents of up to 9 digits, and PEP 515
+# underscores, valid or not
+_NUMBER = st.from_regex(
+    r"\A[-+]?(\d(_?\d){0,3}|\d{0,3}\.\d{0,3}|\d{1,3}/[-+]?\d{1,3}(_\d)?)"
+    r"([eE][-+]?\d(_?\d){0,8})?_?\Z")
+
+
+class TestNumberParsingProperties:
+    """Every number text returns or is refused with ``InvalidTriangle`` or
+    ``ValueError``, within hypothesis's default deadline."""
+
+    @given(st.lists(_NUMBER, min_size=3, max_size=3))
+    def test_parse_triangle(self, sides):
+        try:
+            parse_triangle(",".join(sides))
+        except InvalidTriangle:
+            pass
+
+    # up to three drawn coefficients, the rest 1: drawing all ten is slow
+    @given(st.sampled_from([("conic:", 6), ("cubic:", 10)]),
+           st.lists(_NUMBER, min_size=1, max_size=3))
+    def test_named_curve(self, form, coeffs):
+        prefix, n = form
+        try:
+            _named_curve(prefix + ",".join(coeffs + ["1"] * (n - len(coeffs))),
+                         parse_triangle("6,9,13"))
+        except ValueError:
+            pass

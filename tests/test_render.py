@@ -18,7 +18,6 @@ from tricurves.render import (
     RenderConfig,
     curve_function,
     embed_triangle,
-    line_function,
     point_xy,
     render_svg,
     sample_csv,
@@ -194,7 +193,7 @@ class TestSvg:
 
 def _reference_chart(corners):
     """The barycentric chart as its own closure: the float expression, term
-    for term, that ``curve_function`` and ``line_function`` inline."""
+    for term, that ``curve_function`` feeds to the form of each degree."""
     (ax, ay), (bx, by), (cx, cy) = corners
     det = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
 
@@ -233,10 +232,7 @@ class TestEvaluatorsBitIdentical:
     def test_inlined_chart_matches_reference(self, corners, coeffs, points):
         (ax, ay), (bx, by), (cx, cy) = corners
         assume((bx - ax) * (cy - ay) - (cx - ax) * (by - ay) != 0)
-        if len(coeffs) == 3:
-            f = line_function(types.SimpleNamespace(triple=tuple(coeffs)), corners)
-        else:
-            f = curve_function(types.SimpleNamespace(coeffs=coeffs), corners)
+        f = curve_function(types.SimpleNamespace(coeffs=coeffs), corners)
         chart = _reference_chart(corners)
         floats = [float(c) for c in coeffs]
 
@@ -253,10 +249,16 @@ class TestEvaluatorsBitIdentical:
     def test_line_coefficients_beyond_float_range_scale_exactly(self):
         # 2^1100 and 2^1100 + 1 both round to 1/2 once divided by 2^1101
         corners = embed_triangle(RefTriangle(6, 9, 13))
-        big = line_function(HomLine(2**1100, -(2**1100 + 1), 0), corners)
-        small = line_function(HomLine(1, -1, 0), corners)
+        big = curve_function(HomLine(2**1100, -(2**1100 + 1), 0), corners)
+        small = curve_function(HomLine(1, -1, 0), corners)
         for p in ((0.5, 0.25), (3.0, -7.0), (11.5, 2.0)):
             assert big(*p) == 0.5 * small(*p)
+
+    @pytest.mark.parametrize("n", [2, 4, 9])
+    def test_other_coefficient_counts_refused(self, n):
+        corners = embed_triangle(RefTriangle(6, 9, 13))
+        with pytest.raises(ValueError, match=f"{n} coefficients"):
+            curve_function(types.SimpleNamespace(coeffs=(1,) * n), corners)
 
 
 # Segment counts at grid 64 of every curve of the curve-bearing figures on
@@ -490,11 +492,10 @@ class TestGridLineRestrictions:
         # denominator of the figures guard's backward error.
         (ax, ay), (bx, by), (cx, cy) = corners
         assume((bx - ax) * (cy - ay) - (cx - ax) * (by - ay) != 0)
+        f = curve_function(types.SimpleNamespace(coeffs=coeffs), corners)
         if len(coeffs) == 3:
-            f = line_function(types.SimpleNamespace(triple=tuple(coeffs)), corners)
             weights, degree = (1, 1, 1), 1
         else:
-            f = curve_function(types.SimpleNamespace(coeffs=coeffs), corners)
             weights = (1, 1, 1, 2, 2, 2) if len(coeffs) == 6 else (1,) * 10
             degree = 2 if len(coeffs) == 6 else 3
         grid = 16
@@ -541,7 +542,7 @@ class TestSvgLines:
             corners, viewport = render._frame(t, fig, config)
             for label, line in fig["lines"]:
                 assert isinstance(line, HomLine)
-                segs = trace_segments(line_function(line, corners), viewport,
+                segs = trace_segments(curve_function(line, corners), viewport,
                                       max(config.grid // 4, 16))
                 assert segs, (sid, label)
                 traced += 1
