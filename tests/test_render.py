@@ -1,6 +1,7 @@
 import collections
 import csv
 import functools
+import hashlib
 import importlib.util
 import math
 import pathlib
@@ -555,3 +556,65 @@ class TestSvgLines:
                         (abs(l1) + abs(l2) + abs(l3)) * max(abs(x), abs(y), abs(z)))
                     assert error <= 1e-6, (sid, label, px, py)
         assert traced >= 4
+
+
+# SHA-256 of the CSV and then the SVG bytes that ``sample_csv`` and
+# ``render_svg`` write at grid 64 for each curve-bearing figure, chained
+# over the triangles of ``_PINNED_TRIANGLES`` in order; and of the two
+# files for the (3, 4, 6) circumcircle alone at grids 16 and 256.
+FIGURE_DIGESTS = {
+    "cor1": "f159f01bb1131934e21d5da296d677cf2f6e0f0fe857ebb5259c638a1de06f5c",
+    "cor2": "f159f01bb1131934e21d5da296d677cf2f6e0f0fe857ebb5259c638a1de06f5c",
+    "cor3": "2f4c73a0ffe5370057ede7415154df2e1f29f5901ab838de1f10869bc005e44d",
+    "cor4": "2f4c73a0ffe5370057ede7415154df2e1f29f5901ab838de1f10869bc005e44d",
+    "cor5-euler-line-component":
+        "1fe46b560c7c869c1a1b729e2693906137b192d65fd3fdc20b1d2a6d749408fe",
+    "defs-sanity": "d7358b588d893a904be1179af4301e99a70d00e505efa770b4d91ffdd97128ad",
+    "thm1-jerabek-excentral":
+        "d842597989dcc51aa40838c1fed668f54ebf90f14f1d699fbcb1248adb430433",
+    "thm2-thomson-excentral":
+        "7b556a9729253dcb8cd63c495c58833f5e9978cb4ac88347c0efcc8443f25bf7",
+    "thm3-darboux-excentral":
+        "034740dc93be7ffe95446a27f35a23bf1c5b5c502a546e9b0e2d7366f49e8aa2",
+    "thm4-yff-medial": "57238542e978ac9f08bdf11169950a7b42fb9645807d8c5ab1419daef50385ce",
+    "thm5-darboux-medial":
+        "7de94b2b222db05d717a3faaaa75a524c754fad4d466b873a6a166fb731766ed",
+    "thm6-lucas-medial": "ea9281156c565b5c8b24df7750a5827071036b4ddd6e4445643ac5606f028ef6",
+    "thm7-darboux-euler":
+        "515e5127b483870df47fed5b7d6e9a3905a8ce7ba13066d056bd5d3058d1d1eb",
+    "thm8-jerabek-midarc":
+        "7e9c0dc7ff05d79a9077114a70ad706a84f008b6bc3c8082100ff71add728247",
+}
+CIRCUMCIRCLE_DIGESTS = {
+    16: "ccfa4cb999af612e902fcf95e83f93960e1ef97bf8b560b495e9af9c15359072",
+    256: "fb83330ceaf5d6594d25564f3966b61cb1b6abd89ab0a3f465fdb5d9766991c4",
+}
+
+
+def _file_digest(t, figure, grid, tmp_path):
+    h = hashlib.sha256()
+    for write, name in ((sample_csv, "f.csv"), (render_svg, "f.svg")):
+        path = tmp_path / name
+        write(t, figure, RenderConfig(grid=grid), str(path))
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+class TestBytesPinned:
+    """The renderer's output bytes, CSV and SVG, are fixed."""
+
+    def test_every_curve_bearing_scenario_pinned(self):
+        assert sorted(FIGURE_DIGESTS) == sorted(SEGMENT_COUNTS)
+
+    @pytest.mark.parametrize("sid", sorted(FIGURE_DIGESTS))
+    def test_figure_bytes(self, sid, tmp_path):
+        h = hashlib.sha256()
+        for k, t in enumerate(_PINNED_TRIANGLES):
+            h.update(_file_digest(t, _figure(sid, k), 64, tmp_path).encode())
+        assert h.hexdigest() == FIGURE_DIGESTS[sid]
+
+    @pytest.mark.parametrize("grid", sorted(CIRCUMCIRCLE_DIGESTS))
+    def test_circumcircle_bytes(self, grid, tmp_path):
+        t = RefTriangle(3, 4, 6)
+        figure = {"points": [], "curves": [("circ", circumcircle(t))], "lines": []}
+        assert _file_digest(t, figure, grid, tmp_path) == CIRCUMCIRCLE_DIGESTS[grid]
