@@ -9,11 +9,14 @@ Cartesian chart, and marching squares reads it on a (grid + 1)^2 lattice;
 that sign grid alone decides which cells hold a crossing and how a saddle
 cell splits.  The chart is affine, so along any grid line the form is one
 univariate polynomial of degree at most 3: it is recovered from four
-values on each grid column, and the sign grid is that column's cubic by
-Horner.  Each grid edge with a sign change is refined once, by bracketed
+values on each grid column, and the column's signs are that cubic by
+Horner.  The columns stream in one at a time, their signs as bitmasks, so
+only the live cells, which a crossing can pass, are visited and memory is
+O(grid).  Each grid edge with a sign change is refined once, by bracketed
 Illinois steps on its grid line's cubic (a row's cubic is built the first
 time one of its edges is refined), and the two cells that share the edge
-share its endpoint, so a closed curve traces a watertight polyline.
+share its endpoint, so a closed curve traces a watertight polyline whose
+CSV row for that endpoint is formatted once.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ class RenderConfig:
     labels: bool = True
 
     def __post_init__(self):
-        if not 16 <= self.grid <= 4096:  # trace_segments holds (grid + 1)^2 values
+        if not 16 <= self.grid <= 4096:  # a trace reads (grid + 1)^2 nodes
             raise ValueError(f"grid must be between 16 and 4096, got {self.grid}")
         if self.width < 64 or self.height < 64:
             raise ValueError("width and height must be at least 64")
@@ -144,22 +147,25 @@ _REFINE_CAP = 64
 _REFINE_WIDTH = 2.0 ** -50
 
 
-def _refine_root(f, p0, p1, v0, v1):
-    """Sign change of ``f`` on the segment p0-p1, where v0 = f(p0) and
-    v1 = f(p1) lie on opposite sides of ``> 0``.
+def _refine(line, p0, p1, v0, v1):
+    """Sign change on the grid edge p0-p1 of ``line`` (see ``_restriction``),
+    where v0 and v1, its cubic at p0 and p1, lie on opposite sides of ``> 0``.
 
     Bracketed Illinois (modified regula falsi) steps on the parameter of
     p0 + t (p1 - p0): a secant point strictly inside the bracket, else its
     midpoint (which covers inf and nan values); the end kept twice in a row
     has its value halved for the next secant.  Stops on an exact zero, on a
     bracket narrower than ``_REFINE_WIDTH``, or after ``_REFINE_CAP``
-    evaluations, and then returns the bracket end with the smaller |f|.
+    evaluations of the cubic, and then returns the bracket end with the
+    smaller |value|.  An end whose value is 0.0 is returned as it is.
     """
     if v0 == 0.0:
         return p0
     if v1 == 0.0:
         return p1
-    (x, y), ex, ey = p0, p1[0] - p0[0], p1[1] - p0[1]
+    (a0, a1, a2, a3), centre, half, axis, fixed = line
+    c = p0[axis]
+    e = p1[axis] - c
     up = v0 > 0
     lo, hi, flo, fhi = 0.0, 1.0, v0, v1   # bracket and the values there
     wlo, whi, kept = v0, v1, 0            # secant weights; last end moved
@@ -169,9 +175,11 @@ def _refine_root(f, p0, p1, v0, v1):
         t = hi - whi * (hi - lo) / (whi - wlo)
         if not lo < t < hi:
             t = 0.5 * (lo + hi)
-        ft = f(x + t * ex, y + t * ey)
+        s = ((c + t * e) - centre) / half
+        ft = ((a3 * s + a2) * s + a1) * s + a0
         if ft == 0.0:
-            return (x + t * ex, y + t * ey)
+            lo = hi = t   # an exact zero: the search ends there
+            break
         if (ft > 0) == up:
             lo, flo, wlo = t, ft, ft
             if kept < 0:
@@ -183,7 +191,8 @@ def _refine_root(f, p0, p1, v0, v1):
                 wlo *= 0.5
             kept = 1
     t = hi if abs(fhi) < abs(flo) or math.isnan(flo) else lo
-    return (x + t * ex, y + t * ey)
+    r = c + t * e
+    return (fixed, r) if axis else (r, fixed)
 
 
 # offsets of the interpolation nodes on a grid line, in half-lengths of the
@@ -194,12 +203,14 @@ _LINE_NODES = (-1.0, -0.5, 0.5, 1.0)
 def _restriction(f, vertical: bool, fixed: float, centre: float, half: float):
     """``f`` on the grid line x = fixed (``vertical``) or y = fixed, as the
     cubic a0 + a1*s + a2*s^2 + a3*s^3 in the offset s = (t - centre) / half
-    of the running coordinate t; returns (a0, a1, a2, a3) and the cubic as
-    a function of the point.
+    of the running coordinate t; returns the line as ``_refine`` reads it:
+    ((a0, a1, a2, a3), centre, half, the axis of t, fixed + 0.0).
 
     The coefficients come from the values at the offsets ``_LINE_NODES`` in
     closed form: at s = 1 and s = 1/2 the even part is a0 + a2 and
-    a0 + a2/4 and the odd part a1 + a3 and a1/2 + a3/8.
+    a0 + a2/4 and the odd part a1 + a3 and a1/2 + a3/8.  The last entry,
+    fixed + t * 0.0 for every t >= 0, is the fixed coordinate of every point
+    ``_refine`` finds inside an edge of the line.
     """
     if vertical:
         gm1, gmh, gph, gp1 = (f(fixed, centre + s * half) for s in _LINE_NODES)
@@ -208,31 +219,22 @@ def _restriction(f, vertical: bool, fixed: float, centre: float, half: float):
     e1, e2, o1, o2 = gp1 + gm1, gph + gmh, gp1 - gm1, gph - gmh
     a0, a1 = (4 * e2 - e1) / 6, (8 * o2 - o1) / 6
     a2, a3 = (e1 - e2) * (2 / 3), (2 * o1 - 4 * o2) / 3
-
-    def g(px: float, py: float) -> float:
-        s = ((py if vertical else px) - centre) / half
-        return ((a3 * s + a2) * s + a1) * s + a0
-
-    return (a0, a1, a2, a3), g
+    return (a0, a1, a2, a3), centre, half, int(vertical), fixed + 0.0
 
 
-def _sign_grid(f, viewport, grid: int):
-    """The grid lines xs and ys, the restriction of ``f`` to each column
-    (see ``_restriction``) and the values at the nodes, ``values[i][j]``
-    at (xs[i], ys[j]), by Horner on the column's cubic."""
+def _columns(f, viewport, grid: int):
+    """The grid columns x = x0 + i * dx in order, one at a time: x, the
+    restriction of ``f`` to it and that cubic, by Horner, at y0 + j * dy."""
     x0, y0, x1, y1 = viewport
     dx = (x1 - x0) / grid
     dy = (y1 - y0) / grid
-    xs = [x0 + i * dx for i in range(grid + 1)]
-    ys = [y0 + j * dy for j in range(grid + 1)]
     centre, half = 0.5 * (y0 + y1), 0.5 * (y1 - y0)
-    offsets = [(y - centre) / half for y in ys]
-    columns, values = [], []
-    for x in xs:
-        (a0, a1, a2, a3), g = _restriction(f, True, x, centre, half)
-        columns.append(g)
-        values.append([((a3 * s + a2) * s + a1) * s + a0 for s in offsets])
-    return xs, ys, columns, values
+    offsets = [(y0 + j * dy - centre) / half for j in range(grid + 1)]
+    for i in range(grid + 1):
+        x = x0 + i * dx
+        line = _restriction(f, True, x, centre, half)
+        a0, a1, a2, a3 = line[0]
+        yield x, line, [((a3 * s + a2) * s + a1) * s + a0 for s in offsets]
 
 
 def trace_segments(f, viewport, grid: int):
@@ -245,64 +247,79 @@ def trace_segments(f, viewport, grid: int):
     the same way, the first time one of its edges is refined.  So ``f`` is
     called at most 8 * (grid + 1) times, plus once per saddle cell.
 
-    A cell whose four corner values share one strict sign has no crossing
-    and is skipped.  Every other grid edge with a sign change is refined
-    once, on its grid line's cubic, from its lower to its higher grid
-    index, and both cells that share it get the same endpoint object.  An
-    ambiguous saddle cell is split by the sign of ``f`` at its centre.
+    The columns stream in one at a time, so memory is O(grid).  Each
+    column's signs are a bitmask, and bit operations on the masks of two
+    neighbouring columns pick the live cells: those whose four corner
+    values do not share one strict sign.  A column holding an exact zero
+    makes every cell beside it live.  Live cells are visited in order of
+    column, then row.  Every grid edge of a live cell with a sign change is
+    refined once, on its grid line's cubic, from its lower to its higher
+    grid index, and both cells that share it get the same endpoint object.
+    An ambiguous saddle cell is split by the sign of ``f`` at its centre.
     """
     x0, y0, x1, y1 = viewport
     dx = (x1 - x0) / grid
     dy = (y1 - y0) / grid
-    xs, ys, columns, values = _sign_grid(f, viewport, grid)
+    ys = [y0 + j * dy for j in range(grid + 1)]
     centre, half = 0.5 * (x0 + x1), 0.5 * (x1 - x0)
+    cells = int.from_bytes(b"\1" * grid, "little")   # bit 8j: cell or node j
+    nodes = cells | 1 << 8 * grid
     rows = {}
-    memo = {}
 
-    def crossing(a, b):
-        key = (a, b) if a < b else (b, a)
-        p = memo.get(key)
+    def edge(k, j):
+        """The crossing on edge k (0 bottom, 1 right, 2 top, 3 left) of the
+        live cell j between the columns xl and xr, refined once."""
+        if k & 1:   # on a column, from row j to j + 1
+            memo, line, x, col = (rmemo, rline, xr, right) if k == 1 else (
+                lmemo, lline, xl, left)
+            p0, p1, v0, v1 = (x, ys[j]), (x, ys[j + 1]), col[j], col[j + 1]
+        else:       # on row j or j + 1, from column xl to xr
+            j += k >> 1
+            memo = hmemo
+            line = rows.get(j) or rows.setdefault(
+                j, _restriction(f, False, ys[j], centre, half))
+            p0, p1, v0, v1 = (xl, ys[j]), (xr, ys[j]), left[j], right[j]
+        p = memo.get(j)
         if p is None:
-            (i, j), (k, m) = key
-            if i == k:
-                g = columns[i]
-            else:
-                g = rows.get(j)
-                if g is None:
-                    g = rows[j] = _restriction(f, False, ys[j], centre, half)[1]
-            p = memo[key] = _refine_root(g, (xs[i], ys[j]), (xs[k], ys[m]),
-                                         values[i][j], values[k][m])
+            p = memo[j] = _refine(line, p0, p1, v0, v1)
         return p
 
     segments = []
-    for i in range(grid):
-        col, nxt = values[i], values[i + 1]
-        for j, vals in enumerate(zip(col, nxt, nxt[1:], col[1:])):
-            v0, v1, v2, v3 = vals
-            if ((v0 > 0 and v1 > 0 and v2 > 0 and v3 > 0)
-                    or (v0 < 0 and v1 < 0 and v2 < 0 and v3 < 0)):
-                continue
-            corners = ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))
-            crossings = []
-            for k in range(4):
-                va = vals[k]
-                if va == 0.0:
-                    crossings.append((xs[corners[k][0]], ys[corners[k][1]]))
-                elif (va > 0) != (vals[(k + 1) % 4] > 0):
-                    crossings.append(crossing(corners[k], corners[(k + 1) % 4]))
-            if len(crossings) >= 2:
+    for i, (xr, rline, right) in enumerate(_columns(f, viewport, grid)):
+        rmemo = {}
+        rpos = int.from_bytes(bytes(map((0.0).__lt__, right)), "little")
+        if 0.0 in right:   # an exact zero: every cell beside it is live
+            rpos = rneg = 0
+        else:              # nan counts as negative: the cells read it as not > 0
+            rneg = nodes ^ rpos
+        if i:
+            hmemo = {}
+            pos, neg = lpos & rpos, lneg & rneg
+            dead = pos & pos >> 8 | neg & neg >> 8   # corners of one strict sign
+            live = (cells & ~dead).to_bytes(grid, "little")
+            j = live.find(1)
+            while j >= 0:
+                vals = left[j], right[j], right[j + 1], left[j + 1]
+                crossings = []
+                for k in range(4):
+                    va = vals[k]
+                    if va == 0.0:
+                        crossings.append(((xl, xr, xr, xl)[k], ys[j + (k >> 1)]))
+                    elif (va > 0) != (vals[(k + 1) % 4] > 0):
+                        crossings.append(edge(k, j))
                 if len(crossings) == 4:
                     # ambiguous saddle: split by the center sign
-                    cx = x0 + (i + 0.5) * dx
-                    cy = y0 + (j + 0.5) * dy
-                    if (f(cx, cy) > 0) == (v0 > 0):
+                    up = f(x0 + (i - 0.5) * dx, y0 + (j + 0.5) * dy) > 0
+                    if up == (vals[0] > 0):
                         segments.append((crossings[0], crossings[3]))
                         segments.append((crossings[1], crossings[2]))
                     else:
                         segments.append((crossings[0], crossings[1]))
                         segments.append((crossings[2], crossings[3]))
-                else:
+                elif len(crossings) >= 2:
                     segments.append((crossings[0], crossings[1]))
+                j = live.find(1, j + 1)
+        xl, lline, left, lmemo, lpos, lneg = xr, rline, right, rmemo, rpos, rneg
     return segments
 
 
@@ -381,15 +398,23 @@ def render_svg(t, figure: dict, config: RenderConfig, path: str) -> bool:
 
 
 def sample_csv(t, figure: dict, config: RenderConfig, path: str) -> int:
-    """Write curve trace samples as CSV rows (curve, x, y); returns row count."""
+    """Write curve trace samples as CSV rows (curve, x, y); returns row count.
+
+    Every curve is traced first, and the file is written in one go.  The
+    row of an endpoint that two segments share is formatted once; it is
+    looked up by object identity, as (0.0, y) == (-0.0, y) by value.
+    """
     corners, viewport = _frame(t, figure, config)
-    rows = 0
+    out = ["curve,x,y\n"]
+    for label, curve in figure.get("curves", []):
+        segments = trace_segments(curve_function(curve, corners), viewport, config.grid)
+        rows = {}
+        for seg in segments:
+            for p in seg:
+                row = rows.get(id(p))
+                if row is None:
+                    row = rows[id(p)] = f"{label},{p[0]!r},{p[1]!r}\n"
+                out.append(row)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("curve,x,y\n")
-        for label, curve in figure.get("curves", []):
-            f = curve_function(curve, corners)
-            for p0, p1 in trace_segments(f, viewport, config.grid):
-                for p in (p0, p1):
-                    fh.write(f"{label},{p[0]!r},{p[1]!r}\n")
-                    rows += 1
-    return rows
+        fh.write("".join(out))
+    return len(out) - 1

@@ -4,9 +4,11 @@ Each is a direct, ``Fraction``-based spelling of a rule the package computes
 another way: affine combinations (the reference for ``midpoint`` and
 ``reflect_through``), point-line distances, sample points on a line and the
 second intersection of a line with a conic, with which the tests generate
-conic points.
+conic points.  ``dense_trace_segments`` is the renderer's marching squares
+as a plain scan of every cell over the whole sign grid held at once.
 """
 
+import math
 from fractions import Fraction
 
 from tricurves.curves import Conic
@@ -90,3 +92,111 @@ def conic_second_intersection(c: Conic, p: HomPoint, q: HomPoint) -> HomPoint:
         return p
     # root t of F(p + t q) = 2 t b + t^2 F(q)
     return HomPoint(*(pc * fq - 2 * b * qc for pc, qc in zip(p.triple, q.triple)))
+
+
+def _line_cubic(f, vertical, fixed, centre, half):
+    """``f`` on a grid line as a function of the point: the cubic through
+    its values at the offsets -1, -1/2, 1/2, 1 of ``half`` from ``centre``."""
+    nodes = (-1.0, -0.5, 0.5, 1.0)
+    if vertical:
+        gm1, gmh, gph, gp1 = (f(fixed, centre + s * half) for s in nodes)
+    else:
+        gm1, gmh, gph, gp1 = (f(centre + s * half, fixed) for s in nodes)
+    e1, e2, o1, o2 = gp1 + gm1, gph + gmh, gp1 - gm1, gph - gmh
+    a0, a1 = (4 * e2 - e1) / 6, (8 * o2 - o1) / 6
+    a2, a3 = (e1 - e2) * (2 / 3), (2 * o1 - 4 * o2) / 3
+
+    def g(px, py):
+        s = ((py if vertical else px) - centre) / half
+        return ((a3 * s + a2) * s + a1) * s + a0
+
+    return g
+
+
+def _refine_root(g, p0, p1, v0, v1, cap=64, width=2.0 ** -50):
+    """Illinois steps for the sign change of ``g`` on p0-p1 (v0 = g(p0),
+    v1 = g(p1)); the bracket end with the smaller |g| when they stop."""
+    if v0 == 0.0:
+        return p0
+    if v1 == 0.0:
+        return p1
+    (x, y), ex, ey = p0, p1[0] - p0[0], p1[1] - p0[1]
+    up = v0 > 0
+    lo, hi, flo, fhi = 0.0, 1.0, v0, v1
+    wlo, whi, kept = v0, v1, 0
+    for _ in range(cap):
+        if hi - lo <= width:
+            break
+        t = hi - whi * (hi - lo) / (whi - wlo)
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+        ft = g(x + t * ex, y + t * ey)
+        if ft == 0.0:
+            return (x + t * ex, y + t * ey)
+        if (ft > 0) == up:
+            lo, flo, wlo = t, ft, ft
+            if kept < 0:
+                whi *= 0.5
+            kept = -1
+        else:
+            hi, fhi, whi = t, ft, ft
+            if kept > 0:
+                wlo *= 0.5
+            kept = 1
+    t = hi if abs(fhi) < abs(flo) or math.isnan(flo) else lo
+    return (x + t * ex, y + t * ey)
+
+
+def dense_trace_segments(f, viewport, grid):
+    """Marching squares read off one cubic per grid line: every cell of the
+    (grid + 1)^2 sign grid is scanned, in order of column then row; a cell
+    whose four corners share one strict sign is skipped, each other edge
+    with a sign change is refined once and shared by its two cells, and a
+    saddle cell is split by the sign of ``f`` at its centre."""
+    x0, y0, x1, y1 = viewport
+    dx, dy = (x1 - x0) / grid, (y1 - y0) / grid
+    xs = [x0 + i * dx for i in range(grid + 1)]
+    ys = [y0 + j * dy for j in range(grid + 1)]
+    cy, hy = 0.5 * (y0 + y1), 0.5 * (y1 - y0)
+    cx, hx = 0.5 * (x0 + x1), 0.5 * (x1 - x0)
+    columns = [_line_cubic(f, True, x, cy, hy) for x in xs]
+    values = [[g(x, y) for y in ys] for x, g in zip(xs, columns)]
+    rows, memo = {}, {}
+
+    def crossing(a, b):
+        key = (a, b) if a < b else (b, a)
+        if key not in memo:
+            (i, j), (k, m) = key
+            if i == k:
+                g = columns[i]
+            else:
+                if j not in rows:
+                    rows[j] = _line_cubic(f, False, ys[j], cx, hx)
+                g = rows[j]
+            memo[key] = _refine_root(g, (xs[i], ys[j]), (xs[k], ys[m]),
+                                     values[i][j], values[k][m])
+        return memo[key]
+
+    segments = []
+    for i in range(grid):
+        for j in range(grid):
+            corners = ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))
+            vals = [values[a][b] for a, b in corners]
+            if all(v > 0 for v in vals) or all(v < 0 for v in vals):
+                continue
+            crossings = []
+            for k in range(4):
+                (a, b), nxt = corners[k], corners[(k + 1) % 4]
+                if vals[k] == 0.0:
+                    crossings.append((xs[a], ys[b]))
+                elif (vals[k] > 0) != (vals[(k + 1) % 4] > 0):
+                    crossings.append(crossing(corners[k], nxt))
+            if len(crossings) == 4:
+                a, b, c, d = crossings
+                if (f(x0 + (i + 0.5) * dx, y0 + (j + 0.5) * dy) > 0) == (vals[0] > 0):
+                    segments += [(a, d), (b, c)]
+                else:
+                    segments += [(a, b), (c, d)]
+            elif len(crossings) >= 2:
+                segments.append((crossings[0], crossings[1]))
+    return segments

@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import math
 import pathlib
+import tracemalloc
 import types
 from fractions import Fraction
 
@@ -26,6 +27,8 @@ from tricurves.render import (
     compute_viewport,
 )
 from tricurves.scenarios import REGISTRY, build_figure
+
+from reference import dense_trace_segments
 
 
 def circumcircle(t):
@@ -86,7 +89,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("grid", [4097, 100_000, 10**9])
     def test_grid_ceiling(self, grid):
-        # refused before trace_segments allocates (grid + 1)^2 values
+        # refused before a trace scans (grid + 1)^2 nodes
         with pytest.raises(ValueError, match="4096"):
             RenderConfig(grid=grid)
 
@@ -361,13 +364,13 @@ class TestRefinement:
 
     def test_each_crossing_edge_refined_once(self, monkeypatch):
         calls = []
-        refine = render._refine_root
+        refine = render._refine
 
-        def counting(f, p0, p1, v0, v1):
+        def counting(line, p0, p1, v0, v1):
             calls.append((p0, p1))
-            return refine(f, p0, p1, v0, v1)
+            return refine(line, p0, p1, v0, v1)
 
-        monkeypatch.setattr(render, "_refine_root", counting)
+        monkeypatch.setattr(render, "_refine", counting)
         grid = 64
         for f, viewport in (_circle(0.4), _traced("thm4-yff-medial", 0)[0][:2]):
             calls.clear()
@@ -382,40 +385,49 @@ class TestRefinement:
             assert len(calls) == len(set(calls)) == changes
 
     @staticmethod
-    def _counted(g):
+    def _line(a0, a1, a2, a3):
+        """The grid line y = 2 whose cubic is a0 + a1 x + a2 x^2 + a3 x^3 (a
+        centre of 0 and a half-length of 1 make the offset s equal to x),
+        and a count of the evaluations of that cubic."""
         n = [0]
 
-        def f(x, y):
-            n[0] += 1
-            return g(x)
+        class Counted(float):  # Horner starts each evaluation with a3 * s
+            def __mul__(self, other):
+                n[0] += 1
+                return float(self) * other
 
-        return f, n
+        return ((a0, a1, a2, Counted(a3)), 0.0, 1.0, 0, 2.0), n
 
     @pytest.mark.parametrize("v0, v1, want", [
         (0.0, 1.0, (0.0, 2.0)), (-1.0, 0.0, (1.0, 2.0)),
     ])
     def test_zero_endpoint_returned_unevaluated(self, v0, v1, want):
-        f, n = self._counted(lambda x: x)
-        assert render._refine_root(f, (0.0, 2.0), (1.0, 2.0), v0, v1) == want
+        line, n = self._line(0.0, 1.0, 0.0, 0.0)
+        assert render._refine(line, (0.0, 2.0), (1.0, 2.0), v0, v1) == want
         assert n[0] == 0
 
     def test_exact_zero_inside_returns_at_once(self):
-        f, n = self._counted(lambda x: x - 0.5)
-        assert render._refine_root(f, (0.0, 2.0), (1.0, 2.0), -0.5, 0.5) == (0.5, 2.0)
+        line, n = self._line(-0.5, 1.0, 0.0, 0.0)
+        assert render._refine(line, (0.0, 2.0), (1.0, 2.0), -0.5, 0.5) == (0.5, 2.0)
         assert n[0] == 1
 
-    @pytest.mark.parametrize("g, root, tol", [
-        (lambda x: x - 0.7 if x >= 0.3 else math.nan, 0.7, 1e-15),
-        (lambda x: x - 0.7 if x >= 0.3 else -math.inf, 0.7, 1e-15),
-        (lambda x: math.inf if x > 0.9 else x - 0.7 if x >= 0.2 else -math.inf,
-         0.7, 1e-15),
-        (lambda x: (x - 1 / 3) ** 3, 1 / 3, 1e-5),     # flat: a triple root
-        (lambda x: (x - 0.7) * 1e-300, 0.7, 1e-15),    # values near underflow
-        (lambda x: math.sqrt(x) - 0.1, 0.01, 1e-15),   # steep at one end
-    ], ids=["nan", "-inf", "inf-both-ends", "triple-root", "tiny", "sqrt"])
-    def test_terminates_within_cap(self, g, root, tol):
-        f, n = self._counted(g)
-        x, y = render._refine_root(f, (0.0, 2.0), (1.0, 2.0), g(0.0), g(1.0))
+    # The nan and inf cases give those values at the bracket ends, as a
+    # form that overflows at a grid node hands them over; in the last case
+    # the cubic's own Horner steps overflow to inf beyond x = 0.8.
+    @pytest.mark.parametrize("coeffs, ends, root, tol", [
+        ((-0.7, 1.0, 0.0, 0.0), (math.nan, 0.3), 0.7, 1e-15),
+        ((-0.7, 1.0, 0.0, 0.0), (-math.inf, 0.3), 0.7, 1e-15),
+        ((-0.7, 1.0, 0.0, 0.0), (-math.inf, math.inf), 0.7, 1e-15),
+        ((-1 / 27, 1 / 3, -1.0, 1.0), (-1 / 27, 8 / 27), 1 / 3, 1e-5),  # (x - 1/3)^3
+        ((-0.7e-300, 1e-300, 0.0, 0.0), (-0.7e-300, 0.3e-300), 0.7, 1e-15),
+        # 0.97^3 - (1 - x)^3: steep near x = 0, flat near x = 1
+        ((0.97**3 - 1, 3.0, -3.0, 1.0), (0.97**3 - 1, 0.97**3), 0.03, 1e-15),
+        ((-3.75e307, 0.0, 1e308, 1e308), (-3.75e307, math.inf), 0.5, 1e-15),
+    ], ids=["nan", "-inf", "inf-both-ends", "triple-root", "tiny", "steep",
+            "inf-overflow"])
+    def test_terminates_within_cap(self, coeffs, ends, root, tol):
+        line, n = self._line(*coeffs)
+        x, y = render._refine(line, (0.0, 2.0), (1.0, 2.0), *ends)
         assert n[0] <= render._REFINE_CAP
         assert y == 2.0
         assert abs(x - root) <= tol
@@ -454,6 +466,14 @@ class TestFiguresGuard:
                 l3 = ((bx - ax) * (py - ay) - (px - ax) * (by - ay)) / det
                 assert workloads.relative_residual(
                     coeffs[label], (1.0 - l2 - l3, l2, l3)) <= 1e-6, (sid, line)
+
+
+def _on_line(line, x, y):
+    """The cubic of a grid line (see ``render._restriction``) at a point of
+    the line, by the float expression ``render._refine`` evaluates."""
+    (a0, a1, a2, a3), centre, half, axis, _ = line
+    s = ((x, y)[axis] - centre) / half
+    return ((a3 * s + a2) * s + a1) * s + a0
 
 
 class TestGridLineRestrictions:
@@ -501,8 +521,9 @@ class TestGridLineRestrictions:
             degree = 2 if len(coeffs) == 6 else 3
         grid = 16
         viewport = compute_viewport(corners, [], 0.25)
+        xs, ys = _grid_lines(viewport, grid)
         try:
-            xs, ys, columns, values = render._sign_grid(f, viewport, grid)
+            columns = list(render._columns(f, viewport, grid))
             exact = [[f(x, y) for y in ys] for x in xs]
         except OverflowError:  # x**3 on a thin triangle
             assume(False)
@@ -511,17 +532,18 @@ class TestGridLineRestrictions:
             abs(c) * w for c, w in zip(coeffs, weights))
         terms = [[norm * max(map(abs, chart(x, y))) ** degree for y in ys] for x in xs]
         x0, _, x1, _ = viewport
-        rows = [render._restriction(f, False, y, 0.5 * (x0 + x1), 0.5 * (x1 - x0))[1]
+        rows = [render._restriction(f, False, y, 0.5 * (x0 + x1), 0.5 * (x1 - x0))
                 for y in ys]
-        for i, x in enumerate(xs):
+        assert [x for x, _, _ in columns] == xs
+        for i, (x, line, values) in enumerate(columns):
             bound = 1e-12 * max(terms[i])
             for j, y in enumerate(ys):
-                assert abs(values[i][j] - exact[i][j]) <= bound
-                assert values[i][j] == columns[i](x, y)
+                assert abs(values[j] - exact[i][j]) <= bound
+                assert values[j] == _on_line(line, x, y)
         for j, (y, row) in enumerate(zip(ys, rows)):
             bound = 1e-12 * max(terms[i][j] for i in range(grid + 1))
             for i, x in enumerate(xs):
-                assert abs(row(x, y) - exact[i][j]) <= bound
+                assert abs(_on_line(row, x, y) - exact[i][j]) <= bound
 
 
 class TestSvgLines:
@@ -618,3 +640,89 @@ class TestBytesPinned:
         t = RefTriangle(3, 4, 6)
         figure = {"points": [], "curves": [("circ", circumcircle(t))], "lines": []}
         assert _file_digest(t, figure, grid, tmp_path) == CIRCUMCIRCLE_DIGESTS[grid]
+
+
+class TestLiveCells:
+    """``trace_segments`` visits only the cells a crossing can pass and holds
+    two columns at a time, yet returns what the dense scan returns."""
+
+    def test_memory_linear_in_grid(self):
+        f, viewport = _circle(0.4)
+        tracemalloc.start()
+        try:
+            segments = trace_segments(f, viewport, 1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert segments
+        assert peak < 4 * 2**20
+
+    @staticmethod
+    def _outcome(trace, f, viewport, grid):
+        try:
+            return repr(trace(f, viewport, grid))
+        except OverflowError:  # x**3 on a thin triangle
+            return "OverflowError"
+
+    @settings(max_examples=150, deadline=None)
+    @given(corners=st.tuples(_xy, _xy, _xy),
+           coeffs=st.sampled_from([3, 6, 10]).flatmap(lambda n: st.lists(
+               st.integers(-10**6, 10**6), min_size=n, max_size=n)))
+    def test_curves_match_the_dense_scan(self, corners, coeffs):
+        (ax, ay), (bx, by), (cx, cy) = corners
+        assume((bx - ax) * (cy - ay) - (cx - ax) * (by - ay) != 0)
+        f = curve_function(types.SimpleNamespace(coeffs=coeffs), corners)
+        viewport = compute_viewport(corners, [], 0.25)
+        assert self._outcome(trace_segments, f, viewport, 16) == self._outcome(
+            dense_trace_segments, f, viewport, 16)
+
+    # Products of lines a x + b y + c with small integer coefficients on the
+    # integer grid of (0, 0, 16, 16): a factor linear along a grid line is
+    # interpolated exactly, so nodes, edges and whole columns read 0.0.  The
+    # column x = ``poison`` reads nan or an infinity instead (x = 0, 4, 12
+    # or 16 reaches every row's cubic too), and a large scale overflows.
+    @settings(max_examples=300, deadline=None)
+    @given(factors=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                                      st.integers(-24, 24)), min_size=1, max_size=3),
+           poison=st.integers(-1, 16),
+           value=st.sampled_from([math.nan, math.inf, -math.inf]),
+           scale=st.sampled_from([1.0, -1.0, 1e-300, 1e300]))
+    def test_zero_nan_and_inf_nodes_match_the_dense_scan(self, factors, poison,
+                                                        value, scale):
+        def f(x, y):
+            if x == poison:
+                return value
+            v = scale
+            for a, b, c in factors:
+                v *= a * x + b * y + c
+            return v
+
+        viewport = (0.0, 0.0, 16.0, 16.0)
+        assert repr(trace_segments(f, viewport, 16)) == repr(
+            dense_trace_segments(f, viewport, 16))
+
+    @pytest.mark.parametrize("f", [
+        lambda x, y: (x - 5) * (y - 7),          # a zero column and a zero row
+        lambda x, y: x + y - 16,                 # zeros on a diagonal of nodes
+        lambda x, y: math.nan if x == 4 else y - 8.5,
+    ], ids=["cross", "diagonal", "nan-column"])
+    def test_masked_columns_match_the_dense_scan(self, f):
+        viewport = (0.0, 0.0, 16.0, 16.0)
+        got = trace_segments(f, viewport, 16)
+        assert got
+        assert repr(got) == repr(dense_trace_segments(f, viewport, 16))
+
+
+class TestCsvText:
+    def test_signed_zeros_keep_their_spelling(self, tmp_path, monkeypatch):
+        # equal by value, so a row cache keyed by value would merge them
+        a, b, c = (0.0, 1.5), (-0.0, 1.5), (1.5, -0.0)
+        monkeypatch.setattr(render, "trace_segments",
+                            lambda f, viewport, grid: [(a, b), (b, c), (c, a)])
+        t = RefTriangle(3, 4, 6)
+        figure = {"points": [], "curves": [("circ", circumcircle(t))], "lines": []}
+        path = tmp_path / "zeros.csv"
+        assert sample_csv(t, figure, RenderConfig(grid=16), str(path)) == 6
+        assert path.read_text(encoding="utf-8").splitlines() == [
+            "curve,x,y", "circ,0.0,1.5", "circ,-0.0,1.5", "circ,-0.0,1.5",
+            "circ,1.5,-0.0", "circ,1.5,-0.0", "circ,0.0,1.5"]
