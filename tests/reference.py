@@ -186,17 +186,15 @@ def dense_trace_segments(f, viewport, grid):
                 continue
             crossings = []
             for k in range(4):
-                (a, b), nxt = corners[k], corners[(k + 1) % 4]
+                a, b = corners[k], corners[(k + 1) % 4]
                 if vals[k] == 0.0:
-                    crossings.append((xs[a], ys[b]))
+                    crossings.append((xs[a[0]], ys[a[1]]))
                 elif (vals[k] > 0) != (vals[(k + 1) % 4] > 0):
-                    crossings.append(crossing(corners[k], nxt))
+                    crossings.append(crossing(a, b))
             if len(crossings) == 4:
                 a, b, c, d = crossings
-                if (f(x0 + (i + 0.5) * dx, y0 + (j + 0.5) * dy) > 0) == (vals[0] > 0):
-                    segments += [(a, d), (b, c)]
-                else:
-                    segments += [(a, b), (c, d)]
+                up = f(x0 + (i + 0.5) * dx, y0 + (j + 0.5) * dy) > 0
+                segments += [(a, d), (b, c)] if up == (vals[0] > 0) else [(a, b), (c, d)]
             elif len(crossings) >= 2:
                 segments.append((crossings[0], crossings[1]))
     return segments
