@@ -679,8 +679,9 @@ class TestLiveCells:
     # Products of lines a x + b y + c with small integer coefficients on the
     # integer grid of (0, 0, 16, 16): a factor linear along a grid line is
     # interpolated exactly, so nodes, edges and whole columns read 0.0.  The
-    # column x = ``poison`` reads nan or an infinity instead (x = 0, 4, 12
-    # or 16 reaches every row's cubic too), and a large scale overflows.
+    # column x = ``poison`` (none for -1) reads nan or an infinity instead
+    # (x = 0, 4, 12 or 16 reaches every row's cubic too), and a large scale
+    # overflows.
     @settings(max_examples=300, deadline=None)
     @given(factors=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
                                       st.integers(-24, 24)), min_size=1, max_size=3),
