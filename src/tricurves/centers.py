@@ -3,7 +3,9 @@
 Every center carries two independent things: an evaluation rule (a closed
 barycentric formula or an explicit construction, rational in the side
 lengths) and a defining-property oracle that re-derives the center from
-first principles.  Each oracle is one row of one of three tables: an
+first principles.  X389, for one, is built as the midpoint of X3 and X52,
+the orthic triangle's orthocenter, and checked as the point equidistant
+from the six Taylor points.  Each oracle is one row of one of three tables: an
 identity in the center-expression language (``IDENTITIES``, e.g. X5 is
 ``midpoint(X3,X4)``), lines the center lies on (``ON_LINES``: cevians,
 altitudes, Euler lines) or points it is equidistant from (``EQUIDISTANT``).
@@ -14,7 +16,8 @@ Centers are classified by parity: EVEN centers depend only on the squared
 side lengths and can therefore be evaluated on any derived triangle (whose
 squared sides are always rational); odd centers need the unsquared sides
 and are only available where those are exact (the base, medial, Euler and
-anticomplementary triangles).
+anticomplementary triangles).  A derived triangle's frame is checked once,
+when it is built; its centers, conjugates and derived triangles map through it.
 """
 
 from __future__ import annotations
@@ -22,10 +25,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, combinations
+from itertools import accumulate
 from typing import Callable, Optional, Sequence, Union
 
 from .kernel import (
+    Frame,
     GeometryError,
     HomLine,
     HomPoint,
@@ -37,10 +41,8 @@ from .kernel import (
     VERTEX_C,
     equidistant_point,
     foot_of_perpendicular,
-    from_local,
     incident,
     join,
-    local_coords,
     midpoint,
     orthocenter_of,
     perpendicular_line_through,
@@ -163,24 +165,14 @@ def _taylor_points(m: Metric) -> list[HomPoint]:
             for i in range(3) for j in range(3) if j != i]
 
 
-def _taylor_center(m: Metric) -> HomPoint:
-    pts = _taylor_points(m)
-    for i, j, k in combinations(range(6), 3):
-        if pts[i] == pts[j] or pts[j] == pts[k] or pts[i] == pts[k]:
-            continue
-        try:
-            return equidistant_point(pts[i], pts[j], pts[k], m)
-        except GeometryError:
-            continue
-    raise GeometryError("projection points admit no equidistant point")
-
-
 def center_coords(m: Metric, cid: CenterId) -> tuple[int, int, int]:
     """Raw homogeneous coordinates of a catalog center in the frame of ``m``."""
     if cid in _VERTEX_OF:
         return _VERTEX_OF[cid].triple
     if cid is CenterId.X389:
-        return _taylor_center(m).triple
+        orthic = _derive(m, m, TriangleKind.ORTHIC, None)
+        x52 = orthic.frame.base(HomPoint(*center_coords(orthic.own_metric, CenterId.X4)))
+        return midpoint(HomPoint(*center_coords(m, CenterId.X3)), x52).triple
     if cid in ODD_CENTERS and not m.has_sides:
         raise OddCenterWithoutSides(
             f"{cid.value} needs exact side lengths, which this triangle lacks")
@@ -248,13 +240,15 @@ def isotomic(p: HomPoint) -> HomPoint:
 
 @dataclass(frozen=True)
 class SubTriangle:
-    """A derived triangle: vertices in base coordinates plus its own metric."""
+    """A derived triangle: vertices in base coordinates, its own metric and
+    the frame of its vertices, which maps points into and out of it."""
 
     kind: TriangleKind
     v1: HomPoint
     v2: HomPoint
     v3: HomPoint
     own_metric: Metric
+    frame: Frame
 
     @property
     def vertices(self) -> tuple[HomPoint, HomPoint, HomPoint]:
@@ -328,23 +322,23 @@ def _rescaled(u: IntegralView, n: int, d: int) -> IntegralView:
                         d * d * u.q, None if u.k is None else d * u.k)
 
 
-def _derive(t: RefTriangle, m: Metric, kind: TriangleKind,
-            frame: Optional[Sequence[HomPoint]]) -> SubTriangle:
-    """The ``kind`` triangle of the triangle ``m`` describes, whose vertices
-    are ``frame`` in base coordinates (``None`` for the base itself).  Its
+def _derive(t: Metric, m: Metric, kind: TriangleKind,
+            frame: Optional[Frame]) -> SubTriangle:
+    """The ``kind`` triangle of the triangle ``m`` describes, whose frame in
+    the coordinates of ``t`` is ``frame`` (``None`` for ``t`` itself).  Its
     metric is ``m``'s view rescaled where the side ratio is rational, else
     read off the squared distances between its vertices."""
     local, ratio = _derived_local(m, kind)
     points = tuple(HomPoint(*v) for v in local)
     if frame is not None:
-        points = tuple(from_local(p, *frame) for p in points)
+        points = tuple(frame.base(p) for p in points)
     if ratio is not None:
         own = Metric.of_view(_rescaled(m.unit, *ratio))
     else:
         own = Metric(squared_distance(points[1], points[2], t),
                      squared_distance(points[2], points[0], t),
                      squared_distance(points[0], points[1], t))
-    return SubTriangle(kind, *points, own)
+    return SubTriangle(kind, *points, own, Frame.of(*points))
 
 
 def derived_triangle(t: RefTriangle, kind: TriangleKind) -> SubTriangle:
@@ -355,12 +349,12 @@ def derived_triangle(t: RefTriangle, kind: TriangleKind) -> SubTriangle:
 def derived_subtriangle(t: RefTriangle, sub: SubTriangle,
                         kind: TriangleKind) -> SubTriangle:
     """A derived triangle of a derived triangle, mapped to base coordinates."""
-    return _derive(t, sub.metric(), kind, sub.vertices)
+    return _derive(t, sub.metric(), kind, sub.frame)
 
 
 def eval_center_in(t: RefTriangle, sub: SubTriangle, cid: CenterId) -> HomPoint:
     """Catalog center of a derived triangle, mapped back to base coordinates."""
-    return from_local(HomPoint(*center_coords(sub.metric(), cid)), *sub.vertices)
+    return sub.frame.base(HomPoint(*center_coords(sub.metric(), cid)))
 
 
 def conjugate(t: RefTriangle, conj: str, sub: Optional[SubTriangle],
@@ -370,8 +364,7 @@ def conjugate(t: RefTriangle, conj: str, sub: Optional[SubTriangle],
     derived triangle's conjugate is taken in its own frame and mapped back."""
     if sub is None:
         return _conjugate_point(conj, t, p)
-    local = _conjugate_point(conj, sub.metric(), local_coords(p, *sub.vertices))
-    return from_local(local, *sub.vertices)
+    return sub.frame.base(_conjugate_point(conj, sub.metric(), sub.frame.local(p)))
 
 
 def isogonal_in(t: RefTriangle, sub: SubTriangle, p: HomPoint) -> HomPoint:
@@ -683,7 +676,7 @@ ON_LINES: dict[CenterId, Callable[[RefTriangle], list[HomLine]]] = {
 # the center is equidistant from every point
 EQUIDISTANT: dict[CenterId, Callable[[RefTriangle], Sequence[HomPoint]]] = {
     CenterId.X3: lambda t: _VERTICES,
-    CenterId.X389: _taylor_points,
+    CenterId.X389: lambda t: _taylor_points(t),
 }
 
 

@@ -233,13 +233,14 @@ def cmd_render(args) -> int:
         print(f"cannot build figure: {exc}", file=sys.stderr)
         return EXIT_DATA
     try:
+        traced = render.trace_figure(tri, figure, config)  # once for both files
         if args.svg:
-            drew = render.render_svg(tri, figure, config, args.svg)
+            drew = render.write_svg(traced, args.svg)
             if not drew:
                 print("warning: no real locus in the viewport; "
                       "points-only figure emitted", file=sys.stderr)
         if args.csv:
-            rows = render.sample_csv(tri, figure, config, args.csv)
+            rows = render.write_csv(traced, args.csv)
             if rows == 0 and figure.get("curves"):
                 print("warning: no real locus in the viewport; empty CSV",
                       file=sys.stderr)

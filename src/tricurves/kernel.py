@@ -220,8 +220,10 @@ def adjugate3(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, int, int], ...]
     )
 
 
-def mat_vec(rows: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sum(r[j] * v[j] for j in range(3)) for r in rows)
+def mat_vec(rows: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, int, int]:
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    x, y, z = v
+    return (a * x + b * y + c * z, d * x + e * y + f * z, g * x + h * y + i * z)
 
 
 def join(p: HomPoint, q: HomPoint) -> HomLine:
@@ -542,37 +544,44 @@ def orthocenter_of(p1: HomPoint, p2: HomPoint, p3: HomPoint, m: Metric) -> HomPo
 # ---------------------------------------------------------------------------
 # frames
 
-def _frame_matrix(v1: HomPoint, v2: HomPoint, v3: HomPoint):
-    for v in (v1, v2, v3):
-        if v.is_infinite():
-            raise DegenerateFrame(f"frame vertex {v} is at infinity")
-    rows = (
-        (v1.x, v2.x, v3.x),
-        (v1.y, v2.y, v3.y),
-        (v1.z, v2.z, v3.z),
-    )
-    if det3(rows) == 0:
-        raise DegenerateFrame("frame points are affinely dependent")
-    return rows
+class Frame(NamedTuple):
+    """The triangle v1 v2 v3, checked once to be finite and affinely
+    independent: the vertices as the columns of ``rows``, their coordinate
+    sums and the adjugate of ``rows``.  ``local`` and ``base`` map a point
+    into and out of its barycentrics; they are mutually inverse."""
+
+    rows: tuple[tuple[int, int, int], ...]
+    sums: tuple[int, int, int]
+    adj: tuple[tuple[int, int, int], ...]
+
+    @classmethod
+    def of(cls, v1: HomPoint, v2: HomPoint, v3: HomPoint) -> "Frame":
+        for v in (v1, v2, v3):
+            if v.is_infinite():
+                raise DegenerateFrame(f"frame vertex {v} is at infinity")
+        rows = tuple(zip(v1.triple, v2.triple, v3.triple))
+        adj = adjugate3(rows)
+        if dot(adj[0], v1.triple) == 0:  # adj . rows = det(rows) I
+            raise DegenerateFrame("frame points are affinely dependent")
+        return cls(rows, (sum(v1.triple), sum(v2.triple), sum(v3.triple)), adj)
+
+    def local(self, p: HomPoint) -> HomPoint:
+        """Barycentric coordinates of ``p`` relative to the frame."""
+        w1, w2, w3 = mat_vec(self.adj, p.triple)
+        s1, s2, s3 = self.sums
+        return HomPoint(s1 * w1, s2 * w2, s3 * w3)
+
+    def base(self, q: HomPoint) -> HomPoint:
+        """The point with frame barycentrics ``q``."""
+        (x, y, z), (s1, s2, s3) = q.triple, self.sums
+        return HomPoint(*mat_vec(self.rows, (x * s2 * s3, y * s1 * s3, z * s1 * s2)))
 
 
 def local_coords(p: HomPoint, v1: HomPoint, v2: HomPoint, v3: HomPoint) -> HomPoint:
     """Barycentric coordinates of ``p`` relative to the triangle v1 v2 v3."""
-    rows = _frame_matrix(v1, v2, v3)
-    w = mat_vec(adjugate3(rows), p.triple)
-    s1, s2, s3 = (sum(v.triple) for v in (v1, v2, v3))
-    return HomPoint(s1 * w[0], s2 * w[1], s3 * w[2])
+    return Frame.of(v1, v2, v3).local(p)
 
 
 def from_local(q: HomPoint, v1: HomPoint, v2: HomPoint, v3: HomPoint) -> HomPoint:
     """Inverse of :func:`local_coords`: map frame barycentrics back."""
-    _frame_matrix(v1, v2, v3)
-    s1, s2, s3 = (sum(v.triple) for v in (v1, v2, v3))
-    w1 = q.x * s2 * s3
-    w2 = q.y * s1 * s3
-    w3 = q.z * s1 * s2
-    return HomPoint(
-        w1 * v1.x + w2 * v2.x + w3 * v3.x,
-        w1 * v1.y + w2 * v2.y + w3 * v3.y,
-        w1 * v1.z + w2 * v2.z + w3 * v3.z,
-    )
+    return Frame.of(v1, v2, v3).base(q)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 @dataclass
@@ -348,9 +348,32 @@ def _frame(t, figure: dict, config: RenderConfig):
     return corners, compute_viewport(corners, pts, config.margin)
 
 
+class Traced(NamedTuple):
+    """A figure with every curve traced once, which both writers read."""
+
+    figure: dict
+    config: RenderConfig
+    corners: tuple
+    viewport: tuple
+    curves: list
+
+
+def trace_figure(t, figure: dict, config: RenderConfig) -> Traced:
+    """The :func:`_frame` of the figure and each curve's label and segments."""
+    corners, viewport = _frame(t, figure, config)
+    return Traced(figure, config, corners, viewport, [
+        (label, trace_segments(curve_function(curve, corners), viewport, config.grid))
+        for label, curve in figure.get("curves", [])])
+
+
 def render_svg(t, figure: dict, config: RenderConfig, path: str) -> bool:
     """Write an SVG of the figure; returns False when no curve has a locus."""
-    corners, viewport = _frame(t, figure, config)
+    return write_svg(trace_figure(t, figure, config), path)
+
+
+def write_svg(traced: Traced, path: str) -> bool:
+    """:func:`render_svg` of a traced figure."""
+    figure, config, corners, viewport, curves = traced
     x0, y0, x1, y1 = viewport
     scale = config.width / (x1 - x0)
 
@@ -367,8 +390,7 @@ def render_svg(t, figure: dict, config: RenderConfig, path: str) -> bool:
     out.append(f'<polygon points="{tri_path}" fill="none" stroke="#555" '
                'stroke-width="1.2"/>')
 
-    def draw(form, grid: int, style: str) -> bool:
-        segs = trace_segments(curve_function(form, corners), viewport, grid)
+    def draw(segs, style: str) -> bool:
         for p0, p1 in segs:
             a, b = to_px(p0), to_px(p1)
             out.append(f'<line x1="{a[0]:.2f}" y1="{a[1]:.2f}" x2="{b[0]:.2f}" '
@@ -376,12 +398,13 @@ def render_svg(t, figure: dict, config: RenderConfig, path: str) -> bool:
         return bool(segs)
 
     for _, line in figure.get("lines", []):
-        draw(line, max(config.grid // 4, 16),
+        draw(trace_segments(curve_function(line, corners), viewport,
+                            max(config.grid // 4, 16)),
              'stroke="#999" stroke-width="0.8" stroke-dasharray="4 3"')
     drew_curve = False
-    for idx, (_, curve) in enumerate(figure.get("curves", [])):
+    for idx, (_, segs) in enumerate(curves):
         color = _PALETTE[idx % len(_PALETTE)]
-        drew_curve |= draw(curve, config.grid, f'stroke="{color}" stroke-width="1.4"')
+        drew_curve |= draw(segs, f'stroke="{color}" stroke-width="1.4"')
     for label, p in figure.get("points", []):
         if sum(p.triple) == 0:
             continue
@@ -398,16 +421,16 @@ def render_svg(t, figure: dict, config: RenderConfig, path: str) -> bool:
 
 
 def sample_csv(t, figure: dict, config: RenderConfig, path: str) -> int:
-    """Write curve trace samples as CSV rows (curve, x, y); returns row count.
+    """Write curve trace samples as CSV rows (curve, x, y); returns row count."""
+    return write_csv(trace_figure(t, figure, config), path)
 
-    Every curve is traced first, and the file is written in one go.  The
-    row of an endpoint that two segments share is formatted once; it is
-    looked up by object identity, as (0.0, y) == (-0.0, y) by value.
-    """
-    corners, viewport = _frame(t, figure, config)
+
+def write_csv(traced: Traced, path: str) -> int:
+    """:func:`sample_csv` of a traced figure, written in one go.  The row of
+    an endpoint that two segments share is formatted once; it is looked up
+    by object identity, as (0.0, y) == (-0.0, y) by value."""
     out = ["curve,x,y\n"]
-    for label, curve in figure.get("curves", []):
-        segments = trace_segments(curve_function(curve, corners), viewport, config.grid)
+    for label, segments in traced.curves:
         rows = {}
         for seg in segments:
             for p in seg:

@@ -79,7 +79,6 @@ from .kernel import (
     RefTriangle,
     incident,
     join,
-    local_coords,
     sample_line_points,
 )
 
@@ -383,7 +382,7 @@ def pascal_claims(conic: str, hexagon, pairs) -> tuple[Claim, Claim]:
 def _oi_image(tr: Trial):
     exc, conic = tr["excentral"], tr["exc_conic"]
     for p in sample_line_points(  # points off the excentral sidelines
-            tr["oi"], 10, accept=lambda p: 0 not in local_coords(p, *exc.vertices).triple):
+            tr["oi"], 10, accept=lambda p: 0 not in exc.frame.local(p).triple):
         q = isogonal_in(tr.t, exc, p)
         if not on_conic(q, conic):
             return Failure(str(q), "0",

@@ -4,22 +4,29 @@ Each is a direct, ``Fraction``-based spelling of a rule the package computes
 another way: affine combinations (the reference for ``midpoint`` and
 ``reflect_through``), point-line distances, sample points on a line and the
 second intersection of a line with a conic, with which the tests generate
-conic points.  ``dense_trace_segments`` is the renderer's marching squares
+conic points.  ``frame_local`` and ``frame_base`` map into and out of a
+triangle's barycentrics, checking the triangle on every call, and
+``taylor_center`` finds X389 by a search over the six Taylor points.  ``dense_trace_segments`` is the renderer's marching squares
 as a plain scan of every cell over the whole sign grid held at once.
 """
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
+from tricurves.centers import _taylor_points
 from tricurves.curves import Conic
 from tricurves.kernel import (
+    DegenerateFrame,
     GeometryError,
     HomLine,
     HomPoint,
     LineAtInfinity,
     Metric,
     PointAtInfinity,
+    adjugate3,
     det3,
+    equidistant_point,
     mat_vec,
     sample_line_points,
     squared_distance,
@@ -92,6 +99,51 @@ def conic_second_intersection(c: Conic, p: HomPoint, q: HomPoint) -> HomPoint:
         return p
     # root t of F(p + t q) = 2 t b + t^2 F(q)
     return HomPoint(*(pc * fq - 2 * b * qc for pc, qc in zip(p.triple, q.triple)))
+
+
+def _frame_rows(v1: HomPoint, v2: HomPoint, v3: HomPoint):
+    for v in (v1, v2, v3):
+        if v.is_infinite():
+            raise DegenerateFrame(f"frame vertex {v} is at infinity")
+    rows = ((v1.x, v2.x, v3.x), (v1.y, v2.y, v3.y), (v1.z, v2.z, v3.z))
+    if det3(rows) == 0:
+        raise DegenerateFrame("frame points are affinely dependent")
+    return rows
+
+
+def frame_local(p: HomPoint, v1: HomPoint, v2: HomPoint, v3: HomPoint) -> HomPoint:
+    """Barycentrics of ``p`` relative to the triangle v1 v2 v3: the adjugate
+    of the vertex matrix applied to ``p``, each entry times its vertex's
+    coordinate sum."""
+    w = [sum(r[j] * p.triple[j] for j in range(3))
+         for r in adjugate3(_frame_rows(v1, v2, v3))]
+    s = [sum(v.triple) for v in (v1, v2, v3)]
+    return HomPoint(s[0] * w[0], s[1] * w[1], s[2] * w[2])
+
+
+def frame_base(q: HomPoint, v1: HomPoint, v2: HomPoint, v3: HomPoint) -> HomPoint:
+    """The point with barycentrics ``q`` relative to the triangle v1 v2 v3:
+    each vertex scaled to coordinate sum one, weighted by ``q``."""
+    _frame_rows(v1, v2, v3)
+    s1, s2, s3 = (sum(v.triple) for v in (v1, v2, v3))
+    w1, w2, w3 = q.x * s2 * s3, q.y * s1 * s3, q.z * s1 * s2
+    return HomPoint(*(w1 * a + w2 * b + w3 * c
+                      for a, b, c in zip(v1.triple, v2.triple, v3.triple)))
+
+
+def taylor_center(m: Metric) -> HomPoint:
+    """X389 as the point equidistant from the first triple of distinct
+    Taylor points (projections of each altitude foot onto the other two
+    sides) that has one."""
+    pts = _taylor_points(m)
+    for i, j, k in combinations(range(6), 3):
+        if pts[i] == pts[j] or pts[j] == pts[k] or pts[i] == pts[k]:
+            continue
+        try:
+            return equidistant_point(pts[i], pts[j], pts[k], m)
+        except GeometryError:
+            continue
+    raise GeometryError("projection points admit no equidistant point")
 
 
 def _line_cubic(f, vertical, fixed, centre, half):

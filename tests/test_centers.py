@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tricurves.centers as centers
+import tricurves.kernel as kernel
 from tricurves.centers import (
     ALIASES,
     Anticomplement,
@@ -64,6 +65,7 @@ from tricurves.kernel import (
     squared_distance,
 )
 
+from reference import frame_base, frame_local, taylor_center
 from strategies import rational_triangles
 
 T = RefTriangle(6, 9, 13)
@@ -526,6 +528,105 @@ class TestIsogonalPartners:
             assert eval_center(m, cid) == isogonal(m, q)
             checked += 1
         assert checked >= 3
+
+
+def _nested_subtriangles(t: RefTriangle) -> list:
+    """Every derived triangle of ``t`` and every derived triangle of those
+    (right and side-less cases refused), in base coordinates."""
+    subs = []
+    for kind in TriangleKind:
+        try:
+            subs.append(derived_triangle(t, kind))
+        except GeometryError:
+            continue
+    for sub in list(subs):
+        for kind in TriangleKind:
+            try:
+                subs.append(derived_subtriangle(t, sub, kind))
+            except GeometryError:
+                continue
+    return subs
+
+
+class TestFrames:
+    def test_checked_once_per_kind(self, monkeypatch):
+        calls = []
+        of = kernel.Frame.of
+        monkeypatch.setattr(kernel.Frame, "of",
+                            lambda *vs: calls.append(vs) or of(*vs))
+        # the 17 even ids other than X389 (which builds an orthic triangle
+        # of its own), the first 8 twice
+        ids = 2 * [cid.value for cid in CenterId
+                   if cid not in ODD_CENTERS and cid is not CenterId.X389]
+        ids = ids[:25]
+        subs = {}
+        for text in ([f"isogonal(excentral,{cid})" for cid in ids]
+                     + [f"center(orthic,{cid})" for cid in ids]):
+            try:
+                eval_expr(T, parse_center(text), subs)
+            except GeometryError:
+                pass
+        assert len(ids) == 25
+        assert set(subs) == {TriangleKind.EXCENTRAL, TriangleKind.ORTHIC}
+        # one check per derived triangle, where a check per map made 100
+        assert len(calls) == 2
+
+    @given(rational_triangles(), nonzero_triples)
+    @settings(max_examples=25, deadline=None)
+    def test_maps_equal_one_shot_formulas(self, t, triple):
+        p = HomPoint(*triple)
+        for sub in _nested_subtriangles(t):
+            frame = sub.frame
+            assert frame == kernel.Frame.of(*sub.vertices)
+            local = frame.local(p)
+            assert local == frame_local(p, *sub.vertices)
+            assert frame.base(p) == frame_base(p, *sub.vertices)
+            assert frame.base(local) == p
+            assert frame.local(frame.base(p)) == p
+
+
+# triangles on which X389 is checked against the Taylor-point search:
+# scalene, isosceles, rational with X5 on a sideline, and right
+TAYLOR_TRIANGLES = [random_triangle(seed) for seed in range(60)] + [
+    RefTriangle(*sides) for sides in (
+        (6, 9, 13), (5, 5, 6), (Fraction(28, 5), 12, 16), (3, 4, 5))]
+
+
+def _taylor_outcome(t: RefTriangle, kind: TriangleKind):
+    """The search's X389 of the ``kind`` triangle, in base coordinates, or
+    the type of the exception it raises."""
+    try:
+        if kind is TriangleKind.BASE:
+            return taylor_center(t)
+        sub = derived_triangle(t, kind)
+        return frame_base(taylor_center(sub.metric()), *sub.vertices)
+    except GeometryError as exc:
+        return type(exc)
+
+
+class TestTaylorCenter:
+    @pytest.mark.parametrize("t", TAYLOR_TRIANGLES, ids=repr)
+    def test_equals_taylor_point_search(self, t):
+        for kind in TriangleKind:
+            try:
+                got = eval_expr(t, CenterOf(kind, CenterId.X389))
+            except GeometryError as exc:
+                got = type(exc)
+            assert got == _taylor_outcome(t, kind), kind
+
+    def test_right_triangle_refused(self):
+        with pytest.raises(RightTriangle):
+            eval_center(RefTriangle(3, 4, 5), CenterId.X389)
+
+    def test_independent_of_taylor_points(self, monkeypatch):
+        want = taylor_center(T)
+
+        def refuse(m):
+            raise GeometryError("Taylor points withheld")
+
+        monkeypatch.setattr(centers, "_taylor_points", refuse)
+        assert eval_center(T, CenterId.X389) == want
+        assert dict(validate_center_oracles(T))[CenterId.X389] is False
 
 
 # SHA-256 of one "<triangle> <expression> <outcome>" line per expression,

@@ -8,9 +8,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from tricurves import cli
+from tricurves import cli, render
 from tricurves.cli import _named_curve, _rational, main, parse_triangle
-from tricurves.kernel import InvalidTriangle
+from tricurves.kernel import InvalidTriangle, RefTriangle
+from tricurves.scenarios import build_figure
 
 
 def _run_cli(*args):
@@ -238,6 +239,24 @@ class TestRenderCommand:
             rows.append(path.read_text())
         assert rows[0] == rows[1]
         assert len(rows[0].splitlines()) > 10
+
+    def test_svg_and_csv_share_one_trace(self, tmp_path, monkeypatch):
+        calls = []
+        trace = render.trace_segments
+        monkeypatch.setattr(render, "trace_segments",
+                            lambda *args: calls.append(args) or trace(*args))
+        svg, csv = tmp_path / "fig.svg", tmp_path / "pts.csv"
+        assert main(["render", "--scenario", "defs-sanity", "--triangle", "6,9,13",
+                     "--svg", str(svg), "--csv", str(csv), "--grid", "64"]) == 0
+        t = RefTriangle(6, 9, 13)
+        figure = build_figure("defs-sanity", t)
+        # each curve once for both files (each file traced its own before)
+        assert len(calls) == len(figure["curves"]) + len(figure["lines"]) == 3
+        config = render.RenderConfig(grid=64)
+        render.render_svg(t, figure, config, str(tmp_path / "alone.svg"))
+        render.sample_csv(t, figure, config, str(tmp_path / "alone.csv"))
+        assert svg.read_bytes() == (tmp_path / "alone.svg").read_bytes()
+        assert csv.read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
     def test_requires_target(self, capsys):
         with pytest.raises(SystemExit):

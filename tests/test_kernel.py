@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from tricurves.kernel import (
     CoincidentArguments,
     DegenerateFrame,
+    Frame,
     HomLine,
     HomPoint,
     InvalidTriangle,
@@ -32,6 +33,7 @@ from tricurves.kernel import (
     infinite_point,
     join,
     local_coords,
+    mat_vec,
     meet,
     midpoint,
     perpendicular_infinite_point,
@@ -44,6 +46,8 @@ from tricurves.kernel import (
 from reference import (
     WeightSumNotOne,
     affine_combine,
+    frame_base,
+    frame_local,
     normalize_affine,
     point_line_distance_sq,
     two_points_on,
@@ -517,3 +521,26 @@ class TestLocalFrames:
         d = HomPoint(2, -5, 3)
         assert d.is_infinite()
         assert local_coords(d, *self.FRAME).is_infinite()
+
+    @given(nonzero_triples, st.sampled_from(FRAMES))
+    @settings(max_examples=120)
+    def test_frame_maps_equal_one_shot_formulas(self, t, vertices):
+        p, frame = HomPoint(*t), Frame.of(*vertices)
+        assert frame.local(p) == frame_local(p, *vertices) == local_coords(p, *vertices)
+        assert frame.base(p) == frame_base(p, *vertices) == from_local(p, *vertices)
+
+    @pytest.mark.parametrize("vertices", [
+        (VERTEX_A, VERTEX_B, HomPoint(1, 1, 0)),  # collinear
+        (HomPoint(1, -1, 0), VERTEX_B, VERTEX_C),  # at infinity
+    ])
+    def test_degenerate_frame_rejected_once(self, vertices):
+        for check in (lambda: Frame.of(*vertices),
+                      lambda: from_local(VERTEX_A, *vertices)):
+            with pytest.raises(DegenerateFrame):
+                check()
+
+    @given(st.lists(st.integers(-2**70, 2**70), min_size=12, max_size=12))
+    def test_mat_vec_is_sum_of_products(self, ints):
+        rows, v = (ints[0:3], ints[3:6], ints[6:9]), ints[9:]
+        assert mat_vec(rows, v) == tuple(sum(r[j] * v[j] for j in range(3))
+                                         for r in rows)
