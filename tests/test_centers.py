@@ -568,7 +568,7 @@ class TestFrames:
                 pass
         assert len(ids) == 25
         assert set(subs) == {TriangleKind.EXCENTRAL, TriangleKind.ORTHIC}
-        # one check per derived triangle, where a check per map made 100
+        # one check per derived triangle, not one per map
         assert len(calls) == 2
 
     @given(rational_triangles(), nonzero_triples)

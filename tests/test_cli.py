@@ -250,7 +250,7 @@ class TestRenderCommand:
                      "--svg", str(svg), "--csv", str(csv), "--grid", "64"]) == 0
         t = RefTriangle(6, 9, 13)
         figure = build_figure("defs-sanity", t)
-        # each curve once for both files (each file traced its own before)
+        # each curve once for both files, not once per file
         assert len(calls) == len(figure["curves"]) + len(figure["lines"]) == 3
         config = render.RenderConfig(grid=64)
         render.render_svg(t, figure, config, str(tmp_path / "alone.svg"))
