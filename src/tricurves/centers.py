@@ -676,7 +676,7 @@ ON_LINES: dict[CenterId, Callable[[RefTriangle], list[HomLine]]] = {
 # the center is equidistant from every point
 EQUIDISTANT: dict[CenterId, Callable[[RefTriangle], Sequence[HomPoint]]] = {
     CenterId.X3: lambda t: _VERTICES,
-    CenterId.X389: lambda t: _taylor_points(t),
+    CenterId.X389: _taylor_points,
 }
 
 

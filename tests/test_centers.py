@@ -625,6 +625,7 @@ class TestTaylorCenter:
             raise GeometryError("Taylor points withheld")
 
         monkeypatch.setattr(centers, "_taylor_points", refuse)
+        monkeypatch.setitem(centers.EQUIDISTANT, CenterId.X389, refuse)
         assert eval_center(T, CenterId.X389) == want
         assert dict(validate_center_oracles(T))[CenterId.X389] is False
 

@@ -3,18 +3,19 @@
 Usage (from the repository root)::
 
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD \\
-        --seeds 1-10 --seconds 20 --out pairs.json
+        --seeds 1-10 --seconds 20 > pairs.json
 
 Both revisions (any git tree-ish, such as a commit or the output of
 ``git write-tree``) are extracted with ``git archive`` into a temporary
 directory, so neither holds files the working tree has but git does not.
-For each seed and workload, ``bench/run.py --trace 0`` runs once on each
-tree, the parent first on odd seeds and the change first on even ones,
-with ``PYTHONDONTWRITEBYTECODE=1``.  The script refuses to run if either
+For each seed and each workload, always all four in the order of
+``WORKLOADS``, ``bench/run.py --trace 0`` runs once on each tree, the
+parent first on odd seeds and the change first on even ones, with
+``PYTHONDONTWRITEBYTECODE=1``.  The script refuses to run if either
 tree holds a ``__pycache__`` directory: bytecode left by an earlier run
 makes that side's ``setup_s`` and ``peak_rss_mb`` look better.
 
-The JSON printed (and written to ``--out``) gives, for each workload and
+The JSON printed on standard output gives, for each workload and
 end-to-end metric of ``BENCHMARK.json``, each side's median and quartiles
 (inclusive method), the ratio of the medians, the medians' distance, the
 parent's interquartile distance and the number of pairs in which the
@@ -118,11 +119,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=seed_range, default=seed_range("1-10"),
                         help="inclusive range such as 1-10")
     parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--workloads", default=",".join(WORKLOADS),
-                        help="comma-separated, run in this order for each seed")
-    parser.add_argument("--out", type=Path, help="also write the JSON here")
     args = parser.parse_args(argv)
-    workloads = args.workloads.split(",")
     repo = Path(__file__).resolve().parents[1]
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
@@ -130,10 +127,10 @@ def main(argv=None) -> int:
                  for side, rev in zip(SIDES, (args.parent, args.change))}
         with open(trees["change"] / "BENCHMARK.json", encoding="utf-8") as fh:
             better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
-        runs = {w: {side: [] for side in SIDES} for w in workloads}
+        runs = {w: {side: [] for side in SIDES} for w in WORKLOADS}
         for seed in args.seeds:
             order = SIDES if seed % 2 else SIDES[::-1]
-            for workload in workloads:
+            for workload in WORKLOADS:
                 for side in order:
                     runs[workload][side].append(
                         run_once(trees[side], workload, seed, args.seconds))
@@ -143,10 +140,7 @@ def main(argv=None) -> int:
            "command": f"python3 bench/run.py --workload <w> --seed <s> "
                       f"--seconds {args.seconds:g} --trace 0",
            "seeds": args.seeds, "workloads": summarise(runs, better), "runs": runs}
-    text = json.dumps(out, indent=1)
-    if args.out:
-        args.out.write_text(text + "\n", encoding="utf-8")
-    print(text)
+    print(json.dumps(out, indent=1))
     return 0
 
 
