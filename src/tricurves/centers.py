@@ -3,10 +3,11 @@
 Every center carries two independent things: an evaluation rule (a closed
 barycentric formula or an explicit construction, rational in the side
 lengths) and a defining-property oracle that re-derives the center from
-first principles.  X389, for one, is built as the midpoint of X3 and X52,
-the orthic triangle's orthocenter, and checked as the point equidistant
-from the six Taylor points.  Each oracle is one row of one of three tables: an
-identity in the center-expression language (``IDENTITIES``, e.g. X5 is
+first principles.  X389, for one, is the formula a^2 (S^4 - SA^2 SB SC)
+of Kimberling's ETC, the midpoint of X3 and X52 (the orthic triangle's
+orthocenter), and is checked as the point equidistant from the six Taylor
+points.  Each oracle is one row of one of three tables: an identity in the
+center-expression language (``IDENTITIES``, e.g. X5 is
 ``midpoint(X3,X4)``), lines the center lies on (``ON_LINES``: cevians,
 altitudes, Euler lines) or points it is equidistant from (``EQUIDISTANT``).
 A row names only other centers.  :func:`validate_center_oracles` runs the
@@ -134,6 +135,7 @@ _FIRST: dict[CenterId, Callable[[IntegralView], int]] = {
     CenterId.X76: lambda m: m.b2 * m.c2,
     CenterId.X355: lambda m: (m.a + m.b + m.c) * m.SB * m.SC
     + (m.b + m.c - m.a) * m.S2,
+    CenterId.X389: lambda m: m.a2 * (m.S2 * m.S2 - m.SA * m.SA * m.SB * m.SC),
     CenterId.OMEGA1: lambda m: m.a2 * m.c2,
     CenterId.OMEGA2: lambda m: m.a2 * m.b2,
 }
@@ -157,10 +159,16 @@ _SIDE_PAIRS = ((VERTEX_B, VERTEX_C), (VERTEX_C, VERTEX_A), (VERTEX_A, VERTEX_B))
 _SIDELINES = tuple(join(*pair) for pair in _SIDE_PAIRS)
 
 
+def _refuse_right(m: Metric, kind: TriangleKind) -> None:
+    """The orthic and tangential triangles of a right triangle are degenerate."""
+    if kind in (TriangleKind.ORTHIC, TriangleKind.TANGENTIAL) and m.is_right():
+        raise RightTriangle(f"{kind.value} triangle of a right triangle is degenerate")
+
+
 def _taylor_points(m: Metric) -> list[HomPoint]:
     """Projections of each altitude foot onto the other two sides (6 points)."""
-    local, _ = _derived_local(m, TriangleKind.ORTHIC)
-    feet = [HomPoint(*v) for v in local]
+    _refuse_right(m, TriangleKind.ORTHIC)
+    feet = [HomPoint(*v) for v in _derived_rows(m, TriangleKind.ORTHIC)[0]]
     return [foot_of_perpendicular(feet[i], _SIDELINES[j], m)
             for i in range(3) for j in range(3) if j != i]
 
@@ -170,17 +178,15 @@ def center_coords(m: Metric, cid: CenterId) -> tuple[int, int, int]:
     if cid in _VERTEX_OF:
         return _VERTEX_OF[cid].triple
     if cid is CenterId.X389:
-        orthic = _derive(m, m, TriangleKind.ORTHIC, None)
-        x52 = orthic.frame.base(HomPoint(*center_coords(orthic.own_metric, CenterId.X4)))
-        return midpoint(HomPoint(*center_coords(m, CenterId.X3)), x52).triple
+        _refuse_right(m, TriangleKind.ORTHIC)
     if cid in ODD_CENTERS and not m.has_sides:
         raise OddCenterWithoutSides(
             f"{cid.value} needs exact side lengths, which this triangle lacks")
+    u = m.unit
     if cid in _ISOGONAL_OF:
         # unchecked, unlike isogonal(), which refuses a partner on a sideline
-        return _conjugate(_weights("isogonal", m), center_coords(m, _ISOGONAL_OF[cid]))
+        return _conjugate((u.a2, u.b2, u.c2), center_coords(m, _ISOGONAL_OF[cid]))
     f = _FIRST[cid]
-    u = m.unit
     r = u.rot()
     return (f(u), f(r), f(r.rot()))
 
@@ -209,19 +215,16 @@ def _conjugate(weights: Sequence[int], triple: Sequence[int]) -> tuple[int, int,
     return (u * y * z, v * z * x, w * x * y)
 
 
-def _weights(conj: str, m: Optional[Metric]) -> tuple[int, int, int]:
-    """Isogonal weights a2, b2, c2 (read on the integral view of ``m``) or
-    isotomic weights 1, 1, 1."""
+def _conjugate_point(conj: str, m: Optional[Metric], p: HomPoint) -> HomPoint:
+    """The conjugate of ``p`` for the isogonal weights a2, b2, c2 (read on the
+    integral view of ``m``) or the isotomic weights 1, 1, 1."""
     if conj == "isogonal":
         u = m.unit
-        return (u.a2, u.b2, u.c2)
-    if conj == "isotomic":
-        return (1, 1, 1)
-    raise ValueError(f"unknown conjugation {conj!r}")
-
-
-def _conjugate_point(conj: str, m: Optional[Metric], p: HomPoint) -> HomPoint:
-    weights = _weights(conj, m)
+        weights = (u.a2, u.b2, u.c2)
+    elif conj == "isotomic":
+        weights = (1, 1, 1)
+    else:
+        raise ValueError(f"unknown conjugation {conj!r}")
     if 0 in p.triple:
         raise OnSideline(f"{conj} conjugate of {p} (on a sideline) is undefined")
     return HomPoint(*_conjugate(weights, p.triple))
@@ -229,10 +232,6 @@ def _conjugate_point(conj: str, m: Optional[Metric], p: HomPoint) -> HomPoint:
 
 def isogonal(m: Metric, p: HomPoint) -> HomPoint:
     return _conjugate_point("isogonal", m, p)
-
-
-def isotomic(p: HomPoint) -> HomPoint:
-    return _conjugate_point("isotomic", None, p)
 
 
 # ---------------------------------------------------------------------------
@@ -258,22 +257,12 @@ class SubTriangle:
         return self.own_metric
 
 
-def _derived_local(m: Metric, kind: TriangleKind):
-    """Vertex coordinate triples of the derived triangle, in the frame of
-    ``m`` (read on its integral view).
-
-    Also returns the ratio n/d of the derived triangle's sides to the
-    frame's as the pair (n, d), (1, 1), (1, 2) or (2, 1), where it is
-    rational, else ``None``.  The orthic and tangential triangles of a
-    right triangle are degenerate and raise :class:`RightTriangle`.
-    """
-    if kind in (TriangleKind.ORTHIC, TriangleKind.TANGENTIAL) and m.is_right():
-        raise RightTriangle(f"{kind.value} triangle of a right triangle is degenerate")
-    return _derived_rows(m, kind)
-
-
 def _derived_rows(m: Metric, kind: TriangleKind):
-    """:func:`_derived_local` without the right-triangle refusal."""
+    """Vertex coordinate triples of the derived triangle, in the frame of
+    ``m`` (read on its integral view), and the ratio n/d of the derived
+    triangle's sides to the frame's as the pair (n, d), (1, 1), (1, 2) or
+    (2, 1), where it is rational, else ``None``.  No right triangle is
+    refused here."""
     u = m.unit
     if kind is TriangleKind.BASE:
         return ((1, 0, 0), (0, 1, 0), (0, 0, 1)), (1, 1)
@@ -322,34 +311,35 @@ def _rescaled(u: IntegralView, n: int, d: int) -> IntegralView:
                         d * d * u.q, None if u.k is None else d * u.k)
 
 
-def _derive(t: Metric, m: Metric, kind: TriangleKind,
-            frame: Optional[Frame]) -> SubTriangle:
+def _derive(m: Metric, kind: TriangleKind, frame: Optional[Frame]) -> SubTriangle:
     """The ``kind`` triangle of the triangle ``m`` describes, whose frame in
-    the coordinates of ``t`` is ``frame`` (``None`` for ``t`` itself).  Its
-    metric is ``m``'s view rescaled where the side ratio is rational, else
-    read off the squared distances between its vertices."""
-    local, ratio = _derived_local(m, kind)
+    base coordinates is ``frame`` (``None`` for the base itself); the orthic
+    and tangential triangles of a right triangle raise :class:`RightTriangle`.
+    Its metric is ``m``'s view rescaled where the side ratio is rational,
+    else read off the squared distances between its vertices in ``m``,
+    which no frame changes; the vertices are mapped out after that."""
+    _refuse_right(m, kind)
+    local, ratio = _derived_rows(m, kind)
     points = tuple(HomPoint(*v) for v in local)
-    if frame is not None:
-        points = tuple(frame.base(p) for p in points)
     if ratio is not None:
         own = Metric.of_view(_rescaled(m.unit, *ratio))
     else:
-        own = Metric(squared_distance(points[1], points[2], t),
-                     squared_distance(points[2], points[0], t),
-                     squared_distance(points[0], points[1], t))
+        own = Metric(squared_distance(points[1], points[2], m),
+                     squared_distance(points[2], points[0], m),
+                     squared_distance(points[0], points[1], m))
+    if frame is not None:
+        points = tuple(frame.base(p) for p in points)
     return SubTriangle(kind, *points, own, Frame.of(*points))
 
 
 def derived_triangle(t: RefTriangle, kind: TriangleKind) -> SubTriangle:
     """A derived triangle of the base, with vertices in base coordinates."""
-    return _derive(t, t, kind, None)
+    return _derive(t, kind, None)
 
 
-def derived_subtriangle(t: RefTriangle, sub: SubTriangle,
-                        kind: TriangleKind) -> SubTriangle:
+def derived_subtriangle(sub: SubTriangle, kind: TriangleKind) -> SubTriangle:
     """A derived triangle of a derived triangle, mapped to base coordinates."""
-    return _derive(t, sub.metric(), kind, sub.frame)
+    return _derive(sub.metric(), kind, sub.frame)
 
 
 def eval_center_in(t: RefTriangle, sub: SubTriangle, cid: CenterId) -> HomPoint:
@@ -403,13 +393,8 @@ class Anticomplement:
 
 
 @dataclass(frozen=True)
-class IsogonalIn:
-    kind: TriangleKind
-    e: "CenterExpr"
-
-
-@dataclass(frozen=True)
-class IsotomicIn:
+class ConjugateIn:
+    conj: str  # "isogonal" or "isotomic"
     kind: TriangleKind
     e: "CenterExpr"
 
@@ -434,7 +419,7 @@ class AntipodeOf:
 
 CenterExpr = Union[
     Catalog, MidpointOf, ReflectThrough, Complement, Anticomplement,
-    IsogonalIn, IsotomicIn, CenterOf, VertexOf, AntipodeOf,
+    ConjugateIn, CenterOf, VertexOf, AntipodeOf,
 ]
 
 
@@ -459,11 +444,10 @@ def eval_expr(t: RefTriangle, e: CenterExpr,
             return complement(rec(expr.e))
         if isinstance(expr, Anticomplement):
             return anticomplement(rec(expr.e))
-        if isinstance(expr, (IsogonalIn, IsotomicIn)):
+        if isinstance(expr, ConjugateIn):
             p = rec(expr.e)
             sub = None if expr.kind is TriangleKind.BASE else sub_of(expr.kind)
-            conj = "isogonal" if isinstance(expr, IsogonalIn) else "isotomic"
-            return conjugate(t, conj, sub, p)
+            return conjugate(t, expr.conj, sub, p)
         if isinstance(expr, CenterOf):
             if expr.kind is TriangleKind.BASE:
                 return eval_center(t, expr.cid)
@@ -500,12 +484,13 @@ ALIASES: dict[str, CenterExpr] = {
     "B3": Catalog(CenterId.X76),
     "F": Catalog(CenterId.X355),
     "Ta": Catalog(CenterId.X389),
-    "LP": IsogonalIn(TriangleKind.BASE, Catalog(CenterId.X20)),
-    "BeP": IsogonalIn(TriangleKind.BASE, Catalog(CenterId.X40)),
-    "MiP": IsogonalIn(TriangleKind.BASE, Catalog(CenterId.X9)),
-    "MiPP": IsogonalIn(TriangleKind.EXCENTRAL, Catalog(CenterId.X9)),
+    "LP": ConjugateIn("isogonal", TriangleKind.BASE, Catalog(CenterId.X20)),
+    "BeP": ConjugateIn("isogonal", TriangleKind.BASE, Catalog(CenterId.X40)),
+    "MiP": ConjugateIn("isogonal", TriangleKind.BASE, Catalog(CenterId.X9)),
+    "MiPP": ConjugateIn("isogonal", TriangleKind.EXCENTRAL, Catalog(CenterId.X9)),
     "SyA": Anticomplement(Catalog(CenterId.X6)),
-    "HA": IsogonalIn(TriangleKind.MEDIAL, CenterOf(TriangleKind.MEDIAL, CenterId.X20)),
+    "HA": ConjugateIn("isogonal", TriangleKind.MEDIAL,
+                      CenterOf(TriangleKind.MEDIAL, CenterId.X20)),
     "M_IH": MidpointOf(Catalog(CenterId.X1), Catalog(CenterId.X4)),
     "M_MH": MidpointOf(Catalog(CenterId.X2), Catalog(CenterId.X4)),
     "M_MiI": MidpointOf(Catalog(CenterId.X9), Catalog(CenterId.X1)),
@@ -595,8 +580,7 @@ def _parse(text: str) -> CenterExpr:
         return Anticomplement(_parse(args[0]))
     if fn in ("isogonal", "isotomic") and len(args) in (1, 2):
         kind = kind_of(args[0]) if len(args) == 2 else TriangleKind.BASE
-        node = IsogonalIn if fn == "isogonal" else IsotomicIn
-        return node(kind, _parse(args[-1]))
+        return ConjugateIn(fn, kind, _parse(args[-1]))
     if fn == "center" and len(args) == 2:
         return CenterOf(kind_of(args[0]), cid_of(args[1]))
     if fn == "vertex" and len(args) == 2:

@@ -580,8 +580,3 @@ class Frame(NamedTuple):
 def local_coords(p: HomPoint, v1: HomPoint, v2: HomPoint, v3: HomPoint) -> HomPoint:
     """Barycentric coordinates of ``p`` relative to the triangle v1 v2 v3."""
     return Frame.of(v1, v2, v3).local(p)
-
-
-def from_local(q: HomPoint, v1: HomPoint, v2: HomPoint, v3: HomPoint) -> HomPoint:
-    """Inverse of :func:`local_coords`: map frame barycentrics back."""
-    return Frame.of(v1, v2, v3).base(q)

@@ -366,13 +366,9 @@ def trace_figure(t, figure: dict, config: RenderConfig) -> Traced:
         for label, curve in figure.get("curves", [])])
 
 
-def render_svg(t, figure: dict, config: RenderConfig, path: str) -> bool:
-    """Write an SVG of the figure; returns False when no curve has a locus."""
-    return write_svg(trace_figure(t, figure, config), path)
-
-
 def write_svg(traced: Traced, path: str) -> bool:
-    """:func:`render_svg` of a traced figure."""
+    """Write an SVG of a traced figure; returns False when no curve has a
+    locus."""
     figure, config, corners, viewport, curves = traced
     x0, y0, x1, y1 = viewport
     scale = config.width / (x1 - x0)

@@ -190,8 +190,7 @@ def _fit(entries):
 
 CONSTRUCTIONS: dict[str, Callable[["Trial"], object]] = {
     **{name: _fit(points) for name, points in FITS.items()},
-    "oexc": lambda tr: derived_subtriangle(tr.t, tr["excentral"],
-                                           TriangleKind.ORTHIC),
+    "oexc": lambda tr: derived_subtriangle(tr["excentral"], TriangleKind.ORTHIC),
     "oexc_symmedian": lambda tr: eval_center_in(tr.t, tr["oexc"], CenterId.X6),
     "oi": lambda tr: join(tr["O"], tr["I"]),
     "euler_line": lambda tr: join(tr["O"], tr["H"]),

@@ -18,10 +18,10 @@ from tricurves.centers import (
     CenterOf,
     CenterParseError,
     Complement,
+    ConjugateIn,
     EQUIDISTANT,
     ExhaustedRetries,
     IDENTITIES,
-    IsogonalIn,
     MAX_NESTING,
     MidpointOf,
     ODD_CENTERS,
@@ -45,12 +45,12 @@ from tricurves.centers import (
     eval_expr,
     isogonal,
     isogonal_in,
-    isotomic,
     parse_center,
     random_triangle,
     validate_center_oracles,
 )
 from tricurves.kernel import (
+    Frame,
     GeometryError,
     HomPoint,
     Metric,
@@ -58,7 +58,6 @@ from tricurves.kernel import (
     VERTEX_A,
     VERTEX_B,
     VERTEX_C,
-    from_local,
     local_coords,
     midpoint,
     reflect_through,
@@ -96,7 +95,7 @@ class TestCatalogValues:
         assert isogonal(T, HomPoint(1, 1, 1)) == HomPoint(36, 81, 169)
 
     def test_isotomic_formula(self):
-        assert isotomic(HomPoint(1, 2, 3)) == HomPoint(6, 3, 2)
+        assert conjugate(T, "isotomic", None, HomPoint(1, 2, 3)) == HomPoint(6, 3, 2)
 
     def test_all_oracles_on_sample(self):
         assert all(ok for _, ok in validate_center_oracles(T))
@@ -194,13 +193,13 @@ class TestConjugations:
     @settings(max_examples=60)
     def test_isotomic_involution(self, t):
         p = HomPoint(*t)
-        assert isotomic(isotomic(p)) == p
+        assert conjugate(T, "isotomic", None, conjugate(T, "isotomic", None, p)) == p
 
     def test_on_sideline_rejected(self):
         with pytest.raises(OnSideline):
             isogonal(T, HomPoint(0, 1, 1))
         with pytest.raises(OnSideline):
-            isotomic(HomPoint(1, 0, 1))
+            conjugate(T, "isotomic", None, HomPoint(1, 0, 1))
 
     @pytest.mark.parametrize("kind", [None] + [
         k for k in TriangleKind if k is not TriangleKind.BASE])
@@ -209,12 +208,15 @@ class TestConjugations:
         sub = None if kind is None else derived_triangle(T, kind)
         p = eval_center(T, CenterId.X1)
         if sub is None:
-            want = (isogonal(T, p), isotomic(p))
+            x, y, z = p.triple
+            want = (isogonal(T, p), HomPoint(y * z, z * x, x * y))
         else:
             local = local_coords(p, *sub.vertices)
             assert 0 not in local.triple
-            want = (from_local(isogonal(sub.metric(), local), *sub.vertices),
-                    from_local(isotomic(local), *sub.vertices))
+            x, y, z = local.triple
+            frame = Frame.of(*sub.vertices)
+            want = (frame.base(isogonal(sub.metric(), local)),
+                    frame.base(HomPoint(y * z, z * x, x * y)))
         assert (conjugate(T, "isogonal", sub, p), conjugate(T, "isotomic", sub, p)) == want
         with pytest.raises(ValueError):
             conjugate(T, "polar", sub, p)
@@ -236,7 +238,7 @@ class TestDerivedTriangles:
         m = derived_triangle(T, kind).metric()
         assert (m.a, m.b, m.c) == tuple(ratio * s for s in T.sides)
         # and again inside a derived triangle with exact sides
-        inner = derived_subtriangle(T, derived_triangle(T, TriangleKind.MEDIAL), kind)
+        inner = derived_subtriangle(derived_triangle(T, TriangleKind.MEDIAL), kind)
         assert inner.metric().sides == tuple(ratio * s / 2 for s in T.sides)
 
     @pytest.mark.parametrize("kind", [
@@ -246,7 +248,7 @@ class TestDerivedTriangles:
         m = derived_triangle(T, kind).metric()
         assert not m.has_sides
         # nor in a derived triangle of a triangle without them
-        inner = derived_subtriangle(T, derived_triangle(T, kind), TriangleKind.MEDIAL)
+        inner = derived_subtriangle(derived_triangle(T, kind), TriangleKind.MEDIAL)
         assert not inner.metric().has_sides
 
     def test_subtriangle_sq_sides_match_distances(self):
@@ -270,7 +272,7 @@ class TestDerivedTriangles:
             for frame, kind in ((exc, kinds.ORTHIC), (med, kinds.MIDARC),
                                 (anti, kinds.ANTICOMPLEMENTARY), (anti, kinds.MEDIAL),
                                 (med, kinds.EULER)):
-                subs.append(derived_subtriangle(t, frame, kind))
+                subs.append(derived_subtriangle(frame, kind))
             for sub in subs:
                 m = sub.metric()
                 assert sub.metric() is m
@@ -321,7 +323,7 @@ class TestDerivedTriangles:
 
     def test_orthic_of_excentral_is_base(self):
         exc = derived_triangle(T, TriangleKind.EXCENTRAL)
-        oexc = derived_subtriangle(T, exc, TriangleKind.ORTHIC)
+        oexc = derived_subtriangle(exc, TriangleKind.ORTHIC)
         assert set(oexc.vertices) == {VERTEX_A, VERTEX_B, VERTEX_C}
 
 
@@ -373,7 +375,7 @@ class TestExpressions:
         assert eval_expr(T, e) == eval_center(T, CenterId.X20)
 
     def test_isogonal_of_bevan_is_x84(self):
-        e = IsogonalIn(TriangleKind.BASE, Catalog(CenterId.X40))
+        e = ConjugateIn("isogonal", TriangleKind.BASE, Catalog(CenterId.X40))
         assert eval_expr(T, e) == eval_center(T, CenterId.X84)
 
     def test_complement_of_third_brocard_is_brocard_midpoint(self):
@@ -542,7 +544,7 @@ def _nested_subtriangles(t: RefTriangle) -> list:
     for sub in list(subs):
         for kind in TriangleKind:
             try:
-                subs.append(derived_subtriangle(t, sub, kind))
+                subs.append(derived_subtriangle(sub, kind))
             except GeometryError:
                 continue
     return subs
@@ -628,6 +630,50 @@ class TestTaylorCenter:
         monkeypatch.setitem(centers.EQUIDISTANT, CenterId.X389, refuse)
         assert eval_center(T, CenterId.X389) == want
         assert dict(validate_center_oracles(T))[CenterId.X389] is False
+
+
+X389_CONSTRUCTION = parse_center("midpoint(X3,center(orthic,X4))")  # X3 and X52
+
+
+class TestTaylorFormula:
+    @pytest.mark.parametrize("t", TAYLOR_TRIANGLES, ids=repr)
+    def test_equals_midpoint_of_x3_and_x52(self, t):
+        """The formula row against the construction, on the base and in its
+        own frame on every derived triangle; right triangles refuse both."""
+        for m in _metrics(t):
+            if m.is_right():
+                for evaluate in (lambda: eval_center(m, CenterId.X389),
+                                 lambda: eval_expr(m, X389_CONSTRUCTION)):
+                    with pytest.raises(RightTriangle):
+                        evaluate()
+            else:
+                assert eval_center(m, CenterId.X389) == eval_expr(m, X389_CONSTRUCTION)
+
+    @pytest.mark.parametrize("sides", [(6, 9, 13), (Fraction(28, 5), 12, 16)])
+    def test_catalog_builds_no_metric_or_frame(self, sides, monkeypatch):
+        """Every catalog center reads the metric it is given: none builds
+        a Metric or a Frame of its own."""
+        metrics = _metrics(RefTriangle(*sides))
+        built = []
+
+        def counted(name, build):
+            def wrapper(*args, **kwargs):
+                built.append(name)
+                return build(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(Metric, "__init__", counted("Metric", Metric.__init__))
+        monkeypatch.setattr(Frame, "of", staticmethod(counted("Frame", Frame.of)))
+        evaluated = 0
+        for m in metrics:
+            for cid in CATALOG:
+                try:
+                    eval_center(m, cid)
+                except GeometryError:
+                    continue
+                evaluated += 1
+        assert evaluated > len(CATALOG)
+        assert built == []
 
 
 # SHA-256 of one "<triangle> <expression> <outcome>" line per expression,

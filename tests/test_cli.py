@@ -253,7 +253,7 @@ class TestRenderCommand:
         # each curve once for both files, not once per file
         assert len(calls) == len(figure["curves"]) + len(figure["lines"]) == 3
         config = render.RenderConfig(grid=64)
-        render.render_svg(t, figure, config, str(tmp_path / "alone.svg"))
+        render.write_svg(render.trace_figure(t, figure, config), str(tmp_path / "alone.svg"))
         render.sample_csv(t, figure, config, str(tmp_path / "alone.csv"))
         assert svg.read_bytes() == (tmp_path / "alone.svg").read_bytes()
         assert csv.read_bytes() == (tmp_path / "alone.csv").read_bytes()

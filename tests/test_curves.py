@@ -56,6 +56,7 @@ from tricurves.curves import (
 )
 from tricurves.kernel import (
     CoincidentArguments,
+    Frame,
     GeometryError,
     HomLine,
     HomPoint,
@@ -67,7 +68,6 @@ from tricurves.kernel import (
     det3,
     collinear,
     cross,
-    from_local,
     incident,
     join,
     local_coords,
@@ -898,7 +898,7 @@ class TestPivotal:
         weights = (m.a2, m.b2, m.c2) if conj == "isogonal" else (1, 1, 1)
         cx = HomPoint(weights[0] * v * w, weights[1] * w * u, weights[2] * u * v)
         if sub is not None:
-            cx = from_local(cx, *sub.vertices)
+            cx = Frame.of(*sub.vertices).base(cx)
         assert pivotal_membership(t, pv, conj, p, sub=sub) == collinear(p, cx, pv)
 
 

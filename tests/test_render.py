@@ -21,10 +21,11 @@ from tricurves.render import (
     curve_function,
     embed_triangle,
     point_xy,
-    render_svg,
     sample_csv,
+    trace_figure,
     trace_segments,
     compute_viewport,
+    write_svg,
 )
 from tricurves.scenarios import REGISTRY, build_figure
 
@@ -172,7 +173,7 @@ class TestSvg:
         figure = {"points": [("I", HomPoint(6, 9, 13))], "curves": [],
                   "lines": []}
         path = tmp_path / "f.svg"
-        assert render_svg(t, figure, RenderConfig(grid=16), str(path))
+        assert write_svg(trace_figure(t, figure, RenderConfig(grid=16)), str(path))
         content = path.read_text()
         assert "<circle" in content
         assert ">I</text>" in content
@@ -183,7 +184,7 @@ class TestSvg:
         figure = {"points": [], "curves": [("ghost", Conic(1, 1, 1, 0, 0, 0))],
                   "lines": []}
         path = tmp_path / "f.svg"
-        assert render_svg(t, figure, RenderConfig(grid=32), str(path)) is False
+        assert write_svg(trace_figure(t, figure, RenderConfig(grid=32)), str(path)) is False
         assert path.exists()
 
     def test_labels_toggle(self, tmp_path):
@@ -191,7 +192,7 @@ class TestSvg:
         figure = {"points": [("I", HomPoint(6, 9, 13))], "curves": [],
                   "lines": []}
         path = tmp_path / "f.svg"
-        render_svg(t, figure, RenderConfig(grid=16, labels=False), str(path))
+        write_svg(trace_figure(t, figure, RenderConfig(grid=16, labels=False)), str(path))
         assert "<text" not in path.read_text()
 
 
@@ -547,7 +548,7 @@ class TestGridLineRestrictions:
 
 
 class TestSvgLines:
-    """The dashed lines of ``render_svg``: every traced endpoint lies on its
+    """The dashed lines of ``write_svg``: every traced endpoint lies on its
     exact line within a backward error of 1e-6, measured as
     ``TestFiguresGuard`` measures the CSV rows."""
 
@@ -581,7 +582,7 @@ class TestSvgLines:
 
 
 # SHA-256 of the CSV and then the SVG bytes that ``sample_csv`` and
-# ``render_svg`` write at grid 64 for each curve-bearing figure, chained
+# ``write_svg`` write at grid 64 for each curve-bearing figure, chained
 # over the triangles of ``_PINNED_TRIANGLES`` in order; and of the two
 # files for the (3, 4, 6) circumcircle alone at grids 16 and 256.
 FIGURE_DIGESTS = {
@@ -614,12 +615,11 @@ CIRCUMCIRCLE_DIGESTS = {
 
 
 def _file_digest(t, figure, grid, tmp_path):
-    h = hashlib.sha256()
-    for write, name in ((sample_csv, "f.csv"), (render_svg, "f.svg")):
-        path = tmp_path / name
-        write(t, figure, RenderConfig(grid=grid), str(path))
-        h.update(path.read_bytes())
-    return h.hexdigest()
+    config = RenderConfig(grid=grid)
+    csv_path, svg_path = tmp_path / "f.csv", tmp_path / "f.svg"
+    sample_csv(t, figure, config, str(csv_path))
+    write_svg(trace_figure(t, figure, config), str(svg_path))
+    return hashlib.sha256(csv_path.read_bytes() + svg_path.read_bytes()).hexdigest()
 
 
 class TestBytesPinned:
