@@ -358,51 +358,42 @@ def _read_back(field: str, power: int = 1) -> property:
     return property(lambda m: Fraction(getattr(m.unit, field), m.unit.q ** power))
 
 
+def _view(a2: int, b2: int, c2: int, sides: Optional[tuple[int, int, int]],
+          q: int, k: Optional[int]) -> IntegralView:
+    """The view of scaled squared sides that are multiples of 4 (so SA, SB,
+    SC and S2 come out integral); a degenerate triangle is refused."""
+    SA = (b2 + c2 - a2) // 2
+    SB = (c2 + a2 - b2) // 2
+    SC = (a2 + b2 - c2) // 2
+    S2 = SA * SB + SB * SC + SC * SA
+    if S2 <= 0:
+        raise InvalidTriangle("degenerate triangle: S^2 <= 0")
+    return IntegralView(a2, b2, c2, SA, SB, SC, S2, sides, q, k)
+
+
 class Metric:
     """Squared-side-length context for metric computations.
 
     Its one field, ``unit``, is the triangle in integers (an
-    :class:`IntegralView`): the sides times k = 2*lcm(side denominators)
-    where the sides are rational, else the squared sides times
-    q = 4*lcm(their denominators).  Either way the scaled squared sides are
-    multiples of 4, so SA, SB, SC and S2 come out integral.  Derived
-    triangles whose sides involve square roots have a perfectly good Metric
-    (their squared sides are rational) but no ``sides``.  The squared sides
-    (a2, b2, c2), SA, SB, SC, S2 and, where ``has_sides``, ``sides``
-    (a, b, c) read back as Fractions at the given scale.  A Metric is
-    immutable and validated once, in ``__init__``.
+    :class:`IntegralView`).  A Metric built from squared sides scales them
+    by q = 4*lcm(their denominators), so they are multiples of 4 and it has
+    no ``sides``: derived triangles whose sides involve square roots have a
+    perfectly good Metric (their squared sides are rational).  Only a
+    :class:`RefTriangle` knows rational sides, and builds its view from
+    them.  The squared sides (a2, b2, c2), SA, SB, SC, S2 and, where
+    ``has_sides``, ``sides`` (a, b, c) read back as Fractions at the given
+    scale.  A Metric is immutable and validated once, when it is built.
     """
 
     __slots__ = ("unit",)
 
-    def __init__(self, a2: Rat, b2: Rat, c2: Rat,
-                 sides: Optional[Sequence[Rat]] = None):
+    def __init__(self, a2: Rat, b2: Rat, c2: Rat):
         squares = _fraction(a2), _fraction(b2), _fraction(c2)
         if any(v <= 0 for v in squares):
             raise InvalidTriangle("squared side lengths must be positive")
-        if sides is None:
-            q = 4 * math.lcm(*(v.denominator for v in squares))
-            k = whole = None
-            ua2, ub2, uc2 = (v.numerator * (q // v.denominator) for v in squares)
-        else:
-            sides = tuple(_fraction(s) for s in sides)
-            if len(sides) != 3 or any(s <= 0 for s in sides):
-                raise InvalidTriangle("sides must be three positive rationals")
-            k = 2 * math.lcm(*(s.denominator for s in sides))
-            whole = tuple(s.numerator * (k // s.denominator) for s in sides)
-            q = k * k
-            ua2, ub2, uc2 = (s * s for s in whole)
-            if any(u * v.denominator != v.numerator * q
-                   for u, v in zip((ua2, ub2, uc2), squares)):
-                raise InvalidTriangle("sides inconsistent with squared sides")
-        SA = (ub2 + uc2 - ua2) // 2
-        SB = (uc2 + ua2 - ub2) // 2
-        SC = (ua2 + ub2 - uc2) // 2
-        S2 = SA * SB + SB * SC + SC * SA
-        if S2 <= 0:
-            raise InvalidTriangle("degenerate triangle: S^2 <= 0")
-        object.__setattr__(self, "unit",
-                           IntegralView(ua2, ub2, uc2, SA, SB, SC, S2, whole, q, k))
+        q = 4 * math.lcm(*(v.denominator for v in squares))
+        ua2, ub2, uc2 = (v.numerator * (q // v.denominator) for v in squares)
+        object.__setattr__(self, "unit", _view(ua2, ub2, uc2, None, q, None))
 
     @staticmethod
     def of_view(unit: IntegralView) -> "Metric":
@@ -446,7 +437,9 @@ class Metric:
 
 
 class RefTriangle(Metric):
-    """Reference triangle given by rational side lengths a, b, c."""
+    """Reference triangle given by rational side lengths a, b, c.  Its view
+    holds the sides times k = 2*lcm(their denominators), so the squared
+    sides, at q = k**2, are multiples of 4."""
 
     __slots__ = ()
 
@@ -456,7 +449,10 @@ class RefTriangle(Metric):
             raise InvalidTriangle("side lengths must be positive")
         if a + b <= c or b + c <= a or c + a <= b:
             raise InvalidTriangle(f"triangle inequality fails for ({a}, {b}, {c})")
-        super().__init__(a * a, b * b, c * c, sides=(a, b, c))
+        k = 2 * math.lcm(a.denominator, b.denominator, c.denominator)
+        whole = tuple(s.numerator * (k // s.denominator) for s in (a, b, c))
+        ua2, ub2, uc2 = (s * s for s in whole)
+        object.__setattr__(self, "unit", _view(ua2, ub2, uc2, whole, k * k, k))
 
     def __repr__(self) -> str:
         return f"RefTriangle({self.a}, {self.b}, {self.c})"

@@ -10,22 +10,24 @@ certificates (triangle sides plus both canonical values compared).
 Everything here is exact; a claim is pass or fail, never approximately so.
 
 How a scenario is declared: it is data over one table of names, resolved
-per trial by :class:`Trial`.  A name is a point (a :data:`ALIASES` entry
-such as ``"Be"``, a vertex name from ``_POINTS`` such as ``"I1"``, or any
-:func:`parse_center` expression such as ``"center(excentral,X25)"``), a
-derived triangle (its kind, e.g. ``"orthic"``), a fitted curve from
-``FITS``, or another entry of ``CONSTRUCTIONS``; ``"ax1.conic"`` reads an
-attribute of a construction.  :func:`_scenario` takes the names ``setup``
-builds eagerly, in order (a degenerate triangle is skipped or refused where
+and stored per triangle by its :class:`Trial`.  A name is a point (a
+:data:`ALIASES` entry such as ``"Be"``, a vertex name from ``_POINTS`` such
+as ``"I1"``, or any :func:`parse_center` expression such as
+``"center(excentral,X25)"``), a derived triangle (its kind, e.g.
+``"orthic"``), a fitted curve from ``FITS``, or another entry of
+``CONSTRUCTIONS``; ``"ax1.conic"`` reads an attribute of a construction.
+:func:`_scenario` takes the names ``setup`` resolves eagerly on the Trial
+it is given, in order (a degenerate triangle is skipped or refused where
 that construction fails), the claims (made by the builders below from
 names), and the figure as ``(label, name)`` entries (a bare name is its
 own label), which only :func:`build_figure` resolves.
 
 Every scenario reads largely the same names on the same seeded triangles,
 so :func:`shared_run` scopes one :class:`Run` to a block: inside it,
-:func:`run_scenario` draws each seeded triangle once and resolves each
-name once per triangle, whichever scenario asks first.  Only values are
-shared; a name that raised is resolved (and raises) again.
+:func:`run_scenario` takes each seeded triangle's :class:`Trial` from the
+run by cursor, so the triangle is drawn once and each name is resolved
+once on it, whichever scenario asks first.  Only values are stored; a
+name that raised is resolved (and raises) again.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ class Claim:
 class Scenario:
     id: str
     description: str
-    setup: Callable[..., "Trial"]  # (triangle, store=None) -> Trial
+    setup: Callable[["Trial"], "Trial"]  # resolves its names, returns the Trial
     claims: tuple[Claim, ...]
     figure: tuple  # points, curves, lines: each a tuple of (label, name)
 
@@ -204,38 +206,29 @@ CONSTRUCTIONS: dict[str, Callable[["Trial"], object]] = {
 }
 
 
-class Trial:
-    """Per-triangle evaluation context: each name is resolved once, on use.
+class Trial(dict):
+    """The memo of one triangle ``t``: each value by name, resolved on first
+    use and stored (a name that raises stores nothing).  A derived triangle
+    is stored under its kind, a ``str`` enum equal to its name, so
+    ``eval_expr``, which gets the Trial as its memo, and ``tr["excentral"]``
+    read the same entry.  A :class:`Run` hands every scenario on one seeded
+    triangle the same Trial."""
 
-    ``store`` is a ``(values, subs)`` pair of dicts, the resolved values by
-    name and the derived triangles by kind (shared with ``eval_expr``); a
-    :class:`Run` hands every scenario on one triangle the same pair.  Only
-    successful resolutions are stored.
-    """
-
-    def __init__(self, t: RefTriangle, store: Optional[tuple] = None):
+    def __init__(self, t: RefTriangle):
         self.t = t
-        self._values, self._subs = store if store is not None else ({}, {})
 
-    def __getitem__(self, name: str):
-        try:
-            return self._values[name]
-        except KeyError:
-            value = self._values[name] = self._resolve(name)
-            return value
-
-    def _resolve(self, name: str):
-        if name in _KIND_NAMES:
-            kind = _KIND_NAMES[name]
-            if kind not in self._subs:
-                self._subs[kind] = derived_triangle(self.t, kind)
-            return self._subs[kind]
-        if name in CONSTRUCTIONS:
-            return CONSTRUCTIONS[name](self)
+    def __missing__(self, name: str):
         owner, dot, attr = name.partition(".")
-        if dot:
-            return getattr(self[owner], attr)
-        return eval_expr(self.t, _expr(name), self._subs)
+        if name in _KIND_NAMES:
+            value = derived_triangle(self.t, _KIND_NAMES[name])
+        elif name in CONSTRUCTIONS:
+            value = CONSTRUCTIONS[name](self)
+        elif dot:
+            value = getattr(self[owner], attr)
+        else:
+            value = eval_expr(self.t, _expr(name), self)
+        self[name] = value
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +459,10 @@ def _scenario(sid: str, description: str, build, claims, points=(), curves=(),
               lines=(), acute=()) -> Scenario:
     """Compile a declared scenario: ``setup`` builds ``build`` (then
     ``acute`` on acute triangles) in order; the figure stays names."""
-    def setup(t: RefTriangle, store: Optional[tuple] = None) -> Trial:
-        tr = Trial(t, store)
+    def setup(tr: Trial) -> Trial:
         for name in build:
             tr[name]
-        if acute and t.is_acute():
+        if acute and tr.t.is_acute():
             for name in acute:
                 tr[name]
         return tr
@@ -888,25 +880,15 @@ def _certificate(t: RefTriangle, failure: Failure) -> dict:
     }
 
 
-class Run:
-    """What the scenarios of one run share: each seeded triangle, drawn once
-    per cursor, and one ``(values, subs)`` store per triangle, keyed by its
-    integral sides and their scale q.  It lives as long as the
-    :func:`shared_run` block that made it, or the one :func:`run_scenario`
-    call outside such a block."""
+class Run(dict):
+    """What the scenarios of one run share: the :class:`Trial` of each
+    seeded triangle, by cursor, drawn on first use.  It lives as long as
+    the :func:`shared_run` block that made it, or the one
+    :func:`run_scenario` call outside such a block."""
 
-    def __init__(self):
-        self._triangles: dict[int, RefTriangle] = {}
-        self._stores: dict[tuple, tuple[dict, dict]] = {}
-
-    def triangle(self, cursor: int) -> RefTriangle:
-        t = self._triangles.get(cursor)
-        if t is None:
-            t = self._triangles[cursor] = random_triangle(cursor)
-        return t
-
-    def store(self, t: RefTriangle) -> tuple[dict, dict]:
-        return self._stores.setdefault((t.unit.sides, t.unit.q), ({}, {}))
+    def __missing__(self, cursor: int) -> Trial:
+        tr = self[cursor] = Trial(random_triangle(cursor))
+        return tr
 
 
 _RUN: ContextVar[Optional[Run]] = ContextVar("tricurves_run", default=None)
@@ -941,17 +923,19 @@ def run_scenario(scenario_id: str, trials: int, seed: int) -> Report:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     sc = REGISTRY[scenario_id]
-    run = _RUN.get() or Run()
+    run = _RUN.get()
+    if run is None:  # not `or`: an empty Run is falsy
+        run = Run()
     t0 = time.perf_counter()
     results = [ClaimResult(c.id, c.kind, c.expectation) for c in sc.claims]
     skipped = 0
     cursor = seed
     for _ in range(trials):
         while True:
-            tri = run.triangle(cursor)
+            tr = run[cursor]
             cursor += 1
             try:
-                ctx = sc.setup(tri, run.store(tri))
+                sc.setup(tr)
             except (DegeneratePointSet, CoincidentArguments, OnSideline):
                 skipped += 1
                 if skipped >= SKIP_LIMIT * trials:
@@ -960,22 +944,22 @@ def run_scenario(scenario_id: str, trials: int, seed: int) -> Report:
                         f"triangles for {trials} trial(s)") from None
                 continue
             break
-        acute = tri.is_acute()
+        acute = tr.t.is_acute()
         for claim, res in zip(sc.claims, results):
             if claim.acute_only and not acute:
                 continue
             try:
-                outcome = claim.check(ctx)
+                outcome = claim.check(tr)
             except Exception as exc:  # recorded; the remaining claims still run
                 res.status = "error"
                 res.failures.append(_certificate(
-                    tri, Failure("", "", f"error: {type(exc).__name__}: {exc}")))
+                    tr.t, Failure("", "", f"error: {type(exc).__name__}: {exc}")))
                 continue
             if outcome is SKIP or outcome is None:
                 continue
             if res.status == "pass":
                 res.status = "fail"
-            res.failures.append(_certificate(tri, outcome))
+            res.failures.append(_certificate(tr.t, outcome))
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return Report(sc.id, sc.description, trials, seed, skipped, results,
                   elapsed_ms)
@@ -997,6 +981,6 @@ def build_figure(scenario_id: str, t: RefTriangle) -> dict:
     if scenario_id not in REGISTRY:
         raise UnknownScenario(f"unknown scenario {scenario_id!r}")
     sc = REGISTRY[scenario_id]
-    tr = sc.setup(t)
+    tr = sc.setup(Trial(t))
     return {part: [(lbl, tr[name]) for lbl, name in entries]
             for part, entries in zip(("points", "curves", "lines"), sc.figure)}

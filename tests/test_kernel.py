@@ -241,10 +241,6 @@ class TestTriangleValidation:
         assert t.is_right()
         assert t.S2 > 0
 
-    def test_metric_rejects_sides_mismatch(self):
-        with pytest.raises(InvalidTriangle):
-            Metric(4, 9, 16, sides=(2, 3, 5))
-
 
 side_triples = st.tuples(
     st.integers(1, 40), st.integers(1, 40), st.integers(1, 40)
@@ -254,7 +250,7 @@ side_triples = st.tuples(
 class TestMetricValue:
     def test_assignment_raises(self):
         t = RefTriangle(6, 9, 13)
-        metrics = (t, Metric(36, 81, 169), Metric(36, 81, 169, sides=(6, 9, 13)))
+        metrics = (t, Metric(36, 81, 169))
         for m in metrics + tuple(m.rot() for m in metrics):
             for name in Metric.__slots__ + ("extra",):
                 with pytest.raises(AttributeError):
@@ -265,10 +261,9 @@ class TestMetricValue:
     @settings(max_examples=60)
     def test_rot_matches_revalidated(self, sides, with_sides):
         a, b, c = sides
-        m = Metric(a * a, b * b, c * c, sides=sides if with_sides else None)
+        m = RefTriangle(a, b, c) if with_sides else Metric(a * a, b * b, c * c)
         r = m.rot()
-        again = Metric(b * b, c * c, a * a,
-                       sides=(b, c, a) if with_sides else None)
+        again = RefTriangle(b, c, a) if with_sides else Metric(b * b, c * c, a * a)
         for name in Metric.__slots__:
             assert getattr(r, name) == getattr(again, name)
         rrr = r.rot().rot()
@@ -284,14 +279,14 @@ class TestMetricValue:
         assert (r.a, r.b, r.c) == (9, 13, 6)
 
     def test_side_properties_on_any_metric_with_sides(self):
-        m = Metric(9, 16, 25, sides=(3, 4, 5))
+        m = RefTriangle(3, 4, 5)
         assert (m.a, m.b, m.c) == (3, 4, 5)
         assert (m.rot().a, m.rot().b, m.rot().c) == (4, 5, 3)
         with pytest.raises(TypeError):   # only where has_sides
             Metric(9, 16, 25).a
 
     def test_rot_skips_validation(self, monkeypatch):
-        m = Metric(36, 81, 169, sides=(6, 9, 13))
+        m = RefTriangle(6, 9, 13)
 
         def refuse(self, *args, **kwargs):
             raise AssertionError("rot() must not revalidate")
@@ -329,7 +324,7 @@ class TestIntegralView:
     @settings(max_examples=100)
     def test_scaled_fields_from_sides(self, sides, with_sides):
         a, b, c = sides
-        self._check(Metric(a * a, b * b, c * c, sides=sides if with_sides else None))
+        self._check(RefTriangle(a, b, c) if with_sides else Metric(a * a, b * b, c * c))
 
     @given(rational_squares)
     @settings(max_examples=100)

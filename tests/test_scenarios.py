@@ -17,13 +17,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 
-from tricurves import cli, scenarios
+from tricurves import centers, cli, scenarios
 from tricurves.scenarios import (
     CONSTRUCTIONS,
     MUST,
     REGISTRY,
     SKIP,
     Claim,
+    Trial,
     UnknownScenario,
     VERDICT,
     _scenario,
@@ -33,7 +34,12 @@ from tricurves.scenarios import (
     run_scenario,
     shared_run,
 )
-from tricurves.centers import random_triangle
+from tricurves.centers import (
+    CenterId,
+    TriangleKind,
+    eval_center_in,
+    random_triangle,
+)
 from tricurves.curves import NoLinearComponent
 from tricurves.kernel import GeometryError, RefTriangle
 
@@ -518,14 +524,65 @@ class TestSharedRun:
             EXPECTED_IDS[:4]
         assert scenarios._RUN.get() is None
 
-    def test_store_keyed_on_integral_sides_and_scale(self):
-        # both triangles have the integral sides (6, 8, 10), at q = 4 and 16
-        whole = RefTriangle(3, 4, 5)
-        half = RefTriangle(Fraction(3, 2), 2, Fraction(5, 2))
-        assert whole.unit.sides == half.unit.sides
+    def test_memo_keyed_by_cursor(self, monkeypatch):
+        # every cursor draws the same triangle; each still gets its own Trial
+        monkeypatch.setattr(scenarios, "random_triangle",
+                            lambda cursor: RefTriangle(3, 4, 5))
         with shared_run() as run:
-            assert run.store(whole) is not run.store(half)
-            assert run.store(RefTriangle(3, 4, 5)) is run.store(whole)
+            first = run[7]
+            assert run[7] is first
+            assert run[8] is not first
+            assert list(run) == [7, 8]
+            assert isinstance(first, Trial) and first.t.sides == (3, 4, 5)
+
+    def test_first_scenario_fills_the_run(self, monkeypatch):
+        draws = []
+        draw = scenarios.random_triangle
+
+        def counting_draw(cursor):
+            draws.append(cursor)
+            return draw(cursor)
+
+        seen = collections.defaultdict(list)   # scenario -> Trials set up
+        for sid in ("corr-medial", "corr-excentral"):
+            sc = REGISTRY[sid]
+
+            def recording(tr, sid=sid, setup=sc.setup):
+                seen[sid].append(tr)
+                return setup(tr)
+
+            monkeypatch.setitem(REGISTRY, sid,
+                                dataclasses.replace(sc, setup=recording))
+        monkeypatch.setattr(scenarios, "random_triangle", counting_draw)
+        with shared_run() as run:
+            run_scenario("corr-medial", 2, 42)
+            # an empty Run is falsy: the first call must still fill this one
+            assert sorted(run) == sorted(draws) == [42, 43]
+            trials = dict(run)
+            run_scenario("corr-excentral", 2, 42)
+        assert draws == [42, 43]
+        assert [id(tr) for tr in seen["corr-medial"]] == \
+            [id(trials[42]), id(trials[43])]
+        assert [id(tr) for tr in seen["corr-excentral"]] == \
+            [id(trials[42]), id(trials[43])]
+
+    def test_kind_resolved_once_whichever_name_asks(self, monkeypatch):
+        calls = []
+        derive = centers.derived_triangle
+
+        def counting(t, kind):
+            calls.append(kind)
+            return derive(t, kind)
+
+        monkeypatch.setattr(centers, "derived_triangle", counting)
+        monkeypatch.setattr(scenarios, "derived_triangle", counting)
+        tr = Trial(RefTriangle(6, 9, 13))
+        o = tr["center(excentral,X3)"]
+        exc = tr["excentral"]
+        assert calls == [TriangleKind.EXCENTRAL]
+        assert tr[TriangleKind.EXCENTRAL] is exc
+        assert len(tr) == 2
+        assert o == eval_center_in(tr.t, exc, CenterId.X3)
 
     def test_non_geometry_claim_error_recorded(self, monkeypatch):
         def broken(tr):
@@ -543,9 +600,9 @@ class TestSharedRun:
                 == "error: ZeroDivisionError: probe")
         assert claims["fit-consistency"].status == "pass"
         assert all(r.must_pass_ok and not r.has_error for r in reports[2:])
-        values, _ = run.store(t)
-        assert "exc_conic" in values
-        assert "exc_conic_center" not in values
+        assert run[23].t.sides == t.sides
+        assert "exc_conic" in run[23]
+        assert "exc_conic_center" not in run[23]
 
 
 # Patches one scenario's setup to refuse every triangle, then runs the CLI
@@ -599,13 +656,14 @@ class TestSkipBound:
         assert [r["scenario"] for r in reports] == EXPECTED_IDS[:4]
 
 
-def _outcomes(t: RefTriangle, store) -> list:
+def _outcomes(t: RefTriangle, shared) -> list:
     """Every scenario's setup and claims on ``t``, as ``run_scenario``
-    evaluates them: each claim's outcome, or the refusal's type name."""
+    evaluates them, on the ``shared`` Trial or, where it is None, a fresh
+    one per scenario: each claim's outcome, or the refusal's type name."""
     out = []
     for sc in REGISTRY.values():
         try:
-            tr = sc.setup(t, store)
+            tr = sc.setup(Trial(t) if shared is None else shared)
         except GeometryError as exc:
             out.append((sc.id, "setup", type(exc).__name__))
             continue
@@ -629,5 +687,29 @@ def _outcomes(t: RefTriangle, store) -> list:
 def test_rational_triangles_raise_only_geometry_errors(t):
     """On right, isosceles and equilateral triangles too (``random_triangle``
     draws none), setups and claims return or raise a ``GeometryError``, and
-    one store shared by all scenarios gives what a fresh one each does."""
-    assert _outcomes(t, ({}, {})) == _outcomes(t, None)
+    one Trial shared by all scenarios gives what a fresh one each does."""
+    assert _outcomes(t, Trial(t)) == _outcomes(t, None)
+
+
+def _bench_pairs():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", root / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchPairsSeeds:
+    """``tools/bench_pairs.py --seeds`` takes only ranges it can summarise."""
+
+    def test_range_is_inclusive(self):
+        assert _bench_pairs().seed_range("1-10") == list(range(1, 11))
+        assert _bench_pairs().seed_range("4-5") == [4, 5]
+
+    @pytest.mark.parametrize("seeds", ["10-1", "5", "5-5"])
+    def test_unusable_range_exits_two(self, seeds, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _bench_pairs().main(["--seeds", seeds])
+        assert exc.value.code == 2
+        assert "--seeds" in capsys.readouterr().err

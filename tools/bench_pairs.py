@@ -108,8 +108,14 @@ def summarise(runs: dict, better: dict) -> dict:
 
 
 def seed_range(text: str) -> list[int]:
+    """The seeds of an inclusive range ``lo-hi``; a summary needs at least
+    two pairs, so a descending range or a single seed is refused."""
     lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
+    seeds = list(range(int(lo), int(hi or lo) + 1))
+    if len(seeds) < 2:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} gives {len(seeds)} seed(s); need lo-hi with lo < hi")
+    return seeds
 
 
 def main(argv=None) -> int:
