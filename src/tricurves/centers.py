@@ -17,8 +17,9 @@ Centers are classified by parity: EVEN centers depend only on the squared
 side lengths and can therefore be evaluated on any derived triangle (whose
 squared sides are always rational); odd centers need the unsquared sides
 and are only available where those are exact (the base, medial, Euler and
-anticomplementary triangles).  A derived triangle's frame is checked once,
-when it is built; its centers, conjugates and derived triangles map through it.
+anticomplementary triangles).  The base is the ``BASE`` derived triangle, its
+frame the identity; each frame is checked once, when built, and maps the raw
+triples of centers, conjugates and vertices, canonicalized once on the way out.
 """
 
 from __future__ import annotations
@@ -215,9 +216,9 @@ def _conjugate(weights: Sequence[int], triple: Sequence[int]) -> tuple[int, int,
     return (u * y * z, v * z * x, w * x * y)
 
 
-def _conjugate_point(conj: str, m: Optional[Metric], p: HomPoint) -> HomPoint:
-    """The conjugate of ``p`` for the isogonal weights a2, b2, c2 (read on the
-    integral view of ``m``) or the isotomic weights 1, 1, 1."""
+def _conjugate_point(conj: str, m: Metric, triple: Sequence[int]) -> tuple[int, int, int]:
+    """The raw conjugate of the point ``triple`` for the isogonal weights a2,
+    b2, c2 (read on the integral view of ``m``) or the isotomic weights 1, 1, 1."""
     if conj == "isogonal":
         u = m.unit
         weights = (u.a2, u.b2, u.c2)
@@ -225,13 +226,14 @@ def _conjugate_point(conj: str, m: Optional[Metric], p: HomPoint) -> HomPoint:
         weights = (1, 1, 1)
     else:
         raise ValueError(f"unknown conjugation {conj!r}")
-    if 0 in p.triple:
-        raise OnSideline(f"{conj} conjugate of {p} (on a sideline) is undefined")
-    return HomPoint(*_conjugate(weights, p.triple))
+    if 0 in triple:
+        raise OnSideline(f"{conj} conjugate of {HomPoint(*triple)} (on a sideline) "
+                         "is undefined")
+    return _conjugate(weights, triple)
 
 
 def isogonal(m: Metric, p: HomPoint) -> HomPoint:
-    return _conjugate_point("isogonal", m, p)
+    return HomPoint(*_conjugate_point("isogonal", m, p.triple))
 
 
 # ---------------------------------------------------------------------------
@@ -328,12 +330,13 @@ def _derive(m: Metric, kind: TriangleKind, frame: Optional[Frame]) -> SubTriangl
                      squared_distance(points[2], points[0], m),
                      squared_distance(points[0], points[1], m))
     if frame is not None:
-        points = tuple(frame.base(p) for p in points)
+        points = tuple(frame.base(v) for v in local)
     return SubTriangle(kind, *points, own, Frame.of(*points))
 
 
 def derived_triangle(t: RefTriangle, kind: TriangleKind) -> SubTriangle:
-    """A derived triangle of the base, with vertices in base coordinates."""
+    """A derived triangle of the base, with vertices in base coordinates;
+    the ``BASE`` kind is the base itself, whose frame is the identity."""
     return _derive(t, kind, None)
 
 
@@ -342,24 +345,20 @@ def derived_subtriangle(sub: SubTriangle, kind: TriangleKind) -> SubTriangle:
     return _derive(sub.metric(), kind, sub.frame)
 
 
-def eval_center_in(t: RefTriangle, sub: SubTriangle, cid: CenterId) -> HomPoint:
+def eval_center_in(sub: SubTriangle, cid: CenterId) -> HomPoint:
     """Catalog center of a derived triangle, mapped back to base coordinates."""
-    return sub.frame.base(HomPoint(*center_coords(sub.metric(), cid)))
+    return sub.frame.base(center_coords(sub.metric(), cid))
 
 
-def conjugate(t: RefTriangle, conj: str, sub: Optional[SubTriangle],
-              p: HomPoint) -> HomPoint:
+def conjugate(sub: SubTriangle, conj: str, p: HomPoint) -> HomPoint:
     """The ``conj`` ("isogonal" or "isotomic") conjugate of ``p`` relative to
-    ``sub``, or to the base where ``sub`` is None, in base coordinates: a
-    derived triangle's conjugate is taken in its own frame and mapped back."""
-    if sub is None:
-        return _conjugate_point(conj, t, p)
+    ``sub``, in base coordinates: taken in its frame and mapped back."""
     return sub.frame.base(_conjugate_point(conj, sub.metric(), sub.frame.local(p)))
 
 
 def isogonal_in(t: RefTriangle, sub: SubTriangle, p: HomPoint) -> HomPoint:
     """Isogonal conjugate relative to a derived triangle, in base coordinates."""
-    return conjugate(t, "isogonal", sub, p)
+    return conjugate(sub, "isogonal", p)
 
 
 # ---------------------------------------------------------------------------
@@ -446,17 +445,14 @@ def eval_expr(t: RefTriangle, e: CenterExpr,
             return anticomplement(rec(expr.e))
         if isinstance(expr, ConjugateIn):
             p = rec(expr.e)
-            sub = None if expr.kind is TriangleKind.BASE else sub_of(expr.kind)
-            return conjugate(t, expr.conj, sub, p)
+            return conjugate(sub_of(expr.kind), expr.conj, p)
         if isinstance(expr, CenterOf):
-            if expr.kind is TriangleKind.BASE:
-                return eval_center(t, expr.cid)
-            return eval_center_in(t, sub_of(expr.kind), expr.cid)
+            return eval_center_in(sub_of(expr.kind), expr.cid)
         if isinstance(expr, VertexOf):
             return sub_of(expr.kind).vertices[expr.index]
         if isinstance(expr, AntipodeOf):
             sub = sub_of(expr.kind)
-            o = eval_center_in(t, sub, CenterId.X3)
+            o = eval_center_in(sub, CenterId.X3)
             return reflect_through(o, sub.vertices[expr.index])
         raise TypeError(f"not a center expression: {expr!r}")
 

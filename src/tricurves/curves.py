@@ -599,11 +599,8 @@ def transform_cubic(matrix, k: Cubic) -> Cubic:
 # ---------------------------------------------------------------------------
 # pivotal cubic membership
 
-def pivotal_membership(t, pivot: HomPoint, conj: str, x: HomPoint,
-                       sub=None) -> bool:
-    """Whether x, its conjugate, and the pivot are collinear.
-
-    ``conj`` is "isogonal" or "isotomic"; ``sub`` selects the derived
-    triangle whose conjugation is used (base triangle when omitted).
-    """
-    return collinear(x, _centers.conjugate(t, conj, sub, x), pivot)
+def pivotal_membership(sub, pivot: HomPoint, conj: str, x: HomPoint) -> bool:
+    """Whether x, its ``conj`` ("isogonal" or "isotomic") conjugate in the
+    triangle ``sub`` (a ``SubTriangle``, the base included) and the pivot
+    are collinear."""
+    return collinear(x, _centers.conjugate(sub, conj, x), pivot)

@@ -543,8 +543,8 @@ def orthocenter_of(p1: HomPoint, p2: HomPoint, p3: HomPoint, m: Metric) -> HomPo
 class Frame(NamedTuple):
     """The triangle v1 v2 v3, checked once to be finite and affinely
     independent: the vertices as the columns of ``rows``, their coordinate
-    sums and the adjugate of ``rows``.  ``local`` and ``base`` map a point
-    into and out of its barycentrics; they are mutually inverse."""
+    sums and the adjugate of ``rows``.  ``local`` gives a point's raw
+    barycentrics and ``base`` the canonical point of any such triple."""
 
     rows: tuple[tuple[int, int, int], ...]
     sums: tuple[int, int, int]
@@ -561,18 +561,18 @@ class Frame(NamedTuple):
             raise DegenerateFrame("frame points are affinely dependent")
         return cls(rows, (sum(v1.triple), sum(v2.triple), sum(v3.triple)), adj)
 
-    def local(self, p: HomPoint) -> HomPoint:
-        """Barycentric coordinates of ``p`` relative to the frame."""
+    def local(self, p: HomPoint) -> tuple[int, int, int]:
+        """Barycentric coordinates of ``p`` relative to the frame, up to scale."""
         w1, w2, w3 = mat_vec(self.adj, p.triple)
         s1, s2, s3 = self.sums
-        return HomPoint(s1 * w1, s2 * w2, s3 * w3)
+        return (s1 * w1, s2 * w2, s3 * w3)
 
-    def base(self, q: HomPoint) -> HomPoint:
-        """The point with frame barycentrics ``q``."""
-        (x, y, z), (s1, s2, s3) = q.triple, self.sums
+    def base(self, q: Sequence[int]) -> HomPoint:
+        """The canonical point with frame barycentrics ``q`` (any scale)."""
+        (x, y, z), (s1, s2, s3) = q, self.sums
         return HomPoint(*mat_vec(self.rows, (x * s2 * s3, y * s1 * s3, z * s1 * s2)))
 
 
 def local_coords(p: HomPoint, v1: HomPoint, v2: HomPoint, v3: HomPoint) -> HomPoint:
     """Barycentric coordinates of ``p`` relative to the triangle v1 v2 v3."""
-    return Frame.of(v1, v2, v3).local(p)
+    return HomPoint(*Frame.of(v1, v2, v3).local(p))

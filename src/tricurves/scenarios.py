@@ -193,7 +193,7 @@ def _fit(entries):
 CONSTRUCTIONS: dict[str, Callable[["Trial"], object]] = {
     **{name: _fit(points) for name, points in FITS.items()},
     "oexc": lambda tr: derived_subtriangle(tr["excentral"], TriangleKind.ORTHIC),
-    "oexc_symmedian": lambda tr: eval_center_in(tr.t, tr["oexc"], CenterId.X6),
+    "oexc_symmedian": lambda tr: eval_center_in(tr["oexc"], CenterId.X6),
     "oi": lambda tr: join(tr["O"], tr["I"]),
     "euler_line": lambda tr: join(tr["O"], tr["H"]),
     "exc_conic_center": lambda tr: conic_center(tr["exc_conic"]),
@@ -324,17 +324,16 @@ def characterization_claim(cid: str, conic: str, line: str, points, tri: str,
 
 
 def pivotal_claim(cid: str, pivot: str, conj: str, points, what: str,
-                  tri: str = "", acute_only: bool = False) -> Claim:
-    """Must-pass: each point, its conjugate (in ``tri``, else the base) and
-    the pivot are collinear."""
+                  tri: str = "base", acute_only: bool = False) -> Claim:
+    """Must-pass: each point, its conjugate in the ``tri`` triangle and the
+    pivot are collinear."""
     entries = _labelled(points)
 
     def check(tr: Trial):
-        pv = tr[pivot]
-        sub = tr[tri] if tri else None
+        pv, sub = tr[pivot], tr[tri]
         for lbl, name in entries:
             p = tr[name]
-            if not pivotal_membership(tr.t, pv, conj, p, sub=sub):
+            if not pivotal_membership(sub, pv, conj, p):
                 return Failure(str(p), str(pv),
                                f"{lbl} breaks the {what} collinearity")
         return None
@@ -374,7 +373,7 @@ def pascal_claims(conic: str, hexagon, pairs) -> tuple[Claim, Claim]:
 def _oi_image(tr: Trial):
     exc, conic = tr["excentral"], tr["exc_conic"]
     for p in sample_line_points(  # points off the excentral sidelines
-            tr["oi"], 10, accept=lambda p: 0 not in exc.frame.local(p).triple):
+            tr["oi"], 10, accept=lambda p: 0 not in exc.frame.local(p)):
         q = isogonal_in(tr.t, exc, p)
         if not on_conic(q, conic):
             return Failure(str(q), "0",

@@ -132,7 +132,7 @@ def test_criterion_04_orthic_cubic_oracles():
         e = eval_center(t, CenterId.X5)
         o = eval_center(t, CenterId.X3)
         fit2 = cubic_through([VERTEX_A, VERTEX_B, VERTEX_C, *feet, h, e,
-                              eval_center_in(t, orthic, CenterId.X2)])
+                              eval_center_in(orthic, CenterId.X2)])
         mids = (midpoint(feet[1], feet[2]), midpoint(feet[2], feet[0]),
                 midpoint(feet[0], feet[1]))
         thomson_orthic = cubic_through([*feet, *mids,
@@ -141,8 +141,8 @@ def test_criterion_04_orthic_cubic_oracles():
         fit3 = cubic_through([VERTEX_A, VERTEX_B, VERTEX_C, *feet, h, e, o])
         darboux_orthic = cubic_through([
             *feet, VERTEX_A, VERTEX_B, VERTEX_C, h,
-            eval_center_in(t, orthic, CenterId.X3),
-            eval_center_in(t, orthic, CenterId.X20)])
+            eval_center_in(orthic, CenterId.X3),
+            eval_center_in(orthic, CenterId.X20)])
         assert fit3 == darboux_orthic
     print(f"ACCEPTANCE 4: PASS - orthic cubic equalities {TRIALS}/{TRIALS} "
           "acute triangles")

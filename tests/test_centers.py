@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import tricurves.centers as centers
 import tricurves.kernel as kernel
+import tricurves.scenarios as scenarios
 from tricurves.centers import (
     ALIASES,
     Anticomplement,
@@ -69,6 +70,7 @@ from strategies import rational_triangles
 
 T = RefTriangle(6, 9, 13)
 T_ACUTE = RefTriangle(6, 8, 9)
+BASE = derived_triangle(T, TriangleKind.BASE)
 
 nonzero_triples = st.tuples(
     st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20)
@@ -95,7 +97,7 @@ class TestCatalogValues:
         assert isogonal(T, HomPoint(1, 1, 1)) == HomPoint(36, 81, 169)
 
     def test_isotomic_formula(self):
-        assert conjugate(T, "isotomic", None, HomPoint(1, 2, 3)) == HomPoint(6, 3, 2)
+        assert conjugate(BASE, "isotomic", HomPoint(1, 2, 3)) == HomPoint(6, 3, 2)
 
     def test_all_oracles_on_sample(self):
         assert all(ok for _, ok in validate_center_oracles(T))
@@ -108,11 +110,11 @@ class TestCatalogValues:
     def test_odd_center_requires_sides(self):
         exc = derived_triangle(T, TriangleKind.EXCENTRAL)
         with pytest.raises(OddCenterWithoutSides):
-            eval_center_in(T, exc, CenterId.X1)
+            eval_center_in(exc, CenterId.X1)
 
     def test_even_center_without_sides_ok(self):
         exc = derived_triangle(T, TriangleKind.EXCENTRAL)
-        eval_center_in(T, exc, CenterId.X6)  # no error
+        eval_center_in(exc, CenterId.X6)  # no error
 
 
 def _named_centers(expr) -> set:
@@ -193,13 +195,13 @@ class TestConjugations:
     @settings(max_examples=60)
     def test_isotomic_involution(self, t):
         p = HomPoint(*t)
-        assert conjugate(T, "isotomic", None, conjugate(T, "isotomic", None, p)) == p
+        assert conjugate(BASE, "isotomic", conjugate(BASE, "isotomic", p)) == p
 
     def test_on_sideline_rejected(self):
         with pytest.raises(OnSideline):
             isogonal(T, HomPoint(0, 1, 1))
         with pytest.raises(OnSideline):
-            conjugate(T, "isotomic", None, HomPoint(1, 0, 1))
+            conjugate(BASE, "isotomic", HomPoint(1, 0, 1))
 
     @pytest.mark.parametrize("kind", [None] + [
         k for k in TriangleKind if k is not TriangleKind.BASE])
@@ -215,11 +217,12 @@ class TestConjugations:
             assert 0 not in local.triple
             x, y, z = local.triple
             frame = Frame.of(*sub.vertices)
-            want = (frame.base(isogonal(sub.metric(), local)),
-                    frame.base(HomPoint(y * z, z * x, x * y)))
-        assert (conjugate(T, "isogonal", sub, p), conjugate(T, "isotomic", sub, p)) == want
+            want = (frame.base(isogonal(sub.metric(), local).triple),
+                    frame.base((y * z, z * x, x * y)))
+        sub = sub or BASE
+        assert (conjugate(sub, "isogonal", p), conjugate(sub, "isotomic", p)) == want
         with pytest.raises(ValueError):
-            conjugate(T, "polar", sub, p)
+            conjugate(sub, "polar", p)
 
 
 class TestDerivedTriangles:
@@ -342,24 +345,24 @@ class TestCommutations:
     def test_classical_identity(self, kind, sub_id, base_id):
         for t in (T, T_ACUTE, random_triangle(17)):
             sub = derived_triangle(t, kind)
-            assert eval_center_in(t, sub, sub_id) == eval_center(t, base_id)
+            assert eval_center_in(sub, sub_id) == eval_center(t, base_id)
 
     @pytest.mark.parametrize("cid", [c for c in CATALOG
                                      if not c.value.startswith("Vertex")])
     def test_medial_commutation(self, cid):
         med = derived_triangle(T, TriangleKind.MEDIAL)
-        assert eval_center_in(T, med, cid) == complement(eval_center(T, cid))
+        assert eval_center_in(med, cid) == complement(eval_center(T, cid))
 
     @pytest.mark.parametrize("cid", [c for c in CATALOG
                                      if not c.value.startswith("Vertex")])
     def test_euler_commutation(self, cid):
         eul = derived_triangle(T, TriangleKind.EULER)
         h = eval_center(T, CenterId.X4)
-        assert eval_center_in(T, eul, cid) == midpoint(h, eval_center(T, cid))
+        assert eval_center_in(eul, cid) == midpoint(h, eval_center(T, cid))
 
     def test_antipode_is_circumcenter_reflection(self):
         med = derived_triangle(T, TriangleKind.MEDIAL)
-        n5 = eval_center_in(T, med, CenterId.X3)
+        n5 = eval_center_in(med, CenterId.X3)
         got = eval_expr(T, AntipodeOf(TriangleKind.MEDIAL, 0))
         assert got == reflect_through(n5, med.v1)
 
@@ -580,11 +583,48 @@ class TestFrames:
         for sub in _nested_subtriangles(t):
             frame = sub.frame
             assert frame == kernel.Frame.of(*sub.vertices)
-            local = frame.local(p)
+            local = HomPoint(*frame.local(p))
             assert local == frame_local(p, *sub.vertices)
-            assert frame.base(p) == frame_base(p, *sub.vertices)
-            assert frame.base(local) == p
-            assert frame.local(frame.base(p)) == p
+            assert frame.base(p.triple) == frame_base(p, *sub.vertices)
+            assert frame.base(local.triple) == p
+            assert HomPoint(*frame.local(frame.base(p.triple))) == p
+
+
+class TestOneCanonicalization:
+    """A frame maps raw integer triples; only ``Frame.base`` canonicalizes."""
+
+    def _counted(self, monkeypatch):
+        calls = []
+        canonical = kernel.canonical_ints
+        monkeypatch.setattr(kernel, "canonical_ints",
+                            lambda values: calls.append(1) or canonical(values))
+        return calls
+
+    def test_derived_conjugate_and_center_canonicalize_once(self, monkeypatch):
+        exc = derived_triangle(T, TriangleKind.EXCENTRAL)
+        x9 = eval_center(T, CenterId.X9)
+        calls = self._counted(monkeypatch)
+        conjugate(exc, "isogonal", x9)
+        assert len(calls) == 1
+        eval_center_in(exc, CenterId.X6)
+        assert len(calls) == 2
+
+    def test_base_is_one_derived_triangle(self, monkeypatch):
+        calls = []
+        derive = centers.derived_triangle
+
+        def counting(t, kind):
+            calls.append(kind)
+            return derive(t, kind)
+
+        monkeypatch.setattr(centers, "derived_triangle", counting)
+        monkeypatch.setattr(scenarios, "derived_triangle", counting)
+        tr = scenarios.Trial(T)
+        assert tr["isogonal(X9)"] == eval_center(T, CenterId.X57)
+        assert tr["isogonal(base,X6)"] == eval_center(T, CenterId.X2)
+        assert tr["center(base,X3)"] == eval_center(T, CenterId.X3)
+        assert calls == [TriangleKind.BASE]
+        assert tr["base"].frame.local(VERTEX_B) == (0, 1, 0)
 
 
 # triangles on which X389 is checked against the Taylor-point search:

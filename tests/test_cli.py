@@ -50,6 +50,13 @@ class TestCenterCommand:
     def test_unknown_center(self, capsys):
         assert main(["center", "--triangle", "3,4,5", "--center", "Zed"]) == 64
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: X54 conjugates X5 unchecked, so a partner on a "
+        "sideline gives the vertex 1:0:0 and exit 0"))
+    def test_kosnita_with_partner_on_sideline_refused(self, capsys):
+        # X5 lies on a sideline here, as `--center 'isogonal(X5)'` reports
+        assert main(["center", "--triangle", "28/5,12,16", "--center", "K"]) == 65
+
     @pytest.mark.parametrize("expr", ["vertex(base,7)", "vertex(base,x)",
                                       "vertex(base,-1)", "antipode(base,3)"])
     def test_bad_vertex_index(self, capsys, expr):

@@ -499,8 +499,8 @@ class TestLocalFrames:
     def test_round_trip(self, t, frame):
         p = HomPoint(*t)
         lc = local_coords(p, *frame)
-        assert Frame.of(*frame).base(lc) == p
-        rt = local_coords(Frame.of(*frame).base(p), *frame)
+        assert Frame.of(*frame).base(lc.triple) == p
+        rt = local_coords(Frame.of(*frame).base(p.triple), *frame)
         assert rt == p
 
     def test_degenerate_frame_rejected(self):
@@ -520,8 +520,9 @@ class TestLocalFrames:
     @settings(max_examples=120)
     def test_frame_maps_equal_one_shot_formulas(self, t, vertices):
         p, frame = HomPoint(*t), Frame.of(*vertices)
-        assert frame.local(p) == frame_local(p, *vertices) == local_coords(p, *vertices)
-        assert frame.base(p) == frame_base(p, *vertices)
+        assert (HomPoint(*frame.local(p)) == frame_local(p, *vertices)
+                == local_coords(p, *vertices))
+        assert frame.base(p.triple) == frame_base(p, *vertices)
 
     @pytest.mark.parametrize("vertices", [
         (VERTEX_A, VERTEX_B, HomPoint(1, 1, 0)),  # collinear

@@ -582,7 +582,7 @@ class TestSharedRun:
         assert calls == [TriangleKind.EXCENTRAL]
         assert tr[TriangleKind.EXCENTRAL] is exc
         assert len(tr) == 2
-        assert o == eval_center_in(tr.t, exc, CenterId.X3)
+        assert o == eval_center_in(exc, CenterId.X3)
 
     def test_non_geometry_claim_error_recorded(self, monkeypatch):
         def broken(tr):
