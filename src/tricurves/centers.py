@@ -17,9 +17,10 @@ Centers are classified by parity: EVEN centers depend only on the squared
 side lengths and can therefore be evaluated on any derived triangle (whose
 squared sides are always rational); odd centers need the unsquared sides
 and are only available where those are exact (the base, medial, Euler and
-anticomplementary triangles).  The base is the ``BASE`` derived triangle, its
-frame the identity; each frame is checked once, when built, and maps the raw
-triples of centers, conjugates and vertices, canonicalized once on the way out.
+anticomplementary triangles).  Each triangle is derived from its parent
+SubTriangle by one rule, the base being the one whose frame is the identity;
+each frame is checked once, when built, and maps the raw triples of centers,
+conjugates and vertices, canonicalized once on the way out.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .kernel import (
     perpendicular_line_through,
     reflect_through,
     squared_distance,
+    _squared_distance,
 )
 
 
@@ -158,6 +160,7 @@ _VERTEX_OF = dict(zip((CenterId.VERTEX_A, CenterId.VERTEX_B, CenterId.VERTEX_C),
                        _VERTICES))
 _SIDE_PAIRS = ((VERTEX_B, VERTEX_C), (VERTEX_C, VERTEX_A), (VERTEX_A, VERTEX_B))
 _SIDELINES = tuple(join(*pair) for pair in _SIDE_PAIRS)
+_IDENTITY = Frame.of(*_VERTICES)  # the frame of the base
 
 
 def _refuse_right(m: Metric, kind: TriangleKind) -> None:
@@ -313,36 +316,30 @@ def _rescaled(u: IntegralView, n: int, d: int) -> IntegralView:
                         d * d * u.q, None if u.k is None else d * u.k)
 
 
-def _derive(m: Metric, kind: TriangleKind, frame: Optional[Frame]) -> SubTriangle:
-    """The ``kind`` triangle of the triangle ``m`` describes, whose frame in
-    base coordinates is ``frame`` (``None`` for the base itself); the orthic
-    and tangential triangles of a right triangle raise :class:`RightTriangle`.
-    Its metric is ``m``'s view rescaled where the side ratio is rational,
-    else read off the squared distances between its vertices in ``m``,
-    which no frame changes; the vertices are mapped out after that."""
+def derived_subtriangle(parent: SubTriangle, kind: TriangleKind) -> SubTriangle:
+    """The ``kind`` triangle of ``parent``, with vertices in base coordinates;
+    the orthic and tangential triangles of a right triangle raise
+    :class:`RightTriangle`.  Its metric is the parent's view rescaled where
+    the side ratio is rational, else read off the squared distances between
+    the raw rows in the parent's frame, which no frame changes; the rows are
+    mapped out through the parent's frame after that."""
+    m = parent.metric()
     _refuse_right(m, kind)
     local, ratio = _derived_rows(m, kind)
-    points = tuple(HomPoint(*v) for v in local)
     if ratio is not None:
         own = Metric.of_view(_rescaled(m.unit, *ratio))
     else:
-        own = Metric(squared_distance(points[1], points[2], m),
-                     squared_distance(points[2], points[0], m),
-                     squared_distance(points[0], points[1], m))
-    if frame is not None:
-        points = tuple(frame.base(v) for v in local)
+        p, q, r = local
+        own = Metric(_squared_distance(q, r, m), _squared_distance(r, p, m),
+                     _squared_distance(p, q, m))
+    points = tuple(parent.frame.base(v) for v in local)
     return SubTriangle(kind, *points, own, Frame.of(*points))
 
 
 def derived_triangle(t: RefTriangle, kind: TriangleKind) -> SubTriangle:
-    """A derived triangle of the base, with vertices in base coordinates;
-    the ``BASE`` kind is the base itself, whose frame is the identity."""
-    return _derive(t, kind, None)
-
-
-def derived_subtriangle(sub: SubTriangle, kind: TriangleKind) -> SubTriangle:
-    """A derived triangle of a derived triangle, mapped to base coordinates."""
-    return _derive(sub.metric(), kind, sub.frame)
+    """The ``kind`` triangle of the base, the SubTriangle framed by the identity."""
+    base = SubTriangle(TriangleKind.BASE, *_VERTICES, t, _IDENTITY)
+    return derived_subtriangle(base, kind)
 
 
 def eval_center_in(sub: SubTriangle, cid: CenterId) -> HomPoint:
@@ -410,15 +407,9 @@ class VertexOf:
     index: int
 
 
-@dataclass(frozen=True)
-class AntipodeOf:
-    kind: TriangleKind
-    index: int
-
-
 CenterExpr = Union[
     Catalog, MidpointOf, ReflectThrough, Complement, Anticomplement,
-    ConjugateIn, CenterOf, VertexOf, AntipodeOf,
+    ConjugateIn, CenterOf, VertexOf,
 ]
 
 
@@ -450,10 +441,6 @@ def eval_expr(t: RefTriangle, e: CenterExpr,
             return eval_center_in(sub_of(expr.kind), expr.cid)
         if isinstance(expr, VertexOf):
             return sub_of(expr.kind).vertices[expr.index]
-        if isinstance(expr, AntipodeOf):
-            sub = sub_of(expr.kind)
-            o = eval_center_in(sub, CenterId.X3)
-            return reflect_through(o, sub.vertices[expr.index])
         raise TypeError(f"not a center expression: {expr!r}")
 
     return rec(e)
@@ -526,7 +513,8 @@ def parse_center(text: str) -> CenterExpr:
     Grammar: NAME | fn(args) with fn in {midpoint, reflect, complement,
     anticomplement, isogonal, isotomic, center, vertex, antipode}; triangle
     kinds are named base/excentral/medial/orthic/anticomplementary/euler/
-    midarc/tangential; vertex and antipode take a kind and an index 0-2.
+    midarc/tangential; vertex and antipode take a kind and an index 0-2, and
+    ``antipode(k,i)`` is the reflection ``reflect(center(k,X3),vertex(k,i))``.
     Expressions nested more than ``MAX_NESTING`` deep are refused.
     """
     # checked once: an argument never nests deeper than the text around it
@@ -582,7 +570,9 @@ def _parse(text: str) -> CenterExpr:
     if fn == "vertex" and len(args) == 2:
         return VertexOf(kind_of(args[0]), index_of(args[1]))
     if fn == "antipode" and len(args) == 2:
-        return AntipodeOf(kind_of(args[0]), index_of(args[1]))
+        kind = kind_of(args[0])
+        return ReflectThrough(CenterOf(kind, CenterId.X3),
+                              VertexOf(kind, index_of(args[1])))
     raise CenterParseError(f"cannot parse center expression {text!r}")
 
 

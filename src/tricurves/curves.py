@@ -403,15 +403,12 @@ def axis_conic(m: Metric, v1: HomPoint, v2: HomPoint, focus: HomPoint) -> AxisCo
 Segment = tuple[HomPoint, HomPoint]
 
 
-def pascal_check(pairs: Sequence[tuple[Segment, Segment]]) -> tuple[HomLine, bool]:
-    """Meets of three pairs of chords; returns their line and collinearity."""
+def pascal_check(pairs: Sequence[tuple[Segment, Segment]]) -> bool:
+    """Whether the meets of three pairs of chords are collinear."""
     if len(pairs) != 3:
         raise ValueError("pascal_check needs exactly 3 pairs of segments")
-    meets = []
-    for (p, q), (r, s) in pairs:
-        meets.append(meet(join(p, q), join(r, s)))
-    line = join(meets[0], meets[1])
-    return line, collinear(meets[0], meets[1], meets[2])
+    meets = [meet(join(p, q), join(r, s)) for (p, q), (r, s) in pairs]
+    return collinear(*meets)
 
 
 # ---------------------------------------------------------------------------

@@ -471,14 +471,19 @@ def gram(v: Sequence[int], m: Metric) -> tuple[int, int, int]:
             (u.b2 * x + u.a2 * y) // -2)
 
 
-def squared_distance(p: HomPoint, q: HomPoint, m: Metric) -> Fraction:
-    """Exact squared distance between two finite points."""
-    sp = p.x + p.y + p.z
-    sq = q.x + q.y + q.z
+def _squared_distance(p: Sequence[int], q: Sequence[int], m: Metric) -> Fraction:
+    """Exact squared distance between finite points given as raw triples."""
+    (px, py, pz), (qx, qy, qz) = p, q
+    sp, sq = px + py + pz, qx + qy + qz
     if sp == 0 or sq == 0:
         raise PointAtInfinity("squared_distance requires finite points")
-    d = (p.x * sq - q.x * sp, p.y * sq - q.y * sp, p.z * sq - q.z * sp)
+    d = (px * sq - qx * sp, py * sq - qy * sp, pz * sq - qz * sp)
     return Fraction(dot(d, gram(d, m)), m.unit.q * sp * sp * sq * sq)
+
+
+def squared_distance(p: HomPoint, q: HomPoint, m: Metric) -> Fraction:
+    """Exact squared distance between two finite points."""
+    return _squared_distance(p.triple, q.triple, m)
 
 
 def infinite_point(l: HomLine) -> HomPoint:

@@ -356,8 +356,8 @@ def pascal_claims(conic: str, hexagon, pairs) -> tuple[Claim, Claim]:
         pts = {lbl: tr[n] for lbl, n in entries}
         if any(not on_conic(p, tr[conic]) for p in pts.values()):
             return SKIP
-        _, verdict = pascal_check(tuple(((pts[a], pts[b]), (pts[c], pts[d]))
-                                        for a, b, c, d in pairs))
+        verdict = pascal_check(tuple(((pts[a], pts[b]), (pts[c], pts[d]))
+                                     for a, b, c, d in pairs))
         if verdict:
             return None
         return Failure("meets not collinear", "collinear",

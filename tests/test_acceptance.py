@@ -208,7 +208,7 @@ def test_criterion_07_pascal(full_runs):
         pairs = (((p1, p2_), (p4, p5)), ((p2_, p3), (p5, p6)),
                  ((p3, p4), (p6, p1)))
         try:
-            _, verdict = pascal_check(pairs)
+            verdict = pascal_check(pairs)
         except kernel.GeometryError:
             continue
         assert verdict

@@ -34,7 +34,6 @@ from tricurves.centers import (
     SubTriangle,
     TriangleKind,
     VertexOf,
-    AntipodeOf,
     anticomplement,
     center_coords,
     complement,
@@ -363,8 +362,14 @@ class TestCommutations:
     def test_antipode_is_circumcenter_reflection(self):
         med = derived_triangle(T, TriangleKind.MEDIAL)
         n5 = eval_center_in(med, CenterId.X3)
-        got = eval_expr(T, AntipodeOf(TriangleKind.MEDIAL, 0))
+        got = eval_expr(T, parse_center("antipode(medial,0)"))
         assert got == reflect_through(n5, med.v1)
+
+    def test_antipode_parses_as_reflection(self):
+        for kind in TriangleKind:
+            for i in range(3):
+                assert (parse_center(f"antipode({kind.value},{i})") == parse_center(
+                    f"reflect(center({kind.value},X3),vertex({kind.value},{i}))"))
 
 
 class TestExpressions:
@@ -608,6 +613,24 @@ class TestOneCanonicalization:
         assert len(calls) == 1
         eval_center_in(exc, CenterId.X6)
         assert len(calls) == 2
+
+    def test_each_derivation_canonicalizes_its_vertices_once(self, monkeypatch):
+        """Every kind from the base and from the excentral triangle maps its
+        raw rows out through the parent's frame: three canonicalizations, one
+        per vertex, and none for the rows in the parent's own frame."""
+        exc = derived_triangle(T, TriangleKind.EXCENTRAL)
+        calls = self._counted(monkeypatch)
+        derived = 0
+        for derive, parent in ((derived_triangle, T), (derived_subtriangle, exc)):
+            for kind in TriangleKind:
+                calls.clear()
+                try:
+                    derive(parent, kind)
+                except OddCenterWithoutSides:  # the excentral triangle's sides
+                    continue
+                assert len(calls) == 3, (parent, kind)
+                derived += 1
+        assert derived == 2 * len(TriangleKind) - 2
 
     def test_base_is_one_derived_triangle(self, monkeypatch):
         calls = []

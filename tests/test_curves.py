@@ -420,8 +420,18 @@ class TestPascal:
         p1, p2, p3, p4, p5, p6 = pts
         pairs = (((p1, p2), (p4, p5)), ((p2, p3), (p5, p6)),
                  ((p3, p4), (p6, p1)))
-        line, verdict = pascal_check(pairs)
+        verdict = pascal_check(pairs)
         assert verdict
+
+    def test_coincident_meets_are_collinear(self):
+        """Two of the three chord meets at (1:1:1): three points of which two
+        are equal lie on a line, so the verdict holds and nothing is raised."""
+        g = HomPoint(1, 1, 1)
+        pairs = (((VERTEX_A, HomPoint(0, 1, 1)), (VERTEX_B, HomPoint(1, 0, 1))),
+                 ((VERTEX_C, HomPoint(1, 1, 0)), (VERTEX_A, HomPoint(0, 1, 1))),
+                 ((VERTEX_A, VERTEX_B), (VERTEX_C, HomPoint(1, 2, 0))))
+        assert all(incident(g, join(*chord)) for pair in pairs[:2] for chord in pair)
+        assert pascal_check(pairs)
 
     def test_generic_points_fail(self):
         pts = [HomPoint(1, 0, 0), HomPoint(0, 1, 0), HomPoint(0, 0, 1),
@@ -429,7 +439,7 @@ class TestPascal:
         p1, p2, p3, p4, p5, p6 = pts
         pairs = (((p1, p2), (p4, p5)), ((p2, p3), (p5, p6)),
                  ((p3, p4), (p6, p1)))
-        _, verdict = pascal_check(pairs)
+        verdict = pascal_check(pairs)
         assert not verdict
 
     def test_random_conics_random_hexagons(self):
@@ -456,7 +466,7 @@ class TestPascal:
             pairs = (((p1, p2), (p4, p5)), ((p2, p3), (p5, p6)),
                      ((p3, p4), (p6, p1)))
             try:
-                _, verdict = pascal_check(pairs)
+                verdict = pascal_check(pairs)
             except Exception:
                 continue
             assert verdict

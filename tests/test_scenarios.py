@@ -291,6 +291,58 @@ class TestBenchContract:
             traced.append(fn)
         assert len({id(fn) for fn in traced}) == len(traced)
 
+    def test_benchmark_entry_points_exist(self):
+        """Every attribute ``bench/workloads.py`` and ``bench/run.py`` read on
+        a package module exists, and so do the SubTriangle fields and method
+        the center-queries workload reads on a derived triangle."""
+        root = pathlib.Path(__file__).resolve().parents[1]
+        reads = set()
+        for name in ("workloads.py", "run.py"):
+            reads |= _module_reads(ast.parse((root / "bench" / name).read_text()))
+        assert {("centers", "derived_triangle"), ("centers", "isogonal_in"),
+                ("centers", "eval_center"), ("centers", "isogonal"),
+                ("kernel", "local_coords")} <= reads
+        for module, attr in sorted(reads):
+            assert hasattr(importlib.import_module(f"tricurves.{module}"), attr), \
+                f"tricurves.{module}.{attr} is gone"
+        fields = {f.name for f in dataclasses.fields(centers.SubTriangle)}
+        assert {"v1", "v2", "v3"} <= fields
+        assert callable(centers.SubTriangle.metric)
+
+
+BENCH_MODULES = ("kernel", "linalg", "centers", "curves", "scenarios", "render", "cli")
+
+
+def _module_reads(tree: ast.AST) -> set:
+    """(module, attribute) for each attribute read on a package module: on
+    ``mods.<module>``, ``self.mods.<module>`` or a name bound to either."""
+    def module_of(node):
+        owner = getattr(node, "value", None)
+        if (isinstance(node, ast.Attribute) and node.attr in BENCH_MODULES
+                and (isinstance(owner, ast.Name) and owner.id == "mods"
+                     or isinstance(owner, ast.Attribute) and owner.attr == "mods")):
+            return node.attr
+        return None
+
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = ([(target, node.value)] if not isinstance(target, ast.Tuple)
+                         else zip(target.elts, getattr(node.value, "elts", ())))
+                for name, value in pairs:
+                    if isinstance(name, ast.Name) and module_of(value):
+                        bound[name.id] = module_of(value)
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            owner = node.value
+            module = module_of(owner) or (
+                bound.get(owner.id) if isinstance(owner, ast.Name) else None)
+            if module:
+                reads.add((module, node.attr))
+    return reads
+
 
 class _TraceRecorder:
     """Stands in for the benchmark tracer: records what ``install`` would
@@ -386,7 +438,7 @@ class TestCoreDoesNotImportRenderer:
         in kernel.py only where it reads values back as Fractions, and
         nowhere in centers.py."""
         allowed = {"kernel": {"_fraction", "_read_back", "Metric.sides",
-                              "squared_distance"}, "centers": set()}
+                              "_squared_distance"}, "centers": set()}
         found = {name: set() for name in allowed}
 
         def visit(node, scope):
