@@ -17,10 +17,10 @@ Centers are classified by parity: EVEN centers depend only on the squared
 side lengths and can therefore be evaluated on any derived triangle (whose
 squared sides are always rational); odd centers need the unsquared sides
 and are only available where those are exact (the base, medial, Euler and
-anticomplementary triangles).  Each triangle is derived from its parent
-SubTriangle by one rule, the base being the one whose frame is the identity;
-each frame is checked once, when built, and maps the raw triples of centers,
-conjugates and vertices, canonicalized once on the way out.
+anticomplementary triangles).  Each triangle is derived from its parent's
+metric and frame by one rule, in integers, the base's frame being the
+identity; each frame is checked once, when built, and maps the raw triples
+of centers, conjugates and vertices, canonicalized once on the way out.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .kernel import (
     perpendicular_line_through,
     reflect_through,
     squared_distance,
-    _squared_distance,
+    triangle_view,
 )
 
 
@@ -316,30 +316,28 @@ def _rescaled(u: IntegralView, n: int, d: int) -> IntegralView:
                         d * d * u.q, None if u.k is None else d * u.k)
 
 
-def derived_subtriangle(parent: SubTriangle, kind: TriangleKind) -> SubTriangle:
-    """The ``kind`` triangle of ``parent``, with vertices in base coordinates;
-    the orthic and tangential triangles of a right triangle raise
-    :class:`RightTriangle`.  Its metric is the parent's view rescaled where
-    the side ratio is rational, else read off the squared distances between
-    the raw rows in the parent's frame, which no frame changes; the rows are
-    mapped out through the parent's frame after that."""
-    m = parent.metric()
+def _derive(m: Metric, frame: Frame, kind: TriangleKind) -> SubTriangle:
+    """The ``kind`` triangle of the triangle with metric ``m`` and ``frame``,
+    with vertices in base coordinates; the orthic and tangential triangles of
+    a right triangle raise :class:`RightTriangle`.  Its view is ``m``'s
+    rescaled where the side ratio is rational, else read in integers off the
+    raw rows in the frame of ``m``, which no frame changes; the rows are
+    mapped out through ``frame`` after that."""
     _refuse_right(m, kind)
     local, ratio = _derived_rows(m, kind)
-    if ratio is not None:
-        own = Metric.of_view(_rescaled(m.unit, *ratio))
-    else:
-        p, q, r = local
-        own = Metric(_squared_distance(q, r, m), _squared_distance(r, p, m),
-                     _squared_distance(p, q, m))
-    points = tuple(parent.frame.base(v) for v in local)
-    return SubTriangle(kind, *points, own, Frame.of(*points))
+    own = _rescaled(m.unit, *ratio) if ratio is not None else triangle_view(*local, m)
+    points = tuple(frame.base(v) for v in local)
+    return SubTriangle(kind, *points, Metric.of_view(own), Frame.of(*points))
+
+
+def derived_subtriangle(parent: SubTriangle, kind: TriangleKind) -> SubTriangle:
+    """The ``kind`` triangle of ``parent``, with vertices in base coordinates."""
+    return _derive(parent.metric(), parent.frame, kind)
 
 
 def derived_triangle(t: RefTriangle, kind: TriangleKind) -> SubTriangle:
-    """The ``kind`` triangle of the base, the SubTriangle framed by the identity."""
-    base = SubTriangle(TriangleKind.BASE, *_VERTICES, t, _IDENTITY)
-    return derived_subtriangle(base, kind)
+    """The ``kind`` triangle of the base, whose frame is the identity."""
+    return _derive(t, _IDENTITY, kind)
 
 
 def eval_center_in(sub: SubTriangle, cid: CenterId) -> HomPoint:
@@ -517,9 +515,10 @@ def parse_center(text: str) -> CenterExpr:
     ``antipode(k,i)`` is the reflection ``reflect(center(k,X3),vertex(k,i))``.
     Expressions nested more than ``MAX_NESTING`` deep are refused.
     """
-    # checked once: an argument never nests deeper than the text around it
-    depth = max(accumulate(((ch == "(") - (ch == ")") for ch in text), initial=0))
-    if depth > MAX_NESTING:
+    # checked once: an argument never nests deeper than the text around it,
+    # and the text never deeper than its count of "("
+    if text.count("(") > MAX_NESTING and max(accumulate(
+            ((ch == "(") - (ch == ")") for ch in text), initial=0)) > MAX_NESTING:
         raise CenterParseError(f"center expression nests deeper than {MAX_NESTING}")
     return _parse(text)
 

@@ -14,9 +14,10 @@ S2 = SA*SB + SB*SC + SC*SA, the square of twice the area.  The module is
 floating-point free: all arithmetic is ``int`` / ``fractions.Fraction``.
 
 A ``Metric`` holds one field, ``unit``: the triangle in integers (an
-:class:`IntegralView`, built once in ``__init__`` and relabelled by its
-``rot()``).  Its squared sides, SA, SB, SC and S2 are integers at a scale q,
-and so are its sides, where rational, at a scale k with q = k^2.
+:class:`IntegralView`, built once, in ``__init__`` or, for a triangle given
+by three points, by :func:`triangle_view` without a Fraction, and relabelled
+by its ``rot()``).  Its squared sides, SA, SB, SC and S2 are integers at a
+scale q, and so are its sides, where rational, at a scale k with q = k^2.
 :func:`gram`, and the center formulas, conjugation weights and
 derived-triangle vertices in ``tricurves.centers``, read it; each of those
 formulas is homogeneous in the sides, so the scale drops out of every
@@ -371,6 +372,17 @@ def _view(a2: int, b2: int, c2: int, sides: Optional[tuple[int, int, int]],
     return IntegralView(a2, b2, c2, SA, SB, SC, S2, sides, q, k)
 
 
+def _squares_view(a2: int, b2: int, c2: int, den: int) -> IntegralView:
+    """The view of the squared sides a2/den, b2/den and c2/den (den > 0):
+    all four divided by their gcd g and scaled by 4, so q = 4*den/g, the
+    least q that clears the reduced Fractions (lcm(den/g_i) = den/gcd(g_i)).
+    A side that is not positive, or a degenerate triangle, is refused."""
+    if a2 <= 0 or b2 <= 0 or c2 <= 0:
+        raise InvalidTriangle("squared side lengths must be positive")
+    g = math.gcd(a2, b2, c2, den)
+    return _view(4 * a2 // g, 4 * b2 // g, 4 * c2 // g, None, 4 * den // g, None)
+
+
 class Metric:
     """Squared-side-length context for metric computations.
 
@@ -389,11 +401,9 @@ class Metric:
 
     def __init__(self, a2: Rat, b2: Rat, c2: Rat):
         squares = _fraction(a2), _fraction(b2), _fraction(c2)
-        if any(v <= 0 for v in squares):
-            raise InvalidTriangle("squared side lengths must be positive")
-        q = 4 * math.lcm(*(v.denominator for v in squares))
-        ua2, ub2, uc2 = (v.numerator * (q // v.denominator) for v in squares)
-        object.__setattr__(self, "unit", _view(ua2, ub2, uc2, None, q, None))
+        den = math.lcm(*(v.denominator for v in squares))
+        object.__setattr__(self, "unit", _squares_view(
+            *(v.numerator * (den // v.denominator) for v in squares), den))
 
     @staticmethod
     def of_view(unit: IntegralView) -> "Metric":
@@ -471,19 +481,40 @@ def gram(v: Sequence[int], m: Metric) -> tuple[int, int, int]:
             (u.b2 * x + u.a2 * y) // -2)
 
 
-def _squared_distance(p: Sequence[int], q: Sequence[int], m: Metric) -> Fraction:
-    """Exact squared distance between finite points given as raw triples."""
+def _distance_numerator(p: Sequence[int], q: Sequence[int], m: Metric) -> int:
+    """d.G.d for d = sq*p - sp*q, sp and sq the coordinate sums of the finite
+    raw triples p and q: their squared distance times m.unit.q*(sp*sq)**2."""
     (px, py, pz), (qx, qy, qz) = p, q
     sp, sq = px + py + pz, qx + qy + qz
     if sp == 0 or sq == 0:
         raise PointAtInfinity("squared_distance requires finite points")
     d = (px * sq - qx * sp, py * sq - qy * sp, pz * sq - qz * sp)
-    return Fraction(dot(d, gram(d, m)), m.unit.q * sp * sp * sq * sq)
+    return dot(d, gram(d, m))
+
+
+def _squared_distance(p: Sequence[int], q: Sequence[int], m: Metric) -> Fraction:
+    """Exact squared distance between finite points given as raw triples."""
+    sp, sq = sum(p), sum(q)
+    return Fraction(_distance_numerator(p, q, m), m.unit.q * sp * sp * sq * sq)
 
 
 def squared_distance(p: HomPoint, q: HomPoint, m: Metric) -> Fraction:
     """Exact squared distance between two finite points."""
     return _squared_distance(p.triple, q.triple, m)
+
+
+def triangle_view(p: Sequence[int], q: Sequence[int], r: Sequence[int],
+                  m: Metric) -> IntegralView:
+    """The view of the triangle p q r, three finite raw triples in the frame
+    of ``m``: its squared sides a2 = n(q, r)*sp**2, and cyclically, over
+    m.unit.q*(sp*sq*sr)**2, n being :func:`_distance_numerator` and sp, sq,
+    sr the coordinate sums; field for field the view of the Metric of the
+    three squared distances, built without a Fraction."""
+    sp, sq, sr = sum(p), sum(q), sum(r)
+    return _squares_view(_distance_numerator(q, r, m) * sp * sp,
+                         _distance_numerator(r, p, m) * sq * sq,
+                         _distance_numerator(p, q, m) * sr * sr,
+                         m.unit.q * (sp * sq * sr) ** 2)
 
 
 def infinite_point(l: HomLine) -> HomPoint:

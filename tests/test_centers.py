@@ -329,6 +329,56 @@ class TestDerivedTriangles:
         assert set(oexc.vertices) == {VERTEX_A, VERTEX_B, VERTEX_C}
 
 
+# the kinds whose side ratio to their parent is irrational, so whose view is
+# read off the squared distances between their vertices
+OFF_RATIO = (TriangleKind.EXCENTRAL, TriangleKind.ORTHIC, TriangleKind.MIDARC,
+             TriangleKind.TANGENTIAL)
+T_RATIONAL = RefTriangle(Fraction(5, 3), Fraction(7, 5), Fraction(9, 7))
+
+
+class TestIntegerDerivation:
+    """A derived triangle's view is built in integers, without a Metric."""
+
+    def _parents(self, t):
+        yield derived_triangle, t
+        for kind in (TriangleKind.MEDIAL, TriangleKind.ANTICOMPLEMENTARY):
+            yield derived_subtriangle, derived_triangle(t, kind)
+
+    @pytest.mark.parametrize("t", [T, T_RATIONAL], ids=["integer", "rational"])
+    @pytest.mark.parametrize("kind", OFF_RATIO, ids=lambda k: k.value)
+    def test_view_equals_metric_of_squared_distances(self, t, kind):
+        for derive, parent in self._parents(t):
+            sub = derive(parent, kind)
+            ref = Metric(squared_distance(sub.v2, sub.v3, t),
+                         squared_distance(sub.v3, sub.v1, t),
+                         squared_distance(sub.v1, sub.v2, t))
+            assert sub.metric().unit == ref.unit, (parent, kind)
+
+    def test_every_kind_derives_without_metric_init(self, monkeypatch):
+        parents = [pair for t in (T, T_RATIONAL) for pair in self._parents(t)]
+
+        def refuse(self, *args):
+            raise AssertionError("Metric.__init__ called")
+
+        monkeypatch.setattr(kernel.Metric, "__init__", refuse)
+        for derive, parent in parents:
+            for kind in TriangleKind:
+                assert derive(parent, kind).kind is kind
+
+    def test_derived_triangle_builds_one_subtriangle(self, monkeypatch):
+        built = []
+
+        def counting(*args):
+            built.append(SubTriangle(*args))
+            return built[-1]
+
+        monkeypatch.setattr(centers, "SubTriangle", counting)
+        for kind in TriangleKind:
+            built.clear()
+            sub = derived_triangle(T, kind)
+            assert len(built) == 1 and built[0] is sub, kind
+
+
 CLASSICAL_IDENTITIES = [
     (TriangleKind.EXCENTRAL, CenterId.X4, CenterId.X1),
     (TriangleKind.EXCENTRAL, CenterId.X5, CenterId.X3),
@@ -449,6 +499,18 @@ class TestAliasesAndParsing:
             parse_center(deeper)
         with pytest.raises(CenterParseError):
             parse_center("complement(" * 1500 + "O" + ")" * 1500)
+
+    def test_parse_balanced_tree_beyond_paren_count(self):
+        """A balanced tree of midpoints holds more than ``MAX_NESTING`` "("
+        but nests only 7 deep, so it parses."""
+        names = ["X2", "X3", "X4", "X6", "X5", "X20"]
+        leaves = [names[i % len(names)] for i in range(2 ** 7)]
+        texts, points = leaves, [eval_center(T, CenterId(n)) for n in leaves]
+        while len(texts) > 1:
+            texts = [f"midpoint({x},{y})" for x, y in zip(texts[::2], texts[1::2])]
+            points = [midpoint(p, q) for p, q in zip(points[::2], points[1::2])]
+        assert texts[0].count("(") == 2 ** 7 - 1 > MAX_NESTING
+        assert eval_expr(T, parse_center(texts[0])) == points[0]
 
     @given(st.one_of(
         st.text(),

@@ -456,6 +456,15 @@ class TestCoreDoesNotImportRenderer:
                 assert found[name] <= allowed[name], (name, found[name])
         assert found["kernel"] == allowed["kernel"]
 
+    def test_centers_builds_no_metric(self):
+        """A derived triangle's view is built in integers, by
+        ``kernel.triangle_view``: centers.py never calls ``Metric(...)``."""
+        tree = dict(self._trees())["centers"]
+        calls = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                 and node.func.id == "Metric"]
+        assert calls == []
+
     def test_no_assert_statements(self):
         """``python -O`` strips ``assert``, so no check in the package may
         be one: back-substitution and every certificate check must hold."""
