@@ -305,17 +305,6 @@ def _derived_rows(m: Metric, kind: TriangleKind):
     raise ValueError(f"unknown triangle kind {kind}")
 
 
-def _rescaled(u: IntegralView, n: int, d: int) -> IntegralView:
-    """The view of a triangle with sides n/d times those of ``u``, without
-    division: squared sides and SA, SB, SC times n^2, S2 times n^4, q times
-    d^2, k times d and the sides times n."""
-    n2 = n * n
-    return IntegralView(n2 * u.a2, n2 * u.b2, n2 * u.c2, n2 * u.SA, n2 * u.SB,
-                        n2 * u.SC, n2 * n2 * u.S2,
-                        None if u.sides is None else tuple(n * s for s in u.sides),
-                        d * d * u.q, None if u.k is None else d * u.k)
-
-
 def _derive(m: Metric, frame: Frame, kind: TriangleKind) -> SubTriangle:
     """The ``kind`` triangle of the triangle with metric ``m`` and ``frame``,
     with vertices in base coordinates; the orthic and tangential triangles of
@@ -325,7 +314,7 @@ def _derive(m: Metric, frame: Frame, kind: TriangleKind) -> SubTriangle:
     mapped out through ``frame`` after that."""
     _refuse_right(m, kind)
     local, ratio = _derived_rows(m, kind)
-    own = _rescaled(m.unit, *ratio) if ratio is not None else triangle_view(*local, m)
+    own = m.unit.scaled(*ratio) if ratio is not None else triangle_view(*local, m)
     points = tuple(frame.base(v) for v in local)
     return SubTriangle(kind, *points, Metric.of_view(own), Frame.of(*points))
 
@@ -674,22 +663,13 @@ def validate_center_oracles(t: RefTriangle) -> list[tuple[CenterId, bool]]:
 # ---------------------------------------------------------------------------
 # triangle generation
 
-def random_triangle(seed: int, min_side: int = 5, max_side: int = 80,
-                    require_acute: bool = False) -> RefTriangle:
-    """Deterministic scalene non-right integer triangle from a seed."""
-    if not 0 < min_side < max_side:
-        raise ValueError("need 0 < min_side < max_side")
+def random_triangle(seed: int) -> RefTriangle:
+    """Deterministic scalene non-right integer triangle from a seed, its
+    sides drawn in [5, 80]."""
     rng = random.Random(seed)
     for _ in range(20000):
-        a, b, c = sorted(rng.randint(min_side, max_side) for _ in range(3))
-        if a == b or b == c:
-            continue
-        if a + b <= c:
-            continue
-        if a * a + b * b == c * c:
-            continue
-        if require_acute and a * a + b * b < c * c:
+        a, b, c = sorted(rng.randint(5, 80) for _ in range(3))
+        if a == b or b == c or a + b <= c or a * a + b * b == c * c:
             continue
         return RefTriangle(a, b, c)
-    raise ExhaustedRetries(
-        f"no admissible triangle with sides in [{min_side}, {max_side}]")
+    raise ExhaustedRetries("no admissible triangle with sides in [5, 80]")

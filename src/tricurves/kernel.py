@@ -15,9 +15,9 @@ floating-point free: all arithmetic is ``int`` / ``fractions.Fraction``.
 
 A ``Metric`` holds one field, ``unit``: the triangle in integers (an
 :class:`IntegralView`, built once, in ``__init__`` or, for a triangle given
-by three points, by :func:`triangle_view` without a Fraction, and relabelled
-by its ``rot()``).  Its squared sides, SA, SB, SC and S2 are integers at a
-scale q, and so are its sides, where rational, at a scale k with q = k^2.
+by three points, by :func:`triangle_view` without a Fraction, relabelled by
+``rot()`` and rescaled by ``scaled()``).  Its squared sides, SA, SB, SC and
+S2 are integers at a scale q, and its sides, where rational, at k, q = k^2.
 :func:`gram`, and the center formulas, conjugation weights and
 derived-triangle vertices in ``tricurves.centers``, read it; each of those
 formulas is homogeneous in the sides, so the scale drops out of every
@@ -91,13 +91,11 @@ def _fraction(v: Rat) -> Fraction:
     raise TypeError(f"exact core accepts int/Fraction only, got {type(v).__name__}")
 
 
-def _clear_denominators(vals: tuple) -> tuple[int, ...]:
-    for v in vals:
-        if not isinstance(v, (int, Fraction)):
-            raise TypeError(
-                f"exact core accepts int/Fraction only, got {type(v).__name__}")
+def _clear_denominators(values: Iterable[Rat]) -> tuple[tuple[int, ...], int]:
+    """The values times the lcm of their denominators, and that lcm."""
+    vals = [_fraction(v) for v in values]
     den = math.lcm(*(v.denominator for v in vals))
-    return tuple(v.numerator * (den // v.denominator) for v in vals)
+    return tuple([v.numerator * (den // v.denominator) for v in vals]), den
 
 
 def canonical_ints(values: Iterable[Rat]) -> tuple[int, ...]:
@@ -105,7 +103,7 @@ def canonical_ints(values: Iterable[Rat]) -> tuple[int, ...]:
     vals = tuple(values)
     for v in vals:
         if type(v) is not int:  # a Fraction or bool, or a type refused there
-            vals = _clear_denominators(vals)
+            vals = _clear_denominators(vals)[0]
             break
     g = math.gcd(*vals)
     if g == 0:
@@ -353,6 +351,15 @@ class IntegralView(NamedTuple):
         return IntegralView(self.b2, self.c2, self.a2, self.SB, self.SC, self.SA,
                             self.S2, sides, self.q, self.k)
 
+    def scaled(self, n: int, d: int) -> "IntegralView":
+        """The view of a triangle with sides n/d times these, without
+        division: squared sides and SA, SB, SC times n^2, S2 times n^4, q
+        times d^2, k times d and the sides times n."""
+        n2, sides = n * n, self.sides
+        return IntegralView(*(n2 * v for v in self[:6]), n2 * n2 * self.S2,
+                            None if sides is None else tuple(n * s for s in sides),
+                            d * d * self.q, None if self.k is None else d * self.k)
+
 
 def _read_back(field: str, power: int = 1) -> property:
     """A Metric field: ``field`` of its view over q**power, as a Fraction."""
@@ -372,11 +379,12 @@ def _view(a2: int, b2: int, c2: int, sides: Optional[tuple[int, int, int]],
     return IntegralView(a2, b2, c2, SA, SB, SC, S2, sides, q, k)
 
 
-def _squares_view(a2: int, b2: int, c2: int, den: int) -> IntegralView:
+def _squares_view(squares: Sequence[int], den: int) -> IntegralView:
     """The view of the squared sides a2/den, b2/den and c2/den (den > 0):
     all four divided by their gcd g and scaled by 4, so q = 4*den/g, the
     least q that clears the reduced Fractions (lcm(den/g_i) = den/gcd(g_i)).
     A side that is not positive, or a degenerate triangle, is refused."""
+    a2, b2, c2 = squares
     if a2 <= 0 or b2 <= 0 or c2 <= 0:
         raise InvalidTriangle("squared side lengths must be positive")
     g = math.gcd(a2, b2, c2, den)
@@ -400,10 +408,8 @@ class Metric:
     __slots__ = ("unit",)
 
     def __init__(self, a2: Rat, b2: Rat, c2: Rat):
-        squares = _fraction(a2), _fraction(b2), _fraction(c2)
-        den = math.lcm(*(v.denominator for v in squares))
-        object.__setattr__(self, "unit", _squares_view(
-            *(v.numerator * (den // v.denominator) for v in squares), den))
+        object.__setattr__(self, "unit",
+                           _squares_view(*_clear_denominators((a2, b2, c2))))
 
     @staticmethod
     def of_view(unit: IntegralView) -> "Metric":
@@ -454,15 +460,14 @@ class RefTriangle(Metric):
     __slots__ = ()
 
     def __init__(self, a: Rat, b: Rat, c: Rat):
-        a, b, c = _fraction(a), _fraction(b), _fraction(c)
-        if a <= 0 or b <= 0 or c <= 0:
+        whole, den = _clear_denominators((a, b, c))
+        x, y, z = sides = tuple([2 * s for s in whole])
+        if x <= 0 or y <= 0 or z <= 0:
             raise InvalidTriangle("side lengths must be positive")
-        if a + b <= c or b + c <= a or c + a <= b:
+        if x + y <= z or y + z <= x or z + x <= y:
             raise InvalidTriangle(f"triangle inequality fails for ({a}, {b}, {c})")
-        k = 2 * math.lcm(a.denominator, b.denominator, c.denominator)
-        whole = tuple(s.numerator * (k // s.denominator) for s in (a, b, c))
-        ua2, ub2, uc2 = (s * s for s in whole)
-        object.__setattr__(self, "unit", _view(ua2, ub2, uc2, whole, k * k, k))
+        k = 2 * den
+        object.__setattr__(self, "unit", _view(x * x, y * y, z * z, sides, k * k, k))
 
     def __repr__(self) -> str:
         return f"RefTriangle({self.a}, {self.b}, {self.c})"
@@ -511,9 +516,9 @@ def triangle_view(p: Sequence[int], q: Sequence[int], r: Sequence[int],
     sr the coordinate sums; field for field the view of the Metric of the
     three squared distances, built without a Fraction."""
     sp, sq, sr = sum(p), sum(q), sum(r)
-    return _squares_view(_distance_numerator(q, r, m) * sp * sp,
-                         _distance_numerator(r, p, m) * sq * sq,
-                         _distance_numerator(p, q, m) * sr * sr,
+    return _squares_view((_distance_numerator(q, r, m) * sp * sp,
+                          _distance_numerator(r, p, m) * sq * sq,
+                          _distance_numerator(p, q, m) * sr * sr),
                          m.unit.q * (sp * sq * sr) ** 2)
 
 

@@ -38,6 +38,7 @@ from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
 from .centers import (
@@ -46,17 +47,18 @@ from .centers import (
     CenterId,
     OnSideline,
     TriangleKind,
+    conjugate,
     derived_subtriangle,
     derived_triangle,
     eval_center_in,
     eval_expr,
-    isogonal_in,
     parse_center,
     random_triangle,
 )
 from .curves import (
     BothVanishOnLine,
     Conic,
+    Cubic,
     DegeneratePointSet,
     NoLinearComponent,
     axis_conic,
@@ -232,17 +234,25 @@ class Trial(dict):
 
 
 # ---------------------------------------------------------------------------
-# claim builders (every argument naming a value is a name)
+# claim builders (a value is named; eq_claim's may be a function of the Trial)
 
-def eq_claim(cid: str, expectation: str, lhs: str, rhs: str,
-             kind: str = "point-equality", detail: str = "values differ") -> Claim:
+def _shown(v) -> str:
+    """A curve as its coefficient list, any other value as ``str``."""
+    return ",".join(v.serialize()) if isinstance(v, (Conic, Cubic)) else str(v)
+
+
+def eq_claim(cid: str, expectation: str, lhs, rhs, kind: str = "point-equality",
+             detail: str = "values differ", acute_only: bool = False) -> Claim:
+    """``lhs`` equals ``rhs``, each a name or a function of the Trial."""
+    left, right = (x if callable(x) else itemgetter(x) for x in (lhs, rhs))
+
     def check(tr: Trial):
-        a, b = tr[lhs], tr[rhs]
+        a, b = left(tr), right(tr)
         if a == b:
             return None
-        return Failure(str(a), str(b), detail)
+        return Failure(_shown(a), _shown(b), detail)
 
-    return Claim(cid, kind, expectation, check)
+    return Claim(cid, kind, expectation, check, acute_only)
 
 
 def membership_claim(cid: str, expectation: str, curve: str, points) -> Claim:
@@ -265,28 +275,20 @@ def fit_claim(curve: str) -> Claim:
     return membership_claim("fit-consistency", MUST, curve, FITS[curve])
 
 
-def _curves_differ(a, b):
-    if a == b:
-        return None
-    return Failure(",".join(a.serialize()), ",".join(b.serialize()),
-                   "coefficient vectors differ")
-
-
-def curve_eq_claim(cid: str, lhs: str, rhs: str, acute_only: bool = False) -> Claim:
-    return Claim(cid, "curve-equality", MUST,
-                 lambda tr: _curves_differ(tr[lhs], tr[rhs]), acute_only)
+def curve_eq_claim(cid: str, lhs, rhs, acute_only: bool = False) -> Claim:
+    return eq_claim(cid, MUST, lhs, rhs, "curve-equality",
+                    "coefficient vectors differ", acute_only)
 
 
 def pushforward_claim(cid: str, source: str, center: str, ratio: Fraction,
                       target: str) -> Claim:
     """Must-pass: the homothety (center, ratio) maps ``source`` to ``target``."""
-    def check(tr: Trial):
+    def image(tr: Trial):
         curve = tr[source]
         move = transform_conic if isinstance(curve, Conic) else transform_cubic
-        return _curves_differ(move(homothety_matrix(tr[center], ratio), curve),
-                              tr[target])
+        return move(homothety_matrix(tr[center], ratio), curve)
 
-    return Claim(cid, "curve-equality", MUST, check)
+    return curve_eq_claim(cid, image, target)
 
 
 def rectangular_claim(curve: str) -> Claim:
@@ -374,21 +376,11 @@ def _oi_image(tr: Trial):
     exc, conic = tr["excentral"], tr["exc_conic"]
     for p in sample_line_points(  # points off the excentral sidelines
             tr["oi"], 10, accept=lambda p: 0 not in exc.frame.local(p)):
-        q = isogonal_in(tr.t, exc, p)
+        q = conjugate(exc, "isogonal", p)
         if not on_conic(q, conic):
             return Failure(str(q), "0",
                            f"conjugate of line point {p} misses the conic")
     return None
-
-
-def _e2_is_four(axis: str):
-    def check(tr: Trial):
-        got, want = tr[axis].e2, Fraction(4)
-        if got == want:
-            return None
-        return Failure(str(got), str(want), "squared eccentricity differs")
-
-    return check
 
 
 def _directrix_through(axis: str, point: str, lbl: str):
@@ -615,12 +607,12 @@ _SCENARIOS = (
         "center).",
         build=("ax1", "ax2"),
         claims=[
-            Claim("eccentricity-squared-is-four", "eccentricity-value", MUST,
-                  _e2_is_four("ax1")),
+            eq_claim("eccentricity-squared-is-four", MUST, "ax1.e2", lambda tr: 4,
+                     "eccentricity-value", "squared eccentricity differs"),
             Claim("directrix-through-circumcenter", "directrix-incidence",
                   VERDICT, _directrix_through("ax1", "O", "the circumcenter")),
-            Claim("base-eccentricity-squared-is-four", "eccentricity-value",
-                  VERDICT, _e2_is_four("ax2")),
+            eq_claim("base-eccentricity-squared-is-four", VERDICT, "ax2.e2",
+                     lambda tr: 4, "eccentricity-value", "squared eccentricity differs"),
             Claim("base-directrix-through-ninepoint", "directrix-incidence",
                   VERDICT, _directrix_through("ax2", "E", "the nine-point center")),
             pushforward_claim("homothety-pushforward", "ax1.conic", "M",

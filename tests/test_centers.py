@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import typing
 from fractions import Fraction
 
@@ -853,18 +854,34 @@ class TestRandomTriangle:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_acute_constraint(self, seed):
-        t = random_triangle(seed, require_acute=True)
-        assert t.is_acute()
+        """``is_acute``, by which callers pick acute draws, is the side test."""
+        t = random_triangle(seed)
+        assert t.is_acute() == (t.a * t.a + t.b * t.b > t.c * t.c)
 
-    def test_never_3_4_5(self):
-        for seed in range(50):
-            t = random_triangle(seed, min_side=3, max_side=6)
-            assert (t.a, t.b, t.c) != (3, 4, 5)
+    @staticmethod
+    def _replay(monkeypatch, draws):
+        """Make ``random_triangle``'s generator replay ``draws``, checking
+        that every side is drawn in [5, 80]."""
+        draws = iter(draws)
 
-    def test_exhausted(self):
+        class Replay:
+            def __init__(self, seed):
+                pass
+
+            def randint(self, lo, hi):
+                assert (lo, hi) == (5, 80)
+                return next(draws)
+
+        monkeypatch.setattr(centers.random, "Random", Replay)
+
+    def test_never_3_4_5(self, monkeypatch):
+        """A right draw (5-12-13, or 6-8-10 of shape 3-4-5) and an isosceles
+        one are drawn again."""
+        self._replay(monkeypatch, [13, 5, 12, 7, 10, 7, 8, 6, 10, 9, 13, 6])
+        t = random_triangle(0)
+        assert (t.a, t.b, t.c) == (6, 9, 13)
+
+    def test_exhausted(self, monkeypatch):
+        self._replay(monkeypatch, itertools.repeat(7))
         with pytest.raises(ExhaustedRetries):
-            random_triangle(0, min_side=1, max_side=2)
-
-    def test_bad_range(self):
-        with pytest.raises(ValueError):
-            random_triangle(0, min_side=5, max_side=5)
+            random_triangle(0)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tricurves.curves import Conic
 from tricurves.kernel import (
     CoincidentArguments,
     DegenerateFrame,
@@ -79,8 +80,12 @@ class TestCanonical:
             HomPoint(0, 0, 0)
 
     def test_floats_rejected(self):
-        with pytest.raises(TypeError):
-            HomPoint(0.5, 1, 1)
+        """One check, the exact core's, refuses a float everywhere."""
+        for build in (lambda: HomPoint(0.5, 1, 1), lambda: Conic(1, 1, 1, 0.5, 0, 0),
+                      lambda: Metric(9, 16.0, 25), lambda: RefTriangle(3, 4, 5.0)):
+            with pytest.raises(TypeError) as exc:
+                build()
+            assert str(exc.value) == "exact core accepts int/Fraction only, got float"
 
     @given(nonzero_triples)
     def test_idempotent(self, t):

@@ -433,6 +433,18 @@ class TestCoreDoesNotImportRenderer:
                 elif isinstance(node, ast.ImportFrom) and node.module == "math":
                     assert {a.name for a in node.names} <= exact, where
 
+    def test_no_benchmark_alias_calls(self):
+        """No module of the package calls an alias kept only for the
+        benchmark, so removing them there leaves a pure deletion."""
+        aliases = {"isogonal", "isogonal_in", "local_coords", "transform_point",
+                   "det_int", "rank_profile_int", "rank_rational"}
+        src = pathlib.Path(__file__).resolve().parents[1] / "src" / "tricurves"
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    assert called not in aliases, (path.name, node.lineno, called)
+
     def test_fraction_calls_confined(self):
         """The core holds its metric in integers: ``Fraction(...)`` is called
         in kernel.py only where it reads values back as Fractions, and
@@ -762,13 +774,17 @@ def _bench_pairs():
 
 
 class TestBenchPairsSeeds:
-    """``tools/bench_pairs.py --seeds`` takes only ranges it can summarise."""
+    """``tools/bench_pairs.py --seeds`` takes only seeds it can summarise."""
 
     def test_range_is_inclusive(self):
         assert _bench_pairs().seed_range("1-10") == list(range(1, 11))
         assert _bench_pairs().seed_range("4-5") == [4, 5]
 
-    @pytest.mark.parametrize("seeds", ["10-1", "5", "5-5"])
+    def test_comma_list(self):
+        assert _bench_pairs().seed_range("11,13") == [11, 13]
+        assert _bench_pairs().seed_range("3,1,2") == [3, 1, 2]
+
+    @pytest.mark.parametrize("seeds", ["10-1", "5", "5-5", "11,11", "11,x"])
     def test_unusable_range_exits_two(self, seeds, capsys):
         with pytest.raises(SystemExit) as exc:
             _bench_pairs().main(["--seeds", seeds])

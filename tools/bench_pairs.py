@@ -5,6 +5,8 @@ Usage (from the repository root)::
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD \\
         --seeds 1-10 --seconds 20 > pairs.json
 
+``--seeds`` also takes a comma list of seeds, such as ``11,13``.
+
 Both revisions (any git tree-ish, such as a commit or the output of
 ``git write-tree``) are extracted with ``git archive`` into a temporary
 directory, so neither holds files the working tree has but git does not.
@@ -108,13 +110,18 @@ def summarise(runs: dict, better: dict) -> dict:
 
 
 def seed_range(text: str) -> list[int]:
-    """The seeds of an inclusive range ``lo-hi``; a summary needs at least
-    two pairs, so a descending range or a single seed is refused."""
-    lo, _, hi = text.partition("-")
-    seeds = list(range(int(lo), int(hi or lo) + 1))
-    if len(seeds) < 2:
+    """The seeds of an inclusive range ``lo-hi`` or of a comma list such as
+    ``11,13``; a summary needs at least two pairs, so a descending range, a
+    single seed or a repeated one is refused."""
+    if "," in text:
+        seeds = [int(s) for s in text.split(",")]
+    else:
+        lo, _, hi = text.partition("-")
+        seeds = list(range(int(lo), int(hi or lo) + 1))
+    if len(seeds) < 2 or len(set(seeds)) < len(seeds):
         raise argparse.ArgumentTypeError(
-            f"{text!r} gives {len(seeds)} seed(s); need lo-hi with lo < hi")
+            f"{text!r} gives {len(seeds)} seed(s); need lo-hi with lo < hi "
+            "or a comma list of distinct seeds")
     return seeds
 
 
@@ -123,7 +130,7 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", default="HEAD~1", help="tree-ish of the parent")
     parser.add_argument("--change", default="HEAD", help="tree-ish of the change")
     parser.add_argument("--seeds", type=seed_range, default=seed_range("1-10"),
-                        help="inclusive range such as 1-10")
+                        help="inclusive range such as 1-10, or a list such as 11,13")
     parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args(argv)
     repo = Path(__file__).resolve().parents[1]
