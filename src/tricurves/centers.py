@@ -26,10 +26,9 @@ of centers, conjugates and vertices, canonicalized once on the way out.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .kernel import (
     Frame,
@@ -242,8 +241,7 @@ def isogonal(m: Metric, p: HomPoint) -> HomPoint:
 # ---------------------------------------------------------------------------
 # derived triangles
 
-@dataclass(frozen=True)
-class SubTriangle:
+class SubTriangle(NamedTuple):
     """A derived triangle: vertices in base coordinates, its own metric and
     the frame of its vertices, which maps points into and out of it."""
 
@@ -348,48 +346,67 @@ def isogonal_in(t: RefTriangle, sub: SubTriangle, p: HomPoint) -> HomPoint:
 # ---------------------------------------------------------------------------
 # composite center expressions
 
-@dataclass(frozen=True)
-class Catalog:
+def _node_eq(self, other) -> bool:
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _node_ne(self, other) -> bool:
+    return not _node_eq(self, other)
+
+
+def _node_hash(self) -> int:
+    return hash((type(self).__name__, *self))
+
+
+def _type_strict(cls):
+    """Make the node class ``cls`` equal and hash-equal only to nodes of its
+    own type: as bare tuples, ``Complement(e) == Anticomplement(e)``."""
+    cls.__eq__, cls.__ne__, cls.__hash__ = _node_eq, _node_ne, _node_hash
+    return cls
+
+
+@_type_strict
+class Catalog(NamedTuple):
     cid: CenterId
 
 
-@dataclass(frozen=True)
-class MidpointOf:
+@_type_strict
+class MidpointOf(NamedTuple):
     e1: "CenterExpr"
     e2: "CenterExpr"
 
 
-@dataclass(frozen=True)
-class ReflectThrough:
+@_type_strict
+class ReflectThrough(NamedTuple):
     through: "CenterExpr"
     point: "CenterExpr"
 
 
-@dataclass(frozen=True)
-class Complement:
+@_type_strict
+class Complement(NamedTuple):
     e: "CenterExpr"
 
 
-@dataclass(frozen=True)
-class Anticomplement:
+@_type_strict
+class Anticomplement(NamedTuple):
     e: "CenterExpr"
 
 
-@dataclass(frozen=True)
-class ConjugateIn:
+@_type_strict
+class ConjugateIn(NamedTuple):
     conj: str  # "isogonal" or "isotomic"
     kind: TriangleKind
     e: "CenterExpr"
 
 
-@dataclass(frozen=True)
-class CenterOf:
+@_type_strict
+class CenterOf(NamedTuple):
     kind: TriangleKind
     cid: CenterId
 
 
-@dataclass(frozen=True)
-class VertexOf:
+@_type_strict
+class VertexOf(NamedTuple):
     kind: TriangleKind
     index: int
 

@@ -21,7 +21,6 @@ coefficient vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -504,8 +503,7 @@ def hessian(k: Cubic) -> Optional[Cubic]:
 # ---------------------------------------------------------------------------
 # pencils with a line component
 
-@dataclass(frozen=True)
-class PencilFactorization:
+class PencilFactorization(NamedTuple):
     t: Fraction
     line: HomLine
     residual: Conic

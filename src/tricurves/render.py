@@ -22,27 +22,24 @@ CSV row for that endpoint is formatted once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 
-@dataclass
 class RenderConfig:
-    width: int = 640
-    height: int = 640
-    grid: int = 256
-    margin: float = 0.25
-    labels: bool = True
-
-    def __post_init__(self):
-        if not 16 <= self.grid <= 4096:  # a trace reads (grid + 1)^2 nodes
-            raise ValueError(f"grid must be between 16 and 4096, got {self.grid}")
-        if self.width < 64 or self.height < 64:
+    def __init__(self, width: int = 640, height: int = 640, grid: int = 256,
+                 margin: float = 0.25, labels: bool = True):
+        if not 16 <= grid <= 4096:  # a trace reads (grid + 1)^2 nodes
+            raise ValueError(f"grid must be between 16 and 4096, got {grid}")
+        if width < 64 or height < 64:
             raise ValueError("width and height must be at least 64")
-        if not (math.isfinite(self.margin) and self.margin >= 0):
-            raise ValueError(
-                f"margin must be finite and non-negative, got {self.margin}")
+        if not (math.isfinite(margin) and margin >= 0):
+            raise ValueError(f"margin must be finite and non-negative, got {margin}")
+        self.width = width
+        self.height = height
+        self.grid = grid
+        self.margin = margin
+        self.labels = labels
 
 
 def embed_triangle(t) -> tuple[tuple[float, float], ...]:

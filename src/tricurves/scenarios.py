@@ -35,11 +35,11 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .centers import (
     _KIND_NAMES,
@@ -92,8 +92,7 @@ VERDICT = "verdict-only"
 SKIP = object()  # claim not applicable on this trial
 
 
-@dataclass
-class Failure:
+class Failure(NamedTuple):
     lhs: str
     rhs: str
     detail: str = ""
@@ -825,17 +824,21 @@ def list_scenarios() -> list[tuple[str, str, int]]:
 # ---------------------------------------------------------------------------
 # runner
 
-@dataclass
 class ClaimResult:
-    id: str
-    kind: str
-    expectation: str
-    status: str = "pass"
-    failures: list = field(default_factory=list)
+    """One claim's outcome over a run; ``status`` and ``failures`` (the
+    certificates) change as its trials go."""
+
+    __slots__ = ("id", "kind", "expectation", "status", "failures")
+
+    def __init__(self, id: str, kind: str, expectation: str):
+        self.id = id
+        self.kind = kind
+        self.expectation = expectation
+        self.status = "pass"
+        self.failures: list[dict] = []
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     scenario: str
     description: str
     trials: int
@@ -845,7 +848,15 @@ class Report:
     elapsed_ms: int
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The report as fresh JSON-ready containers, keys in field order."""
+        return {**self._asdict(), "claims": [{
+            "id": c.id,
+            "kind": c.kind,
+            "expectation": c.expectation,
+            "status": c.status,
+            # a certificate's one container is its triangle list
+            "failures": [{**f, "triangle": list(f["triangle"])} for f in c.failures],
+        } for c in self.claims]}
 
     @property
     def must_pass_ok(self) -> bool:

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import typing
@@ -120,9 +119,8 @@ class TestCatalogValues:
 def _named_centers(expr) -> set:
     """The catalog centers an expression names, at any depth."""
     named = {expr.cid} if isinstance(expr, (Catalog, CenterOf)) else set()
-    for field in dataclasses.fields(expr):
-        value = getattr(expr, field.name)
-        if dataclasses.is_dataclass(value):
+    for value in expr:
+        if isinstance(value, typing.get_args(CenterExpr)):
             named |= _named_centers(value)
     return named
 
@@ -149,6 +147,11 @@ class TestOracles:
     @pytest.mark.parametrize("cid", list(IDENTITIES))
     def test_identity_names_only_other_centers(self, cid):
         assert cid not in _named_centers(IDENTITIES[cid])
+
+    def test_named_centers_walks_nested_nodes(self):
+        assert _named_centers(IDENTITIES[CenterId.X5]) == {CenterId.X3, CenterId.X4}
+        deep = parse_center("reflect(X3,isogonal(excentral,midpoint(X1,center(medial,X4))))")
+        assert _named_centers(deep) == {CenterId.X3, CenterId.X1, CenterId.X4}
 
     @pytest.mark.parametrize("cid", list(CenterId))
     def test_wrong_point_falsifies_its_oracle(self, monkeypatch, cid):
@@ -288,11 +291,16 @@ class TestDerivedTriangles:
                     assert tuple(s * s for s in m.sides) == (m.a2, m.b2, m.c2)
 
     def test_subtriangle_holds_one_metric(self):
-        names = [f.name for f in dataclasses.fields(SubTriangle)]
+        names = SubTriangle._fields
         assert "sq_sides" not in names and "sides" not in names
         med = derived_triangle(T, TriangleKind.MEDIAL)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        v1 = med.v1
+        with pytest.raises(AttributeError):
             med.v1 = VERTEX_A
+        with pytest.raises(AttributeError):
+            med.sides = (1, 1, 1)
+        assert med.v1 is v1 and v1 != VERTEX_A
+        assert not hasattr(med, "sides")
         with pytest.raises(AttributeError):
             med.metric().a2 = 1
 
@@ -457,6 +465,29 @@ class TestExpressions:
         exc = derived_triangle(T, TriangleKind.EXCENTRAL)
         p = eval_center(T, CenterId.X9)
         assert isogonal_in(T, exc, isogonal_in(T, exc, p)) == p
+
+    def test_nodes_equal_only_within_one_type(self):
+        """Nodes are tuples, but equal and hash-equal only to nodes of their
+        own type: no two node types of one shape, and no plain tuple, match."""
+        e = Catalog(CenterId.X2)
+        nodes = [e, MidpointOf(e, e), ReflectThrough(e, e), Complement(e),
+                 Anticomplement(e), ConjugateIn("isogonal", TriangleKind.BASE, e),
+                 CenterOf(TriangleKind.MEDIAL, CenterId.X2),
+                 VertexOf(TriangleKind.MEDIAL, 1)]
+        for node in nodes:
+            twin = type(node)(*node)
+            assert node == twin and not node != twin and hash(node) == hash(twin)
+            plain = tuple(node)
+            assert node != plain and plain != node
+            assert not node == plain and not plain == node
+            assert plain not in {node} and node not in {plain}
+        for one, other in [(Complement(e), Anticomplement(e)),
+                           (MidpointOf(e, e), ReflectThrough(e, e))]:
+            assert tuple(one) == tuple(other)
+            assert one != other and not one == other
+            assert hash(one) != hash(other)
+            assert {one: 1}.get(other) is None
+        assert len(set(nodes)) == len(nodes)
 
 
 class TestAliasesAndParsing:

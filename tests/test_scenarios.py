@@ -136,6 +136,33 @@ class TestReports:
             assert set(claim) == {"id", "kind", "expectation", "status",
                                   "failures"}
 
+    def test_to_dict_key_order_and_fresh_containers(self):
+        """``to_dict`` keeps the key order of the ``dataclasses.asdict`` form
+        it replaced, at every level, and hands out containers of its own."""
+        reports = run_all(5, 42)
+        certificates = 0
+        for r in reports:
+            before = json.dumps(r.to_dict())
+            d = r.to_dict()
+            assert list(d) == ["scenario", "description", "trials", "seed",
+                               "skipped", "claims", "elapsed_ms"]
+            for claim in d["claims"]:
+                assert list(claim) == ["id", "kind", "expectation", "status",
+                                       "failures"]
+                for cert in claim["failures"]:
+                    assert list(cert) == ["triangle", "lhs", "rhs", "detail"]
+                    certificates += 1
+                    cert["triangle"].append("0")
+                    cert["lhs"] = "mutated"
+                claim["failures"].append({})
+                claim["status"] = "mutated"
+            d["claims"].append({})
+            d["scenario"] = "mutated"
+            assert json.dumps(r.to_dict()) == before
+            assert r.scenario != "mutated"
+            assert all(c.status != "mutated" for c in r.claims)
+        assert certificates > 0  # the five verdict-only claims fail here
+
     def test_run_all_order(self):
         reports = run_all(1, 3)
         assert [r.scenario for r in reports] == EXPECTED_IDS
@@ -305,7 +332,7 @@ class TestBenchContract:
         for module, attr in sorted(reads):
             assert hasattr(importlib.import_module(f"tricurves.{module}"), attr), \
                 f"tricurves.{module}.{attr} is gone"
-        fields = {f.name for f in dataclasses.fields(centers.SubTriangle)}
+        fields = set(centers.SubTriangle._fields)
         assert {"v1", "v2", "v3"} <= fields
         assert callable(centers.SubTriangle.metric)
 
@@ -444,6 +471,23 @@ class TestCoreDoesNotImportRenderer:
                 if isinstance(node, ast.Call):
                     called = getattr(node.func, "id", getattr(node.func, "attr", None))
                     assert called not in aliases, (path.name, node.lineno, called)
+
+    def test_dataclasses_only_where_replaced(self):
+        """Only ``Claim`` and ``Scenario`` are dataclasses: tests and the
+        benchmark's tracer rebuild them with ``dataclasses.replace``.  Every
+        other record is a ``NamedTuple`` or a class with its own ``__init__``,
+        which costs far less to define at import and to build at run time."""
+        src = pathlib.Path(__file__).resolve().parents[1] / "src" / "tricurves"
+        decorated = set()
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ClassDef):
+                    for dec in node.decorator_list:
+                        target = dec.func if isinstance(dec, ast.Call) else dec
+                        if getattr(target, "id", getattr(target, "attr", None)) \
+                                == "dataclass":
+                            decorated.add((path.name, node.name))
+        assert decorated == {("scenarios.py", "Claim"), ("scenarios.py", "Scenario")}
 
     def test_fraction_calls_confined(self):
         """The core holds its metric in integers: ``Fraction(...)`` is called
