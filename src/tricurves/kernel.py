@@ -99,8 +99,31 @@ def _clear_denominators(values: Iterable[Rat]) -> tuple[tuple[int, ...], int]:
 
 
 def canonical_ints(values: Iterable[Rat]) -> tuple[int, ...]:
-    """Clear denominators, divide by the gcd, make the first nonzero entry positive."""
+    """Clear denominators, divide by the gcd, make the first nonzero entry positive.
+
+    An all-``int`` triple (every point and line) takes one path on three
+    locals.  Any other input takes the general path, where a value that is
+    not an ``int`` (a ``Fraction``, a bool, or a type refused there with
+    one ``TypeError``) sends the whole tuple through
+    ``_clear_denominators`` first.  Both paths record the result's
+    largest bit length for :func:`bit_high_water`.
+    """
+    global _bit_high_water
     vals = tuple(values)
+    if len(vals) == 3:
+        a, b, c = vals
+        if type(a) is int and type(b) is int and type(c) is int:
+            g = math.gcd(a, b, c)
+            if g == 0:
+                raise ZeroVector("all coordinates are zero")
+            if (a or b or c) < 0:
+                g = -g
+            if g != 1:
+                vals = a, b, c = a // g, b // g, c // g
+            bits = max(abs(a), abs(b), abs(c)).bit_length()
+            if bits > _bit_high_water:
+                _bit_high_water = bits
+            return vals
     for v in vals:
         if type(v) is not int:  # a Fraction or bool, or a type refused there
             vals = _clear_denominators(vals)[0]
@@ -112,7 +135,6 @@ def canonical_ints(values: Iterable[Rat]) -> tuple[int, ...]:
         g = -g
     if g != 1:
         vals = tuple([v // g for v in vals])
-    global _bit_high_water
     bits = max(max(vals), -min(vals)).bit_length()
     if bits > _bit_high_water:
         _bit_high_water = bits

@@ -3,7 +3,10 @@
 One fraction-free forward elimination over the integers (Bareiss 1968)
 gives determinants, rank profiles and, followed by exact integer
 back-substitution, the kernel vector of an (n) x (n+1) system, plus a
-plain rational rank as an independent cross-check.  Everything is exact;
+plain rational rank as an independent cross-check.  The elimination
+skips a row whose multiplier is zero, so each row it holds is a nonzero
+multiple of its Bareiss row until the row is next updated or becomes the
+pivot; the echelon matrix it returns is Bareiss's.  Everything is exact;
 matrices are lists/tuples of ``int`` rows (``Fraction`` rows for
 :func:`rank_rational`).
 """
@@ -11,6 +14,7 @@ matrices are lists/tuples of ``int`` rows (``Fraction`` rows for
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 
@@ -29,14 +33,25 @@ def _eliminate(rows: Sequence[Sequence[int]]):
     current rank.  Returns the rank, the sorted original indices of the
     pivot rows, the echelon matrix, its pivot columns and the row-swap
     sign.  Row i of the echelon matrix is zero left of its pivot column;
-    only rows below a pivot are updated.  Every entry stays a minor of
-    the input, so dividing by the previous pivot is exact, and the last
-    pivot times the sign is the determinant of a nonsingular square
-    input.
+    only rows below a pivot are updated.  Every entry of the echelon
+    matrix is a minor of the input, and the last pivot times the sign is
+    the determinant of a nonsingular square input.
+
+    A row whose entry in the pivot column is 0 is skipped: Bareiss would
+    only rescale it by pivot/prev.  ``since[i]`` holds the pivot row i
+    was last updated with (1 before its first update) and moves with the
+    row on a swap; the stored row is its Bareiss row times
+    ``since[i] / prev``, a nonzero multiple, since the skipped factors
+    telescope.  Its next update divides by ``since[i]`` instead of
+    ``prev``, and a row that becomes the pivot is first scaled by
+    ``prev / since[i]``; both divisions are exact, as the results are
+    Bareiss rows.  Rows left below the rank are zero, so the returned
+    echelon matrix is Bareiss's.
     """
     m = [list(r) for r in rows]
     nrows, ncols = len(m), len(m[0]) if m else 0
     origin = list(range(nrows))
+    since = [1] * nrows
     cols: list[int] = []
     sign, prev = 1, 1
     for col in range(ncols):
@@ -49,14 +64,23 @@ def _eliminate(rows: Sequence[Sequence[int]]):
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
             origin[r], origin[piv] = origin[piv], origin[r]
+            since[r], since[piv] = since[piv], since[r]
             sign = -sign
         prow = m[r]
+        s = since[r]
+        if s != prev:
+            for j in range(col, ncols):
+                prow[j] = prow[j] * prev // s
         pivot = prow[col]
-        for row in m[r + 1:]:
+        for i in range(r + 1, nrows):
+            row = m[i]
             f = row[col]
-            row[col] = 0
-            for j in range(col + 1, ncols):
-                row[j] = (pivot * row[j] - f * prow[j]) // prev
+            if f:
+                s = since[i]
+                row[col] = 0
+                for j in range(col + 1, ncols):
+                    row[j] = (pivot * row[j] - f * prow[j]) // s
+                since[i] = pivot
         prev = pivot
         cols.append(col)
     r = len(cols)
@@ -100,7 +124,7 @@ def nullspace_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     free = next((i for i, c in enumerate(cols) if c != i), n)
     v[free] = echelon[-1][cols[-1]]
     for row, p in zip(reversed(echelon), reversed(cols)):
-        v[p] = -sum(row[j] * v[j] for j in range(p + 1, n + 1)) // row[p]
+        v[p] = -sum(map(mul, row[p + 1:], v[p + 1:])) // row[p]
     return tuple(v)
 
 

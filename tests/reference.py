@@ -8,6 +8,8 @@ conic points.  ``frame_local`` and ``frame_base`` map into and out of a
 triangle's barycentrics, checking the triangle on every call, and
 ``taylor_center`` finds X389 by a search over the six Taylor points.  ``dense_trace_segments`` is the renderer's marching squares
 as a plain scan of every cell over the whole sign grid held at once.
+``bareiss_eliminate`` is the fit's fraction-free elimination with every
+row below the pivot updated at every step.
 """
 
 import math
@@ -250,3 +252,37 @@ def dense_trace_segments(f, viewport, grid):
             elif len(crossings) >= 2:
                 segments.append((crossings[0], crossings[1]))
     return segments
+
+
+def bareiss_eliminate(rows):
+    """Fraction-free forward elimination that updates every row below the
+    pivot at every step, as ``tricurves.linalg._eliminate`` returns it: the
+    rank, the sorted original indices of the pivot rows, the echelon
+    matrix, its pivot columns and the row-swap sign."""
+    m = [list(r) for r in rows]
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    origin = list(range(nrows))
+    cols = []
+    sign, prev = 1, 1
+    for col in range(ncols):
+        r = len(cols)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][col]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            origin[r], origin[piv] = origin[piv], origin[r]
+            sign = -sign
+        prow = m[r]
+        pivot = prow[col]
+        for row in m[r + 1:]:
+            f = row[col]
+            row[col] = 0
+            for j in range(col + 1, ncols):
+                row[j] = (pivot * row[j] - f * prow[j]) // prev
+        prev = pivot
+        cols.append(col)
+    r = len(cols)
+    return r, sorted(origin[:r]), m, cols, sign

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tricurves import kernel
 from tricurves.curves import Conic
 from tricurves.kernel import (
     CoincidentArguments,
@@ -23,6 +24,7 @@ from tricurves.kernel import (
     VERTEX_C,
     ZeroVector,
     bisector_line,
+    bit_high_water,
     canonical_ints,
     collinear,
     dot,
@@ -39,6 +41,7 @@ from tricurves.kernel import (
     perpendicular_infinite_point,
     perpendicular_line_through,
     reflect_through,
+    reset_bit_high_water,
     sample_line_points,
     squared_distance,
 )
@@ -107,15 +110,86 @@ class TestCanonical:
         ints = canonical_ints((True, False, 2))
         assert ints == (1, 0, 2) and all(type(v) is int for v in ints)
 
-    @pytest.mark.parametrize("values", [(1, 2.0, 3), (2.0, 4.0)])
+    @pytest.mark.parametrize("values", [(1, 2.0, 3), (2.0, 4.0), (0.5, 1, 1)])
     def test_float_among_ints_rejected(self, values):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError) as exc:
             canonical_ints(values)
+        assert str(exc.value) == "exact core accepts int/Fraction only, got float"
 
     @pytest.mark.parametrize("values", [(0, 0, 0), (0,), (Fraction(0), 0)])
     def test_all_zero_rejected(self, values):
         with pytest.raises(ZeroVector):
             canonical_ints(values)
+
+
+def _spy_clear_denominators(monkeypatch):
+    """Record each tuple ``canonical_ints`` sends to ``_clear_denominators``."""
+    seen = []
+    real = kernel._clear_denominators
+
+    def spy(values):
+        seen.append(tuple(values))
+        return real(values)
+
+    monkeypatch.setattr(kernel, "_clear_denominators", spy)
+    return seen
+
+
+huge_ints = st.integers(-10**40, 10**40)
+
+
+class TestCanonicalTriplePath:
+    """An all-``int`` triple takes its own path; it must agree with the
+    general one, ``Fraction`` input included, and record the same bit
+    high-water mark."""
+
+    @staticmethod
+    def check(t):
+        reset_bit_high_water()
+        ints = canonical_ints(t)
+        assert ints == canonical_ints(tuple(Fraction(v) for v in t))
+        assert all(type(v) is int for v in ints)
+        reset_bit_high_water()
+        assert canonical_ints(t) == ints
+        assert bit_high_water() == max(abs(v).bit_length() for v in ints)
+        return ints
+
+    @given(st.tuples(huge_ints, huge_ints, huge_ints).filter(any))
+    def test_matches_fractions_and_high_water(self, t):
+        self.check(t)
+
+    @given(st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9))
+           .filter(any), st.integers(2, 10**25))
+    def test_common_factor_divided_out(self, t, k):
+        assert self.check(tuple(k * v for v in t)) == self.check(t)
+
+    @pytest.mark.parametrize("t, expected", [
+        ((-4, 6, 0), (2, -3, 0)),             # negative first entry, gcd 2
+        ((0, -5, 10), (0, 1, -2)),            # first nonzero entry negative
+        ((0, 0, -7), (0, 0, 1)),
+        ((6, 0, 0), (1, 0, 0)),
+        ((3, 5, 7), (3, 5, 7)),               # already canonical
+        ((-(2**200), 3 * 2**200, 0), (1, -3, 0)),
+        ((2**300 + 1, -1, 0), (2**300 + 1, -1, 0)),
+    ])
+    def test_fixed_cases(self, t, expected):
+        assert self.check(t) == expected
+
+    def test_int_triple_skips_denominators(self, monkeypatch):
+        seen = _spy_clear_denominators(monkeypatch)
+        assert canonical_ints((4, -6, 8)) == (2, -3, 4)
+        assert HomLine(0, 3, -9).coeffs == (0, 1, -3)
+        assert seen == []
+
+    @pytest.mark.parametrize("t, expected", [
+        ((True, False, 2), (1, 0, 2)),
+        ((Fraction(1, 2), 1, 0), (1, 2, 0)),
+        ((Fraction(-2), Fraction(4), Fraction(6)), (1, -2, -3)),
+    ])
+    def test_other_triples_keep_checked_path(self, monkeypatch, t, expected):
+        seen = _spy_clear_denominators(monkeypatch)
+        assert canonical_ints(t) == expected
+        assert seen == [t]
 
 
 class TestIncidence:

@@ -5,11 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from tricurves.linalg import (
     RankDeficient,
+    _eliminate,
     det_int,
     nullspace_vector,
     rank_profile_int,
     rank_rational,
 )
+
+from reference import bareiss_eliminate
 
 small_ints = st.integers(-9, 9)
 
@@ -199,3 +202,40 @@ class TestNullspace:
         for row in m:
             assert sum(a * b for a, b in zip(row, v)) == 0
 
+
+# a row of 0s in columns 0 and 1 is skipped at both steps and then becomes
+# the pivot (row 2); row 3 is skipped twice and then updated, row 4 is
+# updated at every step; no pivot is 1, so no scaling is trivial
+SKIPPED_THEN_PIVOT = [
+    (2, 1, 3, 4, 5, 1),
+    (0, 3, 1, 2, 7, 2),
+    (0, 0, 5, 1, 2, 3),
+    (0, 0, 1, 1, 1, 4),
+    (1, 1, 1, 1, 1, 1),
+]
+
+
+class TestSkippingElimination:
+    """Skipping the rows with a zero multiplier leaves every output of the
+    elimination equal to the one that updates every row at every step."""
+
+    @given(st.one_of(
+        st.integers(1, 9).flatmap(lambda n: matrix_strategy(n, n + 1, sparse_ints)),
+        st.integers(1, 6).flatmap(lambda n: matrix_strategy(n, n, sparse_ints)),
+        matrix_strategy(6, 3, sparse_ints),
+        matrix_strategy(3, 7, sparse_ints),
+        matrix_strategy(4, 5, st.integers(-10**20, 10**20))))
+    @settings(max_examples=300)
+    def test_matches_reference(self, m):
+        assert _eliminate(m) == bareiss_eliminate(m)
+
+    def test_row_skipped_twice_becomes_pivot(self):
+        m = SKIPPED_THEN_PIVOT
+        result = _eliminate(m)
+        assert result == bareiss_eliminate(m)
+        rank, independent, echelon, cols, sign = result
+        assert (rank, independent, cols, sign) == (5, [0, 1, 2, 3, 4], [0, 1, 2, 3, 4], 1)
+        assert echelon[2][2] == 2 * 3 * 5  # caught up by prev / since = 6 / 1
+        assert nullspace_vector(m) in (cofactor_vector(m),
+                                       tuple(-x for x in cofactor_vector(m)))
+        assert det_int([r[:5] for r in m]) == leibniz_det([r[:5] for r in m])

@@ -834,3 +834,10 @@ class TestBenchPairsSeeds:
             _bench_pairs().main(["--seeds", seeds])
         assert exc.value.code == 2
         assert "--seeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seconds", ["nan", "inf", "-1", "x"])
+    def test_unusable_seconds_exits_two(self, seconds, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _bench_pairs().main(["--seconds", seconds])
+        assert exc.value.code == 2
+        assert "--seconds" in capsys.readouterr().err

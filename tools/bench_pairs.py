@@ -6,6 +6,8 @@ Usage (from the repository root)::
         --seeds 1-10 --seconds 20 > pairs.json
 
 ``--seeds`` also takes a comma list of seeds, such as ``11,13``.
+``--seconds`` must be a finite, non-negative number; any other value is
+refused, with exit code 2, before either tree is extracted.
 
 Both revisions (any git tree-ish, such as a commit or the output of
 ``git write-tree``) are extracted with ``git archive`` into a temporary
@@ -31,6 +33,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import re
 import statistics
@@ -125,13 +128,26 @@ def seed_range(text: str) -> list[int]:
     return seeds
 
 
+def run_seconds(text: str) -> float:
+    """A finite, non-negative ``--seconds``; anything else is refused before
+    a tree is extracted."""
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = math.nan
+    if not math.isfinite(seconds) or seconds < 0:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a finite, non-negative number of seconds")
+    return seconds
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", default="HEAD~1", help="tree-ish of the parent")
     parser.add_argument("--change", default="HEAD", help="tree-ish of the change")
     parser.add_argument("--seeds", type=seed_range, default=seed_range("1-10"),
                         help="inclusive range such as 1-10, or a list such as 11,13")
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=run_seconds, default=20.0)
     args = parser.parse_args(argv)
     repo = Path(__file__).resolve().parents[1]
 
