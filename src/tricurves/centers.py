@@ -13,14 +13,15 @@ altitudes, Euler lines) or points it is equidistant from (``EQUIDISTANT``).
 A row names only other centers.  :func:`validate_center_oracles` runs the
 oracles; a formula that disagrees with its oracle is a bug in the formula.
 
-Centers are classified by parity: EVEN centers depend only on the squared
-side lengths and can therefore be evaluated on any derived triangle (whose
-squared sides are always rational); odd centers need the unsquared sides
-and are only available where those are exact (the base, medial, Euler and
-anticomplementary triangles).  Each triangle is derived from its parent's
-metric and frame by one rule, in integers, the base's frame being the
-identity; each frame is checked once, when built, and maps the raw triples
-of centers, conjugates and vertices, canonicalized once on the way out.
+Centers are classified by parity: EVEN centers depend only on the squared side
+lengths and can therefore be evaluated on any derived triangle (whose squared
+sides are always rational); odd centers need the unsquared sides and are only
+available where those are exact (the base, medial, Euler and anticomplementary
+triangles).  Each triangle is derived from its parent's metric and frame by
+one rule, in integers, the base's frame being the identity, which multiplies
+nothing; each frame is checked once, when built, and maps the raw triples of
+centers, conjugates and vertices, canonicalized once on the way out.  One
+table holds the rule for each center-expression node.
 """
 
 from __future__ import annotations
@@ -159,7 +160,19 @@ _VERTEX_OF = dict(zip((CenterId.VERTEX_A, CenterId.VERTEX_B, CenterId.VERTEX_C),
                        _VERTICES))
 _SIDE_PAIRS = ((VERTEX_B, VERTEX_C), (VERTEX_C, VERTEX_A), (VERTEX_A, VERTEX_B))
 _SIDELINES = tuple(join(*pair) for pair in _SIDE_PAIRS)
-_IDENTITY = Frame.of(*_VERTICES)  # the frame of the base
+
+
+class _IdentityFrame(Frame):
+    """The base's frame: the general maps on identity rows, without products."""
+
+    def local(self, p: HomPoint) -> tuple[int, int, int]:
+        return p.triple
+
+    def base(self, q: Sequence[int]) -> HomPoint:
+        return HomPoint(*q)
+
+
+_IDENTITY = _IdentityFrame.of(*_VERTICES)  # the frame of the base
 
 
 def _refuse_right(m: Metric, kind: TriangleKind) -> None:
@@ -309,12 +322,13 @@ def _derive(m: Metric, frame: Frame, kind: TriangleKind) -> SubTriangle:
     a right triangle raise :class:`RightTriangle`.  Its view is ``m``'s
     rescaled where the side ratio is rational, else read in integers off the
     raw rows in the frame of ``m``, which no frame changes; the rows are
-    mapped out through ``frame`` after that."""
+    mapped out through ``frame`` after that, and the base kind keeps ``frame``."""
     _refuse_right(m, kind)
     local, ratio = _derived_rows(m, kind)
     own = m.unit.scaled(*ratio) if ratio is not None else triangle_view(*local, m)
     points = tuple(frame.base(v) for v in local)
-    return SubTriangle(kind, *points, Metric.of_view(own), Frame.of(*points))
+    own_frame = frame if kind is TriangleKind.BASE else Frame.of(*points)
+    return SubTriangle(kind, *points, Metric.of_view(own), own_frame)
 
 
 def derived_subtriangle(parent: SubTriangle, kind: TriangleKind) -> SubTriangle:
@@ -417,37 +431,42 @@ CenterExpr = Union[
 ]
 
 
-def eval_expr(t: RefTriangle, e: CenterExpr,
-              _subs: Optional[dict] = None) -> HomPoint:
+def _sub(t: RefTriangle, kind: TriangleKind, memo: dict) -> SubTriangle:
+    """The ``kind`` triangle of ``t``, derived once per memo."""
+    if (sub := memo.get(kind)) is None:
+        memo[kind] = sub = derived_triangle(t, kind)
+    return sub
+
+
+def _conjugate_rule(t: RefTriangle, e: ConjugateIn, memo: dict) -> HomPoint:
+    p = _eval(t, e.e, memo)  # first: a refusal here derives no triangle
+    return conjugate(_sub(t, e.kind, memo), e.conj, p)
+
+
+# one rule per node type; each reads its callees as globals per call, for rebinding
+_RULES: dict[type, Callable[[RefTriangle, CenterExpr, dict], HomPoint]] = {
+    Catalog: lambda t, e, memo: eval_center(t, e.cid),
+    MidpointOf: lambda t, e, memo: midpoint(_eval(t, e.e1, memo), _eval(t, e.e2, memo)),
+    ReflectThrough: lambda t, e, memo: reflect_through(
+        _eval(t, e.through, memo), _eval(t, e.point, memo)),
+    Complement: lambda t, e, memo: complement(_eval(t, e.e, memo)),
+    Anticomplement: lambda t, e, memo: anticomplement(_eval(t, e.e, memo)),
+    ConjugateIn: _conjugate_rule,
+    CenterOf: lambda t, e, memo: eval_center_in(_sub(t, e.kind, memo), e.cid),
+    VertexOf: lambda t, e, memo: _sub(t, e.kind, memo).vertices[e.index],
+}
+
+
+def _eval(t: RefTriangle, e: CenterExpr, memo: dict) -> HomPoint:
+    rule = _RULES.get(type(e))
+    if rule is None:
+        raise TypeError(f"not a center expression: {e!r}")
+    return rule(t, e, memo)
+
+
+def eval_expr(t: RefTriangle, e: CenterExpr, _subs: Optional[dict] = None) -> HomPoint:
     """Evaluate a composite center expression on the base triangle."""
-    subs = _subs if _subs is not None else {}
-
-    def sub_of(kind: TriangleKind) -> SubTriangle:
-        if kind not in subs:
-            subs[kind] = derived_triangle(t, kind)
-        return subs[kind]
-
-    def rec(expr: CenterExpr) -> HomPoint:
-        if isinstance(expr, Catalog):
-            return eval_center(t, expr.cid)
-        if isinstance(expr, MidpointOf):
-            return midpoint(rec(expr.e1), rec(expr.e2))
-        if isinstance(expr, ReflectThrough):
-            return reflect_through(rec(expr.through), rec(expr.point))
-        if isinstance(expr, Complement):
-            return complement(rec(expr.e))
-        if isinstance(expr, Anticomplement):
-            return anticomplement(rec(expr.e))
-        if isinstance(expr, ConjugateIn):
-            p = rec(expr.e)
-            return conjugate(sub_of(expr.kind), expr.conj, p)
-        if isinstance(expr, CenterOf):
-            return eval_center_in(sub_of(expr.kind), expr.cid)
-        if isinstance(expr, VertexOf):
-            return sub_of(expr.kind).vertices[expr.index]
-        raise TypeError(f"not a center expression: {expr!r}")
-
-    return rec(e)
+    return _eval(t, e, {} if _subs is None else _subs)
 
 
 # aliases accepted by the CLI and serializations

@@ -267,15 +267,16 @@ def _fit(form: type, points: Sequence[HomPoint]) -> _FormVector:
     n = len(form.MONOMIALS) - 1
     if len(points) != n:
         raise ValueError(f"{form.__name__.lower()}_through needs exactly {n} points")
+    rows = [form.row(p) for p in points]
     try:
-        curve = form(*nullspace_vector([form.row(p) for p in points]))
+        curve = form(*nullspace_vector(rows))
     except RankDeficient as exc:
         certificate = exc.rank, exc.independent
     else:
-        if any(curve.evaluate(p) for p in points):
+        if any(sum(map(mul, curve.coeffs, row)) for row in rows):
             raise CurveMissesPoint(f"fitted {curve!r} misses one of its points")
         return curve
-    # raised outside the handler, so the error holds no elimination frames
+    del rows  # kept off the error's traceback, as the handler's frames are
     raise DegeneratePointSet(*certificate, n)
 
 

@@ -689,6 +689,80 @@ class TestFrames:
             assert HomPoint(*frame.local(frame.base(p.triple))) == p
 
 
+class TestRuleTable:
+    """``eval_expr`` reads one rule per node type from ``centers._RULES``."""
+
+    def test_one_rule_per_node_type(self):
+        assert set(centers._RULES) == set(typing.get_args(CenterExpr))
+
+    @pytest.mark.parametrize("e", ["X3", ("X3",), tuple(Catalog(CenterId.X3)), None],
+                             ids=repr)
+    def test_non_node_is_refused(self, e):
+        with pytest.raises(TypeError) as exc:
+            eval_expr(T, e)
+        assert str(exc.value) == f"not a center expression: {e!r}"
+        with pytest.raises(TypeError) as inner:
+            eval_expr(T, MidpointOf(Catalog(CenterId.X3), e))
+        assert str(inner.value) == str(exc.value)
+
+    def test_rules_call_through_module_globals(self, monkeypatch):
+        """A rule that bound its callee at import would slip past a rebinding
+        (a tracer's or this test's) and leave its count short."""
+        texts = ("midpoint(X3,X4)", "isogonal(excentral,X5)", "center(medial,X3)")
+        expected = [eval_expr(T, parse_center(text)) for text in texts]
+        calls = []
+        for name in ("eval_center", "derived_triangle", "conjugate", "eval_center_in"):
+            def counting(*args, _name=name, _fn=getattr(centers, name)):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(centers, name, counting)
+        seen = []
+        for text, want in zip(texts, expected):
+            calls.clear()
+            assert eval_expr(T, parse_center(text)) == want
+            seen.append(sorted(calls))
+        assert seen == [["eval_center", "eval_center"],
+                        ["conjugate", "derived_triangle", "eval_center"],
+                        ["derived_triangle", "eval_center_in"]]
+
+
+IDENTITY_ROWS = Frame.of(VERTEX_A, VERTEX_B, VERTEX_C)  # the general maps
+
+
+class TestIdentityFrame:
+    """The base's frame skips the products, and gives what the general
+    frame of the same vertices gives."""
+
+    @given(nonzero_triples)
+    @settings(max_examples=200, deadline=None)
+    def test_maps_equal_the_general_frame(self, triple):
+        p = HomPoint(*triple)
+        assert centers._IDENTITY == IDENTITY_ROWS
+        assert centers._IDENTITY.base(triple) == IDENTITY_ROWS.base(triple)
+        assert centers._IDENTITY.local(p) == IDENTITY_ROWS.local(p)
+
+    def test_derivations_equal_the_general_frame(self):
+        compared = 0
+        for seed in range(50):
+            t = random_triangle(seed)
+            for kind in TriangleKind:  # random_triangle draws no right triangle
+                ref = centers._derive(t, IDENTITY_ROWS, kind)
+                sub = derived_triangle(t, kind)
+                assert sub._fields == ref._fields
+                assert (sub.kind, sub.v1, sub.v2, sub.v3) == (
+                    ref.kind, ref.v1, ref.v2, ref.v3), (seed, kind)
+                assert sub.own_metric.unit == ref.own_metric.unit, (seed, kind)
+                assert sub.frame == ref.frame, (seed, kind)
+                compared += 1
+        assert compared == 50 * len(TriangleKind)
+
+    def test_base_triangle_keeps_its_parents_frame(self):
+        assert derived_triangle(T, TriangleKind.BASE).frame is centers._IDENTITY
+        for kind in TriangleKind:
+            parent = derived_triangle(T, kind)
+            assert derived_subtriangle(parent, TriangleKind.BASE).frame is parent.frame
+
+
 class TestOneCanonicalization:
     """A frame maps raw integer triples; only ``Frame.base`` canonicalizes."""
 

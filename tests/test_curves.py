@@ -192,6 +192,37 @@ class TestFitting:
         assert on_conic(HomPoint(1, 2, 3), conic)
         assert not on_conic(HomPoint(1, 5, 1), conic)
 
+    @pytest.mark.parametrize("form, fit", [(Conic, conic_through),
+                                           (Cubic, cubic_through)],
+                             ids=["conic", "cubic"])
+    def test_self_check_reuses_the_fit_rows(self, form, fit, monkeypatch):
+        """The fitted form is checked against the rows already built: one
+        ``_monomials`` call per point, not one more per point for the check."""
+        n = len(form.MONOMIALS) - 1
+        pts = [HomPoint(1, k, k ** form.DEGREE + 2) for k in range(n)]
+        calls = []
+        monomials = form._monomials
+        monkeypatch.setattr(form, "_monomials", staticmethod(
+            lambda *v: calls.append(v) or monomials(*v)))
+        curve = fit(pts)
+        assert calls == [p.triple for p in pts]
+        monkeypatch.undo()
+        assert all(curve.evaluate(p) == 0 for p in pts)
+
+    def test_rank_error_holds_no_fit_data(self):
+        """A caller that keeps the error (the benchmark keeps a pass's
+        results) keeps neither the fit rows nor the elimination's frames."""
+        with pytest.raises(DegeneratePointSet) as exc:
+            conic_through([VERTEX_A, VERTEX_B, VERTEX_C, HomPoint(1, 1, 1),
+                           HomPoint(2, 2, 2)])
+        assert exc.value.__context__ is None
+        tb, held = exc.value.__traceback__, []
+        while tb is not None:
+            held += [v for v in tb.tb_frame.f_locals.values()
+                     if isinstance(v, list) and v and isinstance(v[0], tuple)]
+            tb = tb.tb_next
+        assert held == []
+
     def test_duplicate_points_degenerate(self):
         pts = [VERTEX_A, VERTEX_B, VERTEX_C, HomPoint(1, 1, 1),
                HomPoint(2, 2, 2)]

@@ -841,3 +841,30 @@ class TestBenchPairsSeeds:
             _bench_pairs().main(["--seconds", seconds])
         assert exc.value.code == 2
         assert "--seconds" in capsys.readouterr().err
+
+
+class TestBenchPairsSummary:
+    """``summarise`` counts, per workload, the seed pairs that agree."""
+
+    @staticmethod
+    def _run(seed, wall_s, correct=True, failed=0, digest="d0"):
+        return {"seed": seed, "correct": correct, "attempted": 18, "failed": failed,
+                "report_sha256": digest, "metrics": {"wall_s": wall_s}}
+
+    def test_one_disagreeing_pair(self):
+        run = self._run
+        runs = {
+            "verify-all": {
+                "parent": [run(1, 1.0), run(2, 1.2), run(3, 1.1)],
+                "change": [run(1, 0.9), run(2, 1.0, digest="d1"), run(3, 1.0)]},
+            "center-queries": {
+                "parent": [run(1, 2.0), run(2, 2.0), run(3, 2.0)],
+                "change": [run(1, 1.0), run(2, 1.0, False, 1), run(3, 1.0)]},
+        }
+        out = _bench_pairs().summarise(runs, {"wall_s": "lower"})
+        assert out["verify-all"]["agreement"] == {
+            "pairs": 3, "correct": 3, "attempted": 3, "failed": 3, "report_sha256": 2}
+        assert out["center-queries"]["agreement"] == {
+            "pairs": 3, "correct": 2, "attempted": 3, "failed": 2}
+        assert out["verify-all"]["wall_s"]["pairs_change_better"] == 3
+        assert out["center-queries"]["wall_s"]["ratio"] == 0.5

@@ -23,8 +23,11 @@ The JSON printed on standard output gives, for each workload and
 end-to-end metric of ``BENCHMARK.json``, each side's median and quartiles
 (inclusive method), the ratio of the medians, the medians' distance, the
 parent's interquartile distance and the number of pairs in which the
-change is better.  It also lists every run's metrics, its attempted,
-failed and correct counts and, on verify-all, its report digest.
+change is better.  Under ``agreement`` it gives, per workload, how many
+seed pairs read the same correct, attempted and failed counts and, on
+verify-all, the same report digest.  It also lists every run's metrics,
+its attempted, failed and correct counts and, on verify-all, its report
+digest.
 Standard library only.
 """
 
@@ -90,11 +93,23 @@ def spread(values: list) -> dict:
     return {"median": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6)}
 
 
+def agreement(workload: str, sides: dict) -> dict:
+    """How many seed pairs read the same ``correct``, ``attempted`` and
+    ``failed`` on both sides, and on verify-all the same report digest."""
+    keys = ("correct", "attempted", "failed")
+    if workload == "verify-all":
+        keys += ("report_sha256",)
+    pairs = list(zip(sides["parent"], sides["change"]))
+    return {"pairs": len(pairs),
+            **{key: sum(p[key] == c[key] for p, c in pairs) for key in keys}}
+
+
 def summarise(runs: dict, better: dict) -> dict:
-    """Per workload and metric: both sides' spreads and the pair comparison."""
+    """Per workload: the seed pairs' agreement and, per metric, both sides'
+    spreads and the pair comparison."""
     out = {}
     for workload, sides in runs.items():
-        out[workload] = {}
+        out[workload] = {"agreement": agreement(workload, sides)}
         for metric, direction in better.items():
             pairs = [(p["metrics"].get(metric), c["metrics"].get(metric))
                      for p, c in zip(sides["parent"], sides["change"])]
