@@ -4,19 +4,20 @@ This is the only module that touches floating point.  The exact core hands
 over canonical points and curve coefficient vectors; everything here is a
 rendering concern and nothing in the verification pipeline imports it.
 
-One evaluator, ``curve_function``, reads a line, conic or cubic in the
-Cartesian chart, and marching squares reads it on a (grid + 1)^2 lattice;
-that sign grid alone decides which cells hold a crossing and how a saddle
-cell splits.  The chart is affine, so along any grid line the form is one
-univariate polynomial of degree at most 3: it is recovered from four
-values on each grid column, and the column's signs are that cubic by
-Horner.  The columns stream in one at a time, their signs as bitmasks, so
-only the live cells, which a crossing can pass, are visited and memory is
-O(grid).  Each grid edge with a sign change is refined once, by bracketed
-Illinois steps on its grid line's cubic (a row's cubic is built the first
-time one of its edges is refined), and the two cells that share the edge
-share its endpoint, so a closed curve traces a watertight polyline whose
-CSV row for that endpoint is formatted once.
+One evaluator per degree, from ``curve_function``, reads a line, conic or
+cubic in the Cartesian chart, and marching squares reads it on a
+(grid + 1)^2 lattice; that sign grid alone decides which cells hold a
+crossing and how a saddle cell splits.  The chart is affine, so along any
+grid line the form is one univariate polynomial of degree at most 3: it
+is recovered from four values on each grid column, and the column's
+signs are that cubic by Horner.  The columns stream in one at a time,
+their signs as bitmasks, so only the live cells, which a crossing can
+pass, are visited and memory is O(grid).  Each grid edge with a sign
+change is refined once, by bracketed Illinois steps on its grid line's
+cubic (a row's cubic is built the first time one of its edges is
+refined), and the two cells that share the edge share its endpoint, so a
+closed curve traces a watertight polyline whose CSV row for that endpoint
+is formatted once.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ from typing import NamedTuple, Sequence
 class RenderConfig:
     def __init__(self, width: int = 640, height: int = 640, grid: int = 256,
                  margin: float = 0.25, labels: bool = True):
-        if not 16 <= grid <= 4096:  # a trace reads (grid + 1)^2 nodes
-            raise ValueError(f"grid must be between 16 and 4096, got {grid}")
+        # a trace reads (grid + 1)^2 nodes, indexed by int (bool is no grid)
+        if type(grid) is not int or not 16 <= grid <= 4096:
+            raise ValueError(f"grid must be an int from 16 to 4096, got {grid!r}")
         if width < 64 or height < 64:
             raise ValueError("width and height must be at least 64")
         if not (math.isfinite(margin) and margin >= 0):
@@ -101,9 +103,10 @@ def _floats(coeffs) -> list[float]:
 def curve_function(curve, corners):
     """Float evaluator of a line, conic or cubic in the Cartesian chart.
 
-    The chart (X, Y) -> (1 - l2 - l3, l2, l3) solves for l2, l3 by Cramer
+    One closure per degree (3, 6 or 10 coefficients) with the chart
+    (X, Y) -> (1 - l2 - l3, l2, l3) written into it: l2 and l3 by Cramer
     against the edge vectors B - A and C - A, which are hoisted out of the
-    closure; each value is the same float expression, term for term.
+    closure.  Each value is the same float expression, term for term.
     """
     (ax, ay), (bx, by), (cx, cy) = corners
     ux, uy, vx, vy = bx - ax, by - ay, cx - ax, cy - ay
@@ -112,29 +115,34 @@ def curve_function(curve, corners):
     if len(coeffs) == 3:
         l1, l2, l3 = coeffs
 
-        def form(x: float, y: float, z: float) -> float:
-            return l1 * x + l2 * y + l3 * z
+        def f(px: float, py: float) -> float:
+            px, py = px - ax, py - ay
+            y = (px * vy - vx * py) / det
+            z = (ux * py - px * uy) / det
+            return l1 * (1.0 - y - z) + l2 * y + l3 * z
     elif len(coeffs) == 6:
         q11, q22, q33, q12, q13, q23 = coeffs
 
-        def form(x: float, y: float, z: float) -> float:
+        def f(px: float, py: float) -> float:
+            px, py = px - ax, py - ay
+            y = (px * vy - vx * py) / det
+            z = (ux * py - px * uy) / det
+            x = 1.0 - y - z
             return (q11 * x * x + q22 * y * y + q33 * z * z
                     + 2 * (q12 * x * y + q13 * x * z + q23 * y * z))
     elif len(coeffs) == 10:
         c0, c1, c2, c3, c4, c5, c6, c7, c8, c9 = coeffs
 
-        def form(x: float, y: float, z: float) -> float:
+        def f(px: float, py: float) -> float:
+            px, py = px - ax, py - ay
+            y = (px * vy - vx * py) / det
+            z = (ux * py - px * uy) / det
+            x = 1.0 - y - z
             return (c0 * x**3 + c1 * x * x * y + c2 * x * x * z
                     + c3 * x * y * y + c4 * x * y * z + c5 * x * z * z
                     + c6 * y**3 + c7 * y * y * z + c8 * y * z * z + c9 * z**3)
     else:
         raise ValueError(f"{len(coeffs)} coefficients: not a line, conic or cubic")
-
-    def f(px: float, py: float) -> float:
-        y = ((px - ax) * vy - vx * (py - ay)) / det
-        z = (ux * (py - ay) - (px - ax) * uy) / det
-        return form(1.0 - y - z, y, z)
-
     return f
 
 
@@ -192,27 +200,25 @@ def _refine(line, p0, p1, v0, v1):
     return (fixed, r) if axis else (r, fixed)
 
 
-# offsets of the interpolation nodes on a grid line, in half-lengths of the
-# viewport from its centre
-_LINE_NODES = (-1.0, -0.5, 0.5, 1.0)
-
-
 def _restriction(f, vertical: bool, fixed: float, centre: float, half: float):
     """``f`` on the grid line x = fixed (``vertical``) or y = fixed, as the
     cubic a0 + a1*s + a2*s^2 + a3*s^3 in the offset s = (t - centre) / half
     of the running coordinate t; returns the line as ``_refine`` reads it:
     ((a0, a1, a2, a3), centre, half, the axis of t, fixed + 0.0).
 
-    The coefficients come from the values at the offsets ``_LINE_NODES`` in
+    The coefficients come from the values at the nodes centre + s * half,
+    s = -1, -1/2, 1/2, 1 (centre - h is centre + (-h) bit for bit), in
     closed form: at s = 1 and s = 1/2 the even part is a0 + a2 and
     a0 + a2/4 and the odd part a1 + a3 and a1/2 + a3/8.  The last entry,
     fixed + t * 0.0 for every t >= 0, is the fixed coordinate of every point
     ``_refine`` finds inside an edge of the line.
     """
+    h = 0.5 * half
+    m1, mh, ph, p1 = centre - half, centre - h, centre + h, centre + half
     if vertical:
-        gm1, gmh, gph, gp1 = (f(fixed, centre + s * half) for s in _LINE_NODES)
+        gm1, gmh, gph, gp1 = f(fixed, m1), f(fixed, mh), f(fixed, ph), f(fixed, p1)
     else:
-        gm1, gmh, gph, gp1 = (f(centre + s * half, fixed) for s in _LINE_NODES)
+        gm1, gmh, gph, gp1 = f(m1, fixed), f(mh, fixed), f(ph, fixed), f(p1, fixed)
     e1, e2, o1, o2 = gp1 + gm1, gph + gmh, gp1 - gm1, gph - gmh
     a0, a1 = (4 * e2 - e1) / 6, (8 * o2 - o1) / 6
     a2, a3 = (e1 - e2) * (2 / 3), (2 * o1 - 4 * o2) / 3
@@ -249,10 +255,13 @@ def trace_segments(f, viewport, grid: int):
     neighbouring columns pick the live cells: those whose four corner
     values do not share one strict sign.  A column holding an exact zero
     makes every cell beside it live.  Live cells are visited in order of
-    column, then row.  Every grid edge of a live cell with a sign change is
-    refined once, on its grid line's cubic, from its lower to its higher
-    grid index, and both cells that share it get the same endpoint object.
-    An ambiguous saddle cell is split by the sign of ``f`` at its centre.
+    column, then row, and each reads its four edges in straight-line code.
+    Every grid edge of a live cell with a sign change is refined once, on
+    its grid line's cubic, from its lower to its higher grid index, and
+    both cells that share it get the same endpoint object (a right or top
+    edge is new to the cell that meets it; a bottom or left edge is looked
+    up in its memo).  An ambiguous saddle cell is split by the sign of
+    ``f`` at its centre.
     """
     x0, y0, x1, y1 = viewport
     dx = (x1 - x0) / grid
@@ -262,25 +271,6 @@ def trace_segments(f, viewport, grid: int):
     cells = int.from_bytes(b"\1" * grid, "little")   # bit 8j: cell or node j
     nodes = cells | 1 << 8 * grid
     rows = {}
-
-    def edge(k, j):
-        """The crossing on edge k (0 bottom, 1 right, 2 top, 3 left) of the
-        live cell j between the columns xl and xr, refined once."""
-        if k & 1:   # on a column, from row j to j + 1
-            memo, line, x, col = (rmemo, rline, xr, right) if k == 1 else (
-                lmemo, lline, xl, left)
-            p0, p1, v0, v1 = (x, ys[j]), (x, ys[j + 1]), col[j], col[j + 1]
-        else:       # on row j or j + 1, from column xl to xr
-            j += k >> 1
-            memo = hmemo
-            line = rows.get(j) or rows.setdefault(
-                j, _restriction(f, False, ys[j], centre, half))
-            p0, p1, v0, v1 = (xl, ys[j]), (xr, ys[j]), left[j], right[j]
-        p = memo.get(j)
-        if p is None:
-            p = memo[j] = _refine(line, p0, p1, v0, v1)
-        return p
-
     segments = []
     for i, (xr, rline, right) in enumerate(_columns(f, viewport, grid)):
         rmemo = {}
@@ -296,18 +286,43 @@ def trace_segments(f, viewport, grid: int):
             live = (cells & ~dead).to_bytes(grid, "little")
             j = live.find(1)
             while j >= 0:
-                vals = left[j], right[j], right[j + 1], left[j + 1]
+                # edges bottom, right, top, left; only a bottom or left one
+                # can have been refined already, by a cell visited before
+                bl, br, tr, tl = left[j], right[j], right[j + 1], left[j + 1]
+                yb, yt = ys[j], ys[j + 1]
                 crossings = []
-                for k in range(4):
-                    va = vals[k]
-                    if va == 0.0:
-                        crossings.append(((xl, xr, xr, xl)[k], ys[j + (k >> 1)]))
-                    elif (va > 0) != (vals[(k + 1) % 4] > 0):
-                        crossings.append(edge(k, j))
+                if bl == 0.0:
+                    crossings.append((xl, yb))
+                elif (bl > 0) != (br > 0):
+                    p = hmemo.get(j)
+                    if p is None:
+                        line = rows.get(j) or rows.setdefault(
+                            j, _restriction(f, False, yb, centre, half))
+                        p = hmemo[j] = _refine(line, (xl, yb), (xr, yb), bl, br)
+                    crossings.append(p)
+                if br == 0.0:
+                    crossings.append((xr, yb))
+                elif (br > 0) != (tr > 0):
+                    p = rmemo[j] = _refine(rline, (xr, yb), (xr, yt), br, tr)
+                    crossings.append(p)
+                if tr == 0.0:
+                    crossings.append((xr, yt))
+                elif (tr > 0) != (tl > 0):
+                    line = rows.get(j + 1) or rows.setdefault(
+                        j + 1, _restriction(f, False, yt, centre, half))
+                    p = hmemo[j + 1] = _refine(line, (xl, yt), (xr, yt), tl, tr)
+                    crossings.append(p)
+                if tl == 0.0:
+                    crossings.append((xl, yt))
+                elif (tl > 0) != (bl > 0):
+                    p = lmemo.get(j)
+                    if p is None:
+                        p = lmemo[j] = _refine(lline, (xl, yb), (xl, yt), bl, tl)
+                    crossings.append(p)
                 if len(crossings) == 4:
                     # ambiguous saddle: split by the center sign
                     up = f(x0 + (i - 0.5) * dx, y0 + (j + 0.5) * dy) > 0
-                    if up == (vals[0] > 0):
+                    if up == (bl > 0):
                         segments.append((crossings[0], crossings[3]))
                         segments.append((crossings[1], crossings[2]))
                     else:
@@ -338,11 +353,15 @@ _PALETTE = ("#c0392b", "#2980b9", "#27ae60", "#8e44ad", "#d35400", "#16a085")
 
 
 def _frame(t, figure: dict, config: RenderConfig):
-    """Triangle corners and a viewport holding them and the finite points."""
+    """Triangle corners and a viewport holding them and the finite points;
+    a viewport beyond float range (a huge margin) is a ``ValueError``."""
     corners = embed_triangle(t)
     pts = [point_xy(p, corners) for _, p in figure.get("points", [])
            if sum(p.triple) != 0]
-    return corners, compute_viewport(corners, pts, config.margin)
+    viewport = compute_viewport(corners, pts, config.margin)
+    if not all(map(math.isfinite, viewport)):
+        raise ValueError(f"viewport {viewport} lies beyond float range")
+    return corners, viewport
 
 
 class Traced(NamedTuple):

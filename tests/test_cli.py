@@ -300,6 +300,17 @@ class TestRenderCommand:
         assert capsys.readouterr().err.startswith("cannot render: RefTriangle(")
         assert not path.exists()
 
+    @pytest.mark.parametrize("margin", ["1e308", "1.7e308"])
+    @pytest.mark.parametrize("target", ["--svg", "--csv"])
+    def test_viewport_beyond_float_range(self, tmp_path, capsys, margin, target):
+        # a finite margin whose padding overflows: the viewport was
+        # (-inf, -inf, inf, inf), and the CSV came out empty with exit 0
+        path = tmp_path / "out"
+        assert main(["render", "--curve", "circumcircle", "--triangle", "3,4,6",
+                     "--margin", margin, target, str(path)]) == 65
+        assert capsys.readouterr().err.startswith("cannot render: viewport (")
+        assert not path.exists()
+
     @pytest.mark.parametrize("sid", ["thm1-jerabek-excentral",
                                      "thm8-jerabek-midarc"])
     def test_points_beyond_float_range(self, tmp_path, capsys, sid):

@@ -97,6 +97,21 @@ class TestConfig:
     def test_grid_ceiling_inclusive(self):
         assert RenderConfig(grid=4096).grid == 4096
 
+    @pytest.mark.parametrize("grid", [64.0, 16.0, Fraction(64), True],
+                             ids=["64.0", "16.0", "Fraction", "True"])
+    def test_grid_must_be_an_int(self, grid):
+        # 64.0 passed and then failed inside the trace with a TypeError
+        with pytest.raises(ValueError, match="int"):
+            RenderConfig(grid=grid)
+
+    @pytest.mark.parametrize("margin", [1e308, 1.7e308])
+    def test_viewport_beyond_float_range_refused(self, margin):
+        # the padding overflows: the viewport was (-inf, -inf, inf, inf)
+        t = RefTriangle(3, 4, 6)
+        figure = {"points": [], "curves": [("c", circumcircle(t))]}
+        with pytest.raises(ValueError, match="viewport"):
+            render._frame(t, figure, RenderConfig(margin=margin))
+
     def test_size_floor(self):
         with pytest.raises(ValueError):
             RenderConfig(width=32)
@@ -384,6 +399,49 @@ class TestRefinement:
                            for i in range(grid + 1) for j in range(grid))
             assert changes > 0
             assert len(calls) == len(set(calls)) == changes
+
+    # On the integer grid of (0, 0, 16, 16): the factors x - 5.3 and y - 7.6
+    # cross inside the cell (5, 7), a saddle, and y - 7.6 also crosses the
+    # first column; x + y - 16 passes through a diagonal of nodes.
+    @pytest.mark.parametrize("case", ["circle", "saddle-cubic", "through-nodes"])
+    def test_refine_inputs(self, monkeypatch, case):
+        calls = []
+        refine = render._refine
+
+        def recording(line, p0, p1, v0, v1):
+            calls.append((line, p0, p1, v0, v1))
+            return refine(line, p0, p1, v0, v1)
+
+        monkeypatch.setattr(render, "_refine", recording)
+        if case == "circle":
+            (f, viewport), grid = _circle(0.4), 64
+        else:
+            f = {"saddle-cubic": lambda x, y: (x - 5.3) * (y - 7.6) * (x + 2 * y + 50),
+                 "through-nodes": lambda x, y: x + y - 16}[case]
+            viewport, grid = (0.0, 0.0, 16.0, 16.0), 16
+        trace_segments(f, viewport, grid)
+        columns = list(render._columns(f, viewport, grid))
+        xs, ys = _grid_lines(viewport, grid)
+        col, row = {x: i for i, x in enumerate(xs)}, {y: j for j, y in enumerate(ys)}
+        x0, _, x1, _ = viewport
+        edges = set()
+        for line, p0, p1, v0, v1 in calls:
+            (i, j), (k, m) = (col[p0[0]], row[p0[1]]), (col[p1[0]], row[p1[1]])
+            # one grid edge, from its lower grid index to its higher one
+            assert (k, m) in ((i + 1, j), (i, j + 1))
+            edges.add((i, j, k, m))
+            # v0 and v1: the column cubics at the two nodes, either side of > 0
+            assert (v0, v1) == (columns[i][2][j], columns[k][2][m])
+            assert (v0 > 0) != (v1 > 0)
+            # the line: the column's own cubic, or the row's, built alike
+            assert line == (columns[i][1] if k == i else render._restriction(
+                f, False, ys[j], 0.5 * (x0 + x1), 0.5 * (x1 - x0)))
+        assert len(edges) == len(calls) > 0
+        if case == "saddle-cubic":
+            assert {(5, 7, 6, 7), (6, 7, 6, 8), (5, 8, 6, 8), (5, 7, 5, 8)} <= edges
+            assert (0, 7, 0, 8) in edges   # a left edge of the first column
+        if case == "through-nodes":
+            assert any(0.0 in (v0, v1) for *_, v0, v1 in calls)
 
     @staticmethod
     def _line(a0, a1, a2, a3):
