@@ -13,10 +13,11 @@ malformed center expression.  ``render`` exits 0 when the figure is written,
 outside 16 to 4096, width or height below 64, a negative or non-finite
 margin) and 65 for an invalid triangle, a curve it cannot build, or a
 triangle whose sides lie beyond or below float range, a figure point
-beyond it or a margin that puts the viewport beyond it (``cannot
-render:``, no file written).  Both exit 65 on a side or coefficient with
-a decimal exponent above 4300 in magnitude, and on a side or an answer
-with an integer too long for ``str`` (4300 digits).
+beyond it, a margin that puts the viewport beyond it or a curve whose
+values there overflow it (``cannot render:``, no file written).  Both
+exit 65 on a side or coefficient with a decimal exponent above 4300 in
+magnitude, and on a side or an answer with an integer too long for
+``str`` (4300 digits).
 """
 
 from __future__ import annotations
@@ -245,7 +246,7 @@ def cmd_render(args) -> int:
             if rows == 0 and figure.get("curves"):
                 print("warning: no real locus in the viewport; empty CSV",
                       file=sys.stderr)
-    except ValueError as exc:  # a triangle, point or viewport beyond float range
+    except ValueError as exc:  # a triangle, point, viewport or curve beyond float range
         print(f"cannot render: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:

@@ -13,10 +13,10 @@ q11*x^2 + q22*y^2 + q33*z^2 + 2*q12*x*y + 2*q13*x*z + 2*q23*y*z; cubic
 coefficients follow the lexicographic monomial order x^3, x^2*y, x^2*z,
 x*y^2, x*y*z, x*z^2, y^3, y^2*z, y*z^2, z^3.  Push-forwards, Hessians
 and line restrictions evaluate the form at a few fixed integer points and
-read the coefficients back by closed-form exact rules; gradients and
-Hessians read the partial derivatives off tables derived from the monomial
-order; the pencil quotient is an integer synthetic division of the
-coefficient vector.
+read the coefficients back by closed-form exact rules; Hessians read the
+second partials off a table derived from the monomial order, and gradients
+apply half of them at a point to it (Euler's identity); the pencil
+quotient is an integer synthetic division of the coefficient vector.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .kernel import (
     _CanonicalVector,
     _fraction,
     adjugate3,
+    affine_point,
     canonical_ints,
     collinear,
     cross,
@@ -243,11 +244,14 @@ class Cubic(_FormVector):
                 yy * y, yy * z, y * zz, zz * z)
 
     def gradient(self, p: HomPoint) -> tuple[int, int, int]:
+        """Half the second partials at p applied to p (Euler's identity;
+        each first partial is a quadratic form, so the halving is exact)."""
         x, y, z = p.triple
-        quad = (x * x, y * y, z * z, x * y, x * z, y * z)  # Conic.MONOMIALS
         c = self._v
-        return tuple(sum(f * c[m] * q for (m, f), q in zip(row, quad))
-                     for row in _FIRST_PARTIALS)
+        hxx, hyy, hzz, hxy, hxz, hyz = [f * c[i] * x + g * c[j] * y + h * c[k] * z
+                                        for (i, f), (j, g), (k, h) in _SECOND_PARTIALS]
+        return ((hxx * x + hxy * y + hxz * z) // 2, (hxy * x + hyy * y + hyz * z) // 2,
+                (hxz * x + hyz * y + hzz * z) // 2)
 
 
 def on_conic(p: HomPoint, c: Conic) -> bool:
@@ -385,11 +389,9 @@ def axis_conic(m: Metric, v1: HomPoint, v2: HomPoint, focus: HomPoint) -> AxisCo
             "focus coincides with the center or a vertex-distance focus")
     e2 = c2_param / a2_param
     ratio = a2_param / c2_param
-    # (1 - ratio) center + ratio focus, in integer weights as in midpoint
-    rn, rd = ratio.numerator, ratio.denominator
-    sc, sf = sum(center.triple), sum(focus.triple)
-    d_point = HomPoint(*((rd - rn) * sf * c + rn * sc * f
-                         for c, f in zip(center.triple, focus.triple)))
+    # (1 - ratio) center + ratio focus; squared_distance refused an infinite focus
+    d_point = HomPoint(*affine_point(center.triple, focus.triple,
+                                     ratio.numerator, ratio.denominator))
     directrix = perpendicular_line_through(join(v1, v2), d_point, m)
     conic = conic_from_focus_directrix(m, focus, directrix, e2)
     if conic.evaluate(v1) or conic.evaluate(v2):
@@ -462,31 +464,16 @@ def _divide_linear(coeffs: Sequence[int], lin) -> Conic:
     return Conic._unweighted(quo)
 
 
-def _partials(derivatives, results):
-    """For each partial derivative of a cubic, given as the variables it
-    differentiates by, the pairs (monomial index, factor) whose coefficient
-    times the factor is the coefficient of each of ``results`` in it."""
-    table = []
-    for variables in derivatives:
-        row = []
-        for result in results:
-            mon = list(result)
-            for v in variables:
-                mon[v] += 1
-            index, factor = CUBIC_MONOMIALS.index(tuple(mon)), 1
-            for v in variables:
-                factor *= mon[v]
-                mon[v] -= 1
-            row.append((index, factor))
-        table.append(tuple(row))
-    return tuple(table)
+def _second_partial(i: int, j: int, k: int) -> tuple[int, int]:
+    """(monomial index, factor): the second partial by x_i and x_j of a
+    cubic holds x_k with that monomial's coefficient times the factor."""
+    mon = [(v == i) + (v == j) + (v == k) for v in range(3)]
+    return CUBIC_MONOMIALS.index(tuple(mon)), mon[i] * (mon[j] - (i == j))
 
 
-# d/dx, d/dy, d/dz as quadratics in Conic.MONOMIALS order; the six second
-# partials as linear forms in x, y, z
-_FIRST_PARTIALS = _partials(((0,), (1,), (2,)), Conic.MONOMIALS)
-_SECOND_PARTIALS = _partials(
-    ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)), _UNITS)
+# the six second partials, by xx, yy, zz, xy, xz and yz, as linear forms
+_SECOND_PARTIALS = tuple(tuple(_second_partial(i, j, k) for k in range(3))
+                         for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)))
 
 
 def hessian(k: Cubic) -> Optional[Cubic]:
@@ -560,11 +547,10 @@ def homothety_matrix(center: HomPoint, ratio: Rat):
         raise ZeroRatio("homothety ratio must be nonzero")
     if center.is_infinite():
         raise PointAtInfinity("homothety center must be finite")
-    # d times the entries (1 - n/d) * c_i + (n/d) * sum(c) * [i == j]
-    n, d, sc = ratio.numerator, ratio.denominator, sum(center.triple)
-    ints = canonical_ints([(d - n) * c + (n * sc if i == j else 0)
-                           for i, c in enumerate(center.triple) for j in range(3)])
-    return (ints[0:3], ints[3:6], ints[6:9])
+    # column j, listed j-th, is the image of e_j: (1 - ratio) center + ratio e_j
+    n, d, c = ratio.numerator, ratio.denominator, center.triple
+    ints = canonical_ints([v for e in _UNITS for v in affine_point(c, e, n, d)])
+    return (ints[0::3], ints[1::3], ints[2::3])
 
 
 def transform_point(matrix, p: HomPoint) -> HomPoint:

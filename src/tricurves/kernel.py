@@ -323,17 +323,26 @@ def _affine_sum(p: HomPoint) -> int:
     return s
 
 
+def affine_point(p: Sequence[int], q: Sequence[int], n: int,
+                 d: int) -> tuple[int, int, int]:
+    """(1 - n/d)*p/sp + (n/d)*q/sq for finite raw triples p, q of coordinate
+    sums sp, sq, times d*sp*sq to stay in integers: (d - n)*sq*p + n*sp*q."""
+    (px, py, pz), (qx, qy, qz) = p, q
+    u, v = (d - n) * (qx + qy + qz), n * (px + py + pz)
+    return (u * px + v * qx, u * py + v * qy, u * pz + v * qz)
+
+
 def midpoint(p: HomPoint, q: HomPoint) -> HomPoint:
-    """p/sp + q/sq, scaled by sp*sq to stay in integers."""
-    sp, sq = _affine_sum(p), _affine_sum(q)
-    return HomPoint(*(sq * u + sp * v for u, v in zip(p.triple, q.triple)))
+    """The affine point of ratio 1/2 from p to q; a direction is refused."""
+    _affine_sum(p), _affine_sum(q)
+    return HomPoint(*affine_point(p.triple, q.triple, 1, 2))
 
 
 def reflect_through(center: HomPoint, p: HomPoint) -> HomPoint:
-    """Point reflection of ``p`` through ``center``: 2*c/sc - p/sp, scaled
-    by sc*sp."""
-    sc, sp = _affine_sum(center), _affine_sum(p)
-    return HomPoint(*(2 * sp * c - sc * u for c, u in zip(center.triple, p.triple)))
+    """Point reflection of ``p`` through ``center``: the affine point of
+    ratio -1 from the center to p; a direction is refused."""
+    _affine_sum(center), _affine_sum(p)
+    return HomPoint(*affine_point(center.triple, p.triple, -1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -519,15 +528,11 @@ def _distance_numerator(p: Sequence[int], q: Sequence[int], m: Metric) -> int:
     return dot(d, gram(d, m))
 
 
-def _squared_distance(p: Sequence[int], q: Sequence[int], m: Metric) -> Fraction:
-    """Exact squared distance between finite points given as raw triples."""
-    sp, sq = sum(p), sum(q)
-    return Fraction(_distance_numerator(p, q, m), m.unit.q * sp * sp * sq * sq)
-
-
 def squared_distance(p: HomPoint, q: HomPoint, m: Metric) -> Fraction:
     """Exact squared distance between two finite points."""
-    return _squared_distance(p.triple, q.triple, m)
+    p, q = p.triple, q.triple
+    sp, sq = sum(p), sum(q)
+    return Fraction(_distance_numerator(p, q, m), m.unit.q * sp * sp * sq * sq)
 
 
 def triangle_view(p: Sequence[int], q: Sequence[int], r: Sequence[int],

@@ -375,11 +375,17 @@ class Traced(NamedTuple):
 
 
 def trace_figure(t, figure: dict, config: RenderConfig) -> Traced:
-    """The :func:`_frame` of the figure and each curve's label and segments."""
+    """The :func:`_frame` of the figure and each curve's label and segments;
+    a curve whose values in the viewport overflow float range (a cubic's
+    cube at a huge margin) is a ``ValueError``."""
     corners, viewport = _frame(t, figure, config)
-    return Traced(figure, config, corners, viewport, [
-        (label, trace_segments(curve_function(curve, corners), viewport, config.grid))
-        for label, curve in figure.get("curves", [])])
+    try:
+        curves = [(label, trace_segments(curve_function(curve, corners), viewport,
+                                         config.grid))
+                  for label, curve in figure.get("curves", [])]
+    except OverflowError:
+        raise ValueError(f"a curve overflows float range in {viewport}") from None
+    return Traced(figure, config, corners, viewport, curves)
 
 
 def write_svg(traced: Traced, path: str) -> bool:

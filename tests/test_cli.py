@@ -311,6 +311,17 @@ class TestRenderCommand:
         assert capsys.readouterr().err.startswith("cannot render: viewport (")
         assert not path.exists()
 
+    @pytest.mark.parametrize("target", ["--svg", "--csv"])
+    def test_curve_values_beyond_float_range(self, tmp_path, capsys, target):
+        # the viewport is finite, but the cubic's cubes overflow at the grid
+        # nodes: this ended in an OverflowError traceback with exit 1
+        path = tmp_path / "out"
+        assert main(["render", "--scenario", "thm3-darboux-excentral", "--triangle",
+                     "6,9,13", "--margin", "1e300", target, str(path)]) == 65
+        assert capsys.readouterr().err.startswith(
+            "cannot render: a curve overflows float range")
+        assert not path.exists()
+
     @pytest.mark.parametrize("sid", ["thm1-jerabek-excentral",
                                      "thm8-jerabek-midarc"])
     def test_points_beyond_float_range(self, tmp_path, capsys, sid):

@@ -72,6 +72,7 @@ from tricurves.kernel import (
     join,
     local_coords,
     midpoint,
+    reflect_through,
     span_points,
     squared_distance,
 )
@@ -839,6 +840,13 @@ class TestTransforms:
         m = homothety_matrix(center, ratio)
         assert transform_point(m, p) == affine_combine(
             ((center, 1 - ratio), (p, ratio)))
+
+    @given(points, points)
+    def test_homothety_agrees_with_reflection_and_midpoint(self, c, p):
+        # one affine rule behind all three: a copy that drifts fails here
+        assume(not c.is_infinite() and not p.is_infinite())
+        assert transform_point(homothety_matrix(c, -1), p) == reflect_through(c, p)
+        assert transform_point(homothety_matrix(c, Fraction(1, 2)), p) == midpoint(c, p)
 
     def test_zero_ratio_rejected(self):
         with pytest.raises(ZeroRatio):

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tricurves import kernel
 from tricurves.curves import Conic
@@ -23,6 +23,7 @@ from tricurves.kernel import (
     VERTEX_B,
     VERTEX_C,
     ZeroVector,
+    affine_point,
     bisector_line,
     bit_high_water,
     canonical_ints,
@@ -281,6 +282,13 @@ class TestAffine:
         assert midpoint(p, q) == affine_combine(((p, half), (q, half)))
         assert reflect_through(p, q) == affine_combine(((p, 2), (q, -1)))
         assert reflect_through(q, p) == affine_combine(((q, 2), (p, -1)))
+
+    @given(nonzero_triples, nonzero_triples, st.integers(-9, 9), st.integers(1, 9))
+    def test_affine_point_matches_affine_combine(self, a, b, n, d):
+        assume(sum(a) != 0 and sum(b) != 0)
+        r = Fraction(n, d)
+        assert HomPoint(*affine_point(a, b, n, d)) == affine_combine(
+            ((HomPoint(*a), 1 - r), (HomPoint(*b), r)))
 
     @pytest.mark.parametrize("op", [midpoint, reflect_through])
     def test_direction_rejected(self, op):

@@ -1,0 +1,118 @@
+"""Metamorphic checks: a relabelled, reversed or scaled triangle gives the
+same verdicts, and its catalog centers are the same points.
+
+The cyclic relabel (a, b, c) -> (b, c, a) makes B, C and A the vertices
+A', B' and C' of the new triangle, so a point (x : y : z) reads
+(y : z : x) there.  The reversal (a, b, c) -> (b, a, c) swaps A and B, so
+the point reads (y : x : z), and, as it reverses the orientation, it swaps
+the two Brocard points.  Scaling the sides moves no point.  A derived
+triangle's vertices follow the base's, so its centers move the same way.
+"""
+
+import pytest
+
+from tricurves.centers import (
+    CATALOG,
+    Catalog,
+    CenterId,
+    CenterOf,
+    TriangleKind,
+    eval_expr,
+    random_triangle,
+)
+from tricurves.kernel import GeometryError, HomPoint, RefTriangle
+from tricurves.scenarios import REGISTRY, SKIP, Trial
+
+_A, _B, _C = CenterId.VERTEX_A, CenterId.VERTEX_B, CenterId.VERTEX_C
+_W1, _W2 = CenterId.OMEGA1, CenterId.OMEGA2
+
+# name: (the triangle, the point's new coordinates from its old ones, and
+# the catalog entry of the base that each entry of the new triangle is)
+TRANSFORMS = {
+    "relabel": (lambda t: RefTriangle(t.b, t.c, t.a),
+                lambda x, y, z: (y, z, x), {_A: _B, _B: _C, _C: _A}),
+    "reversal": (lambda t: RefTriangle(t.b, t.a, t.c),
+                 lambda x, y, z: (y, x, z), {_A: _B, _B: _A, _W1: _W2, _W2: _W1}),
+    "scaling": (lambda t: RefTriangle(3 * t.a, 3 * t.b, 3 * t.c),
+                lambda x, y, z: (x, y, z), {}),
+}
+
+VERDICT_SEEDS = range(30)
+CENTER_SEEDS = range(200)
+DERIVED_SEEDS = range(30)
+
+
+def _verdicts(sc, t):
+    """Each claim's verdict on ``t``, evaluated as ``build_figure`` does
+    (``setup`` on a fresh Trial, then each claim): pass, fail, n/a, or the
+    type of a claim's error; or the type of the setup's refusal."""
+    try:
+        tr = sc.setup(Trial(t))
+    except GeometryError as exc:
+        return type(exc).__name__
+    verdicts = []
+    for claim in sc.claims:
+        if claim.acute_only and not t.is_acute():
+            verdicts.append("n/a")
+            continue
+        try:
+            res = claim.check(tr)
+        except Exception as exc:
+            verdicts.append(type(exc).__name__)
+            continue
+        verdicts.append("n/a" if res is SKIP else "pass" if res is None else "fail")
+    return verdicts
+
+
+def _center(t, expr, memo):
+    """The point of a center expression, or the type of its refusal."""
+    try:
+        return eval_expr(t, expr, memo)
+    except GeometryError as exc:
+        return type(exc).__name__
+
+
+def _moved_centers(name, seeds, node):
+    """Each (seed, center) whose ``node(cid)`` on the moved triangle is not
+    ``node`` of the entry it comes from, moved; a refusal must recur."""
+    move, permute, source = TRANSFORMS[name]
+    wrong = []
+    for seed in seeds:
+        t = random_triangle(seed)
+        moved, memo, moved_memo = move(t), {}, {}
+        for cid in CATALOG:
+            want = _center(t, node(source.get(cid, cid)), memo)
+            if isinstance(want, HomPoint):
+                want = HomPoint(*permute(*want.triple))  # canonical again
+            if _center(moved, node(cid), moved_memo) != want:
+                wrong.append((seed, str(node(cid))))
+    return wrong
+
+
+@pytest.mark.parametrize("sid", list(REGISTRY))
+def test_verdicts_survive_relabel_reversal_and_scaling(sid):
+    sc = REGISTRY[sid]
+    for seed in VERDICT_SEEDS:
+        t = random_triangle(seed)
+        want = _verdicts(sc, t)
+        for name, (move, _, _) in TRANSFORMS.items():
+            assert _verdicts(sc, move(t)) == want, (seed, name)
+
+
+@pytest.mark.parametrize("name", list(TRANSFORMS))
+def test_catalog_centers_move_with_the_vertices(name):
+    assert _moved_centers(name, CENTER_SEEDS, Catalog) == []
+
+
+@pytest.mark.parametrize("kind", [k for k in TriangleKind if k is not TriangleKind.BASE])
+@pytest.mark.parametrize("name", list(TRANSFORMS))
+def test_derived_centers_move_with_the_vertices(name, kind):
+    # reads each derived triangle's metric, which the base's centers do not
+    assert _moved_centers(name, DERIVED_SEEDS, lambda cid: CenterOf(kind, cid)) == []
+
+
+def test_every_catalog_center_is_defined_somewhere():
+    """The comparisons above compare points, not only refusals."""
+    t, memo = random_triangle(0), {}
+    assert all(isinstance(_center(t, Catalog(cid), memo), HomPoint)
+               for cid in CATALOG)

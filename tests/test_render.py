@@ -112,6 +112,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="viewport"):
             render._frame(t, figure, RenderConfig(margin=margin))
 
+    def test_curve_values_beyond_float_range_refused(self):
+        # the viewport is finite, but a cubic's cubes at its first column's
+        # nodes raised OverflowError out of the trace
+        t = RefTriangle(6, 9, 13)
+        figure = build_figure("thm3-darboux-excentral", t)
+        with pytest.raises(ValueError, match="overflows float range"):
+            trace_figure(t, figure, RenderConfig(grid=16, margin=1e300))
+
     def test_size_floor(self):
         with pytest.raises(ValueError):
             RenderConfig(width=32)

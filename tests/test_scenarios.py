@@ -494,7 +494,7 @@ class TestCoreDoesNotImportRenderer:
         in kernel.py only where it reads values back as Fractions, and
         nowhere in centers.py."""
         allowed = {"kernel": {"_fraction", "_read_back", "Metric.sides",
-                              "_squared_distance"}, "centers": set()}
+                              "squared_distance"}, "centers": set()}
         found = {name: set() for name in allowed}
 
         def visit(node, scope):
@@ -841,6 +841,32 @@ class TestBenchPairsSeeds:
             _bench_pairs().main(["--seconds", seconds])
         assert exc.value.code == 2
         assert "--seconds" in capsys.readouterr().err
+
+
+class TestBenchPairsRevisions:
+    """``tools/bench_pairs.py`` resolves both revisions before it extracts
+    either tree or starts a benchmark run."""
+
+    @staticmethod
+    def _refused(argv, monkeypatch, capsys):
+        module = _bench_pairs()
+        for step in ("extract", "run_once"):
+            monkeypatch.setattr(module, step, lambda *a, step=step: pytest.fail(step))
+        with pytest.raises(SystemExit) as exc:
+            module.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bench_pairs: --") and err.count("\n") == 1
+        return err
+
+    def test_unknown_parent_exits_two(self, monkeypatch, capsys):
+        # this ended in a CalledProcessError traceback from git archive
+        err = self._refused(["--parent", "no-such-rev"], monkeypatch, capsys)
+        assert "--parent 'no-such-rev'" in err
+
+    def test_unknown_change_exits_two(self, monkeypatch, capsys):
+        self._refused(["--parent", "HEAD", "--change", "no-such-rev"],
+                      monkeypatch, capsys)
 
 
 class TestBenchPairsSummary:

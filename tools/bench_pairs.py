@@ -7,7 +7,9 @@ Usage (from the repository root)::
 
 ``--seeds`` also takes a comma list of seeds, such as ``11,13``.
 ``--seconds`` must be a finite, non-negative number; any other value is
-refused, with exit code 2, before either tree is extracted.
+refused, with exit code 2, before either tree is extracted.  So is a
+``--parent`` or ``--change`` that names no tree in the repository: both
+are resolved before either is extracted.
 
 Both revisions (any git tree-ish, such as a commit or the output of
 ``git write-tree``) are extracted with ``git archive`` into a temporary
@@ -49,6 +51,18 @@ from pathlib import Path
 WORKLOADS = ("figures", "verify-all", "fit-certify", "center-queries")
 SIDES = ("parent", "change")
 REPORT = re.compile(r"report sha256 (\S+)")
+
+
+def resolve(repo: Path, flag: str, rev: str) -> str:
+    """The id of the tree ``rev`` names; a revision that names none exits 2
+    with a one-line message."""
+    proc = subprocess.run(["git", "-C", str(repo), "rev-parse", "--verify", "--quiet",
+                           "--end-of-options", f"{rev}^{{tree}}"],
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        print(f"bench_pairs: {flag} {rev!r} names no tree in {repo}", file=sys.stderr)
+        raise SystemExit(2)
+    return proc.stdout.strip()
 
 
 def extract(repo: Path, rev: str, dest: Path) -> Path:
@@ -165,10 +179,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=run_seconds, default=20.0)
     args = parser.parse_args(argv)
     repo = Path(__file__).resolve().parents[1]
+    revs = {side: resolve(repo, f"--{side}", rev)
+            for side, rev in zip(SIDES, (args.parent, args.change))}
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        trees = {side: extract(repo, rev, Path(tmp) / side)
-                 for side, rev in zip(SIDES, (args.parent, args.change))}
+        trees = {side: extract(repo, revs[side], Path(tmp) / side) for side in SIDES}
         with open(trees["change"] / "BENCHMARK.json", encoding="utf-8") as fh:
             better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
         runs = {w: {side: [] for side in SIDES} for w in WORKLOADS}
