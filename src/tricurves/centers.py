@@ -21,7 +21,7 @@ triangles).  Each triangle is derived from its parent's metric and frame by
 one rule, in integers, the base's frame being the identity, which multiplies
 nothing; each frame is checked once, when built, and maps the raw triples of
 centers, conjugates and vertices, canonicalized once on the way out.  One
-table holds the rule for each center-expression node.
+factory makes the center-expression node types, one table their rules.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 from enum import Enum
 from itertools import accumulate
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .kernel import (
     Frame,
@@ -372,63 +372,29 @@ def _node_hash(self) -> int:
     return hash((type(self).__name__, *self))
 
 
-def _type_strict(cls):
-    """Make the node class ``cls`` equal and hash-equal only to nodes of its
-    own type: as bare tuples, ``Complement(e) == Anticomplement(e)``."""
+def _node(name: str, *fields: tuple[str, object]) -> type:
+    """The ``NamedTuple`` node type of the (name, type) ``fields``: equal and
+    hash-equal only to nodes of its own type, unlike two equal bare tuples."""
+    cls = NamedTuple(name, fields)
     cls.__eq__, cls.__ne__, cls.__hash__ = _node_eq, _node_ne, _node_hash
     return cls
 
 
-@_type_strict
-class Catalog(NamedTuple):
-    cid: CenterId
+_E = "CenterExpr"  # the type of a field that holds a node
 
+Catalog = _node("Catalog", ("cid", CenterId))
+MidpointOf = _node("MidpointOf", ("e1", _E), ("e2", _E))
+ReflectThrough = _node("ReflectThrough", ("through", _E), ("point", _E))
+Complement = _node("Complement", ("e", _E))
+Anticomplement = _node("Anticomplement", ("e", _E))
+# conj is "isogonal" or "isotomic"
+ConjugateIn = _node("ConjugateIn", ("conj", str), ("kind", TriangleKind), ("e", _E))
+CenterOf = _node("CenterOf", ("kind", TriangleKind), ("cid", CenterId))
+VertexOf = _node("VertexOf", ("kind", TriangleKind), ("index", int))
 
-@_type_strict
-class MidpointOf(NamedTuple):
-    e1: "CenterExpr"
-    e2: "CenterExpr"
-
-
-@_type_strict
-class ReflectThrough(NamedTuple):
-    through: "CenterExpr"
-    point: "CenterExpr"
-
-
-@_type_strict
-class Complement(NamedTuple):
-    e: "CenterExpr"
-
-
-@_type_strict
-class Anticomplement(NamedTuple):
-    e: "CenterExpr"
-
-
-@_type_strict
-class ConjugateIn(NamedTuple):
-    conj: str  # "isogonal" or "isotomic"
-    kind: TriangleKind
-    e: "CenterExpr"
-
-
-@_type_strict
-class CenterOf(NamedTuple):
-    kind: TriangleKind
-    cid: CenterId
-
-
-@_type_strict
-class VertexOf(NamedTuple):
-    kind: TriangleKind
-    index: int
-
-
-CenterExpr = Union[
-    Catalog, MidpointOf, ReflectThrough, Complement, Anticomplement,
-    ConjugateIn, CenterOf, VertexOf,
-]
+# the node types, for isinstance; a typing.Union would keep old imports alive
+CenterExpr = (Catalog, MidpointOf, ReflectThrough, Complement, Anticomplement,
+              ConjugateIn, CenterOf, VertexOf)
 
 
 def _sub(t: RefTriangle, kind: TriangleKind, memo: dict) -> SubTriangle:
@@ -530,6 +496,25 @@ def _split_args(body: str) -> list[str]:
     return parts
 
 
+def _kind_of(s: str) -> TriangleKind:
+    if s not in _KIND_NAMES:
+        raise CenterParseError(f"unknown triangle kind {s!r}")
+    return _KIND_NAMES[s]
+
+
+def _cid_of(s: str) -> CenterId:
+    e = _parse(s)
+    if not isinstance(e, Catalog):
+        raise CenterParseError(f"{s!r} is not a catalog center")
+    return e.cid
+
+
+def _index_of(s: str) -> int:
+    if s not in ("0", "1", "2"):
+        raise CenterParseError(f"vertex index must be 0, 1 or 2, got {s!r}")
+    return int(s)
+
+
 def parse_center(text: str) -> CenterExpr:
     """Parse a center name, alias, or functional expression.
 
@@ -561,23 +546,6 @@ def _parse(text: str) -> CenterExpr:
     fn, body = text.split("(", 1)
     fn = fn.strip().lower()
     args = _split_args(body[:-1])
-
-    def kind_of(s: str) -> TriangleKind:
-        if s not in _KIND_NAMES:
-            raise CenterParseError(f"unknown triangle kind {s!r}")
-        return _KIND_NAMES[s]
-
-    def cid_of(s: str) -> CenterId:
-        e = _parse(s)
-        if not isinstance(e, Catalog):
-            raise CenterParseError(f"{s!r} is not a catalog center")
-        return e.cid
-
-    def index_of(s: str) -> int:
-        if s not in ("0", "1", "2"):
-            raise CenterParseError(f"vertex index must be 0, 1 or 2, got {s!r}")
-        return int(s)
-
     if fn == "midpoint" and len(args) == 2:
         return MidpointOf(_parse(args[0]), _parse(args[1]))
     if fn == "reflect" and len(args) == 2:
@@ -587,16 +555,16 @@ def _parse(text: str) -> CenterExpr:
     if fn == "anticomplement" and len(args) == 1:
         return Anticomplement(_parse(args[0]))
     if fn in ("isogonal", "isotomic") and len(args) in (1, 2):
-        kind = kind_of(args[0]) if len(args) == 2 else TriangleKind.BASE
+        kind = _kind_of(args[0]) if len(args) == 2 else TriangleKind.BASE
         return ConjugateIn(fn, kind, _parse(args[-1]))
     if fn == "center" and len(args) == 2:
-        return CenterOf(kind_of(args[0]), cid_of(args[1]))
+        return CenterOf(_kind_of(args[0]), _cid_of(args[1]))
     if fn == "vertex" and len(args) == 2:
-        return VertexOf(kind_of(args[0]), index_of(args[1]))
+        return VertexOf(_kind_of(args[0]), _index_of(args[1]))
     if fn == "antipode" and len(args) == 2:
-        kind = kind_of(args[0])
+        kind = _kind_of(args[0])
         return ReflectThrough(CenterOf(kind, CenterId.X3),
-                              VertexOf(kind, index_of(args[1])))
+                              VertexOf(kind, _index_of(args[1])))
     raise CenterParseError(f"cannot parse center expression {text!r}")
 
 

@@ -374,23 +374,32 @@ class Traced(NamedTuple):
     curves: list
 
 
-def trace_figure(t, figure: dict, config: RenderConfig) -> Traced:
-    """The :func:`_frame` of the figure and each curve's label and segments;
-    a curve whose values in the viewport overflow float range (a cubic's
-    cube at a huge margin) is a ``ValueError``."""
-    corners, viewport = _frame(t, figure, config)
+def _trace(curve, corners, viewport, grid: int) -> list:
+    """The segments of a figure's line or curve.  A value beyond float range
+    (at a huge margin: inf, nan, or a cube that raises) is a ``ValueError``."""
+    f = curve_function(curve, corners)
+
+    def finite(px: float, py: float) -> float:
+        if (v := f(px, py)) - v == 0.0:   # neither inf nor nan
+            return v
+        raise OverflowError(v)
     try:
-        curves = [(label, trace_segments(curve_function(curve, corners), viewport,
-                                         config.grid))
-                  for label, curve in figure.get("curves", [])]
+        return trace_segments(finite, viewport, grid)
     except OverflowError:
         raise ValueError(f"a curve overflows float range in {viewport}") from None
+
+
+def trace_figure(t, figure: dict, config: RenderConfig) -> Traced:
+    """The :func:`_frame` of the figure and each curve's label and :func:`_trace`."""
+    corners, viewport = _frame(t, figure, config)
+    curves = [(label, _trace(curve, corners, viewport, config.grid))
+              for label, curve in figure.get("curves", [])]
     return Traced(figure, config, corners, viewport, curves)
 
 
 def write_svg(traced: Traced, path: str) -> bool:
-    """Write an SVG of a traced figure; returns False when no curve has a
-    locus."""
+    """Write an SVG of a traced figure and of its lines, traced here before
+    the file is opened; returns False when no curve has a locus."""
     figure, config, corners, viewport, curves = traced
     x0, y0, x1, y1 = viewport
     scale = config.width / (x1 - x0)
@@ -416,8 +425,7 @@ def write_svg(traced: Traced, path: str) -> bool:
         return bool(segs)
 
     for _, line in figure.get("lines", []):
-        draw(trace_segments(curve_function(line, corners), viewport,
-                            max(config.grid // 4, 16)),
+        draw(_trace(line, corners, viewport, max(config.grid // 4, 16)),
              'stroke="#999" stroke-width="0.8" stroke-dasharray="4 3"')
     drew_curve = False
     for idx, (_, segs) in enumerate(curves):

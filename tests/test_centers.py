@@ -1,6 +1,9 @@
 import hashlib
 import itertools
-import typing
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -120,7 +123,7 @@ def _named_centers(expr) -> set:
     """The catalog centers an expression names, at any depth."""
     named = {expr.cid} if isinstance(expr, (Catalog, CenterOf)) else set()
     for value in expr:
-        if isinstance(value, typing.get_args(CenterExpr)):
+        if isinstance(value, CenterExpr):
             named |= _named_centers(value)
     return named
 
@@ -557,7 +560,7 @@ class TestAliasesAndParsing:
             e = parse_center(text)
         except CenterParseError:
             return
-        assert isinstance(e, typing.get_args(CenterExpr))
+        assert isinstance(e, CenterExpr)
 
     def test_parse_unknown(self):
         with pytest.raises(CenterParseError):
@@ -689,11 +692,54 @@ class TestFrames:
             assert HomPoint(*frame.local(frame.base(p.triple))) == p
 
 
+# Imports the package 4 times, each after dropping every tricurves module,
+# and prints how many generations' eval_center are still alive.
+_REIMPORTS = """
+import gc, sys, weakref
+alive = []
+for _ in range(4):
+    for name in [m for m in sys.modules if m.partition(".")[0] == "tricurves"]:
+        del sys.modules[name]
+    import tricurves.cli, tricurves.render
+    alive.append(weakref.ref(tricurves.centers.eval_center))
+gc.collect()
+print(sum(ref() is not None for ref in alive))
+"""
+
+
+class TestNodeTypes:
+    """Every node type comes from one factory, and none is held by ``typing``."""
+
+    def test_every_node_type_from_the_factory(self):
+        assert isinstance(CenterExpr, tuple) and len(CenterExpr) == 8
+        for node in CenterExpr:
+            assert node.__eq__ is centers._node_eq and node.__hash__ is centers._node_hash
+            assert node.__module__ == centers.__name__
+
+    def test_repr_and_fields(self):
+        e = ConjugateIn("isogonal", TriangleKind.BASE, Catalog(CenterId.X9))
+        assert repr(e) == ("ConjugateIn(conj='isogonal', kind=<TriangleKind.BASE: "
+                           "'base'>, e=Catalog(cid=<CenterId.X9: 'X9'>))")
+        assert ReflectThrough._fields == ("through", "point")
+        assert VertexOf(TriangleKind.MEDIAL, 2).index == 2
+
+    def test_reimport_frees_the_old_modules(self):
+        # in a child process: reimporting here would split the modules that
+        # other tests patch; a typing.Union over the node types kept all 4
+        src = str(pathlib.Path(centers.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        out = subprocess.run([sys.executable, "-c", _REIMPORTS], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["1"]
+
+
 class TestRuleTable:
     """``eval_expr`` reads one rule per node type from ``centers._RULES``."""
 
     def test_one_rule_per_node_type(self):
-        assert set(centers._RULES) == set(typing.get_args(CenterExpr))
+        assert set(centers._RULES) == set(CenterExpr)
 
     @pytest.mark.parametrize("e", ["X3", ("X3",), tuple(Catalog(CenterId.X3)), None],
                              ids=repr)

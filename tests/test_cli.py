@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pathlib
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from tricurves import cli, render
+from tricurves import cli, render, scenarios
 from tricurves.cli import _named_curve, _rational, main, parse_triangle
 from tricurves.kernel import InvalidTriangle, RefTriangle
 from tricurves.scenarios import build_figure
@@ -109,6 +110,27 @@ class TestVerifyCommand:
         parsed = json.loads(lines[0])
         # round trip: parse and re-serialize is the identity
         assert json.dumps(parsed, separators=(",", ":")) == lines[0]
+
+    @pytest.mark.parametrize("flags, written", [(["--fail-fast"], 3), ([], 18)],
+                             ids=["fail-fast", "all"])
+    def test_fail_fast_stops_after_a_must_pass_failure(self, tmp_path, capsys,
+                                                      monkeypatch, flags, written):
+        # the third scenario's first must-pass claim fails on every trial
+        sid = list(scenarios.REGISTRY)[2]
+        sc = scenarios.REGISTRY[sid]
+        first, *rest = sc.claims
+        assert first.expectation == scenarios.MUST
+        broken = dataclasses.replace(
+            first, check=lambda tr: scenarios.Failure("lhs", "rhs", "patched"))
+        monkeypatch.setitem(scenarios.REGISTRY, sid,
+                            dataclasses.replace(sc, claims=(broken, *rest)))
+        out = tmp_path / "r.ndjson"
+        assert main(["verify", "all", "--trials", "2", "--seed", "1",
+                     "--json", str(out), *flags]) == 1
+        reports = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["scenario"] for r in reports] == list(scenarios.REGISTRY)[:written]
+        assert reports[2]["claims"][0]["status"] == "fail"
+        assert capsys.readouterr().out.count("MUST-PASS FAILURE") == 1
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_trials_below_one(self, capsys, trials):
@@ -318,6 +340,17 @@ class TestRenderCommand:
         path = tmp_path / "out"
         assert main(["render", "--scenario", "thm3-darboux-excentral", "--triangle",
                      "6,9,13", "--margin", "1e300", target, str(path)]) == 65
+        assert capsys.readouterr().err.startswith(
+            "cannot render: a curve overflows float range")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("target", ["--svg", "--csv"])
+    def test_conic_values_beyond_float_range(self, tmp_path, capsys, target):
+        # a conic's squares overflow to inf without raising: this exited 0,
+        # warned "no real locus in the viewport" and wrote an empty figure
+        path = tmp_path / "out"
+        assert main(["render", "--curve", "circumcircle", "--triangle", "6,9,13",
+                     "--margin", "1e200", target, str(path)]) == 65
         assert capsys.readouterr().err.startswith(
             "cannot render: a curve overflows float range")
         assert not path.exists()

@@ -7,7 +7,12 @@ A', B' and C' of the new triangle, so a point (x : y : z) reads
 the point reads (y : x : z), and, as it reverses the orientation, it swaps
 the two Brocard points.  Scaling the sides moves no point.  A derived
 triangle's vertices follow the base's, so its centers move the same way.
+
+A projective map M moves a fitted curve too: the curve through the points
+M p is the push-forward of the curve through the points p.
 """
+
+import random
 
 import pytest
 
@@ -20,8 +25,14 @@ from tricurves.centers import (
     eval_expr,
     random_triangle,
 )
-from tricurves.kernel import GeometryError, HomPoint, RefTriangle
-from tricurves.scenarios import REGISTRY, SKIP, Trial
+from tricurves.curves import (
+    conic_through,
+    cubic_through,
+    transform_conic,
+    transform_cubic,
+)
+from tricurves.kernel import GeometryError, HomPoint, RefTriangle, det3, mat_vec
+from tricurves.scenarios import FITS, REGISTRY, SKIP, Trial, _labelled
 
 _A, _B, _C = CenterId.VERTEX_A, CenterId.VERTEX_B, CenterId.VERTEX_C
 _W1, _W2 = CenterId.OMEGA1, CenterId.OMEGA2
@@ -40,6 +51,7 @@ TRANSFORMS = {
 VERDICT_SEEDS = range(30)
 CENTER_SEEDS = range(200)
 DERIVED_SEEDS = range(30)
+FIT_SEEDS = range(20)
 
 
 def _verdicts(sc, t):
@@ -116,3 +128,24 @@ def test_every_catalog_center_is_defined_somewhere():
     t, memo = random_triangle(0), {}
     assert all(isinstance(_center(t, Catalog(cid), memo), HomPoint)
                for cid in CATALOG)
+
+
+def _projective_map(rng):
+    """A random nonsingular integer matrix with entries in -5..5."""
+    while True:
+        m = tuple(tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(3))
+        if det3(m):
+            return m
+
+
+@pytest.mark.parametrize("curve", list(FITS))
+def test_fits_move_with_a_projective_map(curve):
+    # every fit is defined on these seeds, so each case compares two curves
+    names = [name for _, name in _labelled(FITS[curve])]
+    fit, push = ((conic_through, transform_conic) if len(names) == 5
+                 else (cubic_through, transform_cubic))
+    for seed in FIT_SEEDS:
+        tr, m = Trial(random_triangle(seed)), _projective_map(random.Random(seed))
+        points = [tr[n] for n in names]
+        moved = [HomPoint(*mat_vec(m, p.triple)) for p in points]
+        assert fit(moved) == push(m, fit(points)), seed

@@ -120,6 +120,28 @@ class TestConfig:
         with pytest.raises(ValueError, match="overflows float range"):
             trace_figure(t, figure, RenderConfig(grid=16, margin=1e300))
 
+    def test_conic_values_beyond_float_range_refused(self):
+        # a conic's squares overflow to inf without raising: the trace found
+        # no crossing and the figure came out empty
+        t = RefTriangle(6, 9, 13)
+        figure = {"points": [], "curves": [("c", circumcircle(t))], "lines": []}
+        f = curve_function(circumcircle(t), embed_triangle(t))
+        assert math.isnan(f(1e200, 1e200))   # inf - inf; the evaluator still reads it
+        with pytest.raises(ValueError, match="overflows float range"):
+            trace_figure(t, figure, RenderConfig(grid=16, margin=1e200))
+
+    def test_line_values_beyond_float_range_refused(self, tmp_path):
+        # write_svg traces the lines itself; a line's overflow must be
+        # refused there too, before the file is opened
+        t = RefTriangle(6, 9, 13)
+        figure = {"points": [], "curves": [], "lines": [("l", HomLine(10**20, 1, 1))]}
+        config = RenderConfig(grid=16, margin=1e300)
+        path = tmp_path / "f.svg"
+        traced = trace_figure(t, figure, config)
+        with pytest.raises(ValueError, match="overflows float range"):
+            write_svg(traced, str(path))
+        assert not path.exists()
+
     def test_size_floor(self):
         with pytest.raises(ValueError):
             RenderConfig(width=32)

@@ -869,6 +869,44 @@ class TestBenchPairsRevisions:
                       monkeypatch, capsys)
 
 
+class TestBenchPairsBrokenRun:
+    """A benchmark run that gives no result stops ``tools/bench_pairs.py``
+    with one line naming the workload, seed and tree, and exit code 2.
+    ``subprocess.run`` is patched, so no benchmark process starts."""
+
+    @staticmethod
+    def _refused(outcome, tmp_path, monkeypatch, capsys):
+        module = _bench_pairs()
+
+        def run(args, **kwargs):
+            if isinstance(outcome, Exception):
+                raise outcome
+            return subprocess.CompletedProcess(args, 0, stdout=outcome, stderr="")
+
+        monkeypatch.setattr(module.subprocess, "run", run)
+        with pytest.raises(SystemExit) as exc:
+            module.run_once(tmp_path, "verify-all", 7, 1.0)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"bench_pairs: verify-all seed 7 in {tmp_path} ")
+        assert err.count("\n") == 1
+        return err
+
+    def test_timeout(self, tmp_path, monkeypatch, capsys):
+        # this ended in a TimeoutExpired traceback
+        timeout = subprocess.TimeoutExpired(["bench/run.py"], 600)
+        err = self._refused(timeout, tmp_path, monkeypatch, capsys)
+        assert "ran past 600 s" in err
+
+    @pytest.mark.parametrize("stdout", ["", "\n", "report sha256 ab\nnot json\n",
+                                        "[1, 2]\n", '{"correct": true}\n'],
+                             ids=["empty", "blank", "not-json", "list", "no-metrics"])
+    def test_no_json_result(self, stdout, tmp_path, monkeypatch, capsys):
+        # empty output ended in an IndexError, other text in a JSONDecodeError
+        err = self._refused(stdout, tmp_path, monkeypatch, capsys)
+        assert "printed no JSON result" in err
+
+
 class TestBenchPairsSummary:
     """``summarise`` counts, per workload, the seed pairs that agree."""
 

@@ -9,7 +9,10 @@ Usage (from the repository root)::
 ``--seconds`` must be a finite, non-negative number; any other value is
 refused, with exit code 2, before either tree is extracted.  So is a
 ``--parent`` or ``--change`` that names no tree in the repository: both
-are resolved before either is extracted.
+are resolved before either is extracted.  A benchmark run that takes
+longer than 600 s, or whose last line of output is not its JSON result,
+stops the script with exit code 2 and one line naming the workload, the
+seed and the tree.
 
 Both revisions (any git tree-ish, such as a commit or the output of
 ``git write-tree``) are extracted with ``git archive`` into a temporary
@@ -51,6 +54,13 @@ from pathlib import Path
 WORKLOADS = ("figures", "verify-all", "fit-certify", "center-queries")
 SIDES = ("parent", "change")
 REPORT = re.compile(r"report sha256 (\S+)")
+RUN_TIMEOUT = 600  # seconds one benchmark run may take
+
+
+def refuse(message: str) -> None:
+    """Stop with one line on standard error and exit code 2."""
+    print(message, file=sys.stderr)
+    raise SystemExit(2)
 
 
 def resolve(repo: Path, flag: str, rev: str) -> str:
@@ -60,8 +70,7 @@ def resolve(repo: Path, flag: str, rev: str) -> str:
                            "--end-of-options", f"{rev}^{{tree}}"],
                           capture_output=True, text=True)
     if proc.returncode != 0:
-        print(f"bench_pairs: {flag} {rev!r} names no tree in {repo}", file=sys.stderr)
-        raise SystemExit(2)
+        refuse(f"bench_pairs: {flag} {rev!r} names no tree in {repo}")
     return proc.stdout.strip()
 
 
@@ -87,19 +96,25 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run: its result line, plus the verify-all report digest."""
     refuse_bytecode(tree)
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
-    proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, env=env, capture_output=True, text=True, timeout=600)
+    run = f"bench_pairs: {workload} seed {seed} in {tree}"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", "0"],
+            cwd=tree, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT)
+    except subprocess.TimeoutExpired:
+        refuse(f"{run} ran past {RUN_TIMEOUT} s")
     if proc.returncode != 0:
-        sys.exit(f"bench_pairs: {workload} seed {seed} in {tree} exited "
-                 f"{proc.returncode}:\n{proc.stderr}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    digest = REPORT.search(proc.stdout)
-    return {"seed": seed, "correct": result["correct"],
-            "attempted": result["attempted"], "failed": result["failed"],
-            "report_sha256": digest.group(1) if digest else None,
-            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+        sys.exit(f"{run} exited {proc.returncode}:\n{proc.stderr}")
+    try:
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        digest = REPORT.search(proc.stdout)
+        return {"seed": seed, "correct": result["correct"],
+                "attempted": result["attempted"], "failed": result["failed"],
+                "report_sha256": digest.group(1) if digest else None,
+                "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+    except (IndexError, ValueError, KeyError, TypeError, AttributeError):
+        refuse(f"{run} printed no JSON result as its last line")
 
 
 def spread(values: list) -> dict:
