@@ -11,12 +11,13 @@ ends the run after the first scenario with a must-pass failure or a claim
 error.  ``center`` exits 65 on an invalid triangle and 64 on an unknown
 center name or a malformed center expression.  ``render`` exits 0 when the
 figure is written, 1 on an I/O error, 64 for an unknown scenario or a bad
-render option (grid outside 16 to 4096, width or height below 64, a
-negative or non-finite margin) and 65 for an invalid triangle, a curve it
-cannot build, or a triangle whose sides lie beyond or below float range, a
-figure point beyond it, a margin that puts the viewport beyond it or a
-curve or line whose values there overflow it (``cannot render:``, no file
-written).  Both exit 65 on a side or coefficient with a decimal exponent
+render option (grid outside 16 to 4096, a width or height that is no int
+from 64 to float range, a negative or non-finite margin; no file written)
+and 65 for an invalid triangle, a curve it cannot build, or a triangle
+whose sides lie beyond or below float range, a figure point beyond it, a
+margin that puts the viewport beyond it, a curve or line whose values
+there overflow it or an SVG scale (width over viewport) that does
+(``cannot render:``, no file written).  Both exit 65 on a side or coefficient with a decimal exponent
 above 4300 in magnitude, and on a side or an answer with an integer too
 long for ``str`` (4300 digits).
 """

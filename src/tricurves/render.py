@@ -23,6 +23,7 @@ is formatted once.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -33,8 +34,10 @@ class RenderConfig:
         # a trace reads (grid + 1)^2 nodes, indexed by int (bool is no grid)
         if type(grid) is not int or not 16 <= grid <= 4096:
             raise ValueError(f"grid must be an int from 16 to 4096, got {grid!r}")
-        if width < 64 or height < 64:
-            raise ValueError("width and height must be at least 64")
+        # the SVG scales by float(width) and float(height) (bool is no size)
+        for name, size in (("width", width), ("height", height)):
+            if type(size) is not int or not 64 <= size <= sys.float_info.max:
+                raise ValueError(f"{name} must be an int from 64 to float range")
         if not (math.isfinite(margin) and margin >= 0):
             raise ValueError(f"margin must be finite and non-negative, got {margin}")
         self.width = width
@@ -403,6 +406,9 @@ def write_svg(traced: Traced, path: str) -> bool:
     figure, config, corners, viewport, curves = traced
     x0, y0, x1, y1 = viewport
     scale = config.width / (x1 - x0)
+    if not math.isfinite(scale):  # a huge width over a viewport under 1 wide
+        raise ValueError(f"the SVG scale over a viewport {x1 - x0:g} wide "
+                         "overflows float range")
 
     def to_px(p):
         return ((p[0] - x0) * scale, config.height - (p[1] - y0) * scale)

@@ -20,7 +20,9 @@ as ``"I1"``, or any :func:`parse_center` expression such as
 it is given, in order (a degenerate triangle is skipped or refused where
 that construction fails), the claims (made by the builders below from
 names), and the figure as ``(label, name)`` entries (a bare name is its
-own label), which only :func:`build_figure` resolves.
+own label), which only :func:`build_figure` resolves.  :func:`evaluate` is
+the one rule for a single triangle (setup, the acute-only gate, each
+check's value or exception); :func:`run_scenario` folds its outcomes.
 
 Every scenario reads largely the same names on the same seeded triangles,
 so :func:`shared_run` scopes one :class:`Run` to a block: inside it,
@@ -873,15 +875,6 @@ class Report(NamedTuple):
                 if c.expectation == VERDICT and c.status != "pass"]
 
 
-def _certificate(t: RefTriangle, failure: Failure) -> dict:
-    return {
-        "triangle": [str(t.a), str(t.b), str(t.c)],
-        "lhs": failure.lhs,
-        "rhs": failure.rhs,
-        "detail": failure.detail,
-    }
-
-
 class Run(dict):
     """What the scenarios of one run share: the :class:`Trial` of each
     seeded triangle, by cursor, drawn on first use.  It lives as long as
@@ -909,8 +902,27 @@ def shared_run() -> Iterator[Run]:
         _RUN.reset(token)
 
 
+def evaluate(sc: Scenario, tr: Trial) -> list:
+    """Run ``sc.setup(tr)`` (a refusal propagates), then give each claim's
+    outcome on the triangle, in claim order: ``SKIP`` for an acute-only
+    claim on a triangle that is not acute (its check is not called), else
+    what the check returns or the exception it raised, traceback cleared."""
+    sc.setup(tr)
+    acute = tr.t.is_acute()
+    outcomes = []
+    for claim in sc.claims:
+        if claim.acute_only and not acute:
+            outcomes.append(SKIP)
+            continue
+        try:
+            outcomes.append(claim.check(tr))
+        except Exception as exc:  # an outcome; the remaining claims still run
+            outcomes.append(exc.with_traceback(None))
+    return outcomes
+
+
 def run_scenario(scenario_id: str, trials: int, seed: int) -> Report:
-    """Evaluate every claim of a scenario on ``trials`` seeded triangles.
+    """Fold :func:`evaluate` of a scenario over ``trials`` seeded triangles.
 
     Triangles on which ``setup`` meets a rank-deficient fit, coinciding
     arguments or a conjugate of a point on a sideline are skipped,
@@ -937,7 +949,7 @@ def run_scenario(scenario_id: str, trials: int, seed: int) -> Report:
             tr = run[cursor]
             cursor += 1
             try:
-                sc.setup(tr)
+                outcomes = evaluate(sc, tr)
             except (DegeneratePointSet, CoincidentArguments, OnSideline):
                 skipped += 1
                 if skipped >= SKIP_LIMIT * trials:
@@ -946,22 +958,18 @@ def run_scenario(scenario_id: str, trials: int, seed: int) -> Report:
                         f"triangles for {trials} trial(s)") from None
                 continue
             break
-        acute = tr.t.is_acute()
-        for claim, res in zip(sc.claims, results):
-            if claim.acute_only and not acute:
-                continue
-            try:
-                outcome = claim.check(tr)
-            except Exception as exc:  # recorded; the remaining claims still run
-                res.status = "error"
-                res.failures.append(_certificate(
-                    tr.t, Failure("", "", f"error: {type(exc).__name__}: {exc}")))
-                continue
+        for res, outcome in zip(results, outcomes):
             if outcome is SKIP or outcome is None:
                 continue
-            if res.status == "pass":
+            if isinstance(outcome, Exception):
+                res.status = "error"
+                outcome = Failure("", "", f"error: {type(outcome).__name__}: {outcome}")
+            elif res.status == "pass":
                 res.status = "fail"
-            res.failures.append(_certificate(tr.t, outcome))
+            t = tr.t
+            res.failures.append({"triangle": [str(t.a), str(t.b), str(t.c)],
+                                 "lhs": outcome.lhs, "rhs": outcome.rhs,
+                                 "detail": outcome.detail})
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return Report(sc.id, sc.description, trials, seed, skipped, results,
                   elapsed_ms)

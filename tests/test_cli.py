@@ -375,12 +375,14 @@ class TestRenderCommand:
         # -5 drew a mirrored viewport and -0.6 an empty CSV, both exit 0
         ["--margin=-5"], ["--margin=-0.6"],
         ["--grid", "4097"], ["--grid", "100000"],  # once accepted, then allocated
+        # beyond float range: with --svg, an OverflowError traceback, exit 1
+        ["--width", "1" + "0" * 400], ["--height", "1" + "0" * 310],
     ])
     def test_bad_render_option(self, tmp_path, capsys, option):
         path = tmp_path / "pts.csv"
         assert main(["render", "--curve", "circumcircle", "--triangle", "3,4,6",
                      "--csv", str(path), *option]) == 64
-        assert "invalid render option" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("invalid render option:")
         assert not path.exists()
 
 

@@ -32,7 +32,7 @@ from tricurves.curves import (
     transform_cubic,
 )
 from tricurves.kernel import GeometryError, HomPoint, RefTriangle, det3, mat_vec
-from tricurves.scenarios import FITS, REGISTRY, SKIP, Trial, _labelled
+from tricurves.scenarios import FITS, REGISTRY, SKIP, Trial, _labelled, evaluate
 
 _A, _B, _C = CenterId.VERTEX_A, CenterId.VERTEX_B, CenterId.VERTEX_C
 _W1, _W2 = CenterId.OMEGA1, CenterId.OMEGA2
@@ -55,25 +55,16 @@ FIT_SEEDS = range(20)
 
 
 def _verdicts(sc, t):
-    """Each claim's verdict on ``t``, evaluated as ``build_figure`` does
-    (``setup`` on a fresh Trial, then each claim): pass, fail, n/a, or the
-    type of a claim's error; or the type of the setup's refusal."""
+    """Each claim's verdict on ``t`` by :func:`evaluate` on a fresh Trial:
+    pass, fail, n/a, or the type of a claim's error; or the type of the
+    setup's refusal."""
     try:
-        tr = sc.setup(Trial(t))
+        outcomes = evaluate(sc, Trial(t))
     except GeometryError as exc:
         return type(exc).__name__
-    verdicts = []
-    for claim in sc.claims:
-        if claim.acute_only and not t.is_acute():
-            verdicts.append("n/a")
-            continue
-        try:
-            res = claim.check(tr)
-        except Exception as exc:
-            verdicts.append(type(exc).__name__)
-            continue
-        verdicts.append("n/a" if res is SKIP else "pass" if res is None else "fail")
-    return verdicts
+    return ["n/a" if res is SKIP else "pass" if res is None
+            else type(res).__name__ if isinstance(res, Exception) else "fail"
+            for res in outcomes]
 
 
 def _center(t, expr, memo):

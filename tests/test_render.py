@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import math
 import pathlib
+import sys
 import tracemalloc
 import types
 from fractions import Fraction
@@ -145,6 +146,32 @@ class TestConfig:
     def test_size_floor(self):
         with pytest.raises(ValueError):
             RenderConfig(width=32)
+
+    @pytest.mark.parametrize("size", [math.nan, math.inf, 64.5, 640.0,
+                                      Fraction(640), True, 10**400],
+                             ids=["nan", "inf", "64.5", "640.0", "Fraction",
+                                  "True", "10**400"])
+    @pytest.mark.parametrize("name", ["width", "height"])
+    def test_size_must_be_an_int_within_float_range(self, name, size):
+        # nan wrote an SVG of nan coordinates; 10**400 overflowed in write_svg
+        with pytest.raises(ValueError, match=name):
+            RenderConfig(**{name: size})
+
+    def test_scale_beyond_float_range_refused(self, tmp_path):
+        # a width within float range over a viewport under 1 wide: the scale
+        # overflowed and the SVG was written with inf and nan coordinates
+        t = RefTriangle(Fraction(3, 1000), Fraction(4, 1000), Fraction(6, 1000))
+        figure = {"points": [], "curves": [("c", circumcircle(t))], "lines": []}
+        path = tmp_path / "f.svg"
+        traced = trace_figure(t, figure, RenderConfig(width=10**308, grid=16))
+        with pytest.raises(ValueError, match="scale"):
+            write_svg(traced, str(path))
+        assert not path.exists()
+
+    def test_size_ceiling_inclusive(self):
+        top = int(sys.float_info.max)
+        config = RenderConfig(width=top, height=top)
+        assert (config.width, config.height) == (top, top)
 
     @pytest.mark.parametrize("margin", [math.nan, math.inf, -math.inf])
     def test_margin_finite(self, margin):

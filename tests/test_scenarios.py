@@ -29,6 +29,7 @@ from tricurves.scenarios import (
     VERDICT,
     _scenario,
     build_figure,
+    evaluate,
     list_scenarios,
     run_all,
     run_scenario,
@@ -40,7 +41,7 @@ from tricurves.centers import (
     eval_center_in,
     random_triangle,
 )
-from tricurves.curves import NoLinearComponent
+from tricurves.curves import DegeneratePointSet, NoLinearComponent
 from tricurves.kernel import GeometryError, RefTriangle
 
 from strategies import rational_triangles
@@ -774,23 +775,22 @@ class TestSkipBound:
 
 
 def _outcomes(t: RefTriangle, shared) -> list:
-    """Every scenario's setup and claims on ``t``, as ``run_scenario``
-    evaluates them, on the ``shared`` Trial or, where it is None, a fresh
-    one per scenario: each claim's outcome, or the refusal's type name."""
+    """Every scenario's :func:`evaluate` on ``t``, on the ``shared`` Trial
+    or, where it is None, a fresh one per scenario: each claim's outcome,
+    or the refusal's type name; an error that is no ``GeometryError`` is
+    raised again."""
     out = []
     for sc in REGISTRY.values():
         try:
-            tr = sc.setup(Trial(t) if shared is None else shared)
+            outcomes = evaluate(sc, Trial(t) if shared is None else shared)
         except GeometryError as exc:
             out.append((sc.id, "setup", type(exc).__name__))
             continue
-        for claim in sc.claims:
-            if claim.acute_only and not t.is_acute():
-                continue
-            try:
-                res = claim.check(tr)
-            except GeometryError as exc:
-                res = type(exc).__name__
+        for claim, res in zip(sc.claims, outcomes):
+            if isinstance(res, Exception):
+                if not isinstance(res, GeometryError):
+                    raise res
+                res = type(res).__name__
             out.append((sc.id, claim.id, "skip" if res is SKIP else res))
     return out
 
@@ -806,6 +806,63 @@ def test_rational_triangles_raise_only_geometry_errors(t):
     draws none), setups and claims return or raise a ``GeometryError``, and
     one Trial shared by all scenarios gives what a fresh one each does."""
     assert _outcomes(t, Trial(t)) == _outcomes(t, None)
+
+
+def _spied(sc, calls, replace=None):
+    """``sc`` with each claim's check counted in ``calls`` by claim id, and
+    replaced where ``replace`` maps the id to another check."""
+    def spy(claim):
+        fn = (replace or {}).get(claim.id, claim.check)
+
+        def check(tr):
+            calls[claim.id] += 1
+            return fn(tr)
+
+        return dataclasses.replace(claim, check=check)
+
+    return dataclasses.replace(sc, claims=tuple(map(spy, sc.claims)))
+
+
+class TestEvaluate:
+    """``evaluate``: one scenario on one triangle, claim by claim.  Its
+    scenario fits a cubic, then makes two acute-only claims."""
+
+    SC = REGISTRY["thm3-darboux-excentral"]
+    FIT = "fit-consistency"
+
+    def test_acute_only_claims_skip_without_calling_their_checks(self):
+        calls = collections.Counter()
+        outcomes = evaluate(_spied(self.SC, calls), Trial(RefTriangle(6, 9, 13)))
+        assert outcomes == [None, SKIP, SKIP]   # obtuse
+        assert calls == {self.FIT: 1}
+
+    def test_acute_triangle_calls_every_check(self):
+        calls = collections.Counter()
+        outcomes = evaluate(_spied(self.SC, calls), Trial(RefTriangle(5, 6, 7)))
+        assert outcomes == [None, None, None]
+        assert calls == {c.id: 1 for c in self.SC.claims}
+
+    def test_check_error_is_returned_and_later_claims_still_run(self):
+        def broken(tr):
+            raise TypeError("probe")
+
+        calls = collections.Counter()
+        sc = _spied(self.SC, calls, {self.FIT: broken})
+        error, *rest = evaluate(sc, Trial(RefTriangle(5, 6, 7)))
+        assert type(error) is TypeError and str(error) == "probe"
+        assert error.__traceback__ is None
+        assert rest == [None, None]
+        assert calls == {c.id: 1 for c in self.SC.claims}
+
+    def test_setup_refusal_propagates_before_any_check(self):
+        def refuse(tr):
+            raise DegeneratePointSet(0, (), 5)
+
+        calls = collections.Counter()
+        sc = dataclasses.replace(_spied(self.SC, calls), setup=refuse)
+        with pytest.raises(DegeneratePointSet):
+            evaluate(sc, Trial(RefTriangle(5, 6, 7)))
+        assert not calls
 
 
 def _bench_pairs():
