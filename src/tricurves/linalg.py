@@ -43,23 +43,24 @@ def _eliminate(rows: Sequence[Sequence[int]]):
     row on a swap; the stored row is its Bareiss row times
     ``since[i] / prev``, a nonzero multiple, since the skipped factors
     telescope.  Its next update divides by ``since[i]`` instead of
-    ``prev``, and a row that becomes the pivot is first scaled by
-    ``prev / since[i]``; both divisions are exact, as the results are
-    Bareiss rows.  Rows left below the rank are zero, so the returned
-    echelon matrix is Bareiss's.
+    ``prev``, and by nothing when ``since[i]`` is 1, as at a first update;
+    a row that becomes the pivot is first scaled by ``prev / since[i]``;
+    both divisions are exact, as the results are Bareiss rows.  Rows left
+    below the rank are zero, so the returned echelon matrix is Bareiss's.
     """
     m = [list(r) for r in rows]
     nrows, ncols = len(m), len(m[0]) if m else 0
     origin = list(range(nrows))
     since = [1] * nrows
     cols: list[int] = []
-    sign, prev = 1, 1
+    sign, prev, r = 1, 1, 0
     for col in range(ncols):
-        r = len(cols)
         if r == nrows:
             break
-        piv = next((i for i in range(r, nrows) if m[i][col]), None)
-        if piv is None:
+        piv = r
+        while piv < nrows and not m[piv][col]:
+            piv += 1
+        if piv == nrows:
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
@@ -72,18 +73,23 @@ def _eliminate(rows: Sequence[Sequence[int]]):
             for j in range(col, ncols):
                 prow[j] = prow[j] * prev // s
         pivot = prow[col]
+        rest = range(col + 1, ncols)
         for i in range(r + 1, nrows):
             row = m[i]
             f = row[col]
             if f:
                 s = since[i]
                 row[col] = 0
-                for j in range(col + 1, ncols):
-                    row[j] = (pivot * row[j] - f * prow[j]) // s
+                if s == 1:
+                    for j in rest:
+                        row[j] = pivot * row[j] - f * prow[j]
+                else:
+                    for j in rest:
+                        row[j] = (pivot * row[j] - f * prow[j]) // s
                 since[i] = pivot
         prev = pivot
         cols.append(col)
-    r = len(cols)
+        r += 1
     return r, sorted(origin[:r]), m, cols, sign
 
 

@@ -1,8 +1,10 @@
+import functools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tricurves.curves import Conic, Cubic
 from tricurves.linalg import (
     RankDeficient,
     _eliminate,
@@ -38,9 +40,22 @@ sparse_ints = st.sampled_from([0, 0, 0, 1, -1, 2, 7])
 
 def cofactor_vector(m):
     """The kernel of an n x (n+1) matrix by signed maximal minors:
-    entry j is (-1)^j times the determinant with column j deleted."""
-    return tuple((-1) ** j * leibniz_det([r[:j] + r[j + 1:] for r in m])
-                 for j in range(len(m) + 1))
+    entry j is (-1)^j times the determinant with column j deleted, each
+    expanded along its rows in turn, memoized on the columns left (about
+    n 2^n products for the whole vector, where Leibniz takes n!)."""
+    n = len(m)
+
+    @functools.cache
+    def minor(cols):
+        """The determinant of the last len(cols) rows on the columns cols."""
+        if not cols:
+            return 1
+        row = m[n - len(cols)]
+        return sum((-1) ** k * row[c] * minor(cols[:k] + cols[k + 1:])
+                   for k, c in enumerate(cols) if row[c])
+
+    every = tuple(range(n + 1))
+    return tuple((-1) ** j * minor(every[:j] + every[j + 1:]) for j in range(n + 1))
 
 
 def reference_certificate(m):
@@ -239,3 +254,43 @@ class TestSkippingElimination:
         assert nullspace_vector(m) in (cofactor_vector(m),
                                        tuple(-x for x in cofactor_vector(m)))
         assert det_int([r[:5] for r in m]) == leibniz_det([r[:5] for r in m])
+
+
+# the points a fit sees: vertices, points with a zero coordinate, repeated
+# points, and coordinates of 17 to 67 bits, so that cubic rows hold entries
+# of about 50 to 200 bits
+_big = st.integers(2**16, 2**67) | st.integers(-2**67, -2**16)
+_nonzero = st.integers(-3, -1) | st.integers(1, 3) | _big
+_general = st.tuples(_nonzero, _nonzero, _nonzero)
+_points = st.one_of(
+    st.sampled_from(((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+    st.tuples(_nonzero, _big).flatmap(lambda t: st.permutations((*t, 0))).map(tuple),
+    _general, _general, _general)
+
+
+def fit_rows(form):
+    """The rows of a fit of ``form`` through one point fewer than it has
+    coefficients: n distinct triples, in order or picked with repeats."""
+    n = len(form.MONOMIALS) - 1
+    picks = st.just(range(n)) | st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    return st.tuples(st.lists(_points, min_size=n, max_size=n, unique=True), picks).map(
+        lambda drawn: [form._monomials(*drawn[0][i]) for i in drawn[1]])
+
+
+class TestFitShapedRows:
+    """The 5 x 6 conic and 9 x 10 cubic rows of the fits: the elimination is
+    Bareiss's, the kernel vector the cofactor vector and the certificate
+    that of plain rational elimination."""
+
+    @given(fit_rows(Conic) | fit_rows(Cubic))
+    @settings(max_examples=150)
+    def test_matches_reference(self, m):
+        assert _eliminate(m) == bareiss_eliminate(m)
+        rank, independent = reference_certificate(m)
+        if rank == len(m):
+            c = cofactor_vector(m)
+            assert nullspace_vector(m) in (c, tuple(-x for x in c))
+            return
+        with pytest.raises(RankDeficient) as exc:
+            nullspace_vector(m)
+        assert (exc.value.rank, exc.value.independent) == (rank, independent)

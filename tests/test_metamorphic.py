@@ -9,7 +9,9 @@ the two Brocard points.  Scaling the sides moves no point.  A derived
 triangle's vertices follow the base's, so its centers move the same way.
 
 A projective map M moves a fitted curve too: the curve through the points
-M p is the push-forward of the curve through the points p.
+M p is the push-forward of the curve through the points p.  The order of
+the points moves nothing: a fit through them reversed or shuffled is the
+same curve, and a rank-deficient set has the same rank in every order.
 """
 
 import random
@@ -26,6 +28,7 @@ from tricurves.centers import (
     random_triangle,
 )
 from tricurves.curves import (
+    DegeneratePointSet,
     conic_through,
     cubic_through,
     transform_conic,
@@ -140,3 +143,21 @@ def test_fits_move_with_a_projective_map(curve):
         points = [tr[n] for n in names]
         moved = [HomPoint(*mat_vec(m, p.triple)) for p in points]
         assert fit(moved) == push(m, fit(points)), seed
+
+
+def test_fits_do_not_depend_on_point_order():
+    # with its last point replaced by its first, each set is rank-deficient
+    for seed in FIT_SEEDS:
+        tr, rng = Trial(random_triangle(seed)), random.Random(seed)
+        for curve, entries in FITS.items():
+            points = [tr[name] for _, name in _labelled(entries)]
+            fit = conic_through if len(points) == 5 else cubic_through
+            assert fit(points[::-1]) == fit(rng.sample(points, len(points))) \
+                == fit(points), (curve, seed)
+            repeated = points[:-1] + points[:1]
+            ranks = set()
+            for order in (repeated, repeated[::-1], rng.sample(repeated, len(repeated))):
+                with pytest.raises(DegeneratePointSet) as exc:
+                    fit(order)
+                ranks.add(exc.value.rank)
+            assert len(ranks) == 1, (curve, seed, ranks)

@@ -964,8 +964,40 @@ class TestBenchPairsBrokenRun:
         assert "printed no JSON result" in err
 
 
+class TestBenchPairsFailedRun:
+    """A run that exits nonzero, and a tree holding bytecode, stop
+    ``tools/bench_pairs.py`` with exit code 2, like every other refusal;
+    both ended through ``sys.exit(message)``, exit code 1.  No benchmark
+    process starts."""
+
+    def test_nonzero_exit_keeps_the_runs_stderr(self, tmp_path, monkeypatch, capsys):
+        module = _bench_pairs()
+        stderr = "Traceback (most recent call last):\nRuntimeError: boom\n"
+        monkeypatch.setattr(module.subprocess, "run", lambda args, **kwargs:
+                            subprocess.CompletedProcess(args, 3, stdout="", stderr=stderr))
+        with pytest.raises(SystemExit) as exc:
+            module.run_once(tmp_path, "fit-certify", 4, 1.0)
+        assert exc.value.code == 2
+        header, rest = capsys.readouterr().err.split("\n", 1)
+        assert header == f"bench_pairs: fit-certify seed 4 in {tmp_path} exited 3"
+        assert rest == stderr
+
+    def test_bytecode_refused_before_running(self, tmp_path, monkeypatch, capsys):
+        module = _bench_pairs()
+        monkeypatch.setattr(module.subprocess, "run",
+                            lambda *a, **k: pytest.fail("benchmark started"))
+        (tmp_path / "src" / "__pycache__").mkdir(parents=True)
+        with pytest.raises(SystemExit) as exc:
+            module.run_once(tmp_path, "verify-all", 1, 1.0)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err == (f"bench_pairs: {tmp_path / 'src' / '__pycache__'} holds "
+                       "compiled bytecode; refusing to run\n")
+
+
 class TestBenchPairsSummary:
-    """``summarise`` counts, per workload, the seed pairs that agree."""
+    """``summarise`` counts, per workload, the seed pairs that agree, and
+    judges each metric by the gain rule and its bound."""
 
     @staticmethod
     def _run(seed, wall_s, correct=True, failed=0, digest="d0"):
@@ -989,3 +1021,55 @@ class TestBenchPairsSummary:
             "pairs": 3, "correct": 2, "attempted": 3, "failed": 2}
         assert out["verify-all"]["wall_s"]["pairs_change_better"] == 3
         assert out["center-queries"]["wall_s"]["ratio"] == 0.5
+
+    def _judged(self, parent, change, better="lower", bound=0.2):
+        runs = {"fit-certify": {
+            "parent": [self._run(i, v) for i, v in enumerate(parent)],
+            "change": [self._run(i, v) for i, v in enumerate(change)]}}
+        out = _bench_pairs().summarise(runs, {"wall_s": better}, {"wall_s": bound})
+        return out["fit-certify"]["wall_s"]
+
+    PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.01, 0.99]
+
+    def test_nine_of_ten_beyond_the_iqr_meets_the_gain_rule(self):
+        change = [0.9] * 9 + [1.2]
+        judged = self._judged(self.PARENT, change)
+        assert judged["pairs_change_better"] == 9
+        assert judged["gain_rule_met"] is True and judged["within_bound"] is True
+
+    def test_eight_of_ten_does_not(self):
+        change = [0.9] * 8 + [1.2, 1.2]
+        judged = self._judged(self.PARENT, change)
+        assert judged["pairs_change_better"] == 8
+        assert judged["gain_rule_met"] is False
+
+    def test_ten_of_ten_within_the_iqr_does_not(self):
+        change = [x - 0.001 for x in self.PARENT]
+        judged = self._judged(self.PARENT, change)
+        assert judged["pairs_change_better"] == 10
+        assert judged["median_distance"] < judged["parent_iqr"]
+        assert judged["gain_rule_met"] is False
+
+    def test_ties_count_for_neither_side(self):
+        judged = self._judged(self.PARENT, [0.9] * 8 + self.PARENT[8:])
+        assert judged["pairs_change_better"] == 8
+        assert judged["gain_rule_met"] is False
+
+    def test_a_quarter_worse_is_beyond_a_bound_of_a_fifth(self):
+        judged = self._judged(self.PARENT, [1.25 * x for x in self.PARENT])
+        assert judged["ratio"] == 1.25
+        assert judged["within_bound"] is False and judged["gain_rule_met"] is False
+        higher = self._judged(self.PARENT, [0.75 * x for x in self.PARENT], "higher")
+        assert higher["within_bound"] is False
+        assert self._judged(self.PARENT, [1.15 * x for x in self.PARENT])["within_bound"]
+
+    def test_higher_is_better(self):
+        judged = self._judged(self.PARENT, [1.1] * 10, "higher")
+        assert judged["gain_rule_met"] is True and judged["within_bound"] is True
+
+    def test_no_bound_is_not_judged(self):
+        run = self._run
+        runs = {"verify-all": {"parent": [run(1, 1.0), run(2, 1.1)],
+                               "change": [run(1, 2.0), run(2, 2.1)]}}
+        out = _bench_pairs().summarise(runs, {"wall_s": "lower"})
+        assert out["verify-all"]["wall_s"]["within_bound"] is None

@@ -11,8 +11,9 @@ refused, with exit code 2, before either tree is extracted.  So is a
 ``--parent`` or ``--change`` that names no tree in the repository: both
 are resolved before either is extracted.  A benchmark run that takes
 longer than 600 s, or whose last line of output is not its JSON result,
-stops the script with exit code 2 and one line naming the workload, the
-seed and the tree.
+stops the script with one line naming the workload, the seed and the
+tree; a run that exits nonzero stops it with that line and the run's exit
+code, followed by the run's standard error.  Every refusal exits 2.
 
 Both revisions (any git tree-ish, such as a commit or the output of
 ``git write-tree``) are extracted with ``git archive`` into a temporary
@@ -28,11 +29,16 @@ The JSON printed on standard output gives, for each workload and
 end-to-end metric of ``BENCHMARK.json``, each side's median and quartiles
 (inclusive method), the ratio of the medians, the medians' distance, the
 parent's interquartile distance and the number of pairs in which the
-change is better.  Under ``agreement`` it gives, per workload, how many
-seed pairs read the same correct, attempted and failed counts and, on
-verify-all, the same report digest.  It also lists every run's metrics,
-its attempted, failed and correct counts and, on verify-all, its report
-digest.
+change is better.  Two fields judge each metric: ``gain_rule_met``, the
+change better in at least 9 of 10 pairs (a tie counts for neither side)
+and its median better than the parent's by more than the parent's
+interquartile distance; and ``within_bound``, the change's median worse
+than the parent's by no more than the metric's ``bound`` in
+``BENCHMARK.json``, a fraction of the parent's median.  Under
+``agreement`` it gives, per workload, how many seed pairs read the same
+correct, attempted and failed counts and, on verify-all, the same report
+digest.  It also lists every run's metrics, its attempted, failed and
+correct counts and, on verify-all, its report digest.
 Standard library only.
 """
 
@@ -89,7 +95,7 @@ def extract(repo: Path, rev: str, dest: Path) -> Path:
 def refuse_bytecode(tree: Path) -> None:
     found = next(tree.rglob("__pycache__"), None)
     if found is not None:
-        sys.exit(f"bench_pairs: {found} holds compiled bytecode; refusing to run")
+        refuse(f"bench_pairs: {found} holds compiled bytecode; refusing to run")
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -105,7 +111,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     except subprocess.TimeoutExpired:
         refuse(f"{run} ran past {RUN_TIMEOUT} s")
     if proc.returncode != 0:
-        sys.exit(f"{run} exited {proc.returncode}:\n{proc.stderr}")
+        refuse(f"{run} exited {proc.returncode}\n{proc.stderr}".rstrip())
     try:
         result = json.loads(proc.stdout.strip().splitlines()[-1])
         digest = REPORT.search(proc.stdout)
@@ -133,9 +139,10 @@ def agreement(workload: str, sides: dict) -> dict:
             **{key: sum(p[key] == c[key] for p, c in pairs) for key in keys}}
 
 
-def summarise(runs: dict, better: dict) -> dict:
+def summarise(runs: dict, better: dict, bounds: dict | None = None) -> dict:
     """Per workload: the seed pairs' agreement and, per metric, both sides'
-    spreads and the pair comparison."""
+    spreads, the pair comparison and the two judgements; ``within_bound``
+    is ``None`` for a metric that ``bounds`` gives no bound."""
     out = {}
     for workload, sides in runs.items():
         out[workload] = {"agreement": agreement(workload, sides)}
@@ -147,12 +154,19 @@ def summarise(runs: dict, better: dict) -> dict:
                 continue
             old, new = spread([p for p, _ in pairs]), spread([c for _, c in pairs])
             wins = sum((c < p) if direction == "lower" else (c > p) for p, c in pairs)
+            gain = old["median"] - new["median"]
+            if direction != "lower":
+                gain = -gain
+            iqr = old["q3"] - old["q1"]
+            bound = (bounds or {}).get(metric)
             out[workload][metric] = {
                 "parent": old, "change": new,
                 "ratio": round(new["median"] / old["median"], 4) if old["median"] else None,
                 "median_distance": round(abs(new["median"] - old["median"]), 6),
-                "parent_iqr": round(old["q3"] - old["q1"], 6),
-                "pairs_change_better": wins, "pairs": len(pairs)}
+                "parent_iqr": round(iqr, 6),
+                "pairs_change_better": wins, "pairs": len(pairs),
+                "gain_rule_met": 10 * wins >= 9 * len(pairs) and gain > iqr,
+                "within_bound": None if bound is None else -gain <= bound * old["median"]}
     return out
 
 
@@ -200,7 +214,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: extract(repo, revs[side], Path(tmp) / side) for side in SIDES}
         with open(trees["change"] / "BENCHMARK.json", encoding="utf-8") as fh:
-            better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+            metrics = json.load(fh)["end_to_end"]
+        better = {m["name"]: m["better"] for m in metrics}
+        bounds = {m["name"]: m["bound"] for m in metrics if "bound" in m}
         runs = {w: {side: [] for side in SIDES} for w in WORKLOADS}
         for seed in args.seeds:
             order = SIDES if seed % 2 else SIDES[::-1]
@@ -213,7 +229,8 @@ def main(argv=None) -> int:
     out = {"parent": args.parent, "change": args.change,
            "command": f"python3 bench/run.py --workload <w> --seed <s> "
                       f"--seconds {args.seconds:g} --trace 0",
-           "seeds": args.seeds, "workloads": summarise(runs, better), "runs": runs}
+           "seeds": args.seeds, "workloads": summarise(runs, better, bounds),
+           "runs": runs}
     print(json.dumps(out, indent=1))
     return 0
 
