@@ -21,8 +21,8 @@ it is given, in order (a degenerate triangle is skipped or refused where
 that construction fails), the claims (made by the builders below from
 names), and the figure as ``(label, name)`` entries (a bare name is its
 own label), which only :func:`build_figure` resolves.  :func:`evaluate` is
-the one rule for a single triangle (setup, the acute-only gate, each
-check's value or exception); :func:`run_scenario` folds its outcomes.
+the one rule for a single triangle (setup, then each check's value or
+exception); :func:`run_scenario` folds its outcomes.
 
 Every scenario reads largely the same names on the same seeded triangles,
 so :func:`shared_run` scopes one :class:`Run` to a block: inside it,
@@ -106,7 +106,6 @@ class Claim:
     kind: str
     expectation: str
     check: Callable[["Trial"], object]
-    acute_only: bool = False
 
 
 @dataclass(frozen=True)
@@ -243,7 +242,7 @@ def _shown(v) -> str:
 
 
 def eq_claim(cid: str, expectation: str, lhs, rhs, kind: str = "point-equality",
-             detail: str = "values differ", acute_only: bool = False) -> Claim:
+             detail: str = "values differ") -> Claim:
     """``lhs`` equals ``rhs``, each a name or a function of the Trial."""
     left, right = (x if callable(x) else itemgetter(x) for x in (lhs, rhs))
 
@@ -253,7 +252,7 @@ def eq_claim(cid: str, expectation: str, lhs, rhs, kind: str = "point-equality",
             return None
         return Failure(_shown(a), _shown(b), detail)
 
-    return Claim(cid, kind, expectation, check, acute_only)
+    return Claim(cid, kind, expectation, check)
 
 
 def membership_claim(cid: str, expectation: str, curve: str, points) -> Claim:
@@ -276,9 +275,9 @@ def fit_claim(curve: str) -> Claim:
     return membership_claim("fit-consistency", MUST, curve, FITS[curve])
 
 
-def curve_eq_claim(cid: str, lhs, rhs, acute_only: bool = False) -> Claim:
+def curve_eq_claim(cid: str, lhs, rhs) -> Claim:
     return eq_claim(cid, MUST, lhs, rhs, "curve-equality",
-                    "coefficient vectors differ", acute_only)
+                    "coefficient vectors differ")
 
 
 def pushforward_claim(cid: str, source: str, center: str, ratio: Fraction,
@@ -327,7 +326,7 @@ def characterization_claim(cid: str, conic: str, line: str, points, tri: str,
 
 
 def pivotal_claim(cid: str, pivot: str, conj: str, points, what: str,
-                  tri: str = "base", acute_only: bool = False) -> Claim:
+                  tri: str = "base") -> Claim:
     """Must-pass: each point, its conjugate in the ``tri`` triangle and the
     pivot are collinear."""
     entries = _labelled(points)
@@ -341,7 +340,7 @@ def pivotal_claim(cid: str, pivot: str, conj: str, points, what: str,
                                f"{lbl} breaks the {what} collinearity")
         return None
 
-    return Claim(cid, "collinearity", MUST, check, acute_only)
+    return Claim(cid, "collinearity", MUST, check)
 
 
 def pascal_claims(conic: str, hexagon, pairs) -> tuple[Claim, Claim]:
@@ -448,15 +447,12 @@ def _smooth(tr: Trial):
 # scenario definitions
 
 def _scenario(sid: str, description: str, build, claims, points=(), curves=(),
-              lines=(), acute=()) -> Scenario:
-    """Compile a declared scenario: ``setup`` builds ``build`` (then
-    ``acute`` on acute triangles) in order; the figure stays names."""
+              lines=()) -> Scenario:
+    """Compile a declared scenario: ``setup`` builds ``build`` in order;
+    the figure stays names."""
     def setup(tr: Trial) -> Trial:
         for name in build:
             tr[name]
-        if acute and tr.t.is_acute():
-            for name in acute:
-                tr[name]
         return tr
 
     figure = tuple(_labelled(part) for part in (points, curves, lines))
@@ -544,7 +540,7 @@ _SCENARIOS = (
         "triangle, and membership of the orthic side midpoints, both "
         "symmedian points and the orthic-tangential homothety center is "
         "reported.",
-        build=("thm2_cubic", "Mh1", "Mh2", "Mh3"), acute=("thomson_orthic",),
+        build=("thm2_cubic", "Mh1", "Mh2", "Mh3", "thomson_orthic"),
         claims=[
             fit_claim("thm2_cubic"),
             membership_claim("contains-orthic-side-midpoints", VERDICT,
@@ -556,7 +552,7 @@ _SCENARIOS = (
             membership_claim("contains-orthic-tangential-homothety-center",
                              VERDICT, "thm2_cubic", ["GOT"]),
             curve_eq_claim("equals-thomson-of-orthic", "thm2_cubic",
-                           "thomson_orthic", acute_only=True),
+                           "thomson_orthic"),
         ],
         points=("H", "E", "Sy"), curves=[("cubic", "thm2_cubic")]),
     _scenario(
@@ -565,14 +561,14 @@ _SCENARIOS = (
         "orthocenter, nine-point center and circumcenter; on acute triangles "
         "it must equal the Darboux cubic of the orthic triangle, whose "
         "pivotal-collinearity oracle is checked on all non-vertex points.",
-        build=("thm3_cubic",), acute=("darboux_orthic",),
+        build=("thm3_cubic", "darboux_orthic"),
         claims=[
             fit_claim("thm3_cubic"),
             curve_eq_claim("equals-darboux-of-orthic", "thm3_cubic",
-                           "darboux_orthic", acute_only=True),
+                           "darboux_orthic"),
             pivotal_claim("orthic-pivotal-oracle", "center(orthic,X20)",
                           "isogonal", ("A", "B", "C", "H", "E", "O"),
-                          "orthic pivotal", tri="orthic", acute_only=True),
+                          "orthic pivotal", tri="orthic"),
         ],
         points=("H", "E", "O"), curves=[("cubic", "thm3_cubic")]),
     _scenario(
@@ -904,16 +900,11 @@ def shared_run() -> Iterator[Run]:
 
 def evaluate(sc: Scenario, tr: Trial) -> list:
     """Run ``sc.setup(tr)`` (a refusal propagates), then give each claim's
-    outcome on the triangle, in claim order: ``SKIP`` for an acute-only
-    claim on a triangle that is not acute (its check is not called), else
-    what the check returns or the exception it raised, traceback cleared."""
+    outcome on the triangle, in claim order: what its check returns or the
+    exception it raised, traceback cleared."""
     sc.setup(tr)
-    acute = tr.t.is_acute()
     outcomes = []
     for claim in sc.claims:
-        if claim.acute_only and not acute:
-            outcomes.append(SKIP)
-            continue
         try:
             outcomes.append(claim.check(tr))
         except Exception as exc:  # an outcome; the remaining claims still run

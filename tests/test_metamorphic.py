@@ -9,11 +9,14 @@ the two Brocard points.  Scaling the sides moves no point.  A derived
 triangle's vertices follow the base's, so its centers move the same way.
 
 A projective map M moves a fitted curve too: the curve through the points
-M p is the push-forward of the curve through the points p.  The order of
-the points moves nothing: a fit through them reversed or shuffled is the
-same curve, and a rank-deficient set has the same rank in every order.
+M p is the push-forward of the curve through the points p.  So a claim that
+a point lies on a curve or a line, or that three chord meets align, has the
+same verdict on the values moved by M.  The order of the points moves
+nothing: a fit through them reversed or shuffled is the same curve, and a
+rank-deficient set has the same rank in every order.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -28,13 +31,23 @@ from tricurves.centers import (
     random_triangle,
 )
 from tricurves.curves import (
+    Conic,
+    Cubic,
     DegeneratePointSet,
     conic_through,
     cubic_through,
     transform_conic,
     transform_cubic,
 )
-from tricurves.kernel import GeometryError, HomPoint, RefTriangle, det3, mat_vec
+from tricurves.kernel import (
+    GeometryError,
+    HomLine,
+    HomPoint,
+    RefTriangle,
+    adjugate3,
+    det3,
+    mat_vec,
+)
 from tricurves.scenarios import FITS, REGISTRY, SKIP, Trial, _labelled, evaluate
 
 _A, _B, _C = CenterId.VERTEX_A, CenterId.VERTEX_B, CenterId.VERTEX_C
@@ -57,12 +70,12 @@ DERIVED_SEEDS = range(30)
 FIT_SEEDS = range(20)
 
 
-def _verdicts(sc, t):
-    """Each claim's verdict on ``t`` by :func:`evaluate` on a fresh Trial:
-    pass, fail, n/a, or the type of a claim's error; or the type of the
-    setup's refusal."""
+def _verdicts(sc, tr):
+    """Each claim's verdict by :func:`evaluate` on the Trial ``tr``: pass,
+    fail, n/a, or the type of a claim's error; or the type of the setup's
+    refusal."""
     try:
-        outcomes = evaluate(sc, Trial(t))
+        outcomes = evaluate(sc, tr)
     except GeometryError as exc:
         return type(exc).__name__
     return ["n/a" if res is SKIP else "pass" if res is None
@@ -100,9 +113,9 @@ def test_verdicts_survive_relabel_reversal_and_scaling(sid):
     sc = REGISTRY[sid]
     for seed in VERDICT_SEEDS:
         t = random_triangle(seed)
-        want = _verdicts(sc, t)
+        want = _verdicts(sc, Trial(t))
         for name, (move, _, _) in TRANSFORMS.items():
-            assert _verdicts(sc, move(t)) == want, (seed, name)
+            assert _verdicts(sc, Trial(move(t))) == want, (seed, name)
 
 
 @pytest.mark.parametrize("name", list(TRANSFORMS))
@@ -161,3 +174,49 @@ def test_fits_do_not_depend_on_point_order():
                     fit(order)
                 ranks.add(exc.value.rank)
             assert len(ranks) == 1, (curve, seed, ranks)
+
+
+# the claims a projective map need not keep: each conjugates points in a
+# triangle inside its check, and conjugation is metric (the pivotal
+# collinearities, and the conjugates of points sampled on the OI line)
+METRIC_CLAIMS = {
+    "orthic-pivotal-oracle", "medial-isotomic-pivotal-oracle",
+    "median-cubic-pivotal-oracle", "reflection-cubic-pivotal-oracle",
+    "isogonal-image-of-oi-line",
+}
+
+
+def _moved(m, value):
+    """``value`` moved by the map ``m``: a point by ``mat_vec``, a line by
+    the transposed adjugate, a curve by its push-forward; None otherwise."""
+    if isinstance(value, HomPoint):
+        return HomPoint(*mat_vec(m, value.triple))
+    if isinstance(value, HomLine):
+        return HomLine(*mat_vec(tuple(zip(*adjugate3(m))), value.coeffs))
+    if isinstance(value, Conic):
+        return transform_conic(m, value)
+    if isinstance(value, Cubic):
+        return transform_cubic(m, value)
+    return None
+
+
+def test_memberships_and_pascal_lines_move_with_a_projective_map():
+    projective = [dataclasses.replace(sc, claims=tuple(
+        c for c in sc.claims if c.kind in ("membership", "collinearity")
+        and c.id not in METRIC_CLAIMS)) for sc in REGISTRY.values()]
+    assert METRIC_CLAIMS <= {c.id for sc in REGISTRY.values() for c in sc.claims}
+    compared = set()
+    for seed in FIT_SEEDS:
+        tr, m = Trial(random_triangle(seed)), _projective_map(random.Random(seed))
+        want = [_verdicts(sc, tr) for sc in projective]
+        # only what the claims read, moved; a claim reading anything else
+        # meets a KeyError, which no claim gives on the triangle itself
+        moved = {name: _moved(m, v) for name, v in tr.items()}
+        moved = {name: v for name, v in moved.items() if v is not None}
+        for sc, verdicts in zip(projective, want):
+            if isinstance(verdicts, str):  # setup refused the triangle
+                continue
+            on_moved = _verdicts(dataclasses.replace(sc, setup=lambda tr: tr), moved)
+            assert on_moved == verdicts, (sc.id, seed)
+            compared.update(verdicts)
+    assert compared == {"pass", "fail"}

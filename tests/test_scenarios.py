@@ -290,7 +290,7 @@ class TestBenchContract:
         monkeypatch.setitem(REGISTRY, sid, dataclasses.replace(
             sc, setup=counting("setup", sc.setup), claims=claims))
         run_scenario(sid, 1, 23)   # obtuse triangle
-        run_scenario(sid, 1, 28)   # acute triangle, reaches acute-only claims
+        run_scenario(sid, 1, 28)   # acute triangle
         build_figure(sid, RefTriangle(6, 9, 13))
         assert calls["setup"] >= 3
         assert all(calls[c.id] >= 1 for c in sc.claims), calls
@@ -825,16 +825,18 @@ def _spied(sc, calls, replace=None):
 
 class TestEvaluate:
     """``evaluate``: one scenario on one triangle, claim by claim.  Its
-    scenario fits a cubic, then makes two acute-only claims."""
+    scenario fits a cubic, then compares it with the orthic triangle's
+    Darboux cubic and checks that cubic's pivotal collinearity."""
 
     SC = REGISTRY["thm3-darboux-excentral"]
     FIT = "fit-consistency"
 
-    def test_acute_only_claims_skip_without_calling_their_checks(self):
+    def test_obtuse_triangle_calls_every_check(self):
+        # the orthic claims hold on obtuse triangles too, so none is skipped
         calls = collections.Counter()
         outcomes = evaluate(_spied(self.SC, calls), Trial(RefTriangle(6, 9, 13)))
-        assert outcomes == [None, SKIP, SKIP]   # obtuse
-        assert calls == {self.FIT: 1}
+        assert outcomes == [None, None, None]
+        assert calls == {c.id: 1 for c in self.SC.claims}
 
     def test_acute_triangle_calls_every_check(self):
         calls = collections.Counter()
@@ -863,6 +865,42 @@ class TestEvaluate:
         with pytest.raises(DegeneratePointSet):
             evaluate(sc, Trial(RefTriangle(5, 6, 7)))
         assert not calls
+
+
+class TestOrthicClaims:
+    """A, B, C and H are the incenter and excenters of the orthic triangle
+    of any triangle that is not right, so the orthic Thomson and Darboux
+    claims hold on obtuse triangles as on acute ones."""
+
+    @pytest.mark.parametrize("sid", ["thm2-thomson-excentral",
+                                     "thm3-darboux-excentral"])
+    def test_must_pass_on_every_accepted_triangle(self, sid):
+        sc, obtuse = REGISTRY[sid], 0
+        for cursor in range(200):
+            tr = Trial(random_triangle(cursor))
+            try:
+                outcomes = evaluate(sc, tr)
+            except DegeneratePointSet:
+                continue
+            obtuse += not tr.t.is_acute()
+            bad = [c.id for c, res in zip(sc.claims, outcomes)
+                   if c.expectation == MUST and res is not None]
+            assert not bad, (cursor, tr.t, bad)
+        assert obtuse == 115
+
+    def test_collinear_orthic_darboux_points_are_skipped(self):
+        # on RefTriangle(28, 60, 80) the orthic circumcenter 0:11:-39 and
+        # the orthic de Longchamps point 0:176:-351 lie on BC with B, C and
+        # the foot H1, so the orthic Darboux point set has rank 8
+        tr = Trial(random_triangle(513))
+        assert (tr.t.a, tr.t.b, tr.t.c) == (28, 60, 80)
+        with pytest.raises(DegeneratePointSet) as exc:
+            evaluate(REGISTRY["thm3-darboux-excentral"], tr)
+        assert exc.value.rank == 8
+        on_bc = ("B", "C", "H1", "center(orthic,X3)", "center(orthic,X20)")
+        assert [tr[name].x for name in on_bc] == [0] * 5
+        assert str(tr["center(orthic,X3)"]) == "0:11:-39"
+        assert str(tr["center(orthic,X20)"]) == "0:176:-351"
 
 
 def _bench_pairs():
