@@ -32,7 +32,7 @@ import sys
 from fractions import Fraction
 
 from .centers import CenterParseError, eval_expr, parse_center
-from .kernel import GeometryError, InvalidTriangle, RefTriangle
+from .kernel import LINE_AT_INFINITY, GeometryError, InvalidTriangle, RefTriangle
 from .scenarios import (
     REGISTRY,
     Report,
@@ -192,11 +192,13 @@ def cmd_list_scenarios(args) -> int:
 
 
 def _named_curve(name: str, tri: RefTriangle):
-    from .curves import Conic, Cubic
+    from .centers import TriangleKind, derived_triangle
+    from .curves import Conic, Cubic, isogonal_image
 
     name = name.strip()
-    if name == "circumcircle":
-        return Conic(0, 0, 0, tri.c2, tri.b2, tri.a2)
+    if name == "circumcircle":  # the isogonal image of the line at infinity
+        return isogonal_image(derived_triangle(tri, TriangleKind.BASE),
+                              LINE_AT_INFINITY)
     for prefix, form in (("conic:", Conic), ("cubic:", Cubic)):
         if name.startswith(prefix):
             try:

@@ -537,7 +537,7 @@ def line_component(p: Cubic, q: Cubic, l: HomLine) -> PencilFactorization:
 
 
 # ---------------------------------------------------------------------------
-# projective transforms (homotheties and their action on curves)
+# projective transforms (homotheties, their action on curves, isogonal images)
 
 def homothety_matrix(center: HomPoint, ratio: Rat):
     """Integer matrix acting on homogeneous coordinates as the homothety
@@ -576,6 +576,19 @@ def transform_conic(matrix, c: Conic) -> Conic:
 def transform_cubic(matrix, k: Cubic) -> Cubic:
     """Push-forward: p on k iff matrix*p on the result."""
     return _transform(matrix, k)
+
+
+def isogonal_image(sub, line: HomLine) -> Conic:
+    """The isogonal image of ``line`` in the triangle ``sub`` (a
+    ``SubTriangle``, the base included): the circumconic
+    l1*a2*y*z + l2*b2*z*x + l3*c2*x*y = 0 of the line's coordinates
+    (l1, l2, l3) in the frame of ``sub``, pushed forward by the frame's
+    matrix M, the one with ``frame.base(q)`` = M q."""
+    (s1, s2, s3), u = sub.frame.sums, sub.metric().unit
+    move = tuple(tuple(map(mul, row, (s2 * s3, s1 * s3, s1 * s2)))
+                 for row in sub.frame.rows)
+    l1, l2, l3 = mat_vec(tuple(zip(*move)), line.triple)  # M^T l
+    return transform_conic(move, Conic(0, 0, 0, l3 * u.c2, l2 * u.b2, l1 * u.a2))
 
 
 # ---------------------------------------------------------------------------

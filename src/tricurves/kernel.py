@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 Rat = Union[int, Fraction]
 
@@ -284,35 +284,6 @@ def span_points(l: HomLine) -> tuple[HomPoint, HomPoint]:
     raise ZeroVector("line has no two distinct points (zero coefficients?)")
 
 
-def sample_line_points(
-    l: HomLine,
-    count: int,
-    accept: Optional[Callable[[HomPoint], bool]] = None,
-) -> list[HomPoint]:
-    """Deterministically sample ``count`` distinct finite points on ``l``.
-
-    Optionally filter with ``accept``; raises if the filter never lets
-    enough points through (bounded scan).
-    """
-    if l.is_line_at_infinity():
-        raise LineAtInfinity("cannot sample finite points on the line at infinity")
-    r0, r1 = span_points(l)
-    pts: list[HomPoint] = []
-    k = 0
-    limit = 16 * count + 64
-    while len(pts) < count and k < limit:
-        cand = HomPoint(r0.x + k * r1.x, r0.y + k * r1.y, r0.z + k * r1.z)
-        k += 1
-        if cand.is_infinite():
-            continue
-        if accept is not None and not accept(cand):
-            continue
-        pts.append(cand)
-    if len(pts) < count:
-        raise GeometryError(f"could not sample {count} admissible points on {l}")
-    return pts
-
-
 # ---------------------------------------------------------------------------
 # affine structure
 
@@ -477,10 +448,6 @@ class Metric:
     def is_right(self) -> bool:
         u = self.unit
         return u.SA == 0 or u.SB == 0 or u.SC == 0
-
-    def is_acute(self) -> bool:
-        u = self.unit
-        return u.SA > 0 and u.SB > 0 and u.SC > 0
 
 
 class RefTriangle(Metric):

@@ -49,7 +49,6 @@ from .centers import (
     CenterId,
     OnSideline,
     TriangleKind,
-    conjugate,
     derived_subtriangle,
     derived_triangle,
     eval_center_in,
@@ -70,6 +69,7 @@ from .curves import (
     hessian,
     homothety_matrix,
     is_rectangular,
+    isogonal_image,
     line_component,
     on_conic,
     on_cubic,
@@ -85,7 +85,6 @@ from .kernel import (
     RefTriangle,
     incident,
     join,
-    sample_line_points,
 )
 
 MUST = "must-pass"
@@ -164,7 +163,6 @@ _THM5_POINTS = ("M1", "M2", "M3",
 FITS = {
     "exc_conic": ("I1", "I2", "I3", "Be", "I"),
     "midarc_conic": ("A1", "A2", "A3", "O", "I"),
-    "jerabek": ("A", "B", "C", "O", "H"),
     "darboux": ("A", "B", "C", "I", "O", "H", "L", "Be", "I1"),
     "thomson": ("A", "B", "C", "M1", "M2", "M3", "I1", "I2", "I3"),
     "thm2_cubic": ("A", "B", "C", "H1", "H2", "H3", "H", "E",
@@ -194,6 +192,7 @@ def _fit(entries):
 
 CONSTRUCTIONS: dict[str, Callable[["Trial"], object]] = {
     **{name: _fit(points) for name, points in FITS.items()},
+    "jerabek": lambda tr: isogonal_image(tr["base"], tr["euler_line"]),
     "oexc": lambda tr: derived_subtriangle(tr["excentral"], TriangleKind.ORTHIC),
     "oexc_symmedian": lambda tr: eval_center_in(tr["oexc"], CenterId.X6),
     "oi": lambda tr: join(tr["O"], tr["I"]),
@@ -372,17 +371,6 @@ def pascal_claims(conic: str, hexagon, pairs) -> tuple[Claim, Claim]:
 # ---------------------------------------------------------------------------
 # bespoke checks
 
-def _oi_image(tr: Trial):
-    exc, conic = tr["excentral"], tr["exc_conic"]
-    for p in sample_line_points(  # points off the excentral sidelines
-            tr["oi"], 10, accept=lambda p: 0 not in exc.frame.local(p)):
-        q = conjugate(exc, "isogonal", p)
-        if not on_conic(q, conic):
-            return Failure(str(q), "0",
-                           f"conjugate of line point {p} misses the conic")
-    return None
-
-
 def _directrix_through(axis: str, point: str, lbl: str):
     def check(tr: Trial):
         p, directrix = tr[point], tr[axis].directrix
@@ -526,7 +514,9 @@ _SCENARIOS = (
                      kind="conic-center",
                      detail="conic center is not the circumcenter"),
             rectangular_claim("exc_conic"),
-            Claim("isogonal-image-of-oi-line", "membership", VERDICT, _oi_image),
+            eq_claim("isogonal-image-of-oi-line", VERDICT, "exc_conic",
+                     lambda tr: isogonal_image(tr["excentral"], tr["oi"]),
+                     "membership", "conic is not the excentral isogonal image of OI"),
             characterization_claim("isogonal-characterization", "exc_conic",
                                    "oi", ("Be", "I", "Mi", "L"), "excentral"),
         ],

@@ -14,7 +14,7 @@ row below the pivot updated at every step.
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count as count_from, islice
 
 from tricurves.centers import _taylor_points
 from tricurves.curves import Conic
@@ -30,7 +30,7 @@ from tricurves.kernel import (
     det3,
     equidistant_point,
     mat_vec,
-    sample_line_points,
+    span_points,
     squared_distance,
 )
 
@@ -59,6 +59,16 @@ def affine_combine(terms) -> HomPoint:
         for i in range(3):
             acc[i] += w * n[i]
     return HomPoint(*acc)
+
+
+def sample_line_points(l: HomLine, count: int) -> list[HomPoint]:
+    """The first ``count`` finite points r0 + k*r1, k = 0, 1, ..., of a line
+    other than the line at infinity, r0 and r1 its two span points."""
+    if l.is_line_at_infinity():
+        raise LineAtInfinity("the line at infinity has no finite points")
+    r0, r1 = (p.triple for p in span_points(l))
+    line = (HomPoint(*(u + k * w for u, w in zip(r0, r1))) for k in count_from(0))
+    return list(islice((p for p in line if not p.is_infinite()), count))
 
 
 def two_points_on(l: HomLine) -> tuple[HomPoint, HomPoint]:

@@ -159,7 +159,7 @@ def test_criterion_04_orthic_cubic_oracles():
         assert fit2 == thomson_orthic, t
         assert fit3 == darboux_orthic, t
         checked += 1
-        obtuse += not t.is_acute()
+        obtuse += min(t.unit.SA, t.unit.SB, t.unit.SC) < 0
     assert obtuse > 0
     print(f"ACCEPTANCE 4: PASS - orthic cubic equalities {TRIALS}/{TRIALS} "
           f"triangles ({obtuse} obtuse), {skipped} degenerate draws replaced")

@@ -1005,9 +1005,12 @@ class TestRandomTriangle:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_acute_constraint(self, seed):
-        """``is_acute``, by which callers pick acute draws, is the side test."""
+        """A draw is obtuse where SA, SB or SC is negative, the sign the
+        obtuse counts read: with a < b < c only SC can be, by the side test."""
         t = random_triangle(seed)
-        assert t.is_acute() == (t.a * t.a + t.b * t.b > t.c * t.c)
+        u = t.unit
+        assert u.SA > 0 and u.SB > 0
+        assert (u.SC > 0) == (t.a * t.a + t.b * t.b > t.c * t.c)
 
     @staticmethod
     def _replay(monkeypatch, draws):

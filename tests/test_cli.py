@@ -140,16 +140,25 @@ class TestVerifyCommand:
         assert "--trials" in captured.err
 
     def test_env_default_trials(self, capsys, monkeypatch):
-        monkeypatch.setenv("TCL_DEFAULT_TRIALS", "2")
+        monkeypatch.setenv("TCL_DEFAULT_TRIALS", "3")
         assert main(["verify", "corr-medial", "--seed", "1"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["trials"] == 2
+        assert report["trials"] == 3
 
-    def test_env_default_trials_invalid(self, monkeypatch):
-        monkeypatch.setenv("TCL_DEFAULT_TRIALS", "zap")
+    def test_env_default_trials_invalid(self, monkeypatch, capsys):
+        monkeypatch.setenv("TCL_DEFAULT_TRIALS", "abc")
         with pytest.raises(SystemExit) as exc:
             main(["verify", "corr-medial", "--seed", "1"])
         assert exc.value.code == 64
+        assert capsys.readouterr().err == (
+            "TCL_DEFAULT_TRIALS must be an integer, got 'abc'\n")
+
+    @pytest.mark.parametrize("raw", ["3", "abc"])
+    def test_trials_flag_wins_over_env(self, capsys, monkeypatch, raw):
+        # the variable is not read at all, so an unusable one does no harm
+        monkeypatch.setenv("TCL_DEFAULT_TRIALS", raw)
+        assert main(["verify", "corr-medial", "--trials", "2", "--seed", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["trials"] == 2
 
     @pytest.mark.parametrize("raw", ["0", "-2"])
     def test_env_default_trials_below_one(self, monkeypatch, capsys, raw):

@@ -15,6 +15,7 @@ from tricurves.centers import (
     CenterId,
     OnSideline,
     TriangleKind,
+    conjugate,
     derived_triangle,
     eval_center,
     random_triangle,
@@ -43,6 +44,7 @@ from tricurves.curves import (
     hessian,
     homothety_matrix,
     is_rectangular,
+    isogonal_image,
     line_component,
     on_conic,
     on_cubic,
@@ -60,6 +62,7 @@ from tricurves.kernel import (
     GeometryError,
     HomLine,
     HomPoint,
+    LINE_AT_INFINITY,
     RefTriangle,
     VERTEX_A,
     VERTEX_B,
@@ -82,6 +85,7 @@ from reference import (
     conic_second_intersection,
     normalize_affine,
     point_line_distance_sq,
+    sample_line_points,
     two_points_on,
 )
 from strategies import rational_triangles
@@ -772,7 +776,6 @@ class TestLineComponent:
         conic = circumcircle(T)
         p = _line_times_conic(l, conic)
         # Q: generic cubic through three points of l
-        from tricurves.kernel import sample_line_points
         pts = sample_line_points(l, 3)
         others = [VERTEX_A, VERTEX_B, VERTEX_C, HomPoint(1, 1, 1),
                   HomPoint(1, 2, 5), HomPoint(4, 1, 1)]
@@ -1050,17 +1053,44 @@ class TestJerabekOracle:
         conic = conic_through([VERTEX_A, VERTEX_B, VERTEX_C, o, h])
         euler = join(o, h)
         from tricurves.centers import isogonal
-        from tricurves.kernel import sample_line_points
         for cid in (CenterId.X6, CenterId.X54, CenterId.X64):
             p = eval_center(T, cid)
             assert on_conic(p, conic)
             assert incident(isogonal(T, p), euler)
-        # map 20 line points backwards: isogonal of a line point is on the conic
-        def off_sidelines(p):
-            return 0 not in p.triple
-        for p in sample_line_points(euler, 20, accept=off_sidelines):
+        # map line points backwards, 3 spare for the sideline meets: the
+        # isogonal of a line point off the sidelines is on the conic
+        pts = [p for p in sample_line_points(euler, 23) if 0 not in p.triple]
+        assert len(pts) >= 20
+        for p in pts:
             assert on_conic(isogonal(T, p), conic)
         # a generic non-member fails both sides
         q = HomPoint(1, 5, 7)
         assert not on_conic(q, conic)
         assert not incident(isogonal(T, q), euler)
+        # the closed form is the fit
+        assert isogonal_image(BASE, euler) == conic
+
+
+class TestIsogonalImage:
+    """``isogonal_image``: the circumconic of a line's isogonal image,
+    written in the triangle's frame and moved to base coordinates."""
+
+    LINE = join(HomPoint(1, 2, 3), HomPoint(5, -1, 2))
+
+    def test_line_at_infinity_gives_the_circumcircle(self):
+        assert isogonal_image(BASE, LINE_AT_INFINITY) == circumcircle(T)
+
+    @pytest.mark.parametrize("kind", list(TriangleKind))
+    def test_holds_exactly_the_conjugates_of_line_points(self, kind):
+        sub = derived_triangle(T, kind)
+        image = isogonal_image(sub, self.LINE)
+        assert all(on_conic(v, image) for v in sub.vertices)
+        pts = [p for p in sample_line_points(self.LINE, 13)
+               if 0 not in sub.frame.local(p)]
+        assert len(pts) >= 10
+        for p in pts:
+            assert on_conic(conjugate(sub, "isogonal", p), image)
+        # a point off the line and the sidelines: its conjugate is off the conic
+        q = HomPoint(1, 5, 7)
+        assert not incident(q, self.LINE) and 0 not in sub.frame.local(q)
+        assert not on_conic(conjugate(sub, "isogonal", q), image)

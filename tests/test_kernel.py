@@ -43,7 +43,6 @@ from tricurves.kernel import (
     perpendicular_line_through,
     reflect_through,
     reset_bit_high_water,
-    sample_line_points,
     squared_distance,
 )
 
@@ -54,6 +53,7 @@ from reference import (
     frame_local,
     normalize_affine,
     point_line_distance_sq,
+    sample_line_points,
     two_points_on,
 )
 from strategies import rational_triangles

@@ -21,6 +21,7 @@ from tricurves import centers, cli, scenarios
 from tricurves.scenarios import (
     CONSTRUCTIONS,
     MUST,
+    Failure,
     REGISTRY,
     SKIP,
     Claim,
@@ -41,7 +42,13 @@ from tricurves.centers import (
     eval_center_in,
     random_triangle,
 )
-from tricurves.curves import DegeneratePointSet, NoLinearComponent
+from tricurves.curves import (
+    Conic,
+    DegeneratePointSet,
+    NoLinearComponent,
+    conic_through,
+    isogonal_image,
+)
 from tricurves.kernel import GeometryError, RefTriangle
 
 from strategies import rational_triangles
@@ -882,7 +889,7 @@ class TestOrthicClaims:
                 outcomes = evaluate(sc, tr)
             except DegeneratePointSet:
                 continue
-            obtuse += not tr.t.is_acute()
+            obtuse += min(tr.t.unit.SA, tr.t.unit.SB, tr.t.unit.SC) < 0
             bad = [c.id for c, res in zip(sc.claims, outcomes)
                    if c.expectation == MUST and res is not None]
             assert not bad, (cursor, tr.t, bad)
@@ -901,6 +908,49 @@ class TestOrthicClaims:
         assert [tr[name].x for name in on_bc] == [0] * 5
         assert str(tr["center(orthic,X3)"]) == "0:11:-39"
         assert str(tr["center(orthic,X20)"]) == "0:176:-351"
+
+
+
+class TestIsogonalImages:
+    """The conics the scenarios read as isogonal images of lines, checked
+    against the five-point fits on seeds 0-99."""
+
+    def test_jerabek_is_the_fit_through_the_vertices_o_and_h(self):
+        for seed in range(100):
+            tr = Trial(random_triangle(seed))
+            points = [tr[n] for n in ("A", "B", "C", "O", "H")]
+            assert tr["jerabek"] == conic_through(points), seed
+
+    def test_midarc_conic_is_the_midarc_image_of_oi(self):
+        # thm8's description; the scenario checks it only point by point
+        for seed in range(100):
+            tr = Trial(random_triangle(seed))
+            assert tr["midarc_conic"] == isogonal_image(tr["midarc"], tr["oi"]), seed
+
+
+def _circumcircle(tr):
+    u = tr.t.unit
+    return Conic(0, 0, 0, u.c2, u.b2, u.a2)
+
+
+class TestNegativeControls:
+    """A wrong value preset into a fresh Trial makes each claim that reads
+    an isogonal image of a line fail with a certificate."""
+
+    @pytest.mark.parametrize("sid, name, wrong, cid", [
+        ("thm1-jerabek-excentral", "oi", lambda tr: tr["euler_line"],
+         "isogonal-image-of-oi-line"),
+        ("defs-sanity", "jerabek", _circumcircle, "isogonal-conic-members"),
+        ("defs-sanity", "jerabek", _circumcircle, "isogonal-conic-characterization"),
+    ], ids=["thm1-oi-image", "defs-members", "defs-characterization"])
+    def test_wrong_value_fails_the_claim(self, sid, name, wrong, cid):
+        sc = REGISTRY[sid]
+        for seed in range(5):
+            tr = Trial(random_triangle(seed))
+            tr[name] = wrong(tr)
+            outcome = dict(zip((c.id for c in sc.claims), evaluate(sc, tr)))[cid]
+            assert isinstance(outcome, Failure), (seed, outcome)
+            assert outcome.lhs and outcome.rhs, seed
 
 
 def _bench_pairs():
@@ -962,6 +1012,33 @@ class TestBenchPairsRevisions:
     def test_unknown_change_exits_two(self, monkeypatch, capsys):
         self._refused(["--parent", "HEAD", "--change", "no-such-rev"],
                       monkeypatch, capsys)
+
+
+    def test_output_names_the_trees_measured(self, tmp_path, monkeypatch, capsys):
+        module, extracted = _bench_pairs(), []
+
+        def extract(repo, rev, dest):
+            extracted.append(rev)
+            dest.mkdir(parents=True)
+            (dest / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+                {"name": "wall_s", "better": "lower", "bound": 0.2}]}))
+            return dest
+
+        def run_once(tree, workload, seed, seconds):
+            return {"seed": seed, "correct": True, "attempted": 1, "failed": 0,
+                    "report_sha256": None, "metrics": {"wall_s": 1.0}}
+
+        monkeypatch.setattr(module, "extract", extract)
+        monkeypatch.setattr(module, "run_once", run_once)
+        assert module.main(["--parent", "HEAD", "--change", "HEAD",
+                            "--seeds", "1,2", "--seconds", "0"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        repo = pathlib.Path(module.__file__).resolve().parents[1]
+        tree = subprocess.run(["git", "-C", str(repo), "rev-parse", "HEAD^{tree}"],
+                              capture_output=True, text=True, check=True).stdout.strip()
+        assert (out["parent"], out["change"]) == ("HEAD", "HEAD")
+        assert out["parent_tree"] == out["change_tree"] == tree
+        assert extracted == [tree, tree]
 
 
 class TestBenchPairsBrokenRun:

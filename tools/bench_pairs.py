@@ -25,7 +25,9 @@ parent first on odd seeds and the change first on even ones, with
 tree holds a ``__pycache__`` directory: bytecode left by an earlier run
 makes that side's ``setup_s`` and ``peak_rss_mb`` look better.
 
-The JSON printed on standard output gives, for each workload and
+The JSON printed on standard output names both revisions as given and,
+as ``parent_tree`` and ``change_tree``, the tree ids they resolved to,
+which are the trees measured.  It gives, for each workload and
 end-to-end metric of ``BENCHMARK.json``, each side's median and quartiles
 (inclusive method), the ratio of the medians, the medians' distance, the
 parent's interquartile distance and the number of pairs in which the
@@ -227,6 +229,7 @@ def main(argv=None) -> int:
                     print(f"seed {seed} {workload} {side} done", file=sys.stderr)
 
     out = {"parent": args.parent, "change": args.change,
+           "parent_tree": revs["parent"], "change_tree": revs["change"],
            "command": f"python3 bench/run.py --workload <w> --seed <s> "
                       f"--seconds {args.seconds:g} --trace 0",
            "seeds": args.seeds, "workloads": summarise(runs, better, bounds),
