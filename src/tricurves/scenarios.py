@@ -525,11 +525,10 @@ _SCENARIOS = (
     _scenario(
         "thm2-thomson-excentral",
         "Cubic fitted through the vertices, the altitude feet, the "
-        "orthocenter, the nine-point center and the orthic centroid; on acute "
-        "triangles it must coincide with the Thomson cubic of the orthic "
-        "triangle, and membership of the orthic side midpoints, both "
-        "symmedian points and the orthic-tangential homothety center is "
-        "reported.",
+        "orthocenter, the nine-point center and the orthic centroid; it must "
+        "coincide with the Thomson cubic of the orthic triangle, and "
+        "membership of the orthic side midpoints, both symmedian points and "
+        "the orthic-tangential homothety center is reported.",
         build=("thm2_cubic", "Mh1", "Mh2", "Mh3", "thomson_orthic"),
         claims=[
             fit_claim("thm2_cubic"),
@@ -548,9 +547,9 @@ _SCENARIOS = (
     _scenario(
         "thm3-darboux-excentral",
         "Cubic exactly determined by the vertices, altitude feet, "
-        "orthocenter, nine-point center and circumcenter; on acute triangles "
-        "it must equal the Darboux cubic of the orthic triangle, whose "
-        "pivotal-collinearity oracle is checked on all non-vertex points.",
+        "orthocenter, nine-point center and circumcenter; it must equal the "
+        "Darboux cubic of the orthic triangle, whose pivotal-collinearity "
+        "oracle is checked on all non-vertex points.",
         build=("thm3_cubic", "darboux_orthic"),
         claims=[
             fit_claim("thm3_cubic"),
