@@ -15,7 +15,9 @@ and stored per triangle by its :class:`Trial`.  A name is a point (a
 as ``"I1"``, or any :func:`parse_center` expression such as
 ``"center(excentral,X25)"``), a derived triangle (its kind, e.g.
 ``"orthic"``), a fitted curve from ``FITS``, or another entry of
-``CONSTRUCTIONS``; ``"ax1.conic"`` reads an attribute of a construction.
+``CONSTRUCTIONS``, such as ``"jerabek"``, the base isogonal image of the
+Euler line (:func:`isogonal_image`, the one rule for the image of a line
+in any triangle); ``"ax1.conic"`` reads an attribute of a construction.
 :func:`_scenario` takes the names ``setup`` resolves eagerly on the Trial
 it is given, in order (a degenerate triangle is skipped or refused where
 that construction fails), the claims (made by the builders below from

@@ -176,9 +176,9 @@ def test_fits_do_not_depend_on_point_order():
             assert len(ranks) == 1, (curve, seed, ranks)
 
 
-# the claims a projective map need not keep: each conjugates points in a
-# triangle inside its check, and conjugation is metric (the pivotal
-# collinearities, and the conjugates of points sampled on the OI line)
+# the claims a projective map need not keep: each conjugates in a triangle
+# inside its check, and conjugation is metric (the pivotal collinearities,
+# and thm1's comparison with the excentral isogonal image of the OI line)
 METRIC_CLAIMS = {
     "orthic-pivotal-oracle", "medial-isotomic-pivotal-oracle",
     "median-cubic-pivotal-oracle", "reflection-cubic-pivotal-oracle",
