@@ -578,21 +578,50 @@ def transform_cubic(matrix, k: Cubic) -> Cubic:
     return _transform(matrix, k)
 
 
+def _frame_matrix(frame):
+    """The frame's matrix M, the one with ``frame.base(q)`` = M q."""
+    s1, s2, s3 = frame.sums
+    return tuple(tuple(map(mul, row, (s2 * s3, s1 * s3, s1 * s2))) for row in frame.rows)
+
+
+def _from_frame(sub, curve: _FormVector) -> _FormVector:
+    """The curve whose form is ``curve`` in the frame of the triangle ``sub``
+    (a ``SubTriangle``, the base included), in base coordinates: pushed
+    forward by the frame's matrix M.  The base's identity frame (M = I)
+    pushes nothing; the frame is tested, not the kind, since the base kind
+    of a derived triangle keeps its parent's frame."""
+    if sub.frame == _centers._IDENTITY:
+        return curve
+    move = transform_conic if isinstance(curve, Conic) else transform_cubic
+    return move(_frame_matrix(sub.frame), curve)
+
+
 def isogonal_image(sub, line: HomLine) -> Conic:
     """The isogonal image of ``line`` in the triangle ``sub`` (a
     ``SubTriangle``, the base included): the circumconic
     l1*a2*y*z + l2*b2*z*x + l3*c2*x*y = 0 of the line's coordinates
-    (l1, l2, l3) in the frame of ``sub``, pushed forward by the frame's
-    matrix M, the one with ``frame.base(q)`` = M q."""
-    (s1, s2, s3), u = sub.frame.sums, sub.metric().unit
-    move = tuple(tuple(map(mul, row, (s2 * s3, s1 * s3, s1 * s2)))
-                 for row in sub.frame.rows)
-    l1, l2, l3 = mat_vec(tuple(zip(*move)), line.triple)  # M^T l
-    return transform_conic(move, Conic(0, 0, 0, l3 * u.c2, l2 * u.b2, l1 * u.a2))
+    (l1, l2, l3) in the frame of ``sub``, M^T l for the frame's matrix M."""
+    u = sub.metric().unit
+    l1, l2, l3 = mat_vec(tuple(zip(*_frame_matrix(sub.frame))), line.triple)
+    return _from_frame(sub, Conic(0, 0, 0, l3 * u.c2, l2 * u.b2, l1 * u.a2))
 
 
 # ---------------------------------------------------------------------------
-# pivotal cubic membership
+# pivotal cubics
+
+def pivotal_cubic(sub, conj: str, pivot: Sequence[int]) -> Cubic:
+    """The pivotal cubic pK(W, P) of the triangle ``sub`` (a ``SubTriangle``,
+    the base included): the points X collinear with their ``conj``
+    ("isogonal" or "isotomic") conjugate and the pivot P.  In the frame of
+    ``sub``, with P = ``pivot`` = u:v:w (a raw triple in that frame) and the
+    pole W = p:q:r the conjugate of 1:1:1 (a2:b2:c2 or 1:1:1), it is
+    det[P; X; (p*y*z, q*z*x, r*x*y)] = 0, pushed to base coordinates."""
+    u, v, w = pivot
+    p, q, r = _centers._conjugate_point(conj, sub.metric(), (1, 1, 1))
+    # x^3, x^2y, x^2z, xy^2, xyz, xz^2, y^3, y^2z, yz^2, z^3
+    return _from_frame(sub, Cubic(0, -v * r, w * q, u * r, 0, -u * q,
+                                  0, -w * p, v * p, 0))
+
 
 def pivotal_membership(sub, pivot: HomPoint, conj: str, x: HomPoint) -> bool:
     """Whether x, its ``conj`` ("isogonal" or "isotomic") conjugate in the

@@ -14,10 +14,14 @@ and stored per triangle by its :class:`Trial`.  A name is a point (a
 :data:`ALIASES` entry such as ``"Be"``, a vertex name from ``_POINTS`` such
 as ``"I1"``, or any :func:`parse_center` expression such as
 ``"center(excentral,X25)"``), a derived triangle (its kind, e.g.
-``"orthic"``), a fitted curve from ``FITS``, or another entry of
-``CONSTRUCTIONS``, such as ``"jerabek"``, the base isogonal image of the
-Euler line (:func:`isogonal_image`, the one rule for the image of a line
-in any triangle); ``"ax1.conic"`` reads an attribute of a construction.
+``"orthic"``), a fitted curve from ``FITS`` (the curves under test), or
+another entry of ``CONSTRUCTIONS``, such as a reference curve built by
+definition: ``"jerabek"``, the base isogonal image of the Euler line
+(:func:`isogonal_image`, the one rule for the image of a line in any
+triangle), or ``"thomson"``, ``"darboux"``, ``"lucas"``,
+``"thomson_orthic"`` and ``"darboux_orthic"``, pivotal cubics of the base
+or the orthic triangle (:func:`pivotal_cubic`); ``"ax1.conic"`` reads an
+attribute of a construction.
 :func:`_scenario` takes the names ``setup`` resolves eagerly on the Trial
 it is given, in order (a degenerate triangle is skipped or refused where
 that construction fails), the claims (made by the builders below from
@@ -51,6 +55,7 @@ from .centers import (
     CenterId,
     OnSideline,
     TriangleKind,
+    center_coords,
     derived_subtriangle,
     derived_triangle,
     eval_center_in,
@@ -77,6 +82,7 @@ from .curves import (
     on_cubic,
     pascal_check,
     pencil_combination,
+    pivotal_cubic,
     pivotal_membership,
     transform_conic,
     transform_cubic,
@@ -165,18 +171,11 @@ _THM5_POINTS = ("M1", "M2", "M3",
 FITS = {
     "exc_conic": ("I1", "I2", "I3", "Be", "I"),
     "midarc_conic": ("A1", "A2", "A3", "O", "I"),
-    "darboux": ("A", "B", "C", "I", "O", "H", "L", "Be", "I1"),
-    "thomson": ("A", "B", "C", "M1", "M2", "M3", "I1", "I2", "I3"),
     "thm2_cubic": ("A", "B", "C", "H1", "H2", "H3", "H", "E",
                    ("M(orthic)", "center(orthic,X2)")),
-    "thomson_orthic": ("H1", "H2", "H3", "Mh1", "Mh2", "Mh3", "A", "B", "C"),
     "thm3_cubic": ("A", "B", "C", "H1", "H2", "H3", "H", "E", "O"),
-    "darboux_orthic": ("H1", "H2", "H3", "A", "B", "C", "H",
-                       "center(orthic,X3)", "center(orthic,X20)"),
     "thm5_cubic": tuple((f"P{i + 1}", n) for i, n in enumerate(_THM5_POINTS)),
     "thm6_cubic": ("A", "B", "C", "M1", "M2", "M3", "M", "O", "I"),
-    "lucas": ("A", "B", "C", *(f"vertex(anticomplementary,{i})" for i in range(3)),
-              "M", "H", "Ge"),
     "thm7_cubic": ("E1", "E2", "E3", "M1", "M2", "M3", "M_IH", "E", "H"),
 }
 
@@ -192,9 +191,23 @@ def _fit(entries):
     return fit
 
 
+def _pivotal(tri: str, conj: str, pivot: CenterId):
+    """The pivotal cubic of the ``tri`` triangle with the catalog pivot."""
+    def build(tr: "Trial"):
+        sub = tr[tri]
+        return pivotal_cubic(sub, conj, center_coords(sub.metric(), pivot))
+
+    return build
+
+
 CONSTRUCTIONS: dict[str, Callable[["Trial"], object]] = {
     **{name: _fit(points) for name, points in FITS.items()},
     "jerabek": lambda tr: isogonal_image(tr["base"], tr["euler_line"]),
+    "thomson": _pivotal("base", "isogonal", CenterId.X2),
+    "darboux": _pivotal("base", "isogonal", CenterId.X20),
+    "lucas": _pivotal("base", "isotomic", CenterId.X69),
+    "thomson_orthic": _pivotal("orthic", "isogonal", CenterId.X2),
+    "darboux_orthic": _pivotal("orthic", "isogonal", CenterId.X20),
     "oexc": lambda tr: derived_subtriangle(tr["excentral"], TriangleKind.ORTHIC),
     "oexc_symmedian": lambda tr: eval_center_in(tr["oexc"], CenterId.X6),
     "oi": lambda tr: join(tr["O"], tr["I"]),

@@ -9,7 +9,9 @@ triangle's barycentrics, checking the triangle on every call, and
 ``taylor_center`` finds X389 by a search over the six Taylor points.  ``dense_trace_segments`` is the renderer's marching squares
 as a plain scan of every cell over the whole sign grid held at once.
 ``bareiss_eliminate`` is the fit's fraction-free elimination with every
-row below the pivot updated at every step.
+row below the pivot updated at every step.  ``RETIRED_FITS`` names the 9
+points each reference cubic of the scenarios was fitted through before it
+was built as a pivotal cubic.
 """
 
 import math
@@ -33,6 +35,17 @@ from tricurves.kernel import (
     span_points,
     squared_distance,
 )
+
+# the scenario points each reference cubic was fitted through, in fit order
+RETIRED_FITS = {
+    "darboux": ("A", "B", "C", "I", "O", "H", "L", "Be", "I1"),
+    "thomson": ("A", "B", "C", "M1", "M2", "M3", "I1", "I2", "I3"),
+    "thomson_orthic": ("H1", "H2", "H3", "Mh1", "Mh2", "Mh3", "A", "B", "C"),
+    "darboux_orthic": ("H1", "H2", "H3", "A", "B", "C", "H",
+                       "center(orthic,X3)", "center(orthic,X20)"),
+    "lucas": ("A", "B", "C", *(f"vertex(anticomplementary,{i})" for i in range(3)),
+              "M", "H", "Ge"),
+}
 
 
 class WeightSumNotOne(GeometryError):

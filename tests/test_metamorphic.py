@@ -50,6 +50,8 @@ from tricurves.kernel import (
 )
 from tricurves.scenarios import FITS, REGISTRY, SKIP, Trial, _labelled, evaluate
 
+from reference import RETIRED_FITS
+
 _A, _B, _C = CenterId.VERTEX_A, CenterId.VERTEX_B, CenterId.VERTEX_C
 _W1, _W2 = CenterId.OMEGA1, CenterId.OMEGA2
 
@@ -68,6 +70,9 @@ VERDICT_SEEDS = range(30)
 CENTER_SEEDS = range(200)
 DERIVED_SEEDS = range(30)
 FIT_SEEDS = range(20)
+# the scenarios' fits and the point sets the reference cubics, now built by
+# definition, were once fitted through: each is a 5- or 9-point fit to check
+POINT_SETS = {**FITS, **RETIRED_FITS}
 
 
 def _verdicts(sc, tr):
@@ -145,10 +150,10 @@ def _projective_map(rng):
             return m
 
 
-@pytest.mark.parametrize("curve", list(FITS))
+@pytest.mark.parametrize("curve", list(POINT_SETS))
 def test_fits_move_with_a_projective_map(curve):
     # every fit is defined on these seeds, so each case compares two curves
-    names = [name for _, name in _labelled(FITS[curve])]
+    names = [name for _, name in _labelled(POINT_SETS[curve])]
     fit, push = ((conic_through, transform_conic) if len(names) == 5
                  else (cubic_through, transform_cubic))
     for seed in FIT_SEEDS:
@@ -162,7 +167,7 @@ def test_fits_do_not_depend_on_point_order():
     # with its last point replaced by its first, each set is rank-deficient
     for seed in FIT_SEEDS:
         tr, rng = Trial(random_triangle(seed)), random.Random(seed)
-        for curve, entries in FITS.items():
+        for curve, entries in POINT_SETS.items():
             points = [tr[name] for _, name in _labelled(entries)]
             fit = conic_through if len(points) == 5 else cubic_through
             assert fit(points[::-1]) == fit(rng.sample(points, len(points))) \

@@ -8,6 +8,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -37,8 +38,10 @@ from tricurves.scenarios import (
     shared_run,
 )
 from tricurves.centers import (
+    CATALOG,
     CenterId,
     TriangleKind,
+    center_coords,
     eval_center_in,
     random_triangle,
 )
@@ -47,10 +50,14 @@ from tricurves.curves import (
     DegeneratePointSet,
     NoLinearComponent,
     conic_through,
+    cubic_through,
     isogonal_image,
+    pivotal_cubic,
+    pivotal_membership,
 )
-from tricurves.kernel import GeometryError, RefTriangle
+from tricurves.kernel import GeometryError, HomPoint, RefTriangle
 
+from reference import RETIRED_FITS
 from strategies import rational_triangles
 
 EXPECTED_IDS = [
@@ -61,6 +68,15 @@ EXPECTED_IDS = [
     "cor1", "cor2", "cor3", "cor4", "cor5-euler-line-component",
     "defs-sanity",
 ]
+
+# each reference cubic as pK: its triangle, conjugation and catalog pivot
+PIVOTAL = {
+    "thomson": ("base", "isogonal", CenterId.X2),
+    "darboux": ("base", "isogonal", CenterId.X20),
+    "lucas": ("base", "isotomic", CenterId.X69),
+    "thomson_orthic": ("orthic", "isogonal", CenterId.X2),
+    "darboux_orthic": ("orthic", "isogonal", CenterId.X20),
+}
 
 
 class TestRegistry:
@@ -895,14 +911,19 @@ class TestOrthicClaims:
             assert not bad, (cursor, tr.t, bad)
         assert obtuse == 115
 
-    def test_collinear_orthic_darboux_points_are_skipped(self):
+    def test_collinear_orthic_darboux_points_are_accepted(self):
         # on RefTriangle(28, 60, 80) the orthic circumcenter 0:11:-39 and
         # the orthic de Longchamps point 0:176:-351 lie on BC with B, C and
-        # the foot H1, so the orthic Darboux point set has rank 8
+        # the foot H1, so no 9-point fit gives the orthic Darboux cubic; its
+        # closed form does, and thm3's must-pass claims hold there
         tr = Trial(random_triangle(513))
         assert (tr.t.a, tr.t.b, tr.t.c) == (28, 60, 80)
+        sc = REGISTRY["thm3-darboux-excentral"]
+        outcomes = evaluate(sc, tr)
+        assert [res for c, res in zip(sc.claims, outcomes)
+                if c.expectation == MUST] == [None] * 3
         with pytest.raises(DegeneratePointSet) as exc:
-            evaluate(REGISTRY["thm3-darboux-excentral"], tr)
+            cubic_through([tr[name] for name in RETIRED_FITS["darboux_orthic"]])
         assert exc.value.rank == 8
         on_bc = ("B", "C", "H1", "center(orthic,X3)", "center(orthic,X20)")
         assert [tr[name].x for name in on_bc] == [0] * 5
@@ -928,6 +949,67 @@ class TestIsogonalImages:
             assert tr["midarc_conic"] == isogonal_image(tr["midarc"], tr["oi"]), seed
 
 
+def _probe_points(tr, sub, rng):
+    """About 30 points off the sidelines of ``sub``: its catalog centers,
+    the base vertices and orthocenter (the orthic in- and excenters), and
+    random small triples."""
+    points = []
+    for cid in CATALOG:
+        try:
+            points.append(eval_center_in(sub, cid))
+        except GeometryError:  # needs side lengths the triangle lacks
+            pass
+    points += [tr[n] for n in ("A", "B", "C", "H")]
+    points += [HomPoint(*(rng.randint(-9, 9) for _ in range(3))) for _ in range(12)]
+    return [p for p in points
+            if p.triple != (0, 0, 0) and 0 not in sub.frame.local(p)]
+
+
+class TestPivotalCubics:
+    """The reference cubics are built as pivotal cubics pK(W, P) by their
+    closed form; two independent definitions check them."""
+
+    def test_closed_forms_equal_the_retired_fits(self):
+        refused = collections.Counter()
+        for seed in range(100):
+            tr = Trial(random_triangle(seed))
+            for name, points in RETIRED_FITS.items():
+                try:
+                    fit = cubic_through([tr[n] for n in points])
+                except DegeneratePointSet:
+                    refused[name] += 1
+                    continue
+                assert tr[name] == fit, (name, seed)
+        assert sum(refused.values()) == 0, refused
+
+    @pytest.mark.parametrize("name", list(PIVOTAL))
+    def test_zero_exactly_on_the_pivotal_collinearity(self, name):
+        tri, conj, pivot = PIVOTAL[name]
+        seen = collections.Counter()
+        for seed in range(20):
+            tr, rng = Trial(random_triangle(seed)), random.Random(seed)
+            sub = tr[tri]
+            cubic = pivotal_cubic(sub, conj, center_coords(sub.metric(), pivot))
+            assert cubic == tr[name], seed
+            at = eval_center_in(sub, pivot)
+            for x in _probe_points(tr, sub, rng):
+                on = pivotal_membership(sub, at, conj, x)
+                assert (cubic.evaluate(x) == 0) == on, (seed, x)
+                seen[on] += 1
+        assert seen[True] >= 100 and seen[False] >= 400, seen
+
+    def test_base_of_a_derived_triangle_keeps_its_frame(self):
+        # the base kind of the orthic triangle is the orthic triangle itself
+        for seed in range(5):
+            tr = Trial(random_triangle(seed))
+            orthic = tr["orthic"]
+            own = centers.derived_subtriangle(orthic, TriangleKind.BASE)
+            pivot = center_coords(orthic.metric(), CenterId.X2)
+            assert pivotal_cubic(own, "isogonal", pivot) == tr["thomson_orthic"]
+            assert isogonal_image(own, tr["euler_line"]) \
+                == isogonal_image(orthic, tr["euler_line"])
+
+
 def _circumcircle(tr):
     u = tr.t.unit
     return Conic(0, 0, 0, u.c2, u.b2, u.a2)
@@ -935,14 +1017,29 @@ def _circumcircle(tr):
 
 class TestNegativeControls:
     """A wrong value preset into a fresh Trial makes each claim that reads
-    an isogonal image of a line fail with a certificate."""
+    an isogonal image of a line or a pivotal cubic fail with a certificate."""
 
     @pytest.mark.parametrize("sid, name, wrong, cid", [
         ("thm1-jerabek-excentral", "oi", lambda tr: tr["euler_line"],
          "isogonal-image-of-oi-line"),
         ("defs-sanity", "jerabek", _circumcircle, "isogonal-conic-members"),
         ("defs-sanity", "jerabek", _circumcircle, "isogonal-conic-characterization"),
-    ], ids=["thm1-oi-image", "defs-members", "defs-characterization"])
+        ("defs-sanity", "thomson", lambda tr: tr["darboux"], "median-cubic-members"),
+        ("defs-sanity", "darboux", lambda tr: tr["thomson"],
+         "reflection-cubic-members"),
+        ("thm2-thomson-excentral", "thomson_orthic", lambda tr: tr["darboux_orthic"],
+         "equals-thomson-of-orthic"),
+        ("thm3-darboux-excentral", "darboux_orthic", lambda tr: tr["thomson_orthic"],
+         "equals-darboux-of-orthic"),
+        ("thm5-darboux-medial", "darboux", lambda tr: tr["thomson"],
+         "equals-darboux-pushforward"),
+        ("thm7-darboux-euler", "darboux", lambda tr: tr["lucas"],
+         "equals-darboux-pushforward"),
+        ("thm6-lucas-medial", "lucas", lambda tr: tr["thomson"],
+         "equals-lucas-pushforward"),
+    ], ids=["thm1-oi-image", "defs-members", "defs-characterization",
+            "defs-thomson-members", "defs-darboux-members", "thm2-thomson-orthic",
+            "thm3-darboux-orthic", "thm5-darboux", "thm7-darboux", "thm6-lucas"])
     def test_wrong_value_fails_the_claim(self, sid, name, wrong, cid):
         sc = REGISTRY[sid]
         for seed in range(5):
