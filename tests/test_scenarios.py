@@ -960,9 +960,9 @@ def _probe_points(tr, sub, rng):
         except GeometryError:  # needs side lengths the triangle lacks
             pass
     points += [tr[n] for n in ("A", "B", "C", "H")]
-    points += [HomPoint(*(rng.randint(-9, 9) for _ in range(3))) for _ in range(12)]
-    return [p for p in points
-            if p.triple != (0, 0, 0) and 0 not in sub.frame.local(p)]
+    digits = [*range(-9, 0), *range(1, 10)]
+    points += [HomPoint(*(rng.choice(digits) for _ in range(3))) for _ in range(12)]
+    return [p for p in points if 0 not in sub.frame.local(p)]
 
 
 class TestPivotalCubics:
