@@ -531,7 +531,7 @@ _SCENARIOS = (
             rectangular_claim("exc_conic"),
             eq_claim("isogonal-image-of-oi-line", VERDICT, "exc_conic",
                      lambda tr: isogonal_image(tr["excentral"], tr["oi"]),
-                     "membership", "conic is not the excentral isogonal image of OI"),
+                     "curve-equality", "conic is not the excentral isogonal image of OI"),
             characterization_claim("isogonal-characterization", "exc_conic",
                                    "oi", ("Be", "I", "Mi", "L"), "excentral"),
         ],

@@ -182,12 +182,10 @@ def test_fits_do_not_depend_on_point_order():
 
 
 # the claims a projective map need not keep: each conjugates in a triangle
-# inside its check, and conjugation is metric (the pivotal collinearities,
-# and thm1's comparison with the excentral isogonal image of the OI line)
+# inside its check, and conjugation is metric (the pivotal collinearities)
 METRIC_CLAIMS = {
     "orthic-pivotal-oracle", "medial-isotomic-pivotal-oracle",
     "median-cubic-pivotal-oracle", "reflection-cubic-pivotal-oracle",
-    "isogonal-image-of-oi-line",
 }
 
 
