@@ -42,6 +42,7 @@ from .kernel import (
     VERTEX_A,
     VERTEX_B,
     VERTEX_C,
+    _IDENTITY,
     equidistant_point,
     foot_of_perpendicular,
     incident,
@@ -160,19 +161,6 @@ _VERTEX_OF = dict(zip((CenterId.VERTEX_A, CenterId.VERTEX_B, CenterId.VERTEX_C),
                        _VERTICES))
 _SIDE_PAIRS = ((VERTEX_B, VERTEX_C), (VERTEX_C, VERTEX_A), (VERTEX_A, VERTEX_B))
 _SIDELINES = tuple(join(*pair) for pair in _SIDE_PAIRS)
-
-
-class _IdentityFrame(Frame):
-    """The base's frame: the general maps on identity rows, without products."""
-
-    def local(self, p: HomPoint) -> tuple[int, int, int]:
-        return p.triple
-
-    def base(self, q: Sequence[int]) -> HomPoint:
-        return HomPoint(*q)
-
-
-_IDENTITY = _IdentityFrame.of(*_VERTICES)  # the frame of the base
 
 
 def _refuse_right(m: Metric, kind: TriangleKind) -> None:

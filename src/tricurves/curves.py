@@ -11,12 +11,14 @@ Each curve class holds one monomial table (``MONOMIALS`` and ``WEIGHTS``).
 Conic coefficient order is (q11, q22, q33, q12, q13, q23) for the form
 q11*x^2 + q22*y^2 + q33*z^2 + 2*q12*x*y + 2*q13*x*z + 2*q23*y*z; cubic
 coefficients follow the lexicographic monomial order x^3, x^2*y, x^2*z,
-x*y^2, x*y*z, x*z^2, y^3, y^2*z, y*z^2, z^3.  Push-forwards, Hessians
-and line restrictions evaluate the form at a few fixed integer points and
-read the coefficients back by closed-form exact rules; Hessians read the
-second partials off a table derived from the monomial order, and gradients
-apply half of them at a point to it (Euler's identity); the pencil
-quotient is an integer synthetic division of the coefficient vector.
+x*y^2, x*y*z, x*z^2, y^3, y^2*z, y*z^2, z^3.  A form written in a triangle's
+frame reaches base coordinates by the pull-back through the frame's
+``inverse``; a push-forward is the pull-back through an adjugate.  Pull-backs,
+Hessians and line restrictions evaluate the form at a few fixed integer
+points and read the coefficients back by closed-form exact rules; Hessians
+read the second partials off a table derived from the monomial order, and
+gradients apply half of them at a point to it (Euler's identity); the
+pencil quotient is an integer synthetic division of the coefficient vector.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .kernel import (
     PointAtInfinity,
     Rat,
     _CanonicalVector,
+    _IDENTITY,
     _fraction,
     adjugate3,
     affine_point,
@@ -557,15 +560,19 @@ def transform_point(matrix, p: HomPoint) -> HomPoint:
     return HomPoint(*mat_vec(matrix, p.triple))
 
 
+def _pull(curve: _FormVector, inverse) -> _FormVector:
+    """The form of p -> F(inverse p), interpolated from its values at the
+    nodes."""
+    form = type(curve)
+    return form._unweighted(form._interpolate([curve._at(mat_vec(inverse, node))
+                                               for node in form.NODES]))
+
+
 def _transform(matrix, curve: _FormVector) -> _FormVector:
-    """Push-forward: the form of p -> F(adj(matrix) p), interpolated from
-    its values at the nodes."""
+    """Push-forward: the pull-back through adj(matrix)."""
     if det3(matrix) == 0:
         raise SingularMatrix("transformation matrix is singular")
-    adj = adjugate3(matrix)
-    form = type(curve)
-    return form._unweighted(form._interpolate([curve._at(mat_vec(adj, node))
-                                               for node in form.NODES]))
+    return _pull(curve, adjugate3(matrix))
 
 
 def transform_conic(matrix, c: Conic) -> Conic:
@@ -578,53 +585,46 @@ def transform_cubic(matrix, k: Cubic) -> Cubic:
     return _transform(matrix, k)
 
 
-def _frame_matrix(frame):
-    """The frame's matrix M, the one with ``frame.base(q)`` = M q."""
-    s1, s2, s3 = frame.sums
-    return tuple(tuple(map(mul, row, (s2 * s3, s1 * s3, s1 * s2))) for row in frame.rows)
-
-
 def _from_frame(sub, curve: _FormVector) -> _FormVector:
     """The curve whose form is ``curve`` in the frame of the triangle ``sub``
-    (a ``SubTriangle``, the base included), in base coordinates: pushed
-    forward by the frame's matrix M.  The base's identity frame (M = I)
-    pushes nothing; the frame is tested, not the kind, since the base kind
-    of a derived triangle keeps its parent's frame."""
-    if sub.frame == _centers._IDENTITY:
+    (a ``SubTriangle``, the base included), in base coordinates: pulled back
+    through the frame's ``inverse``.  The base's identity frame moves
+    nothing; the frame is tested, not the kind, since the base kind of a
+    derived triangle keeps its parent's frame."""
+    if sub.frame == _IDENTITY:
         return curve
-    move = transform_conic if isinstance(curve, Conic) else transform_cubic
-    return move(_frame_matrix(sub.frame), curve)
+    return _pull(curve, sub.frame.inverse)
 
 
 def isogonal_image(sub, line: HomLine) -> Conic:
     """The isogonal image of ``line`` in the triangle ``sub`` (a
     ``SubTriangle``, the base included): the circumconic
     l1*a2*y*z + l2*b2*z*x + l3*c2*x*y = 0 of the line's coordinates
-    (l1, l2, l3) in the frame of ``sub``, M^T l for the frame's matrix M."""
+    (l1, l2, l3) in the frame of ``sub``, M^T l for the frame's ``matrix`` M."""
     u = sub.metric().unit
-    l1, l2, l3 = mat_vec(tuple(zip(*_frame_matrix(sub.frame))), line.triple)
+    l1, l2, l3 = mat_vec(tuple(zip(*sub.frame.matrix)), line.triple)
     return _from_frame(sub, Conic(0, 0, 0, l3 * u.c2, l2 * u.b2, l1 * u.a2))
 
 
 # ---------------------------------------------------------------------------
 # pivotal cubics
 
-def pivotal_cubic(sub, conj: str, pivot: Sequence[int]) -> Cubic:
+def pivotal_cubic(sub, conj: str, pivot: HomPoint) -> Cubic:
     """The pivotal cubic pK(W, P) of the triangle ``sub`` (a ``SubTriangle``,
     the base included): the points X collinear with their ``conj``
-    ("isogonal" or "isotomic") conjugate and the pivot P.  In the frame of
-    ``sub``, with P = ``pivot`` = u:v:w (a raw triple in that frame) and the
-    pole W = p:q:r the conjugate of 1:1:1 (a2:b2:c2 or 1:1:1), it is
-    det[P; X; (p*y*z, q*z*x, r*x*y)] = 0, pushed to base coordinates."""
-    u, v, w = pivot
+    ("isogonal" or "isotomic") conjugate and the pivot P, a base point.  In
+    the frame of ``sub``, with P = u:v:w and the pole W = p:q:r the
+    conjugate of 1:1:1 (a2:b2:c2 or 1:1:1), it is
+    det[P; X; (p*y*z, q*z*x, r*x*y)] = 0, moved to base coordinates."""
+    u, v, w = sub.frame.local(pivot)
     p, q, r = _centers._conjugate_point(conj, sub.metric(), (1, 1, 1))
     # x^3, x^2y, x^2z, xy^2, xyz, xz^2, y^3, y^2z, yz^2, z^3
     return _from_frame(sub, Cubic(0, -v * r, w * q, u * r, 0, -u * q,
                                   0, -w * p, v * p, 0))
 
 
-def pivotal_membership(sub, pivot: HomPoint, conj: str, x: HomPoint) -> bool:
+def pivotal_membership(sub, conj: str, pivot: HomPoint, x: HomPoint) -> bool:
     """Whether x, its ``conj`` ("isogonal" or "isotomic") conjugate in the
-    triangle ``sub`` (a ``SubTriangle``, the base included) and the pivot
-    are collinear."""
+    triangle ``sub`` (a ``SubTriangle``, the base included) and the pivot,
+    a base point, are collinear."""
     return collinear(x, _centers.conjugate(sub, conj, x), pivot)

@@ -576,36 +576,52 @@ def orthocenter_of(p1: HomPoint, p2: HomPoint, p3: HomPoint, m: Metric) -> HomPo
 # frames
 
 class Frame(NamedTuple):
-    """The triangle v1 v2 v3, checked once to be finite and affinely
-    independent: the vertices as the columns of ``rows``, their coordinate
-    sums and the adjugate of ``rows``.  ``local`` gives a point's raw
-    barycentrics and ``base`` the canonical point of any such triple."""
+    """The triangle of the vertices v1, v2, v3, checked once to be finite
+    and affinely independent.  ``base`` applies ``matrix`` M, the vertices
+    as columns scaled to one coordinate sum s1*s2*s3; ``local`` applies
+    ``inverse`` diag(s1, s2, s3) adj(V), V the unscaled columns, a nonzero
+    multiple of M^-1."""
 
-    rows: tuple[tuple[int, int, int], ...]
-    sums: tuple[int, int, int]
-    adj: tuple[tuple[int, int, int], ...]
+    matrix: tuple[tuple[int, int, int], ...]
+    inverse: tuple[tuple[int, int, int], ...]
 
     @classmethod
     def of(cls, v1: HomPoint, v2: HomPoint, v3: HomPoint) -> "Frame":
-        for v in (v1, v2, v3):
-            if v.is_infinite():
+        (a, d, g), (b, e, h), (c, f, i) = v1.triple, v2.triple, v3.triple
+        s1, s2, s3 = a + d + g, b + e + h, c + f + i
+        for s, v in ((s1, v1), (s2, v2), (s3, v3)):
+            if s == 0:
                 raise DegenerateFrame(f"frame vertex {v} is at infinity")
-        rows = tuple(zip(v1.triple, v2.triple, v3.triple))
-        adj = adjugate3(rows)
-        if dot(adj[0], v1.triple) == 0:  # adj . rows = det(rows) I
+        n11, n12, n13 = e * i - f * h, c * h - b * i, b * f - c * e  # adj(V)[0]
+        if a * n11 + d * n12 + g * n13 == 0:  # det(V)
             raise DegenerateFrame("frame points are affinely dependent")
-        return cls(rows, (sum(v1.triple), sum(v2.triple), sum(v3.triple)), adj)
+        t1, t2, t3 = s2 * s3, s1 * s3, s1 * s2
+        return cls(((a * t1, b * t2, c * t3), (d * t1, e * t2, f * t3),
+                    (g * t1, h * t2, i * t3)),
+                   ((s1 * n11, s1 * n12, s1 * n13),
+                    (s2 * (f * g - d * i), s2 * (a * i - c * g), s2 * (c * d - a * f)),
+                    (s3 * (d * h - e * g), s3 * (b * g - a * h), s3 * (a * e - b * d))))
 
     def local(self, p: HomPoint) -> tuple[int, int, int]:
         """Barycentric coordinates of ``p`` relative to the frame, up to scale."""
-        w1, w2, w3 = mat_vec(self.adj, p.triple)
-        s1, s2, s3 = self.sums
-        return (s1 * w1, s2 * w2, s3 * w3)
+        return mat_vec(self.inverse, p.triple)
 
     def base(self, q: Sequence[int]) -> HomPoint:
         """The canonical point with frame barycentrics ``q`` (any scale)."""
-        (x, y, z), (s1, s2, s3) = q, self.sums
-        return HomPoint(*mat_vec(self.rows, (x * s2 * s3, y * s1 * s3, z * s1 * s2)))
+        return HomPoint(*mat_vec(self.matrix, q))
+
+
+class _IdentityFrame(Frame):
+    """The base's frame: the general maps, without their products."""
+
+    def local(self, p: HomPoint) -> tuple[int, int, int]:
+        return p.triple
+
+    def base(self, q: Sequence[int]) -> HomPoint:
+        return HomPoint(*q)
+
+
+_IDENTITY = _IdentityFrame.of(VERTEX_A, VERTEX_B, VERTEX_C)  # the frame of the base
 
 
 def local_coords(p: HomPoint, v1: HomPoint, v2: HomPoint, v3: HomPoint) -> HomPoint:

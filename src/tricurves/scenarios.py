@@ -20,8 +20,9 @@ definition: ``"jerabek"``, the base isogonal image of the Euler line
 (:func:`isogonal_image`, the one rule for the image of a line in any
 triangle), or ``"thomson"``, ``"darboux"``, ``"lucas"``,
 ``"thomson_orthic"`` and ``"darboux_orthic"``, pivotal cubics of the base
-or the orthic triangle (:func:`pivotal_cubic`); ``"ax1.conic"`` reads an
-attribute of a construction.
+or the orthic triangle (:func:`pivotal_cubic`), each given its pivot as
+the point named in its collinearity claim (``"M"``, ``"L"``, ...);
+``"ax1.conic"`` reads an attribute of a construction.
 :func:`_scenario` takes the names ``setup`` resolves eagerly on the Trial
 it is given, in order (a degenerate triangle is skipped or refused where
 that construction fails), the claims (made by the builders below from
@@ -55,7 +56,6 @@ from .centers import (
     CenterId,
     OnSideline,
     TriangleKind,
-    center_coords,
     derived_subtriangle,
     derived_triangle,
     eval_center_in,
@@ -191,23 +191,16 @@ def _fit(entries):
     return fit
 
 
-def _pivotal(tri: str, conj: str, pivot: CenterId):
-    """The pivotal cubic of the ``tri`` triangle with the catalog pivot."""
-    def build(tr: "Trial"):
-        sub = tr[tri]
-        return pivotal_cubic(sub, conj, center_coords(sub.metric(), pivot))
-
-    return build
-
-
 CONSTRUCTIONS: dict[str, Callable[["Trial"], object]] = {
     **{name: _fit(points) for name, points in FITS.items()},
     "jerabek": lambda tr: isogonal_image(tr["base"], tr["euler_line"]),
-    "thomson": _pivotal("base", "isogonal", CenterId.X2),
-    "darboux": _pivotal("base", "isogonal", CenterId.X20),
-    "lucas": _pivotal("base", "isotomic", CenterId.X69),
-    "thomson_orthic": _pivotal("orthic", "isogonal", CenterId.X2),
-    "darboux_orthic": _pivotal("orthic", "isogonal", CenterId.X20),
+    "thomson": lambda tr: pivotal_cubic(tr["base"], "isogonal", tr["M"]),
+    "darboux": lambda tr: pivotal_cubic(tr["base"], "isogonal", tr["L"]),
+    "lucas": lambda tr: pivotal_cubic(tr["base"], "isotomic", tr["X69"]),
+    "thomson_orthic": lambda tr: pivotal_cubic(tr["orthic"], "isogonal",
+                                               tr["center(orthic,X2)"]),
+    "darboux_orthic": lambda tr: pivotal_cubic(tr["orthic"], "isogonal",
+                                               tr["center(orthic,X20)"]),
     "oexc": lambda tr: derived_subtriangle(tr["excentral"], TriangleKind.ORTHIC),
     "oexc_symmedian": lambda tr: eval_center_in(tr["oexc"], CenterId.X6),
     "oi": lambda tr: join(tr["O"], tr["I"]),
@@ -339,8 +332,8 @@ def characterization_claim(cid: str, conic: str, line: str, points, tri: str,
     return Claim(cid, "membership", MUST, check)
 
 
-def pivotal_claim(cid: str, pivot: str, conj: str, points, what: str,
-                  tri: str = "base") -> Claim:
+def pivotal_claim(cid: str, tri: str, conj: str, pivot: str, points,
+                  what: str) -> Claim:
     """Must-pass: each point, its conjugate in the ``tri`` triangle and the
     pivot are collinear."""
     entries = _labelled(points)
@@ -349,7 +342,7 @@ def pivotal_claim(cid: str, pivot: str, conj: str, points, what: str,
         pv, sub = tr[pivot], tr[tri]
         for lbl, name in entries:
             p = tr[name]
-            if not pivotal_membership(sub, pv, conj, p):
+            if not pivotal_membership(sub, conj, pv, p):
                 return Failure(str(p), str(pv),
                                f"{lbl} breaks the {what} collinearity")
         return None
@@ -570,9 +563,9 @@ _SCENARIOS = (
             fit_claim("thm3_cubic"),
             curve_eq_claim("equals-darboux-of-orthic", "thm3_cubic",
                            "darboux_orthic"),
-            pivotal_claim("orthic-pivotal-oracle", "center(orthic,X20)",
-                          "isogonal", ("A", "B", "C", "H", "E", "O"),
-                          "orthic pivotal", tri="orthic"),
+            pivotal_claim("orthic-pivotal-oracle", "orthic", "isogonal",
+                          "center(orthic,X20)", ("A", "B", "C", "H", "E", "O"),
+                          "orthic pivotal"),
         ],
         points=("H", "E", "O"), curves=[("cubic", "thm3_cubic")]),
     _scenario(
@@ -657,10 +650,10 @@ _SCENARIOS = (
             membership_claim("contains-orthocenter", VERDICT, "thm6_cubic", ["H"]),
             pushforward_claim("equals-lucas-pushforward", "lucas", "M",
                               Fraction(-1, 2), "thm6_cubic"),
-            pivotal_claim("medial-isotomic-pivotal-oracle", "center(medial,X69)",
-                          "isotomic",
+            pivotal_claim("medial-isotomic-pivotal-oracle", "medial", "isotomic",
+                          "center(medial,X69)",
                           ("A", "B", "C", "M", "O", "I", "Sy", "Mi", "H"),
-                          "medial isotomic", tri="medial"),
+                          "medial isotomic"),
         ],
         points=("Sy", "M", "O", "Mi", "I", "H"), curves=[("cubic", "thm6_cubic")]),
     _scenario(
@@ -801,12 +794,12 @@ _SCENARIOS = (
                                    on_curve=True),
             membership_claim("median-cubic-members", MUST, "thomson",
                              ["I", "M", "O", "Sy", "Mi", ("MiP", "X57")]),
-            pivotal_claim("median-cubic-pivotal-oracle", "M", "isogonal",
+            pivotal_claim("median-cubic-pivotal-oracle", "base", "isogonal", "M",
                           ("I", "O", "Sy", "Mi", ("MiP", "X57")),
                           "centroid-pivot"),
             membership_claim("reflection-cubic-members", MUST, "darboux",
                              ["I", "O", "Be", "I2", "I3"]),
-            pivotal_claim("reflection-cubic-pivotal-oracle", "L", "isogonal",
+            pivotal_claim("reflection-cubic-pivotal-oracle", "base", "isogonal", "L",
                           ("I", "O", "H", "Be", "I2", "I3"),
                           "de-Longchamps-pivot"),
         ],

@@ -62,6 +62,7 @@ from tricurves.kernel import (
     VERTEX_B,
     VERTEX_C,
     local_coords,
+    mat_vec,
     midpoint,
     reflect_through,
     squared_distance,
@@ -783,9 +784,9 @@ class TestIdentityFrame:
     @settings(max_examples=200, deadline=None)
     def test_maps_equal_the_general_frame(self, triple):
         p = HomPoint(*triple)
-        assert centers._IDENTITY == IDENTITY_ROWS
-        assert centers._IDENTITY.base(triple) == IDENTITY_ROWS.base(triple)
-        assert centers._IDENTITY.local(p) == IDENTITY_ROWS.local(p)
+        assert kernel._IDENTITY == IDENTITY_ROWS
+        assert kernel._IDENTITY.base(triple) == IDENTITY_ROWS.base(triple)
+        assert kernel._IDENTITY.local(p) == IDENTITY_ROWS.local(p)
 
     def test_derivations_equal_the_general_frame(self):
         compared = 0
@@ -799,11 +800,15 @@ class TestIdentityFrame:
                     ref.kind, ref.v1, ref.v2, ref.v3), (seed, kind)
                 assert sub.own_metric.unit == ref.own_metric.unit, (seed, kind)
                 assert sub.frame == ref.frame, (seed, kind)
+                # the inverse times the matrix, column by column: k I, k != 0
+                nm = [mat_vec(sub.frame.inverse, col) for col in zip(*sub.frame.matrix)]
+                k = nm[0][0]
+                assert k and nm == [(k, 0, 0), (0, k, 0), (0, 0, k)], (seed, kind)
                 compared += 1
         assert compared == 50 * len(TriangleKind)
 
     def test_base_triangle_keeps_its_parents_frame(self):
-        assert derived_triangle(T, TriangleKind.BASE).frame is centers._IDENTITY
+        assert derived_triangle(T, TriangleKind.BASE).frame is kernel._IDENTITY
         for kind in TriangleKind:
             parent = derived_triangle(T, kind)
             assert derived_subtriangle(parent, TriangleKind.BASE).frame is parent.frame

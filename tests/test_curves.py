@@ -15,9 +15,11 @@ from tricurves.centers import (
     CenterId,
     OnSideline,
     TriangleKind,
+    center_coords,
     conjugate,
     derived_triangle,
     eval_center,
+    eval_center_in,
     random_triangle,
 )
 from tricurves.curves import (
@@ -34,6 +36,7 @@ from tricurves.curves import (
     PencilFactorization,
     SingularMatrix,
     ZeroRatio,
+    _from_frame,
     _infinity_restriction,
     _restrict,
     axis_conic,
@@ -50,6 +53,7 @@ from tricurves.curves import (
     on_cubic,
     pascal_check,
     pencil_combination,
+    pivotal_cubic,
     pivotal_membership,
     pole,
     transform_conic,
@@ -910,20 +914,20 @@ class TestTransforms:
 
 class TestPivotal:
     def test_incenter_on_centroid_pivot(self):
-        assert pivotal_membership(BASE, eval_center(T, CenterId.X2), "isogonal",
+        assert pivotal_membership(BASE, "isogonal", eval_center(T, CenterId.X2),
                                   eval_center(T, CenterId.X1))
 
     def test_euler_chain(self):
-        assert pivotal_membership(BASE, eval_center(T, CenterId.X20), "isogonal",
+        assert pivotal_membership(BASE, "isogonal", eval_center(T, CenterId.X20),
                                   eval_center(T, CenterId.X3))
 
     def test_isotomic_nagel(self):
-        assert pivotal_membership(BASE, eval_center(T, CenterId.X69), "isotomic",
+        assert pivotal_membership(BASE, "isotomic", eval_center(T, CenterId.X69),
                                   eval_center(T, CenterId.X8))
 
     def test_unknown_conjugation(self):
         with pytest.raises(ValueError):
-            pivotal_membership(BASE, VERTEX_A, "polar", HomPoint(1, 1, 1))
+            pivotal_membership(BASE, "polar", VERTEX_A, HomPoint(1, 1, 1))
 
     @given(st.integers(0, 10**6), st.sampled_from(("isogonal", "isotomic")),
            st.sampled_from((None,) + tuple(TriangleKind)),
@@ -943,13 +947,13 @@ class TestPivotal:
         u, v, w = p.triple if sub is None else local_coords(p, *sub.vertices).triple
         if 0 in (u, v, w):
             with pytest.raises(OnSideline):
-                pivotal_membership(sub or base, pv, conj, p)
+                pivotal_membership(sub or base, conj, pv, p)
             return
         weights = (m.a2, m.b2, m.c2) if conj == "isogonal" else (1, 1, 1)
         cx = HomPoint(weights[0] * v * w, weights[1] * w * u, weights[2] * u * v)
         if sub is not None:
             cx = Frame.of(*sub.vertices).base(cx.triple)
-        assert pivotal_membership(sub or base, pv, conj, p) == collinear(p, cx, pv)
+        assert pivotal_membership(sub or base, conj, pv, p) == collinear(p, cx, pv)
 
 
 class TestRectangularityCrossValidation:
@@ -1094,3 +1098,34 @@ class TestIsogonalImage:
         q = HomPoint(1, 5, 7)
         assert not incident(q, self.LINE) and 0 not in sub.frame.local(q)
         assert not on_conic(conjugate(sub, "isogonal", q), image)
+
+
+class TestFramePullBack:
+    """A form in a triangle's frame reaches base coordinates by the pull-back
+    through the frame's inverse, which is the push-forward by its matrix."""
+
+    def test_pull_back_equals_the_push_forward(self):
+        moved = 0
+        for seed in range(50):
+            t = random_triangle(seed)
+            for kind in TriangleKind:  # random_triangle draws no right triangle
+                sub = derived_triangle(t, kind)
+                m, u = sub.metric(), sub.metric().unit
+                # the sub's isogonal image of its Euler line and its Thomson
+                # pK, written in its frame
+                l1, l2, l3 = cross(center_coords(m, CenterId.X3),
+                                   center_coords(m, CenterId.X4))
+                image = Conic(0, 0, 0, l3 * u.c2, l2 * u.b2, l1 * u.a2)
+                x, y, z = center_coords(m, CenterId.X2)
+                thomson = Cubic(0, -y * u.c2, z * u.b2, x * u.c2, 0, -x * u.b2,
+                                0, -z * u.a2, y * u.a2, 0)
+                for local, move in ((image, transform_conic), (thomson, transform_cubic)):
+                    assert _from_frame(sub, local) == move(sub.frame.matrix, local), \
+                        (seed, kind)
+                euler = join(eval_center_in(sub, CenterId.X3),
+                             eval_center_in(sub, CenterId.X4))
+                assert _from_frame(sub, image) == isogonal_image(sub, euler)
+                assert _from_frame(sub, thomson) \
+                    == pivotal_cubic(sub, "isogonal", eval_center_in(sub, CenterId.X2))
+                moved += 1
+        assert moved == 50 * len(TriangleKind)

@@ -41,7 +41,6 @@ from tricurves.centers import (
     CATALOG,
     CenterId,
     TriangleKind,
-    center_coords,
     eval_center_in,
     random_triangle,
 )
@@ -989,11 +988,11 @@ class TestPivotalCubics:
         for seed in range(20):
             tr, rng = Trial(random_triangle(seed)), random.Random(seed)
             sub = tr[tri]
-            cubic = pivotal_cubic(sub, conj, center_coords(sub.metric(), pivot))
-            assert cubic == tr[name], seed
             at = eval_center_in(sub, pivot)
+            cubic = pivotal_cubic(sub, conj, at)
+            assert cubic == tr[name], seed
             for x in _probe_points(tr, sub, rng):
-                on = pivotal_membership(sub, at, conj, x)
+                on = pivotal_membership(sub, conj, at, x)
                 assert (cubic.evaluate(x) == 0) == on, (seed, x)
                 seen[on] += 1
         assert seen[True] >= 100 and seen[False] >= 400, seen
@@ -1004,10 +1003,29 @@ class TestPivotalCubics:
             tr = Trial(random_triangle(seed))
             orthic = tr["orthic"]
             own = centers.derived_subtriangle(orthic, TriangleKind.BASE)
-            pivot = center_coords(orthic.metric(), CenterId.X2)
+            pivot = eval_center_in(orthic, CenterId.X2)
             assert pivotal_cubic(own, "isogonal", pivot) == tr["thomson_orthic"]
             assert isogonal_image(own, tr["euler_line"]) \
                 == isogonal_image(orthic, tr["euler_line"])
+
+    def test_medial_and_euler_cubics_are_pivotal(self):
+        """The fitted cubics of thm5, thm6 and thm7 are pK of the medial and
+        Euler triangles, so pK runs in two more frames than the base and
+        orthic ones of the reference cubics."""
+        refused = collections.Counter()
+        for seed in range(100):
+            tr = Trial(random_triangle(seed))
+            for fit, tri, conj, pivot in (
+                    ("thm5_cubic", "medial", "isogonal", "center(medial,X20)"),
+                    ("thm6_cubic", "medial", "isotomic", "center(medial,X69)"),
+                    ("thm7_cubic", "euler", "isogonal", "center(euler,X20)")):
+                try:
+                    cubic = tr[fit]
+                except DegeneratePointSet:
+                    refused[fit] += 1
+                    continue
+                assert cubic == pivotal_cubic(tr[tri], conj, tr[pivot]), (fit, seed)
+        assert sum(refused.values()) == 0, refused
 
 
 def _circumcircle(tr):
@@ -1037,9 +1055,17 @@ class TestNegativeControls:
          "equals-darboux-pushforward"),
         ("thm6-lucas-medial", "lucas", lambda tr: tr["thomson"],
          "equals-lucas-pushforward"),
+        ("thm3-darboux-excentral", "center(orthic,X20)",
+         lambda tr: tr["center(orthic,X4)"], "orthic-pivotal-oracle"),
+        ("thm6-lucas-medial", "center(medial,X69)",
+         lambda tr: tr["center(medial,X4)"], "medial-isotomic-pivotal-oracle"),
+        ("defs-sanity", "M", lambda tr: tr["O"], "median-cubic-pivotal-oracle"),
+        ("defs-sanity", "L", lambda tr: tr["H"], "reflection-cubic-pivotal-oracle"),
     ], ids=["thm1-oi-image", "defs-members", "defs-characterization",
             "defs-thomson-members", "defs-darboux-members", "thm2-thomson-orthic",
-            "thm3-darboux-orthic", "thm5-darboux", "thm7-darboux", "thm6-lucas"])
+            "thm3-darboux-orthic", "thm5-darboux", "thm7-darboux", "thm6-lucas",
+            "thm3-orthic-pivot", "thm6-medial-pivot", "defs-centroid-pivot",
+            "defs-de-longchamps-pivot"])
     def test_wrong_value_fails_the_claim(self, sid, name, wrong, cid):
         sc = REGISTRY[sid]
         for seed in range(5):
