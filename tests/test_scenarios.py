@@ -1035,7 +1035,8 @@ def _circumcircle(tr):
 
 class TestNegativeControls:
     """A wrong value preset into a fresh Trial makes each claim that reads
-    an isogonal image of a line or a pivotal cubic fail with a certificate."""
+    an isogonal image of a line, a pivotal cubic or a pivot fail with a
+    certificate."""
 
     @pytest.mark.parametrize("sid, name, wrong, cid", [
         ("thm1-jerabek-excentral", "oi", lambda tr: tr["euler_line"],
