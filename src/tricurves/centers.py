@@ -19,8 +19,10 @@ sides are always rational); odd centers need the unsquared sides and are only
 available where those are exact (the base, medial, Euler and anticomplementary
 triangles).  Each triangle is derived from its parent's metric and frame by
 one rule, in integers, the base's frame being the identity, which multiplies
-nothing; each frame is checked once, when built, and maps the raw triples of
-centers, conjugates and vertices, canonicalized once on the way out.  One
+nothing.  Each frame is built and checked once, from its vertices' raw rows,
+which it canonicalizes; it maps the raw triples of centers and conjugates,
+canonicalized once on the way out, and gives the vertices back, read off
+its matrix, only to a caller that asks for them.  One
 factory makes the center-expression node types, one table their rules.
 """
 
@@ -47,6 +49,7 @@ from .kernel import (
     foot_of_perpendicular,
     incident,
     join,
+    mat_vec,
     midpoint,
     orthocenter_of,
     perpendicular_line_through,
@@ -242,23 +245,45 @@ def isogonal(m: Metric, p: HomPoint) -> HomPoint:
 # ---------------------------------------------------------------------------
 # derived triangles
 
-class SubTriangle(NamedTuple):
-    """A derived triangle: vertices in base coordinates, its own metric and
-    the frame of its vertices, which maps points into and out of it."""
+class SubTriangle:
+    """A derived triangle: its own metric and the frame of its vertices,
+    which maps points into and out of it.  The frame is the one record of
+    the vertices: they are read off it, in base coordinates, when first
+    asked for, and kept."""
 
-    kind: TriangleKind
-    v1: HomPoint
-    v2: HomPoint
-    v3: HomPoint
-    own_metric: Metric
-    frame: Frame
+    __slots__ = ("kind", "own_metric", "frame", "_vertices")
+
+    def __init__(self, kind: TriangleKind, own_metric: Metric, frame: Frame):
+        _set_kind(self, kind)
+        _set_metric(self, own_metric)
+        _set_frame(self, frame)
+        _set_vertices(self, None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def vertices(self) -> tuple[HomPoint, HomPoint, HomPoint]:
-        return (self.v1, self.v2, self.v3)
+        """The frame's base points of the unit rows (its matrix's columns);
+        two threads that race both store equal points."""
+        vs = self._vertices
+        if vs is None:
+            base = self.frame.base
+            vs = (base((1, 0, 0)), base((0, 1, 0)), base((0, 0, 1)))
+            _set_vertices(self, vs)
+        return vs
+
+    v1 = property(lambda self: self.vertices[0])
+    v2 = property(lambda self: self.vertices[1])
+    v3 = property(lambda self: self.vertices[2])
 
     def metric(self) -> Metric:
         return self.own_metric
+
+
+# the slots' own setters, past SubTriangle.__setattr__
+_set_kind, _set_metric, _set_frame, _set_vertices = (
+    getattr(SubTriangle, name).__set__ for name in SubTriangle.__slots__)
 
 
 def _derived_rows(m: Metric, kind: TriangleKind):
@@ -305,18 +330,22 @@ def _derived_rows(m: Metric, kind: TriangleKind):
 
 
 def _derive(m: Metric, frame: Frame, kind: TriangleKind) -> SubTriangle:
-    """The ``kind`` triangle of the triangle with metric ``m`` and ``frame``,
-    with vertices in base coordinates; the orthic and tangential triangles of
-    a right triangle raise :class:`RightTriangle`.  Its view is ``m``'s
-    rescaled where the side ratio is rational, else read in integers off the
-    raw rows in the frame of ``m``, which no frame changes; the rows are
-    mapped out through ``frame`` after that, and the base kind keeps ``frame``."""
+    """The ``kind`` triangle of the triangle with metric ``m`` and ``frame``;
+    the orthic and tangential triangles of a right triangle raise
+    :class:`RightTriangle`.  Its view is ``m``'s rescaled where the side
+    ratio is rational, else read in integers off the raw rows in the frame
+    of ``m``, which no frame changes.  The rows are then mapped out through
+    ``frame``'s matrix, which the identity skips, into the new frame, which
+    canonicalizes them; the base kind keeps ``frame``."""
     _refuse_right(m, kind)
     local, ratio = _derived_rows(m, kind)
     own = m.unit.scaled(*ratio) if ratio is not None else triangle_view(*local, m)
-    points = tuple(frame.base(v) for v in local)
-    own_frame = frame if kind is TriangleKind.BASE else Frame.of(*points)
-    return SubTriangle(kind, *points, Metric.of_view(own), own_frame)
+    if kind is not TriangleKind.BASE:
+        if frame is not _IDENTITY:
+            mx = frame.matrix
+            local = [mat_vec(mx, row) for row in local]
+        frame = Frame.of(*local)
+    return SubTriangle(kind, Metric.of_view(own), frame)
 
 
 def derived_subtriangle(parent: SubTriangle, kind: TriangleKind) -> SubTriangle:
@@ -468,6 +497,13 @@ class CenterParseError(GeometryError):
 
 
 def _split_args(body: str) -> list[str]:
+    """The comma-separated arguments of ``body`` at nesting depth 0, each
+    stripped; a last part that is empty before stripping is dropped."""
+    if "(" not in body and ")" not in body:
+        parts = body.split(",")
+        if not parts[-1]:
+            parts.pop()
+        return [part.strip() for part in parts]
     parts, depth, cur = [], 0, []
     for ch in body:
         if ch == "(":

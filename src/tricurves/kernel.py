@@ -120,7 +120,7 @@ def canonical_ints(values: Iterable[Rat]) -> tuple[int, ...]:
                 g = -g
             if g != 1:
                 vals = a, b, c = a // g, b // g, c // g
-            bits = max(abs(a), abs(b), abs(c)).bit_length()
+            bits = (abs(a) | abs(b) | abs(c)).bit_length()
             if bits > _bit_high_water:
                 _bit_high_water = bits
             return vals
@@ -160,17 +160,19 @@ class _CanonicalVector:
         return f"{type(self).__name__}{self._v!r}"
 
 
+_set_v = _CanonicalVector._v.__set__  # the slot's own setter, past __setattr__
+
+
 class _Homogeneous(_CanonicalVector):
-    """Canonical homogeneous integer triple; base of points and lines."""
+    """Canonical homogeneous integer triple; base of points and lines.
+    ``triple`` is the ``_v`` slot itself, read without a property call."""
 
     __slots__ = ()
 
     def __init__(self, u: Rat, v: Rat, w: Rat):
-        object.__setattr__(self, "_v", canonical_ints((u, v, w)))
+        _set_v(self, canonical_ints((u, v, w)))
 
-    @property
-    def triple(self) -> tuple[int, int, int]:
-        return self._v
+    triple = _CanonicalVector._v
 
     def __str__(self) -> str:
         return f"{self._v[0]}:{self._v[1]}:{self._v[2]}"
@@ -198,9 +200,7 @@ class HomPoint(_Homogeneous):
 class HomLine(_Homogeneous):
     """Line {l*x + m*y + n*z = 0} as a canonical integer coefficient triple."""
 
-    @property
-    def coeffs(self) -> tuple[int, int, int]:
-        return self._v
+    coeffs = _CanonicalVector._v
 
     def is_line_at_infinity(self) -> bool:
         return self._v == (1, 1, 1)
@@ -577,21 +577,25 @@ def orthocenter_of(p1: HomPoint, p2: HomPoint, p3: HomPoint, m: Metric) -> HomPo
 
 class Frame(NamedTuple):
     """The triangle of the vertices v1, v2, v3, checked once to be finite
-    and affinely independent.  ``base`` applies ``matrix`` M, the vertices
-    as columns scaled to one coordinate sum s1*s2*s3; ``local`` applies
-    ``inverse`` diag(s1, s2, s3) adj(V), V the unscaled columns, a nonzero
-    multiple of M^-1."""
+    and affinely independent.  ``base`` applies ``matrix`` M, the canonical
+    vertices as columns scaled to one coordinate sum s1*s2*s3; ``local``
+    applies ``inverse`` diag(s1, s2, s3) adj(V), V the unscaled columns, a
+    nonzero multiple of M^-1.  So M's columns are the vertices, and
+    ``base`` of a unit row reads one back."""
 
     matrix: tuple[tuple[int, int, int], ...]
     inverse: tuple[tuple[int, int, int], ...]
 
     @classmethod
-    def of(cls, v1: HomPoint, v2: HomPoint, v3: HomPoint) -> "Frame":
-        (a, d, g), (b, e, h), (c, f, i) = v1.triple, v2.triple, v3.triple
+    def of(cls, r1: Sequence[int], r2: Sequence[int], r3: Sequence[int]) -> "Frame":
+        """The frame of the vertices with the integer triples r1, r2, r3
+        (any scale), each canonicalized here."""
+        v1, v2, v3 = canonical_ints(r1), canonical_ints(r2), canonical_ints(r3)
+        (a, d, g), (b, e, h), (c, f, i) = v1, v2, v3
         s1, s2, s3 = a + d + g, b + e + h, c + f + i
         for s, v in ((s1, v1), (s2, v2), (s3, v3)):
             if s == 0:
-                raise DegenerateFrame(f"frame vertex {v} is at infinity")
+                raise DegenerateFrame("frame vertex {}:{}:{} is at infinity".format(*v))
         n11, n12, n13 = e * i - f * h, c * h - b * i, b * f - c * e  # adj(V)[0]
         if a * n11 + d * n12 + g * n13 == 0:  # det(V)
             raise DegenerateFrame("frame points are affinely dependent")
@@ -621,9 +625,9 @@ class _IdentityFrame(Frame):
         return HomPoint(*q)
 
 
-_IDENTITY = _IdentityFrame.of(VERTEX_A, VERTEX_B, VERTEX_C)  # the frame of the base
+_IDENTITY = _IdentityFrame.of((1, 0, 0), (0, 1, 0), (0, 0, 1))  # the frame of the base
 
 
 def local_coords(p: HomPoint, v1: HomPoint, v2: HomPoint, v3: HomPoint) -> HomPoint:
     """Barycentric coordinates of ``p`` relative to the triangle v1 v2 v3."""
-    return HomPoint(*Frame.of(v1, v2, v3).local(p))
+    return HomPoint(*Frame.of(v1.triple, v2.triple, v3.triple).local(p))

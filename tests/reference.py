@@ -6,8 +6,11 @@ another way: affine combinations (the reference for ``midpoint`` and
 second intersection of a line with a conic, with which the tests generate
 conic points.  ``frame_local`` and ``frame_base`` map into and out of a
 triangle's barycentrics, checking the triangle on every call, and
-``taylor_center`` finds X389 by a search over the six Taylor points.  ``dense_trace_segments`` is the renderer's marching squares
-as a plain scan of every cell over the whole sign grid held at once.
+``taylor_center`` finds X389 by a search over the six Taylor points.
+``split_args`` splits a center expression's argument list character by
+character, as the parser once did for every body.
+``dense_trace_segments`` is the renderer's marching squares as a plain scan
+of every cell over the whole sign grid held at once.
 ``bareiss_eliminate`` is the fit's fraction-free elimination with every
 row below the pivot updated at every step.  ``RETIRED_FITS`` names the 9
 points each reference cubic of the scenarios was fitted through before it
@@ -169,6 +172,26 @@ def taylor_center(m: Metric) -> HomPoint:
         except GeometryError:
             continue
     raise GeometryError("projection points admit no equidistant point")
+
+
+def split_args(body: str) -> list[str]:
+    """The comma-separated parts of ``body`` at nesting depth 0, each
+    stripped, read one character at a time; a last part that is empty
+    before stripping is dropped."""
+    parts, depth, cur = [], 0, []
+    for ch in body:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        if ch == "," and depth == 0:
+            parts.append("".join(cur).strip())
+            cur = []
+        else:
+            cur.append(ch)
+    if cur:
+        parts.append("".join(cur).strip())
+    return parts
 
 
 def _line_cubic(f, vertical, fixed, centre, half):

@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import tricurves.centers as centers
 import tricurves.kernel as kernel
@@ -68,7 +68,7 @@ from tricurves.kernel import (
     squared_distance,
 )
 
-from reference import frame_base, frame_local, taylor_center
+from reference import frame_base, frame_local, split_args, taylor_center
 from strategies import rational_triangles
 
 T = RefTriangle(6, 9, 13)
@@ -223,7 +223,7 @@ class TestConjugations:
             local = local_coords(p, *sub.vertices)
             assert 0 not in local.triple
             x, y, z = local.triple
-            frame = Frame.of(*sub.vertices)
+            frame = Frame.of(*[v.triple for v in sub.vertices])
             want = (frame.base(isogonal(sub.metric(), local).triple),
                     frame.base((y * z, z * x, x * y)))
         sub = sub or BASE
@@ -295,7 +295,8 @@ class TestDerivedTriangles:
                     assert tuple(s * s for s in m.sides) == (m.a2, m.b2, m.c2)
 
     def test_subtriangle_holds_one_metric(self):
-        names = SubTriangle._fields
+        names = set(SubTriangle.__slots__) | set(vars(SubTriangle))
+        assert {"v1", "v2", "v3", "own_metric", "metric"} <= names
         assert "sq_sides" not in names and "sides" not in names
         med = derived_triangle(T, TriangleKind.MEDIAL)
         v1 = med.v1
@@ -494,6 +495,16 @@ class TestExpressions:
         assert len(set(nodes)) == len(nodes)
 
 
+# the malformed texts of the parser and CLI tests
+MALFORMED = (
+    ["Nope", "Zed", "midpoint(I)", "vertex(base,7)", "vertex(base,x)",
+     "vertex(base,-1)", "antipode(base,3)",
+     "complement(" * (MAX_NESTING + 1) + "O" + ")" * (MAX_NESTING + 1),
+     "complement(" * 1500 + "O" + ")" * 1500]
+    + [f"{fn}(orthic,{index})" for fn in ("vertex", "antipode")
+       for index in ("3", "-1", "x", "1.0", "")])
+
+
 class TestAliasesAndParsing:
     @pytest.mark.parametrize("name", sorted(ALIASES))
     def test_alias_evaluates(self, name):
@@ -575,6 +586,31 @@ class TestAliasesAndParsing:
             with pytest.raises(CenterParseError):
                 parse_center(f"{fn}(orthic,{index})")
 
+    @given(st.one_of(
+        st.text(alphabet="ab ,()"),
+        st.lists(st.sampled_from(["", ",", " ", "(", ")", "X1", " X2 ", "base",
+                                  "midpoint(X1,X2)", "isogonal(orthic, X3)"]))
+        .map("".join)))
+    @example("")
+    @example("X1,")
+    @example("X1, ")
+    @example("a),b")
+    @example(" base , X3 ")
+    @settings(max_examples=300)
+    def test_split_args_equals_the_character_loop(self, body):
+        assert centers._split_args(body) == split_args(body)
+
+    @pytest.mark.parametrize("text", MALFORMED, ids=lambda text: text[:24])
+    def test_malformed_text_refused_as_before(self, text, monkeypatch):
+        """Each malformed text of the parser and CLI tests is refused with
+        the type and message that the character loop gives."""
+        with pytest.raises(CenterParseError) as new:
+            parse_center(text)
+        monkeypatch.setattr(centers, "_split_args", split_args)
+        with pytest.raises(CenterParseError) as old:
+            parse_center(text)
+        assert (type(new.value), str(new.value)) == (type(old.value), str(old.value))
+
 
 ISOGONAL_PARTNERS = [
     (CenterId.X54, CenterId.X5),
@@ -638,22 +674,29 @@ class TestIsogonalPartners:
         assert checked >= 3
 
 
-def _nested_subtriangles(t: RefTriangle) -> list:
-    """Every derived triangle of ``t`` and every derived triangle of those
-    (right and side-less cases refused), in base coordinates."""
-    subs = []
+def _derivations(t: RefTriangle) -> list:
+    """(parent metric, parent frame, derived triangle) for every derived
+    triangle of ``t`` and every derived triangle of those (right and
+    side-less cases refused)."""
+    out = []
     for kind in TriangleKind:
         try:
-            subs.append(derived_triangle(t, kind))
+            out.append((t, kernel._IDENTITY, derived_triangle(t, kind)))
         except GeometryError:
             continue
-    for sub in list(subs):
+    for _, _, parent in list(out):
         for kind in TriangleKind:
             try:
-                subs.append(derived_subtriangle(sub, kind))
+                out.append((parent.metric(), parent.frame,
+                            derived_subtriangle(parent, kind)))
             except GeometryError:
                 continue
-    return subs
+    return out
+
+
+def _nested_subtriangles(t: RefTriangle) -> list:
+    """Every derived triangle of ``t`` and every derived triangle of those."""
+    return [sub for _, _, sub in _derivations(t)]
 
 
 class TestFrames:
@@ -685,7 +728,7 @@ class TestFrames:
         p = HomPoint(*triple)
         for sub in _nested_subtriangles(t):
             frame = sub.frame
-            assert frame == kernel.Frame.of(*sub.vertices)
+            assert frame == kernel.Frame.of(*[v.triple for v in sub.vertices])
             local = HomPoint(*frame.local(p))
             assert local == frame_local(p, *sub.vertices)
             assert frame.base(p.triple) == frame_base(p, *sub.vertices)
@@ -773,7 +816,8 @@ class TestRuleTable:
                         ["derived_triangle", "eval_center_in"]]
 
 
-IDENTITY_ROWS = Frame.of(VERTEX_A, VERTEX_B, VERTEX_C)  # the general maps
+# the general maps
+IDENTITY_ROWS = Frame.of(VERTEX_A.triple, VERTEX_B.triple, VERTEX_C.triple)
 
 
 class TestIdentityFrame:
@@ -795,7 +839,7 @@ class TestIdentityFrame:
             for kind in TriangleKind:  # random_triangle draws no right triangle
                 ref = centers._derive(t, IDENTITY_ROWS, kind)
                 sub = derived_triangle(t, kind)
-                assert sub._fields == ref._fields
+                assert sub.__slots__ == ref.__slots__
                 assert (sub.kind, sub.v1, sub.v2, sub.v3) == (
                     ref.kind, ref.v1, ref.v2, ref.v3), (seed, kind)
                 assert sub.own_metric.unit == ref.own_metric.unit, (seed, kind)
@@ -836,7 +880,8 @@ class TestOneCanonicalization:
     def test_each_derivation_canonicalizes_its_vertices_once(self, monkeypatch):
         """Every kind from the base and from the excentral triangle maps its
         raw rows out through the parent's frame: three canonicalizations, one
-        per vertex, and none for the rows in the parent's own frame."""
+        per vertex, and none for the rows in the parent's own frame.  The
+        base kind keeps its parent's frame and canonicalizes nothing."""
         exc = derived_triangle(T, TriangleKind.EXCENTRAL)
         calls = self._counted(monkeypatch)
         derived = 0
@@ -847,7 +892,8 @@ class TestOneCanonicalization:
                     derive(parent, kind)
                 except OddCenterWithoutSides:  # the excentral triangle's sides
                     continue
-                assert len(calls) == 3, (parent, kind)
+                assert len(calls) == (0 if kind is TriangleKind.BASE else 3), (
+                    parent, kind)
                 derived += 1
         assert derived == 2 * len(TriangleKind) - 2
 
@@ -867,6 +913,60 @@ class TestOneCanonicalization:
         assert tr["center(base,X3)"] == eval_center(T, CenterId.X3)
         assert calls == [TriangleKind.BASE]
         assert tr["base"].frame.local(VERTEX_B) == (0, 1, 0)
+
+
+class TestWhatAQueryBuilds:
+    """A center or conjugate query in a derived triangle builds the points
+    it reads and returns, and no vertex; vertices are built when read."""
+
+    def _counted_points(self, monkeypatch):
+        built = []
+        init = kernel._Homogeneous.__init__
+
+        def counting(self, *args):
+            if type(self) is HomPoint:
+                built.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(kernel._Homogeneous, "__init__", counting)
+        return built
+
+    @pytest.mark.parametrize("text, points", [
+        ("center({},X3)", 1),  # the answer
+        ("isogonal({},X9)", 2),  # X9 and the answer
+    ], ids=["center", "isogonal"])
+    def test_fresh_query_builds_no_vertex(self, text, points, monkeypatch):
+        built = self._counted_points(monkeypatch)
+        counted = refused = 0
+        for seed in range(10):
+            t = random_triangle(seed)
+            for kind in TriangleKind:
+                e = parse_center(text.format(kind.value))
+                built.clear()
+                try:
+                    eval_expr(t, e)
+                except GeometryError:
+                    refused += 1
+                    continue
+                assert len(built) == points, (seed, kind)
+                counted += 1
+        assert counted + refused == 10 * len(TriangleKind) and counted > refused
+
+    @pytest.mark.parametrize("t", [T, T_RATIONAL, random_triangle(3)], ids=repr)
+    def test_vertices_built_once_as_the_mapped_rows(self, t, monkeypatch):
+        """Read twice, a derived triangle's vertices are built once, and are
+        its raw rows mapped out through its parent's frame, canonicalized."""
+        built = self._counted_points(monkeypatch)
+        derivations = _derivations(t)
+        assert len(derivations) > len(TriangleKind)
+        for m, frame, sub in derivations:
+            want = tuple(frame.base(row)
+                         for row in centers._derived_rows(m, sub.kind)[0])
+            built.clear()
+            first = sub.vertices
+            assert sub.vertices is first and len(built) == 3, sub.kind
+            assert first == want and (sub.v1, sub.v2, sub.v3) == want, sub.kind
+            assert len(built) == 3
 
 
 # triangles on which X389 is checked against the Taylor-point search:

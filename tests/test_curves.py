@@ -952,7 +952,7 @@ class TestPivotal:
         weights = (m.a2, m.b2, m.c2) if conj == "isogonal" else (1, 1, 1)
         cx = HomPoint(weights[0] * v * w, weights[1] * w * u, weights[2] * u * v)
         if sub is not None:
-            cx = Frame.of(*sub.vertices).base(cx.triple)
+            cx = Frame.of(*[v.triple for v in sub.vertices]).base(cx.triple)
         assert pivotal_membership(sub or base, conj, pv, p) == collinear(p, cx, pv)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from tricurves import kernel
-from tricurves.curves import Conic
+from tricurves.curves import Conic, Cubic
 from tricurves.kernel import (
     CoincidentArguments,
     DegenerateFrame,
@@ -191,6 +191,23 @@ class TestCanonicalTriplePath:
         seen = _spy_clear_denominators(monkeypatch)
         assert canonical_ints(t) == expected
         assert seen == [t]
+
+
+class TestVectorSlot:
+    """``triple`` and ``coeffs`` read the ``_v`` slot itself, and no
+    assignment reaches it."""
+
+    def test_assignment_raises(self):
+        for vec in (HomPoint(2, -4, 6), HomLine(1, -1, 0), Cubic(*range(1, 11))):
+            before = vec._v
+            for name in ("triple", "coeffs", "_v"):
+                with pytest.raises(AttributeError):
+                    setattr(vec, name, (1, 1, 1))
+            assert vec._v is before
+        assert HomPoint(2, -4, 6).triple == (1, -2, 3)
+
+    def test_triple_and_coeffs_are_the_slot(self):
+        assert HomPoint.triple is HomLine.coeffs is kernel._CanonicalVector._v
 
 
 class TestIncidence:
@@ -586,8 +603,9 @@ class TestLocalFrames:
     def test_round_trip(self, t, frame):
         p = HomPoint(*t)
         lc = local_coords(p, *frame)
-        assert Frame.of(*frame).base(lc.triple) == p
-        rt = local_coords(Frame.of(*frame).base(p.triple), *frame)
+        rows = [v.triple for v in frame]
+        assert Frame.of(*rows).base(lc.triple) == p
+        rt = local_coords(Frame.of(*rows).base(p.triple), *frame)
         assert rt == p
 
     def test_degenerate_frame_rejected(self):
@@ -606,7 +624,7 @@ class TestLocalFrames:
     @given(nonzero_triples, st.sampled_from(FRAMES))
     @settings(max_examples=120)
     def test_frame_maps_equal_one_shot_formulas(self, t, vertices):
-        p, frame = HomPoint(*t), Frame.of(*vertices)
+        p, frame = HomPoint(*t), Frame.of(*[v.triple for v in vertices])
         assert (HomPoint(*frame.local(p)) == frame_local(p, *vertices)
                 == local_coords(p, *vertices))
         assert frame.base(p.triple) == frame_base(p, *vertices)
@@ -616,10 +634,24 @@ class TestLocalFrames:
         (HomPoint(1, -1, 0), VERTEX_B, VERTEX_C),  # at infinity
     ])
     def test_degenerate_frame_rejected_once(self, vertices):
-        for check in (lambda: Frame.of(*vertices),
+        for check in (lambda: Frame.of(*[v.triple for v in vertices]),
                       lambda: local_coords(VERTEX_A, *vertices)):
             with pytest.raises(DegenerateFrame):
                 check()
+
+    def test_degenerate_frame_messages(self):
+        """Rows of any scale are canonicalized, so an infinite vertex is
+        named as its point."""
+        for rows, message in (
+                (((1, 0, 0), (0, 1, 0), (2, 2, 0)),
+                 "frame points are affinely dependent"),
+                (((2, -2, 0), (0, 1, 0), (0, 0, 1)),
+                 "frame vertex 1:-1:0 is at infinity"),
+                (((1, 0, 0), (0, -3, 3), (0, 0, 1)),
+                 "frame vertex 0:1:-1 is at infinity")):
+            with pytest.raises(DegenerateFrame) as exc:
+                Frame.of(*rows)
+            assert str(exc.value) == message
 
     @given(st.lists(st.integers(-2**70, 2**70), min_size=12, max_size=12))
     def test_mat_vec_is_sum_of_products(self, ints):

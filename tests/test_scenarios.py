@@ -46,6 +46,7 @@ from tricurves.centers import (
 )
 from tricurves.curves import (
     Conic,
+    Cubic,
     DegeneratePointSet,
     NoLinearComponent,
     conic_through,
@@ -54,7 +55,16 @@ from tricurves.curves import (
     pivotal_cubic,
     pivotal_membership,
 )
-from tricurves.kernel import GeometryError, HomPoint, RefTriangle
+from tricurves.kernel import (
+    LINE_AT_INFINITY,
+    VERTEX_A,
+    VERTEX_B,
+    VERTEX_C,
+    GeometryError,
+    HomPoint,
+    RefTriangle,
+    join,
+)
 
 from reference import RETIRED_FITS
 from strategies import rational_triangles
@@ -355,8 +365,8 @@ class TestBenchContract:
         for module, attr in sorted(reads):
             assert hasattr(importlib.import_module(f"tricurves.{module}"), attr), \
                 f"tricurves.{module}.{attr} is gone"
-        fields = set(centers.SubTriangle._fields)
-        assert {"v1", "v2", "v3"} <= fields
+        attrs = set(vars(centers.SubTriangle))
+        assert {"v1", "v2", "v3"} <= attrs
         assert callable(centers.SubTriangle.metric)
 
 
@@ -1033,10 +1043,30 @@ def _circumcircle(tr):
     return Conic(0, 0, 0, u.c2, u.b2, u.a2)
 
 
+def _triangle_circumcircle(tri):
+    """The circumcircle of the ``tri`` triangle: the isogonal image of the
+    line at infinity in it."""
+    return lambda tr: isogonal_image(tr[tri], LINE_AT_INFINITY)
+
+
+def _lines_through_circumcenter(tr):
+    """The product of the lines from the circumcenter to the vertices: a
+    cubic singular at the circumcenter."""
+    form = {(0, 0, 0): 1}
+    for vertex in (VERTEX_A, VERTEX_B, VERTEX_C):
+        line, product = join(tr["O"], vertex).triple, collections.Counter()
+        for mon, coeff in form.items():
+            for i in range(3):
+                product[tuple(e + (j == i) for j, e in enumerate(mon))] += (
+                    coeff * line[i])
+        form = product
+    return Cubic(*(form[mon] for mon in Cubic.MONOMIALS))
+
+
 class TestNegativeControls:
     """A wrong value preset into a fresh Trial makes each claim that reads
-    an isogonal image of a line, a pivotal cubic or a pivot fail with a
-    certificate."""
+    an isogonal image of a line, a pivotal cubic or a pivot, and each
+    bespoke check, fail with a certificate."""
 
     @pytest.mark.parametrize("sid, name, wrong, cid", [
         ("thm1-jerabek-excentral", "oi", lambda tr: tr["euler_line"],
@@ -1062,11 +1092,24 @@ class TestNegativeControls:
          lambda tr: tr["center(medial,X4)"], "medial-isotomic-pivotal-oracle"),
         ("defs-sanity", "M", lambda tr: tr["O"], "median-cubic-pivotal-oracle"),
         ("defs-sanity", "L", lambda tr: tr["H"], "reflection-cubic-pivotal-oracle"),
+        ("thm1-jerabek-excentral", "exc_conic", _triangle_circumcircle("excentral"),
+         "rectangular"),
+        ("thm8-jerabek-midarc", "midarc_conic", _triangle_circumcircle("midarc"),
+         "rectangular"),
+        ("thm7-darboux-euler", "reflect(E,vertex(euler,0))", lambda tr: tr["M2"],
+         "antipode-consistency"),
+        ("thm4-yff-medial", "ax1", lambda tr: tr["ax2"],
+         "directrix-through-circumcenter"),
+        ("cor5-euler-line-component", "composition", lambda tr: tr["thomson"],
+         "hessian-membership"),
+        ("cor5-euler-line-component", "composition", _lines_through_circumcenter,
+         "euler-points-are-inflections"),
     ], ids=["thm1-oi-image", "defs-members", "defs-characterization",
             "defs-thomson-members", "defs-darboux-members", "thm2-thomson-orthic",
             "thm3-darboux-orthic", "thm5-darboux", "thm7-darboux", "thm6-lucas",
             "thm3-orthic-pivot", "thm6-medial-pivot", "defs-centroid-pivot",
-            "defs-de-longchamps-pivot"])
+            "defs-de-longchamps-pivot", "thm1-rectangular", "thm8-rectangular",
+            "thm7-antipodes", "thm4-directrix", "cor5-hessian", "cor5-inflections"])
     def test_wrong_value_fails_the_claim(self, sid, name, wrong, cid):
         sc = REGISTRY[sid]
         for seed in range(5):
