@@ -262,6 +262,9 @@ class SubTriangle:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __repr__(self) -> str:
+        return f"SubTriangle(kind={self.kind!r}, frame={self.frame!r})"
+
     @property
     def vertices(self) -> tuple[HomPoint, HomPoint, HomPoint]:
         """The frame's base points of the unit rows (its matrix's columns);
@@ -498,26 +501,20 @@ class CenterParseError(GeometryError):
 
 def _split_args(body: str) -> list[str]:
     """The comma-separated arguments of ``body`` at nesting depth 0, each
-    stripped; a last part that is empty before stripping is dropped."""
-    if "(" not in body and ")" not in body:
-        parts = body.split(",")
-        if not parts[-1]:
-            parts.pop()
-        return [part.strip() for part in parts]
-    parts, depth, cur = [], 0, []
-    for ch in body:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur).strip())
-            cur = []
+    stripped; a last part that is empty before stripping is dropped.  A
+    piece between commas opens a new part while the count of ``(`` less
+    ``)`` before it is 0, and joins the open part otherwise."""
+    parts, depth = [], 0
+    for piece in body.split(","):
+        if depth:
+            parts[-1] += "," + piece
         else:
-            cur.append(ch)
-    if cur:
-        parts.append("".join(cur).strip())
-    return parts
+            parts.append(piece)
+        if "(" in piece or ")" in piece:
+            depth += piece.count("(") - piece.count(")")
+    if not parts[-1]:
+        parts.pop()
+    return [part.strip() for part in parts]
 
 
 def _kind_of(s: str) -> TriangleKind:
