@@ -338,16 +338,15 @@ def _derive(m: Metric, frame: Frame, kind: TriangleKind) -> SubTriangle:
     :class:`RightTriangle`.  Its view is ``m``'s rescaled where the side
     ratio is rational, else read in integers off the raw rows in the frame
     of ``m``, which no frame changes.  The rows are then mapped out through
-    ``frame``'s matrix, which the identity skips, into the new frame, which
-    canonicalizes them; the base kind keeps ``frame``."""
+    ``frame``'s matrix, which the base's frame skips, into the new frame,
+    which canonicalizes them; the base kind keeps ``frame``."""
     _refuse_right(m, kind)
     local, ratio = _derived_rows(m, kind)
     own = m.unit.scaled(*ratio) if ratio is not None else triangle_view(*local, m)
     if kind is not TriangleKind.BASE:
-        if frame is not _IDENTITY:
-            mx = frame.matrix
-            local = [mat_vec(mx, row) for row in local]
-        frame = Frame.of(*local)
+        mx = frame.matrix
+        rows = local if frame is _IDENTITY else [mat_vec(mx, row) for row in local]
+        frame = Frame.of(*rows)
     return SubTriangle(kind, Metric.of_view(own), frame)
 
 

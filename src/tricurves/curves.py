@@ -588,10 +588,10 @@ def transform_cubic(matrix, k: Cubic) -> Cubic:
 def _from_frame(sub, curve: _FormVector) -> _FormVector:
     """The curve whose form is ``curve`` in the frame of the triangle ``sub``
     (a ``SubTriangle``, the base included), in base coordinates: pulled back
-    through the frame's ``inverse``.  The base's identity frame moves
-    nothing; the frame is tested, not the kind, since the base kind of a
-    derived triangle keeps its parent's frame."""
-    if sub.frame == _IDENTITY:
+    through the frame's ``inverse``.  The base's frame moves nothing; the
+    frame is tested, not the kind, since the base kind of a derived
+    triangle keeps its parent's frame."""
+    if sub.frame is _IDENTITY:
         return curve
     return _pull(curve, sub.frame.inverse)
 

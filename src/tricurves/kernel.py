@@ -615,17 +615,7 @@ class Frame(NamedTuple):
         return HomPoint(*mat_vec(self.matrix, q))
 
 
-class _IdentityFrame(Frame):
-    """The base's frame: the general maps, without their products."""
-
-    def local(self, p: HomPoint) -> tuple[int, int, int]:
-        return p.triple
-
-    def base(self, q: Sequence[int]) -> HomPoint:
-        return HomPoint(*q)
-
-
-_IDENTITY = _IdentityFrame.of((1, 0, 0), (0, 1, 0), (0, 0, 1))  # the frame of the base
+_IDENTITY = Frame.of((1, 0, 0), (0, 1, 0), (0, 0, 1))  # the frame of the base
 
 
 def local_coords(p: HomPoint, v1: HomPoint, v2: HomPoint, v3: HomPoint) -> HomPoint:

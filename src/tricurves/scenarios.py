@@ -477,7 +477,7 @@ def _pascal_scenario(sid: str, description: str, conic: str, hexagon,
                      pairs) -> Scenario:
     return _scenario(
         sid, description + _COR_NOTE,
-        build=(conic, "oi", *(name for _, name in _labelled(hexagon))),
+        build=(conic, *(name for _, name in _labelled(hexagon))),
         claims=pascal_claims(conic, hexagon, pairs),
         points=hexagon, curves=[("conic", conic)])
 

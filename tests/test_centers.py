@@ -829,8 +829,14 @@ IDENTITY_ROWS = Frame.of(VERTEX_A.triple, VERTEX_B.triple, VERTEX_C.triple)
 
 
 class TestIdentityFrame:
-    """The base's frame skips the products, and gives what the general
-    frame of the same vertices gives."""
+    """The base's frame is a plain ``Frame`` of the unit rows, so its maps
+    are the general ones; only ``_derive`` and ``_from_frame`` skip its
+    products, and give what the general frame of the same vertices gives."""
+
+    def test_base_frame_is_a_plain_frame(self):
+        assert type(kernel._IDENTITY) is Frame
+        assert kernel._IDENTITY == Frame.of((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert kernel._IDENTITY == IDENTITY_ROWS
 
     @given(nonzero_triples)
     @settings(max_examples=200, deadline=None)

@@ -10,6 +10,7 @@ import os
 import pathlib
 import random
 import re
+import shutil
 import subprocess
 import sys
 import types
@@ -620,7 +621,7 @@ class TestSharedRun:
         assert set(draws.values()) == {1}, draws
 
     def test_name_resolved_once_per_triangle(self, monkeypatch):
-        # "oi" is built by the setups of thm1, thm8 and cor1-4
+        # "oi" is built by the setups of thm1 and thm8
         calls = collections.Counter()
         build = CONSTRUCTIONS["oi"]
 
@@ -1119,9 +1120,35 @@ class TestNegativeControls:
             assert isinstance(outcome, Failure), (seed, outcome)
             assert outcome.lhs and outcome.rhs, seed
 
+    @pytest.mark.parametrize("sid, name", [
+        ("cor1", "Mi"), ("cor2", "Mi"), ("cor3", "S"), ("cor4", "S")])
+    def test_hexagon_point_off_the_conic(self, sid, name):
+        # the conic is fitted without the point, so H takes it off the conic
+        sc = REGISTRY[sid]
+        for seed in range(5):
+            tr = Trial(random_triangle(seed))
+            tr[name] = tr["H"]
+            outcome = dict(zip((c.id for c in sc.claims), evaluate(sc, tr)))
+            members = outcome["hexagon-on-conic"]
+            assert isinstance(members, Failure), (seed, members)
+            assert members.lhs and members.rhs, seed
+            assert outcome["pascal-line"] is SKIP, seed
 
-def _bench_pairs():
-    root = pathlib.Path(__file__).resolve().parents[1]
+    @pytest.mark.parametrize("sid", ["cor1", "cor2", "cor3", "cor4"])
+    def test_pascal_line_not_collinear(self, sid, monkeypatch):
+        monkeypatch.setattr(scenarios, "pascal_check", lambda pairs: False)
+        sc = REGISTRY[sid]
+        outcome = dict(zip((c.id for c in sc.claims),
+                           evaluate(sc, Trial(random_triangle(0)))))["pascal-line"]
+        assert isinstance(outcome, Failure), outcome
+        assert outcome.lhs and outcome.rhs
+
+
+_ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _bench_pairs(root=_ROOT):
+    """``tools/bench_pairs.py`` of the repository at ``root``, loaded fresh."""
     spec = importlib.util.spec_from_file_location(
         "bench_pairs", root / "tools" / "bench_pairs.py")
     module = importlib.util.module_from_spec(spec)
@@ -1157,11 +1184,24 @@ class TestBenchPairsSeeds:
 
 class TestBenchPairsRevisions:
     """``tools/bench_pairs.py`` resolves both revisions before it extracts
-    either tree or starts a benchmark run."""
+    either tree or starts a benchmark run.  The script runs from a copy in
+    a throwaway repository of one commit, so these tests pass in any copy
+    of this one, a ``git archive`` with no history included."""
+
+    @pytest.fixture
+    def module(self, tmp_path):
+        repo = tmp_path / "repo"
+        (repo / "tools").mkdir(parents=True)
+        shutil.copy(_ROOT / "tools" / "bench_pairs.py", repo / "tools")
+        git = ["git", "-C", str(repo), "-c", "user.name=bench-pairs",
+               "-c", "user.email=bench-pairs@example.invalid",
+               "-c", "commit.gpgsign=false"]
+        for step in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "one commit"]):
+            subprocess.run(git + step, capture_output=True, check=True)
+        return _bench_pairs(repo)
 
     @staticmethod
-    def _refused(argv, monkeypatch, capsys):
-        module = _bench_pairs()
+    def _refused(module, argv, monkeypatch, capsys):
         for step in ("extract", "run_once"):
             monkeypatch.setattr(module, step, lambda *a, step=step: pytest.fail(step))
         with pytest.raises(SystemExit) as exc:
@@ -1171,18 +1211,18 @@ class TestBenchPairsRevisions:
         assert err.startswith("bench_pairs: --") and err.count("\n") == 1
         return err
 
-    def test_unknown_parent_exits_two(self, monkeypatch, capsys):
+    def test_unknown_parent_exits_two(self, module, monkeypatch, capsys):
         # this ended in a CalledProcessError traceback from git archive
-        err = self._refused(["--parent", "no-such-rev"], monkeypatch, capsys)
+        err = self._refused(module, ["--parent", "no-such-rev"], monkeypatch, capsys)
         assert "--parent 'no-such-rev'" in err
 
-    def test_unknown_change_exits_two(self, monkeypatch, capsys):
-        self._refused(["--parent", "HEAD", "--change", "no-such-rev"],
-                      monkeypatch, capsys)
+    def test_unknown_change_exits_two(self, module, monkeypatch, capsys):
+        err = self._refused(module, ["--parent", "HEAD", "--change", "no-such-rev"],
+                            monkeypatch, capsys)
+        assert "--change 'no-such-rev'" in err
 
-
-    def test_output_names_the_trees_measured(self, tmp_path, monkeypatch, capsys):
-        module, extracted = _bench_pairs(), []
+    def test_output_names_the_trees_measured(self, module, monkeypatch, capsys):
+        extracted = []
 
         def extract(repo, rev, dest):
             extracted.append(rev)
