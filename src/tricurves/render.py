@@ -153,6 +153,7 @@ def curve_function(curve, corners):
 # taken; smooth crossings stop far sooner, on the width below
 _REFINE_CAP = 64
 _REFINE_WIDTH = 2.0 ** -50
+_VALUE_LIMIT = 2.0 ** 1019   # a 32nd of float range, so a grid line's cubic stays finite
 
 
 def _refine(line, p0, p1, v0, v1):
@@ -378,12 +379,12 @@ class Traced(NamedTuple):
 
 
 def _trace(curve, corners, viewport, grid: int) -> list:
-    """The segments of a figure's line or curve.  A value beyond float range
-    (at a huge margin: inf, nan, or a cube that raises) is a ``ValueError``."""
+    """The segments of a figure's line or curve.  A value beyond ``_VALUE_LIMIT``
+    (at a huge margin; inf, nan, or a cube that raises) is a ``ValueError``."""
     f = curve_function(curve, corners)
 
     def finite(px: float, py: float) -> float:
-        if (v := f(px, py)) - v == 0.0:   # neither inf nor nan
+        if -_VALUE_LIMIT <= (v := f(px, py)) <= _VALUE_LIMIT:   # nan is neither
             return v
         raise OverflowError(v)
     try:

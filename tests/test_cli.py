@@ -354,6 +354,17 @@ class TestRenderCommand:
         assert not path.exists()
 
     @pytest.mark.parametrize("target", ["--svg", "--csv"])
+    def test_cubic_values_near_float_range(self, tmp_path, capsys, target):
+        # the values are finite, but the grid lines' cubics overflow: this
+        # exited 0 with a figure traced off nan signs
+        path = tmp_path / "out"
+        assert main(["render", "--scenario", "thm3-darboux-excentral", "--triangle",
+                     "6,9,13", "--margin", "1.6e99", target, str(path)]) == 65
+        assert capsys.readouterr().err.startswith(
+            "cannot render: a curve overflows float range")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("target", ["--svg", "--csv"])
     def test_conic_values_beyond_float_range(self, tmp_path, capsys, target):
         # a conic's squares overflow to inf without raising: this exited 0,
         # warned "no real locus in the viewport" and wrote an empty figure

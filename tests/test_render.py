@@ -11,7 +11,7 @@ import types
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import tricurves.render as render
 from tricurves.centers import random_triangle
@@ -120,6 +120,14 @@ class TestConfig:
         figure = build_figure("thm3-darboux-excentral", t)
         with pytest.raises(ValueError, match="overflows float range"):
             trace_figure(t, figure, RenderConfig(grid=16, margin=1e300))
+
+    def test_cubic_values_near_float_range_refused(self):
+        # every node value is finite, but the grid lines' cubics overflowed
+        # to inf and nan, whose signs the trace read as negative
+        t = RefTriangle(6, 9, 13)
+        figure = build_figure("thm3-darboux-excentral", t)
+        with pytest.raises(ValueError, match="overflows float range"):
+            trace_figure(t, figure, RenderConfig(grid=64, margin=1.6e99))
 
     def test_conic_values_beyond_float_range_refused(self):
         # a conic's squares overflow to inf without raising: the trace found
@@ -616,6 +624,14 @@ class TestGridLineRestrictions:
                           for i in range(grid) for j in range(grid))
             assert 0 < calls[0] <= 8 * (grid + 1) + saddles
 
+    # values near -9e307 and -2.2e307: finite, but the column and row cubics
+    # built from them overflowed to nan and -inf
+    @example(corners=((0.0, 0.0), (1.581214347582179e-05, 0.0),
+                      (0.0, 1.1890704503957294e-156)),
+             coeffs=[0, 0, 0, 0, 451860, 0])
+    @example(corners=((0.0, 0.0), (1.581214347582179e-05, 0.0),
+                      (0.0, 1.1890704503957294e-156)),
+             coeffs=[0, 0, 0, 0, 112965, 0])
     @settings(max_examples=200, deadline=None)
     @given(corners=st.tuples(_xy, _xy, _xy),
            coeffs=st.sampled_from([3, 6, 10]).flatmap(lambda n: st.lists(
@@ -643,7 +659,9 @@ class TestGridLineRestrictions:
             exact = [[f(x, y) for y in ys] for x in xs]
         except OverflowError:  # x**3 on a thin triangle
             assume(False)
-        assume(all(math.isfinite(v) for col in exact for v in col))
+        # a trace refuses a value beyond the limit, past which a grid line's
+        # cubic can overflow although the value itself is finite
+        assume(all(abs(v) <= render._VALUE_LIMIT for col in exact for v in col))
         chart, norm = _reference_chart(corners), sum(
             abs(c) * w for c, w in zip(coeffs, weights))
         terms = [[norm * max(map(abs, chart(x, y))) ** degree for y in ys] for x in xs]
