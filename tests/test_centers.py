@@ -835,7 +835,6 @@ class TestIdentityFrame:
 
     def test_base_frame_is_a_plain_frame(self):
         assert type(kernel._IDENTITY) is Frame
-        assert kernel._IDENTITY == Frame.of((1, 0, 0), (0, 1, 0), (0, 0, 1))
         assert kernel._IDENTITY == IDENTITY_ROWS
 
     @given(nonzero_triples)
