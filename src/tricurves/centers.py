@@ -19,11 +19,16 @@ sides are always rational); odd centers need the unsquared sides and are only
 available where those are exact (the base, medial, Euler and anticomplementary
 triangles).  Each triangle is derived from its parent's metric and frame by
 one rule, in integers, the base's frame being the identity, which multiplies
-nothing.  Each frame is built and checked once, from its vertices' raw rows,
-which it canonicalizes; it maps the raw triples of centers and conjugates,
-canonicalized once on the way out, and gives the vertices back, read off
-its matrix, only to a caller that asks for them.  One
-factory makes the center-expression node types, one table their rules.
+nothing.  Its metric is one row of one table, ``_VIEWS``, read on the
+parent's integral view: the base, medial, Euler and anticomplementary
+triangles rescale it by their rational side ratio, and the other four have
+closed-form squared sides, as two homothetic pairs, the orthic and
+tangential triangles (through X25) and the excentral and midarc triangles
+(through X1, in the ratio 1/2).  Each frame is built and checked once, from
+its vertices' raw rows, which it canonicalizes; it maps the raw triples of
+centers and conjugates, canonicalized once on the way out, and gives the
+vertices back, read off its matrix, only to a caller that asks for them.
+One factory makes the center-expression node types, one table their rules.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from .kernel import (
     VERTEX_B,
     VERTEX_C,
     _IDENTITY,
+    _squares_view,
     equidistant_point,
     foot_of_perpendicular,
     incident,
@@ -55,7 +61,6 @@ from .kernel import (
     perpendicular_line_through,
     reflect_through,
     squared_distance,
-    triangle_view,
 )
 
 
@@ -175,7 +180,7 @@ def _refuse_right(m: Metric, kind: TriangleKind) -> None:
 def _taylor_points(m: Metric) -> list[HomPoint]:
     """Projections of each altitude foot onto the other two sides (6 points)."""
     _refuse_right(m, TriangleKind.ORTHIC)
-    feet = [HomPoint(*v) for v in _derived_rows(m, TriangleKind.ORTHIC)[0]]
+    feet = [HomPoint(*v) for v in _derived_rows(m, TriangleKind.ORTHIC)]
     return [foot_of_perpendicular(feet[i], _SIDELINES[j], m)
             for i in range(3) for j in range(3) if j != i]
 
@@ -291,24 +296,21 @@ _set_kind, _set_metric, _set_frame, _set_vertices = (
 
 def _derived_rows(m: Metric, kind: TriangleKind):
     """Vertex coordinate triples of the derived triangle, in the frame of
-    ``m`` (read on its integral view), and the ratio n/d of the derived
-    triangle's sides to the frame's as the pair (n, d), (1, 1), (1, 2) or
-    (2, 1), where it is rational, else ``None``.  No right triangle is
-    refused here."""
+    ``m`` (read on its integral view).  No right triangle is refused here."""
     u = m.unit
     if kind is TriangleKind.BASE:
-        return ((1, 0, 0), (0, 1, 0), (0, 0, 1)), (1, 1)
+        return ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     if kind is TriangleKind.EXCENTRAL:
         if not m.has_sides:
             raise OddCenterWithoutSides("excenters need exact side lengths")
         a, b, c = u.sides
-        return ((-a, b, c), (a, -b, c), (a, b, -c)), None
+        return ((-a, b, c), (a, -b, c), (a, b, -c))
     if kind is TriangleKind.MEDIAL:
-        return ((0, 1, 1), (1, 0, 1), (1, 1, 0)), (1, 2)
+        return ((0, 1, 1), (1, 0, 1), (1, 1, 0))
     if kind is TriangleKind.ORTHIC:
-        return ((0, u.SC, u.SB), (u.SC, 0, u.SA), (u.SB, u.SA, 0)), None
+        return ((0, u.SC, u.SB), (u.SC, 0, u.SA), (u.SB, u.SA, 0))
     if kind is TriangleKind.ANTICOMPLEMENTARY:
-        return ((-1, 1, 1), (1, -1, 1), (1, 1, -1)), (2, 1)
+        return ((-1, 1, 1), (1, -1, 1), (1, 1, -1))
     if kind is TriangleKind.EULER:
         # midpoints of each vertex with the orthocenter
         sbc, sca, sab = u.SB * u.SC, u.SC * u.SA, u.SA * u.SB
@@ -316,7 +318,7 @@ def _derived_rows(m: Metric, kind: TriangleKind):
             (u.S2 + sbc, sca, sab),
             (sbc, u.S2 + sca, sab),
             (sbc, sca, u.S2 + sab),
-        ), (1, 2)
+        )
     if kind is TriangleKind.MIDARC:
         # second intersections of the internal bisectors with the circumcircle
         if not m.has_sides:
@@ -326,23 +328,59 @@ def _derived_rows(m: Metric, kind: TriangleKind):
             (-u.a2, b * (b + c), c * (b + c)),
             (a * (c + a), -u.b2, c * (c + a)),
             (a * (a + b), b * (a + b), -u.c2),
-        ), None
+        )
     if kind is TriangleKind.TANGENTIAL:
-        return ((-u.a2, u.b2, u.c2), (u.a2, -u.b2, u.c2), (u.a2, u.b2, -u.c2)), None
+        return ((-u.a2, u.b2, u.c2), (u.a2, -u.b2, u.c2), (u.a2, u.b2, -u.c2))
     raise ValueError(f"unknown triangle kind {kind}")
+
+
+def _orthic_squares(u: IntegralView) -> tuple[int, int, int]:
+    """(a2*SA)**2, cyclically: the orthic triangle's squared sides,
+    a^2 cos^2 A = a^2 SA^2/(b^2 c^2), times q*a2*b2*c2."""
+    return ((u.a2 * u.SA) ** 2, (u.b2 * u.SB) ** 2, (u.c2 * u.SC) ** 2)
+
+
+def _excentral_squares(u: IntegralView) -> tuple[int, int, int]:
+    """2*a2*bc*(bc + SA), cyclically: the excentral triangle's squared
+    sides, 16 R^2 cos^2(A/2) = 2 a^2 b c (b c + SA)/S2, times q*S2."""
+    a, b, c = u.sides
+    bc, ca, ab = b * c, c * a, a * b
+    return (2 * u.a2 * bc * (bc + u.SA), 2 * u.b2 * ca * (ca + u.SB),
+            2 * u.c2 * ab * (ab + u.SC))
+
+
+# each kind's view, read on its parent's: rescaled by the side ratio n/d
+# where it is rational, else its squared sides in closed form over one
+# denominator, reduced by _squares_view.  The four closed forms are two
+# homothetic pairs: the tangential triangle is the orthic one's image through
+# X25, in the ratio a2*b2*c2/(2*SA*SB*SC), and the midarc triangle the
+# excentral one's image through X1, in the ratio 1/2.  The excentral and
+# midarc rows read the sides, which _derived_rows refuses a parent without.
+_VIEWS: dict[TriangleKind, Callable[[IntegralView], IntegralView]] = {
+    TriangleKind.BASE: lambda u: u,
+    TriangleKind.MEDIAL: lambda u: u.scaled(1, 2),
+    TriangleKind.EULER: lambda u: u.scaled(1, 2),
+    TriangleKind.ANTICOMPLEMENTARY: lambda u: u.scaled(2, 1),
+    TriangleKind.ORTHIC: lambda u: _squares_view(
+        _orthic_squares(u), u.q * u.a2 * u.b2 * u.c2),
+    TriangleKind.TANGENTIAL: lambda u: _squares_view(
+        [n * u.a2 * u.b2 * u.c2 for n in _orthic_squares(u)],
+        4 * u.q * (u.SA * u.SB * u.SC) ** 2),
+    TriangleKind.EXCENTRAL: lambda u: _squares_view(_excentral_squares(u), u.q * u.S2),
+    TriangleKind.MIDARC: lambda u: _squares_view(_excentral_squares(u), 4 * u.q * u.S2),
+}
 
 
 def _derive(m: Metric, frame: Frame, kind: TriangleKind) -> SubTriangle:
     """The ``kind`` triangle of the triangle with metric ``m`` and ``frame``;
     the orthic and tangential triangles of a right triangle raise
-    :class:`RightTriangle`.  Its view is ``m``'s rescaled where the side
-    ratio is rational, else read in integers off the raw rows in the frame
-    of ``m``, which no frame changes.  The rows are then mapped out through
-    ``frame``'s matrix, which the base's frame skips, into the new frame,
-    which canonicalizes them; the base kind keeps ``frame``."""
+    :class:`RightTriangle`.  Its view is read off ``m``'s by its row of
+    ``_VIEWS``.  The raw rows, in the frame of ``m``, are then mapped out
+    through ``frame``'s matrix, which the base's frame skips, into the new
+    frame, which canonicalizes them; the base kind keeps ``frame``."""
     _refuse_right(m, kind)
-    local, ratio = _derived_rows(m, kind)
-    own = m.unit.scaled(*ratio) if ratio is not None else triangle_view(*local, m)
+    local = _derived_rows(m, kind)
+    own = _VIEWS[kind](m.unit)
     if kind is not TriangleKind.BASE:
         mx = frame.matrix
         rows = local if frame is _IDENTITY else [mat_vec(mx, row) for row in local]
@@ -651,8 +689,8 @@ ON_LINES: dict[CenterId, Callable[[RefTriangle], list[HomLine]]] = {
     # each altitude foot joined to the opposite tangential vertex; on a right
     # triangle, where both triangles degenerate, the lines still meet at X25
     CenterId.X25: lambda t: [join(HomPoint(*f), HomPoint(*g)) for f, g in zip(
-        _derived_rows(t, TriangleKind.ORTHIC)[0],
-        _derived_rows(t, TriangleKind.TANGENTIAL)[0])],
+        _derived_rows(t, TriangleKind.ORTHIC),
+        _derived_rows(t, TriangleKind.TANGENTIAL))],
 }
 
 # the center is equidistant from every point

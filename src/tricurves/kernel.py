@@ -14,15 +14,17 @@ S2 = SA*SB + SB*SC + SC*SA, the square of twice the area.  The module is
 floating-point free: all arithmetic is ``int`` / ``fractions.Fraction``.
 
 A ``Metric`` holds one field, ``unit``: the triangle in integers (an
-:class:`IntegralView`, built once, in ``__init__`` or, for a triangle given
-by three points, by :func:`triangle_view` without a Fraction, relabelled by
-``rot()`` and rescaled by ``scaled()``).  Its squared sides, SA, SB, SC and
-S2 are integers at a scale q, and its sides, where rational, at k, q = k^2.
-:func:`gram`, and the center formulas, conjugation weights and
-derived-triangle vertices in ``tricurves.centers``, read it; each of those
-formulas is homogeneous in the sides, so the scale drops out of every
-canonical result.  The Metric's named fields read the view back as
-Fractions at the given scale, and ``squared_distance`` divides it out.
+:class:`IntegralView`, built once: in ``__init__``, or for a derived
+triangle from its parent's view, without a Fraction, by ``scaled()`` or
+by closed-form squared sides over one denominator that ``_squares_view``
+reduces, in ``tricurves.centers``; relabelled by ``rot()``).  Its squared
+sides, SA, SB, SC and S2 are integers at a scale q, and its sides, where
+rational, at k, q = k^2.  :func:`gram`, and the center formulas,
+conjugation weights and derived-triangle vertices in
+``tricurves.centers``, read it; each of those formulas is homogeneous in
+the sides, so the scale drops out of every canonical result.  The
+Metric's named fields read the view back as Fractions at the given scale,
+and ``squared_distance`` divides it out.
 """
 
 from __future__ import annotations
@@ -500,20 +502,6 @@ def squared_distance(p: HomPoint, q: HomPoint, m: Metric) -> Fraction:
     p, q = p.triple, q.triple
     sp, sq = sum(p), sum(q)
     return Fraction(_distance_numerator(p, q, m), m.unit.q * sp * sp * sq * sq)
-
-
-def triangle_view(p: Sequence[int], q: Sequence[int], r: Sequence[int],
-                  m: Metric) -> IntegralView:
-    """The view of the triangle p q r, three finite raw triples in the frame
-    of ``m``: its squared sides a2 = n(q, r)*sp**2, and cyclically, over
-    m.unit.q*(sp*sq*sr)**2, n being :func:`_distance_numerator` and sp, sq,
-    sr the coordinate sums; field for field the view of the Metric of the
-    three squared distances, built without a Fraction."""
-    sp, sq, sr = sum(p), sum(q), sum(r)
-    return _squares_view((_distance_numerator(q, r, m) * sp * sp,
-                          _distance_numerator(r, p, m) * sq * sq,
-                          _distance_numerator(p, q, m) * sr * sr),
-                         m.unit.q * (sp * sq * sr) ** 2)
 
 
 def infinite_point(l: HomLine) -> HomPoint:

@@ -345,6 +345,18 @@ class TestDerivedTriangles:
         assert eul.vertices == tuple(
             midpoint(v, h) for v in (VERTEX_A, VERTEX_B, VERTEX_C))
 
+    def test_midarc_vertices_are_incenter_excenter_midpoints(self):
+        # the homothety through X1, ratio 1/2, that the midarc view rests on
+        checked = 0
+        for t in [random_triangle(seed) for seed in range(100)] + [T_RATIONAL]:
+            ma, exc = (derived_triangle(t, kind)
+                       for kind in (TriangleKind.MIDARC, TriangleKind.EXCENTRAL))
+            incenter = eval_center(t, CenterId.X1)
+            for i in range(3):
+                assert ma.vertices[i] == midpoint(incenter, exc.vertices[i]), (t, i)
+                checked += 1
+        assert checked == 303
+
     def test_orthic_of_excentral_is_base(self):
         exc = derived_triangle(T, TriangleKind.EXCENTRAL)
         oexc = derived_subtriangle(exc, TriangleKind.ORTHIC)
@@ -352,7 +364,8 @@ class TestDerivedTriangles:
 
 
 # the kinds whose side ratio to their parent is irrational, so whose view is
-# read off the squared distances between their vertices
+# built from closed-form squared sides (centers._VIEWS), in two homothetic
+# pairs: orthic and tangential, excentral and midarc
 OFF_RATIO = (TriangleKind.EXCENTRAL, TriangleKind.ORTHIC, TriangleKind.MIDARC,
              TriangleKind.TANGENTIAL)
 T_RATIONAL = RefTriangle(Fraction(5, 3), Fraction(7, 5), Fraction(9, 7))
@@ -366,15 +379,36 @@ class TestIntegerDerivation:
         for kind in (TriangleKind.MEDIAL, TriangleKind.ANTICOMPLEMENTARY):
             yield derived_subtriangle, derived_triangle(t, kind)
 
-    @pytest.mark.parametrize("t", [T, T_RATIONAL], ids=["integer", "rational"])
+    @pytest.mark.parametrize("triangles", [
+        [T], [T_RATIONAL], [random_triangle(seed) for seed in range(50)]],
+        ids=["integer", "rational", "random"])
     @pytest.mark.parametrize("kind", OFF_RATIO, ids=lambda k: k.value)
-    def test_view_equals_metric_of_squared_distances(self, t, kind):
-        for derive, parent in self._parents(t):
-            sub = derive(parent, kind)
-            ref = Metric(squared_distance(sub.v2, sub.v3, t),
-                         squared_distance(sub.v3, sub.v1, t),
-                         squared_distance(sub.v1, sub.v2, t))
-            assert sub.metric().unit == ref.unit, (parent, kind)
+    def test_view_equals_metric_of_squared_distances(self, triangles, kind):
+        """The closed-form view is the Metric of the squared distances
+        between the vertices, from the base and from parents of five kinds;
+        the excentral and midarc children of a parent without sides are
+        refused."""
+        refused = 0
+        for t in triangles:
+            parents = [*self._parents(t), *(
+                (derived_subtriangle, derived_triangle(t, parent_kind))
+                for parent_kind in (TriangleKind.EXCENTRAL, TriangleKind.ORTHIC,
+                                    TriangleKind.EULER))]
+            for derive, parent in parents:
+                m = parent.metric() if isinstance(parent, SubTriangle) else parent
+                if kind in (TriangleKind.EXCENTRAL, TriangleKind.MIDARC) and \
+                        not m.has_sides:
+                    with pytest.raises(OddCenterWithoutSides, match="exact side lengths"):
+                        derive(parent, kind)
+                    refused += 1
+                    continue
+                sub = derive(parent, kind)
+                ref = Metric(squared_distance(sub.v2, sub.v3, t),
+                             squared_distance(sub.v3, sub.v1, t),
+                             squared_distance(sub.v1, sub.v2, t))
+                assert sub.metric().unit == ref.unit, (parent, kind)
+        odd = kind in (TriangleKind.EXCENTRAL, TriangleKind.MIDARC)
+        assert refused == (2 * len(triangles) if odd else 0)
 
     def test_every_kind_derives_without_metric_init(self, monkeypatch):
         parents = [pair for t in (T, T_RATIONAL) for pair in self._parents(t)]
@@ -974,7 +1008,7 @@ class TestWhatAQueryBuilds:
         assert len(derivations) > len(TriangleKind)
         for m, frame, sub in derivations:
             want = tuple(frame.base(row)
-                         for row in centers._derived_rows(m, sub.kind)[0])
+                         for row in centers._derived_rows(m, sub.kind))
             built.clear()
             first = sub.vertices
             assert sub.vertices is first and len(built) == 3, sub.kind

@@ -11,8 +11,10 @@ import pathlib
 import random
 import re
 import shutil
+import signal
 import subprocess
 import sys
+import time
 import types
 from fractions import Fraction
 
@@ -547,8 +549,10 @@ class TestCoreDoesNotImportRenderer:
         assert found["kernel"] == allowed["kernel"]
 
     def test_centers_builds_no_metric(self):
-        """A derived triangle's view is built in integers, by
-        ``kernel.triangle_view``: centers.py never calls ``Metric(...)``."""
+        """A derived triangle's view is built in integers, from its parent's
+        view by one row of ``centers._VIEWS`` (a rescaling or a closed form
+        through ``kernel._squares_view``): centers.py never calls
+        ``Metric(...)``."""
         tree = dict(self._trees())["centers"]
         calls = [node.lineno for node in ast.walk(tree)
                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
@@ -958,6 +962,13 @@ class TestIsogonalImages:
             tr = Trial(random_triangle(seed))
             assert tr["midarc_conic"] == isogonal_image(tr["midarc"], tr["oi"]), seed
 
+    def test_exc_conic_is_the_excentral_image_of_oi(self):
+        # thm1's description, checked by the scenario only in a verdict-only
+        # claim; isogonal_image reads the squared sides off the excentral view
+        for seed in range(100):
+            tr = Trial(random_triangle(seed))
+            assert tr["exc_conic"] == isogonal_image(tr["excentral"], tr["oi"]), seed
+
 
 def _probe_points(tr, sub, rng):
     """About 30 points off the sidelines of ``sub``: its catalog centers,
@@ -1188,17 +1199,26 @@ class TestBenchPairsRevisions:
     a throwaway repository of one commit, so these tests pass in any copy
     of this one, a ``git archive`` with no history included."""
 
-    @pytest.fixture
-    def module(self, tmp_path):
+    @staticmethod
+    def _repo(tmp_path, files=()):
+        """The throwaway repository: ``tools/bench_pairs.py`` and the
+        (path, text) pairs ``files``, in one commit."""
         repo = tmp_path / "repo"
         (repo / "tools").mkdir(parents=True)
         shutil.copy(_ROOT / "tools" / "bench_pairs.py", repo / "tools")
+        for name, text in files:
+            (repo / name).parent.mkdir(parents=True, exist_ok=True)
+            (repo / name).write_text(text)
         git = ["git", "-C", str(repo), "-c", "user.name=bench-pairs",
                "-c", "user.email=bench-pairs@example.invalid",
                "-c", "commit.gpgsign=false"]
         for step in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "one commit"]):
             subprocess.run(git + step, capture_output=True, check=True)
-        return _bench_pairs(repo)
+        return repo
+
+    @pytest.fixture
+    def module(self, tmp_path):
+        return _bench_pairs(self._repo(tmp_path))
 
     @staticmethod
     def _refused(module, argv, monkeypatch, capsys):
@@ -1246,6 +1266,49 @@ class TestBenchPairsRevisions:
         assert (out["parent"], out["change"]) == ("HEAD", "HEAD")
         assert out["parent_tree"] == out["change_tree"] == tree
         assert extracted == [tree, tree]
+
+    def test_sigterm_removes_the_trees_and_stops_the_run(self, tmp_path):
+        """Stopped by ``SIGTERM`` while a benchmark run sleeps, the script
+        exits 143, and neither its temporary directory nor the run is left
+        behind; with the default action both were."""
+        pid_file, tmp = tmp_path / "run.pid", tmp_path / "tmp"
+        sleeper = ("import os, pathlib, time\n"
+                   "pid = pathlib.Path(os.environ['BENCH_PAIRS_TEST_PID'])\n"
+                   "pid.write_text(str(os.getpid()))\n"
+                   "time.sleep(120)\n")
+        repo = self._repo(tmp_path, [("bench/run.py", sleeper),
+                                     ("BENCHMARK.json", '{"end_to_end": []}')])
+        tmp.mkdir()
+        env = {**os.environ, "TMPDIR": str(tmp), "BENCH_PAIRS_TEST_PID": str(pid_file)}
+        proc = subprocess.Popen(
+            [sys.executable, str(repo / "tools" / "bench_pairs.py"), "--parent", "HEAD",
+             "--change", "HEAD", "--seeds", "1,2", "--seconds", "0"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        child = None
+
+        def alive(pid):
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                return False
+            return True
+
+        try:
+            deadline = time.monotonic() + 60
+            while not (pid_file.exists() and pid_file.read_text()):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            child = int(pid_file.read_text())
+            assert [p.name[:12] for p in tmp.iterdir()] == ["bench-pairs-"]
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 143
+            assert list(tmp.iterdir()) == []
+            assert not alive(child)
+        finally:
+            proc.kill()
+            proc.wait()
+            if child is not None and alive(child):
+                os.kill(child, signal.SIGKILL)
 
 
 class TestBenchPairsBrokenRun:

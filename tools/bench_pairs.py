@@ -14,6 +14,10 @@ longer than 600 s, or whose last line of output is not its JSON result,
 stops the script with one line naming the workload, the seed and the
 tree; a run that exits nonzero stops it with that line and the run's exit
 code, followed by the run's standard error.  Every refusal exits 2.
+While the extracted trees exist, ``SIGTERM`` stops the script with exit
+code 143 as an exception, so the temporary directory is removed and the
+running benchmark is killed, not left behind; the previous handler is
+restored afterwards.
 
 Both revisions (any git tree-ish, such as a commit or the output of
 ``git write-tree``) are extracted with ``git archive`` into a temporary
@@ -52,6 +56,7 @@ import json
 import math
 import os
 import re
+import signal
 import statistics
 import subprocess
 import sys
@@ -201,6 +206,13 @@ def run_seconds(text: str) -> float:
     return seconds
 
 
+def terminated(signum, frame) -> None:
+    """The ``SIGTERM`` handler while the trees exist: exit 143 (128 + 15)
+    by ``SystemExit``, which unwinds through the cleanup of the temporary
+    directory and of ``subprocess.run``, which kills its child."""
+    raise SystemExit(128 + signal.SIGTERM)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", default="HEAD~1", help="tree-ish of the parent")
@@ -213,20 +225,25 @@ def main(argv=None) -> int:
     revs = {side: resolve(repo, f"--{side}", rev)
             for side, rev in zip(SIDES, (args.parent, args.change))}
 
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        trees = {side: extract(repo, revs[side], Path(tmp) / side) for side in SIDES}
-        with open(trees["change"] / "BENCHMARK.json", encoding="utf-8") as fh:
-            metrics = json.load(fh)["end_to_end"]
-        better = {m["name"]: m["better"] for m in metrics}
-        bounds = {m["name"]: m["bound"] for m in metrics if "bound" in m}
-        runs = {w: {side: [] for side in SIDES} for w in WORKLOADS}
-        for seed in args.seeds:
-            order = SIDES if seed % 2 else SIDES[::-1]
-            for workload in WORKLOADS:
-                for side in order:
-                    runs[workload][side].append(
-                        run_once(trees[side], workload, seed, args.seconds))
-                    print(f"seed {seed} {workload} {side} done", file=sys.stderr)
+    previous = signal.signal(signal.SIGTERM, terminated)
+    try:
+        with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+            trees = {side: extract(repo, revs[side], Path(tmp) / side)
+                     for side in SIDES}
+            with open(trees["change"] / "BENCHMARK.json", encoding="utf-8") as fh:
+                metrics = json.load(fh)["end_to_end"]
+            better = {m["name"]: m["better"] for m in metrics}
+            bounds = {m["name"]: m["bound"] for m in metrics if "bound" in m}
+            runs = {w: {side: [] for side in SIDES} for w in WORKLOADS}
+            for seed in args.seeds:
+                order = SIDES if seed % 2 else SIDES[::-1]
+                for workload in WORKLOADS:
+                    for side in order:
+                        runs[workload][side].append(
+                            run_once(trees[side], workload, seed, args.seconds))
+                        print(f"seed {seed} {workload} {side} done", file=sys.stderr)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
     out = {"parent": args.parent, "change": args.change,
            "parent_tree": revs["parent"], "change_tree": revs["change"],
