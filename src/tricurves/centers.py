@@ -355,7 +355,8 @@ def _excentral_squares(u: IntegralView) -> tuple[int, int, int]:
 # homothetic pairs: the tangential triangle is the orthic one's image through
 # X25, in the ratio a2*b2*c2/(2*SA*SB*SC), and the midarc triangle the
 # excentral one's image through X1, in the ratio 1/2.  The excentral and
-# midarc rows read the sides, which _derived_rows refuses a parent without.
+# midarc rows read the sides: _derive calls them only after _derived_rows
+# has refused a parent without sides.
 _VIEWS: dict[TriangleKind, Callable[[IntegralView], IntegralView]] = {
     TriangleKind.BASE: lambda u: u,
     TriangleKind.MEDIAL: lambda u: u.scaled(1, 2),
