@@ -17,17 +17,18 @@ Centers are classified by parity: EVEN centers depend only on the squared side
 lengths and can therefore be evaluated on any derived triangle (whose squared
 sides are always rational); odd centers need the unsquared sides and are only
 available where those are exact (the base, medial, Euler and anticomplementary
-triangles).  Each triangle is derived from its parent's metric and frame by
-one rule, in integers, the base's frame being the identity, which multiplies
-nothing.  Its metric is one row of one table, ``_VIEWS``, read on the
-parent's integral view: the base, medial, Euler and anticomplementary
-triangles rescale it by their rational side ratio, and the other four have
-closed-form squared sides, as two homothetic pairs, the orthic and
-tangential triangles (through X25) and the excentral and midarc triangles
-(through X1, in the ratio 1/2).  Each frame is built and checked once, from
-its vertices' raw rows, which it canonicalizes; it maps the raw triples of
-centers and conjugates, canonicalized once on the way out, and gives the
-vertices back, read off its matrix, only to a caller that asks for them.
+triangles).  Each kind is one row of one table, ``_KINDS``: its vertex rows
+and its view, both read in integers on its parent's integral view.  The
+medial, Euler and anticomplementary triangles rescale that view by their
+rational side ratio, and the other four have closed-form squared sides, as
+two homothetic pairs, the orthic and tangential triangles (through X25) and
+the excentral and midarc triangles (through X1, in the ratio 1/2).  A
+triangle's base triangle is itself: it keeps its parent's metric and frame,
+the frame of the reference triangle being the identity, which multiplies
+nothing.  Every other frame is built and checked once, from its vertices' raw
+rows, which it canonicalizes; it maps the raw triples of centers and
+conjugates, canonicalized once on the way out, and gives the vertices back,
+read off its matrix, only to a caller that asks for them.
 One factory makes the center-expression node types, one table their rules.
 """
 
@@ -294,44 +295,17 @@ _set_kind, _set_metric, _set_frame, _set_vertices = (
     getattr(SubTriangle, name).__set__ for name in SubTriangle.__slots__)
 
 
-def _derived_rows(m: Metric, kind: TriangleKind):
-    """Vertex coordinate triples of the derived triangle, in the frame of
-    ``m`` (read on its integral view).  No right triangle is refused here."""
-    u = m.unit
-    if kind is TriangleKind.BASE:
-        return ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    if kind is TriangleKind.EXCENTRAL:
-        if not m.has_sides:
-            raise OddCenterWithoutSides("excenters need exact side lengths")
-        a, b, c = u.sides
-        return ((-a, b, c), (a, -b, c), (a, b, -c))
-    if kind is TriangleKind.MEDIAL:
-        return ((0, 1, 1), (1, 0, 1), (1, 1, 0))
-    if kind is TriangleKind.ORTHIC:
-        return ((0, u.SC, u.SB), (u.SC, 0, u.SA), (u.SB, u.SA, 0))
-    if kind is TriangleKind.ANTICOMPLEMENTARY:
-        return ((-1, 1, 1), (1, -1, 1), (1, 1, -1))
-    if kind is TriangleKind.EULER:
-        # midpoints of each vertex with the orthocenter
-        sbc, sca, sab = u.SB * u.SC, u.SC * u.SA, u.SA * u.SB
-        return (
-            (u.S2 + sbc, sca, sab),
-            (sbc, u.S2 + sca, sab),
-            (sbc, sca, u.S2 + sab),
-        )
-    if kind is TriangleKind.MIDARC:
-        # second intersections of the internal bisectors with the circumcircle
-        if not m.has_sides:
-            raise OddCenterWithoutSides("arc midpoints need exact side lengths")
-        a, b, c = u.sides
-        return (
-            (-u.a2, b * (b + c), c * (b + c)),
-            (a * (c + a), -u.b2, c * (c + a)),
-            (a * (a + b), b * (a + b), -u.c2),
-        )
-    if kind is TriangleKind.TANGENTIAL:
-        return ((-u.a2, u.b2, u.c2), (u.a2, -u.b2, u.c2), (u.a2, u.b2, -u.c2))
-    raise ValueError(f"unknown triangle kind {kind}")
+def _euler_rows(u: IntegralView):
+    """Midpoints of each vertex with the orthocenter."""
+    sbc, sca, sab = u.SB * u.SC, u.SC * u.SA, u.SA * u.SB
+    return ((u.S2 + sbc, sca, sab), (sbc, u.S2 + sca, sab), (sbc, sca, u.S2 + sab))
+
+
+def _midarc_rows(u: IntegralView):
+    """Second intersections of the internal bisectors with the circumcircle."""
+    a, b, c = u.sides
+    return ((-u.a2, b * (b + c), c * (b + c)), (a * (c + a), -u.b2, c * (c + a)),
+            (a * (a + b), b * (a + b), -u.c2))
 
 
 def _orthic_squares(u: IntegralView) -> tuple[int, int, int]:
@@ -349,44 +323,60 @@ def _excentral_squares(u: IntegralView) -> tuple[int, int, int]:
             2 * u.c2 * ab * (ab + u.SC))
 
 
-# each kind's view, read on its parent's: rescaled by the side ratio n/d
-# where it is rational, else its squared sides in closed form over one
-# denominator, reduced by _squares_view.  The four closed forms are two
-# homothetic pairs: the tangential triangle is the orthic one's image through
-# X25, in the ratio a2*b2*c2/(2*SA*SB*SC), and the midarc triangle the
-# excentral one's image through X1, in the ratio 1/2.  The excentral and
-# midarc rows read the sides: _derive calls them only after _derived_rows
-# has refused a parent without sides.
-_VIEWS: dict[TriangleKind, Callable[[IntegralView], IntegralView]] = {
-    TriangleKind.BASE: lambda u: u,
-    TriangleKind.MEDIAL: lambda u: u.scaled(1, 2),
-    TriangleKind.EULER: lambda u: u.scaled(1, 2),
-    TriangleKind.ANTICOMPLEMENTARY: lambda u: u.scaled(2, 1),
-    TriangleKind.ORTHIC: lambda u: _squares_view(
-        _orthic_squares(u), u.q * u.a2 * u.b2 * u.c2),
-    TriangleKind.TANGENTIAL: lambda u: _squares_view(
-        [n * u.a2 * u.b2 * u.c2 for n in _orthic_squares(u)],
-        4 * u.q * (u.SA * u.SB * u.SC) ** 2),
-    TriangleKind.EXCENTRAL: lambda u: _squares_view(_excentral_squares(u), u.q * u.S2),
-    TriangleKind.MIDARC: lambda u: _squares_view(_excentral_squares(u), 4 * u.q * u.S2),
+# each kind's vertex rows, in its parent's frame, and its view, both read on
+# the parent's view.  The view is the parent's rescaled by the side ratio n/d
+# where it is rational, else closed-form squared sides over one denominator,
+# reduced by _squares_view, as two homothetic pairs: the tangential triangle
+# is the orthic one's image through X25, in the ratio a2*b2*c2/(2*SA*SB*SC),
+# and the midarc triangle the excentral one's image through X1, ratio 1/2.
+_KINDS: dict[TriangleKind, tuple[Callable, Callable[[IntegralView], IntegralView]]] = {
+    TriangleKind.BASE: (lambda u: ((1, 0, 0), (0, 1, 0), (0, 0, 1)), lambda u: u),
+    TriangleKind.MEDIAL: (lambda u: ((0, 1, 1), (1, 0, 1), (1, 1, 0)),
+                          lambda u: u.scaled(1, 2)),
+    TriangleKind.EULER: (_euler_rows, lambda u: u.scaled(1, 2)),
+    TriangleKind.ANTICOMPLEMENTARY: (lambda u: ((-1, 1, 1), (1, -1, 1), (1, 1, -1)),
+                                     lambda u: u.scaled(2, 1)),
+    TriangleKind.ORTHIC: (
+        lambda u: ((0, u.SC, u.SB), (u.SC, 0, u.SA), (u.SB, u.SA, 0)),
+        lambda u: _squares_view(_orthic_squares(u), u.q * u.a2 * u.b2 * u.c2)),
+    TriangleKind.TANGENTIAL: (
+        lambda u: ((-u.a2, u.b2, u.c2), (u.a2, -u.b2, u.c2), (u.a2, u.b2, -u.c2)),
+        lambda u: _squares_view([n * u.a2 * u.b2 * u.c2 for n in _orthic_squares(u)],
+                                4 * u.q * (u.SA * u.SB * u.SC) ** 2)),
+    TriangleKind.EXCENTRAL: (
+        lambda u: ((-u.a, u.b, u.c), (u.a, -u.b, u.c), (u.a, u.b, -u.c)),
+        lambda u: _squares_view(_excentral_squares(u), u.q * u.S2)),
+    TriangleKind.MIDARC: (_midarc_rows,
+                          lambda u: _squares_view(_excentral_squares(u), 4 * u.q * u.S2)),
 }
+
+# the kinds whose rows and view read the sides, and what their vertices are
+_NEEDS_SIDES = {TriangleKind.EXCENTRAL: "excenters", TriangleKind.MIDARC: "arc midpoints"}
+
+
+def _derived_rows(m: Metric, kind: TriangleKind):
+    """Vertex coordinate triples of the ``kind`` triangle in the frame of
+    ``m``, by its row of ``_KINDS``; a kind of ``_NEEDS_SIDES`` refuses a
+    parent without sides, and no kind a right one."""
+    if kind in _NEEDS_SIDES and not m.has_sides:
+        raise OddCenterWithoutSides(f"{_NEEDS_SIDES[kind]} need exact side lengths")
+    return _KINDS[kind][0](m.unit)
 
 
 def _derive(m: Metric, frame: Frame, kind: TriangleKind) -> SubTriangle:
     """The ``kind`` triangle of the triangle with metric ``m`` and ``frame``;
     the orthic and tangential triangles of a right triangle raise
-    :class:`RightTriangle`.  Its view is read off ``m``'s by its row of
-    ``_VIEWS``.  The raw rows, in the frame of ``m``, are then mapped out
-    through ``frame``'s matrix, which the base's frame skips, into the new
-    frame, which canonicalizes them; the base kind keeps ``frame``."""
+    :class:`RightTriangle`.  A triangle's base triangle is itself: it keeps
+    ``m`` and ``frame``.  Any other kind's rows and view are read off ``m``'s
+    by its row of ``_KINDS``; the raw rows, in the frame of ``m``, are mapped
+    out through ``frame``'s matrix, which the base's frame skips, into the
+    new frame, which canonicalizes them."""
     _refuse_right(m, kind)
-    local = _derived_rows(m, kind)
-    own = _VIEWS[kind](m.unit)
-    if kind is not TriangleKind.BASE:
-        mx = frame.matrix
-        rows = local if frame is _IDENTITY else [mat_vec(mx, row) for row in local]
-        frame = Frame.of(*rows)
-    return SubTriangle(kind, Metric.of_view(own), frame)
+    if kind is TriangleKind.BASE:
+        return SubTriangle(kind, m, frame)
+    local, own = _derived_rows(m, kind), _KINDS[kind][1](m.unit)
+    rows = local if frame is _IDENTITY else [mat_vec(frame.matrix, row) for row in local]
+    return SubTriangle(kind, Metric.of_view(own), Frame.of(*rows))
 
 
 def derived_subtriangle(parent: SubTriangle, kind: TriangleKind) -> SubTriangle:

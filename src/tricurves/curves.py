@@ -326,15 +326,14 @@ def _infinity_restriction(c: Conic) -> tuple[int, int, int]:
 def is_rectangular(c: Conic, m: Metric) -> bool:
     """Whether the conic is a hyperbola with perpendicular asymptotes.
 
-    Decided rationally: real distinct infinite points (beta^2 > alpha*gamma)
-    perpendicular in the Gram form G, which on the chart rows r0, r1 reads
-    gamma r0.G.r0 - 2 beta r0.G.r1 + alpha r1.G.r1 = 0.
+    Decided rationally: the restriction (alpha, beta, gamma) to the line at
+    infinity has zero trace gamma r0.G.r0 - 2 beta r0.G.r1 + alpha r1.G.r1
+    against the Gram form G on the chart rows r0, r1; G is positive definite
+    on directions, so that implies beta^2 > alpha*gamma (two real points).
     """
     alpha, beta, gamma = _infinity_restriction(c)
     if alpha == 0 and beta == 0 and gamma == 0:
         raise DegenerateAtInfinity("conic contains the line at infinity")
-    if beta * beta - alpha * gamma <= 0:
-        return False
     r0, r1 = _CHART
     g0, g1 = gram(r0, m), gram(r1, m)
     return gamma * dot(r0, g0) - 2 * beta * dot(r0, g1) + alpha * dot(r1, g1) == 0

@@ -486,22 +486,15 @@ def gram(v: Sequence[int], m: Metric) -> tuple[int, int, int]:
             (u.b2 * x + u.a2 * y) // -2)
 
 
-def _distance_numerator(p: Sequence[int], q: Sequence[int], m: Metric) -> int:
-    """d.G.d for d = sq*p - sp*q, sp and sq the coordinate sums of the finite
-    raw triples p and q: their squared distance times m.unit.q*(sp*sq)**2."""
-    (px, py, pz), (qx, qy, qz) = p, q
+def squared_distance(p: HomPoint, q: HomPoint, m: Metric) -> Fraction:
+    """Exact squared distance between two finite points p and q: d.G.d
+    over m.unit.q*(sp*sq)**2, for d = sq*p - sp*q, sp and sq their sums."""
+    (px, py, pz), (qx, qy, qz) = p.triple, q.triple
     sp, sq = px + py + pz, qx + qy + qz
     if sp == 0 or sq == 0:
         raise PointAtInfinity("squared_distance requires finite points")
     d = (px * sq - qx * sp, py * sq - qy * sp, pz * sq - qz * sp)
-    return dot(d, gram(d, m))
-
-
-def squared_distance(p: HomPoint, q: HomPoint, m: Metric) -> Fraction:
-    """Exact squared distance between two finite points."""
-    p, q = p.triple, q.triple
-    sp, sq = sum(p), sum(q)
-    return Fraction(_distance_numerator(p, q, m), m.unit.q * sp * sp * sq * sq)
+    return Fraction(dot(d, gram(d, m)), m.unit.q * sp * sp * sq * sq)
 
 
 def infinite_point(l: HomLine) -> HomPoint:

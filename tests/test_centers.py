@@ -363,9 +363,9 @@ class TestDerivedTriangles:
         assert set(oexc.vertices) == {VERTEX_A, VERTEX_B, VERTEX_C}
 
 
-# the kinds whose side ratio to their parent is irrational, so whose view is
-# built from closed-form squared sides (centers._VIEWS), in two homothetic
-# pairs: orthic and tangential, excentral and midarc
+# the kinds whose side ratio to their parent is irrational, so whose view, in
+# their row of centers._KINDS, is built from closed-form squared sides, in two
+# homothetic pairs: orthic and tangential, excentral and midarc
 OFF_RATIO = (TriangleKind.EXCENTRAL, TriangleKind.ORTHIC, TriangleKind.MIDARC,
              TriangleKind.TANGENTIAL)
 T_RATIONAL = RefTriangle(Fraction(5, 3), Fraction(7, 5), Fraction(9, 7))
@@ -1139,6 +1139,52 @@ class TestOutcomesPinned:
         assert len(lines) == 5760
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == OUTCOMES_SHA256
+
+
+# SHA-256 of one line per derivation, the derived triangle's integral view,
+# frame matrix and inverse, or the refusal's type and message, as the
+# derivations gave them when each kind's view was first read in closed form
+DERIVATIONS_SHA256 = "710ccd201e31eb4d2d4179a0a4485ac6ecf7b805ea6c603a79bb8967cb55ea08"
+DERIVATION_TRIANGLES = (
+    (Fraction(28, 5), 12, 16), (3, 4, 5), (5, 5, 6),
+    (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)),
+    (10**20 + 11, 10**20 + 17, 10**20 + 29))
+
+
+def _derivation(label: str, derive) -> tuple:
+    """(the triangle or None, its line) for one derivation."""
+    try:
+        sub = derive()
+    except GeometryError as exc:
+        return None, f"{label} {type(exc).__name__}: {exc}"
+    f = sub.frame
+    return sub, f"{label} {tuple(sub.own_metric.unit)} {f.matrix} {f.inverse}"
+
+
+class TestDerivationsPinned:
+    def test_one_row_per_kind(self):
+        assert set(centers._KINDS) == set(TriangleKind)
+        assert set(centers._NEEDS_SIDES) == {TriangleKind.EXCENTRAL, TriangleKind.MIDARC}
+
+    def test_every_kind_and_kind_of_kind_pinned(self):
+        """Every kind, and every kind of every kind, of seeded, rational,
+        right, isosceles and 10^20-sided triangles: 7,544 derivations."""
+        triangles = ([random_triangle(seed) for seed in range(100)]
+                     + [RefTriangle(*sides) for sides in DERIVATION_TRIANGLES])
+        lines = []
+        for t in triangles:
+            for kind in TriangleKind:
+                parent, line = _derivation(f"{t!r} {kind.value}",
+                                           lambda: derived_triangle(t, kind))
+                lines.append(line)
+                if parent is not None:
+                    lines += [_derivation(f"{t!r} {kind.value} {child.value}",
+                                          lambda: derived_subtriangle(parent, child))[1]
+                              for child in TriangleKind]
+        assert len(lines) == 7544
+        assert sum(": " in line for line in lines) == 846
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == DERIVATIONS_SHA256
 
 
 class TestRandomTriangle:

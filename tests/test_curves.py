@@ -1049,6 +1049,25 @@ class TestGramConsumers:
         assume(any(_infinity_restriction(conic)))
         assert is_rectangular(conic, t) == _rectangular_reference(conic, t)
 
+    @settings(max_examples=100, deadline=None)
+    @given(rational_triangles(), st.tuples(small, small).filter(any),
+           st.tuples(small, small, small))
+    def test_zero_trace_restrictions_match_reference(self, t, alpha_beta, line):
+        """A nonzero restriction of zero trace against the Gram form, gamma
+        solved from alpha and beta, plus (x+y+z) times any line, which is 0
+        at infinity: ``is_rectangular`` needs no discriminant test there,
+        and the reference, which keeps one, agrees."""
+        alpha, beta = alpha_beta
+        gamma = (2 * t.SC * beta - t.a2 * alpha) / t.b2
+        alpha, beta = alpha * gamma.denominator, beta * gamma.denominator
+        gamma = gamma.numerator
+        l0, l1, l2 = line
+        conic = Conic(alpha + 2 * l0, gamma + 2 * l1, 2 * l2,
+                      beta + l0 + l1, l0 + l2, l1 + l2)
+        a, b, g = _infinity_restriction(conic)  # (alpha, beta, gamma), up to scale
+        assert a * beta == b * alpha and b * gamma == g * beta and a * gamma == g * alpha
+        assert is_rectangular(conic, t) and _rectangular_reference(conic, t)
+
 
 class TestJerabekOracle:
     def test_membership_iff_conjugate_on_euler_line(self):

@@ -550,7 +550,7 @@ class TestCoreDoesNotImportRenderer:
 
     def test_centers_builds_no_metric(self):
         """A derived triangle's view is built in integers, from its parent's
-        view by one row of ``centers._VIEWS`` (a rescaling or a closed form
+        view by one row of ``centers._KINDS`` (a rescaling or a closed form
         through ``kernel._squares_view``): centers.py never calls
         ``Metric(...)``."""
         tree = dict(self._trees())["centers"]
