@@ -11,7 +11,9 @@ crossing and how a saddle cell splits.  The chart is affine, so along any
 grid line the form is one univariate polynomial of degree at most 3: it
 is recovered from four values on each grid column, and the column's
 signs are that cubic by Horner.  The columns stream in one at a time,
-their signs as bitmasks, so only the live cells, which a crossing can
+their signs as bitmasks read off the IEEE sign bits of the packed column
+(a column holding an exact zero, or a nan, whose sign bit is arbitrary,
+keeps comparing against 0.0), so only the live cells, which a crossing can
 pass, are visited and memory is O(grid).  Each grid edge with a sign
 change is refined once, by bracketed Illinois steps on its grid line's
 cubic (a row's cubic is built the first time one of its edges is
@@ -23,6 +25,7 @@ is formatted once.
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -255,11 +258,15 @@ def trace_segments(f, viewport, grid: int):
     called at most 8 * (grid + 1) times, plus once per saddle cell.
 
     The columns stream in one at a time, so memory is O(grid).  Each
-    column's signs are a bitmask, and bit operations on the masks of two
-    neighbouring columns pick the live cells: those whose four corner
-    values do not share one strict sign.  A column holding an exact zero
-    makes every cell beside it live.  Live cells are visited in order of
-    column, then row, and each reads its four edges in straight-line code.
+    column's signs are a bitmask, the sign bits of its values packed as
+    IEEE doubles, and bit operations on the masks of two neighbouring
+    columns pick the live cells: those whose four corner values do not
+    share one strict sign.  A column holding an exact zero makes every
+    cell beside it live; one whose sum is not finite may hold a nan, whose
+    sign bit is arbitrary, so it is compared against 0.0 node by node, and
+    nan reads as negative, as the cells read it.  Live cells are visited
+    in order of column, then row, and each reads its four edges in
+    straight-line code.
     Every grid edge of a live cell with a sign change is refined once, on
     its grid line's cubic, from its lower to its higher grid index, and
     both cells that share it get the same endpoint object (a right or top
@@ -274,14 +281,19 @@ def trace_segments(f, viewport, grid: int):
     centre, half = 0.5 * (x0 + x1), 0.5 * (x1 - x0)
     cells = int.from_bytes(b"\1" * grid, "little")   # bit 8j: cell or node j
     nodes = cells | 1 << 8 * grid
+    signs = nodes << 7   # bit 8j + 7 of a column's high bytes: node j's sign
+    pack = struct.Struct(f"<{grid + 1}d").pack
     rows = {}
     segments = []
     for i, (xr, rline, right) in enumerate(_columns(f, viewport, grid)):
         rmemo = {}
-        rpos = int.from_bytes(bytes(map((0.0).__lt__, right)), "little")
         if 0.0 in right:   # an exact zero: every cell beside it is live
             rpos = rneg = 0
+        elif math.isfinite(sum(right)):   # no nan: the sign bits are the signs
+            rneg = (int.from_bytes(pack(*right)[7::8], "little") & signs) >> 7
+            rpos = nodes ^ rneg
         else:              # nan counts as negative: the cells read it as not > 0
+            rpos = int.from_bytes(bytes(map((0.0).__lt__, right)), "little")
             rneg = nodes ^ rpos
         if i:
             hmemo = {}

@@ -839,7 +839,20 @@ class TestLiveCells:
         lambda x, y: (x - 5) * (y - 7),          # a zero column and a zero row
         lambda x, y: x + y - 16,                 # zeros on a diagonal of nodes
         lambda x, y: math.nan if x == 4 else y - 8.5,
-    ], ids=["cross", "diagonal", "nan-column"])
+        # the column x = 4 below reads, node by node: -5e-324 (read off the
+        # sign bits); -0.0 at y = 4 and 8 and 0.0 at y = 12 (an exact zero);
+        # inf, or -inf (a sum that is not finite); finite values from -2e307
+        # to 2.7e307 whose sum overflows
+        lambda x, y: -5e-324 if x == 4 else y - 8.5,
+        lambda x, y: ((-0.0 if y in (4, 12) else 3 * (y - 8) / 8) if x == 4
+                      else y - 8.5),
+        lambda x, y: 5e307 if x == 4 else y - 8.5,
+        lambda x, y: -5e307 if x == 4 else y - 8.5,
+        lambda x, y: ((-2e307 if y == 0 else 2e307) if x == 4
+                      else y - 8.5),
+    ], ids=["cross", "diagonal", "nan-column", "negative-subnormal-column",
+            "negative-zero-node", "inf-column", "minus-inf-column",
+            "overflowing-sum-column"])
     def test_masked_columns_match_the_dense_scan(self, f):
         viewport = (0.0, 0.0, 16.0, 16.0)
         got = trace_segments(f, viewport, 16)

@@ -52,6 +52,7 @@ from tricurves.curves import (
     Cubic,
     DegeneratePointSet,
     NoLinearComponent,
+    axis_conic,
     conic_through,
     cubic_through,
     isogonal_image,
@@ -1061,6 +1062,15 @@ def _triangle_circumcircle(tri):
     return lambda tr: isogonal_image(tr[tri], LINE_AT_INFINITY)
 
 
+def _swapped_axis_conic(tr):
+    """thm4's axis conic with the de Longchamps point and the orthocenter
+    swapped: vertices at the centroid and the orthocenter, focus at the de
+    Longchamps point.  On the Euler line, with O = 0 and M = 1, H = 3 and
+    L = -3, so the center is 2, a = 1 and c = 5: e^2 = 25.  ``ax2`` cannot
+    stand in, as its e^2 is 4 too."""
+    return axis_conic(tr.t, tr["M"], tr["H"], tr["L"])
+
+
 def _lines_through_circumcenter(tr):
     """The product of the lines from the circumcenter to the vertices: a
     cubic singular at the circumcenter."""
@@ -1112,6 +1122,9 @@ class TestNegativeControls:
          "antipode-consistency"),
         ("thm4-yff-medial", "ax1", lambda tr: tr["ax2"],
          "directrix-through-circumcenter"),
+        ("thm4-yff-medial", "ax1", _swapped_axis_conic,
+         "eccentricity-squared-is-four"),
+        ("thm4-yff-medial", "ax1", lambda tr: tr["ax2"], "homothety-pushforward"),
         ("cor5-euler-line-component", "composition", lambda tr: tr["thomson"],
          "hessian-membership"),
         ("cor5-euler-line-component", "composition", _lines_through_circumcenter,
@@ -1121,7 +1134,8 @@ class TestNegativeControls:
             "thm3-darboux-orthic", "thm5-darboux", "thm7-darboux", "thm6-lucas",
             "thm3-orthic-pivot", "thm6-medial-pivot", "defs-centroid-pivot",
             "defs-de-longchamps-pivot", "thm1-rectangular", "thm8-rectangular",
-            "thm7-antipodes", "thm4-directrix", "cor5-hessian", "cor5-inflections"])
+            "thm7-antipodes", "thm4-directrix", "thm4-eccentricity",
+            "thm4-pushforward", "cor5-hessian", "cor5-inflections"])
     def test_wrong_value_fails_the_claim(self, sid, name, wrong, cid):
         sc = REGISTRY[sid]
         for seed in range(5):
