@@ -12,9 +12,9 @@ grid line the form is one univariate polynomial of degree at most 3: it
 is recovered from four values on each grid column, and the column's
 signs are that cubic by Horner.  The columns stream in one at a time,
 their signs as bitmasks read off the IEEE sign bits of the packed column
-(a column holding an exact zero, or a nan, whose sign bit is arbitrary,
-keeps comparing against 0.0), so only the live cells, which a crossing can
-pass, are visited and memory is O(grid).  Each grid edge with a sign
+(a column that holds an exact zero, or a nan, whose sign bit is
+arbitrary, is still read by comparison with 0.0), so only the live cells,
+which a crossing can pass, are visited and memory is O(grid).  Each grid edge with a sign
 change is refined once, by bracketed Illinois steps on its grid line's
 cubic (a row's cubic is built the first time one of its edges is
 refined), and the two cells that share the edge share its endpoint, so a

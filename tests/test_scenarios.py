@@ -1065,9 +1065,9 @@ def _triangle_circumcircle(tri):
 def _swapped_axis_conic(tr):
     """thm4's axis conic with the de Longchamps point and the orthocenter
     swapped: vertices at the centroid and the orthocenter, focus at the de
-    Longchamps point.  On the Euler line, with O = 0 and M = 1, H = 3 and
-    L = -3, so the center is 2, a = 1 and c = 5: e^2 = 25.  ``ax2`` cannot
-    stand in, as its e^2 is 4 too."""
+    Longchamps point.  On the Euler line O = 0, M = 1, H = 3 and L = -3,
+    so the center is 2, a = 1 and c = 5: e^2 = 25.  ``ax2`` cannot stand
+    in, as its e^2 is 4 too."""
     return axis_conic(tr.t, tr["M"], tr["H"], tr["L"])
 
 
