@@ -126,31 +126,37 @@ class TriangleKind(str, Enum):
 # ---------------------------------------------------------------------------
 # evaluation rules
 
-# first barycentric of each center, read on a metric's integral view (every
+# first barycentric f(a, b, c) of each center, in ETC's notation, on a
+# metric's integral view: each rule takes the view's ten cyclic quantities a2,
+# b2, c2, SA, SB, SC, S2, a, b, c positionally (the sides None where the view
+# has none), and center_coords applies it in the three cyclic orders (every
 # rule is homogeneous in the sides, so the view's scale drops out)
-_FIRST: dict[CenterId, Callable[[IntegralView], int]] = {
-    CenterId.X1: lambda m: m.a,
-    CenterId.X2: lambda m: 1,
-    CenterId.X3: lambda m: m.a2 * m.SA,
-    CenterId.X4: lambda m: m.SB * m.SC,
-    CenterId.X5: lambda m: m.S2 + m.SB * m.SC,
-    CenterId.X6: lambda m: m.a2,
-    CenterId.X7: lambda m: (m.c + m.a - m.b) * (m.a + m.b - m.c),
-    CenterId.X8: lambda m: m.b + m.c - m.a,
-    CenterId.X9: lambda m: m.a * (m.b + m.c - m.a),
-    CenterId.X10: lambda m: m.b + m.c,
-    CenterId.X20: lambda m: m.a2 * m.SA - m.SB * m.SC,
-    CenterId.X21: lambda m: m.a * (m.b + m.c - m.a) * (m.a + m.b) * (m.a + m.c),
-    CenterId.X25: lambda m: m.a2 * m.SB * m.SC,
-    CenterId.X39: lambda m: m.a2 * (m.b2 + m.c2),
-    CenterId.X40: lambda m: m.a * ((m.a + m.b + m.c) * m.a * m.SA - m.S2),
-    CenterId.X69: lambda m: m.SA,
-    CenterId.X76: lambda m: m.b2 * m.c2,
-    CenterId.X355: lambda m: (m.a + m.b + m.c) * m.SB * m.SC
-    + (m.b + m.c - m.a) * m.S2,
-    CenterId.X389: lambda m: m.a2 * (m.S2 * m.S2 - m.SA * m.SA * m.SB * m.SC),
-    CenterId.OMEGA1: lambda m: m.a2 * m.c2,
-    CenterId.OMEGA2: lambda m: m.a2 * m.b2,
+_FIRST: dict[CenterId, Callable[..., int]] = {
+    CenterId.X1: lambda a2, b2, c2, SA, SB, SC, S2, a, b, c: a,
+    CenterId.X2: lambda a2, b2, c2, SA, SB, SC, S2, a, b, c: 1,
+    CenterId.X3: lambda a2, b2, c2, SA, SB, SC, S2, a, b, c: a2 * SA,
+    CenterId.X4: lambda a2, b2, c2, SA, SB, SC, S2, a, b, c: SB * SC,
+    CenterId.X5: lambda a2, b2, c2, SA, SB, SC, S2, a, b, c: S2 + SB * SC,
+    CenterId.X6: lambda a2, b2, c2, SA, SB, SC, S2, a, b, c: a2,
+    CenterId.X7: lambda a2, b2, c2, SA, SB, SC, S2, a, b, c: (c + a - b) * (a + b - c),
+    CenterId.X8: lambda a2, b2, c2, SA, SB, SC, S2, a, b, c: b + c - a,
+    CenterId.X9: lambda a2, b2, c2, SA, SB, SC, S2, a, b, c: a * (b + c - a),
+    CenterId.X10: lambda a2, b2, c2, SA, SB, SC, S2, a, b, c: b + c,
+    CenterId.X20: lambda a2, b2, c2, SA, SB, SC, S2, a, b, c: a2 * SA - SB * SC,
+    CenterId.X21: lambda a2, b2, c2, SA, SB, SC, S2, a, b, c:
+        a * (b + c - a) * (a + b) * (a + c),
+    CenterId.X25: lambda a2, b2, c2, SA, SB, SC, S2, a, b, c: a2 * SB * SC,
+    CenterId.X39: lambda a2, b2, c2, SA, SB, SC, S2, a, b, c: a2 * (b2 + c2),
+    CenterId.X40: lambda a2, b2, c2, SA, SB, SC, S2, a, b, c:
+        a * ((a + b + c) * a * SA - S2),
+    CenterId.X69: lambda a2, b2, c2, SA, SB, SC, S2, a, b, c: SA,
+    CenterId.X76: lambda a2, b2, c2, SA, SB, SC, S2, a, b, c: b2 * c2,
+    CenterId.X355: lambda a2, b2, c2, SA, SB, SC, S2, a, b, c:
+        (a + b + c) * SB * SC + (b + c - a) * S2,
+    CenterId.X389: lambda a2, b2, c2, SA, SB, SC, S2, a, b, c:
+        a2 * (S2 * S2 - SA * SA * SB * SC),
+    CenterId.OMEGA1: lambda a2, b2, c2, SA, SB, SC, S2, a, b, c: a2 * c2,
+    CenterId.OMEGA2: lambda a2, b2, c2, SA, SB, SC, S2, a, b, c: a2 * b2,
 }
 
 # centers evaluated as the isogonal conjugate of a partner center
@@ -192,16 +198,18 @@ def center_coords(m: Metric, cid: CenterId) -> tuple[int, int, int]:
         return _VERTEX_OF[cid].triple
     if cid is CenterId.X389:
         _refuse_right(m, TriangleKind.ORTHIC)
-    if cid in ODD_CENTERS and not m.has_sides:
+    a2, b2, c2, SA, SB, SC, S2, sides, _, _ = m.unit
+    if sides is None and cid in ODD_CENTERS:
         raise OddCenterWithoutSides(
             f"{cid.value} needs exact side lengths, which this triangle lacks")
-    u = m.unit
+    a, b, c = sides or (None, None, None)
     if cid in _ISOGONAL_OF:
         # unchecked, unlike isogonal(), which refuses a partner on a sideline
-        return _conjugate((u.a2, u.b2, u.c2), center_coords(m, _ISOGONAL_OF[cid]))
+        return _conjugate((a2, b2, c2), center_coords(m, _ISOGONAL_OF[cid]))
     f = _FIRST[cid]
-    r = u.rot()
-    return (f(u), f(r), f(r.rot()))
+    return (f(a2, b2, c2, SA, SB, SC, S2, a, b, c),
+            f(b2, c2, a2, SB, SC, SA, S2, b, c, a),
+            f(c2, a2, b2, SC, SA, SB, S2, c, a, b))
 
 
 def eval_center(m: Metric, cid: CenterId) -> HomPoint:

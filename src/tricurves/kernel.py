@@ -350,7 +350,7 @@ class IntegralView(NamedTuple):
         return self.sides[2]
 
     def rot(self) -> "IntegralView":
-        """Cyclic relabel (a, b, c) -> (b, c, a); used to close formulas cyclically."""
+        """Cyclic relabel (a, b, c) -> (b, c, a), behind :meth:`Metric.rot`."""
         sides = None if self.sides is None else (self.sides[1], self.sides[2], self.sides[0])
         return IntegralView(self.b2, self.c2, self.a2, self.SB, self.SC, self.SA,
                             self.S2, sides, self.q, self.k)

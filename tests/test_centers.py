@@ -999,6 +999,44 @@ class TestWhatAQueryBuilds:
                 counted += 1
         assert counted + refused == 10 * len(TriangleKind) and counted > refused
 
+    def test_center_coords_builds_no_view(self, monkeypatch):
+        """A catalog center applies its rule to the metric's integral view in
+        the three cyclic orders: it neither rotates nor builds a view."""
+        metrics = []
+        for t in [random_triangle(seed) for seed in range(10)] + [T_RATIONAL]:
+            metrics.append(t)
+            for kind in TriangleKind:
+                try:
+                    metrics.append(derived_triangle(t, kind).metric())
+                except GeometryError:
+                    continue
+        built = []
+        new, rot = kernel.IntegralView.__new__, kernel.IntegralView.rot
+
+        def counting_new(cls, *args, **kwargs):
+            built.append("__new__")
+            return new(cls, *args, **kwargs)
+
+        def counting_rot(self):
+            built.append("rot")
+            return rot(self)
+
+        monkeypatch.setattr(kernel.IntegralView, "__new__", counting_new)
+        monkeypatch.setattr(kernel.IntegralView, "rot", counting_rot)
+        counted = refused = 0
+        for m in metrics:
+            for cid in CenterId:
+                try:
+                    center_coords(m, cid)
+                except GeometryError:
+                    refused += 1
+                    continue
+                counted += 1
+                assert not built, (m.unit, cid, built)
+        assert not built
+        assert counted + refused == len(metrics) * len(CenterId)
+        assert counted > 5 * refused > 0
+
     @pytest.mark.parametrize("t", [T, T_RATIONAL, random_triangle(3)], ids=repr)
     def test_vertices_built_once_as_the_mapped_rows(self, t, monkeypatch):
         """Read twice, a derived triangle's vertices are built once, and are

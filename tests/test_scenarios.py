@@ -1066,8 +1066,9 @@ def _swapped_axis_conic(tr):
     """thm4's axis conic with the de Longchamps point and the orthocenter
     swapped: vertices at the centroid and the orthocenter, focus at the de
     Longchamps point.  On the Euler line O = 0, M = 1, H = 3 and L = -3,
-    so the center is 2, a = 1 and c = 5: e^2 = 25.  ``ax2`` cannot stand
-    in, as its e^2 is 4 too."""
+    so the center is 2, a = 1 and c = 5: e^2 = 25.  It stands in for ``ax1``
+    and for ``ax2``, whose e^2 are both 4, so neither can stand in for the
+    other."""
     return axis_conic(tr.t, tr["M"], tr["H"], tr["L"])
 
 
@@ -1124,6 +1125,8 @@ class TestNegativeControls:
          "directrix-through-circumcenter"),
         ("thm4-yff-medial", "ax1", _swapped_axis_conic,
          "eccentricity-squared-is-four"),
+        ("thm4-yff-medial", "ax2", _swapped_axis_conic,
+         "base-eccentricity-squared-is-four"),
         ("thm4-yff-medial", "ax1", lambda tr: tr["ax2"], "homothety-pushforward"),
         ("cor5-euler-line-component", "composition", lambda tr: tr["thomson"],
          "hessian-membership"),
@@ -1135,7 +1138,7 @@ class TestNegativeControls:
             "thm3-orthic-pivot", "thm6-medial-pivot", "defs-centroid-pivot",
             "defs-de-longchamps-pivot", "thm1-rectangular", "thm8-rectangular",
             "thm7-antipodes", "thm4-directrix", "thm4-eccentricity",
-            "thm4-pushforward", "cor5-hessian", "cor5-inflections"])
+            "thm4-base-eccentricity", "thm4-pushforward", "cor5-hessian", "cor5-inflections"])
     def test_wrong_value_fails_the_claim(self, sid, name, wrong, cid):
         sc = REGISTRY[sid]
         for seed in range(5):
