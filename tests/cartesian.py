@@ -57,7 +57,8 @@ def _bisector(apex, p, q):
     ``p`` and ``q``: the sum of the unit vectors along its two sides."""
     u, v = _sub(p, apex), _sub(q, apex)
     lu, lv = _length(p, apex), _length(q, apex)
-    return (Fraction(u[0], lu) + Fraction(v[0], lv), Fraction(u[1], lu) + Fraction(v[1], lv))
+    return (Fraction(u[0], lu) + Fraction(v[0], lv),
+            Fraction(u[1], lu) + Fraction(v[1], lv))
 
 
 def _symmedian(apex, p, q):
@@ -124,9 +125,9 @@ def heronian_triangles(count, limit=6):
             h = lcm(h1, h2)
             p, q = p1 * h // h1, p2 * h // h2
             for B in ((-p, 0), (p, 0)):
-                tri = ((0, h), B, (q, 0))
                 if B[0] == q:
                     continue
+                tri = ((0, h), B, (q, 0))
                 a, b, c = sides(*tri)
                 g = gcd(a, b, c)
                 shape = tuple(sorted((a // g, b // g, c // g)))

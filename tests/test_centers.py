@@ -1033,7 +1033,6 @@ class TestWhatAQueryBuilds:
                     continue
                 counted += 1
                 assert not built, (m.unit, cid, built)
-        assert not built
         assert counted + refused == len(metrics) * len(CenterId)
         assert counted > 5 * refused > 0
 

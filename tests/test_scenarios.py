@@ -1138,7 +1138,8 @@ class TestNegativeControls:
             "thm3-orthic-pivot", "thm6-medial-pivot", "defs-centroid-pivot",
             "defs-de-longchamps-pivot", "thm1-rectangular", "thm8-rectangular",
             "thm7-antipodes", "thm4-directrix", "thm4-eccentricity",
-            "thm4-base-eccentricity", "thm4-pushforward", "cor5-hessian", "cor5-inflections"])
+            "thm4-base-eccentricity", "thm4-pushforward", "cor5-hessian",
+            "cor5-inflections"])
     def test_wrong_value_fails_the_claim(self, sid, name, wrong, cid):
         sc = REGISTRY[sid]
         for seed in range(5):
