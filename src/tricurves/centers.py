@@ -25,10 +25,12 @@ two homothetic pairs, the orthic and tangential triangles (through X25) and
 the excentral and midarc triangles (through X1, in the ratio 1/2).  A
 triangle's base triangle is itself: it keeps its parent's metric and frame,
 the frame of the reference triangle being the identity, which multiplies
-nothing.  Every other frame is built and checked once, from its vertices' raw
-rows, which it canonicalizes; it maps the raw triples of centers and
-conjugates, canonicalized once on the way out, and gives the vertices back,
-read off its matrix, only to a caller that asks for them.
+nothing, and the medial and anticomplementary frames off the base are
+constants, built once at import.  Every other frame is built and checked
+once, from its vertices' raw rows, which it canonicalizes; it maps the raw
+triples of centers and conjugates, canonicalized once on the way out, and
+gives the vertices back, read off its matrix, only to a caller that asks
+for them.
 One factory makes the center-expression node types, one table their rules.
 """
 
@@ -361,6 +363,11 @@ _KINDS: dict[TriangleKind, tuple[Callable, Callable[[IntegralView], IntegralView
 # the kinds whose rows and view read the sides, and what their vertices are
 _NEEDS_SIDES = {TriangleKind.EXCENTRAL: "excenters", TriangleKind.MIDARC: "arc midpoints"}
 
+# the frames of the kinds whose rows off the base are constants, built once
+# from their _KINDS rows, as the base's own frame is
+_BASE_FRAMES = {kind: Frame.of(*_KINDS[kind][0](None))
+                for kind in (TriangleKind.MEDIAL, TriangleKind.ANTICOMPLEMENTARY)}
+
 
 def _derived_rows(m: Metric, kind: TriangleKind):
     """Vertex coordinate triples of the ``kind`` triangle in the frame of
@@ -378,10 +385,15 @@ def _derive(m: Metric, frame: Frame, kind: TriangleKind) -> SubTriangle:
     ``m`` and ``frame``.  Any other kind's rows and view are read off ``m``'s
     by its row of ``_KINDS``; the raw rows, in the frame of ``m``, are mapped
     out through ``frame``'s matrix, which the base's frame skips, into the
-    new frame, which canonicalizes them."""
+    new frame, which canonicalizes them.  The medial and anticomplementary
+    triangles of a triangle in the base's frame take their frame, a
+    constant, from ``_BASE_FRAMES``."""
     _refuse_right(m, kind)
     if kind is TriangleKind.BASE:
         return SubTriangle(kind, m, frame)
+    if frame is _IDENTITY and kind in _BASE_FRAMES:
+        return SubTriangle(kind, Metric.of_view(_KINDS[kind][1](m.unit)),
+                           _BASE_FRAMES[kind])
     local, own = _derived_rows(m, kind), _KINDS[kind][1](m.unit)
     rows = local if frame is _IDENTITY else [mat_vec(frame.matrix, row) for row in local]
     return SubTriangle(kind, Metric.of_view(own), Frame.of(*rows))
@@ -591,6 +603,9 @@ def parse_center(text: str) -> CenterExpr:
 
 
 def _parse(text: str) -> CenterExpr:
+    e = _NAMES.get(text)  # a bare name holds no space or "(" to strip or split
+    if e is not None:
+        return e
     text = text.strip()
     if not text:
         raise CenterParseError("empty center expression")

@@ -359,10 +359,13 @@ class IntegralView(NamedTuple):
         """The view of a triangle with sides n/d times these, without
         division: squared sides and SA, SB, SC times n^2, S2 times n^4, q
         times d^2, k times d and the sides times n."""
-        n2, sides = n * n, self.sides
-        return IntegralView(*(n2 * v for v in self[:6]), n2 * n2 * self.S2,
-                            None if sides is None else tuple(n * s for s in sides),
-                            d * d * self.q, None if self.k is None else d * self.k)
+        a2, b2, c2, SA, SB, SC, S2, sides, q, k = self
+        n2 = n * n
+        return IntegralView(n2 * a2, n2 * b2, n2 * c2, n2 * SA, n2 * SB, n2 * SC,
+                            n2 * n2 * S2,
+                            None if sides is None else (n * sides[0], n * sides[1],
+                                                        n * sides[2]),
+                            d * d * q, None if k is None else d * k)
 
 
 def _read_back(field: str, power: int = 1) -> property:

@@ -849,7 +849,8 @@ class Report(NamedTuple):
             "kind": c.kind,
             "expectation": c.expectation,
             "status": c.status,
-            # a certificate's one container is its triangle list
+            # a certificate's one container is its triangle, a tuple shared
+            # by every certificate of one trial, handed out as a fresh list
             "failures": [{**f, "triangle": list(f["triangle"])} for f in c.failures],
         } for c in self.claims]}
 
@@ -946,6 +947,7 @@ def run_scenario(scenario_id: str, trials: int, seed: int) -> Report:
                         f"triangles for {trials} trial(s)") from None
                 continue
             break
+        triangle = None  # the sides as text, shared by this triangle's certificates
         for res, outcome in zip(results, outcomes):
             if outcome is SKIP or outcome is None:
                 continue
@@ -954,8 +956,10 @@ def run_scenario(scenario_id: str, trials: int, seed: int) -> Report:
                 outcome = Failure("", "", f"error: {type(outcome).__name__}: {outcome}")
             elif res.status == "pass":
                 res.status = "fail"
-            t = tr.t
-            res.failures.append({"triangle": [str(t.a), str(t.b), str(t.c)],
+            if triangle is None:
+                a, b, c = tr.t.sides
+                triangle = (str(a), str(b), str(c))
+            res.failures.append({"triangle": triangle,
                                  "lhs": outcome.lhs, "rhs": outcome.rhs,
                                  "detail": outcome.detail})
     elapsed_ms = int((time.perf_counter() - t0) * 1000)

@@ -11,11 +11,20 @@ the altitude's foot, or over (p, 0) and (q, 0), both on one side.  On them
 bisectors, the mean of the vertices, the meet of two perpendicular
 bisectors, the meet of two altitudes, and the meet of two medians each
 reflected in its angle bisector.  ``areal`` reads a point's barycentrics
-off signed areas, for comparison with another model's.
+off signed areas, for comparison with another model's, ``squared_length``
+and ``foot`` give squared distances and perpendicular feet by coordinates,
+and ``DERIVED`` builds the medial, anticomplementary and Euler triangles
+with lattice vertices, each over a copy of the triangle scaled so that they
+are: the medial triangle B + C, C + A, A + B over 2A, 2B, 2C, the
+anticomplementary B + C - A and its cyclic copies over A, B, C, and the
+Euler triangle, the midpoints of the vertices and the orthocenter H, over
+kA, kB, kC for k twice the common denominator of H.  Scaling changes no
+areal coordinates.
 """
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import add
 
 
 def _sub(p, q):
@@ -90,6 +99,50 @@ def symmedian_point(A, B, C):
 
 CENTERS = {"X1": incenter, "X2": centroid, "X3": circumcenter, "X4": orthocenter,
            "X6": symmedian_point}
+
+
+def squared_length(p, q):
+    """The squared distance between two points."""
+    return _dot(_sub(p, q), _sub(p, q))
+
+
+def foot(P, Q, R):
+    """The foot of the perpendicular from ``P`` to the line QR."""
+    u = _sub(R, Q)
+    s = Fraction(_dot(_sub(P, Q), u), _dot(u, u))
+    return (Q[0] + s * u[0], Q[1] + s * u[1])
+
+
+def _scale(k, points):
+    return tuple((k * x, k * y) for x, y in points)
+
+
+def _sum(p, q):
+    return tuple(map(add, p, q))
+
+
+def medial(A, B, C):
+    """(2A, 2B, 2C) and its medial triangle B + C, C + A, A + B."""
+    return _scale(2, (A, B, C)), (_sum(B, C), _sum(C, A), _sum(A, B))
+
+
+def anticomplementary(A, B, C):
+    """(A, B, C) and its anticomplementary triangle B + C - A, C + A - B,
+    A + B - C."""
+    return (A, B, C), (_sub(_sum(B, C), A), _sub(_sum(C, A), B), _sub(_sum(A, B), C))
+
+
+def euler(A, B, C):
+    """(kA, kB, kC) and the midpoints of its vertices with its orthocenter
+    kH, for k twice the common denominator of H: lattice points, as kH and
+    the scaled vertices have even coordinates."""
+    H = orthocenter(A, B, C)
+    k = 2 * lcm(*(v.denominator for v in H))
+    tri, h = _scale(k, (A, B, C)), tuple(int(k * v) for v in H)
+    return tri, tuple(((x + h[0]) // 2, (y + h[1]) // 2) for x, y in tri)
+
+
+DERIVED = {"medial": medial, "anticomplementary": anticomplementary, "euler": euler}
 
 
 def areal(P, A, B, C):

@@ -928,8 +928,11 @@ class TestOneCanonicalization:
         """Every kind from the base and from the excentral triangle maps its
         raw rows out through the parent's frame: three canonicalizations, one
         per vertex, and none for the rows in the parent's own frame.  The
-        base kind keeps its parent's frame and canonicalizes nothing."""
+        base kind keeps its parent's frame and canonicalizes nothing, and
+        nor do the medial and anticomplementary triangles of the base, whose
+        frames are built once, at import."""
         exc = derived_triangle(T, TriangleKind.EXCENTRAL)
+        prebuilt = {TriangleKind.MEDIAL, TriangleKind.ANTICOMPLEMENTARY}
         calls = self._counted(monkeypatch)
         derived = 0
         for derive, parent in ((derived_triangle, T), (derived_subtriangle, exc)):
@@ -939,10 +942,22 @@ class TestOneCanonicalization:
                     derive(parent, kind)
                 except OddCenterWithoutSides:  # the excentral triangle's sides
                     continue
-                assert len(calls) == (0 if kind is TriangleKind.BASE else 3), (
-                    parent, kind)
+                free = kind is TriangleKind.BASE or (parent is T and kind in prebuilt)
+                assert len(calls) == (0 if free else 3), (parent, kind)
                 derived += 1
         assert derived == 2 * len(TriangleKind) - 2
+
+    @pytest.mark.parametrize("kind", [TriangleKind.MEDIAL, TriangleKind.ANTICOMPLEMENTARY])
+    def test_constant_frames_are_built_once(self, kind):
+        """Off the base, the medial and anticomplementary triangles of two
+        triangles share one frame, the frame of the kind's constant rows;
+        off another triangle the kind builds its own."""
+        first = derived_triangle(T, kind).frame
+        assert derived_triangle(RefTriangle(Fraction(3, 2), 2, Fraction(7, 3)),
+                                kind).frame is first
+        assert first == Frame.of(*centers._KINDS[kind][0](T.unit))
+        exc = derived_triangle(T, TriangleKind.EXCENTRAL)
+        assert derived_subtriangle(exc, kind).frame is not first
 
     def test_base_is_one_derived_triangle(self, monkeypatch):
         calls = []

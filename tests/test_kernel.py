@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -438,6 +439,28 @@ class TestIntegralView:
         except InvalidTriangle:
             return
         self._check(m)
+
+    def test_scaled_is_the_fieldwise_definition(self):
+        """``scaled(n, d)``: squared sides and SA, SB, SC times n^2, S2 times
+        n^4, the sides times n, q times d^2 and k times d, on seeded views
+        with sides and without."""
+        rng = random.Random(45)
+        checked = 0
+        while checked < 40:
+            a, b, c = (Fraction(rng.randint(1, 60), rng.randint(1, 6)) for _ in range(3))
+            if 2 * max(a, b, c) >= a + b + c:
+                continue
+            for m in (RefTriangle(a, b, c), Metric(a * a, b * b, c * c)):
+                u, n, d = m.unit, rng.randint(1, 9), rng.randint(1, 9)
+                want = {"a2": n ** 2 * u.a2, "b2": n ** 2 * u.b2, "c2": n ** 2 * u.c2,
+                        "SA": n ** 2 * u.SA, "SB": n ** 2 * u.SB, "SC": n ** 2 * u.SC,
+                        "S2": n ** 4 * u.S2,
+                        "sides": None if u.sides is None else tuple(n * s for s in u.sides),
+                        "q": d ** 2 * u.q, "k": None if u.k is None else d * u.k}
+                got = u.scaled(n, d)
+                assert type(got) is kernel.IntegralView
+                assert got._asdict() == want, (m, n, d)
+                checked += 1
 
     def test_reftriangle(self):
         t = RefTriangle(Fraction(3, 2), 2, Fraction(5, 2))

@@ -66,6 +66,7 @@ from tricurves.kernel import (
     VERTEX_C,
     GeometryError,
     HomPoint,
+    Metric,
     RefTriangle,
     join,
 )
@@ -199,6 +200,22 @@ class TestReports:
             assert r.scenario != "mutated"
             assert all(c.status != "mutated" for c in r.claims)
         assert certificates > 0  # the five verdict-only claims fail here
+
+    def test_certificate_triangle_read_once_per_trial(self, monkeypatch):
+        """A failing triangle's sides are read once, however many of its
+        claims fail there, and each certificate still shows them as text."""
+        reads = []
+        sides = Metric.sides
+        monkeypatch.setattr(Metric, "sides",
+                            property(lambda m: reads.append(m) or sides.fget(m)))
+        r = run_scenario("thm1-jerabek-excentral", 4, 42)
+        monkeypatch.undo()
+        certificates = [f for c in r.to_dict()["claims"] for f in c["failures"]]
+        shown = [[str(t.a), str(t.b), str(t.c)] for t in reads]
+        # two verdict-only claims of thm1 fail on every trial
+        assert len(reads) == 4 and len(certificates) >= 2 * len(reads)
+        assert all(f["triangle"] in shown for f in certificates)
+        assert all(any(f["triangle"] == s for f in certificates) for s in shown)
 
     def test_run_all_order(self):
         reports = run_all(1, 3)
