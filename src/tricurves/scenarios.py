@@ -355,12 +355,6 @@ def pascal_claims(conic: str, hexagon, pairs) -> tuple[Claim, Claim]:
     d): the meets of a-b with c-d must align."""
     entries = _labelled(hexagon)
 
-    def members(tr: Trial):
-        bad = [lbl for lbl, n in entries if not on_conic(tr[n], tr[conic])]
-        if not bad:
-            return None
-        return Failure(", ".join(bad), "0", "hexagon points off the conic")
-
     def pascal_line(tr: Trial):
         pts = {lbl: tr[n] for lbl, n in entries}
         if any(not on_conic(p, tr[conic]) for p in pts.values()):
@@ -372,7 +366,7 @@ def pascal_claims(conic: str, hexagon, pairs) -> tuple[Claim, Claim]:
         return Failure("meets not collinear", "collinear",
                        "three chord intersections fail to align")
 
-    return (Claim("hexagon-on-conic", "membership", VERDICT, members),
+    return (membership_claim("hexagon-on-conic", VERDICT, conic, hexagon),
             Claim("pascal-line", "collinearity", VERDICT, pascal_line))
 
 

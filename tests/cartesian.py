@@ -6,20 +6,23 @@ Every Heronian triangle is a lattice triangle (Yiu 2001).
 by gluing two Pythagorean triangles along a common leg, which becomes an
 altitude: apex (0, h) over the feet (-p, 0) and (q, 0), one on each side of
 the altitude's foot, or over (p, 0) and (q, 0), both on one side.  On them
-``CENTERS`` builds X1, X2, X3, X4 and X6 by classical constructions in
-``Fraction`` coordinates, with no barycentric formula: the meet of two angle
-bisectors, the mean of the vertices, the meet of two perpendicular
-bisectors, the meet of two altitudes, and the meet of two medians each
-reflected in its angle bisector.  ``areal`` reads a point's barycentrics
-off signed areas, for comparison with another model's, ``squared_length``
-and ``foot`` give squared distances and perpendicular feet by coordinates,
-and ``DERIVED`` builds the medial, anticomplementary and Euler triangles
-with lattice vertices, each over a copy of the triangle scaled so that they
-are: the medial triangle B + C, C + A, A + B over 2A, 2B, 2C, the
-anticomplementary B + C - A and its cyclic copies over A, B, C, and the
-Euler triangle, the midpoints of the vertices and the orthocenter H, over
-kA, kB, kC for k twice the common denominator of H.  Scaling changes no
-areal coordinates.
+``CENTERS`` builds nine catalog centers by classical constructions in
+``Fraction`` coordinates, with no barycentric formula: X1, the meet of two
+angle bisectors; X2, the mean of the vertices; X3, the meet of two
+perpendicular bisectors; X4, the meet of two altitudes; X6, the meet of two
+medians each reflected in its angle bisector; X5 and X10, the circumcenter
+and the incenter of the medial triangle; X20 and X40, the reflections of X4
+and X1 in X3.  The model does not build the other catalog centers: X7, X8,
+X9, X21, X25, X39, X54, X57, X64, X69, X76, X84, X355, X389 and the two
+Brocard points.  ``areal`` reads a point's barycentrics off signed areas,
+for comparison with another model's, ``squared_length`` and ``foot`` give
+squared distances and perpendicular feet by coordinates, and ``DERIVED``
+builds the medial, anticomplementary and Euler triangles with lattice
+vertices, each over a copy of the triangle scaled so that they are: the
+medial triangle B + C, C + A, A + B over 2A, 2B, 2C, the anticomplementary
+B + C - A and its cyclic copies over A, B, C, and the Euler triangle, the
+midpoints of the vertices and the orthocenter H, over kA, kB, kC for k
+twice the common denominator of H.  Scaling changes no areal coordinates.
 """
 
 from fractions import Fraction
@@ -97,8 +100,36 @@ def symmedian_point(A, B, C):
     return _meet(A, _symmedian(A, B, C), B, _symmedian(B, C, A))
 
 
+def _reflect(P, Q):
+    """The reflection of ``P`` in ``Q``."""
+    return (2 * Q[0] - P[0], 2 * Q[1] - P[1])
+
+
+def nine_point_center(A, B, C):
+    """The circumcenter of the medial triangle."""
+    return circumcenter(_mid(B, C), _mid(C, A), _mid(A, B))
+
+
+def spieker_center(A, B, C):
+    """The incenter of the medial triangle, found as half the incenter of
+    B + C, C + A, A + B, whose sides a, b, c are integers."""
+    x, y = incenter(_sum(B, C), _sum(C, A), _sum(A, B))
+    return (x / 2, y / 2)
+
+
+def de_longchamps_point(A, B, C):
+    """The reflection of the orthocenter in the circumcenter."""
+    return _reflect(orthocenter(A, B, C), circumcenter(A, B, C))
+
+
+def bevan_point(A, B, C):
+    """The reflection of the incenter in the circumcenter."""
+    return _reflect(incenter(A, B, C), circumcenter(A, B, C))
+
+
 CENTERS = {"X1": incenter, "X2": centroid, "X3": circumcenter, "X4": orthocenter,
-           "X6": symmedian_point}
+           "X5": nine_point_center, "X6": symmedian_point, "X10": spieker_center,
+           "X20": de_longchamps_point, "X40": bevan_point}
 
 
 def squared_length(p, q):

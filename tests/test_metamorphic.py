@@ -1,5 +1,7 @@
 """Metamorphic checks: a relabelled, reversed or scaled triangle gives the
-same verdicts, and its catalog centers are the same points.
+same verdicts, its catalog centers are the same points, and the squared
+distances between them are the same, or 9 times as large on a triangle
+scaled 3 times.
 
 The cyclic relabel (a, b, c) -> (b, c, a) makes B, C and A the vertices
 A', B' and C' of the new triangle, so a point (x : y : z) reads
@@ -18,6 +20,7 @@ rank-deficient set has the same rank in every order.
 
 import dataclasses
 import random
+from itertools import combinations
 
 import pytest
 
@@ -47,6 +50,7 @@ from tricurves.kernel import (
     adjugate3,
     det3,
     mat_vec,
+    squared_distance,
 )
 from tricurves.scenarios import FITS, REGISTRY, SKIP, Trial, _labelled, evaluate
 
@@ -133,6 +137,36 @@ def test_catalog_centers_move_with_the_vertices(name):
 def test_derived_centers_move_with_the_vertices(name, kind):
     # reads each derived triangle's metric, which the base's centers do not
     assert _moved_centers(name, DERIVED_SEEDS, lambda cid: CenterOf(kind, cid)) == []
+
+
+def _finite_centers(t):
+    """Each catalog entry of ``t`` that is a finite point, by its id."""
+    points, memo = {}, {}
+    for cid in CATALOG:
+        p = _center(t, Catalog(cid), memo)
+        if isinstance(p, HomPoint) and not p.is_infinite():
+            points[cid] = p
+    return points
+
+
+@pytest.mark.parametrize("name", list(TRANSFORMS))
+def test_squared_distances_move_with_the_vertices(name):
+    """Between every two finite catalog centers or vertices, the squared
+    distance is the same on the relabelled and the reversed triangle and
+    9 times as large on the 3x scaled one.  The verdicts cannot show every
+    metric error: a Gram form with c2 and b2 swapped in its first row makes
+    thm1 and thm8 ``rectangular`` fail on both labellings alike."""
+    move, _, source = TRANSFORMS[name]
+    factor = 9 if name == "scaling" else 1
+    for seed in VERDICT_SEEDS:
+        t = random_triangle(seed)
+        moved = move(t)
+        base, points = _finite_centers(t), _finite_centers(moved)
+        assert len(points) == len(base) > 3, seed
+        for p, q in combinations(points, 2):
+            want = squared_distance(base[source.get(p, p)], base[source.get(q, q)], t)
+            assert squared_distance(points[p], points[q], moved) == factor * want, (
+                seed, p, q)
 
 
 def test_every_catalog_center_is_defined_somewhere():

@@ -1,6 +1,5 @@
 import ast
 import collections
-import copy
 import dataclasses
 import hashlib
 import importlib
@@ -25,7 +24,6 @@ from tricurves import centers, cli, scenarios
 from tricurves.scenarios import (
     CONSTRUCTIONS,
     MUST,
-    Failure,
     REGISTRY,
     SKIP,
     Claim,
@@ -48,11 +46,8 @@ from tricurves.centers import (
     random_triangle,
 )
 from tricurves.curves import (
-    Conic,
-    Cubic,
     DegeneratePointSet,
     NoLinearComponent,
-    axis_conic,
     conic_through,
     cubic_through,
     isogonal_image,
@@ -60,15 +55,10 @@ from tricurves.curves import (
     pivotal_membership,
 )
 from tricurves.kernel import (
-    LINE_AT_INFINITY,
-    VERTEX_A,
-    VERTEX_B,
-    VERTEX_C,
     GeometryError,
     HomPoint,
     Metric,
     RefTriangle,
-    join,
 )
 
 from reference import RETIRED_FITS
@@ -1066,128 +1056,6 @@ class TestPivotalCubics:
                     continue
                 assert cubic == pivotal_cubic(tr[tri], conj, tr[pivot]), (fit, seed)
         assert sum(refused.values()) == 0, refused
-
-
-def _circumcircle(tr):
-    u = tr.t.unit
-    return Conic(0, 0, 0, u.c2, u.b2, u.a2)
-
-
-def _triangle_circumcircle(tri):
-    """The circumcircle of the ``tri`` triangle: the isogonal image of the
-    line at infinity in it."""
-    return lambda tr: isogonal_image(tr[tri], LINE_AT_INFINITY)
-
-
-def _swapped_axis_conic(tr):
-    """thm4's axis conic with the de Longchamps point and the orthocenter
-    swapped: vertices at the centroid and the orthocenter, focus at the de
-    Longchamps point.  On the Euler line O = 0, M = 1, H = 3 and L = -3,
-    so the center is 2, a = 1 and c = 5: e^2 = 25.  It stands in for ``ax1``
-    and for ``ax2``, whose e^2 are both 4, so neither can stand in for the
-    other."""
-    return axis_conic(tr.t, tr["M"], tr["H"], tr["L"])
-
-
-def _lines_through_circumcenter(tr):
-    """The product of the lines from the circumcenter to the vertices: a
-    cubic singular at the circumcenter."""
-    form = {(0, 0, 0): 1}
-    for vertex in (VERTEX_A, VERTEX_B, VERTEX_C):
-        line, product = join(tr["O"], vertex).triple, collections.Counter()
-        for mon, coeff in form.items():
-            for i in range(3):
-                product[tuple(e + (j == i) for j, e in enumerate(mon))] += (
-                    coeff * line[i])
-        form = product
-    return Cubic(*(form[mon] for mon in Cubic.MONOMIALS))
-
-
-class TestNegativeControls:
-    """A wrong value preset into a fresh Trial makes each claim that reads
-    an isogonal image of a line, a pivotal cubic or a pivot, and each
-    bespoke check, fail with a certificate."""
-
-    @pytest.mark.parametrize("sid, name, wrong, cid", [
-        ("thm1-jerabek-excentral", "oi", lambda tr: tr["euler_line"],
-         "isogonal-image-of-oi-line"),
-        ("defs-sanity", "jerabek", _circumcircle, "isogonal-conic-members"),
-        ("defs-sanity", "jerabek", _circumcircle, "isogonal-conic-characterization"),
-        ("defs-sanity", "thomson", lambda tr: tr["darboux"], "median-cubic-members"),
-        ("defs-sanity", "darboux", lambda tr: tr["thomson"],
-         "reflection-cubic-members"),
-        ("thm2-thomson-excentral", "thomson_orthic", lambda tr: tr["darboux_orthic"],
-         "equals-thomson-of-orthic"),
-        ("thm3-darboux-excentral", "darboux_orthic", lambda tr: tr["thomson_orthic"],
-         "equals-darboux-of-orthic"),
-        ("thm5-darboux-medial", "darboux", lambda tr: tr["thomson"],
-         "equals-darboux-pushforward"),
-        ("thm7-darboux-euler", "darboux", lambda tr: tr["lucas"],
-         "equals-darboux-pushforward"),
-        ("thm6-lucas-medial", "lucas", lambda tr: tr["thomson"],
-         "equals-lucas-pushforward"),
-        ("thm3-darboux-excentral", "center(orthic,X20)",
-         lambda tr: tr["center(orthic,X4)"], "orthic-pivotal-oracle"),
-        ("thm6-lucas-medial", "center(medial,X69)",
-         lambda tr: tr["center(medial,X4)"], "medial-isotomic-pivotal-oracle"),
-        ("defs-sanity", "M", lambda tr: tr["O"], "median-cubic-pivotal-oracle"),
-        ("defs-sanity", "L", lambda tr: tr["H"], "reflection-cubic-pivotal-oracle"),
-        ("thm1-jerabek-excentral", "exc_conic", _triangle_circumcircle("excentral"),
-         "rectangular"),
-        ("thm8-jerabek-midarc", "midarc_conic", _triangle_circumcircle("midarc"),
-         "rectangular"),
-        ("thm7-darboux-euler", "reflect(E,vertex(euler,0))", lambda tr: tr["M2"],
-         "antipode-consistency"),
-        ("thm4-yff-medial", "ax1", lambda tr: tr["ax2"],
-         "directrix-through-circumcenter"),
-        ("thm4-yff-medial", "ax1", _swapped_axis_conic,
-         "eccentricity-squared-is-four"),
-        ("thm4-yff-medial", "ax2", _swapped_axis_conic,
-         "base-eccentricity-squared-is-four"),
-        ("thm4-yff-medial", "ax1", lambda tr: tr["ax2"], "homothety-pushforward"),
-        ("cor5-euler-line-component", "composition", lambda tr: tr["thomson"],
-         "hessian-membership"),
-        ("cor5-euler-line-component", "composition", _lines_through_circumcenter,
-         "euler-points-are-inflections"),
-    ], ids=["thm1-oi-image", "defs-members", "defs-characterization",
-            "defs-thomson-members", "defs-darboux-members", "thm2-thomson-orthic",
-            "thm3-darboux-orthic", "thm5-darboux", "thm7-darboux", "thm6-lucas",
-            "thm3-orthic-pivot", "thm6-medial-pivot", "defs-centroid-pivot",
-            "defs-de-longchamps-pivot", "thm1-rectangular", "thm8-rectangular",
-            "thm7-antipodes", "thm4-directrix", "thm4-eccentricity",
-            "thm4-base-eccentricity", "thm4-pushforward", "cor5-hessian",
-            "cor5-inflections"])
-    def test_wrong_value_fails_the_claim(self, sid, name, wrong, cid):
-        sc = REGISTRY[sid]
-        for seed in range(5):
-            tr = Trial(random_triangle(seed))
-            tr[name] = wrong(tr)
-            outcome = dict(zip((c.id for c in sc.claims), evaluate(sc, tr)))[cid]
-            assert isinstance(outcome, Failure), (seed, outcome)
-            assert outcome.lhs and outcome.rhs, seed
-
-    @pytest.mark.parametrize("sid, name", [
-        ("cor1", "Mi"), ("cor2", "Mi"), ("cor3", "S"), ("cor4", "S")])
-    def test_hexagon_point_off_the_conic(self, sid, name):
-        # the conic is fitted without the point, so H takes it off the conic
-        sc = REGISTRY[sid]
-        for seed in range(5):
-            tr = Trial(random_triangle(seed))
-            tr[name] = tr["H"]
-            outcome = dict(zip((c.id for c in sc.claims), evaluate(sc, tr)))
-            members = outcome["hexagon-on-conic"]
-            assert isinstance(members, Failure), (seed, members)
-            assert members.lhs and members.rhs, seed
-            assert outcome["pascal-line"] is SKIP, seed
-
-    @pytest.mark.parametrize("sid", ["cor1", "cor2", "cor3", "cor4"])
-    def test_pascal_line_not_collinear(self, sid, monkeypatch):
-        monkeypatch.setattr(scenarios, "pascal_check", lambda pairs: False)
-        sc = REGISTRY[sid]
-        outcome = dict(zip((c.id for c in sc.claims),
-                           evaluate(sc, Trial(random_triangle(0)))))["pascal-line"]
-        assert isinstance(outcome, Failure), outcome
-        assert outcome.lhs and outcome.rhs
 
 
 _ROOT = pathlib.Path(__file__).resolve().parents[1]
