@@ -160,8 +160,7 @@ def _swapped_axis_conic(tr):
 
 
 def _lines_through_circumcenter(tr):
-    """The product of the lines from the circumcenter to the vertices: a
-    cubic singular at the circumcenter."""
+    """The product of the lines from O to the vertices: a cubic singular at O."""
     l, m, n = (join(tr["O"], v).triple for v in (VERTEX_A, VERTEX_B, VERTEX_C))
     form = collections.Counter()
     for ijk in itertools.product(range(3), repeat=3):  # a variable from each line
@@ -189,15 +188,21 @@ def test_wrong_value_fails_the_hand_listed_claim(sid, cid, name, wrong):
         assert _breaks(sid, cid, tr), seed
 
 
-@pytest.mark.parametrize("sid, point", [
-    ("cor1", "Mi"), ("cor2", "Mi"), ("cor3", "S"), ("cor4", "S")])
-def test_pascal_line_fails_only_when_the_meets_do_not_align(sid, point, monkeypatch):
+PASCAL = {"cor1": "Mi", "cor2": "Mi", "cor3": "S", "cor4": "S"}  # a hexagon point each
+
+
+@pytest.mark.parametrize("sid, point", PASCAL.items())
+def test_hexagon_point_off_the_conic(sid, point):
     # the conic is fitted without the point, so H takes it off the conic
     for seed in range(SEEDS):
         tr = Trial(random_triangle(seed))
         tr[point] = tr["H"]
-        REGISTRY[sid].setup(tr)
+        assert _breaks(sid, "hexagon-on-conic", tr), seed
         assert _claim(sid, "pascal-line").check(tr) is SKIP, seed
+
+
+@pytest.mark.parametrize("sid", list(PASCAL))
+def test_pascal_line_not_collinear(sid, monkeypatch):
     monkeypatch.setattr(scenarios, "pascal_check", lambda pairs: False)
     assert all(_breaks(sid, "pascal-line", Trial(random_triangle(seed)))
                for seed in range(SEEDS))
