@@ -265,7 +265,8 @@ class SubTriangle:
     """A derived triangle: its own metric and the frame of its vertices,
     which maps points into and out of it.  The frame is the one record of
     the vertices: they are read off it, in base coordinates, when first
-    asked for, and kept."""
+    asked for, and kept; this is the one place a derived vertex is
+    canonicalized."""
 
     __slots__ = ("kind", "own_metric", "frame", "_vertices")
 
@@ -283,8 +284,9 @@ class SubTriangle:
 
     @property
     def vertices(self) -> tuple[HomPoint, HomPoint, HomPoint]:
-        """The frame's base points of the unit rows (its matrix's columns);
-        two threads that race both store equal points."""
+        """The frame's base points of the unit rows (its matrix's columns,
+        at the scale of the rows the frame was built of), canonicalized
+        there; two threads that race both store equal points."""
         vs = self._vertices
         if vs is None:
             base = self.frame.base
@@ -385,9 +387,9 @@ def _derive(m: Metric, frame: Frame, kind: TriangleKind) -> SubTriangle:
     ``m`` and ``frame``.  Any other kind's rows and view are read off ``m``'s
     by its row of ``_KINDS``; the raw rows, in the frame of ``m``, are mapped
     out through ``frame``'s matrix, which the base's frame skips, into the
-    new frame, which canonicalizes them.  The medial and anticomplementary
-    triangles of a triangle in the base's frame take their frame, a
-    constant, from ``_BASE_FRAMES``."""
+    new frame, which takes them at that scale.  The medial and
+    anticomplementary triangles of a triangle in the base's frame take
+    their frame, a constant, from ``_BASE_FRAMES``."""
     _refuse_right(m, kind)
     if kind is TriangleKind.BASE:
         return SubTriangle(kind, m, frame)

@@ -561,11 +561,14 @@ def orthocenter_of(p1: HomPoint, p2: HomPoint, p3: HomPoint, m: Metric) -> HomPo
 
 class Frame(NamedTuple):
     """The triangle of the vertices v1, v2, v3, checked once to be finite
-    and affinely independent.  ``base`` applies ``matrix`` M, the canonical
-    vertices as columns scaled to one coordinate sum s1*s2*s3; ``local``
+    and affinely independent.  ``base`` applies ``matrix`` M, the vertex
+    rows as columns scaled to one coordinate sum s1*s2*s3; ``local``
     applies ``inverse`` diag(s1, s2, s3) adj(V), V the unscaled columns, a
     nonzero multiple of M^-1.  So M's columns are the vertices, and
-    ``base`` of a unit row reads one back."""
+    ``base`` of a unit row reads one back.  The rows are taken at the
+    scale they come in: rows l1, l2, l3 times the canonical vertices give
+    M and the inverse l1*l2*l3 times those of the canonical rows, the same
+    maps, as ``base`` canonicalizes every point it hands out."""
 
     matrix: tuple[tuple[int, int, int], ...]
     inverse: tuple[tuple[int, int, int], ...]
@@ -573,13 +576,14 @@ class Frame(NamedTuple):
     @classmethod
     def of(cls, r1: Sequence[int], r2: Sequence[int], r3: Sequence[int]) -> "Frame":
         """The frame of the vertices with the integer triples r1, r2, r3
-        (any scale), each canonicalized here."""
-        v1, v2, v3 = canonical_ints(r1), canonical_ints(r2), canonical_ints(r3)
-        (a, d, g), (b, e, h), (c, f, i) = v1, v2, v3
+        (any scale), used as given; only a refusal canonicalizes them, to
+        name an infinite vertex as its point."""
+        (a, d, g), (b, e, h), (c, f, i) = r1, r2, r3
         s1, s2, s3 = a + d + g, b + e + h, c + f + i
-        for s, v in ((s1, v1), (s2, v2), (s3, v3)):
-            if s == 0:
-                raise DegenerateFrame("frame vertex {}:{}:{} is at infinity".format(*v))
+        if not (s1 and s2 and s3):
+            vs = [canonical_ints(r) for r in (r1, r2, r3)]
+            v = vs[(s1, s2, s3).index(0)]
+            raise DegenerateFrame("frame vertex {}:{}:{} is at infinity".format(*v))
         n11, n12, n13 = e * i - f * h, c * h - b * i, b * f - c * e  # adj(V)[0]
         if a * n11 + d * n12 + g * n13 == 0:  # det(V)
             raise DegenerateFrame("frame points are affinely dependent")
