@@ -6,15 +6,16 @@ Every Heronian triangle is a lattice triangle (Yiu 2001).
 by gluing two Pythagorean triangles along a common leg, which becomes an
 altitude: apex (0, h) over the feet (-p, 0) and (q, 0), one on each side of
 the altitude's foot, or over (p, 0) and (q, 0), both on one side.  On them
-``CENTERS`` builds nine catalog centers by classical constructions in
+``CENTERS`` builds eleven catalog centers by classical constructions in
 ``Fraction`` coordinates, with no barycentric formula: X1, the meet of two
 angle bisectors; X2, the mean of the vertices; X3, the meet of two
 perpendicular bisectors; X4, the meet of two altitudes; X6, the meet of two
-medians each reflected in its angle bisector; X5 and X10, the circumcenter
-and the incenter of the medial triangle; X20 and X40, the reflections of X4
-and X1 in X3.  The model does not build the other catalog centers: X7, X8,
-X9, X21, X25, X39, X54, X57, X64, X69, X76, X84, X355, X389 and the two
-Brocard points.  ``areal`` reads a point's barycentrics off signed areas,
+medians each reflected in its angle bisector; X7 and X8, the meets of two
+cevians to the touch points of the incircle and of the excircles; X5 and
+X10, the circumcenter and the incenter of the medial triangle; X20 and X40,
+the reflections of X4 and X1 in X3.  The model does not build the other
+catalog centers: X9, X21, X25, X39, X54, X57, X64, X69, X76, X84, X355,
+X389 and the two Brocard points.  ``areal`` reads a point's barycentrics off signed areas,
 for comparison with another model's, ``squared_length`` and ``foot`` give
 squared distances and perpendicular feet by coordinates, and ``DERIVED``
 builds the medial, anticomplementary and Euler triangles with lattice
@@ -127,9 +128,42 @@ def bevan_point(A, B, C):
     return _reflect(incenter(A, B, C), circumcenter(A, B, C))
 
 
+def _along(P, Q, d, length):
+    """The point at distance ``d`` from ``P`` on the segment PQ of the
+    given length."""
+    s = Fraction(d) / length
+    return (P[0] + s * (Q[0] - P[0]), P[1] + s * (Q[1] - P[1]))
+
+
+def _cevian_meet(A, B, C, from_b, from_c):
+    """The meet of the cevians from A and B to the points on BC at distance
+    ``from_b`` from B and on CA at distance ``from_c`` from C."""
+    a, b, _ = sides(A, B, C)
+    D, E = _along(B, C, from_b, a), _along(C, A, from_c, b)
+    return _meet(A, _sub(D, A), B, _sub(E, B))
+
+
+def gergonne_point(A, B, C):
+    """The meet of the cevians to the incircle's touch points, the one on
+    BC at distance s - b from B and the one on CA at s - c from C, for the
+    semiperimeter s."""
+    a, b, c = sides(A, B, C)
+    s = Fraction(a + b + c, 2)
+    return _cevian_meet(A, B, C, s - b, s - c)
+
+
+def nagel_point(A, B, C):
+    """The meet of the cevians to the excircles' touch points, the one on
+    BC at distance s - c from B and the one on CA at s - a from C."""
+    a, b, c = sides(A, B, C)
+    s = Fraction(a + b + c, 2)
+    return _cevian_meet(A, B, C, s - c, s - a)
+
+
 CENTERS = {"X1": incenter, "X2": centroid, "X3": circumcenter, "X4": orthocenter,
-           "X5": nine_point_center, "X6": symmedian_point, "X10": spieker_center,
-           "X20": de_longchamps_point, "X40": bevan_point}
+           "X5": nine_point_center, "X6": symmedian_point, "X7": gergonne_point,
+           "X8": nagel_point, "X10": spieker_center, "X20": de_longchamps_point,
+           "X40": bevan_point}
 
 
 def squared_length(p, q):

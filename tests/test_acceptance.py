@@ -45,7 +45,7 @@ from tricurves.kernel import (
     midpoint,
 )
 from tricurves.linalg import rank_rational
-from tricurves.scenarios import MUST, VERDICT, run_scenario
+from tricurves.scenarios import run_scenario
 
 from reference import conic_second_intersection
 
@@ -326,7 +326,6 @@ def test_criterion_11_performance():
 
 def test_criterion_12_renderer(tmp_path, monkeypatch):
     import csv as _csv
-    import math as _math
     from tricurves.render import RenderConfig, embed_triangle, sample_csv
 
     t = RefTriangle(3, 4, 6)

@@ -1,7 +1,7 @@
 """Metamorphic checks: a relabelled, reversed or scaled triangle gives the
-same verdicts, its catalog centers are the same points, and the squared
-distances between them are the same, or 9 times as large on a triangle
-scaled 3 times.
+same verdicts, a failing claim's certificate gives the same points, its
+catalog centers are the same points, and the squared distances between
+them are the same, or 9 times as large on a triangle scaled 3 times.
 
 The cyclic relabel (a, b, c) -> (b, c, a) makes B, C and A the vertices
 A', B' and C' of the new triangle, so a point (x : y : z) reads
@@ -52,7 +52,7 @@ from tricurves.kernel import (
     mat_vec,
     squared_distance,
 )
-from tricurves.scenarios import FITS, REGISTRY, SKIP, Trial, _labelled, evaluate
+from tricurves.scenarios import FITS, REGISTRY, SKIP, Failure, Trial, _labelled, evaluate
 
 from reference import RETIRED_FITS
 
@@ -125,6 +125,56 @@ def test_verdicts_survive_relabel_reversal_and_scaling(sid):
         want = _verdicts(sc, Trial(t))
         for name, (move, _, _) in TRANSFORMS.items():
             assert _verdicts(sc, Trial(move(t))) == want, (seed, name)
+
+
+# the claims that fail on seeds 0-29, each on every one of them, by scenario;
+# every certificate they give is a point, or "0" for a curve's value there
+FAILING_CLAIMS = {
+    "corr-excentral": {"isogonal-mittenpunkt-vs-excentral-centroid",
+                       "excentral-conjugate-of-mittenpunkt-vs-homothety-center"},
+    "thm1-jerabek-excentral": {"contains-de-longchamps", "center-at-circumcenter"},
+    "thm8-jerabek-midarc": {"contains-bevan-conjugate"},
+}
+
+
+def _failures(sc, t):
+    """Each claim's :class:`Failure` on the triangle ``t``, by claim id."""
+    return {claim.id: res for claim, res in zip(sc.claims, evaluate(sc, Trial(t)))
+            if isinstance(res, Failure)}
+
+
+def _certificate(text, permute=lambda x, y, z: (x, y, z)):
+    """A certificate value read back: "0" as it is, a point ``x:y:z`` as
+    the canonical point of its coordinates moved by ``permute``."""
+    return text if text == "0" else HomPoint(*permute(*map(int, text.split(":"))))
+
+
+def test_failing_claims_are_listed():
+    for sid, sc in REGISTRY.items():
+        for seed in VERDICT_SEEDS:
+            try:
+                failing = set(_failures(sc, random_triangle(seed)))
+            except GeometryError:  # setup refused the triangle
+                continue
+            assert failing == FAILING_CLAIMS.get(sid, set()), (sid, seed)
+
+
+@pytest.mark.parametrize("name", list(TRANSFORMS))
+def test_failure_certificates_move_with_the_vertices(name):
+    """A failing claim fails on the moved triangle too, with its certificate
+    values moved by the transform's coordinate map and the same detail."""
+    move, permute, _ = TRANSFORMS[name]
+    for sid in FAILING_CLAIMS:
+        sc = REGISTRY[sid]
+        for seed in VERDICT_SEEDS:
+            t = random_triangle(seed)
+            base, moved = _failures(sc, t), _failures(sc, move(t))
+            assert set(moved) == set(base) == FAILING_CLAIMS[sid], (sid, seed)
+            for cid, want in base.items():
+                got = moved[cid]
+                assert (_certificate(got.lhs), _certificate(got.rhs), got.detail) == (
+                    _certificate(want.lhs, permute), _certificate(want.rhs, permute),
+                    want.detail), (sid, cid, seed)
 
 
 @pytest.mark.parametrize("name", list(TRANSFORMS))
