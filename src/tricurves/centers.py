@@ -54,6 +54,7 @@ from .kernel import (
     VERTEX_C,
     _IDENTITY,
     _squares_view,
+    canonical_ints,
     equidistant_point,
     foot_of_perpendicular,
     incident,
@@ -385,9 +386,10 @@ def _derive(m: Metric, frame: Frame, kind: TriangleKind) -> SubTriangle:
     the orthic and tangential triangles of a right triangle raise
     :class:`RightTriangle`.  A triangle's base triangle is itself: it keeps
     ``m`` and ``frame``.  Any other kind's rows and view are read off ``m``'s
-    by its row of ``_KINDS``; the raw rows, in the frame of ``m``, are mapped
-    out through ``frame``'s matrix, which the base's frame skips, into the
-    new frame, which takes them at that scale.  The medial and
+    by its row of ``_KINDS``.  The new frame takes its rows at the scale they
+    come in: the raw rows where ``frame`` is the base's, else the rows
+    mapped out through ``frame``'s matrix and made canonical, so that it
+    does not carry the scale of ``frame``.  The medial and
     anticomplementary triangles of a triangle in the base's frame take
     their frame, a constant, from ``_BASE_FRAMES``."""
     _refuse_right(m, kind)
@@ -397,7 +399,8 @@ def _derive(m: Metric, frame: Frame, kind: TriangleKind) -> SubTriangle:
         return SubTriangle(kind, Metric.of_view(_KINDS[kind][1](m.unit)),
                            _BASE_FRAMES[kind])
     local, own = _derived_rows(m, kind), _KINDS[kind][1](m.unit)
-    rows = local if frame is _IDENTITY else [mat_vec(frame.matrix, row) for row in local]
+    rows = (local if frame == _IDENTITY
+            else [canonical_ints(mat_vec(frame.matrix, row)) for row in local])
     return SubTriangle(kind, Metric.of_view(own), Frame.of(*rows))
 
 

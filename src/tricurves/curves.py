@@ -3,9 +3,9 @@
 Curves are coefficient vectors up to scale, canonicalized like points
 (coprime integers, first nonzero entry positive), so curve equality is
 tuple equality.  A fit reads the kernel vector off one fraction-free
-elimination; rank-deficient inputs raise :class:`DegeneratePointSet`
-carrying a rank certificate, and a fit that misses one of its own points
-raises :class:`CurveMissesPoint`.
+elimination of the rows and columns its vertices leave; rank-deficient
+inputs raise :class:`DegeneratePointSet` carrying a rank certificate, and
+a fit that misses one of its own points raises :class:`CurveMissesPoint`.
 
 Each curve class holds one monomial table (``MONOMIALS`` and ``WEIGHTS``).
 Conic coefficient order is (q11, q22, q33, q12, q13, q23) for the form
@@ -24,9 +24,10 @@ pencil quotient is an integer synthetic division of the coefficient vector.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 from math import lcm
-from operator import mul
-from typing import NamedTuple, Optional, Sequence
+from operator import itemgetter, mul
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import centers as _centers
 from .kernel import (
@@ -63,7 +64,11 @@ from .linalg import RankDeficient, nullspace_vector
 
 
 class DegeneratePointSet(GeometryError):
-    """Fit input of deficient rank; carries rank and an independent subset."""
+    """Fit input of deficient rank; carries rank and an independent subset.
+
+    ``independent`` is a maximal independent subset of the fit rows, by
+    index: the rows of the vertices that pin a coefficient, in order, then
+    the independent rows of the reduced system, sorted (see ``_fit``)."""
 
     def __init__(self, rank: int, independent: Sequence[int], needed: int):
         self.rank = rank
@@ -142,6 +147,16 @@ def _node(mon: tuple[int, int, int]) -> tuple[int, int, int]:
     return tuple(0 if not e else -1 if e > first else 1 for e in mon)
 
 
+def _reduction(width: int, pinned: Sequence[int]) -> tuple[Callable, itemgetter]:
+    """The getter of a fit row's columns other than ``pinned``, and the
+    getter that spreads a vector on those columns, with a 0 appended, over
+    all ``width`` columns.  With no column pinned, a row is its own
+    reduction, and ``tuple`` returns it."""
+    kept = [c for c in range(width) if c not in pinned]
+    spread = [kept.index(c) if c in kept else len(kept) for c in range(width)]
+    return itemgetter(*kept) if pinned else tuple, itemgetter(*spread)
+
+
 class _FormVector(_CanonicalVector):
     """Canonical integer coefficient vector of a form, up to scale.
 
@@ -160,6 +175,7 @@ class _FormVector(_CanonicalVector):
     WEIGHTS: tuple[int, ...] = ()
     DEGREE: int
     NODES: tuple[tuple[int, int, int], ...]
+    _REDUCTIONS: dict[tuple[int, ...], tuple[Callable, itemgetter]]
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -177,6 +193,10 @@ class _FormVector(_CanonicalVector):
             edges.append((at, mons))
         cls._EDGES = tuple(edges)
         cls._CENTER = node_index.get((1, 1, 1))
+        # a fit's reduction by the columns its vertices pin, in pin order
+        powers = [i for i, mon in enumerate(cls.MONOMIALS) if mon.count(0) == 2]
+        cls._REDUCTIONS = {pinned: _reduction(len(cls.MONOMIALS), pinned)
+                           for k in range(4) for pinned in permutations(powers, k)}
 
     def __init__(self, *coeffs: Rat):
         if len(coeffs) != len(self.MONOMIALS):
@@ -270,20 +290,44 @@ def on_cubic(p: HomPoint, k: Cubic) -> bool:
 
 def _fit(form: type, points: Sequence[HomPoint]) -> _FormVector:
     """The form through one point fewer than it has coefficients: the kernel
-    of their rows."""
+    of their rows.
+
+    A vertex's row has one nonzero entry, at its pure power, so the vertex
+    pins that coefficient to 0.  The other points' rows, without the pinned
+    columns, go to one elimination, and its kernel vector, with zeros at the
+    pinned columns, is the form: the kernel of all the rows, as a vertex
+    row is zero on every kept column.  A repeated vertex pins nothing more;
+    its kept row is zero.  A set without a vertex keeps every column.  The
+    form is checked against every row.  A rank-deficient set's certificate
+    lists the pinning vertices' rows, in order, then the independent rows
+    of the reduced system by their indices in ``points``; its rank is the
+    pins plus the reduced rank, and the rows listed are a maximal
+    independent subset."""
     n = len(form.MONOMIALS) - 1
     if len(points) != n:
         raise ValueError(f"{form.__name__.lower()}_through needs exactly {n} points")
     rows = [form.row(p) for p in points]
+    pins: dict[int, int] = {}  # pinned column -> its vertex's index
+    others = []
+    for i, row in enumerate(rows):
+        # most rows hold no 0; a vertex row's one nonzero entry is its sum
+        if 0 in row and row.count(0) == n and (col := row.index(sum(row))) not in pins:
+            pins[col] = i
+        else:
+            others.append(i)
+    take, spread = form._REDUCTIONS[(*pins,)]
+    reduced = list(map(take, map(rows.__getitem__, others)))
     try:
-        curve = form(*nullspace_vector(rows))
+        v = nullspace_vector(reduced)
     except RankDeficient as exc:
-        certificate = exc.rank, exc.independent
+        certificate = (len(pins) + exc.rank,
+                       (*pins.values(), *(others[j] for j in exc.independent)))
     else:
+        curve = form(*spread((*v, 0)))
         if any(sum(map(mul, curve.coeffs, row)) for row in rows):
             raise CurveMissesPoint(f"fitted {curve!r} misses one of its points")
         return curve
-    del rows  # kept off the error's traceback, as the handler's frames are
+    del rows, reduced  # kept off the error's traceback, as the handler's frames are
     raise DegeneratePointSet(*certificate, n)
 
 

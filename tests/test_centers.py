@@ -784,6 +784,19 @@ class TestFrames:
             assert frame.base(local.triple) == p
             assert HomPoint(*frame.local(frame.base(p.triple))) == p
 
+    def test_derived_off_a_derived_frame_takes_canonical_rows(self):
+        """A kind of a kind other than the base, derived through its
+        parent's frame, does not carry that frame's scale: its frame is the
+        frame of its canonical vertices."""
+        checked = 0
+        for seed in range(10):
+            for _, frame, sub in _derivations(random_triangle(seed)):
+                if frame != kernel._IDENTITY and sub.kind is not TriangleKind.BASE:
+                    vertices = (v.triple for v in sub.vertices)
+                    assert sub.frame == kernel.Frame.of(*vertices), (seed, sub.kind)
+                    checked += 1
+        assert checked == 410
+
 
 # Imports the package 4 times, each after dropping every tricurves module,
 # and prints how many generations' eval_center are still alive.
@@ -1205,11 +1218,12 @@ class TestOutcomesPinned:
 
 # SHA-256 of one line per derivation, the derived triangle's integral view,
 # frame matrix and inverse, or the refusal's type and message, as the
-# derivations gave them when each kind's view was first read in closed form
-# and its frame first took its vertex rows uncanonicalized (every matrix and
-# inverse then one nonzero integer times the earlier pair; every view and
-# refusal unchanged)
-DERIVATIONS_SHA256 = "0329e53f3648d034ff001151d432786c43c7be0336853f237a629536b39bc050"
+# derivations gave them when each kind's view was first read in closed form,
+# its frame first took its vertex rows uncanonicalized, and a derivation off
+# a derived triangle first made its mapped rows canonical (each time every
+# matrix and inverse one nonzero integer times the other pair, here the
+# earlier pair that times the new one; every view and refusal unchanged)
+DERIVATIONS_SHA256 = "9dc4e466266eebe98b660d539054a46aa3952dc39937308b4e3f8536c0a5d90d"
 DERIVATION_TRIANGLES = (
     (Fraction(28, 5), 12, 16), (3, 4, 5), (5, 5, 6),
     (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)),

@@ -84,6 +84,8 @@ from tricurves.kernel import (
     squared_distance,
 )
 
+from tricurves.linalg import RankDeficient, nullspace_vector, rank_rational
+from tricurves.scenarios import FITS, Trial, _labelled
 from reference import (
     affine_combine,
     conic_second_intersection,
@@ -292,16 +294,107 @@ class TestFitting:
             (conic_through, [x("X2"), x("X3"), x("X4"), x("X5"), x("X1")],
              (4, 5, (0, 1, 2, 4))),
             (cubic_through, [VERTEX_A, VERTEX_B, VERTEX_C, *on_circ, x("X1")],
-             (8, 9, (0, 1, 3, 4, 5, 6, 7, 8))),
+             (8, 9, (0, 1, 2, 3, 4, 5, 7, 8))),
         ]
         for fit, pts, certificate in cases:
             with pytest.raises(DegeneratePointSet) as exc:
                 fit(pts)
             assert (exc.value.rank, exc.value.needed, exc.value.independent) == certificate
 
+    @pytest.mark.parametrize("curve", list(FITS))
+    def test_scenario_fits_equal_the_kernel_of_every_row(self, curve):
+        names = [name for _, name in _labelled(FITS[curve])]
+        form = Conic if len(names) == 5 else Cubic
+        for seed in range(100):
+            tr = Trial(random_triangle(seed))
+            pts = [tr[name] for name in names]
+            rows = [form.row(pt) for pt in pts]
+            assert _fit_of(form)(pts) == form(*nullspace_vector(rows)), seed
+
+    def test_benchmark_style_fits_equal_the_kernel_of_every_row(self):
+        """The benchmark's generic and rank-deficient sets, vertices among
+        them: each fit, or the rank of its certificate, is the canonical
+        kernel of all its rows, or their rank."""
+        fitted = ranks = 0
+        for seed in range(100):
+            t = random_triangle(seed)
+            x = {n: eval_center(t, CenterId(f"X{n}")) for n in (1, 2, 3, 4, 6, 7, 8, 9, 10, 20)}
+            circ = [HomPoint(t.a2 * (-u - 1), t.b2 * (-u - 1) * u, t.c2 * u)
+                    for u in range(1, 9)]
+            for pts in ([x[1], x[2], x[3], x[6], x[7]], [x[1], x[2], x[3], x[6], x[1]],
+                        [x[2], x[3], x[4], x[20], x[1]],
+                        [x[2], x[3], x[4], VERTEX_A, VERTEX_B, VERTEX_C, x[1], x[6], x[7]],
+                        [x[2], x[3], x[4], VERTEX_A, VERTEX_B, VERTEX_C, x[8], x[9], x[10]],
+                        [*circ, x[1]],
+                        [VERTEX_A, VERTEX_B, VERTEX_C, x[1], x[2], x[3], x[4], x[6], x[6]]):
+                want = _kernel_or_rank(pts)
+                assert _fit_or_rank(pts) == want, seed
+                fitted += not isinstance(want, int)
+                ranks += isinstance(want, int)
+        assert (fitted, ranks) == (300, 400)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_certificates_with_vertices_are_maximal_independent_sets(self, seed):
+        """Rank-deficient sets holding vertices: a repeated vertex, four
+        points of a line through A or of the sideline BC, and eight points
+        of the circumcircle.  The certificate lists each distinct vertex
+        first, at its first index, and ``rank_rational`` confirms its rank
+        and that its rows are independent."""
+        t = random_triangle(seed)
+        x = {n: eval_center(t, CenterId(f"X{n}")) for n in (1, 2, 3, 4, 6, 7, 8)}
+        (a, b, c), (p, q, r) = x[1].triple, x[2].triple
+        on_ax1 = [HomPoint(a + k * (b + c), b, c) for k in range(1, 5)]
+        on_bc = [HomPoint(0, k * q, r + k) for k in range(1, 5)]
+        on_circ = [conic_second_intersection(circumcircle(t), VERTEX_A, x[n])
+                   for n in (2, 4, 6, 7, 8)]
+        cases = [
+            (Conic, [VERTEX_A, VERTEX_B, VERTEX_A, x[1], x[2]], (0, 1)),
+            (Conic, [VERTEX_A, VERTEX_B, VERTEX_C, VERTEX_C, x[1]], (0, 1, 2)),
+            (Cubic, [x[1], VERTEX_C, VERTEX_B, VERTEX_A, VERTEX_C, x[2], x[3], x[4], x[6]],
+             (1, 2, 3)),
+            (Cubic, [VERTEX_A, VERTEX_B, VERTEX_C, *on_ax1, x[2], x[3]], (0, 1, 2)),
+            (Cubic, [VERTEX_A, VERTEX_B, VERTEX_C, *on_bc, x[2], x[3]], (0, 1, 2)),
+            (Cubic, [VERTEX_A, VERTEX_B, VERTEX_C, *on_circ, x[1]], (0, 1, 2)),
+        ]
+        for form, pts, vertices in cases:
+            rows = [[Fraction(v) for v in form.row(pt)] for pt in pts]
+            rank = rank_rational(rows)
+            assert rank < len(pts)
+            with pytest.raises(DegeneratePointSet) as exc:
+                _fit_of(form)(pts)
+            cert = exc.value
+            assert (cert.rank, cert.needed) == (rank, len(pts))
+            assert cert.independent[:len(vertices)] == vertices
+            assert len(set(cert.independent)) == rank
+            assert rank_rational([rows[i] for i in cert.independent]) == rank
+
+
+def _fit_of(form):
+    return conic_through if form is Conic else cubic_through
+
+
+def _fit_or_rank(pts):
+    """The fitted curve, or the rank its certificate states."""
+    try:
+        return (conic_through if len(pts) == 5 else cubic_through)(pts)
+    except DegeneratePointSet as exc:
+        return exc.rank
+
+
+def _kernel_or_rank(pts):
+    """The canonical kernel of every fit row, with no column pinned, or the
+    rank of a deficient set."""
+    form = Conic if len(pts) == 5 else Cubic
+    try:
+        return form(*nullspace_vector([form.row(pt) for pt in pts]))
+    except RankDeficient as exc:
+        return exc.rank
+
 
 # The fits and axis_conic re-check the curve through the points it was built
-# on; that check must survive ``python -O``, which strips ``assert``.
+# on; that check must survive ``python -O``, which strips ``assert``.  Each
+# fit runs on a set without a vertex and on one whose vertex A pins x^2 or
+# x^3, so the check is seen on the reduced system too.
 _OPTIMIZED_CHECKS = textwrap.dedent("""
     import sys
     import tricurves.curves as curves
@@ -311,10 +404,13 @@ _OPTIMIZED_CHECKS = textwrap.dedent("""
     caught = []
     curves.nullspace_vector = lambda rows: (1,) + (0,) * len(rows)
     for fit, n in ((curves.conic_through, 5), (curves.cubic_through, 9)):
-        try:
-            fit([HomPoint(1, k, k * k + 2) for k in range(n)])
-        except curves.CurveMissesPoint:
-            caught.append(fit.__name__)
+        pts = [HomPoint(1, k, k * k + 2) for k in range(n)]
+        for label, points in ((fit.__name__, pts),
+                              (fit.__name__ + "/vertex", [HomPoint(1, 0, 0), *pts[1:]])):
+            try:
+                fit(points)
+            except curves.CurveMissesPoint:
+                caught.append(label)
     curves.conic_from_focus_directrix = lambda *args: curves.Conic(1, 0, 0, 0, 0, 0)
     t = RefTriangle(6, 9, 13)
     try:
@@ -335,7 +431,8 @@ def test_curve_checks_survive_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_CHECKS],
                          env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["1", "conic_through", "cubic_through",
+    assert out.stdout.split() == ["1", "conic_through", "conic_through/vertex",
+                                  "cubic_through", "cubic_through/vertex",
                                   "axis_conic"]
 
 

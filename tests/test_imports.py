@@ -1,4 +1,4 @@
-"""No module of the package or its tests imports a name it never reads.
+"""No module of the package, its tests or its tools imports a name it never reads.
 
 A name counts as read where it is loaded anywhere in the module, or, for a
 module-level ``__all__``, where ``__all__`` lists it: the package's
@@ -13,7 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted([*(ROOT / "src" / "tricurves").glob("*.py"),
-                  *(ROOT / "tests").glob("*.py")])
+                  *(ROOT / "tests").glob("*.py"), *(ROOT / "tools").glob("*.py")])
 
 
 def _imported(tree: ast.Module) -> list[tuple[str, int]]:
