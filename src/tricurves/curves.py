@@ -196,7 +196,8 @@ class _FormVector(_CanonicalVector):
         # a fit's reduction by the columns its vertices pin, in pin order
         powers = [i for i, mon in enumerate(cls.MONOMIALS) if mon.count(0) == 2]
         cls._REDUCTIONS = {pinned: _reduction(len(cls.MONOMIALS), pinned)
-                           for k in range(4) for pinned in permutations(powers, k)}
+                           for k in range(len(powers) + 1)
+                           for pinned in permutations(powers, k)}
 
     def __init__(self, *coeffs: Rat):
         if len(coeffs) != len(self.MONOMIALS):

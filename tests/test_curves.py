@@ -83,9 +83,9 @@ from tricurves.kernel import (
     span_points,
     squared_distance,
 )
-
 from tricurves.linalg import RankDeficient, nullspace_vector, rank_rational
 from tricurves.scenarios import FITS, Trial, _labelled
+
 from reference import (
     affine_combine,
     conic_second_intersection,
@@ -342,9 +342,9 @@ class TestFitting:
         and that its rows are independent."""
         t = random_triangle(seed)
         x = {n: eval_center(t, CenterId(f"X{n}")) for n in (1, 2, 3, 4, 6, 7, 8)}
-        (a, b, c), (p, q, r) = x[1].triple, x[2].triple
+        a, b, c = x[1].triple
         on_ax1 = [HomPoint(a + k * (b + c), b, c) for k in range(1, 5)]
-        on_bc = [HomPoint(0, k * q, r + k) for k in range(1, 5)]
+        on_bc = [HomPoint(0, k, k + 1) for k in range(1, 5)]
         on_circ = [conic_second_intersection(circumcircle(t), VERTEX_A, x[n])
                    for n in (2, 4, 6, 7, 8)]
         cases = [
@@ -357,7 +357,7 @@ class TestFitting:
             (Cubic, [VERTEX_A, VERTEX_B, VERTEX_C, *on_circ, x[1]], (0, 1, 2)),
         ]
         for form, pts, vertices in cases:
-            rows = [[Fraction(v) for v in form.row(pt)] for pt in pts]
+            rows = [form.row(pt) for pt in pts]
             rank = rank_rational(rows)
             assert rank < len(pts)
             with pytest.raises(DegeneratePointSet) as exc:
@@ -376,7 +376,7 @@ def _fit_of(form):
 def _fit_or_rank(pts):
     """The fitted curve, or the rank its certificate states."""
     try:
-        return (conic_through if len(pts) == 5 else cubic_through)(pts)
+        return _fit_of(Conic if len(pts) == 5 else Cubic)(pts)
     except DegeneratePointSet as exc:
         return exc.rank
 
