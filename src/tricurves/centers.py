@@ -399,7 +399,7 @@ def _derive(m: Metric, frame: Frame, kind: TriangleKind) -> SubTriangle:
         return SubTriangle(kind, Metric.of_view(_KINDS[kind][1](m.unit)),
                            _BASE_FRAMES[kind])
     local, own = _derived_rows(m, kind), _KINDS[kind][1](m.unit)
-    rows = (local if frame == _IDENTITY
+    rows = (local if frame is _IDENTITY
             else [canonical_ints(mat_vec(frame.matrix, row)) for row in local])
     return SubTriangle(kind, Metric.of_view(own), Frame.of(*rows))
 

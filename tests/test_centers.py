@@ -741,6 +741,16 @@ def _nested_subtriangles(t: RefTriangle) -> list:
     return [sub for _, _, sub in _derivations(t)]
 
 
+def _integer_multiple(frame: Frame, of: Frame) -> int:
+    """The nonzero integer k with ``frame``'s matrix and inverse k times
+    those of ``of``, or 0 where there is none."""
+    ours = [x for rows in frame for row in rows for x in row]
+    theirs = [x for rows in of for row in rows for x in row]
+    k = next(j for j, x in enumerate(theirs) if x)
+    scale, rest = divmod(ours[k], theirs[k])
+    return scale if not rest and ours == [scale * x for x in theirs] else 0
+
+
 class TestFrames:
     def test_checked_once_per_kind(self, monkeypatch):
         calls = []
@@ -771,13 +781,7 @@ class TestFrames:
         for sub in _nested_subtriangles(t):
             frame = sub.frame
             # the frame of the canonical vertices, times one nonzero integer
-            want = kernel.Frame.of(*[v.triple for v in sub.vertices])
-            ours = [x for rows in frame for row in rows for x in row]
-            theirs = [x for rows in want for row in rows for x in row]
-            k = next(j for j, x in enumerate(theirs) if x)
-            scale, rest = divmod(ours[k], theirs[k])
-            assert scale and not rest
-            assert ours == [scale * x for x in theirs]
+            assert _integer_multiple(frame, kernel.Frame.of(*[v.triple for v in sub.vertices]))
             local = HomPoint(*frame.local(p))
             assert local == frame_local(p, *sub.vertices)
             assert frame.base(p.triple) == frame_base(p, *sub.vertices)
@@ -900,6 +904,11 @@ class TestIdentityFrame:
         assert kernel._IDENTITY.local(p) == IDENTITY_ROWS.local(p)
 
     def test_derivations_equal_the_general_frame(self):
+        """The general path, through a frame equal to the base's, makes its
+        mapped rows canonical; the base's takes the raw rows.  So both give
+        the same triangle, and the shortcut's matrix and inverse are one
+        nonzero integer times those of the general frame, which is the
+        frame of the canonical vertices."""
         compared = 0
         for seed in range(50):
             t = random_triangle(seed)
@@ -910,7 +919,8 @@ class TestIdentityFrame:
                 assert (sub.kind, sub.v1, sub.v2, sub.v3) == (
                     ref.kind, ref.v1, ref.v2, ref.v3), (seed, kind)
                 assert sub.own_metric.unit == ref.own_metric.unit, (seed, kind)
-                assert sub.frame == ref.frame, (seed, kind)
+                assert _integer_multiple(sub.frame, ref.frame), (seed, kind)
+                assert ref.frame == Frame.of(*(v.triple for v in ref.vertices)), (seed, kind)
                 # the inverse times the matrix, column by column: k I, k != 0
                 nm = [mat_vec(sub.frame.inverse, col) for col in zip(*sub.frame.matrix)]
                 k = nm[0][0]
@@ -931,8 +941,9 @@ class TestOneCanonicalization:
     def _counted(self, monkeypatch):
         calls = []
         canonical = kernel.canonical_ints
-        monkeypatch.setattr(kernel, "canonical_ints",
-                            lambda values: calls.append(1) or canonical(values))
+        counted = lambda values: calls.append(1) or canonical(values)
+        monkeypatch.setattr(kernel, "canonical_ints", counted)
+        monkeypatch.setattr(centers, "canonical_ints", counted)
         return calls
 
     def test_derived_conjugate_and_center_canonicalize_once(self, monkeypatch):
@@ -945,13 +956,15 @@ class TestOneCanonicalization:
         assert len(calls) == 2
 
     def test_each_derivation_canonicalizes_its_vertices_once(self, monkeypatch):
-        """Every kind from the base and from the excentral triangle maps its
-        raw rows out through the parent's frame into a frame of rows at any
-        scale, and canonicalizes nothing; nor does the base kind, which keeps
-        its parent's frame, or the medial and anticomplementary triangles of
-        the base, whose frames are built once, at import.  A vertex is
-        canonicalized where it is read: three calls, one per vertex, on the
-        first read of ``vertices``, and none on the next."""
+        """Every kind from the base takes its raw rows into a frame of rows
+        at any scale, and canonicalizes nothing; nor does the base kind,
+        which keeps its parent's frame, or the medial and anticomplementary
+        triangles of the base, whose frames are built once, at import.
+        Every other kind from the excentral triangle maps its rows out
+        through the parent's frame and makes them canonical: three calls,
+        one per row.  A vertex is canonicalized where it is read: three
+        calls, one per vertex, on the first read of ``vertices``, and none
+        on the next."""
         exc = derived_triangle(T, TriangleKind.EXCENTRAL)
         calls = self._counted(monkeypatch)
         derived = 0
@@ -962,11 +975,12 @@ class TestOneCanonicalization:
                     sub = derive(parent, kind)
                 except OddCenterWithoutSides:  # the excentral triangle's sides
                     continue
-                assert len(calls) == 0, (parent, kind)
+                mapped = 3 if parent is exc and kind is not TriangleKind.BASE else 0
+                assert len(calls) == mapped, (parent, kind)
                 sub.vertices
-                assert len(calls) == 3, (parent, kind)
+                assert len(calls) == mapped + 3, (parent, kind)
                 sub.vertices
-                assert len(calls) == 3, (parent, kind)
+                assert len(calls) == mapped + 3, (parent, kind)
                 derived += 1
         assert derived == 2 * len(TriangleKind) - 2
 
