@@ -27,10 +27,11 @@ triangle's base triangle is itself: it keeps its parent's metric and frame,
 the frame of the reference triangle being the identity, which multiplies
 nothing, and the medial and anticomplementary frames off the base are
 constants, built once at import.  Every other frame is built and checked
-once, from its vertices' raw rows, which it canonicalizes; it maps the raw
-triples of centers and conjugates, canonicalized once on the way out, and
-gives the vertices back, read off its matrix, only to a caller that asks
-for them.
+once, from its vertices' rows at the scale they come in: the raw rows off
+the base's frame, and off any other frame the rows mapped out through it,
+made canonical.  It maps the raw triples of centers and conjugates,
+canonicalized once on the way out, and gives the vertices back, read off
+its matrix, only to a caller that asks for them.
 One factory makes the center-expression node types, one table their rules.
 """
 
@@ -52,6 +53,7 @@ from .kernel import (
     VERTEX_A,
     VERTEX_B,
     VERTEX_C,
+    _Frozen,
     _IDENTITY,
     _squares_view,
     canonical_ints,
@@ -262,7 +264,7 @@ def isogonal(m: Metric, p: HomPoint) -> HomPoint:
 # ---------------------------------------------------------------------------
 # derived triangles
 
-class SubTriangle:
+class SubTriangle(_Frozen):
     """A derived triangle: its own metric and the frame of its vertices,
     which maps points into and out of it.  The frame is the one record of
     the vertices: they are read off it, in base coordinates, when first
@@ -276,9 +278,6 @@ class SubTriangle:
         _set_metric(self, own_metric)
         _set_frame(self, frame)
         _set_vertices(self, None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __repr__(self) -> str:
         return f"SubTriangle(kind={self.kind!r}, frame={self.frame!r})"
@@ -303,7 +302,7 @@ class SubTriangle:
         return self.own_metric
 
 
-# the slots' own setters, past SubTriangle.__setattr__
+# the slots' own setters, past _Frozen
 _set_kind, _set_metric, _set_frame, _set_vertices = (
     getattr(SubTriangle, name).__set__ for name in SubTriangle.__slots__)
 
@@ -312,6 +311,12 @@ def _euler_rows(u: IntegralView):
     """Midpoints of each vertex with the orthocenter."""
     sbc, sca, sab = u.SB * u.SC, u.SC * u.SA, u.SA * u.SB
     return ((u.S2 + sbc, sca, sab), (sbc, u.S2 + sca, sab), (sbc, sca, u.S2 + sab))
+
+
+def _excentral_rows(u: IntegralView):
+    """The excenters."""
+    a, b, c = u.sides
+    return ((-a, b, c), (a, -b, c), (a, b, -c))
 
 
 def _midarc_rows(u: IntegralView):
@@ -356,9 +361,8 @@ _KINDS: dict[TriangleKind, tuple[Callable, Callable[[IntegralView], IntegralView
         lambda u: ((-u.a2, u.b2, u.c2), (u.a2, -u.b2, u.c2), (u.a2, u.b2, -u.c2)),
         lambda u: _squares_view([n * u.a2 * u.b2 * u.c2 for n in _orthic_squares(u)],
                                 4 * u.q * (u.SA * u.SB * u.SC) ** 2)),
-    TriangleKind.EXCENTRAL: (
-        lambda u: ((-u.a, u.b, u.c), (u.a, -u.b, u.c), (u.a, u.b, -u.c)),
-        lambda u: _squares_view(_excentral_squares(u), u.q * u.S2)),
+    TriangleKind.EXCENTRAL: (_excentral_rows,
+                             lambda u: _squares_view(_excentral_squares(u), u.q * u.S2)),
     TriangleKind.MIDARC: (_midarc_rows,
                           lambda u: _squares_view(_excentral_squares(u), 4 * u.q * u.S2)),
 }

@@ -43,6 +43,7 @@ from .kernel import (
     _CanonicalVector,
     _IDENTITY,
     _fraction,
+    _set_v,
     adjugate3,
     affine_point,
     canonical_ints,
@@ -203,11 +204,9 @@ class _FormVector(_CanonicalVector):
         if len(coeffs) != len(self.MONOMIALS):
             raise ValueError(
                 f"{type(self).__name__} needs {len(self.MONOMIALS)} coefficients")
-        object.__setattr__(self, "_v", canonical_ints(coeffs))
+        _set_v(self, canonical_ints(coeffs))
 
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self._v
+    coeffs = _CanonicalVector._v
 
     def serialize(self) -> list[str]:
         return [str(c) for c in self._v]
@@ -276,14 +275,6 @@ class Cubic(_FormVector):
                                         for (i, f), (j, g), (k, h) in _SECOND_PARTIALS]
         return ((hxx * x + hxy * y + hxz * z) // 2, (hxy * x + hyy * y + hyz * z) // 2,
                 (hxz * x + hyz * y + hzz * z) // 2)
-
-
-def on_conic(p: HomPoint, c: Conic) -> bool:
-    return c.evaluate(p) == 0
-
-
-def on_cubic(p: HomPoint, k: Cubic) -> bool:
-    return k.evaluate(p) == 0
 
 
 # ---------------------------------------------------------------------------

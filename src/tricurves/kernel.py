@@ -143,14 +143,24 @@ def canonical_ints(values: Iterable[Rat]) -> tuple[int, ...]:
     return vals
 
 
-class _CanonicalVector:
+class _Frozen:
+    """Base of the core's immutable values: their slots are set only through
+    each slot's own setter, and assignment and deletion raise."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class _CanonicalVector(_Frozen):
     """Immutable vector of ``canonical_ints``, equal only within one type;
     base of points, lines and curves."""
 
     __slots__ = ("_v",)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and other._v == self._v
@@ -162,7 +172,7 @@ class _CanonicalVector:
         return f"{type(self).__name__}{self._v!r}"
 
 
-_set_v = _CanonicalVector._v.__set__  # the slot's own setter, past __setattr__
+_set_v = _CanonicalVector._v.__set__  # the slot's own setter, past _Frozen
 
 
 class _Homogeneous(_CanonicalVector):
@@ -337,18 +347,6 @@ class IntegralView(NamedTuple):
     q: int
     k: Optional[int]
 
-    @property
-    def a(self) -> int:
-        return self.sides[0]
-
-    @property
-    def b(self) -> int:
-        return self.sides[1]
-
-    @property
-    def c(self) -> int:
-        return self.sides[2]
-
     def rot(self) -> "IntegralView":
         """Cyclic relabel (a, b, c) -> (b, c, a), behind :meth:`Metric.rot`."""
         sides = None if self.sides is None else (self.sides[1], self.sides[2], self.sides[0])
@@ -398,7 +396,7 @@ def _squares_view(squares: Sequence[int], den: int) -> IntegralView:
     return _view(4 * a2 // g, 4 * b2 // g, 4 * c2 // g, None, 4 * den // g, None)
 
 
-class Metric:
+class Metric(_Frozen):
     """Squared-side-length context for metric computations.
 
     Its one field, ``unit``, is the triangle in integers (an
@@ -415,18 +413,14 @@ class Metric:
     __slots__ = ("unit",)
 
     def __init__(self, a2: Rat, b2: Rat, c2: Rat):
-        object.__setattr__(self, "unit",
-                           _squares_view(*_clear_denominators((a2, b2, c2))))
+        _set_unit(self, _squares_view(*_clear_denominators((a2, b2, c2))))
 
     @staticmethod
     def of_view(unit: IntegralView) -> "Metric":
         """The Metric of an already valid view, built without validation."""
         m = object.__new__(Metric)
-        object.__setattr__(m, "unit", unit)
+        _set_unit(m, unit)
         return m
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     a2, b2, c2 = _read_back("a2"), _read_back("b2"), _read_back("c2")
     SA, SB, SC = _read_back("SA"), _read_back("SB"), _read_back("SC")
@@ -470,10 +464,13 @@ class RefTriangle(Metric):
         if x + y <= z or y + z <= x or z + x <= y:
             raise InvalidTriangle(f"triangle inequality fails for ({a}, {b}, {c})")
         k = 2 * den
-        object.__setattr__(self, "unit", _view(x * x, y * y, z * z, sides, k * k, k))
+        _set_unit(self, _view(x * x, y * y, z * z, sides, k * k, k))
 
     def __repr__(self) -> str:
         return f"RefTriangle({self.a}, {self.b}, {self.c})"
+
+
+_set_unit = Metric.unit.__set__  # the slot's own setter, past _Frozen
 
 
 # ---------------------------------------------------------------------------

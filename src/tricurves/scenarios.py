@@ -78,8 +78,6 @@ from .curves import (
     is_rectangular,
     isogonal_image,
     line_component,
-    on_conic,
-    on_cubic,
     pascal_check,
     pencil_combination,
     pivotal_cubic,
@@ -303,7 +301,7 @@ def rectangular_claim(curve: str) -> Claim:
         c = tr[curve]
         if is_rectangular(c, tr.t):
             return None
-        return Failure(",".join(c.serialize()), "rectangular",
+        return Failure(_shown(c), "rectangular",
                        "asymptotes are not real perpendicular directions")
 
     return Claim("rectangular", "rectangularity", MUST, check)
@@ -322,7 +320,7 @@ def characterization_claim(cid: str, conic: str, line: str, points, tri: str,
     def check(tr: Trial):
         c, l = tr[conic], tr[line]
         for lbl, name in entries:
-            lhs = on_conic(tr[name], c)
+            lhs = c.evaluate(tr[name]) == 0
             rhs = incident(tr[f"isogonal({tri},{name})"], l)
             if lhs != rhs or (on_curve and not lhs):
                 return Failure(f"on_conic={lhs}", f"conjugate_on_line={rhs}",
@@ -357,7 +355,7 @@ def pascal_claims(conic: str, hexagon, pairs) -> tuple[Claim, Claim]:
 
     def pascal_line(tr: Trial):
         pts = {lbl: tr[n] for lbl, n in entries}
-        if any(not on_conic(p, tr[conic]) for p in pts.values()):
+        if any(tr[conic].evaluate(p) for p in pts.values()):
             return SKIP
         verdict = pascal_check(tuple(((pts[a], pts[b]), (pts[c], pts[d]))
                                      for a, b, c, d in pairs))
@@ -413,7 +411,7 @@ def _hessian_membership(tr: Trial):
                        "degenerate composition")
     for lbl in ("O", "H", "E"):
         pnt = tr[lbl]
-        if not on_cubic(pnt, comp) or not on_cubic(pnt, hes):
+        if comp.evaluate(pnt) or hes.evaluate(pnt):
             return Failure(str(pnt), "0",
                            f"{lbl} misses the composition or its hessian")
     return None

@@ -305,12 +305,14 @@ class TestDerivedTriangles:
         with pytest.raises(AttributeError):
             med.sides = (1, 1, 1)
         assert med.v1 is v1 and v1 != VERTEX_A
-        assert not hasattr(med, "sides")
+        assert not hasattr(med, "sides") and not hasattr(med, "__dict__")
         vertices, other = med.vertices, derived_triangle(T, TriangleKind.EULER)
         for name, value in (("kind", other.kind), ("own_metric", other.own_metric),
                             ("frame", other.frame), ("_vertices", other.vertices)):
             with pytest.raises(AttributeError):
                 setattr(med, name, value)
+            with pytest.raises(AttributeError, match="is immutable"):
+                delattr(med, name)
             assert getattr(med, name) is not value
         assert med.vertices is vertices and vertices != other.vertices
         assert repr(med) == f"SubTriangle(kind={TriangleKind.MEDIAL!r}, frame={med.frame!r})"

@@ -196,7 +196,7 @@ class TestCanonicalTriplePath:
 
 class TestVectorSlot:
     """``triple`` and ``coeffs`` read the ``_v`` slot itself, and no
-    assignment reaches it."""
+    assignment or deletion reaches it."""
 
     def test_assignment_raises(self):
         for vec in (HomPoint(2, -4, 6), HomLine(1, -1, 0), Cubic(*range(1, 11))):
@@ -204,11 +204,14 @@ class TestVectorSlot:
             for name in ("triple", "coeffs", "_v"):
                 with pytest.raises(AttributeError):
                     setattr(vec, name, (1, 1, 1))
+                with pytest.raises(AttributeError, match="is immutable"):
+                    delattr(vec, name)
             assert vec._v is before
         assert HomPoint(2, -4, 6).triple == (1, -2, 3)
 
     def test_triple_and_coeffs_are_the_slot(self):
-        assert HomPoint.triple is HomLine.coeffs is kernel._CanonicalVector._v
+        assert HomPoint.triple is HomLine.coeffs is Conic.coeffs is Cubic.coeffs \
+            is kernel._CanonicalVector._v
 
 
 class TestIncidence:
@@ -360,6 +363,9 @@ class TestMetricValue:
             for name in Metric.__slots__ + ("extra",):
                 with pytest.raises(AttributeError):
                     setattr(m, name, 1)
+                with pytest.raises(AttributeError, match="is immutable"):
+                    delattr(m, name)
+            assert not hasattr(m, "__dict__")
         assert t.a2 == 36 and t.sides == (6, 9, 13)
 
     @given(side_triples, st.booleans())
@@ -418,7 +424,6 @@ class TestIntegralView:
             k = math.isqrt(q)
             assert k * k == q
             assert u.sides == tuple(s * k for s in m.sides)
-            assert (u.a, u.b, u.c) == u.sides
         else:
             assert u.sides is None
         assert all(type(v) is int for v in u[:7] + (q,) + (u.sides or ()))

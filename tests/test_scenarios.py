@@ -533,6 +533,25 @@ class TestCoreDoesNotImportRenderer:
                             decorated.add((path.name, node.name))
         assert decorated == {("scenarios.py", "Claim"), ("scenarios.py", "Scenario")}
 
+    def test_one_immutability_guard(self):
+        """Only ``kernel._Frozen`` refuses assignment and deletion; every
+        other value subclasses it and sets its slots through their own
+        setters, so no ``object.__setattr__`` call gets past the guard."""
+        src = pathlib.Path(__file__).resolve().parents[1] / "src" / "tricurves"
+        guards, bypasses = set(), []
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ClassDef):
+                    guards |= {(path.name, node.name, f.name) for f in node.body
+                               if isinstance(f, ast.FunctionDef)
+                               and f.name in ("__setattr__", "__delattr__")}
+                elif isinstance(node, ast.Attribute) and node.attr == "__setattr__" \
+                        and getattr(node.value, "id", None) == "object":
+                    bypasses.append((path.name, node.lineno))
+        assert guards == {("kernel.py", "_Frozen", "__setattr__"),
+                          ("kernel.py", "_Frozen", "__delattr__")}
+        assert bypasses == []
+
     def test_fraction_calls_confined(self):
         """The core holds its metric in integers: ``Fraction(...)`` is called
         in kernel.py only where it reads values back as Fractions, and
