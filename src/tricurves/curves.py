@@ -3,7 +3,9 @@
 Curves are coefficient vectors up to scale, canonicalized like points
 (coprime integers, first nonzero entry positive), so curve equality is
 tuple equality.  A fit reads the kernel vector off one fraction-free
-elimination of the rows and columns its vertices leave; rank-deficient
+elimination: each vertex among its points pins its pure power's column,
+the other rows are cut at the pinned columns, highest first, and the
+kernel vector gets a 0 put back at each, lowest first; rank-deficient
 inputs raise :class:`DegeneratePointSet` carrying a rank certificate, and
 a fit that misses one of its own points raises :class:`CurveMissesPoint`.
 
@@ -24,10 +26,9 @@ pencil quotient is an integer synthetic division of the coefficient vector.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 from math import lcm
-from operator import itemgetter, mul
-from typing import Callable, NamedTuple, Optional, Sequence
+from operator import mul
+from typing import NamedTuple, Optional, Sequence
 
 from . import centers as _centers
 from .kernel import (
@@ -148,16 +149,6 @@ def _node(mon: tuple[int, int, int]) -> tuple[int, int, int]:
     return tuple(0 if not e else -1 if e > first else 1 for e in mon)
 
 
-def _reduction(width: int, pinned: Sequence[int]) -> tuple[Callable, itemgetter]:
-    """The getter of a fit row's columns other than ``pinned``, and the
-    getter that spreads a vector on those columns, with a 0 appended, over
-    all ``width`` columns.  With no column pinned, a row is its own
-    reduction, and ``tuple`` returns it."""
-    kept = [c for c in range(width) if c not in pinned]
-    spread = [kept.index(c) if c in kept else len(kept) for c in range(width)]
-    return itemgetter(*kept) if pinned else tuple, itemgetter(*spread)
-
-
 class _FormVector(_CanonicalVector):
     """Canonical integer coefficient vector of a form, up to scale.
 
@@ -176,7 +167,6 @@ class _FormVector(_CanonicalVector):
     WEIGHTS: tuple[int, ...] = ()
     DEGREE: int
     NODES: tuple[tuple[int, int, int], ...]
-    _REDUCTIONS: dict[tuple[int, ...], tuple[Callable, itemgetter]]
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -194,11 +184,8 @@ class _FormVector(_CanonicalVector):
             edges.append((at, mons))
         cls._EDGES = tuple(edges)
         cls._CENTER = node_index.get((1, 1, 1))
-        # a fit's reduction by the columns its vertices pin, in pin order
-        powers = [i for i, mon in enumerate(cls.MONOMIALS) if mon.count(0) == 2]
-        cls._REDUCTIONS = {pinned: _reduction(len(cls.MONOMIALS), pinned)
-                           for k in range(len(powers) + 1)
-                           for pinned in permutations(powers, k)}
+        # each vertex to the column of its pure power, which it pins in a fit
+        cls._PINS = {unit: mon_index[tuple(n * e for e in unit)] for unit in _UNITS}
 
     def __init__(self, *coeffs: Rat):
         if len(coeffs) != len(self.MONOMIALS):
@@ -244,6 +231,7 @@ class _FormVector(_CanonicalVector):
 
 
 class Conic(_FormVector):
+    __slots__ = ()
     MONOMIALS = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
     WEIGHTS = (1, 1, 1, 2, 2, 2)
 
@@ -257,6 +245,7 @@ class Conic(_FormVector):
 
 
 class Cubic(_FormVector):
+    __slots__ = ()
     MONOMIALS = CUBIC_MONOMIALS
     WEIGHTS = (1,) * 10
 
@@ -284,38 +273,46 @@ def _fit(form: type, points: Sequence[HomPoint]) -> _FormVector:
     """The form through one point fewer than it has coefficients: the kernel
     of their rows.
 
-    A vertex's row has one nonzero entry, at its pure power, so the vertex
-    pins that coefficient to 0.  The other points' rows, without the pinned
-    columns, go to one elimination, and its kernel vector, with zeros at the
-    pinned columns, is the form: the kernel of all the rows, as a vertex
-    row is zero on every kept column.  A repeated vertex pins nothing more;
-    its kept row is zero.  A set without a vertex keeps every column.  The
-    form is checked against every row.  A rank-deficient set's certificate
-    lists the pinning vertices' rows, in order, then the independent rows
-    of the reduced system by their indices in ``points``; its rank is the
-    pins plus the reduced rank, and the rows listed are a maximal
-    independent subset."""
+    A vertex, told by its triple, has one nonzero entry in its row, at its
+    pure power, so it pins that coefficient to 0.  The other points' rows,
+    cut at the pinned columns (highest first), go to one elimination, and
+    its kernel vector, with a 0 put back at each pinned column (lowest
+    first), is the form: the kernel of all the rows, as a vertex row is zero
+    on every kept column.  A repeated vertex pins nothing more; its cut row
+    is zero.  A set without a vertex keeps every column.  The form is
+    checked against every row.  A rank-deficient set's certificate lists the
+    pinning vertices' rows, in order, then the independent rows of the
+    reduced system by their indices in ``points``; its rank is the pins plus
+    the reduced rank, and the rows listed are a maximal independent subset."""
     n = len(form.MONOMIALS) - 1
     if len(points) != n:
         raise ValueError(f"{form.__name__.lower()}_through needs exactly {n} points")
     rows = [form.row(p) for p in points]
     pins: dict[int, int] = {}  # pinned column -> its vertex's index
     others = []
-    for i, row in enumerate(rows):
-        # most rows hold no 0; a vertex row's one nonzero entry is its sum
-        if 0 in row and row.count(0) == n and (col := row.index(sum(row))) not in pins:
-            pins[col] = i
-        else:
+    for i, p in enumerate(points):
+        col = form._PINS.get(p.triple)
+        if col is None or col in pins:
             others.append(i)
-    take, spread = form._REDUCTIONS[(*pins,)]
-    reduced = list(map(take, map(rows.__getitem__, others)))
+        else:
+            pins[col] = i
+    cut = sorted(pins)
+    reduced = []
+    for i in others:
+        row = list(rows[i])
+        for c in reversed(cut):
+            del row[c]
+        reduced.append(row)
     try:
         v = nullspace_vector(reduced)
     except RankDeficient as exc:
         certificate = (len(pins) + exc.rank,
                        (*pins.values(), *(others[j] for j in exc.independent)))
     else:
-        curve = form(*spread((*v, 0)))
+        v = list(v)
+        for c in cut:
+            v.insert(c, 0)
+        curve = form(*v)
         if any(sum(map(mul, curve.coeffs, row)) for row in rows):
             raise CurveMissesPoint(f"fitted {curve!r} misses one of its points")
         return curve

@@ -193,6 +193,8 @@ class _Homogeneous(_CanonicalVector):
 class HomPoint(_Homogeneous):
     """Point in homogeneous barycentric coordinates (canonical integer triple)."""
 
+    __slots__ = ()
+
     @property
     def x(self) -> int:
         return self._v[0]
@@ -212,6 +214,7 @@ class HomPoint(_Homogeneous):
 class HomLine(_Homogeneous):
     """Line {l*x + m*y + n*z = 0} as a canonical integer coefficient triple."""
 
+    __slots__ = ()
     coeffs = _CanonicalVector._v
 
     def is_line_at_infinity(self) -> bool:

@@ -811,18 +811,15 @@ def list_scenarios() -> list[tuple[str, str, int]]:
 # ---------------------------------------------------------------------------
 # runner
 
-class ClaimResult:
-    """One claim's outcome over a run; ``status`` and ``failures`` (the
-    certificates) change as its trials go."""
+class ClaimResult(NamedTuple):
+    """One claim's outcome over a run, built once its trials are done;
+    ``failures`` holds its certificates."""
 
-    __slots__ = ("id", "kind", "expectation", "status", "failures")
-
-    def __init__(self, id: str, kind: str, expectation: str):
-        self.id = id
-        self.kind = kind
-        self.expectation = expectation
-        self.status = "pass"
-        self.failures: list[dict] = []
+    id: str
+    kind: str
+    expectation: str
+    status: str
+    failures: list[dict]
 
 
 class Report(NamedTuple):
@@ -837,10 +834,7 @@ class Report(NamedTuple):
     def to_dict(self) -> dict:
         """The report as fresh JSON-ready containers, keys in field order."""
         return {**self._asdict(), "claims": [{
-            "id": c.id,
-            "kind": c.kind,
-            "expectation": c.expectation,
-            "status": c.status,
+            **c._asdict(),
             # a certificate's one container is its triangle, a tuple shared
             # by every certificate of one trial, handed out as a fresh list
             "failures": [{**f, "triangle": list(f["triangle"])} for f in c.failures],
@@ -922,7 +916,8 @@ def run_scenario(scenario_id: str, trials: int, seed: int) -> Report:
     if run is None:  # not `or`: an empty Run is falsy
         run = Run()
     t0 = time.perf_counter()
-    results = [ClaimResult(c.id, c.kind, c.expectation) for c in sc.claims]
+    certificates = [[] for _ in sc.claims]
+    raised = set()  # indices of the claims that raised on some trial
     skipped = 0
     cursor = seed
     for _ in range(trials):
@@ -940,20 +935,21 @@ def run_scenario(scenario_id: str, trials: int, seed: int) -> Report:
                 continue
             break
         triangle = None  # the sides as text, shared by this triangle's certificates
-        for res, outcome in zip(results, outcomes):
+        for k, outcome in enumerate(outcomes):
             if outcome is SKIP or outcome is None:
                 continue
             if isinstance(outcome, Exception):
-                res.status = "error"
+                raised.add(k)
                 outcome = Failure("", "", f"error: {type(outcome).__name__}: {outcome}")
-            elif res.status == "pass":
-                res.status = "fail"
             if triangle is None:
                 a, b, c = tr.t.sides
                 triangle = (str(a), str(b), str(c))
-            res.failures.append({"triangle": triangle,
-                                 "lhs": outcome.lhs, "rhs": outcome.rhs,
-                                 "detail": outcome.detail})
+            certificates[k].append({"triangle": triangle,
+                                    "lhs": outcome.lhs, "rhs": outcome.rhs,
+                                    "detail": outcome.detail})
+    results = [ClaimResult(c.id, c.kind, c.expectation,
+                           "error" if k in raised else "fail" if certs else "pass", certs)
+               for k, (c, certs) in enumerate(zip(sc.claims, certificates))]
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return Report(sc.id, sc.description, trials, seed, skipped, results,
                   elapsed_ms)

@@ -6,16 +6,19 @@ Every Heronian triangle is a lattice triangle (Yiu 2001).
 by gluing two Pythagorean triangles along a common leg, which becomes an
 altitude: apex (0, h) over the feet (-p, 0) and (q, 0), one on each side of
 the altitude's foot, or over (p, 0) and (q, 0), both on one side.  On them
-``CENTERS`` builds eleven catalog centers by classical constructions in
+``CENTERS`` builds thirteen catalog centers by classical constructions in
 ``Fraction`` coordinates, with no barycentric formula: X1, the meet of two
 angle bisectors; X2, the mean of the vertices; X3, the meet of two
 perpendicular bisectors; X4, the meet of two altitudes; X6, the meet of two
 medians each reflected in its angle bisector; X7 and X8, the meets of two
-cevians to the touch points of the incircle and of the excircles; X5 and
-X10, the circumcenter and the incenter of the medial triangle; X20 and X40,
-the reflections of X4 and X1 in X3.  The model does not build the other
-catalog centers: X9, X21, X25, X39, X54, X57, X64, X69, X76, X84, X355,
-X389 and the two Brocard points.  ``areal`` reads a point's barycentrics off signed areas,
+cevians to the touch points of the incircle and of the excircles; X9, the
+meet of the lines from two excenters (each the meet of two external
+bisectors) through the midpoints of their sides; X5 and X10, the
+circumcenter and the incenter of the medial triangle; X20 and X40, the
+reflections of X4 and X1 in X3; X69, the image of X6 under the homothety
+at X2 with ratio -2.  The model does not build the other catalog centers:
+X21, X25, X39, X54, X57, X64, X76, X84, X355, X389 and the two Brocard
+points.  ``areal`` reads a point's barycentrics off signed areas,
 for comparison with another model's, ``squared_length`` and ``foot`` give
 squared distances and perpendicular feet by coordinates, and ``DERIVED``
 builds the medial, anticomplementary and Euler triangles with lattice
@@ -65,13 +68,14 @@ def _meet(p, u, q, v):
     return (p[0] + s * u[0], p[1] + s * u[1])
 
 
-def _bisector(apex, p, q):
+def _bisector(apex, p, q, sign=1):
     """The direction of the internal bisector at ``apex`` of the angle to
-    ``p`` and ``q``: the sum of the unit vectors along its two sides."""
+    ``p`` and ``q``: the sum of the unit vectors along its two sides; with
+    ``sign`` -1 their difference, the external bisector's direction."""
     u, v = _sub(p, apex), _sub(q, apex)
     lu, lv = _length(p, apex), _length(q, apex)
-    return (Fraction(u[0], lu) + Fraction(v[0], lv),
-            Fraction(u[1], lu) + Fraction(v[1], lv))
+    return (Fraction(u[0], lu) + sign * Fraction(v[0], lv),
+            Fraction(u[1], lu) + sign * Fraction(v[1], lv))
 
 
 def _symmedian(apex, p, q):
@@ -99,6 +103,26 @@ def orthocenter(A, B, C):
 
 def symmedian_point(A, B, C):
     return _meet(A, _symmedian(A, B, C), B, _symmedian(B, C, A))
+
+
+def _excenter(A, B, C):
+    """The excenter opposite ``A``: the meet of the external bisectors at
+    ``B`` and ``C``."""
+    return _meet(B, _bisector(B, C, A, -1), C, _bisector(C, A, B, -1))
+
+
+def mittenpunkt(A, B, C):
+    """The meet of the lines from the excenters opposite A and B through
+    the midpoints of BC and CA."""
+    ia, ib = _excenter(A, B, C), _excenter(B, C, A)
+    return _meet(ia, _sub(_mid(B, C), ia), ib, _sub(_mid(C, A), ib))
+
+
+def symmedian_anticomplement(A, B, C):
+    """The image of the symmedian point under the homothety at the
+    centroid with ratio -2: 3G - 2K."""
+    (gx, gy), (kx, ky) = centroid(A, B, C), symmedian_point(A, B, C)
+    return (3 * gx - 2 * kx, 3 * gy - 2 * ky)
 
 
 def _reflect(P, Q):
@@ -162,8 +186,9 @@ def nagel_point(A, B, C):
 
 CENTERS = {"X1": incenter, "X2": centroid, "X3": circumcenter, "X4": orthocenter,
            "X5": nine_point_center, "X6": symmedian_point, "X7": gergonne_point,
-           "X8": nagel_point, "X10": spieker_center, "X20": de_longchamps_point,
-           "X40": bevan_point}
+           "X8": nagel_point, "X9": mittenpunkt, "X10": spieker_center,
+           "X20": de_longchamps_point, "X40": bevan_point,
+           "X69": symmedian_anticomplement}
 
 
 def squared_length(p, q):

@@ -55,8 +55,8 @@ def test_center_matches_the_construction(name):
 
 
 def test_each_construction_matches_only_its_own_center():
-    """The comparison can fail: on each triangle the eleven constructions
-    are eleven points, and each is proportional to one engine center alone."""
+    """The comparison can fail: on each triangle the thirteen constructions
+    are thirteen points, and each is proportional to one engine center alone."""
     for tri, t in zip(TRIANGLES[:20], ENGINE[:20]):
         got = {name: eval_center(t, CenterId(name)).triple for name in CENTERS}
         for name, construct in CENTERS.items():
@@ -92,7 +92,7 @@ VERTICES = (VERTEX_A, VERTEX_B, VERTEX_C)
 
 
 def _points(tri, t):
-    """The vertices and the eleven centers, by construction and in the engine."""
+    """The vertices and the thirteen centers, by construction and in the engine."""
     built = dict(zip("ABC", tri), **{n: c(*tri) for n, c in CENTERS.items()})
     engine = dict(zip("ABC", VERTICES),
                   **{n: eval_center(t, CenterId(n)) for n in CENTERS})
@@ -100,7 +100,7 @@ def _points(tri, t):
 
 
 def test_squared_distances_match_the_construction():
-    """Between every two of the vertices and the eleven centers, the engine's
+    """Between every two of the vertices and the thirteen centers, the engine's
     ``squared_distance`` is the squared length by coordinates; X3 is
     equidistant from the vertices, |X3A|^2 = |X3B|^2 = |X3C|^2."""
     for tri, t in zip(TRIANGLES, ENGINE):

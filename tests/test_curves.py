@@ -156,6 +156,9 @@ class TestValueSemantics:
             for name in ("_v", "coeffs"):
                 with pytest.raises(AttributeError, match="is immutable"):
                     delattr(curve, name)
+            assert not hasattr(curve, "__dict__")
+            with pytest.raises(TypeError):
+                vars(curve)
 
     def test_equal_and_hashed_by_value_within_one_type(self):
         class OtherConic(Conic):

@@ -207,6 +207,9 @@ class TestVectorSlot:
                 with pytest.raises(AttributeError, match="is immutable"):
                     delattr(vec, name)
             assert vec._v is before
+            assert not hasattr(vec, "__dict__")
+            with pytest.raises(TypeError):
+                vars(vec)
         assert HomPoint(2, -4, 6).triple == (1, -2, 3)
 
     def test_triple_and_coeffs_are_the_slot(self):

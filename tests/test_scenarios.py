@@ -552,6 +552,26 @@ class TestCoreDoesNotImportRenderer:
                           ("kernel.py", "_Frozen", "__delattr__")}
         assert bypasses == []
 
+    def test_frozen_values_have_no_instance_dict(self):
+        """Every value class of the package under ``kernel._Frozen`` is
+        slotted all the way down: with a ``__dict__``, ``vars(v)[name] = x``
+        would get past the guard.  Classes defined elsewhere (the tests'
+        local subclasses) are not walked."""
+        from tricurves import kernel
+
+        walked, loose, stack = set(), set(), [kernel._Frozen]
+        while stack:
+            cls = stack.pop()
+            stack += cls.__subclasses__()
+            if cls.__module__.partition(".")[0] != "tricurves":
+                continue
+            walked.add(cls.__name__)
+            loose |= {(cls.__name__, name) for name in ("__dict__", "__weakref__")
+                      if any(name in vars(k) for k in cls.__mro__[:-1])}
+        assert loose == set()
+        assert {"HomPoint", "HomLine", "Conic", "Cubic", "Metric", "RefTriangle",
+                "SubTriangle"} <= walked
+
     def test_fraction_calls_confined(self):
         """The core holds its metric in integers: ``Fraction(...)`` is called
         in kernel.py only where it reads values back as Fractions, and
