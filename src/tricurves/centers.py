@@ -57,6 +57,7 @@ from .kernel import (
     _IDENTITY,
     _squares_view,
     canonical_ints,
+    collinear,
     equidistant_point,
     foot_of_perpendicular,
     incident,
@@ -154,8 +155,15 @@ _FIRST: dict[CenterId, Callable[..., int]] = {
     CenterId.X39: lambda a2, b2, c2, SA, SB, SC, S2, a, b, c: a2 * (b2 + c2),
     CenterId.X40: lambda a2, b2, c2, SA, SB, SC, S2, a, b, c:
         a * ((a + b + c) * a * SA - S2),
+    CenterId.X54: lambda a2, b2, c2, SA, SB, SC, S2, a, b, c:
+        a2 * (S2 + SC * SA) * (S2 + SA * SB),
+    CenterId.X57: lambda a2, b2, c2, SA, SB, SC, S2, a, b, c: a * (c + a - b) * (a + b - c),
+    CenterId.X64: lambda a2, b2, c2, SA, SB, SC, S2, a, b, c:
+        a2 * (b2 * SB - SC * SA) * (c2 * SC - SA * SB),
     CenterId.X69: lambda a2, b2, c2, SA, SB, SC, S2, a, b, c: SA,
     CenterId.X76: lambda a2, b2, c2, SA, SB, SC, S2, a, b, c: b2 * c2,
+    CenterId.X84: lambda a2, b2, c2, SA, SB, SC, S2, a, b, c:
+        a * ((a + b + c) * b * SB - S2) * ((a + b + c) * c * SC - S2),
     CenterId.X355: lambda a2, b2, c2, SA, SB, SC, S2, a, b, c:
         (a + b + c) * SB * SC + (b + c - a) * S2,
     CenterId.X389: lambda a2, b2, c2, SA, SB, SC, S2, a, b, c:
@@ -163,10 +171,6 @@ _FIRST: dict[CenterId, Callable[..., int]] = {
     CenterId.OMEGA1: lambda a2, b2, c2, SA, SB, SC, S2, a, b, c: a2 * c2,
     CenterId.OMEGA2: lambda a2, b2, c2, SA, SB, SC, S2, a, b, c: a2 * b2,
 }
-
-# centers evaluated as the isogonal conjugate of a partner center
-_ISOGONAL_OF = {CenterId.X54: CenterId.X5, CenterId.X57: CenterId.X9,
-                CenterId.X64: CenterId.X20, CenterId.X84: CenterId.X40}
 
 # centers whose rule needs the unsquared sides
 ODD_CENTERS = frozenset({
@@ -208,9 +212,6 @@ def center_coords(m: Metric, cid: CenterId) -> tuple[int, int, int]:
         raise OddCenterWithoutSides(
             f"{cid.value} needs exact side lengths, which this triangle lacks")
     a, b, c = sides or (None, None, None)
-    if cid in _ISOGONAL_OF:
-        # unchecked, unlike isogonal(), which refuses a partner on a sideline
-        return _conjugate((a2, b2, c2), center_coords(m, _ISOGONAL_OF[cid]))
     f = _FIRST[cid]
     return (f(a2, b2, c2, SA, SB, SC, S2, a, b, c),
             f(b2, c2, a2, SB, SC, SA, S2, b, c, a),
@@ -235,26 +236,21 @@ def anticomplement(p: HomPoint) -> HomPoint:
     return HomPoint(-x + y + z, x - y + z, x + y - z)
 
 
-def _conjugate(weights: Sequence[int], triple: Sequence[int]) -> tuple[int, int, int]:
-    """The conjugate (u*y*z : v*z*x : w*x*y) of (x : y : z) for weights (u, v, w)."""
-    (u, v, w), (x, y, z) = weights, triple
-    return (u * y * z, v * z * x, w * x * y)
-
-
 def _conjugate_point(conj: str, m: Metric, triple: Sequence[int]) -> tuple[int, int, int]:
-    """The raw conjugate of the point ``triple`` for the isogonal weights a2,
-    b2, c2 (read on the integral view of ``m``) or the isotomic weights 1, 1, 1."""
+    """The raw conjugate (u*y*z : v*z*x : w*x*y) of the point ``triple`` =
+    (x : y : z) for the isogonal weights u, v, w = a2, b2, c2 (read on the
+    integral view of ``m``) or the isotomic weights 1, 1, 1."""
     if conj == "isogonal":
-        u = m.unit
-        weights = (u.a2, u.b2, u.c2)
+        u, v, w, *_ = m.unit
     elif conj == "isotomic":
-        weights = (1, 1, 1)
+        u = v = w = 1
     else:
         raise ValueError(f"unknown conjugation {conj!r}")
     if 0 in triple:
         raise OnSideline(f"{conj} conjugate of {HomPoint(*triple)} (on a sideline) "
                          "is undefined")
-    return _conjugate(weights, triple)
+    x, y, z = triple
+    return (u * y * z, v * z * x, w * x * y)
 
 
 def isogonal(m: Metric, p: HomPoint) -> HomPoint:
@@ -666,7 +662,6 @@ IDENTITIES: dict[CenterId, CenterExpr] = {cid: parse_center(text) for cid, text 
     CenterId.X20: "reflect(X3,X4)",
     CenterId.X39: "midpoint(BrocardOmega1,BrocardOmega2)",
     CenterId.X40: "reflect(X3,X1)",
-    CenterId.X54: "isogonal(X5)",
     CenterId.X57: "isogonal(X9)",
     CenterId.X64: "isogonal(X20)",
     CenterId.X69: "isotomic(X4)",
@@ -691,6 +686,15 @@ def _cevians(weights: Callable[[RefTriangle], tuple]) -> Callable[[RefTriangle],
     return lines
 
 
+def _kosnita_lines(t: RefTriangle) -> list[HomLine]:
+    """Lines from each vertex to the circumcenter of O and the opposite
+    side, which meet at X54; on a right triangle O lies on the hypotenuse,
+    and that side's line is dropped."""
+    o = eval_center(t, CenterId.X3)
+    return [join(v, equidistant_point(o, p, q, t))
+            for v, (p, q) in zip(_VERTICES, _SIDE_PAIRS) if not collinear(o, p, q)]
+
+
 def _euler_line_of(p1: HomPoint, p2: HomPoint, p3: HomPoint, m: Metric) -> HomLine:
     return join(equidistant_point(p1, p2, p3, m), orthocenter_of(p1, p2, p3, m))
 
@@ -709,6 +713,7 @@ ON_LINES: dict[CenterId, Callable[[RefTriangle], list[HomLine]]] = {
     # Euler lines of IBC, ICA, IAB and ABC
     CenterId.X21: lambda t: [_euler_line_of(*tri, t) for tri in (
         *((eval_center(t, CenterId.X1), *pair) for pair in _SIDE_PAIRS), _VERTICES)],
+    CenterId.X54: _kosnita_lines,
     # each altitude foot joined to the opposite tangential vertex; on a right
     # triangle, where both triangles degenerate, the lines still meet at X25
     CenterId.X25: lambda t: [join(HomPoint(*f), HomPoint(*g)) for f, g in zip(

@@ -333,14 +333,19 @@ def characterization_claim(cid: str, conic: str, line: str, points, tri: str,
 def pivotal_claim(cid: str, tri: str, conj: str, pivot: str, points,
                   what: str) -> Claim:
     """Must-pass: each point, its conjugate in the ``tri`` triangle and the
-    pivot are collinear."""
+    pivot are collinear; a point on a sideline of ``tri``, which has no
+    conjugate, is passed over."""
     entries = _labelled(points)
 
     def check(tr: Trial):
         pv, sub = tr[pivot], tr[tri]
         for lbl, name in entries:
             p = tr[name]
-            if not pivotal_membership(sub, conj, pv, p):
+            try:
+                on = pivotal_membership(sub, conj, pv, p)
+            except OnSideline:  # p has no conjugate, so no collinearity to check
+                continue
+            if not on:
                 return Failure(str(p), str(pv),
                                f"{lbl} breaks the {what} collinearity")
         return None
@@ -350,15 +355,19 @@ def pivotal_claim(cid: str, tri: str, conj: str, pivot: str, points,
 
 def pascal_claims(conic: str, hexagon, pairs) -> tuple[Claim, Claim]:
     """Hexagon membership, and the Pascal line of the chord pairs (a, b, c,
-    d): the meets of a-b with c-d must align."""
+    d): the meets of a-b with c-d must align.  A hexagon off the conic, or
+    with two coinciding chords or points, is skipped."""
     entries = _labelled(hexagon)
 
     def pascal_line(tr: Trial):
         pts = {lbl: tr[n] for lbl, n in entries}
         if any(tr[conic].evaluate(p) for p in pts.values()):
             return SKIP
-        verdict = pascal_check(tuple(((pts[a], pts[b]), (pts[c], pts[d]))
-                                     for a, b, c, d in pairs))
+        try:
+            verdict = pascal_check(tuple(((pts[a], pts[b]), (pts[c], pts[d]))
+                                         for a, b, c, d in pairs))
+        except CoincidentArguments:  # a degenerate hexagon has no Pascal line
+            return SKIP
         if verdict:
             return None
         return Failure("meets not collinear", "collinear",

@@ -131,10 +131,12 @@ def _named_centers(expr) -> set:
 
 # the centers whose oracle fails on a triangle (the rest hold)
 PINNED_ORACLE_FAILURES = [
-    ((Fraction(28, 5), 12, 16), {CenterId.X54}),  # X5 on a sideline
+    ((Fraction(28, 5), 12, 16), set()),  # X5 on a sideline, X54 a vertex
     ((3, 4, 5), {CenterId.X69, CenterId.X389}),  # right: X4 is a vertex
     ((5, 12, 13), {CenterId.X69, CenterId.X389}),
     ((Fraction(3, 2), 2, Fraction(5, 2)), {CenterId.X69, CenterId.X389}),
+    ((65, 119, 156), set()),  # X5 on a sideline, X54 a vertex
+    ((136, 161, 255), set()),
     ((5, 5, 5), {CenterId.X21}),  # equilateral: no Euler line
     ((5, 5, 6), set()),
     ((5, 5, 8), set()),
@@ -664,6 +666,10 @@ ISOGONAL_PARTNERS = [
 ]
 
 
+# the primitive integer shapes with sides up to 300 that put X5 on a sideline
+X5_ON_SIDELINE = [(7, 15, 20), (65, 119, 156), (136, 161, 255)]
+
+
 def _metrics(t):
     """The base, its rotation, and every derived metric that exists for t."""
     out = [t, t.rot()]
@@ -716,6 +722,43 @@ class TestIsogonalPartners:
             assert eval_center(m, cid) == isogonal(m, q)
             checked += 1
         assert checked >= 3
+
+    def test_rows_equal_isogonal_of_partner_on_seeds(self):
+        """Each conjugate's closed form is its partner's isogonal conjugate
+        wherever that is defined, which on seeds 0-199 is everywhere."""
+        checked = 0
+        for seed in range(200):
+            t = random_triangle(seed)
+            for cid, partner in ISOGONAL_PARTNERS:
+                q = eval_center(t, partner)
+                if 0 not in q.triple:
+                    assert eval_center(t, cid) == isogonal(t, q), (seed, cid)
+                    checked += 1
+        assert checked == 800
+
+    @pytest.mark.parametrize("sides", X5_ON_SIDELINE)
+    def test_x54_is_the_vertex_opposite_x5s_sideline(self, sides):
+        t = RefTriangle(*sides)
+        x5 = eval_center(t, CenterId.X5).triple
+        assert x5.count(0) == 1
+        assert eval_center(t, CenterId.X54) == (VERTEX_A, VERTEX_B, VERTEX_C)[x5.index(0)]
+        assert dict(validate_center_oracles(t))[CenterId.X54] is True
+        with pytest.raises(OnSideline):
+            eval_expr(t, parse_center("isogonal(X5)"))
+
+    def test_odd_centers_are_the_rules_that_read_a_side(self):
+        """A rule called without sides fails or gives None exactly when it
+        is odd, so the set cannot drift from the rules."""
+        def reads_a_side(rule) -> bool:
+            try:
+                return rule(*T.unit[:7], None, None, None) is None
+            except TypeError:
+                return True
+
+        assert ODD_CENTERS == {cid for cid, rule in centers._FIRST.items()
+                               if reads_a_side(rule)}
+        assert {CenterId.X57, CenterId.X84} <= ODD_CENTERS
+        assert not {CenterId.X54, CenterId.X64} & ODD_CENTERS
 
 
 def _derivations(t: RefTriangle) -> list:

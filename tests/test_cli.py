@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tricurves import cli, render, scenarios
+from tricurves.centers import CenterId, validate_center_oracles
 from tricurves.cli import _named_curve, _rational, main, parse_triangle
 from tricurves.kernel import InvalidTriangle, RefTriangle
 from tricurves.scenarios import build_figure
@@ -51,12 +52,16 @@ class TestCenterCommand:
     def test_unknown_center(self, capsys):
         assert main(["center", "--triangle", "3,4,5", "--center", "Zed"]) == 64
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 1: X54 conjugates X5 unchecked, so a partner on a "
-        "sideline gives the vertex 1:0:0 and exit 0"))
-    def test_kosnita_with_partner_on_sideline_refused(self, capsys):
-        # X5 lies on a sideline here, as `--center 'isogonal(X5)'` reports
-        assert main(["center", "--triangle", "28/5,12,16", "--center", "K"]) == 65
+    @pytest.mark.parametrize("sides,vertex", [
+        ("28/5,12,16", "1:0:0"), ("65,119,156", "0:1:0"), ("136,161,255", "0:1:0")])
+    def test_kosnita_with_partner_on_sideline_is_a_vertex(self, capsys, sides, vertex):
+        # X5 lies on a sideline of each of these shapes, so its isogonal
+        # conjugate is undefined; X54 is still defined, as the meet of the
+        # Kosnita lines, and here that meet is a vertex
+        assert dict(validate_center_oracles(parse_triangle(sides)))[CenterId.X54]
+        assert main(["center", "--triangle", sides, "--center", "K"]) == 0
+        assert capsys.readouterr().out.strip() == vertex
+        assert main(["center", "--triangle", sides, "--center", "isogonal(X5)"]) == 65
 
     @pytest.mark.parametrize("expr", ["vertex(base,7)", "vertex(base,x)",
                                       "vertex(base,-1)", "antipode(base,3)"])

@@ -27,6 +27,7 @@ from tricurves.scenarios import (
     REGISTRY,
     SKIP,
     Claim,
+    Failure,
     Trial,
     UnknownScenario,
     VERDICT,
@@ -892,6 +893,71 @@ def test_rational_triangles_raise_only_geometry_errors(t):
     assert _outcomes(t, Trial(t)) == _outcomes(t, None)
 
 
+# setup refusals of every scenario on the 372 integer triangles with sides
+# up to 15, by exception type: 1,234 in all
+INTEGER_SWEEP_REFUSALS = {
+    ("cor1", "DegeneratePointSet"): 15, ("cor1", "OnSideline"): 19,
+    ("cor2", "DegeneratePointSet"): 15, ("cor2", "OnSideline"): 19,
+    ("cor3", "DegeneratePointSet"): 15, ("cor3", "OnSideline"): 19,
+    ("cor4", "DegeneratePointSet"): 15, ("cor4", "OnSideline"): 19,
+    ("cor5-euler-line-component", "DegeneratePointSet"): 169,
+    ("cor5-euler-line-component", "RightTriangle"): 4,
+    ("defs-sanity", "CoincidentArguments"): 15,
+    ("thm1-jerabek-excentral", "DegeneratePointSet"): 15,
+    ("thm2-thomson-excentral", "DegeneratePointSet"): 169,
+    ("thm2-thomson-excentral", "RightTriangle"): 4,
+    ("thm3-darboux-excentral", "DegeneratePointSet"): 169,
+    ("thm3-darboux-excentral", "RightTriangle"): 4,
+    ("thm4-yff-medial", "NotCollinear"): 15,
+    ("thm5-darboux-medial", "DegeneratePointSet"): 173,
+    ("thm6-lucas-medial", "DegeneratePointSet"): 173,
+    ("thm7-darboux-euler", "DegeneratePointSet"): 173,
+    ("thm8-jerabek-midarc", "DegeneratePointSet"): 15,
+}
+
+
+class TestIntegerTriangles:
+    """Every scenario on every integer triangle up to a bound, the
+    isosceles and right ones that ``random_triangle`` never draws included."""
+
+    @pytest.mark.parametrize("sid,sides", [
+        ("cor1", (1, 2, 2)), ("cor2", (1, 2, 2)), ("cor3", (2, 2, 3)), ("cor4", (2, 2, 3))])
+    def test_pascal_line_skips_a_degenerate_hexagon(self, sid, sides):
+        # two chords of the hexagon meet in a line, not a point, here
+        sc = REGISTRY[sid]
+        outcomes = evaluate(sc, Trial(RefTriangle(*sides)))
+        assert dict(zip((c.id for c in sc.claims), outcomes)) == {
+            "hexagon-on-conic": None, "pascal-line": SKIP}
+
+    @pytest.mark.parametrize("sides", [(3, 4, 5), (5, 12, 13), (6, 8, 10)])
+    def test_pivotal_oracles_pass_over_a_point_without_conjugate(self, sides):
+        # O, the hypotenuse's midpoint, and H, the right-angle vertex, lie on
+        # sidelines, so they have no conjugate
+        sc = REGISTRY["defs-sanity"]
+        assert evaluate(sc, Trial(RefTriangle(*sides))) == [None] * len(sc.claims)
+
+    def test_every_outcome_is_a_verdict_up_to_side_15(self):
+        triangles = [(a, b, c) for c in range(1, 16) for b in range(1, c + 1)
+                     for a in range(c - b + 1, b + 1)]
+        assert len(triangles) == 372
+        refusals, bad = collections.Counter(), []
+        for sides in triangles:
+            t = RefTriangle(*sides)
+            for sc in REGISTRY.values():
+                try:
+                    outcomes = evaluate(sc, Trial(t))
+                except GeometryError as exc:
+                    refusals[sc.id, type(exc).__name__] += 1
+                    continue
+                for c, res in zip(sc.claims, outcomes):
+                    failed = isinstance(res, Failure)
+                    if not (res is None or res is SKIP or failed) or (
+                            failed and c.expectation == MUST):
+                        bad.append((sc.id, c.id, sides, res))
+        assert bad == []
+        assert refusals == INTEGER_SWEEP_REFUSALS
+
+
 def _spied(sc, calls, replace=None):
     """``sc`` with each claim's check counted in ``calls`` by claim id, and
     replaced where ``replace`` maps the id to another check."""
@@ -1348,6 +1414,21 @@ class TestBenchPairsSummary:
             "pairs": 3, "correct": 2, "attempted": 3, "failed": 2}
         assert out["verify-all"]["wall_s"]["pairs_change_better"] == 3
         assert out["center-queries"]["wall_s"]["ratio"] == 0.5
+
+    def test_a_shared_wrong_answer_is_listed_by_seed(self):
+        run = self._run
+        runs = {
+            "center-queries": {
+                "parent": [run(1, 1.0), run(2, 1.0, False, 1), run(3, 1.0, False, 1)],
+                "change": [run(1, 1.0), run(2, 1.0, False, 1), run(3, 1.0)]},
+            "fit-certify": {"parent": [run(1, 1.0), run(2, 1.0)],
+                            "change": [run(1, 1.0), run(2, 1.0)]},
+        }
+        out = _bench_pairs().summarise(runs, {"wall_s": "lower"})
+        # seed 2 agrees on both sides, so agreement alone would hide it
+        assert out["center-queries"]["agreement"]["correct"] == 2
+        assert out["center-queries"]["incorrect_seeds"] == {"parent": [2, 3], "change": [2]}
+        assert out["fit-certify"]["incorrect_seeds"] == {"parent": [], "change": []}
 
     def _judged(self, parent, change, better="lower", bound=0.2):
         runs = {"fit-certify": {

@@ -43,7 +43,9 @@ than the parent's by no more than the metric's ``bound`` in
 ``BENCHMARK.json``, a fraction of the parent's median.  Under
 ``agreement`` it gives, per workload, how many seed pairs read the same
 correct, attempted and failed counts and, on verify-all, the same report
-digest.  It also lists every run's metrics, its attempted, failed and
+digest, and beside it, as ``incorrect_seeds``, each side's seeds whose
+run reads ``correct`` false, so a wrong answer both sides share shows.
+It also lists every run's metrics, its attempted, failed and
 correct counts and, on verify-all, its report digest.
 Standard library only.
 """
@@ -147,12 +149,16 @@ def agreement(workload: str, sides: dict) -> dict:
 
 
 def summarise(runs: dict, better: dict, bounds: dict | None = None) -> dict:
-    """Per workload: the seed pairs' agreement and, per metric, both sides'
-    spreads, the pair comparison and the two judgements; ``within_bound``
-    is ``None`` for a metric that ``bounds`` gives no bound."""
+    """Per workload: the seed pairs' agreement, each side's seeds whose run
+    reads ``correct`` false and, per metric, both sides' spreads, the pair
+    comparison and the two judgements; ``within_bound`` is ``None`` for a
+    metric that ``bounds`` gives no bound."""
     out = {}
     for workload, sides in runs.items():
-        out[workload] = {"agreement": agreement(workload, sides)}
+        out[workload] = {"agreement": agreement(workload, sides),
+                         "incorrect_seeds": {side: [r["seed"] for r in sides[side]
+                                                    if not r["correct"]]
+                                             for side in SIDES}}
         for metric, direction in better.items():
             pairs = [(p["metrics"].get(metric), c["metrics"].get(metric))
                      for p, c in zip(sides["parent"], sides["change"])]
